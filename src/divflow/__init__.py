@@ -4,7 +4,6 @@ manifolds, driven by the geodesic flow on the unit tangent bundle."""
 __version__ = "0.1.0"
 
 from .geometry import (
-    Chart,
     ChartedManifold,
     DomainError,
     MetricError,

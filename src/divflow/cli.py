@@ -18,6 +18,7 @@ import json
 import sys
 
 from .runner import (
+    KINDS,
     ConfigError,
     ExperimentConfig,
     list_zoo,
@@ -26,21 +27,7 @@ from .runner import (
     run,
 )
 
-_SUBCOMMAND_KINDS = {
-    ("verify", "fiber-lemma"): "fiber-lemma",
-    ("verify", "path-integral"): "path-integral",
-    ("verify", "fubini"): "fubini",
-    ("integrate", "volume"): "volume",
-    ("integrate", "divergence"): "divergence-integral",
-    ("diagnose", "karp"): "karp",
-    ("diagnose", "cutoff"): "cutoff",
-    ("diagnose", "fx-ladder"): "fx-ladder",
-    ("diagnose", "decay"): "decay",
-    ("diagnose", "recurrence"): "recurrence",
-    ("diagnose", "hopf"): "hopf",
-    ("potential", "monotone"): "potential-monotone",
-    ("potential", "laplacian"): "potential-laplacian",
-}
+_SUBCOMMAND_KINDS = {(spec.group, spec.action): kind for kind, spec in KINDS.items()}
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -68,15 +55,12 @@ def build_parser() -> argparse.ArgumentParser:
     zoo_sub = zoo_p.add_subparsers(dest="action", required=True)
     zoo_sub.add_parser("list", help="list manifold and field ids")
 
-    for group, kinds in (("verify", ("fiber-lemma", "path-integral", "fubini")),
-                         ("integrate", ("volume", "divergence")),
-                         ("diagnose", ("karp", "cutoff", "fx-ladder", "decay",
-                                       "recurrence", "hopf")),
-                         ("potential", ("monotone", "laplacian"))):
-        gp = top.add_parser(group)
-        gsub = gp.add_subparsers(dest="action", required=True)
-        for kind in kinds:
-            _add_common(gsub.add_parser(kind))
+    groups = {}
+    for group, action in _SUBCOMMAND_KINDS:
+        if group not in groups:
+            groups[group] = top.add_parser(group).add_subparsers(dest="action",
+                                                                 required=True)
+        _add_common(groups[group].add_parser(action))
     return ap
 
 

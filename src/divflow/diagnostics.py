@@ -19,12 +19,12 @@ return statistics) against the conditions the identities need:
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from scipy.integrate import quad
 
 from .geometry import (
     ChartedManifold,
@@ -51,7 +51,6 @@ __all__ = [
     "RecurrenceStats",
     "HopfProbe",
     "karp_sequence",
-    "karp_to_csv",
     "cutoff_estimate",
     "rate_integrability_ladder",
     "x_decay_at_infinity",
@@ -104,15 +103,6 @@ def karp_sequence(m: ChartedManifold, field: VectorFieldDef,
                                  stderr=est.stderr / float(r),
                                  surrogate=f"{m.name} radius surrogate"))
     return out
-
-
-def karp_to_csv(reports: Sequence[AnnulusReport], path):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["r", "mass", "normalized", "stderr"])
-        for rep in reports:
-            w.writerow([repr(rep.radius), repr(rep.mass),
-                        repr(rep.normalized), repr(rep.stderr)])
 
 
 # ---------------------------------------------------------------------------
@@ -370,8 +360,6 @@ def hopf_probe(m: ChartedManifold, state: UnitTangentState,
     traj = integrate_geodesic(m, state, t_max)
     reached = min(traj.t_end, t_max)
     truncated = traj.truncated
-
-    from scipy.integrate import quad
 
     def integrand(t):
         return f0(traj.sol(t)[:m.dim])

@@ -10,7 +10,6 @@ not corrected, so it stays an honest measure of integrator error.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -71,12 +70,11 @@ class GeodesicTrajectory:
     "rhs_failure".
     """
 
-    def __init__(self, m: ChartedManifold, chart: int, t: np.ndarray,
+    def __init__(self, m: ChartedManifold, t: np.ndarray,
                  states: np.ndarray, sol: Optional[OdeSolution],
                  truncated: bool, truncation_reason: Optional[str],
                  stats: StepStats):
         self.manifold = m
-        self.chart = chart
         self.t = t
         self.states = states
         self.sol = sol
@@ -99,7 +97,7 @@ class GeodesicTrajectory:
 
     def _speed(self, y: np.ndarray) -> float:
         n = self.dim
-        g = self.manifold.charts[self.chart].metric(y[:n])
+        g = self.manifold.metric(y[:n])
         v = y[n:]
         return float(v @ g @ v)
 
@@ -127,24 +125,10 @@ class GeodesicTrajectory:
     def state_at(self, t: float) -> UnitTangentState:
         y = self.y_at(t)
         n = self.dim
-        return UnitTangentState(x=y[:n], v=y[n:], chart=self.chart)
-
-    def to_csv(self, path):
-        """Columns t, x_1..x_n, v_1..v_n, speed_drift."""
-        n = self.dim
-        header = (["t"] + [f"x_{i+1}" for i in range(n)]
-                  + [f"v_{i+1}" for i in range(n)] + ["speed_drift"])
-        drift = self.speed_drift
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            for k in range(len(self.t)):
-                w.writerow([repr(float(self.t[k]))]
-                           + [repr(float(v)) for v in self.states[k]]
-                           + [repr(float(drift[k]))])
+        return UnitTangentState(x=y[:n], v=y[n:])
 
 
-def _geodesic_rhs(m: ChartedManifold, chart: int) -> Callable:
+def _geodesic_rhs(m: ChartedManifold) -> Callable:
     n = m.dim
     gamma = m.christoffel
 
@@ -157,7 +141,7 @@ def _geodesic_rhs(m: ChartedManifold, chart: int) -> Callable:
             return out
     else:
         def rhs(t, y):
-            G = christoffel(m, y[:n], chart=chart, method="fd")
+            G = christoffel(m, y[:n], method="fd")
             v = y[n:]
             out = np.empty(2 * n)
             out[:n] = v
@@ -183,8 +167,6 @@ def integrate_geodesic(m: ChartedManifold, state: UnitTangentState, t_final: flo
     if not np.isfinite(t_final):
         raise ValueError("t_final must be finite")
     n = m.dim
-    chart = state.chart
-    dom = m.charts[chart].domain
     y0 = np.concatenate([state.x, state.v])
     if t_final == t_start:
         raise ValueError("empty time span")
@@ -192,7 +174,7 @@ def integrate_geodesic(m: ChartedManifold, state: UnitTangentState, t_final: flo
     if min_step is None:
         min_step = max(1e-13, 1e-9 * span)
 
-    rhs = _geodesic_rhs(m, chart)
+    rhs = _geodesic_rhs(m)
     solver = RK45(rhs, t_start, y0, t_final, rtol=rtol, atol=atol)
     ts = [t_start]
     ys = [y0]
@@ -213,7 +195,7 @@ def integrate_geodesic(m: ChartedManifold, state: UnitTangentState, t_final: flo
         segments.append(solver.dense_output())
         ts.append(solver.t)
         ys.append(solver.y.copy())
-        if not dom(solver.y[:n]) or not np.all(np.isfinite(solver.y)):
+        if not m.domain(solver.y[:n]) or not np.all(np.isfinite(solver.y)):
             reason = "left_domain"
             break
         if abs(ts[-1] - ts[-2]) < min_step:
@@ -231,7 +213,7 @@ def integrate_geodesic(m: ChartedManifold, state: UnitTangentState, t_final: flo
     accepted = len(ts) - 1
     rejected = max(0, (solver.nfev - 1) // 6 - accepted)
     return GeodesicTrajectory(
-        m, chart, t_arr, states, sol,
+        m, t_arr, states, sol,
         truncated=reason is not None,
         truncation_reason=reason,
         stats=StepStats(n_accepted=accepted, n_rejected_est=rejected, nfev=solver.nfev),
@@ -281,7 +263,7 @@ def path_integral_identity_residual(field: VectorFieldDef, m: ChartedManifold,
             f"orbit truncated at t = {traj.t_end} ({traj.truncation_reason})")
 
     def rate(x, v):
-        Q = pairing_rate_form(field, m, x, chart=state.chart, validate=False)
+        Q = pairing_rate_form(field, m, x, validate=False)
         return float(v @ Q @ v)
 
     integral = birkhoff_integral(rate, m, state, T, trajectory=traj)
@@ -311,7 +293,7 @@ def endpoint_bound_check(field: VectorFieldDef, m: ChartedManifold,
                 f"orbit truncated at t = {traj.t_end} ({traj.truncation_reason})")
 
     def rate(x, v):
-        Q = pairing_rate_form(field, m, x, chart=state.chart, validate=False)
+        Q = pairing_rate_form(field, m, x, validate=False)
         return float(v @ Q @ v)
 
     lhs = abs(birkhoff_integral(rate, m, state, s, trajectory=fwd)
@@ -357,7 +339,7 @@ def _wrap_diffs(d: np.ndarray, periods) -> np.ndarray:
 
 
 def proxy_distance(m: ChartedManifold, Y: np.ndarray,
-                   state0: UnitTangentState, chart: int = 0) -> np.ndarray:
+                   state0: UnitTangentState) -> np.ndarray:
     """Bundle-distance gauge between flow states and a reference state.
 
     sqrt(position^2 + angle^2) with the position part the wrapped
@@ -367,7 +349,7 @@ def proxy_distance(m: ChartedManifold, Y: np.ndarray,
     """
     n = m.dim
     Y = np.atleast_2d(Y)
-    dx = _wrap_diffs(Y[:, :n] - state0.x, m.charts[chart].periods)
+    dx = _wrap_diffs(Y[:, :n] - state0.x, m.periods)
     pos = np.linalg.norm(dx, axis=1)
     V = Y[:, n:]
     nv = np.linalg.norm(V, axis=1) * max(1e-300, float(np.linalg.norm(state0.v)))

@@ -1,9 +1,11 @@
-"""Chart-based Riemannian primitives: metric, connection, divergence.
+"""Riemannian primitives in one coordinate chart: metric, connection,
+divergence.
 
-Everything here is a pure function of explicit chart data.  A manifold is a
-bundle of chart evaluators plus optional closed forms (Christoffel symbols,
-a distance-from-basepoint surrogate, an analytic geodesic) that downstream
-modules use as oracles or fast paths.
+Everything here is a pure function of explicit chart data.  A manifold is
+one almost-everywhere chart (a metric evaluator on a coordinate domain) plus
+optional closed forms (Christoffel symbols, a distance-from-basepoint
+surrogate, an analytic geodesic) that downstream modules use as oracles or
+fast paths.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 __all__ = [
-    "Chart",
     "ChartedManifold",
     "VectorFieldDef",
     "UnitTangentState",
@@ -56,32 +57,13 @@ def _always(_x) -> bool:
 
 
 @dataclass(frozen=True)
-class Chart:
-    """One coordinate chart: a domain predicate plus a metric evaluator.
-
-    ``periods[i]`` is the period of coordinate i, or None for a
-    non-periodic coordinate.
-    """
-
-    dim: int
-    metric: Callable[[np.ndarray], np.ndarray]
-    domain: Callable[[np.ndarray], bool] = _always
-    periods: tuple[Optional[float], ...] = ()
-
-    def __post_init__(self):
-        if not self.periods:
-            object.__setattr__(self, "periods", (None,) * self.dim)
-        if len(self.periods) != self.dim:
-            raise ValueError("periods length must equal chart dimension")
-
-
-@dataclass(frozen=True)
 class ChartedManifold:
-    """A manifold given by charts, with optional closed-form extras.
+    """A manifold given by one almost-everywhere coordinate chart, with
+    optional closed-form extras.
 
-    Experiments work in a single almost-everywhere chart (``charts[0]``);
-    additional charts are carried as data but no transition maps are
-    implemented.
+    ``metric(x)`` is the metric matrix on the chart domain, ``domain(x)``
+    the domain predicate, and ``periods[i]`` the period of coordinate i (None
+    for a non-periodic coordinate).
 
     Optional fields:
       christoffel      closed-form symbols, x -> (n, n, n) array G[k, i, j]
@@ -91,6 +73,8 @@ class ChartedManifold:
       shell            (r_lo, r_hi) -> tuple of integration patches for the
                        region {r_lo <= radius <= r_hi} (see integrals module)
       sample_box       default bounded coordinate box for random sampling
+      radius_cap       default radius of the bounded base region that
+                       sampling experiments use on an unbounded manifold
       radius_escape_certificate
                        True only if (a) pair_distance is the true distance
                        and (b) t -> radius(geodesic(t)) is convex along every
@@ -99,7 +83,9 @@ class ChartedManifold:
 
     name: str
     dim: int
-    charts: tuple[Chart, ...]
+    metric: Callable[[np.ndarray], np.ndarray]
+    domain: Callable[[np.ndarray], bool] = _always
+    periods: tuple[Optional[float], ...] = ()
     christoffel: Optional[Callable[[np.ndarray], np.ndarray]] = None
     basepoint: Optional[np.ndarray] = None
     radius: Optional[Callable[[np.ndarray], float]] = None
@@ -107,17 +93,20 @@ class ChartedManifold:
     geodesic: Optional[Callable[[np.ndarray, np.ndarray, float], tuple]] = None
     shell: Optional[Callable[[float, float], tuple]] = None
     sample_box: Optional[tuple[tuple[float, float], ...]] = None
+    radius_cap: Optional[float] = None
     radius_escape_certificate: bool = False
     description: str = ""
 
-    @property
-    def chart(self) -> Chart:
-        return self.charts[0]
+    def __post_init__(self):
+        if not self.periods:
+            object.__setattr__(self, "periods", (None,) * self.dim)
+        if len(self.periods) != self.dim:
+            raise ValueError("periods length must equal the manifold dimension")
 
 
 @dataclass(frozen=True)
 class VectorFieldDef:
-    """A C1 vector field on the working chart of one manifold.
+    """A C1 vector field in the chart of one manifold.
 
     ``components(x)`` returns the chart components X^k(x).  ``jacobian``,
     when supplied, returns analytic partials J[k, i] = dX^k/dx^i; otherwise
@@ -130,7 +119,6 @@ class VectorFieldDef:
     jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
     divergence: Optional[Callable[[np.ndarray], float]] = None
     fx: Optional[Callable[[np.ndarray, np.ndarray], float]] = None
-    chart: int = 0
 
     @property
     def has_analytic_partials(self) -> bool:
@@ -139,22 +127,20 @@ class VectorFieldDef:
 
 @dataclass(frozen=True, eq=False)
 class UnitTangentState:
-    """A point of the unit tangent bundle: chart id, position, velocity."""
+    """A point of the unit tangent bundle: position and velocity."""
 
     x: np.ndarray
     v: np.ndarray
-    chart: int = 0
 
 
-def unit_state(m: ChartedManifold, x, v, chart: int = 0,
-               normalize: bool = False) -> UnitTangentState:
+def unit_state(m: ChartedManifold, x, v, normalize: bool = False) -> UnitTangentState:
     """Build a unit tangent state, enforcing g(v, v) = 1 within 1e-10.
 
     With ``normalize=True`` the velocity is rescaled to unit g-norm first.
     """
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
-    g = metric_at(m, x, chart=chart)
+    g = metric_at(m, x)
     speed2 = float(v @ g @ v)
     if normalize:
         if speed2 <= 0:
@@ -164,14 +150,14 @@ def unit_state(m: ChartedManifold, x, v, chart: int = 0,
     if abs(speed2 - 1.0) > UNIT_SPEED_TOL:
         raise ValueError(
             f"velocity is not unit: g(v,v) = {speed2!r} (tol {UNIT_SPEED_TOL})")
-    return UnitTangentState(x=x, v=v, chart=chart)
+    return UnitTangentState(x=x, v=v)
 
 
 # ---------------------------------------------------------------------------
 # metric
 
 
-def metric_at(m: ChartedManifold, x, chart: int = 0, validate: bool = True) -> np.ndarray:
+def metric_at(m: ChartedManifold, x, validate: bool = True) -> np.ndarray:
     """Metric matrix g_ij(x); validates symmetry and positive definiteness.
 
     Positive definiteness is enforced by an attempted Cholesky factorization;
@@ -180,10 +166,9 @@ def metric_at(m: ChartedManifold, x, chart: int = 0, validate: bool = True) -> n
     checks; the domain predicate is always applied.
     """
     x = np.asarray(x, dtype=float)
-    ch = m.charts[chart]
-    if not ch.domain(x):
+    if not m.domain(x):
         raise DomainError(f"{m.name}: point {x!r} outside chart domain")
-    g = np.asarray(ch.metric(x), dtype=float)
+    g = np.asarray(m.metric(x), dtype=float)
     if not validate:
         return g
     if g.shape != (m.dim, m.dim):
@@ -197,24 +182,24 @@ def metric_at(m: ChartedManifold, x, chart: int = 0, validate: bool = True) -> n
     return g
 
 
-def inverse_metric_at(m: ChartedManifold, x, chart: int = 0) -> np.ndarray:
-    return np.linalg.inv(metric_at(m, x, chart=chart))
+def inverse_metric_at(m: ChartedManifold, x) -> np.ndarray:
+    return np.linalg.inv(metric_at(m, x))
 
 
-def volume_density(m: ChartedManifold, x, chart: int = 0) -> float:
+def volume_density(m: ChartedManifold, x) -> float:
     """sqrt(det g) at x; strictly positive on the chart domain."""
-    g = metric_at(m, x, chart=chart)
+    g = metric_at(m, x)
     L = np.linalg.cholesky(g)
     return float(np.prod(np.diag(L)))
 
 
-def orthonormal_frame(m: ChartedManifold, x, chart: int = 0) -> np.ndarray:
+def orthonormal_frame(m: ChartedManifold, x) -> np.ndarray:
     """Columns form a g-orthonormal basis of the tangent space at x.
 
     Equivalent to Gram-Schmidt on the chart basis: with g = L L^T the frame
     is E = L^{-T}, so E^T g E = I.
     """
-    g = metric_at(m, x, chart=chart)
+    g = metric_at(m, x)
     L = np.linalg.cholesky(g)
     return np.linalg.inv(L).T
 
@@ -227,9 +212,8 @@ def _fd_steps(x: np.ndarray) -> np.ndarray:
     return FD_STEP * np.maximum(1.0, np.abs(x))
 
 
-def _metric_partials(m: ChartedManifold, x: np.ndarray, chart: int) -> np.ndarray:
+def _metric_partials(m: ChartedManifold, x: np.ndarray) -> np.ndarray:
     """dg[a, i, j] = d g_ij / d x^a by central differences."""
-    ch = m.charts[chart]
     n = m.dim
     h = _fd_steps(x)
     dg = np.empty((n, n, n))
@@ -238,18 +222,17 @@ def _metric_partials(m: ChartedManifold, x: np.ndarray, chart: int) -> np.ndarra
         xm = x.copy()
         xp[a] += h[a]
         xm[a] -= h[a]
-        if not (ch.domain(xp) and ch.domain(xm)):
+        if not (m.domain(xp) and m.domain(xm)):
             raise DomainError(
                 f"{m.name}: finite-difference stencil at {x!r} leaves the chart domain")
-        gp = np.asarray(ch.metric(xp), dtype=float)
-        gm = np.asarray(ch.metric(xm), dtype=float)
+        gp = np.asarray(m.metric(xp), dtype=float)
+        gm = np.asarray(m.metric(xm), dtype=float)
         dg[a] = (gp - gm) / (2.0 * h[a])
     # exact index symmetry of the symbols below needs dg[a] symmetric
     return 0.5 * (dg + np.swapaxes(dg, 1, 2))
 
 
-def christoffel(m: ChartedManifold, x, chart: int = 0,
-                method: str = "auto") -> np.ndarray:
+def christoffel(m: ChartedManifold, x, method: str = "auto") -> np.ndarray:
     """Christoffel symbols G[k, i, j] = Gamma^k_ij at x.
 
     ``method``: "auto" uses the manifold's closed form when present,
@@ -262,8 +245,8 @@ def christoffel(m: ChartedManifold, x, chart: int = 0,
         return np.asarray(m.christoffel(x), dtype=float)
     if method == "closed":
         raise ValueError(f"{m.name} has no closed-form Christoffel symbols")
-    ginv = inverse_metric_at(m, x, chart=chart)
-    dg = _metric_partials(m, x, chart)
+    ginv = inverse_metric_at(m, x)
+    dg = _metric_partials(m, x)
     # Gamma_{l ij} = (d_i g_jl + d_j g_il - d_l g_ij) / 2
     first = 0.5 * (np.einsum("ijl->lij", dg) + np.einsum("jil->lij", dg) - dg)
     return np.einsum("kl,lij->kij", ginv, first)
@@ -274,7 +257,6 @@ def _field_jacobian(field: VectorFieldDef, m: ChartedManifold,
     """J[k, i] = dX^k/dx^i, analytic when supplied else central differences."""
     if field.jacobian is not None:
         return np.asarray(field.jacobian(x), dtype=float)
-    ch = m.charts[field.chart]
     n = m.dim
     h = _fd_steps(x)
     J = np.empty((n, n))
@@ -283,7 +265,7 @@ def _field_jacobian(field: VectorFieldDef, m: ChartedManifold,
         xm = x.copy()
         xp[i] += h[i]
         xm[i] -= h[i]
-        if not (ch.domain(xp) and ch.domain(xm)):
+        if not (m.domain(xp) and m.domain(xm)):
             raise DomainError(
                 f"{m.name}: finite-difference stencil at {x!r} leaves the chart domain")
         J[:, i] = (np.asarray(field.components(xp), dtype=float)
@@ -295,7 +277,7 @@ def _derivative_matrix(field: VectorFieldDef, m: ChartedManifold,
                        x: np.ndarray) -> np.ndarray:
     """A[k, i] with (nabla_v X)^k = A[k, i] v^i."""
     J = _field_jacobian(field, m, x)
-    G = christoffel(m, x, chart=field.chart)
+    G = christoffel(m, x)
     X = np.asarray(field.components(x), dtype=float)
     return J + np.einsum("kij,j->ki", G, X)
 
@@ -319,7 +301,6 @@ def divergence(field: VectorFieldDef, m: ChartedManifold, x,
     if method == "trace":
         return float(np.trace(_derivative_matrix(field, m, x)))
     if method == "coordinate":
-        ch = m.charts[field.chart]
         n = m.dim
         h = _fd_steps(x)
         total = 0.0
@@ -328,13 +309,13 @@ def divergence(field: VectorFieldDef, m: ChartedManifold, x,
             xm = x.copy()
             xp[i] += h[i]
             xm[i] -= h[i]
-            if not (ch.domain(xp) and ch.domain(xm)):
+            if not (m.domain(xp) and m.domain(xm)):
                 raise DomainError(
                     f"{m.name}: finite-difference stencil at {x!r} leaves the chart domain")
-            wp = volume_density(m, xp, chart=field.chart) * float(field.components(xp)[i])
-            wm = volume_density(m, xm, chart=field.chart) * float(field.components(xm)[i])
+            wp = volume_density(m, xp) * float(field.components(xp)[i])
+            wm = volume_density(m, xm) * float(field.components(xm)[i])
             total += (wp - wm) / (2.0 * h[i])
-        return total / volume_density(m, x, chart=field.chart)
+        return total / volume_density(m, x)
     if method == "closed":
         if field.divergence is None:
             raise ValueError(f"field {field.name} has no closed-form divergence")
@@ -349,13 +330,13 @@ def divergence(field: VectorFieldDef, m: ChartedManifold, x,
 def pairing(field: VectorFieldDef, m: ChartedManifold,
             state: UnitTangentState) -> float:
     """g(X, v): the field's component along the state's velocity."""
-    g = metric_at(m, state.x, chart=state.chart)
+    g = metric_at(m, state.x)
     X = np.asarray(field.components(state.x), dtype=float)
     return float(state.v @ g @ X)
 
 
 def pairing_rate_form(field: VectorFieldDef, m: ChartedManifold, x,
-                      chart: int = 0, validate: bool = True) -> np.ndarray:
+                      validate: bool = True) -> np.ndarray:
     """Matrix Q with pairing rate = v @ Q @ v for unit v at x.
 
     The rate of g(X, gamma') along the geodesic through (x, v) is the
@@ -363,7 +344,7 @@ def pairing_rate_form(field: VectorFieldDef, m: ChartedManifold, x,
     over many directions cheap.
     """
     x = np.asarray(x, dtype=float)
-    g = metric_at(m, x, chart=chart, validate=validate)
+    g = metric_at(m, x, validate=validate)
     A = _derivative_matrix(field, m, x)
     Q = g @ A
     return 0.5 * (Q + Q.T)
@@ -377,13 +358,13 @@ def pairing_rate(field: VectorFieldDef, m: ChartedManifold,
     unit vectors for conformal fields.  Its fiber average over unit
     directions is (omega_{n-1} / n) * div X.
     """
-    Q = pairing_rate_form(field, m, state.x, chart=state.chart)
+    Q = pairing_rate_form(field, m, state.x)
     return float(state.v @ Q @ state.v)
 
 
 def field_norm(field: VectorFieldDef, m: ChartedManifold, x) -> float:
     """g-norm |X| at x."""
     x = np.asarray(x, dtype=float)
-    g = metric_at(m, x, chart=field.chart)
+    g = metric_at(m, x)
     X = np.asarray(field.components(x), dtype=float)
     return float(math.sqrt(max(0.0, X @ g @ X)))

@@ -1,7 +1,7 @@
 """Quadrature and Monte Carlo over manifolds, unit-sphere fibers, and the
 unit tangent bundle.
 
-Regions are either coordinate boxes in the working chart or radial shells
+Regions are either coordinate boxes in the chart or radial shells
 {r_lo <= r(p) <= r_hi} delegated to the manifold's shell parametrization.
 Unbounded domains are handled by truncation ladders with recorded traces.
 All reductions run in a fixed index order (compensated sums for the final
@@ -52,10 +52,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ChartBox:
-    """Axis-aligned box in working-chart coordinates."""
+    """Axis-aligned box in chart coordinates."""
 
     bounds: tuple[tuple[float, float], ...]
-    chart: int = 0
 
 
 @dataclass(frozen=True)
@@ -74,7 +73,7 @@ class RadialShell:
 class ShellPatch:
     """One parametrized piece of a region.
 
-    ``to_chart`` maps patch coordinates u to working-chart coordinates and
+    ``to_chart`` maps patch coordinates u to chart coordinates and
     ``density(u)`` is the full volume density in patch coordinates (metric
     density times the parametrization Jacobian).  ``breakpoints`` lists, per
     axis, loci where the integrand is only finitely differentiable; panels
@@ -92,7 +91,7 @@ def _box_patch(m: ChartedManifold, box: ChartBox) -> ShellPatch:
     return ShellPatch(
         bounds=tuple((float(a), float(b)) for a, b in box.bounds),
         to_chart=lambda u: u,
-        density=lambda u: volume_density(m, u, chart=box.chart),
+        density=lambda u: volume_density(m, u),
         name="chart-box",
     )
 
@@ -202,7 +201,7 @@ def fiber_rule(n: int, angular_order: int = 64, polar_order: int = 32,
 
 
 def fiber_integral(m: ChartedManifold, h: Callable[[np.ndarray], float], x,
-                   rule: Optional[FiberRule] = None, chart: int = 0,
+                   rule: Optional[FiberRule] = None,
                    batched: bool = False) -> float:
     """Integral of h over the unit sphere of the tangent space at x.
 
@@ -214,7 +213,7 @@ def fiber_integral(m: ChartedManifold, h: Callable[[np.ndarray], float], x,
     x = np.asarray(x, dtype=float)
     if rule is None:
         rule = fiber_rule(m.dim)
-    E = orthonormal_frame(m, x, chart=chart)   # raises on non-SPD metric
+    E = orthonormal_frame(m, x)   # raises on non-SPD metric
     dirs = rule.nodes @ E.T
     if batched:
         vals = np.asarray(h(dirs), dtype=float)
@@ -308,7 +307,7 @@ def base_integral(m: ChartedManifold, h: Callable[[np.ndarray], float], region,
                   n_mc: int = 20000, seed: int = 0) -> IntegralEstimate:
     """Integral of h against the volume measure over a bounded region.
 
-    ``h`` takes working-chart coordinates.  ``region`` is a ChartBox, a
+    ``h`` takes chart coordinates.  ``region`` is a ChartBox, a
     RadialShell, or explicit shell patches.
     """
     patches = resolve_patches(m, region)

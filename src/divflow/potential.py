@@ -108,12 +108,11 @@ class ScalarFieldDef:
     name: str
     value: Callable[[np.ndarray], float]
     grad: Callable[[np.ndarray], np.ndarray]
-    chart: int = 0
 
 
 def _gradient_norm(u: ScalarFieldDef, m: ChartedManifold, x) -> float:
     du = np.asarray(u.grad(x), dtype=float)
-    ginv = inverse_metric_at(m, x, chart=u.chart)
+    ginv = inverse_metric_at(m, x)
     return float(math.sqrt(max(0.0, du @ ginv @ du)))
 
 
@@ -127,7 +126,7 @@ def phi_flux_field(u: ScalarFieldDef, profile: PhiProfile,
 
     def components(x):
         du = np.asarray(u.grad(x), dtype=float)
-        ginv = inverse_metric_at(m, x, chart=u.chart)
+        ginv = inverse_metric_at(m, x)
         grad = ginv @ du
         norm = math.sqrt(max(0.0, float(du @ grad)))
         if norm <= zero_tol:
@@ -135,7 +134,7 @@ def phi_flux_field(u: ScalarFieldDef, profile: PhiProfile,
         return (float(profile.phi(norm)) / norm) * grad
 
     return VectorFieldDef(name=f"flux[{profile.name}]({u.name})",
-                          components=components, chart=u.chart)
+                          components=components)
 
 
 def phi_laplacian(u: ScalarFieldDef, profile: PhiProfile, m: ChartedManifold,
@@ -175,11 +174,11 @@ def laplace_beltrami(u: ScalarFieldDef, m: ChartedManifold, x) -> float:
             xp = x.copy()
             xp[i] += s * h[i]
             du = np.asarray(u.grad(xp), dtype=float)
-            w = volume_density(m, xp, chart=u.chart) * float(
-                (inverse_metric_at(m, xp, chart=u.chart) @ du)[i])
+            w = volume_density(m, xp) * float(
+                (inverse_metric_at(m, xp) @ du)[i])
             vals.append(w)
         total += (vals[0] - vals[1]) / (2.0 * h[i])
-    return total / volume_density(m, x, chart=u.chart)
+    return total / volume_density(m, x)
 
 
 # ---------------------------------------------------------------------------

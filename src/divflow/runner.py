@@ -12,7 +12,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -60,19 +60,6 @@ class ConfigError(ValueError):
     """Malformed configuration or unresolvable ids."""
 
 
-KINDS = (
-    "fiber-lemma", "path-integral", "fubini",
-    "volume", "divergence-integral",
-    "karp", "cutoff", "fx-ladder", "decay", "recurrence", "hopf",
-    "potential-monotone", "potential-laplacian",
-)
-
-# experiments that sample the base region of an unbounded manifold record
-# the cap they used
-_DEFALT_RADIUS_CAP = {"hyperbolic": 2.0, "warp:ex2": 3.0, "warp:ex3": 3.0,
-                      "warp:ex4": 3.0, "revolution:1/(1+x^2)": 4.0}
-
-
 @dataclass
 class ExperimentConfig:
     kind: str
@@ -90,13 +77,10 @@ class ExperimentConfig:
                             "tolerances", "seed"}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        kind = d.get("kind")
-        if kind not in KINDS:
-            raise ConfigError(f"unknown experiment kind {kind!r}")
         fields_ = d.get("fields")
         if fields_ is None:
             fields_ = [d["field"]] if d.get("field") else []
-        cfg = cls(kind=kind, manifold=d.get("manifold"),
+        cfg = cls(kind=d.get("kind"), manifold=d.get("manifold"),
                   fields=tuple(fields_), params=dict(d.get("params", {})),
                   tolerances=dict(d.get("tolerances", {})),
                   seed=int(d.get("seed", 0)))
@@ -104,6 +88,24 @@ class ExperimentConfig:
         return cfg
 
     def validate(self):
+        if not isinstance(self.kind, str) or self.kind not in KINDS:
+            raise ConfigError(f"unknown experiment kind {self.kind!r}")
+        spec = KINDS[self.kind]
+        for what, given, known in (("params", self.params, spec.params),
+                                   ("tolerances", self.tolerances, spec.tolerances)):
+            unknown = sorted(set(given) - set(known))
+            if unknown:
+                raise ConfigError(f"unknown {what} for {self.kind}: {unknown}; "
+                                  f"known: {sorted(known)}")
+        if "radii" in self.params:
+            radii = self.params["radii"]
+            if not (isinstance(radii, (list, tuple)) and radii
+                    and all(isinstance(r, (int, float)) and 0.0 < r < math.inf
+                            for r in radii)):
+                raise ConfigError(
+                    f"radii must be a nonempty list of positive numbers, got {radii!r}")
+            if len(radii) < 2 and self.params.get("expect") is not None:
+                raise ConfigError(f"{self.kind} with an expect needs at least two radii")
         if self.manifold is not None and self.manifold not in zoo.MANIFOLD_IDS:
             raise ConfigError(f"unknown manifold id {self.manifold!r}")
         for fid in self.fields:
@@ -287,7 +289,7 @@ def _run_karp(cfg, workers):
         thr = float(cfg.tolerances.get("lower_bound", 1.0))
         checks.append(_check("normalized_bounded_below", min(values), thr, ">="))
         slack = min(values[i + 1] - values[i] + 3.0 * (errs[i + 1] + errs[i])
-                    for i in range(len(values) - 1)) if len(values) > 1 else 0.0
+                    for i in range(len(values) - 1))
         checks.append(_check("normalized_nondecreasing_within_error",
                              float(slack), 0.0, ">="))
     elif expect is not None:
@@ -354,7 +356,7 @@ def _run_recurrence(cfg, workers):
         raise ConfigError("recurrence needs a manifold id")
     m = zoo.manifold(cfg.manifold)
     p = cfg.params
-    cap = p.get("radius_cap", _DEFALT_RADIUS_CAP.get(cfg.manifold))
+    cap = p.get("radius_cap", m.radius_cap)
     stats = recurrence_fraction(
         m, int(p.get("n", 100)), eps=float(p.get("eps", 0.05)),
         t_min=float(p.get("t_min", 1.0)), t_max=float(p.get("t_max", 1000.0)),
@@ -376,7 +378,7 @@ def _run_hopf(cfg, workers):
     m = zoo.manifold(cfg.manifold)
     p = cfg.params
     n = int(p.get("n", 20))
-    cap = p.get("radius_cap", _DEFALT_RADIUS_CAP.get(cfg.manifold))
+    cap = p.get("radius_cap", m.radius_cap)
     if cap is not None:
         cap = float(cap)
     horizons = p.get("horizons")
@@ -461,20 +463,47 @@ def _run_potential_laplacian(cfg, workers):
     return {"results": results, "checks": checks}
 
 
-_RUNNERS: dict[str, Callable] = {
-    "fiber-lemma": _run_fiber_lemma,
-    "path-integral": _run_path_integral,
-    "fubini": _run_fubini,
-    "volume": _run_volume,
-    "divergence-integral": _run_divergence_integral,
-    "karp": _run_karp,
-    "cutoff": _run_cutoff,
-    "fx-ladder": _run_fx_ladder,
-    "decay": _run_decay,
-    "recurrence": _run_recurrence,
-    "hopf": _run_hopf,
-    "potential-monotone": _run_potential_monotone,
-    "potential-laplacian": _run_potential_laplacian,
+class Kind(NamedTuple):
+    """One experiment kind: its CLI subcommand, its runner, and the params
+    and tolerances keys the runner reads (any other key is a config error)."""
+
+    group: str
+    action: str
+    run: Callable[[ExperimentConfig, int], dict]
+    params: tuple[str, ...]
+    tolerances: tuple[str, ...] = ()
+
+
+_REGION = ("r0", "rungs", "box", "order", "expected")
+
+# in CLI order: groups appear in the order of their first kind
+KINDS: dict[str, Kind] = {
+    "fiber-lemma": Kind("verify", "fiber-lemma", _run_fiber_lemma,
+                        ("n_points",), ("residual",)),
+    "path-integral": Kind("verify", "path-integral", _run_path_integral,
+                          ("n_orbits", "T"), ("residual",)),
+    "fubini": Kind("verify", "fubini", _run_fubini, ("n_mc", "box")),
+    "volume": Kind("integrate", "volume", _run_volume, _REGION, ("rel_error",)),
+    "divergence-integral": Kind("integrate", "divergence", _run_divergence_integral,
+                                _REGION, ("rel_error",)),
+    "karp": Kind("diagnose", "karp", _run_karp, ("radii", "order", "expect"),
+                 ("final_normalized", "lower_bound")),
+    "cutoff": Kind("diagnose", "cutoff", _run_cutoff, ("radii", "sigma", "order")),
+    "fx-ladder": Kind("diagnose", "fx-ladder", _run_fx_ladder,
+                      ("r0", "rungs", "order", "expect"), ("ladder_rel_tol",)),
+    "decay": Kind("diagnose", "decay", _run_decay, ("radii", "n_samples", "expect"),
+                  ("final_sup",)),
+    "recurrence": Kind("diagnose", "recurrence", _run_recurrence,
+                       ("radius_cap", "n", "eps", "t_min", "t_max",
+                        "min_fraction", "max_fraction")),
+    "hopf": Kind("diagnose", "hopf", _run_hopf,
+                 ("n", "radius_cap", "horizons", "expect_label",
+                  "min_label_fraction")),
+    "potential-monotone": Kind("potential", "monotone", _run_potential_monotone,
+                               ("profile", "n_pairs", "dim"),
+                               ("negativity_floor", "near_zero")),
+    "potential-laplacian": Kind("potential", "laplacian", _run_potential_laplacian,
+                                ("u", "n_points"), ("residual",)),
 }
 
 
@@ -488,7 +517,7 @@ def run(cfg: ExperimentConfig, workers: int = 1) -> dict:
     cfg.validate()
     canonical = cfg.canonical()
     blob = json.dumps(canonical, sort_keys=True, separators=(",", ":"))
-    out = _RUNNERS[cfg.kind](cfg, workers)
+    out = KINDS[cfg.kind].run(cfg, workers)
     checks = out.get("checks", [])
     report = {
         "tool": {"name": "divflow", "version": __version__},

@@ -15,9 +15,10 @@ The zoo ships:
                            horizontal lift of a conformal field, with
                            div Z = 2/sqrt(1+x^2+y^2) and integral 4 pi^2
 
-Every manifold exposes the working chart, closed-form Christoffel symbols,
-a radius surrogate with matching shell parametrization, and a bounded
-default sampling box.
+Every manifold is one almost-everywhere chart with closed-form Christoffel
+symbols and a bounded default sampling box; all but the torus also carry a
+radius surrogate with matching shell parametrization and a default radius
+cap for sampling.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .geometry import Chart, ChartedManifold, VectorFieldDef
+from .geometry import ChartedManifold, VectorFieldDef
 from .integrals import ShellPatch
 
 __all__ = [
@@ -206,7 +207,6 @@ def make_flat_torus(side: float = 1.0) -> ChartedManifold:
         raise ValueError("side must be positive")
     L = float(side)
     eye = np.eye(2)
-    chart = Chart(dim=2, metric=lambda x: eye, periods=(L, L))
 
     def pair_distance(p, q):
         d = np.asarray(p) - np.asarray(q)
@@ -216,7 +216,8 @@ def make_flat_torus(side: float = 1.0) -> ChartedManifold:
     return ChartedManifold(
         name=f"torus(L={L:g})",
         dim=2,
-        charts=(chart,),
+        metric=lambda x: eye,
+        periods=(L, L),
         christoffel=lambda x: np.zeros((2, 2, 2)),
         basepoint=np.zeros(2),
         pair_distance=pair_distance,
@@ -316,7 +317,8 @@ def make_surface_of_revolution(profile: Optional[RevolutionProfile] = None,
     m = ChartedManifold(
         name=f"revolution:{profile.name}",
         dim=2,
-        charts=(Chart(dim=2, metric=metric, periods=(None, TWO_PI)),),
+        metric=metric,
+        periods=(None, TWO_PI),
         christoffel=christoffel,
         basepoint=np.zeros(2),
         radius=lambda x: arc.r_of_x(x[0]),
@@ -393,7 +395,7 @@ def make_hyperbolic_plane() -> ChartedManifold:
     return ChartedManifold(
         name="hyperbolic",
         dim=2,
-        charts=(Chart(dim=2, metric=_h2_metric),),
+        metric=_h2_metric,
         christoffel=_h2_christoffel,
         basepoint=np.zeros(2),
         radius=radius,
@@ -401,6 +403,7 @@ def make_hyperbolic_plane() -> ChartedManifold:
         geodesic=geodesic,
         shell=shell,
         sample_box=((-3.0, 3.0), (-3.0, 3.0)),
+        radius_cap=2.0,
         radius_escape_certificate=True,
         description="hyperbolic plane (curvature -1), hyperboloid graph chart",
     )
@@ -416,19 +419,12 @@ def _hyperbolic_polar() -> ChartedManifold:
     def metric(x):
         return np.array([[1.0, 0.0], [0.0, math.sinh(x[0]) ** 2]])
 
-    def christoffel(x):
-        r = x[0]
-        G = np.zeros((2, 2, 2))
-        G[0, 1, 1] = -math.sinh(r) * math.cosh(r)
-        G[1, 0, 1] = G[1, 1, 0] = 1.0 / math.tanh(r)
-        return G
-
     return ChartedManifold(
         name="hyperbolic-polar",
         dim=2,
-        charts=(Chart(dim=2, metric=metric, domain=lambda x: x[0] > 0.0,
-                      periods=(None, TWO_PI)),),
-        christoffel=christoffel,
+        metric=metric,
+        domain=lambda x: x[0] > 0.0,
+        periods=(None, TWO_PI),
         basepoint=None,
         radius=lambda x: float(x[0]),
         sample_box=((0.3, 5.0), (0.0, TWO_PI)),
@@ -441,8 +437,8 @@ def _circle() -> ChartedManifold:
     return ChartedManifold(
         name="circle",
         dim=1,
-        charts=(Chart(dim=1, metric=lambda x: one, periods=(TWO_PI,)),),
-        christoffel=lambda x: np.zeros((1, 1, 1)),
+        metric=lambda x: one,
+        periods=(TWO_PI,),
         sample_box=((0.0, TWO_PI),),
         description="unit circle",
     )
@@ -474,52 +470,29 @@ def make_warped_product(base: ChartedManifold, fiber: ChartedManifold,
     """Product manifold with block metric [[g_B, 0], [0, h^2 g_F]].
 
     ``warp`` and ``warp_grad`` take base coordinates; h must be positive.
-    Closed-form Christoffel symbols are assembled from the factors' symbols
-    plus the standard warped mixing terms (radial-log-derivative couplings).
+    No Christoffel symbols are attached: each example supplies direct ones,
+    and without them the finite-difference route applies.
     """
     nB, nF = base.dim, fiber.dim
     n = nB + nF
-    bch, fch = base.chart, fiber.chart
 
     def metric(x):
         xB, xF = x[:nB], x[nB:]
         h = warp(xB)
         g = np.zeros((n, n))
-        g[:nB, :nB] = bch.metric(xB)
-        g[nB:, nB:] = (h * h) * fch.metric(xF)
+        g[:nB, :nB] = base.metric(xB)
+        g[nB:, nB:] = (h * h) * fiber.metric(xF)
         return g
 
-    christoffel = None
-    if base.christoffel is not None and fiber.christoffel is not None:
-        def christoffel(x):
-            xB, xF = x[:nB], x[nB:]
-            h = warp(xB)
-            dh = np.asarray(warp_grad(xB), dtype=float)
-            gB = bch.metric(xB)
-            gF = fch.metric(xF)
-            grad_h = np.linalg.solve(gB, dh)
-            G = np.zeros((n, n, n))
-            G[:nB, :nB, :nB] = base.christoffel(xB)
-            G[nB:, nB:, nB:] = fiber.christoffel(xF)
-            # Gamma^a_ij = -h h^{,a} gF_ij ; Gamma^i_aj = (d_a h / h) delta^i_j
-            for a in range(nB):
-                G[a, nB:, nB:] = -h * grad_h[a] * gF
-            for a in range(nB):
-                c = dh[a] / h
-                for i in range(nF):
-                    G[nB + i, a, nB + i] = c
-                    G[nB + i, nB + i, a] = c
-            return G
-
     def domain(x):
-        return bch.domain(x[:nB]) and fch.domain(x[nB:])
+        return base.domain(x[:nB]) and fiber.domain(x[nB:])
 
     m = ChartedManifold(
         name=name or f"{base.name}x{fiber.name}",
         dim=n,
-        charts=(Chart(dim=n, metric=metric, domain=domain,
-                      periods=bch.periods + fch.periods),),
-        christoffel=christoffel,
+        metric=metric,
+        domain=domain,
+        periods=base.periods + fiber.periods,
         description=f"warped product of {base.name} and {fiber.name}",
     )
     return WarpedProduct(manifold=m, base=base, fiber=fiber,
@@ -603,8 +576,7 @@ def lift(product: WarpedProduct, field: VectorFieldDef, kind: str) -> LiftedFiel
 
 
 def _radial_warp_christoffel(prof: WarpProfile):
-    """Direct symbols for diag(1, sinh^2 r, b(r)^2); the generic product
-    assembly gives the same values but allocates much more per call."""
+    """Direct symbols for diag(1, sinh^2 r, b(r)^2)."""
 
     def christoffel(x):
         r = x[0]
@@ -664,6 +636,7 @@ def _attach_radial_shell(m: ChartedManifold, prof: WarpProfile) -> ChartedManifo
         radius=lambda x: float(x[0]),
         shell=shell,
         sample_box=((0.3, 5.0), (0.0, TWO_PI), (0.0, TWO_PI)),
+        radius_cap=3.0,
         description=m.description + f" (profile {prof.name}, plateau {prof.plateau:g})",
     )
 
@@ -717,6 +690,7 @@ def make_example4() -> WarpedProduct:
         radius=radius,
         shell=shell,
         sample_box=((-3.0, 3.0), (-3.0, 3.0), (0.0, TWO_PI)),
+        radius_cap=3.0,
         description="warped product of the hyperbolic plane and a circle, warp 1/z^2; "
                     "total volume 4 pi^2",
     )
@@ -903,7 +877,8 @@ _FIELD_DESCRIPTIONS = {
 
 @lru_cache(maxsize=None)
 def _revolution() -> tuple[ChartedManifold, AmbientEmbedding]:
-    return make_surface_of_revolution()
+    m, embedding = make_surface_of_revolution()
+    return replace(m, radius_cap=4.0), embedding
 
 
 @lru_cache(maxsize=None)

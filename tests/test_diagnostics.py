@@ -11,7 +11,6 @@ from divflow.diagnostics import (
     default_observable,
     hopf_probe,
     karp_sequence,
-    karp_to_csv,
     rate_integrability_ladder,
     recurrence_fraction,
     x_decay_at_infinity,
@@ -19,6 +18,7 @@ from divflow.diagnostics import (
 from divflow.flow import birkhoff_integral, radius_stretch_constant
 from divflow.geometry import VectorFieldDef, unit_state
 from divflow.integrals import sample_liouville, sample_states
+from divflow.runner import ExperimentConfig, report_to_csv, run
 
 TWO_PI = 2.0 * math.pi
 FOUR_PI_SQ = 4.0 * math.pi ** 2
@@ -76,14 +76,16 @@ def test_karp_sequence_example2_bounded_below(ex2):
         assert b.normalized >= a.normalized - 3.0 * (a.stderr + b.stderr) - 1e-9
 
 
-def test_karp_csv(tmp_path, ex2):
+def test_karp_csv(ex2):
     Zbar = zoo.vector_field("warp:ex2:Zbar")
     reps = karp_sequence(ex2, Zbar, [2.0, 4.0])
-    path = tmp_path / "karp.csv"
-    karp_to_csv(reps, path)
-    lines = path.read_text().strip().splitlines()
+    report = run(ExperimentConfig(kind="karp", manifold="warp:ex2",
+                                  fields=("warp:ex2:Zbar",),
+                                  params={"radii": [2.0, 4.0]}))
+    lines = report_to_csv(report).splitlines()
     assert lines[0] == "r,mass,normalized,stderr"
-    assert len(lines) == 3
+    assert lines[1:] == [f"{r.radius!r},{r.mass!r},{r.normalized!r},{r.stderr!r}"
+                         for r in reps]
 
 
 def test_karp_requires_radius(torus):
