@@ -32,9 +32,9 @@ from .geometry import (
     VectorFieldDef,
     divergence,
     field_norm,
-    pairing_rate_form,
+    pairing_rates,
 )
-from .flow import FirstReturnResult, birkhoff_integral, first_return, integrate_geodesic
+from .flow import FirstReturnResult, first_return, integrate_geodesic
 from .integrals import (
     IntegralEstimate,
     RadialShell,
@@ -58,6 +58,7 @@ __all__ = [
     "hopf_probe",
     "default_observable",
     "CUTOFF_GRAD_CONSTANT",
+    "HOPF_LABELS",
 ]
 
 # quintic smoothstep ramp: |d phi/ds| <= 15/8, surrogates are 1-Lipschitz,
@@ -109,17 +110,15 @@ def karp_sequence(m: ChartedManifold, field: VectorFieldDef,
 # cutoff estimate
 
 
-def _smoothstep(u: float) -> float:
-    if u <= 0.0:
-        return 0.0
-    if u >= 1.0:
-        return 1.0
+def _smoothstep(u):
+    # exactly 0 and 1 at the clipped ends: -15 + 6 = -9 and 10 - 9 = 1
+    u = np.clip(u, 0.0, 1.0)
     return u * u * u * (10.0 + u * (-15.0 + 6.0 * u))
 
 
-def cutoff_bump(m: ChartedManifold, r: float) -> Callable[[np.ndarray], float]:
+def cutoff_bump(m: ChartedManifold, r: float) -> Callable[[np.ndarray], np.ndarray]:
     """C2 radial bump: 1 on the r-ball, 0 outside the 2r-ball, with
-    |grad| <= CUTOFF_GRAD_CONSTANT / r."""
+    |grad| <= CUTOFF_GRAD_CONSTANT / r.  Takes a stack of chart points."""
     if m.radius is None:
         raise ValueError(f"{m.name} has no radius surrogate")
 
@@ -187,17 +186,8 @@ def rate_integrability_ladder(m: ChartedManifold, field: VectorFieldDef,
     A converging trace is evidence of integrability; a diverging trace is
     flagged through ``converged=False`` and the recorded trace.
     """
-
-    def point_factory(x):
-        Q = pairing_rate_form(field, m, x)
-
-        def h(V):
-            V = np.atleast_2d(V)
-            return np.abs(np.einsum("ki,ij,kj->k", V, Q, V))
-        return h
-
-    return sm_ladder(m, lambda x, v: 0.0, r0=r0, rungs=rungs, order=order,
-                     rel_tol=rel_tol, point_factory=point_factory, batched=True)
+    return sm_ladder(m, lambda X, V: np.abs(pairing_rates(field, m, X, V)),
+                     r0=r0, rungs=rungs, order=order, rel_tol=rel_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -222,9 +212,8 @@ def x_decay_at_infinity(m: ChartedManifold, field: VectorFieldDef,
             hi = np.array([b[1] for b in patch.bounds])
             u = rng.uniform(size=(n_samples, len(patch.bounds))) * (hi - lo) + lo
             # always probe the radial endpoints as well
-            u[0, 0], u[1, 0] = lo[0], hi[0]
-            for k in range(n_samples):
-                sup = max(sup, field_norm(field, m, patch.to_chart(u[k])))
+            u[0, 0], u[min(1, n_samples - 1), 0] = lo[0], hi[0]
+            sup = max(sup, float(np.max(field_norm(field, m, patch.to_chart(u)))))
         out.append({"radius": float(r), "sup": float(sup), "n_samples": n_samples})
     return out
 
@@ -303,13 +292,17 @@ def default_observable(m: ChartedManifold, rate: float = 3.0) -> Callable:
     return lambda x: math.exp(-rate * radius(x))
 
 
+# the growth labels hopf_probe assigns
+HOPF_LABELS = ("convergent-like", "divergent-like", "inconclusive")
+
+
 @dataclass(frozen=True)
 class HopfProbe:
     horizons: tuple[float, ...]
     values: tuple[float, ...]        # I(T) per horizon
     slope: Optional[float]           # log-log fit over the last decade
     r_squared: Optional[float]
-    label: str                       # convergent-like | divergent-like | inconclusive
+    label: str                       # one of HOPF_LABELS
     truncated: bool
 
     def to_json(self) -> dict:

@@ -6,13 +6,20 @@ one almost-everywhere chart (a metric evaluator on a coordinate domain) plus
 optional closed forms (Christoffel symbols, a distance-from-basepoint
 surrogate, an analytic geodesic) that downstream modules use as oracles or
 fast paths.
+
+Stack convention: functions of a point take x of shape (n,) or (N, n), as
+do the chart and field closures, and return the matching leading shape;
+validation covers every point and matrix and names the first failing point.
+Functions of a state (``pairing``, ``pairing_rate``,
+``covariant_derivative``, ``unit_state``) take one state.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from functools import reduce
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -32,6 +39,7 @@ __all__ = [
     "pairing",
     "pairing_rate",
     "pairing_rate_form",
+    "pairing_rates",
     "field_norm",
     "unit_state",
 ]
@@ -52,8 +60,8 @@ class MetricError(ValueError):
     """Metric evaluation produced a non-symmetric or non-SPD matrix."""
 
 
-def _always(_x) -> bool:
-    return True
+def _always(x) -> np.ndarray:
+    return np.ones(np.shape(x)[:-1], dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -63,10 +71,11 @@ class ChartedManifold:
 
     ``metric(x)`` is the metric matrix on the chart domain, ``domain(x)``
     the domain predicate, and ``periods[i]`` the period of coordinate i (None
-    for a non-periodic coordinate).
+    for a non-periodic coordinate).  Every callable of a point takes a stack
+    x of shape (..., n) and returns the matching leading shape.
 
     Optional fields:
-      christoffel      closed-form symbols, x -> (n, n, n) array G[k, i, j]
+      christoffel      closed-form symbols, x -> (..., n, n, n) array G[k, i, j]
       radius           distance-from-basepoint surrogate r(x) >= 0
       pair_distance    true distance between two chart points, when known
       geodesic         analytic flow oracle (x0, v0, t) -> (x, v)
@@ -110,8 +119,10 @@ class VectorFieldDef:
 
     ``components(x)`` returns the chart components X^k(x).  ``jacobian``,
     when supplied, returns analytic partials J[k, i] = dX^k/dx^i; otherwise
-    central differences are used.  ``divergence``/``fx`` are optional closed
-    forms used by oracle tests, never by the computing paths.
+    central differences are used.  All three take a stack x of shape
+    (..., n); a constant may come back unbroadcast.  ``divergence``/``fx``
+    are optional closed forms used by oracle tests, never by the computing
+    paths.
     """
 
     name: str
@@ -119,10 +130,6 @@ class VectorFieldDef:
     jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
     divergence: Optional[Callable[[np.ndarray], float]] = None
     fx: Optional[Callable[[np.ndarray, np.ndarray], float]] = None
-
-    @property
-    def has_analytic_partials(self) -> bool:
-        return self.jacobian is not None
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,28 +164,43 @@ def unit_state(m: ChartedManifold, x, v, normalize: bool = False) -> UnitTangent
 # metric
 
 
-def metric_at(m: ChartedManifold, x, validate: bool = True) -> np.ndarray:
-    """Metric matrix g_ij(x); validates symmetry and positive definiteness.
+def _first(x: np.ndarray, bad) -> np.ndarray:
+    """The first point of x (shape (n,) or (N, n)) where ``bad`` is true."""
+    return x if x.ndim == 1 else x[int(np.argmax(bad))]
 
-    Positive definiteness is enforced by an attempted Cholesky factorization;
-    failure is a hard error rather than a silent clamp.  Hot loops may pass
-    ``validate=False`` once the evaluator has been swept by the invariant
-    checks; the domain predicate is always applied.
+
+def metric_at(m: ChartedManifold, x, validate: bool = True) -> np.ndarray:
+    """Metric matrices g_ij(x); validates symmetry and positive definiteness.
+
+    Positive definiteness is enforced by an attempted Cholesky factorization
+    of every matrix; failure is a hard error rather than a silent clamp.
+    Hot loops may pass ``validate=False`` once the evaluator has been swept
+    by the invariant checks; the domain predicate is always applied.
     """
     x = np.asarray(x, dtype=float)
-    if not m.domain(x):
-        raise DomainError(f"{m.name}: point {x!r} outside chart domain")
+    ok = np.asarray(m.domain(x))
+    if not ok.all():
+        raise DomainError(f"{m.name}: point {_first(x, ~ok)!r} outside chart domain")
     g = np.asarray(m.metric(x), dtype=float)
     if not validate:
         return g
-    if g.shape != (m.dim, m.dim):
-        raise MetricError(f"{m.name}: metric shape {g.shape} != ({m.dim}, {m.dim})")
-    if not np.all(np.abs(g - g.T) <= METRIC_SYMMETRY_TOL * max(1.0, float(np.abs(g).max()))):
-        raise MetricError(f"{m.name}: metric not symmetric at {x!r}")
+    n = m.dim
+    if g.shape != x.shape[:-1] + (n, n):
+        raise MetricError(f"{m.name}: metric shape {g.shape} != {x.shape[:-1] + (n, n)}")
+    gs = g.reshape(-1, n, n)
+    scale = METRIC_SYMMETRY_TOL * np.maximum(1.0, np.abs(gs).max(axis=(1, 2)))
+    sym = (np.abs(gs - gs.transpose(0, 2, 1)) <= scale[:, None, None]).all(axis=(1, 2))
+    if not sym.all():
+        raise MetricError(f"{m.name}: metric not symmetric at {_first(x, ~sym)!r}")
     try:
-        np.linalg.cholesky(g)
-    except np.linalg.LinAlgError as exc:
-        raise MetricError(f"{m.name}: metric not positive definite at {x!r}") from exc
+        np.linalg.cholesky(gs)
+    except np.linalg.LinAlgError:
+        for xi, gi in zip(x.reshape(-1, n), gs):   # name the first failure
+            try:
+                np.linalg.cholesky(gi)
+            except np.linalg.LinAlgError as exc:
+                raise MetricError(
+                    f"{m.name}: metric not positive definite at {xi!r}") from exc
     return g
 
 
@@ -186,11 +208,10 @@ def inverse_metric_at(m: ChartedManifold, x) -> np.ndarray:
     return np.linalg.inv(metric_at(m, x))
 
 
-def volume_density(m: ChartedManifold, x) -> float:
+def volume_density(m: ChartedManifold, x):
     """sqrt(det g) at x; strictly positive on the chart domain."""
-    g = metric_at(m, x)
-    L = np.linalg.cholesky(g)
-    return float(np.prod(np.diag(L)))
+    L = np.linalg.cholesky(metric_at(m, x))
+    return np.prod(np.diagonal(L, axis1=-2, axis2=-1), axis=-1)
 
 
 def orthonormal_frame(m: ChartedManifold, x) -> np.ndarray:
@@ -199,9 +220,8 @@ def orthonormal_frame(m: ChartedManifold, x) -> np.ndarray:
     Equivalent to Gram-Schmidt on the chart basis: with g = L L^T the frame
     is E = L^{-T}, so E^T g E = I.
     """
-    g = metric_at(m, x)
-    L = np.linalg.cholesky(g)
-    return np.linalg.inv(L).T
+    L = np.linalg.cholesky(metric_at(m, x))
+    return np.swapaxes(np.linalg.inv(L), -1, -2)
 
 
 # ---------------------------------------------------------------------------
@@ -212,28 +232,36 @@ def _fd_steps(x: np.ndarray) -> np.ndarray:
     return FD_STEP * np.maximum(1.0, np.abs(x))
 
 
+def _stencil(m: ChartedManifold, x: np.ndarray, h: np.ndarray, a: int):
+    """Points x +- h^a e_a, with the leading shape of x; both must lie in
+    the chart domain."""
+    xp = x.copy()
+    xm = x.copy()
+    xp[..., a] += h[..., a]
+    xm[..., a] -= h[..., a]
+    ok = np.asarray(m.domain(xp)) & np.asarray(m.domain(xm))
+    if not ok.all():
+        raise DomainError(f"{m.name}: finite-difference stencil at "
+                          f"{_first(x, ~ok)!r} leaves the chart domain")
+    return xp, xm
+
+
 def _metric_partials(m: ChartedManifold, x: np.ndarray) -> np.ndarray:
-    """dg[a, i, j] = d g_ij / d x^a by central differences."""
+    """dg[..., a, i, j] = d g_ij / d x^a by central differences."""
     n = m.dim
     h = _fd_steps(x)
-    dg = np.empty((n, n, n))
+    dg = np.empty(x.shape[:-1] + (n, n, n))
     for a in range(n):
-        xp = x.copy()
-        xm = x.copy()
-        xp[a] += h[a]
-        xm[a] -= h[a]
-        if not (m.domain(xp) and m.domain(xm)):
-            raise DomainError(
-                f"{m.name}: finite-difference stencil at {x!r} leaves the chart domain")
+        xp, xm = _stencil(m, x, h, a)
         gp = np.asarray(m.metric(xp), dtype=float)
         gm = np.asarray(m.metric(xm), dtype=float)
-        dg[a] = (gp - gm) / (2.0 * h[a])
+        dg[..., a, :, :] = (gp - gm) / (2.0 * h[..., a, None, None])
     # exact index symmetry of the symbols below needs dg[a] symmetric
-    return 0.5 * (dg + np.swapaxes(dg, 1, 2))
+    return 0.5 * (dg + np.swapaxes(dg, -1, -2))
 
 
 def christoffel(m: ChartedManifold, x, method: str = "auto") -> np.ndarray:
-    """Christoffel symbols G[k, i, j] = Gamma^k_ij at x.
+    """Christoffel symbols G[..., k, i, j] = Gamma^k_ij at x.
 
     ``method``: "auto" uses the manifold's closed form when present,
     "closed" requires it, "fd" forces the finite-difference path.
@@ -248,38 +276,38 @@ def christoffel(m: ChartedManifold, x, method: str = "auto") -> np.ndarray:
     ginv = inverse_metric_at(m, x)
     dg = _metric_partials(m, x)
     # Gamma_{l ij} = (d_i g_jl + d_j g_il - d_l g_ij) / 2
-    first = 0.5 * (np.einsum("ijl->lij", dg) + np.einsum("jil->lij", dg) - dg)
-    return np.einsum("kl,lij->kij", ginv, first)
+    first = 0.5 * (np.einsum("...ijl->...lij", dg) + np.einsum("...jil->...lij", dg) - dg)
+    return np.einsum("...kl,...lij->...kij", ginv, first)
+
+
+def _components(field: VectorFieldDef, x: np.ndarray) -> np.ndarray:
+    # a constant field may return one vector for a whole stack
+    return np.broadcast_to(np.asarray(field.components(x), dtype=float), x.shape)
 
 
 def _field_jacobian(field: VectorFieldDef, m: ChartedManifold,
                     x: np.ndarray) -> np.ndarray:
-    """J[k, i] = dX^k/dx^i, analytic when supplied else central differences."""
-    if field.jacobian is not None:
-        return np.asarray(field.jacobian(x), dtype=float)
+    """J[..., k, i] = dX^k/dx^i, analytic when supplied else central
+    differences."""
     n = m.dim
+    if field.jacobian is not None:
+        return np.broadcast_to(np.asarray(field.jacobian(x), dtype=float),
+                               x.shape[:-1] + (n, n))
     h = _fd_steps(x)
-    J = np.empty((n, n))
+    J = np.empty(x.shape[:-1] + (n, n))
     for i in range(n):
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += h[i]
-        xm[i] -= h[i]
-        if not (m.domain(xp) and m.domain(xm)):
-            raise DomainError(
-                f"{m.name}: finite-difference stencil at {x!r} leaves the chart domain")
-        J[:, i] = (np.asarray(field.components(xp), dtype=float)
-                   - np.asarray(field.components(xm), dtype=float)) / (2.0 * h[i])
+        xp, xm = _stencil(m, x, h, i)
+        J[..., :, i] = (_components(field, xp) - _components(field, xm)) / (2.0 * h[..., i, None])
     return J
 
 
 def _derivative_matrix(field: VectorFieldDef, m: ChartedManifold,
                        x: np.ndarray) -> np.ndarray:
-    """A[k, i] with (nabla_v X)^k = A[k, i] v^i."""
+    """A[..., k, i] with (nabla_v X)^k = A[k, i] v^i."""
     J = _field_jacobian(field, m, x)
     G = christoffel(m, x)
-    X = np.asarray(field.components(x), dtype=float)
-    return J + np.einsum("kij,j->ki", G, X)
+    X = _components(field, x)
+    return J + np.einsum("...kij,...j->...ki", G, X)
 
 
 def covariant_derivative(field: VectorFieldDef, m: ChartedManifold,
@@ -290,7 +318,7 @@ def covariant_derivative(field: VectorFieldDef, m: ChartedManifold,
 
 
 def divergence(field: VectorFieldDef, m: ChartedManifold, x,
-               method: str = "trace") -> float:
+               method: str = "trace"):
     """Divergence of the field at x.
 
     "trace" takes the trace of v -> nabla_v X.  "coordinate" evaluates the
@@ -299,27 +327,20 @@ def divergence(field: VectorFieldDef, m: ChartedManifold, x,
     """
     x = np.asarray(x, dtype=float)
     if method == "trace":
-        return float(np.trace(_derivative_matrix(field, m, x)))
+        return np.trace(_derivative_matrix(field, m, x), axis1=-2, axis2=-1)
     if method == "coordinate":
-        n = m.dim
         h = _fd_steps(x)
         total = 0.0
-        for i in range(n):
-            xp = x.copy()
-            xm = x.copy()
-            xp[i] += h[i]
-            xm[i] -= h[i]
-            if not (m.domain(xp) and m.domain(xm)):
-                raise DomainError(
-                    f"{m.name}: finite-difference stencil at {x!r} leaves the chart domain")
-            wp = volume_density(m, xp) * float(field.components(xp)[i])
-            wm = volume_density(m, xm) * float(field.components(xm)[i])
-            total += (wp - wm) / (2.0 * h[i])
+        for i in range(m.dim):
+            xp, xm = _stencil(m, x, h, i)
+            wp = volume_density(m, xp) * _components(field, xp)[..., i]
+            wm = volume_density(m, xm) * _components(field, xm)[..., i]
+            total += (wp - wm) / (2.0 * h[..., i])
         return total / volume_density(m, x)
     if method == "closed":
         if field.divergence is None:
             raise ValueError(f"field {field.name} has no closed-form divergence")
-        return float(field.divergence(x))
+        return np.broadcast_to(np.asarray(field.divergence(x), dtype=float), x.shape[:-1])
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -331,13 +352,13 @@ def pairing(field: VectorFieldDef, m: ChartedManifold,
             state: UnitTangentState) -> float:
     """g(X, v): the field's component along the state's velocity."""
     g = metric_at(m, state.x)
-    X = np.asarray(field.components(state.x), dtype=float)
+    X = _components(field, state.x)
     return float(state.v @ g @ X)
 
 
 def pairing_rate_form(field: VectorFieldDef, m: ChartedManifold, x,
                       validate: bool = True) -> np.ndarray:
-    """Matrix Q with pairing rate = v @ Q @ v for unit v at x.
+    """Matrices Q with pairing rate = v @ Q @ v for unit v at x.
 
     The rate of g(X, gamma') along the geodesic through (x, v) is the
     quadratic form g(nabla_v X, v); factoring Q out once makes fiber sweeps
@@ -345,9 +366,18 @@ def pairing_rate_form(field: VectorFieldDef, m: ChartedManifold, x,
     """
     x = np.asarray(x, dtype=float)
     g = metric_at(m, x, validate=validate)
-    A = _derivative_matrix(field, m, x)
-    Q = g @ A
-    return 0.5 * (Q + Q.T)
+    Q = g @ _derivative_matrix(field, m, x)
+    return 0.5 * (Q + np.swapaxes(Q, -1, -2))
+
+
+def pairing_rates(field: VectorFieldDef, m: ChartedManifold, x,
+                  V: np.ndarray) -> np.ndarray:
+    """Pairing rates v @ Q(x) @ v of directions V (..., k, n) at points x
+    (..., n), shape (..., k): the bundle integrand F(x, V) of the fiber
+    lemma, formed from the directions themselves (V @ Q, then the sum)."""
+    P = (V @ pairing_rate_form(field, m, x)) * V
+    # adding the n <= 3 columns keeps .sum(axis=-1)'s order, several times faster
+    return reduce(np.add, [P[..., i] for i in range(P.shape[-1])])
 
 
 def pairing_rate(field: VectorFieldDef, m: ChartedManifold,
@@ -362,9 +392,9 @@ def pairing_rate(field: VectorFieldDef, m: ChartedManifold,
     return float(state.v @ Q @ state.v)
 
 
-def field_norm(field: VectorFieldDef, m: ChartedManifold, x) -> float:
+def field_norm(field: VectorFieldDef, m: ChartedManifold, x):
     """g-norm |X| at x."""
     x = np.asarray(x, dtype=float)
     g = metric_at(m, x)
-    X = np.asarray(field.components(x), dtype=float)
-    return float(math.sqrt(max(0.0, X @ g @ X)))
+    X = _components(field, x)
+    return np.sqrt(np.maximum(0.0, np.einsum("...i,...ij,...j->...", X, g, X)))

@@ -4,16 +4,22 @@ unit tangent bundle.
 Regions are either coordinate boxes in the chart or radial shells
 {r_lo <= r(p) <= r_hi} delegated to the manifold's shell parametrization.
 Unbounded domains are handled by truncation ladders with recorded traces.
-All reductions run in a fixed index order (compensated sums for the final
-accumulations), so results do not depend on evaluation parallelism.
+
+A base integrand h maps chart points (N, n) to values broadcastable to
+(N,), so each patch's tensor grid is one call; a bundle integrand F(X, V)
+maps points (..., n) and unit directions (..., k, n) to (..., k).  Fiber
+integrals are ``values @ weights`` over fixed-size blocks of points;
+compensated sums remain where partial sums accumulate (a patch's weighted
+nodes, patches, error terms).  Reductions have fixed shapes and order, so
+results are deterministic for a given numpy build.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -21,10 +27,13 @@ from numpy.polynomial.legendre import leggauss
 from .geometry import (
     ChartedManifold,
     UnitTangentState,
-    metric_at,
+    metric_at,  # noqa: F401  (perfbench's tracer test asserts integrals.metric_at)
     orthonormal_frame,
     volume_density,
 )
+
+# every panel of a pass asks for the same orders; callers only read the arrays
+_leggauss = lru_cache(maxsize=64)(leggauss)
 
 __all__ = [
     "ChartBox",
@@ -75,9 +84,10 @@ class ShellPatch:
 
     ``to_chart`` maps patch coordinates u to chart coordinates and
     ``density(u)`` is the full volume density in patch coordinates (metric
-    density times the parametrization Jacobian).  ``breakpoints`` lists, per
-    axis, loci where the integrand is only finitely differentiable; panels
-    never straddle them.
+    density times the parametrization Jacobian); both take a stack u of
+    shape (..., d) and return the matching leading shape.  ``breakpoints``
+    lists, per axis, loci where the integrand is only finitely
+    differentiable; panels never straddle them.
     """
 
     bounds: tuple[tuple[float, float], ...]
@@ -103,10 +113,6 @@ def resolve_patches(m: ChartedManifold, region) -> tuple[ShellPatch, ...]:
         if m.shell is None:
             raise ValueError(f"{m.name} has no radial shell parametrization")
         return tuple(m.shell(region.r_lo, region.r_hi))
-    if isinstance(region, ShellPatch):
-        return (region,)
-    if isinstance(region, (tuple, list)) and all(isinstance(p, ShellPatch) for p in region):
-        return tuple(region)
     raise TypeError(f"unsupported region {region!r}")
 
 
@@ -164,7 +170,7 @@ class FiberRule:
 
 
 def _gl(order: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-    t, w = leggauss(order)
+    t, w = _leggauss(order)
     half = 0.5 * (hi - lo)
     return lo + half * (t + 1.0), half * w
 
@@ -188,46 +194,41 @@ def fiber_rule(n: int, angular_order: int = 64, polar_order: int = 32,
         u, wu = _gl(polar_order, lo_u, 1.0)
         th, wt = _gl(angular_order, 0.0, 2.0 * math.pi)
         s = np.sqrt(np.maximum(0.0, 1.0 - u ** 2))
-        nodes = np.empty((polar_order * angular_order, 3))
-        weights = np.empty(polar_order * angular_order)
-        k = 0
-        for i in range(polar_order):
-            for j in range(angular_order):
-                nodes[k] = (s[i] * np.cos(th[j]), s[i] * np.sin(th[j]), u[i])
-                weights[k] = wu[i] * wt[j]
-                k += 1
+        nodes = np.stack([np.outer(s, np.cos(th)).ravel(), np.outer(s, np.sin(th)).ravel(),
+                          np.repeat(u, angular_order)], axis=-1)
+        weights = np.outer(wu, wt).ravel()
         return FiberRule(dim=3, nodes=nodes, weights=weights, hemisphere=hemisphere)
     raise NotImplementedError(f"no fiber rule shipped for dimension {n}")
 
 
-def fiber_integral(m: ChartedManifold, h: Callable[[np.ndarray], float], x,
-                   rule: Optional[FiberRule] = None,
-                   batched: bool = False) -> float:
-    """Integral of h over the unit sphere of the tangent space at x.
+# bytes of one block's (points, directions, n) array in fiber_integral
+FIBER_BLOCK_BYTES = 3 << 19
 
-    Directions are built from a g-orthonormal frame (Gram-Schmidt on the
-    chart basis), so the rule's round measure matches the fiber measure of
-    the unit tangent bundle.  With ``batched=True``, h receives the whole
-    (k, n) direction array at once and must return a (k,) array.
+
+def fiber_integral(m: ChartedManifold, F: Callable, x,
+                   rule: Optional[FiberRule] = None):
+    """Integral of F(x, v) over the unit sphere of the tangent space at x.
+
+    ``x`` has shape (n,) (returns a float) or (N, n) (returns (N,)).
+    Directions come from a g-orthonormal frame (Gram-Schmidt on the chart
+    basis), so the rule's round measure matches the fiber measure of the
+    unit tangent bundle.  F gets blocks of points (b, n) with directions
+    (b, k, n) of at most FIBER_BLOCK_BYTES and returns values that broadcast
+    to (b, k).
     """
     x = np.asarray(x, dtype=float)
     if rule is None:
         rule = fiber_rule(m.dim)
-    E = orthonormal_frame(m, x)   # raises on non-SPD metric
-    dirs = rule.nodes @ E.T
-    if batched:
-        vals = np.asarray(h(dirs), dtype=float)
-    else:
-        vals = [float(h(dirs[i])) for i in range(dirs.shape[0])]
-    return math.fsum(w * val for w, val in zip(rule.weights, vals))
-
-
-def quadratic_form_fiber_fn(Q: np.ndarray):
-    """Batched fiber integrand v -> v Q v for a fixed quadratic form."""
-    def h(V):
-        V = np.atleast_2d(V)
-        return np.einsum("ki,ij,kj->k", V, Q, V)
-    return h
+    X = x.reshape(-1, m.dim)
+    out = np.empty(len(X))
+    block = max(1, FIBER_BLOCK_BYTES // rule.nodes.nbytes)
+    for s in range(0, len(X), block):
+        Xb = X[s:s + block]
+        E = orthonormal_frame(m, Xb)   # raises on non-SPD metric
+        V = rule.nodes @ np.swapaxes(E, -1, -2)
+        vals = np.broadcast_to(np.asarray(F(Xb, V), dtype=float), V.shape[:-1])
+        out[s:s + block] = vals @ rule.weights
+    return out if x.ndim > 1 else float(out[0])
 
 
 # ---------------------------------------------------------------------------
@@ -270,56 +271,55 @@ def _axis_nodes(lo: float, hi: float, order: int,
     return np.concatenate(xs), np.concatenate(ws)
 
 
-def _tensor_pass(fn, bounds, order: int, breaks=()) -> tuple[float, int]:
-    if not breaks:
-        breaks = ((),) * len(bounds)
+def _patch_values(h, patch: ShellPatch, u: np.ndarray) -> np.ndarray:
+    """h times the patch density at the patch points u, shape (N,)."""
+    return np.asarray(h(patch.to_chart(u)), dtype=float) * patch.density(u)
+
+
+def _tensor_pass(h, patch: ShellPatch, order: int) -> tuple[float, int]:
+    breaks = patch.breakpoints or ((),) * len(patch.bounds)
     axes = [_axis_nodes(lo, hi, order, breaks=brk)
-            for (lo, hi), brk in zip(bounds, breaks)]
+            for (lo, hi), brk in zip(patch.bounds, breaks)]
     grids = np.meshgrid(*[a[0] for a in axes], indexing="ij")
     wgrids = np.meshgrid(*[a[1] for a in axes], indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=-1)
     wts = np.prod(np.stack([w.ravel() for w in wgrids], axis=-1), axis=-1)
-    vals = [fn(pts[i]) for i in range(pts.shape[0])]
-    return math.fsum(w * v for w, v in zip(wts, vals)), pts.shape[0]
+    return math.fsum(wts * _patch_values(h, patch, pts)), pts.shape[0]
 
 
-def _quad_patch(fn, bounds, order: int, breaks=()) -> tuple[float, float, int]:
-    lo_order = max(2, order // 2)
-    coarse, _ = _tensor_pass(fn, bounds, lo_order, breaks)
-    value, nodes = _tensor_pass(fn, bounds, order, breaks)
+def _quad_patch(h, patch: ShellPatch, order: int) -> tuple[float, float, int]:
+    coarse, _ = _tensor_pass(h, patch, max(2, order // 2))
+    value, nodes = _tensor_pass(h, patch, order)
     return value, abs(value - coarse), nodes
 
 
-def _mc_patch(fn, bounds, n: int, rng) -> tuple[float, float, int]:
-    dims = len(bounds)
-    lo = np.array([b[0] for b in bounds])
-    hi = np.array([b[1] for b in bounds])
+def _mc_patch(h, patch: ShellPatch, n: int, rng) -> tuple[float, float, int]:
+    lo = np.array([b[0] for b in patch.bounds])
+    hi = np.array([b[1] for b in patch.bounds])
     vol = float(np.prod(hi - lo))
-    u = rng.uniform(size=(n, dims)) * (hi - lo) + lo
-    vals = np.array([fn(u[i]) for i in range(n)])
+    u = rng.uniform(size=(n, len(patch.bounds))) * (hi - lo) + lo
+    vals = _patch_values(h, patch, u)
     mean = float(np.sum(vals)) / n
     var = float(np.sum((vals - mean) ** 2)) / max(1, n - 1)
     return vol * mean, vol * math.sqrt(var / n), n
 
 
-def base_integral(m: ChartedManifold, h: Callable[[np.ndarray], float], region,
+def base_integral(m: ChartedManifold, h: Callable[[np.ndarray], np.ndarray], region,
                   method: str = "quadrature", order: int = 16,
                   n_mc: int = 20000, seed: int = 0) -> IntegralEstimate:
     """Integral of h against the volume measure over a bounded region.
 
-    ``h`` takes chart coordinates.  ``region`` is a ChartBox, a
-    RadialShell, or explicit shell patches.
+    ``h`` takes a stack of chart points (N, n) and returns values that
+    broadcast to (N,).  ``region`` is a ChartBox or a RadialShell.
     """
     patches = resolve_patches(m, region)
     values, errs, nodes = [], [], 0
     rng = np.random.default_rng(seed)
     for patch in patches:
-        def fn(u, _p=patch):
-            return float(h(_p.to_chart(u))) * float(_p.density(u))
         if method == "quadrature":
-            v, e, k = _quad_patch(fn, patch.bounds, order, patch.breakpoints)
+            v, e, k = _quad_patch(h, patch, order)
         elif method == "montecarlo":
-            v, e, k = _mc_patch(fn, patch.bounds, n_mc, rng)
+            v, e, k = _mc_patch(h, patch, n_mc, rng)
         else:
             raise ValueError(f"unknown method {method!r}")
         values.append(v)
@@ -334,24 +334,19 @@ def base_integral(m: ChartedManifold, h: Callable[[np.ndarray], float], region,
 
 def sm_integral(m: ChartedManifold, F, region, rule: Optional[FiberRule] = None,
                 method: str = "quadrature", order: int = 12,
-                n_mc: int = 4000, seed: int = 0,
-                point_factory=None, batched: bool = False) -> IntegralEstimate:
+                n_mc: int = 4000, seed: int = 0) -> IntegralEstimate:
     """Integral of F(p, v) over the unit tangent bundle above a base region.
 
     Computed as the iterated integral of the fiber integral: the projection
     onto the base is a Riemannian submersion, so the bundle measure is the
-    base measure times the round fiber measure.  ``point_factory(x)`` may
-    supply a specialized per-point callable v -> F(x, v); with
-    ``batched=True`` its output must accept (k, n) direction arrays.
+    base measure times the round fiber measure.  F follows the bundle
+    integrand convention of ``fiber_integral``.
     """
     if rule is None:
         rule = fiber_rule(m.dim)
-    if point_factory is None:
-        def point_factory(x):
-            return lambda v: F(x, v)
 
     def hbar(x):
-        return fiber_integral(m, point_factory(x), x, rule=rule, batched=batched)
+        return fiber_integral(m, F, x, rule)
 
     return base_integral(m, hbar, region, method=method, order=order,
                          n_mc=n_mc, seed=seed)
@@ -366,6 +361,8 @@ def fubini_consistency(m: ChartedManifold, F, region,
 
     Returns the discrepancy together with the combined error bar; agreement
     within errors is the consistency check for the submersion structure.
+    The direct estimate calls F with one direction per point, V of shape
+    (N, 1, n).
     """
     if rule is None:
         rule = fiber_rule(m.dim)
@@ -382,12 +379,10 @@ def fubini_consistency(m: ChartedManifold, F, region,
         u = rng.uniform(size=(n_mc, len(patch.bounds))) * (hi - lo) + lo
         g = rng.normal(size=(n_mc, m.dim))
         g /= np.linalg.norm(g, axis=1, keepdims=True)
-        vals = np.empty(n_mc)
-        for i in range(n_mc):
-            x = patch.to_chart(u[i])
-            E = orthonormal_frame(m, x)
-            v = E @ g[i]
-            vals[i] = patch.density(u[i]) * float(F(x, v))
+        x = patch.to_chart(u)
+        V = orthonormal_frame(m, x) @ g[:, :, None]       # (N, n, 1)
+        vals = patch.density(u) * np.broadcast_to(
+            np.asarray(F(x, np.swapaxes(V, 1, 2)), dtype=float), (n_mc, 1))[:, 0]
         mean = float(np.sum(vals)) / n_mc
         var = float(np.sum((vals - mean) ** 2)) / max(1, n_mc - 1)
         values.append(vol * w_total * mean)
@@ -460,13 +455,11 @@ def ladder_integral(m: ChartedManifold, h, r0: float = 1.0, rungs: int = 8,
 
 def sm_ladder(m: ChartedManifold, F, r0: float = 1.0, rungs: int = 8,
               rule: Optional[FiberRule] = None, order: int = 12,
-              rel_tol: float = 1e-3, abs_tol: float = 1e-10,
-              point_factory=None, batched: bool = False) -> IntegralEstimate:
-    """Truncation ladder for a unit-tangent-bundle integrand."""
+              rel_tol: float = 1e-3, abs_tol: float = 1e-10) -> IntegralEstimate:
+    """Truncation ladder for a unit-tangent-bundle integrand F(X, V)."""
     def increment(lo, hi):
         return sm_integral(m, F, RadialShell(lo, hi) if lo > 0 else RadialShell(0.0, hi),
-                           rule=rule, method="quadrature", order=order,
-                           point_factory=point_factory, batched=batched)
+                           rule=rule, method="quadrature", order=order)
     return _ladder(increment, r0, rungs, rel_tol, abs_tol)
 
 

@@ -2,8 +2,11 @@
 
 One experiment per invocation: a config selects zoo objects, parameters and
 tolerances; ``run`` produces a deterministic report document given
-(config, seed), independent of the worker count.  Exit-status policy is the
-caller's job (the CLI maps check failure to 1 and config errors to 2).
+(config, seed), independent of the worker count.  A numerical failure inside
+an experiment (a truncated orbit, a point outside the chart, a bad metric, a
+degenerate gradient) becomes a report with a failed ``completed`` check and
+an ``error`` entry.  Exit-status policy is the caller's job (the CLI maps
+check failure to 1 and config errors to 2).
 """
 
 from __future__ import annotations
@@ -12,32 +15,33 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from . import __version__
 from .geometry import (
-    UnitTangentState,
+    DomainError,
+    MetricError,
     divergence,
-    pairing_rate_form,
+    pairing_rates,
 )
 from .integrals import (
     ChartBox,
-    RadialShell,
     base_integral,
     fiber_integral,
     fiber_rule,
     fubini_consistency,
     ladder_integral,
     omega,
-    quadratic_form_fiber_fn,
     sample_box_points,
     sample_liouville,
     sample_states,
 )
-from .flow import first_return, path_integral_identity_residual
+from .flow import TruncatedTrajectoryError, path_integral_identity_residual
 from .diagnostics import (
+    HOPF_LABELS,
     cutoff_estimate,
     hopf_probe,
     karp_sequence,
@@ -47,6 +51,7 @@ from .diagnostics import (
 )
 from .parallel import parallel_map
 from .potential import (
+    DegenerateGradientError,
     laplace_beltrami,
     monotone_form,
     phi_laplacian,
@@ -58,6 +63,15 @@ from . import zoo
 
 class ConfigError(ValueError):
     """Malformed configuration or unresolvable ids."""
+
+
+# numerical failures that end an experiment with an error report
+NUMERICAL_ERRORS = (TruncatedTrajectoryError, DomainError, MetricError,
+                    DegenerateGradientError)
+
+# params that count something, with their least valid value
+COUNTS = {"n_points": 1, "n_orbits": 1, "n_mc": 1, "rungs": 1, "n": 1,
+          "n_samples": 1, "n_pairs": 1, "order": 2}
 
 
 @dataclass
@@ -97,6 +111,15 @@ class ExperimentConfig:
             if unknown:
                 raise ConfigError(f"unknown {what} for {self.kind}: {unknown}; "
                                   f"known: {sorted(known)}")
+        for key, least in COUNTS.items():
+            value = self.params.get(key, least)
+            if isinstance(value, bool) or not isinstance(value, int) or value < least:
+                raise ConfigError(f"{key} must be an integer >= {least}, got {value!r}")
+        for key in ("expect", "expect_label"):
+            value = self.params.get(key)
+            if value is not None and value not in spec.expect:
+                raise ConfigError(f"unknown {self.kind} {key} {value!r}; "
+                                  f"known: {list(spec.expect)}")
         if "radii" in self.params:
             radii = self.params["radii"]
             if not (isinstance(radii, (list, tuple)) and radii
@@ -167,10 +190,6 @@ def _resolve_pair(cfg: ExperimentConfig):
     return m, f
 
 
-def _states(m, n, seed):
-    return sample_states(m, n, np.random.default_rng(seed))
-
-
 # ---------------------------------------------------------------------------
 # experiment kinds
 
@@ -179,18 +198,10 @@ def _run_fiber_lemma(cfg, workers):
     m, f = _resolve_pair(cfg)
     n_points = int(cfg.params.get("n_points", 200))
     tol = float(cfg.tolerances.get("residual", 1e-8 if m.dim == 2 else 1e-6))
-    rule = fiber_rule(m.dim)
     w = omega(m.dim) / m.dim
     pts = sample_box_points(m, n_points, np.random.default_rng(cfg.seed))
-
-    def residual(x):
-        Q = pairing_rate_form(f, m, x)
-        fib = fiber_integral(m, quadratic_form_fiber_fn(Q), x, rule=rule,
-                             batched=True)
-        return abs(fib - w * divergence(f, m, x))
-
-    res = parallel_map(residual, list(pts), workers=workers)
-    worst = max(res)
+    fib = fiber_integral(m, partial(pairing_rates, f, m), pts, fiber_rule(m.dim))
+    worst = float(np.max(np.abs(fib - w * divergence(f, m, pts))))
     return {"results": {"max_residual": worst, "n_points": n_points},
             "checks": [_check("fiber_average_matches_divergence", worst, tol, "<=")]}
 
@@ -200,7 +211,7 @@ def _run_path_integral(cfg, workers):
     n_orbits = int(cfg.params.get("n_orbits", 20))
     T = float(cfg.params.get("T", 10.0))
     tol = float(cfg.tolerances.get("residual", 1e-6 * (1.0 + T)))
-    states = _states(m, n_orbits, cfg.seed)
+    states = sample_states(m, n_orbits, np.random.default_rng(cfg.seed))
 
     def residual(st):
         return path_integral_identity_residual(f, m, st, T)
@@ -216,58 +227,46 @@ def _run_fubini(cfg, workers):
     n_mc = int(cfg.params.get("n_mc", 20000))
     box = cfg.params.get("box")
     region = ChartBox(tuple(tuple(b) for b in box)) if box else ChartBox(m.sample_box)
-
-    def F(x, v):
-        Q = pairing_rate_form(f, m, x)
-        return float(v @ Q @ v)
-
-    out = fubini_consistency(m, F, region, n_mc=n_mc, seed=cfg.seed)
+    out = fubini_consistency(m, partial(pairing_rates, f, m), region, n_mc=n_mc,
+                             seed=cfg.seed)
     return {"results": out,
             "checks": [_check("iterated_matches_direct", out["discrepancy"],
                               max(out["bound"], 1e-12), "<=")]}
 
 
-def _region_and_integral(cfg, m, h, order):
+def _integral_report(cfg, m, h, key: str, rtol: float) -> dict:
+    """Integral of h over the config's region (the radius ladder when the
+    manifold has shells, else a chart box), checked against ``expected``."""
     params = cfg.params
+    order = int(params.get("order", 16))
     if m.shell is not None:
-        r0 = float(params.get("r0", 1.0))
-        rungs = int(params.get("rungs", 5))
-        return ladder_integral(m, h, r0=r0, rungs=rungs, order=order)
-    box = params.get("box")
-    region = ChartBox(tuple(tuple(b) for b in box)) if box else ChartBox(m.sample_box)
-    return base_integral(m, h, region, order=order)
+        est = ladder_integral(m, h, r0=float(params.get("r0", 1.0)),
+                              rungs=int(params.get("rungs", 5)), order=order)
+    else:
+        box = params.get("box")
+        region = ChartBox(tuple(tuple(b) for b in box)) if box else ChartBox(m.sample_box)
+        est = base_integral(m, h, region, order=order)
+    results = {key: est.to_json()}
+    checks = []
+    if "expected" in params:
+        expected = float(params["expected"])
+        rel = abs(est.value - expected) / max(abs(expected), 1e-30)
+        results["expected"] = expected
+        checks.append(_check(f"{key}_matches_expected", rel,
+                             float(cfg.tolerances.get("rel_error", rtol)), "<="))
+    return {"results": results, "checks": checks}
 
 
 def _run_volume(cfg, workers):
     if cfg.manifold is None:
         raise ConfigError("volume needs a manifold id")
-    m = zoo.manifold(cfg.manifold)
-    order = int(cfg.params.get("order", 16))
-    est = _region_and_integral(cfg, m, lambda x: 1.0, order)
-    results = {"volume": est.to_json()}
-    checks = []
-    if "expected" in cfg.params:
-        expected = float(cfg.params["expected"])
-        rtol = float(cfg.tolerances.get("rel_error", 1e-3))
-        rel = abs(est.value - expected) / abs(expected)
-        results["expected"] = expected
-        checks.append(_check("volume_matches_expected", rel, rtol, "<="))
-    return {"results": results, "checks": checks}
+    return _integral_report(cfg, zoo.manifold(cfg.manifold), lambda x: 1.0, "volume", 1e-3)
 
 
 def _run_divergence_integral(cfg, workers):
     m, f = _resolve_pair(cfg)
-    order = int(cfg.params.get("order", 16))
-    est = _region_and_integral(cfg, m, lambda x: divergence(f, m, x), order)
-    results = {"divergence_integral": est.to_json()}
-    checks = []
-    if "expected" in cfg.params:
-        expected = float(cfg.params["expected"])
-        rtol = float(cfg.tolerances.get("rel_error", 5e-3))
-        rel = abs(est.value - expected) / max(abs(expected), 1e-30)
-        results["expected"] = expected
-        checks.append(_check("divergence_integral_matches_expected", rel, rtol, "<="))
-    return {"results": results, "checks": checks}
+    return _integral_report(cfg, m, lambda x: divergence(f, m, x),
+                            "divergence_integral", 5e-3)
 
 
 def _run_karp(cfg, workers):
@@ -276,25 +275,29 @@ def _run_karp(cfg, workers):
     reports = karp_sequence(m, f, radii, order=int(cfg.params.get("order", 16)),
                             seed=cfg.seed)
     results = {"annuli": [r.to_json() for r in reports]}
-    checks = []
+    return {"results": results,
+            "checks": _expected(cfg, [r.normalized for r in reports],
+                                [r.stderr for r in reports])}
+
+
+def _karp_decay(cfg, values, errs):
+    thr = float(cfg.tolerances.get("final_normalized", 0.1))
+    return [_check("normalized_sequence_decreasing", float(max(np.diff(values))), 0.0, "<="),
+            _check("final_normalized_small", values[-1], thr, "<=")]
+
+
+def _karp_bounded_below(cfg, values, errs):
+    thr = float(cfg.tolerances.get("lower_bound", 1.0))
+    slack = min(values[i + 1] - values[i] + 3.0 * (errs[i + 1] + errs[i])
+                for i in range(len(values) - 1))
+    return [_check("normalized_bounded_below", min(values), thr, ">="),
+            _check("normalized_nondecreasing_within_error", float(slack), 0.0, ">=")]
+
+
+def _expected(cfg, *args) -> list:
+    """The checks its kind's ``expect`` table builds for the config's expectation."""
     expect = cfg.params.get("expect")
-    values = [r.normalized for r in reports]
-    errs = [r.stderr for r in reports]
-    if expect == "decay":
-        thr = float(cfg.tolerances.get("final_normalized", 0.1))
-        checks.append(_check("normalized_sequence_decreasing",
-                             float(max(np.diff(values))), 0.0, "<="))
-        checks.append(_check("final_normalized_small", values[-1], thr, "<="))
-    elif expect == "bounded-below":
-        thr = float(cfg.tolerances.get("lower_bound", 1.0))
-        checks.append(_check("normalized_bounded_below", min(values), thr, ">="))
-        slack = min(values[i + 1] - values[i] + 3.0 * (errs[i + 1] + errs[i])
-                    for i in range(len(values) - 1))
-        checks.append(_check("normalized_nondecreasing_within_error",
-                             float(slack), 0.0, ">="))
-    elif expect is not None:
-        raise ConfigError(f"unknown karp expectation {expect!r}")
-    return {"results": results, "checks": checks}
+    return [] if expect is None else KINDS[cfg.kind].expect[expect](cfg, *args)
 
 
 def _run_cutoff(cfg, workers):
@@ -317,16 +320,7 @@ def _run_fx_ladder(cfg, workers):
         rungs=int(cfg.params.get("rungs", 5)),
         order=int(cfg.params.get("order", 10)),
         rel_tol=float(cfg.tolerances.get("ladder_rel_tol", 5e-3)))
-    results = {"ladder": est.to_json()}
-    checks = []
-    expect = cfg.params.get("expect")
-    if expect == "converge":
-        checks.append(_check("ladder_converged", est.converged, True, "=="))
-    elif expect == "diverge":
-        checks.append(_check("ladder_diverged", est.converged, False, "=="))
-    elif expect is not None:
-        raise ConfigError(f"unknown ladder expectation {expect!r}")
-    return {"results": results, "checks": checks}
+    return {"results": {"ladder": est.to_json()}, "checks": _expected(cfg, est)}
 
 
 def _run_decay(cfg, workers):
@@ -335,20 +329,14 @@ def _run_decay(cfg, workers):
     sups = x_decay_at_infinity(m, f, radii,
                                n_samples=int(cfg.params.get("n_samples", 400)),
                                seed=cfg.seed)
-    values = [s["sup"] for s in sups]
-    checks = []
-    expect = cfg.params.get("expect")
-    if expect == "to-zero":
-        checks.append(_check("annulus_sup_decreasing",
-                             float(max(np.diff(values))), 0.0, "<="))
-        thr = float(cfg.tolerances.get("final_sup", 0.2))
-        checks.append(_check("final_sup_small", values[-1], thr, "<="))
-    elif expect == "grow":
-        checks.append(_check("annulus_sup_growing", values[-1],
-                             values[0], ">="))
-    elif expect is not None:
-        raise ConfigError(f"unknown decay expectation {expect!r}")
-    return {"results": {"suprema": sups}, "checks": checks}
+    return {"results": {"suprema": sups},
+            "checks": _expected(cfg, [s["sup"] for s in sups])}
+
+
+def _decay_to_zero(cfg, values):
+    thr = float(cfg.tolerances.get("final_sup", 0.2))
+    return [_check("annulus_sup_decreasing", float(max(np.diff(values))), 0.0, "<="),
+            _check("final_sup_small", values[-1], thr, "<=")]
 
 
 def _run_recurrence(cfg, workers):
@@ -464,14 +452,16 @@ def _run_potential_laplacian(cfg, workers):
 
 
 class Kind(NamedTuple):
-    """One experiment kind: its CLI subcommand, its runner, and the params
-    and tolerances keys the runner reads (any other key is a config error)."""
+    """One experiment kind: CLI subcommand, runner, the params and tolerances
+    keys it reads (others are config errors), and the values ``expect`` (hopf:
+    ``expect_label``) may take, for ``expect`` each mapped to its checks."""
 
     group: str
     action: str
     run: Callable[[ExperimentConfig, int], dict]
     params: tuple[str, ...]
     tolerances: tuple[str, ...] = ()
+    expect: dict | tuple = ()
 
 
 _REGION = ("r0", "rungs", "box", "order", "expected")
@@ -487,18 +477,25 @@ KINDS: dict[str, Kind] = {
     "divergence-integral": Kind("integrate", "divergence", _run_divergence_integral,
                                 _REGION, ("rel_error",)),
     "karp": Kind("diagnose", "karp", _run_karp, ("radii", "order", "expect"),
-                 ("final_normalized", "lower_bound")),
+                 ("final_normalized", "lower_bound"),
+                 {"decay": _karp_decay, "bounded-below": _karp_bounded_below}),
     "cutoff": Kind("diagnose", "cutoff", _run_cutoff, ("radii", "sigma", "order")),
     "fx-ladder": Kind("diagnose", "fx-ladder", _run_fx_ladder,
-                      ("r0", "rungs", "order", "expect"), ("ladder_rel_tol",)),
+                      ("r0", "rungs", "order", "expect"), ("ladder_rel_tol",),
+                      {"converge": lambda cfg, est: [
+                          _check("ladder_converged", est.converged, True, "==")],
+                       "diverge": lambda cfg, est: [
+                          _check("ladder_diverged", est.converged, False, "==")]}),
     "decay": Kind("diagnose", "decay", _run_decay, ("radii", "n_samples", "expect"),
-                  ("final_sup",)),
+                  ("final_sup",),
+                  {"to-zero": _decay_to_zero, "grow": lambda cfg, values: [
+                      _check("annulus_sup_growing", values[-1], values[0], ">=")]}),
     "recurrence": Kind("diagnose", "recurrence", _run_recurrence,
                        ("radius_cap", "n", "eps", "t_min", "t_max",
                         "min_fraction", "max_fraction")),
     "hopf": Kind("diagnose", "hopf", _run_hopf,
                  ("n", "radius_cap", "horizons", "expect_label",
-                  "min_label_fraction")),
+                  "min_label_fraction"), (), HOPF_LABELS),
     "potential-monotone": Kind("potential", "monotone", _run_potential_monotone,
                                ("profile", "n_pairs", "dim"),
                                ("negativity_floor", "near_zero")),
@@ -517,7 +514,11 @@ def run(cfg: ExperimentConfig, workers: int = 1) -> dict:
     cfg.validate()
     canonical = cfg.canonical()
     blob = json.dumps(canonical, sort_keys=True, separators=(",", ":"))
-    out = KINDS[cfg.kind].run(cfg, workers)
+    try:
+        out = KINDS[cfg.kind].run(cfg, workers)
+    except NUMERICAL_ERRORS as exc:
+        out = {"checks": [_check("completed", "error", "none", "==")],
+               "error": {"type": type(exc).__name__, "message": str(exc)}}
     checks = out.get("checks", [])
     report = {
         "tool": {"name": "divflow", "version": __version__},
@@ -530,6 +531,8 @@ def run(cfg: ExperimentConfig, workers: int = 1) -> dict:
         "checks": checks,
         "passed": all(c["passed"] for c in checks) if checks else True,
     }
+    if "error" in out:
+        report["error"] = out["error"]
     return report
 
 
@@ -538,10 +541,10 @@ def report_to_json(report: dict) -> str:
 
 
 def report_to_csv(report: dict) -> str:
-    """Flat CSV: the karp kind emits its fixed (r, mass, normalized, stderr)
-    table, everything else the checks table."""
+    """Flat CSV: a completed karp run emits its fixed (r, mass, normalized,
+    stderr) table, everything else the checks table."""
     lines = []
-    if report["experiment"] == "karp":
+    if report["experiment"] == "karp" and "error" not in report:
         lines.append("r,mass,normalized,stderr")
         for a in report["results"]["annuli"]:
             lines.append(f"{a['radius']!r},{a['mass']!r},{a['normalized']!r},{a['stderr']!r}")

@@ -19,6 +19,11 @@ Every manifold is one almost-everywhere chart with closed-form Christoffel
 symbols and a bounded default sampling box; all but the torus also carry a
 radius surrogate with matching shell parametrization and a default radius
 cap for sampling.
+
+Every closure of a point takes a stack of shape (..., n) and returns the
+matching leading shape, with the same values on one point as on a stack;
+reading coordinates as ``x.T[0]`` and storing entries into a preallocated
+output keeps one point cheap.
 """
 
 from __future__ import annotations
@@ -50,7 +55,6 @@ __all__ = [
     "manifold",
     "vector_field",
     "field_pairs",
-    "zoo_fields",
     "list_zoo",
     "MANIFOLD_IDS",
     "FIELD_IDS",
@@ -77,13 +81,24 @@ def default_revolution_profile() -> RevolutionProfile:
     return RevolutionProfile(
         name="1/(1+x^2)",
         f=lambda x: 1.0 / (1.0 + x * x),
-        df=lambda x: -2.0 * x / (1.0 + x * x) ** 2,
-        d2f=lambda x: (6.0 * x * x - 2.0) / (1.0 + x * x) ** 3,
+        df=lambda x: -2.0 * x / _ipow(1.0 + x * x, 2),
+        d2f=lambda x: (6.0 * x * x - 2.0) / _ipow(1.0 + x * x, 3),
     )
 
 
+def _ipow(x, k: int):
+    """x**k as products: numpy's power of a scalar and of an array can differ
+    in the last bit, so closures use this instead of ``**``."""
+    out = x
+    for _ in range(k - 1):
+        out = out * x
+    return out
+
+
 def cylinder_profile() -> RevolutionProfile:
-    return RevolutionProfile("cylinder", lambda x: 1.0, lambda x: 0.0, lambda x: 0.0)
+    return RevolutionProfile("cylinder", lambda x: np.ones_like(x, dtype=float),
+                             lambda x: np.zeros_like(x, dtype=float),
+                             lambda x: np.zeros_like(x, dtype=float))
 
 
 class _HermiteBlend:
@@ -116,10 +131,10 @@ class _HermiteBlend:
         self.dpoly = self.poly.deriv()
 
     def __call__(self, r):
-        return float(self.poly(r - self.r0))
+        return self.poly(r - self.r0)
 
     def deriv(self, r):
-        return float(self.dpoly(r - self.r0))
+        return self.dpoly(r - self.r0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,22 +162,21 @@ def _profile_from_tail(name, a, tail_tag, tail_derivs) -> WarpProfile:
     blend = _HermiteBlend(1.0, 2.0, (a, 0.0, 0.0, 0.0, 0.0),
                           tuple(d(2.0) for d in tail_derivs))
 
-    def b(r: float) -> float:
-        r = abs(r)
-        if r < 1.0:
-            return a
-        if r < 2.0:
-            return blend(r)
-        return tail(r)
+    def pieces(r, plateau, mid, far):
+        # each piece sees only its own radii (the tails divide by sinh r);
+        # a piece with no radii is skipped (one radius needs one piece)
+        ar = np.abs(np.asarray(r, dtype=float))
+        out = np.full(ar.shape, plateau)
+        for on, piece in (((ar >= 1.0) & (ar < 2.0), mid), (ar >= 2.0, far)):
+            if on.any():
+                out[on] = piece(ar[on])
+        return out[()]
 
-    def db(r: float) -> float:
-        s = 1.0 if r >= 0 else -1.0
-        r = abs(r)
-        if r < 1.0:
-            return 0.0
-        if r < 2.0:
-            return s * blend.deriv(r)
-        return s * dtail(r)
+    def b(r):
+        return pieces(r, a, blend, tail)
+
+    def db(r):
+        return np.sign(r) * pieces(r, 0.0, blend.deriv, dtail)
 
     return WarpProfile(name=name, plateau=a, tail=tail_tag, b=b, db=db)
 
@@ -171,10 +185,10 @@ def warp_profile_finite_volume(a: float = 1.0) -> WarpProfile:
     c = a * math.sinh(2.0) ** 2
 
     def d0(r):
-        return c / math.sinh(r) ** 2
+        return c / _ipow(np.sinh(r), 2)
 
     def d1(r):
-        return -2.0 * c * math.cosh(r) / math.sinh(r) ** 3
+        return -2.0 * c * np.cosh(r) / _ipow(np.sinh(r), 3)
 
     def d2(r):
         return 2.0 * c * (math.cosh(2.0 * r) + 2.0) / math.sinh(r) ** 4
@@ -193,7 +207,7 @@ def warp_profile_finite_volume(a: float = 1.0) -> WarpProfile:
 
 def warp_profile_infinite_volume(a: float = 1.0) -> WarpProfile:
     derivs = tuple(
-        (lambda r, k=k: 2.0 * a * (-1.0) ** k * math.factorial(k) / (1.0 + r) ** (k + 1))
+        (lambda r, k=k: 2.0 * a * (-1.0) ** k * math.factorial(k) / _ipow(1.0 + r, k + 1))
         for k in range(5))
     return _profile_from_tail("infinite-volume", a, "infinite-volume", derivs)
 
@@ -216,9 +230,9 @@ def make_flat_torus(side: float = 1.0) -> ChartedManifold:
     return ChartedManifold(
         name=f"torus(L={L:g})",
         dim=2,
-        metric=lambda x: eye,
+        metric=lambda x: np.broadcast_to(eye, x.shape[:-1] + (2, 2)),
         periods=(L, L),
-        christoffel=lambda x: np.zeros((2, 2, 2)),
+        christoffel=lambda x: np.zeros(x.shape[:-1] + (2, 2, 2)),
         basepoint=np.zeros(2),
         pair_distance=pair_distance,
         sample_box=((0.0, L), (0.0, L)),
@@ -247,22 +261,22 @@ class _MeridianArclength:
 
     def __init__(self, profile: RevolutionProfile, x_max: float = 4200.0, n: int = 400001):
         xs = np.linspace(0.0, x_max, n)
-        slopes = np.sqrt(1.0 + np.array([profile.df(x) for x in xs]) ** 2)
+        slopes = np.sqrt(1.0 + profile.df(xs) ** 2)
         mids = 0.5 * (slopes[1:] + slopes[:-1])
         rs = np.concatenate([[0.0], np.cumsum(mids * np.diff(xs))])
         self.xs, self.rs = xs, rs
         self.x_max = x_max
 
-    def r_of_x(self, x: float) -> float:
-        ax = abs(float(x))
-        if ax > self.x_max:
+    def r_of_x(self, x):
+        ax = np.abs(x)
+        if np.any(ax > self.x_max):
             raise ValueError(f"arclength table ends at |x| = {self.x_max}")
-        return float(np.interp(ax, self.xs, self.rs))
+        return np.interp(ax, self.xs, self.rs)
 
-    def x_of_r(self, r: float) -> float:
-        if r > self.rs[-1]:
+    def x_of_r(self, r):
+        if np.any(r > self.rs[-1]):
             raise ValueError(f"arclength table ends at r = {self.rs[-1]:.1f}")
-        return float(np.interp(float(r), self.rs, self.xs))
+        return np.interp(r, self.rs, self.xs)
 
 
 def make_surface_of_revolution(profile: Optional[RevolutionProfile] = None,
@@ -277,34 +291,40 @@ def make_surface_of_revolution(profile: Optional[RevolutionProfile] = None,
     f, df, d2f = profile.f, profile.df, profile.d2f
 
     def metric(x):
-        fp = df(x[0])
-        return np.array([[1.0 + fp * fp, 0.0], [0.0, f(x[0]) ** 2]])
+        x0 = x.T[0]
+        fp = df(x0)
+        g = np.zeros(x.shape[:-1] + (2, 2))
+        g[..., 0, 0] = 1.0 + fp * fp
+        g[..., 1, 1] = _ipow(f(x0), 2)
+        return g
 
     def christoffel(x):
-        fx, fp, fpp = f(x[0]), df(x[0]), d2f(x[0])
+        x0 = x.T[0]
+        fx, fp, fpp = f(x0), df(x0), d2f(x0)
         d = 1.0 + fp * fp
-        G = np.zeros((2, 2, 2))
-        G[0, 0, 0] = fp * fpp / d
-        G[0, 1, 1] = -fx * fp / d
-        G[1, 0, 1] = G[1, 1, 0] = fp / fx
+        G = np.zeros(x.shape[:-1] + (2, 2, 2))
+        G[..., 0, 0, 0] = fp * fpp / d
+        G[..., 0, 1, 1] = -fx * fp / d
+        G[..., 1, 0, 1] = G[..., 1, 1, 0] = fp / fx
         return G
 
     arc = _MeridianArclength(profile)
 
     def shell(r_lo: float, r_hi: float):
-        def to_chart_pos(u):
-            return np.array([arc.x_of_r(u[0]), u[1]])
-
-        def to_chart_neg(u):
-            return np.array([-arc.x_of_r(u[0]), u[1]])
+        def to_chart(sign):
+            def along(u):
+                x = np.array(u, dtype=float)
+                x[..., 0] = sign * arc.x_of_r(u.T[0])
+                return x
+            return along
 
         def density(u):
             # meridian is unit-speed in s, so the area density reduces to f
-            return f(arc.x_of_r(u[0]))
+            return f(arc.x_of_r(u.T[0]))
 
         bounds = ((float(r_lo), float(r_hi)), (0.0, TWO_PI))
-        return (ShellPatch(bounds, to_chart_pos, density, "meridian+"),
-                ShellPatch(bounds, to_chart_neg, density, "meridian-"))
+        return (ShellPatch(bounds, to_chart(1.0), density, "meridian+"),
+                ShellPatch(bounds, to_chart(-1.0), density, "meridian-"))
 
     def embed(x):
         return np.array([x[0], f(x[0]) * math.cos(x[1]), f(x[0]) * math.sin(x[1])])
@@ -321,7 +341,7 @@ def make_surface_of_revolution(profile: Optional[RevolutionProfile] = None,
         periods=(None, TWO_PI),
         christoffel=christoffel,
         basepoint=np.zeros(2),
-        radius=lambda x: arc.r_of_x(x[0]),
+        radius=lambda x: arc.r_of_x(x.T[0]),
         shell=shell,
         sample_box=((-8.0, 8.0), (0.0, TWO_PI)),
         description=f"surface of revolution of f(x) = {profile.name} about the x axis",
@@ -348,17 +368,18 @@ def _h2_lift_velocity(x, v):
 
 
 def _h2_metric(x):
-    z2 = 1.0 + x[0] * x[0] + x[1] * x[1]
-    w = np.array([x[0], x[1]])
-    return np.eye(2) - np.outer(w, w) / z2
+    x0, x1 = x.T[0], x.T[1]
+    z2 = 1.0 + x0 * x0 + x1 * x1
+    g = np.empty(x.shape[:-1] + (2, 2))
+    g[..., 0, 0] = 1.0 - x0 * x0 / z2
+    g[..., 0, 1] = g[..., 1, 0] = 0.0 - x0 * x1 / z2
+    g[..., 1, 1] = 1.0 - x1 * x1 / z2
+    return g
 
 
 def _h2_christoffel(x):
-    g = _h2_metric(x)
-    G = np.empty((2, 2, 2))
-    G[0] = -x[0] * g
-    G[1] = -x[1] * g
-    return G
+    # G[k, i, j] = -x_k g_ij
+    return -x[..., :, None, None] * _h2_metric(x)[..., None, :, :]
 
 
 def make_hyperbolic_plane() -> ChartedManifold:
@@ -382,15 +403,16 @@ def make_hyperbolic_plane() -> ChartedManifold:
         return float(np.arccosh(max(1.0, val)))
 
     def radius(x):
-        return float(np.arccosh(max(1.0, _h2_lift(x)[2])))
+        x0, x1 = x.T[0], x.T[1]
+        return np.arccosh(np.maximum(1.0, np.sqrt(1.0 + x0 * x0 + x1 * x1)))
 
     def shell(r_lo, r_hi):
         def to_chart(u):
-            s = math.sinh(u[0])
-            return np.array([s * math.cos(u[1]), s * math.sin(u[1])])
+            s = np.sinh(u.T[0])
+            return np.stack([s * np.cos(u.T[1]), s * np.sin(u.T[1])], axis=-1)
 
         return (ShellPatch(((float(r_lo), float(r_hi)), (0.0, TWO_PI)),
-                           to_chart, lambda u: math.sinh(u[0]), "polar"),)
+                           to_chart, lambda u: np.sinh(u.T[0]), "polar"),)
 
     return ChartedManifold(
         name="hyperbolic",
@@ -417,27 +439,27 @@ def _hyperbolic_polar() -> ChartedManifold:
     """
 
     def metric(x):
-        return np.array([[1.0, 0.0], [0.0, math.sinh(x[0]) ** 2]])
+        g = np.zeros(x.shape[:-1] + (2, 2))
+        g[..., 0, 0] = 1.0
+        g[..., 1, 1] = _ipow(np.sinh(x.T[0]), 2)
+        return g
 
     return ChartedManifold(
         name="hyperbolic-polar",
         dim=2,
         metric=metric,
-        domain=lambda x: x[0] > 0.0,
+        domain=lambda x: x.T[0] > 0.0,
         periods=(None, TWO_PI),
-        basepoint=None,
-        radius=lambda x: float(x[0]),
         sample_box=((0.3, 5.0), (0.0, TWO_PI)),
         description="hyperbolic plane, geodesic polar chart about a pole",
     )
 
 
 def _circle() -> ChartedManifold:
-    one = np.array([[1.0]])
     return ChartedManifold(
         name="circle",
         dim=1,
-        metric=lambda x: one,
+        metric=lambda x: np.ones(x.shape[:-1] + (1, 1)),
         periods=(TWO_PI,),
         sample_box=((0.0, TWO_PI),),
         description="unit circle",
@@ -469,7 +491,8 @@ def make_warped_product(base: ChartedManifold, fiber: ChartedManifold,
                         name: Optional[str] = None) -> WarpedProduct:
     """Product manifold with block metric [[g_B, 0], [0, h^2 g_F]].
 
-    ``warp`` and ``warp_grad`` take base coordinates; h must be positive.
+    ``warp`` and ``warp_grad`` take base coordinates (``warp`` a stack of
+    them); h must be positive.
     No Christoffel symbols are attached: each example supplies direct ones,
     and without them the finite-difference route applies.
     """
@@ -477,15 +500,14 @@ def make_warped_product(base: ChartedManifold, fiber: ChartedManifold,
     n = nB + nF
 
     def metric(x):
-        xB, xF = x[:nB], x[nB:]
-        h = warp(xB)
-        g = np.zeros((n, n))
-        g[:nB, :nB] = base.metric(xB)
-        g[nB:, nB:] = (h * h) * fiber.metric(xF)
+        xB, xF = x[..., :nB], x[..., nB:]
+        g = np.zeros(x.shape[:-1] + (n, n))
+        g[..., :nB, :nB] = base.metric(xB)
+        g[..., nB:, nB:] = np.square(warp(xB))[..., None, None] * fiber.metric(xF)
         return g
 
     def domain(x):
-        return base.domain(x[:nB]) and fiber.domain(x[nB:])
+        return np.logical_and(base.domain(x[..., :nB]), fiber.domain(x[..., nB:]))
 
     m = ChartedManifold(
         name=name or f"{base.name}x{fiber.name}",
@@ -541,30 +563,19 @@ def lift(product: WarpedProduct, field: VectorFieldDef, kind: str) -> LiftedFiel
     nB, nF = product.base.dim, product.fiber.dim
     n = nB + nF
 
-    if kind == "horizontal":
-        def components(x):
-            out = np.zeros(n)
-            out[:nB] = field.components(x[:nB])
-            return out
+    part = slice(0, nB) if kind == "horizontal" else slice(nB, n)
 
-        jac = None
-        if field.jacobian is not None:
-            def jac(x):
-                J = np.zeros((n, n))
-                J[:nB, :nB] = field.jacobian(x[:nB])
-                return J
-    else:
-        def components(x):
-            out = np.zeros(n)
-            out[nB:] = field.components(x[nB:])
-            return out
+    def components(x):
+        out = np.zeros(x.shape)
+        out[..., part] = field.components(x[..., part])
+        return out
 
-        jac = None
-        if field.jacobian is not None:
-            def jac(x):
-                J = np.zeros((n, n))
-                J[nB:, nB:] = field.jacobian(x[nB:])
-                return J
+    jac = None
+    if field.jacobian is not None:
+        def jac(x):
+            J = np.zeros(x.shape[:-1] + (n, n))
+            J[..., part, part] = field.jacobian(x[..., part])
+            return J
 
     lifted = VectorFieldDef(name=f"{field.name}-{kind}-lift",
                             components=components, jacobian=jac)
@@ -575,70 +586,58 @@ def lift(product: WarpedProduct, field: VectorFieldDef, kind: str) -> LiftedFiel
 # the three warped examples
 
 
-def _radial_warp_christoffel(prof: WarpProfile):
-    """Direct symbols for diag(1, sinh^2 r, b(r)^2)."""
+def _radial_example(prof: WarpProfile, name: str) -> WarpedProduct:
+    """Polar hyperbolic plane x circle warped by the radial profile b(r),
+    with direct symbols for diag(1, sinh^2 r, b(r)^2) and radial shells."""
 
     def christoffel(x):
-        r = x[0]
-        sh, ch = math.sinh(r), math.cosh(r)
+        r = x.T[0]
+        sh, ch = np.sinh(r), np.cosh(r)
         b, bp = prof.b(r), prof.db(r)
-        G = np.zeros((3, 3, 3))
-        G[0, 1, 1] = -sh * ch
-        G[0, 2, 2] = -b * bp
-        G[1, 0, 1] = G[1, 1, 0] = ch / sh
-        G[2, 0, 2] = G[2, 2, 0] = bp / b
+        G = np.zeros(x.shape[:-1] + (3, 3, 3))
+        G[..., 0, 1, 1] = -sh * ch
+        G[..., 0, 2, 2] = -b * bp
+        G[..., 1, 0, 1] = G[..., 1, 1, 0] = ch / sh
+        G[..., 2, 0, 2] = G[..., 2, 2, 0] = bp / b
         return G
 
-    return christoffel
-
-
-def make_example2(a: float = 1.0) -> WarpedProduct:
-    """Finite-volume warped product: polar hyperbolic plane x circle with the
-    finite-volume radial profile."""
-    prof = warp_profile_finite_volume(a)
-    wp = make_warped_product(
-        _hyperbolic_polar(), _circle(),
-        warp=lambda xB: prof.b(xB[0]),
-        warp_grad=lambda xB: np.array([prof.db(xB[0]), 0.0]),
-        name="warp:ex2",
-    )
-    m = _attach_radial_shell(
-        replace(wp.manifold, christoffel=_radial_warp_christoffel(prof)), prof)
-    return WarpedProduct(m, wp.base, wp.fiber, wp.warp, wp.warp_grad)
-
-
-def make_example3(a: float = 1.0) -> WarpedProduct:
-    """Infinite-volume warped product: same factors, decaying profile."""
-    prof = warp_profile_infinite_volume(a)
-    wp = make_warped_product(
-        _hyperbolic_polar(), _circle(),
-        warp=lambda xB: prof.b(xB[0]),
-        warp_grad=lambda xB: np.array([prof.db(xB[0]), 0.0]),
-        name="warp:ex3",
-    )
-    m = _attach_radial_shell(
-        replace(wp.manifold, christoffel=_radial_warp_christoffel(prof)), prof)
-    return WarpedProduct(m, wp.base, wp.fiber, wp.warp, wp.warp_grad)
-
-
-def _attach_radial_shell(m: ChartedManifold, prof: WarpProfile) -> ChartedManifold:
     def shell(r_lo, r_hi):
         def density(u):
-            return math.sinh(u[0]) * prof.b(u[0])
+            return np.sinh(u.T[0]) * prof.b(u.T[0])
 
         bounds = ((float(r_lo), float(r_hi)), (0.0, TWO_PI), (0.0, TWO_PI))
         # the profile is C4 with seams at the plateau and tail junctions
         return (ShellPatch(bounds, lambda u: u, density, "radial",
                            breakpoints=((1.0, 2.0), (), ())),)
 
-    return replace(
-        m,
-        radius=lambda x: float(x[0]),
+    wp = make_warped_product(
+        _hyperbolic_polar(), _circle(),
+        warp=lambda xB: prof.b(xB.T[0]),
+        warp_grad=lambda xB: np.array([prof.db(xB[0]), 0.0]),
+        name=name,
+    )
+    m = replace(
+        wp.manifold,
+        christoffel=christoffel,
+        radius=lambda x: x.T[0],
         shell=shell,
         sample_box=((0.3, 5.0), (0.0, TWO_PI), (0.0, TWO_PI)),
         radius_cap=3.0,
-        description=m.description + f" (profile {prof.name}, plateau {prof.plateau:g})",
+        description=wp.manifold.description
+        + f" (profile {prof.name}, plateau {prof.plateau:g})",
     )
+    return WarpedProduct(m, wp.base, wp.fiber, wp.warp, wp.warp_grad)
+
+
+def make_example2(a: float = 1.0) -> WarpedProduct:
+    """Finite-volume warped product: polar hyperbolic plane x circle with the
+    finite-volume radial profile."""
+    return _radial_example(warp_profile_finite_volume(a), "warp:ex2")
+
+
+def make_example3(a: float = 1.0) -> WarpedProduct:
+    """Infinite-volume warped product: same factors, decaying profile."""
+    return _radial_example(warp_profile_infinite_volume(a), "warp:ex3")
 
 
 def make_example4() -> WarpedProduct:
@@ -647,7 +646,7 @@ def make_example4() -> WarpedProduct:
     h2 = make_hyperbolic_plane()
 
     def warp(xB):
-        return 1.0 / (1.0 + xB[0] ** 2 + xB[1] ** 2)
+        return 1.0 / (1.0 + xB.T[0] * xB.T[0] + xB.T[1] * xB.T[1])
 
     def warp_grad(xB):
         z4 = (1.0 + xB[0] ** 2 + xB[1] ** 2) ** 2
@@ -657,28 +656,32 @@ def make_example4() -> WarpedProduct:
 
     def christoffel(x):
         # base block -x_a g_bc plus the warp couplings of h = 1/z^2
-        z2 = 1.0 + x[0] ** 2 + x[1] ** 2
-        G = np.zeros((3, 3, 3))
-        gB = _h2_metric(x[:2])
-        G[0, :2, :2] = -x[0] * gB
-        G[1, :2, :2] = -x[1] * gB
-        G[0, 2, 2] = 2.0 * x[0] / z2 ** 2
-        G[1, 2, 2] = 2.0 * x[1] / z2 ** 2
-        G[2, 0, 2] = G[2, 2, 0] = -2.0 * x[0] / z2
-        G[2, 1, 2] = G[2, 2, 1] = -2.0 * x[1] / z2
+        x0, x1 = x.T[0], x.T[1]
+        z2 = 1.0 + x0 * x0 + x1 * x1
+        G = np.zeros(x.shape[:-1] + (3, 3, 3))
+        # as in _h2_metric, inlined for speed
+        g00, g01, g11 = 1.0 - x0 * x0 / z2, 0.0 - x0 * x1 / z2, 1.0 - x1 * x1 / z2
+        G[..., 0, 0, 0], G[..., 1, 0, 0] = -x0 * g00, -x1 * g00
+        G[..., 0, 0, 1] = G[..., 0, 1, 0] = -x0 * g01
+        G[..., 1, 0, 1] = G[..., 1, 1, 0] = -x1 * g01
+        G[..., 0, 1, 1], G[..., 1, 1, 1] = -x0 * g11, -x1 * g11
+        G[..., 0, 2, 2] = 2.0 * x0 / (z2 * z2)
+        G[..., 1, 2, 2] = 2.0 * x1 / (z2 * z2)
+        G[..., 2, 0, 2] = G[..., 2, 2, 0] = -2.0 * x0 / z2
+        G[..., 2, 1, 2] = G[..., 2, 2, 1] = -2.0 * x1 / z2
         return G
 
     def radius(x):
-        return float(np.arccosh(max(1.0, math.sqrt(1.0 + x[0] ** 2 + x[1] ** 2))))
+        return np.arccosh(np.maximum(1.0, np.sqrt(1.0 + x.T[0] * x.T[0] + x.T[1] * x.T[1])))
 
     def shell(r_lo, r_hi):
         def to_chart(u):
-            s = math.sinh(u[0])
-            return np.array([s * math.cos(u[1]), s * math.sin(u[1]), u[2]])
+            s = np.sinh(u.T[0])
+            return np.stack([s * np.cos(u.T[1]), s * np.sin(u.T[1]), u.T[2]], axis=-1)
 
         def density(u):
             # base polar density sinh(d) times the warp 1/cosh(d)^2
-            return math.sinh(u[0]) / math.cosh(u[0]) ** 2
+            return np.sinh(u.T[0]) / _ipow(np.cosh(u.T[0]), 2)
 
         bounds = ((float(r_lo), float(r_hi)), (0.0, TWO_PI), (0.0, TWO_PI))
         return (ShellPatch(bounds, to_chart, density, "polar"),)
@@ -701,6 +704,12 @@ def make_example4() -> WarpedProduct:
 # fields
 
 
+def _constant(value):
+    """Closure returning ``value`` at every point of a stack."""
+    value = np.asarray(value, dtype=float)
+    return lambda x: np.broadcast_to(value, x.shape[:-1] + value.shape)
+
+
 def _revolution_W(profile: RevolutionProfile) -> VectorFieldDef:
     """Rotational field W = x (1 + x^2) d/dt on the revolution surface.
 
@@ -710,10 +719,16 @@ def _revolution_W(profile: RevolutionProfile) -> VectorFieldDef:
     f, df = profile.f, profile.df
 
     def components(x):
-        return np.array([0.0, x[0] * (1.0 + x[0] * x[0])])
+        x0 = x.T[0]
+        out = np.zeros(x.shape)
+        out[..., 1] = x0 * (1.0 + x0 * x0)
+        return out
 
     def jacobian(x):
-        return np.array([[0.0, 0.0], [1.0 + 3.0 * x[0] * x[0], 0.0]])
+        x0 = x.T[0]
+        J = np.zeros(x.shape[:-1] + (2, 2))
+        J[..., 1, 0] = 1.0 + 3.0 * x0 * x0
+        return J
 
     def fx(x, v):
         # rate of the velocity pairing, written through the ambient picture
@@ -726,16 +741,16 @@ def _revolution_W(profile: RevolutionProfile) -> VectorFieldDef:
         return a * (1.0 + 3.0 * x[0] ** 2) * (-yz[1] * bc[0] + bc[1] * yz[0])
 
     return VectorFieldDef(name="W", components=components, jacobian=jacobian,
-                          divergence=lambda x: 0.0, fx=fx)
+                          divergence=_constant(0.0), fx=fx)
 
 
 def _h2_rotation() -> VectorFieldDef:
     """Killing rotation about the hyperboloid axis; vanishes at the apex."""
     return VectorFieldDef(
         name="rotation",
-        components=lambda x: np.array([-x[1], x[0]]),
-        jacobian=lambda x: np.array([[0.0, -1.0], [1.0, 0.0]]),
-        divergence=lambda x: 0.0,
+        components=lambda x: np.stack([-x.T[1], x.T[0]], axis=-1),
+        jacobian=_constant([[0.0, -1.0], [1.0, 0.0]]),
+        divergence=_constant(0.0),
         fx=lambda x, v: 0.0,
     )
 
@@ -749,13 +764,18 @@ def _h2_conformal() -> VectorFieldDef:
     """
 
     def components(x):
-        z = math.sqrt(1.0 + x[0] ** 2 + x[1] ** 2)
-        return np.array([x[0] * z, x[1] * z])
+        x0, x1 = x.T[0], x.T[1]
+        z = np.sqrt(1.0 + x0 * x0 + x1 * x1)
+        return np.stack([x0 * z, x1 * z], axis=-1)
 
     def jacobian(x):
-        z = math.sqrt(1.0 + x[0] ** 2 + x[1] ** 2)
-        return np.array([[z + x[0] ** 2 / z, x[0] * x[1] / z],
-                         [x[0] * x[1] / z, z + x[1] ** 2 / z]])
+        x0, x1 = x.T[0], x.T[1]
+        z = np.sqrt(1.0 + x0 * x0 + x1 * x1)
+        J = np.empty(x.shape[:-1] + (2, 2))
+        J[..., 0, 0] = z + x0 * x0 / z
+        J[..., 0, 1] = J[..., 1, 0] = x0 * x1 / z
+        J[..., 1, 1] = z + x1 * x1 / z
+        return J
 
     def fx(x, v):
         # conformal factor on unit velocities
@@ -765,7 +785,7 @@ def _h2_conformal() -> VectorFieldDef:
         name="conformal",
         components=components,
         jacobian=jacobian,
-        divergence=lambda x: 2.0 * math.sqrt(1.0 + x[0] ** 2 + x[1] ** 2),
+        divergence=lambda x: 2.0 * np.sqrt(1.0 + x.T[0] * x.T[0] + x.T[1] * x.T[1]),
         fx=fx,
     )
 
@@ -774,18 +794,18 @@ def _polar_rotation() -> VectorFieldDef:
     """Angular field d/dtheta on the polar chart; norm sinh r."""
     return VectorFieldDef(
         name="polar-rotation",
-        components=lambda x: np.array([0.0, 1.0]),
-        jacobian=lambda x: np.zeros((2, 2)),
-        divergence=lambda x: 0.0,
+        components=_constant([0.0, 1.0]),
+        jacobian=_constant(np.zeros((2, 2))),
+        divergence=_constant(0.0),
     )
 
 
 def _circle_unit() -> VectorFieldDef:
     return VectorFieldDef(
         name="circle-unit",
-        components=lambda x: np.array([1.0]),
-        jacobian=lambda x: np.zeros((1, 1)),
-        divergence=lambda x: 0.0,
+        components=_constant([1.0]),
+        jacobian=_constant(np.zeros((1, 1))),
+        divergence=_constant(0.0),
     )
 
 
@@ -793,7 +813,7 @@ def _ex4_lifted_conformal(product: WarpedProduct) -> VectorFieldDef:
     lifted = lift(product, _h2_conformal(), "horizontal").field
 
     def divergence(x):
-        return 2.0 / math.sqrt(1.0 + x[0] ** 2 + x[1] ** 2)
+        return 2.0 / np.sqrt(1.0 + x.T[0] * x.T[0] + x.T[1] * x.T[1])
 
     def fx(x, v):
         # split a unit velocity into base and fiber parts:
@@ -817,17 +837,19 @@ def torus_wave_field(side: float = 1.0) -> VectorFieldDef:
     k = TWO_PI / side
 
     def components(x):
-        return np.array([math.sin(k * x[0]), math.sin(k * x[1])])
+        return np.sin(k * x)
 
     def jacobian(x):
-        return np.array([[k * math.cos(k * x[0]), 0.0],
-                         [0.0, k * math.cos(k * x[1])]])
+        c = k * np.cos(k * x)
+        J = np.zeros(x.shape[:-1] + (2, 2))
+        J[..., 0, 0], J[..., 1, 1] = c.T[0], c.T[1]
+        return J
 
     return VectorFieldDef(
         name="wave",
         components=components,
         jacobian=jacobian,
-        divergence=lambda x: k * (math.cos(k * x[0]) + math.cos(k * x[1])),
+        divergence=lambda x: k * (np.cos(k * x.T[0]) + np.cos(k * x.T[1])),
     )
 
 
@@ -940,11 +962,6 @@ def field_manifold_id(fid: str) -> str:
 def field_pairs() -> list[tuple[ChartedManifold, VectorFieldDef]]:
     """The six canonical (manifold, field) pairs, in catalog order."""
     return [(manifold(mid), vector_field(fid)) for mid, fid in PAIR_IDS]
-
-
-def zoo_fields() -> dict[str, tuple[str, VectorFieldDef]]:
-    """Catalog of named fields: id -> (manifold id, field)."""
-    return {fid: (field_manifold_id(fid), vector_field(fid)) for fid in FIELD_IDS}
 
 
 def list_zoo() -> dict:

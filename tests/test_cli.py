@@ -1,13 +1,18 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from divflow import cli
+from divflow import cli, runner
 from divflow.runner import KINDS, ConfigError, ExperimentConfig, report_to_json, run
 
-CONFIGS = Path(__file__).resolve().parent.parent / "scripts" / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "scripts" / "configs"
 
 
 def _subparsers(parser):
@@ -79,3 +84,140 @@ def test_hopf_defaults_to_the_manifold_radius_cap():
     report = run(ExperimentConfig(kind="hopf", manifold="hyperbolic",
                                   params={"n": 1, "horizons": [1.0, 2.0]}))
     assert report["results"]["radius_cap"] == 2.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "fiber-lemma", "--manifold", "torus", "--field", "torus:wave",
+     "--param", "n_points=0"],
+    ["verify", "fiber-lemma", "--manifold", "torus", "--field", "torus:wave",
+     "--param", "n_points=2.5"],
+    ["verify", "fiber-lemma", "--manifold", "torus", "--field", "torus:wave",
+     "--param", "n_points=true"],
+    ["verify", "path-integral", "--config", str(CONFIGS / "path-ex4.json"),
+     "--param", "n_orbits=-1"],
+    ["verify", "fubini", "--config", str(CONFIGS / "fubini-ex1.json"), "--param", "n_mc=0"],
+    ["integrate", "volume", "--config", str(CONFIGS / "volume-ex4.json"),
+     "--param", "rungs=0"],
+    ["integrate", "volume", "--config", str(CONFIGS / "volume-ex4.json"),
+     "--param", "order=1"],
+    ["diagnose", "decay", "--config", str(CONFIGS / "decay-ex3.json"),
+     "--param", "n_samples=0"],
+    ["diagnose", "recurrence", "--config", str(CONFIGS / "recurrence-torus.json"),
+     "--param", "n=0"],
+    ["potential", "monotone", "--config", str(CONFIGS / "monotone-mean-curvature.json"),
+     "--param", "n_pairs=0"],
+], ids=["zero-points", "fractional-points", "bool-points", "negative-orbits",
+        "zero-mc", "zero-rungs", "order-one", "zero-samples", "zero-n", "zero-pairs"])
+def test_bad_counts_exit_2_without_traceback(argv, capsys):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("divflow: config error: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name,param", [
+    ("karp-ex1", "expect=decy"),
+    ("decay-ex3", "expect=shrink"),
+    ("ladder-ex1", "expect=converges"),
+    ("hopf-torus", "expect_label=recurrent"),
+])
+def test_unknown_expectation_is_rejected_before_any_work(name, param, capsys, monkeypatch):
+    raw = json.loads((CONFIGS / f"{name}.json").read_text())
+    key, value = param.split("=")
+    with pytest.raises(ConfigError, match=value):
+        ExperimentConfig.from_dict(dict(raw, params={**raw["params"], key: value}))
+    spec = KINDS[raw["kind"]]
+    monkeypatch.setitem(KINDS, raw["kind"], spec._replace(run=_never_run))
+    assert cli.main([spec.group, spec.action, "--config", str(CONFIGS / f"{name}.json"),
+                     "--param", param]) == 2
+    assert capsys.readouterr().err.startswith("divflow: config error: ")
+
+
+def _never_run(cfg, workers):
+    raise AssertionError("the experiment ran")
+
+
+def test_expectation_tables_match_the_params():
+    for kind, spec in KINDS.items():
+        for value in spec.expect:
+            key = "expect_label" if kind == "hopf" else "expect"
+            assert key in spec.params
+            if isinstance(spec.expect, dict):
+                assert callable(spec.expect[value])
+
+
+def test_domain_exit_becomes_a_failed_report(capsys):
+    argv = ["verify", "fubini", "--manifold", "warp:ex2", "--field", "warp:ex2:Zbar",
+            "--param", "box=[[-1.0, 1.0], [0.0, 1.0], [0.0, 1.0]]", "--param", "n_mc=10"]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    report = json.loads(captured.out)
+    assert report["passed"] is False
+    assert report["error"]["type"] == "DomainError"
+    assert "outside chart domain" in report["error"]["message"]
+    assert report["checks"] == [{"name": "completed", "value": "error", "threshold": "none",
+                                 "comparator": "==", "passed": False}]
+
+
+def test_karp_error_report_writes_the_checks_csv(capsys):
+    # sinh(400)^2 overflows the hyperboloid metric at r = 200: a MetricError
+    argv = ["diagnose", "karp", "--manifold", "hyperbolic", "--field", "hyperbolic:conformal",
+            "--param", "radii=[200]", "--format", "csv"]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert captured.out == ("check,value,threshold,comparator,passed\n"
+                            "completed,'error','none',==,False\n")
+
+
+@pytest.mark.parametrize("error", ["TruncatedTrajectoryError", "DomainError",
+                                   "MetricError", "DegenerateGradientError"])
+def test_numerical_errors_become_failed_reports(error, monkeypatch, capsys):
+    exc_type = next(e for e in runner.NUMERICAL_ERRORS if e.__name__ == error)
+
+    def fail(cfg, workers):
+        raise exc_type("orbit truncated at t = 15.8 (step_limit)")
+
+    monkeypatch.setitem(KINDS, "path-integral", KINDS["path-integral"]._replace(run=fail))
+    assert cli.main(["verify", "path-integral", "--config",
+                     str(CONFIGS / "path-hyperbolic.json")]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    report = json.loads(captured.out)
+    assert report["error"] == {"type": error,
+                               "message": "orbit truncated at t = 15.8 (step_limit)"}
+    assert report["passed"] is False
+
+
+def test_other_exceptions_still_propagate(monkeypatch):
+    def fail(cfg, workers):
+        raise ZeroDivisionError("a program fault, not a numerical verdict")
+
+    monkeypatch.setitem(KINDS, "path-integral", KINDS["path-integral"]._replace(run=fail))
+    with pytest.raises(ZeroDivisionError):
+        run(ExperimentConfig.from_dict(json.loads((CONFIGS / "path-hyperbolic.json").read_text())))
+
+
+def test_whole_manifest_passes_with_equal_reports_at_any_worker_count(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    texts = []
+    for workers in (1, 2):
+        out = tmp_path / f"workers-{workers}"
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "run_suite.py"), "--out-dir", str(out),
+             "--workers", str(workers)],
+            capture_output=True, text=True, env=env, timeout=600)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["passed"] is True
+        names = json.loads((ROOT / "scripts" / "suite_manifest.json").read_text())["experiments"]
+        assert [e["name"] for e in summary["experiments"]] == names
+        reports = {name: (out / f"{name}.json").read_text() for name in names}
+        for text in reports.values():
+            assert all(c["passed"] for c in json.loads(text)["checks"])
+        texts.append(reports)
+    assert texts[0] == texts[1]

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 from divflow import zoo
-from divflow.geometry import divergence, field_norm, pairing_rate_form
+from divflow.geometry import divergence, field_norm, pairing_rate_form, pairing_rates
 from divflow.integrals import (
     ChartBox,
     RadialShell,
@@ -17,7 +18,6 @@ from divflow.integrals import (
     fubini_consistency,
     ladder_integral,
     omega,
-    quadratic_form_fiber_fn,
     sample_liouville,
     sm_integral,
 )
@@ -71,9 +71,9 @@ def test_hemisphere_moments(n):
 
 
 def test_fiber_integral_of_constant(hyperbolic, ex4):
-    assert fiber_integral(hyperbolic, lambda v: 1.0, [0.4, -0.2]) == pytest.approx(
+    assert fiber_integral(hyperbolic, lambda x, v: 1.0, [0.4, -0.2]) == pytest.approx(
         omega(2), rel=1e-13)
-    assert fiber_integral(ex4, lambda v: 1.0, [0.4, -0.2, 1.0]) == pytest.approx(
+    assert fiber_integral(ex4, lambda x, v: 1.0, [0.4, -0.2, 1.0]) == pytest.approx(
         omega(3), rel=1e-13)
 
 
@@ -86,9 +86,7 @@ def test_fiber_average_identity_all_pairs(rng):
         w = omega(m.dim) / m.dim
         tol = 1e-8 if m.dim == 2 else 1e-6
         for x in sample_box_points(m, 50, rng):
-            Q = pairing_rate_form(f, m, x)
-            fib = fiber_integral(m, quadratic_form_fiber_fn(Q), x, rule=rule,
-                                 batched=True)
+            fib = fiber_integral(m, partial(pairing_rates, f, m), x, rule=rule)
             assert abs(fib - w * divergence(f, m, x)) < tol, (m.name, f.name, x)
 
 
@@ -147,11 +145,10 @@ def test_sm_integral_of_constant_is_omega_times_volume(ex4):
 def test_sm_integral_killing_rate_vanishes(ex2):
     Zbar = zoo.vector_field("warp:ex2:Zbar")
 
-    def factory(x):
-        return quadratic_form_fiber_fn(pairing_rate_form(Zbar, ex2, x))
+    def F(X, V):
+        return ((V @ pairing_rate_form(Zbar, ex2, X)) * V).sum(axis=-1)
 
-    est = sm_integral(ex2, lambda x, v: 0.0, RadialShell(0.0, 8.0),
-                      point_factory=factory, batched=True)
+    est = sm_integral(ex2, F, RadialShell(0.0, 8.0))
     assert abs(est.value) < 1e-8
 
 
@@ -159,12 +156,7 @@ def test_sm_integral_two_route_divergence_value(ex4):
     # bundle integral of the rate equals (omega/3) * divergence integral;
     # over the whole space both sides are 4 pi^2 * omega(3) / 3
     Z = zoo.vector_field("warp:ex4:Z")
-
-    def factory(x):
-        return quadratic_form_fiber_fn(pairing_rate_form(Z, ex4, x))
-
-    est = sm_integral(ex4, lambda x, v: 0.0, RadialShell(0.0, 12.0),
-                      point_factory=factory, batched=True)
+    est = sm_integral(ex4, partial(pairing_rates, Z, ex4), RadialShell(0.0, 12.0))
     expect = (omega(3) / 3.0) * FOUR_PI_SQ
     assert est.value == pytest.approx(expect, rel=1e-2)
 
@@ -179,9 +171,8 @@ def test_fubini_consistency_constant(torus):
 def test_fubini_consistency_W_rate(revolution):
     W = zoo.vector_field("revolution:W")
 
-    def F(x, v):
-        Q = pairing_rate_form(W, revolution, x)
-        return float(v @ Q @ v)
+    def F(X, V):
+        return ((V @ pairing_rate_form(W, revolution, X)) * V).sum(axis=-1)
 
     out = fubini_consistency(revolution, F,
                              ChartBox(((-10.0, 10.0), (0.0, TWO_PI))),
@@ -191,8 +182,8 @@ def test_fubini_consistency_W_rate(revolution):
 
 def test_fubini_consistency_product_integrand(torus):
     # separable integrand with a closed-form value
-    def F(x, v):
-        return (1.0 + 0.5 * math.sin(TWO_PI * x[0])) * v[0] ** 2
+    def F(X, V):
+        return (1.0 + 0.5 * np.sin(TWO_PI * X[..., 0]))[..., None] * V[..., 0] ** 2
 
     out = fubini_consistency(torus, F, ChartBox(((0.0, 1.0), (0.0, 1.0))),
                              n_mc=6000, seed=9)

@@ -1,0 +1,174 @@
+"""Stacked evaluation equals row-by-row evaluation.
+
+Zoo closures and shell maps run the same elementwise arithmetic on a stack
+as on one point, so they must agree exactly.  Geometry functions and fiber
+integrals may group their reductions differently on a stack; they must
+agree to rel 1e-13.
+"""
+
+from functools import partial
+
+import numpy as np
+import pytest
+
+from divflow import zoo
+from divflow.geometry import (
+    ChartedManifold,
+    DomainError,
+    MetricError,
+    christoffel,
+    divergence,
+    field_norm,
+    inverse_metric_at,
+    metric_at,
+    orthonormal_frame,
+    pairing_rate_form,
+    pairing_rates,
+    volume_density,
+)
+from divflow.integrals import (
+    FIBER_BLOCK_BYTES,
+    fiber_integral,
+    fiber_rule,
+    sample_box_points,
+)
+
+N = 64
+REL = 1e-13
+
+
+def _rows(fn, pts):
+    return np.array([fn(p) for p in pts])
+
+
+def _assert_exact(fn, pts, what):
+    stacked = np.asarray(fn(pts))
+    assert stacked.shape[:1] == (len(pts),), what
+    assert np.array_equal(stacked, _rows(fn, pts)), what
+
+
+def _assert_close(fn, pts, what):
+    stacked = np.asarray(fn(pts))
+    rows = _rows(fn, pts)
+    assert stacked.shape == rows.shape, what
+    np.testing.assert_allclose(stacked, rows, rtol=REL, atol=0, err_msg=what)
+
+
+def _shell_points(patch, rng):
+    lo = np.array([b[0] for b in patch.bounds])
+    hi = np.array([b[1] for b in patch.bounds])
+    return rng.uniform(size=(N, len(lo))) * (hi - lo) + lo
+
+
+@pytest.mark.parametrize("mid", zoo.MANIFOLD_IDS)
+def test_manifold_closures_stack_exactly(mid, rng):
+    m = zoo.manifold(mid)
+    pts = sample_box_points(m, N, rng)
+    for name in ("metric", "domain", "christoffel", "radius"):
+        fn = getattr(m, name)
+        if fn is not None:
+            _assert_exact(fn, pts, (mid, name))
+    if m.shell is not None:
+        for r_lo, r_hi in ((0.0, 1.5), (1.5, 6.0)):
+            for patch in m.shell(r_lo, r_hi):
+                u = _shell_points(patch, rng)
+                _assert_exact(patch.to_chart, u, (mid, patch.name, "to_chart"))
+                _assert_exact(patch.density, u, (mid, patch.name, "density"))
+
+
+@pytest.mark.parametrize("fid", zoo.FIELD_IDS)
+def test_field_closures_stack_exactly(fid, rng):
+    f = zoo.vector_field(fid)
+    m = zoo.manifold(zoo.field_manifold_id(fid))
+    pts = sample_box_points(m, N, rng)
+    for name in ("components", "jacobian", "divergence"):
+        fn = getattr(f, name)
+        if fn is not None:
+            _assert_exact(fn, pts, (fid, name))
+
+
+@pytest.mark.parametrize("maker", [zoo.warp_profile_finite_volume,
+                                   zoo.warp_profile_infinite_volume])
+def test_profile_stack_covers_every_piece(maker):
+    prof = maker(1.0)
+    rs = np.concatenate([np.linspace(-6.0, 6.0, 97), [-2.0, -1.0, 0.0, 1.0, 2.0]])
+    _assert_exact(prof.b, rs, prof.name)
+    _assert_exact(prof.db, rs, prof.name)
+
+
+def test_meridian_arclength_maps_stack_exactly(rng):
+    m = zoo.manifold("revolution:1/(1+x^2)")
+    xs = np.column_stack([rng.uniform(-900.0, 900.0, N), rng.uniform(0.0, 6.0, N)])
+    _assert_exact(m.radius, xs, "radius")
+
+
+@pytest.mark.parametrize("mid", zoo.MANIFOLD_IDS)
+def test_geometry_functions_stack(mid, rng):
+    m = zoo.manifold(mid)
+    pts = sample_box_points(m, N, rng)
+    for fn in (metric_at, inverse_metric_at, volume_density, orthonormal_frame,
+               partial(christoffel, method="closed"), partial(christoffel, method="fd")):
+        _assert_close(partial(fn, m), pts, (mid, fn))
+
+
+@pytest.mark.parametrize("mid,fid", zoo.PAIR_IDS + (("torus", "torus:wave"),))
+def test_field_geometry_and_fiber_integral_stack(mid, fid, rng):
+    m, f = zoo.manifold(mid), zoo.vector_field(fid)
+    pts = sample_box_points(m, N, rng)
+    for method in ("trace", "coordinate"):
+        _assert_close(partial(divergence, f, m, method=method), pts, (fid, method))
+    for fn in (pairing_rate_form, field_norm):
+        _assert_close(partial(fn, f, m), pts, (fid, fn))
+    rule = fiber_rule(m.dim)
+    # two and a half blocks, so the seams between blocks are covered
+    many = sample_box_points(m, 5 * FIBER_BLOCK_BYTES // (2 * rule.nodes.nbytes), rng)
+
+    def F(X, V):
+        # a rate integral is ~0 for a divergence-free field; keep it off zero
+        return (1.0 + pairing_rates(f, m, X, V)) ** 2
+
+    _assert_close(partial(fiber_integral, m, F, rule=rule), many, (fid, "fiber_integral"))
+
+
+def test_stack_with_one_point_outside_domain_names_it(ex2, rng):
+    pts = sample_box_points(ex2, N, rng)
+    pts[17, 0] = -0.25
+    for fn in (metric_at, volume_density, orthonormal_frame):
+        with pytest.raises(DomainError, match=r"-0\.25"):
+            fn(ex2, pts)
+    Zbar = zoo.vector_field("warp:ex2:Zbar")
+    with pytest.raises(DomainError):
+        pairing_rate_form(Zbar, ex2, pts)
+    with pytest.raises(DomainError):
+        fiber_integral(ex2, lambda x, v: 1.0, pts)
+
+
+def test_stack_with_one_non_spd_metric_names_it():
+    def metric(x):
+        g = np.zeros(x.shape[:-1] + (2, 2))
+        g[..., 0, 0] = 1.0
+        g[..., 1, 1] = 1.0 - x.T[0]      # indefinite for x0 > 1
+        return g
+
+    m = ChartedManifold(name="tilt", dim=2, metric=metric)
+    pts = np.column_stack([np.linspace(-1.0, 0.9, N), np.zeros(N)])
+    metric_at(m, pts)
+    pts[40, 0] = 1.5
+    with pytest.raises(MetricError, match=r"1\.5"):
+        metric_at(m, pts)
+    with pytest.raises(MetricError):
+        fiber_integral(m, lambda x, v: 1.0, pts)
+
+
+def test_stack_with_one_asymmetric_metric_raises():
+    def metric(x):
+        g = np.broadcast_to(np.eye(2), x.shape[:-1] + (2, 2)).copy()
+        g[..., 0, 1] = np.where(x.T[0] > 0.5, 0.1, 0.0)
+        return g
+
+    m = ChartedManifold(name="skew", dim=2, metric=metric)
+    pts = np.column_stack([np.linspace(-1.0, 0.0, N), np.zeros(N)])
+    metric_at(m, pts)
+    pts[3, 0] = 0.75
+    with pytest.raises(MetricError, match="symmetric"):
+        metric_at(m, pts)
