@@ -3,13 +3,14 @@
 report per experiment.
 
 Reports are deterministic given the config seeds: two runs with the same
-manifest produce byte-identical files at any --workers value.
+manifest produce byte-identical files.
 
 Usage:
-    python scripts/run_suite.py --out-dir reports [--workers 8] [--seed 5]
+    python scripts/run_suite.py --out-dir reports [--seed 5] [--only NAME ...]
 
 A --seed value overrides the per-config seeds (useful for reproducibility
-sweeps).  Exit status 0 iff every experiment's checks passed.
+sweeps).  Exit status 0 iff every experiment's checks passed, 2 when --only
+names an experiment the manifest does not list.
 """
 
 import argparse
@@ -27,7 +28,6 @@ def main() -> int:
     ap.add_argument("--manifest", default=str(HERE / "suite_manifest.json"))
     ap.add_argument("--config-dir", default=str(HERE / "configs"))
     ap.add_argument("--out-dir", default="reports")
-    ap.add_argument("--workers", type=int, default=1)
     ap.add_argument("--seed", type=int, default=None,
                     help="override every config's seed")
     ap.add_argument("--only", action="append", default=[],
@@ -36,6 +36,9 @@ def main() -> int:
 
     with open(args.manifest) as fh:
         names = json.load(fh)["experiments"]
+    unknown = sorted(set(args.only) - set(names))
+    if unknown:
+        ap.error(f"--only names experiments not in the manifest: {', '.join(unknown)}")
     if args.only:
         names = [n for n in names if n in set(args.only)]
 
@@ -49,7 +52,7 @@ def main() -> int:
             raw = json.load(fh)
         if args.seed is not None:
             raw["seed"] = args.seed
-        report = run(ExperimentConfig.from_dict(raw), workers=args.workers)
+        report = run(ExperimentConfig.from_dict(raw))
         (out_dir / f"{name}.json").write_text(report_to_json(report))
         status = "pass" if report["passed"] else "FAIL"
         print(f"{status:4s}  {name}")

@@ -37,8 +37,6 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, help="RNG seed (recorded in the report)")
     p.add_argument("--out", help="write the report to this path instead of stdout")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--workers", type=int, default=1,
-                   help="thread workers; does not affect report bytes")
     p.add_argument("--param", action="append", default=[], metavar="KEY=JSON",
                    help="set a params entry, e.g. --param T=10 --param radii=[2,5]")
     p.add_argument("--tolerance", action="append", default=[], metavar="KEY=VALUE",
@@ -128,7 +126,7 @@ def main(argv=None) -> int:
 
     try:
         cfg = _build_config(args)
-        report = run(cfg, workers=max(1, args.workers))
+        report = run(cfg)
     except ConfigError as exc:
         print(f"divflow: config error: {exc}", file=sys.stderr)
         return 2

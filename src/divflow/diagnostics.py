@@ -34,7 +34,7 @@ from .geometry import (
     field_norm,
     pairing_rates,
 )
-from .flow import FirstReturnResult, first_return, integrate_geodesic
+from .flow import first_return, integrate_geodesic
 from .integrals import (
     IntegralEstimate,
     RadialShell,
@@ -43,7 +43,6 @@ from .integrals import (
     sample_liouville,
     sm_ladder,
 )
-from .parallel import parallel_map
 
 __all__ = [
     "AnnulusReport",
@@ -83,9 +82,7 @@ class AnnulusReport:
 
 
 def karp_sequence(m: ChartedManifold, field: VectorFieldDef,
-                  radii: Sequence[float], method: str = "quadrature",
-                  order: int = 16, n_mc: int = 20000,
-                  seed: int = 0) -> list[AnnulusReport]:
+                  radii: Sequence[float], order: int = 16) -> list[AnnulusReport]:
     """Annulus-decay reports (1/r) * integral of |X| over B(2r) \\ B(r).
 
     A sequence sinking to zero is the annulus-decay sufficient condition for
@@ -97,8 +94,7 @@ def karp_sequence(m: ChartedManifold, field: VectorFieldDef,
     out = []
     for r in radii:
         est = base_integral(m, lambda x: field_norm(field, m, x),
-                            RadialShell(float(r), 2.0 * float(r)),
-                            method=method, order=order, n_mc=n_mc, seed=seed)
+                            RadialShell(float(r), 2.0 * float(r)), order=order)
         out.append(AnnulusReport(radius=float(r), mass=est.value,
                                  normalized=est.value / float(r),
                                  stderr=est.stderr / float(r),
@@ -246,9 +242,8 @@ class RecurrenceStats:
 
 def recurrence_fraction(m: ChartedManifold, n: int, eps: float = 0.05,
                         t_min: float = 1.0, t_max: float = 1000.0,
-                        seed: int = 0, radius_cap: Optional[float] = None,
-                        box=None, workers: int = 1,
-                        grid_step: Optional[float] = None) -> RecurrenceStats:
+                        seed: int = 0,
+                        radius_cap: Optional[float] = None) -> RecurrenceStats:
     """Fraction of flow-measure samples with a detected return.
 
     Initial states follow the invariant bundle measure restricted to a
@@ -260,13 +255,8 @@ def recurrence_fraction(m: ChartedManifold, n: int, eps: float = 0.05,
     if n <= 0:
         raise ValueError("need a positive sample count")
     rng = np.random.default_rng(seed)
-    states = sample_liouville(m, n, rng, radius_cap=radius_cap, box=box)
-
-    def probe(state) -> FirstReturnResult:
-        return first_return(m, state, eps=eps, t_min=t_min, t_max=t_max,
-                            grid_step=grid_step)
-
-    results = parallel_map(probe, states, workers=workers)
+    results = [first_return(m, state, eps=eps, t_min=t_min, t_max=t_max)
+               for state in sample_liouville(m, n, rng, radius_cap=radius_cap)]
     returned = sum(1 for r in results if r.event is not None)
     inconclusive = sum(1 for r in results if r.event is None and not r.conclusive)
     no_return = n - returned - inconclusive
@@ -282,18 +272,24 @@ def recurrence_fraction(m: ChartedManifold, n: int, eps: float = 0.05,
 # orbit-growth (Hopf-type) probes
 
 
-def default_observable(m: ChartedManifold, rate: float = 3.0) -> Callable:
-    """Strictly positive base observable exp(-rate * r), integrable against
-    the bundle measure for every shipped manifold (volume growth is at most
-    e^r here); constant 1 on manifolds without a radius surrogate."""
+def default_observable(m: ChartedManifold) -> Callable:
+    """Strictly positive base observable exp(-3 r), integrable against the
+    bundle measure for every shipped manifold (volume growth is at most e^r
+    here); constant 1 on manifolds without a radius surrogate."""
     if m.radius is None:
         return lambda x: 1.0
     radius = m.radius
-    return lambda x: math.exp(-rate * radius(x))
+    return lambda x: math.exp(-3.0 * radius(x))
 
 
 # the growth labels hopf_probe assigns
 HOPF_LABELS = ("convergent-like", "divergent-like", "inconclusive")
+# a label needs a fit with r^2 >= HOPF_R2_MIN and a slope within
+# HOPF_SLOPE_DELTA of 0 (convergent) or 1 (divergent); a log-trace whose
+# standard deviation is below HOPF_FLAT_TOL counts as a plateau with r^2 = 1
+HOPF_SLOPE_DELTA = 0.1
+HOPF_R2_MIN = 0.99
+HOPF_FLAT_TOL = 0.08
 
 
 @dataclass(frozen=True)
@@ -311,16 +307,14 @@ class HopfProbe:
                 "label": self.label, "truncated": self.truncated}
 
 
-def _loglog_fit(T: np.ndarray, I: np.ndarray, flat_tol: float) -> tuple[float, float]:
+def _loglog_fit(T: np.ndarray, I: np.ndarray) -> tuple[float, float]:
     x = np.log(T)
     y = np.log(np.maximum(I, 1e-300))
-    if float(np.std(y)) < flat_tol:
-        # flat at resolution: a plateau, which no line fit can grade fairly
-        A = np.vstack([x, np.ones_like(x)]).T
-        slope = float(np.linalg.lstsq(A, y, rcond=None)[0][0])
-        return slope, 1.0
     A = np.vstack([x, np.ones_like(x)]).T
     coef, *_ = np.linalg.lstsq(A, y, rcond=None)
+    if float(np.std(y)) < HOPF_FLAT_TOL:
+        # flat at resolution: a plateau, which no line fit can grade fairly
+        return float(coef[0]), 1.0
     resid = y - A @ coef
     ss_res = float(resid @ resid)
     ss_tot = float(np.sum((y - y.mean()) ** 2))
@@ -330,9 +324,7 @@ def _loglog_fit(T: np.ndarray, I: np.ndarray, flat_tol: float) -> tuple[float, f
 
 def hopf_probe(m: ChartedManifold, state: UnitTangentState,
                f0: Optional[Callable] = None,
-               horizons: Optional[Sequence[float]] = None,
-               slope_delta: float = 0.1, r2_min: float = 0.99,
-               flat_tol: float = 0.08) -> HopfProbe:
+               horizons: Optional[Sequence[float]] = None) -> HopfProbe:
     """Growth trace of I(T) = integral over [0, T] of a positive observable
     along one orbit, with a heuristic growth label.
 
@@ -375,12 +367,12 @@ def hopf_probe(m: ChartedManifold, state: UnitTangentState,
                          truncated=truncated)
 
     window = used >= used[-1] / 10.0
-    slope, r2 = _loglog_fit(used[window], np.asarray(values)[window], flat_tol)
-    if r2 < r2_min:
+    slope, r2 = _loglog_fit(used[window], np.asarray(values)[window])
+    if r2 < HOPF_R2_MIN:
         label = "inconclusive"
-    elif slope <= slope_delta:
+    elif slope <= HOPF_SLOPE_DELTA:
         label = "convergent-like"
-    elif slope >= 1.0 - slope_delta:
+    elif slope >= 1.0 - HOPF_SLOPE_DELTA:
         label = "divergent-like"
     else:
         label = "inconclusive"

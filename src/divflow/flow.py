@@ -44,9 +44,11 @@ __all__ = [
     "radius_stretch_constant",
 ]
 
-DEFAULT_RTOL = 1e-9
-DEFAULT_ATOL = 1e-12
-DEFAULT_MAX_STEPS = 100_000
+RTOL = 1e-9
+ATOL = 1e-12
+MAX_STEPS = 100_000
+QUAD_TOL = 1e-9          # adaptive quadrature of orbit integrals
+RETURN_CHUNK = 100.0     # time span first_return integrates at once
 
 
 class TruncatedTrajectoryError(RuntimeError):
@@ -118,51 +120,36 @@ class GeodesicTrajectory:
                 f"time {t} outside reached span [{lo}, {hi}]"
                 + (f" (truncated: {self.truncation_reason})" if self.truncated else ""))
 
-    def y_at(self, t: float) -> np.ndarray:
-        self._check_time(t)
-        return self.sol(t)
-
     def state_at(self, t: float) -> UnitTangentState:
-        y = self.y_at(t)
+        self._check_time(t)
+        y = self.sol(t)
         n = self.dim
         return UnitTangentState(x=y[:n], v=y[n:])
 
 
 def _geodesic_rhs(m: ChartedManifold) -> Callable:
     n = m.dim
-    gamma = m.christoffel
+    gamma = m.christoffel or (lambda x: christoffel(m, x, method="fd"))
 
-    if gamma is not None:
-        def rhs(t, y):
-            v = y[n:]
-            out = np.empty(2 * n)
-            out[:n] = v
-            out[n:] = -(gamma(y[:n]).reshape(n, n * n) @ np.outer(v, v).ravel())
-            return out
-    else:
-        def rhs(t, y):
-            G = christoffel(m, y[:n], method="fd")
-            v = y[n:]
-            out = np.empty(2 * n)
-            out[:n] = v
-            out[n:] = -(G.reshape(n, n * n) @ np.outer(v, v).ravel())
-            return out
+    def rhs(t, y):
+        v = y[n:]
+        out = np.empty(2 * n)
+        out[:n] = v
+        out[n:] = -(gamma(y[:n]).reshape(n, n * n) @ np.outer(v, v).ravel())
+        return out
     return rhs
 
 
 def integrate_geodesic(m: ChartedManifold, state: UnitTangentState, t_final: float,
-                       t_start: float = 0.0, rtol: float = DEFAULT_RTOL,
-                       atol: float = DEFAULT_ATOL,
-                       max_steps: int = DEFAULT_MAX_STEPS,
-                       min_step: Optional[float] = None,
+                       t_start: float = 0.0,
                        monitor: Optional[Callable] = None) -> GeodesicTrajectory:
     """Integrate the geodesic system x'' + Gamma(x)(x', x') = 0.
 
     Returns a trajectory with dense output for event queries.  The orbit is
     truncated (flagged, not raised) when it leaves the chart domain, when
-    the step size underflows near a singular boundary, or when the step
-    budget is exhausted.  ``monitor(t, y)`` runs after each accepted step;
-    a truthy string return stops the orbit with reason "monitor:<string>".
+    the step size underflows near a singular boundary, or after MAX_STEPS
+    accepted steps.  ``monitor(t, y)`` runs after each accepted step; a
+    truthy string return stops the orbit with reason "monitor:<string>".
     """
     if not np.isfinite(t_final):
         raise ValueError("t_final must be finite")
@@ -170,18 +157,16 @@ def integrate_geodesic(m: ChartedManifold, state: UnitTangentState, t_final: flo
     y0 = np.concatenate([state.x, state.v])
     if t_final == t_start:
         raise ValueError("empty time span")
-    span = abs(t_final - t_start)
-    if min_step is None:
-        min_step = max(1e-13, 1e-9 * span)
+    min_step = max(1e-13, 1e-9 * abs(t_final - t_start))
 
     rhs = _geodesic_rhs(m)
-    solver = RK45(rhs, t_start, y0, t_final, rtol=rtol, atol=atol)
+    solver = RK45(rhs, t_start, y0, t_final, rtol=RTOL, atol=ATOL)
     ts = [t_start]
     ys = [y0]
     segments = []
     reason = None
     while solver.status == "running":
-        if len(ts) - 1 >= max_steps:
+        if len(ts) - 1 >= MAX_STEPS:
             reason = "step_limit"
             break
         try:
@@ -225,13 +210,11 @@ def integrate_geodesic(m: ChartedManifold, state: UnitTangentState, t_final: flo
 
 
 def birkhoff_integral(h, m: ChartedManifold, state: UnitTangentState, T: float,
-                      trajectory: Optional[GeodesicTrajectory] = None,
-                      tol: float = 1e-9, rtol: float = DEFAULT_RTOL,
-                      atol: float = DEFAULT_ATOL) -> float:
+                      trajectory: Optional[GeodesicTrajectory] = None) -> float:
     """Integral of h(x, v) along the orbit of ``state`` over [0, T] (or
     [T, 0] for negative T), by adaptive quadrature on the dense output."""
     if trajectory is None:
-        trajectory = integrate_geodesic(m, state, T, rtol=rtol, atol=atol)
+        trajectory = integrate_geodesic(m, state, T)
     lo, hi = (0.0, T) if T >= 0 else (T, 0.0)
     trajectory._check_time(lo)
     trajectory._check_time(hi)
@@ -241,15 +224,31 @@ def birkhoff_integral(h, m: ChartedManifold, state: UnitTangentState, T: float,
         y = trajectory.sol(t)
         return h(y[:n], y[n:])
 
-    val, _err = quad(integrand, lo, hi, epsabs=tol * max(1.0, abs(T)),
-                     epsrel=tol, limit=300)
+    val, _err = quad(integrand, lo, hi, epsabs=QUAD_TOL * max(1.0, abs(T)),
+                     epsrel=QUAD_TOL, limit=300)
     return float(val)
 
 
+def _whole_orbit(m: ChartedManifold, state: UnitTangentState,
+                 T: float) -> GeodesicTrajectory:
+    """The orbit over [0, T]; raises when it stops short."""
+    traj = integrate_geodesic(m, state, T)
+    if traj.truncated:
+        raise TruncatedTrajectoryError(
+            f"orbit truncated at t = {traj.t_end} ({traj.truncation_reason})")
+    return traj
+
+
+def _pairing_rate(field: VectorFieldDef, m: ChartedManifold) -> Callable:
+    """h(x, v) = g(nabla_v X, v), the derivative of the pairing along orbits."""
+    def rate(x, v):
+        Q = pairing_rate_form(field, m, x, validate=False)
+        return float(v @ Q @ v)
+    return rate
+
+
 def path_integral_identity_residual(field: VectorFieldDef, m: ChartedManifold,
-                                    state: UnitTangentState, T: float,
-                                    rtol: float = DEFAULT_RTOL,
-                                    atol: float = DEFAULT_ATOL) -> float:
+                                    state: UnitTangentState, T: float) -> float:
     """Defect of the fundamental-theorem identity along one orbit.
 
     The pairing g(X, gamma') has derivative g(nabla_{gamma'} X, gamma')
@@ -257,25 +256,15 @@ def path_integral_identity_residual(field: VectorFieldDef, m: ChartedManifold,
     pairing difference between the endpoints; the residual is pure
     integrator-plus-quadrature error.
     """
-    traj = integrate_geodesic(m, state, T, rtol=rtol, atol=atol)
-    if traj.truncated:
-        raise TruncatedTrajectoryError(
-            f"orbit truncated at t = {traj.t_end} ({traj.truncation_reason})")
-
-    def rate(x, v):
-        Q = pairing_rate_form(field, m, x, validate=False)
-        return float(v @ Q @ v)
-
-    integral = birkhoff_integral(rate, m, state, T, trajectory=traj)
+    traj = _whole_orbit(m, state, T)
+    integral = birkhoff_integral(_pairing_rate(field, m), m, state, T, trajectory=traj)
     end = traj.state_at(T)
     boundary = pairing(field, m, end) - pairing(field, m, state)
     return float(abs(integral - boundary))
 
 
 def endpoint_bound_check(field: VectorFieldDef, m: ChartedManifold,
-                         state: UnitTangentState, s: float,
-                         rtol: float = DEFAULT_RTOL,
-                         atol: float = DEFAULT_ATOL) -> tuple[float, float]:
+                         state: UnitTangentState, s: float) -> tuple[float, float]:
     """Both sides of the two-sided orbit-integral bound.
 
     lhs = |integral over [-s, s] of the pairing rate|; rhs = |X| at the two
@@ -285,17 +274,9 @@ def endpoint_bound_check(field: VectorFieldDef, m: ChartedManifold,
     """
     if s <= 0:
         raise ValueError("s must be positive")
-    fwd = integrate_geodesic(m, state, s, rtol=rtol, atol=atol)
-    bwd = integrate_geodesic(m, state, -s, rtol=rtol, atol=atol)
-    for traj in (fwd, bwd):
-        if traj.truncated:
-            raise TruncatedTrajectoryError(
-                f"orbit truncated at t = {traj.t_end} ({traj.truncation_reason})")
-
-    def rate(x, v):
-        Q = pairing_rate_form(field, m, x, validate=False)
-        return float(v @ Q @ v)
-
+    fwd = _whole_orbit(m, state, s)
+    bwd = _whole_orbit(m, state, -s)
+    rate = _pairing_rate(field, m)
     lhs = abs(birkhoff_integral(rate, m, state, s, trajectory=fwd)
               + birkhoff_integral(rate, m, state, -s, trajectory=bwd))
     rhs = (field_norm(field, m, fwd.state_at(s).x)
@@ -377,23 +358,19 @@ def _refine_return(dist_of_t, ts, ds, idx, eps, t_min):
 
 
 def first_return(m: ChartedManifold, state: UnitTangentState, eps: float = 0.05,
-                 t_min: float = 1.0, t_max: float = 1000.0,
-                 rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
-                 grid_step: Optional[float] = None,
-                 chunk: float = 100.0) -> FirstReturnResult:
+                 t_min: float = 1.0, t_max: float = 1000.0) -> FirstReturnResult:
     """Earliest t in [t_min, t_max] at which the orbit re-enters the eps
     ball around its initial state, in the proxy bundle gauge.
 
-    The orbit is integrated in chunks and the gauge is scanned on a dense
-    grid, then refined to the first local minimum of the sub-eps excursion.
+    The orbit is integrated in chunks of RETURN_CHUNK and the gauge is
+    scanned on a grid of step min(eps / 4, 0.05), then refined to the first local minimum of the sub-eps excursion.
     On manifolds with ``radius_escape_certificate`` the search stops early
     once monotone radial escape makes any later return impossible; absence
     of a return is then conclusive.
     """
     if eps <= 0 or not (0 <= t_min < t_max):
         raise ValueError("need eps > 0 and 0 <= t_min < t_max")
-    if grid_step is None:
-        grid_step = min(eps / 4.0, 0.05)
+    grid_step = min(eps / 4.0, 0.05)
     n = m.dim
     use_cert = m.radius_escape_certificate and m.radius is not None
     r0 = m.radius(state.x) if use_cert else 0.0
@@ -413,9 +390,8 @@ def first_return(m: ChartedManifold, state: UnitTangentState, eps: float = 0.05,
     t0 = 0.0
     cur = state
     while t0 < t_max:
-        t1 = min(t0 + chunk, t_max)
-        traj = integrate_geodesic(m, cur, t1, t_start=t0, rtol=rtol, atol=atol,
-                                  monitor=monitor)
+        t1 = min(t0 + RETURN_CHUNK, t_max)
+        traj = integrate_geodesic(m, cur, t1, t_start=t0, monitor=monitor)
         reached = traj.t_end
         scan_hi = min(reached, t1)
         k = max(2, int(math.ceil((scan_hi - t0) / grid_step)) + 1)

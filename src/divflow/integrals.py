@@ -161,12 +161,11 @@ def omega(n: int) -> float:
 
 @dataclass(frozen=True, eq=False)
 class FiberRule:
-    """Quadrature rule on the unit sphere S^{n-1} (or its upper hemisphere)."""
+    """Quadrature rule on the unit sphere S^{n-1}."""
 
     dim: int
     nodes: np.ndarray            # (k, dim) unit direction coefficients
-    weights: np.ndarray          # (k,), sum = omega(dim) (half for hemisphere)
-    hemisphere: bool = False
+    weights: np.ndarray          # (k,), sum = omega(dim)
 
 
 def _gl(order: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
@@ -175,29 +174,27 @@ def _gl(order: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
     return lo + half * (t + 1.0), half * w
 
 
-@lru_cache(maxsize=32)
-def fiber_rule(n: int, angular_order: int = 64, polar_order: int = 32,
-               hemisphere: bool = False) -> FiberRule:
-    """Standard fiber rules: angular Gauss-Legendre for n=2, a
-    (cos phi, theta) product Gauss rule for n=3.
+# Gauss-Legendre orders of the fiber rules in the angle and in cos(polar angle)
+ANGULAR_ORDER = 64
+POLAR_ORDER = 32
 
-    Hemisphere rules integrate over {last coordinate > 0} and are used for
-    the half-sphere moment identities.
-    """
+
+@lru_cache(maxsize=32)
+def fiber_rule(n: int) -> FiberRule:
+    """Standard fiber rules: angular Gauss-Legendre for n=2, a
+    (cos phi, theta) product Gauss rule for n=3."""
     if n == 2:
-        hi = math.pi if hemisphere else 2.0 * math.pi
-        th, w = _gl(angular_order, 0.0, hi)
+        th, w = _gl(ANGULAR_ORDER, 0.0, 2.0 * math.pi)
         nodes = np.column_stack([np.cos(th), np.sin(th)])
-        return FiberRule(dim=2, nodes=nodes, weights=w, hemisphere=hemisphere)
+        return FiberRule(dim=2, nodes=nodes, weights=w)
     if n == 3:
-        lo_u = 0.0 if hemisphere else -1.0
-        u, wu = _gl(polar_order, lo_u, 1.0)
-        th, wt = _gl(angular_order, 0.0, 2.0 * math.pi)
+        u, wu = _gl(POLAR_ORDER, -1.0, 1.0)
+        th, wt = _gl(ANGULAR_ORDER, 0.0, 2.0 * math.pi)
         s = np.sqrt(np.maximum(0.0, 1.0 - u ** 2))
         nodes = np.stack([np.outer(s, np.cos(th)).ravel(), np.outer(s, np.sin(th)).ravel(),
-                          np.repeat(u, angular_order)], axis=-1)
+                          np.repeat(u, ANGULAR_ORDER)], axis=-1)
         weights = np.outer(wu, wt).ravel()
-        return FiberRule(dim=3, nodes=nodes, weights=weights, hemisphere=hemisphere)
+        return FiberRule(dim=3, nodes=nodes, weights=weights)
     raise NotImplementedError(f"no fiber rule shipped for dimension {n}")
 
 
@@ -235,10 +232,14 @@ def fiber_integral(m: ChartedManifold, F: Callable, x,
 # quadrature over patches
 
 
-def _panel_edges(lo: float, hi: float, max_width: float = 8.0,
+# widest quadrature panel along one axis
+PANEL_WIDTH = 8.0
+
+
+def _panel_edges(lo: float, hi: float,
                  breaks: tuple[float, ...] = ()) -> list[tuple[float, float]]:
     """Split [lo, hi] at declared breakpoints, then dyadically toward each
-    segment's lower end when wide.
+    segment's lower end when wider than PANEL_WIDTH.
 
     Radial integrands concentrate their variation near the inner edge, so
     panels double in width away from it.
@@ -247,12 +248,12 @@ def _panel_edges(lo: float, hi: float, max_width: float = 8.0,
     out = []
     for seg_lo, seg_hi in zip(cuts[:-1], cuts[1:]):
         width = seg_hi - seg_lo
-        if width <= max_width:
+        if width <= PANEL_WIDTH:
             out.append((seg_lo, seg_hi))
             continue
         edges = [seg_hi]
         w = width / 2.0
-        while w > max_width:
+        while w > PANEL_WIDTH:
             edges.append(seg_lo + w)
             w /= 2.0
         edges.append(seg_lo)
@@ -332,9 +333,7 @@ def base_integral(m: ChartedManifold, h: Callable[[np.ndarray], np.ndarray], reg
     return IntegralEstimate(value=math.fsum(values), stderr=err, nodes=nodes)
 
 
-def sm_integral(m: ChartedManifold, F, region, rule: Optional[FiberRule] = None,
-                method: str = "quadrature", order: int = 12,
-                n_mc: int = 4000, seed: int = 0) -> IntegralEstimate:
+def sm_integral(m: ChartedManifold, F, region, order: int = 12) -> IntegralEstimate:
     """Integral of F(p, v) over the unit tangent bundle above a base region.
 
     Computed as the iterated integral of the fiber integral: the projection
@@ -342,20 +341,16 @@ def sm_integral(m: ChartedManifold, F, region, rule: Optional[FiberRule] = None,
     base measure times the round fiber measure.  F follows the bundle
     integrand convention of ``fiber_integral``.
     """
-    if rule is None:
-        rule = fiber_rule(m.dim)
+    rule = fiber_rule(m.dim)
 
     def hbar(x):
         return fiber_integral(m, F, x, rule)
 
-    return base_integral(m, hbar, region, method=method, order=order,
-                         n_mc=n_mc, seed=seed)
+    return base_integral(m, hbar, region, order=order)
 
 
-def fubini_consistency(m: ChartedManifold, F, region,
-                       rule: Optional[FiberRule] = None,
-                       n_mc: int = 20000, seed: int = 0,
-                       order: int = 12) -> dict:
+def fubini_consistency(m: ChartedManifold, F, region, n_mc: int = 20000,
+                       seed: int = 0) -> dict:
     """Compare the iterated bundle integral with a direct Monte Carlo
     estimate over (point, direction) pairs.
 
@@ -364,9 +359,7 @@ def fubini_consistency(m: ChartedManifold, F, region,
     The direct estimate calls F with one direction per point, V of shape
     (N, 1, n).
     """
-    if rule is None:
-        rule = fiber_rule(m.dim)
-    iterated = sm_integral(m, F, region, rule=rule, method="quadrature", order=order)
+    iterated = sm_integral(m, F, region)
 
     patches = resolve_patches(m, region)
     rng = np.random.default_rng(seed)
@@ -408,8 +401,13 @@ def fubini_consistency(m: ChartedManifold, F, region,
 # truncation ladders
 
 
-def _ladder(increment, r0: float, rungs: int, rel_tol: float,
-            abs_tol: float) -> IntegralEstimate:
+# a ladder has converged once its last increment, or the geometric tail
+# extrapolated from its last two, is within these of its value
+LADDER_REL_TOL = 1e-3
+LADDER_ABS_TOL = 1e-10
+
+
+def _ladder(increment, r0: float, rungs: int, rel_tol: float) -> IntegralEstimate:
     radii = [r0 * 2.0 ** k for k in range(rungs)]
     trace, values, errs, nodes = [], [], [], 0
     lo = 0.0
@@ -426,7 +424,7 @@ def _ladder(increment, r0: float, rungs: int, rel_tol: float,
     if len(values) >= 3:
         inc1 = abs(values[-2] - values[-3])
         inc2 = abs(values[-1] - values[-2])
-        scale = max(abs_tol, rel_tol * abs(values[-1]))
+        scale = max(LADDER_ABS_TOL, rel_tol * abs(values[-1]))
         if inc2 <= scale:
             converged = True
         elif inc1 > 0 and inc2 < 0.9 * inc1:
@@ -439,54 +437,45 @@ def _ladder(increment, r0: float, rungs: int, rel_tol: float,
 
 
 def ladder_integral(m: ChartedManifold, h, r0: float = 1.0, rungs: int = 8,
-                    method: str = "quadrature", order: int = 16,
-                    n_mc: int = 20000, seed: int = 0,
-                    rel_tol: float = 1e-3, abs_tol: float = 1e-10) -> IntegralEstimate:
+                    order: int = 16) -> IntegralEstimate:
     """Integral of h over radius balls r <= R_k on the ladder R_k = r0 * 2^k.
 
     The trace of partial values is recorded; a non-convergent trace is the
     deliberate signal for a non-integrable integrand.
     """
     def increment(lo, hi):
-        return base_integral(m, h, RadialShell(lo, hi) if lo > 0 else RadialShell(0.0, hi),
-                             method=method, order=order, n_mc=n_mc, seed=seed)
-    return _ladder(increment, r0, rungs, rel_tol, abs_tol)
+        return base_integral(m, h, RadialShell(lo, hi), order=order)
+    return _ladder(increment, r0, rungs, LADDER_REL_TOL)
 
 
 def sm_ladder(m: ChartedManifold, F, r0: float = 1.0, rungs: int = 8,
-              rule: Optional[FiberRule] = None, order: int = 12,
-              rel_tol: float = 1e-3, abs_tol: float = 1e-10) -> IntegralEstimate:
+              order: int = 12, rel_tol: float = LADDER_REL_TOL) -> IntegralEstimate:
     """Truncation ladder for a unit-tangent-bundle integrand F(X, V)."""
     def increment(lo, hi):
-        return sm_integral(m, F, RadialShell(lo, hi) if lo > 0 else RadialShell(0.0, hi),
-                           rule=rule, method="quadrature", order=order)
-    return _ladder(increment, r0, rungs, rel_tol, abs_tol)
+        return sm_integral(m, F, RadialShell(lo, hi), order=order)
+    return _ladder(increment, r0, rungs, rel_tol)
 
 
 # ---------------------------------------------------------------------------
 # sampling
 
 
-def sample_box_points(m: ChartedManifold, n: int, rng,
-                      box: Optional[tuple[tuple[float, float], ...]] = None) -> np.ndarray:
-    """Uniform chart-coordinate samples in a box (defaults to sample_box)."""
-    if box is None:
-        box = m.sample_box
-    if box is None:
+def sample_box_points(m: ChartedManifold, n: int, rng) -> np.ndarray:
+    """Uniform chart-coordinate samples in the manifold's sample box."""
+    if m.sample_box is None:
         raise ValueError(f"{m.name} has no default sample box")
-    lo = np.array([b[0] for b in box])
-    hi = np.array([b[1] for b in box])
+    lo = np.array([b[0] for b in m.sample_box])
+    hi = np.array([b[1] for b in m.sample_box])
     return rng.uniform(size=(n, m.dim)) * (hi - lo) + lo
 
 
-def sample_states(m: ChartedManifold, n: int, rng,
-                  box: Optional[tuple[tuple[float, float], ...]] = None) -> list[UnitTangentState]:
+def sample_states(m: ChartedManifold, n: int, rng) -> list[UnitTangentState]:
     """Uniform-in-chart points with isotropic unit velocities.
 
     Suitable for property sweeps; use ``sample_liouville`` when the base
     distribution must match the volume measure.
     """
-    pts = sample_box_points(m, n, rng, box=box)
+    pts = sample_box_points(m, n, rng)
     out = []
     for i in range(n):
         E = orthonormal_frame(m, pts[i])
@@ -497,11 +486,10 @@ def sample_states(m: ChartedManifold, n: int, rng,
 
 
 def sample_liouville(m: ChartedManifold, n: int, rng,
-                     radius_cap: Optional[float] = None,
-                     box: Optional[tuple[tuple[float, float], ...]] = None,
-                     ) -> list[UnitTangentState]:
+                     radius_cap: Optional[float] = None) -> list[UnitTangentState]:
     """Samples from the flow-invariant bundle measure, restricted to a
-    bounded base region.
+    bounded base region: the radius ball of ``radius_cap``, else the
+    manifold's sample box.
 
     Base points follow the volume measure (rejection against the patch
     density); directions are isotropic in the fiber.  For non-compact
@@ -515,11 +503,9 @@ def sample_liouville(m: ChartedManifold, n: int, rng,
             raise ValueError(f"{m.name} has no shell parametrization for the radius cap")
         patches = list(m.shell(0.0, radius_cap))
     else:
-        if box is None:
-            box = m.sample_box
-        if box is None:
-            raise ValueError("need radius_cap or a coordinate box")
-        patches = [_box_patch(m, ChartBox(tuple(box)))]
+        if m.sample_box is None:
+            raise ValueError("need radius_cap or a sample box")
+        patches = [_box_patch(m, ChartBox(m.sample_box))]
 
     sups, masses = [], []
     for patch in patches:

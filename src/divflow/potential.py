@@ -100,13 +100,15 @@ def shipped_profiles() -> dict[str, PhiProfile]:
 class ScalarFieldDef:
     """Scalar function with user-supplied analytic gradient components.
 
-    Second derivatives are never formed from u directly: flux fields built
-    from the analytic gradient are differentiated once, which avoids the
-    extra order loss of nested differencing.
+    ``value`` and ``grad`` take an array x of shape (n,) or (N, n) and
+    return the matching leading shape.  Second derivatives are never formed
+    from u directly: flux fields built from the analytic gradient are
+    differentiated once, which avoids the extra order loss of nested
+    differencing.
     """
 
     name: str
-    value: Callable[[np.ndarray], float]
+    value: Callable[[np.ndarray], np.ndarray]
     grad: Callable[[np.ndarray], np.ndarray]
 
 
@@ -121,17 +123,21 @@ def phi_flux_field(u: ScalarFieldDef, profile: PhiProfile,
     """The vector field phi(|grad u|)/|grad u| * grad u.
 
     Zero where the gradient vanishes (forced by phi(0) = 0); for profiles
-    with bounded phi(t)/t this is the continuous extension.
+    with bounded phi(t)/t this is the continuous extension.  The components
+    take x of shape (n,) or (N, n).
     """
 
     def components(x):
-        du = np.asarray(u.grad(x), dtype=float)
-        ginv = inverse_metric_at(m, x)
-        grad = ginv @ du
-        norm = math.sqrt(max(0.0, float(du @ grad)))
-        if norm <= zero_tol:
-            return np.zeros(m.dim)
-        return (float(profile.phi(norm)) / norm) * grad
+        # matmul on (.., 1)-shaped operands: the same BLAS products per point
+        # as on one point
+        du = np.asarray(u.grad(x), dtype=float)[..., None]
+        grad = inverse_metric_at(m, x) @ du
+        norm = np.sqrt(np.maximum(0.0, (np.swapaxes(du, -1, -2) @ grad)[..., 0, 0]))
+        grad = grad[..., 0]
+        live = norm > zero_tol
+        scale = np.zeros(norm.shape)
+        scale[live] = profile.phi(norm[live]) / norm[live]
+        return np.where(live[..., None], scale[..., None] * grad, 0.0)
 
     return VectorFieldDef(name=f"flux[{profile.name}]({u.name})",
                           components=components)
@@ -222,37 +228,41 @@ def young_gap(a, b, r: float):
 def scalar_test_functions(manifold_id: str) -> dict[str, tuple[ScalarFieldDef, Optional[Callable]]]:
     """Registry of scalar test functions: name -> (definition, closed-form
     metric Laplacian when known)."""
+    def along_first(x, first):
+        # a gradient (first, 0, ..., 0) with the shape of x
+        out = np.zeros(x.shape)
+        out[..., 0] = first
+        return out
+
     if manifold_id == "torus":
         k = 2.0 * math.pi
         return {
             "sin-wave": (
                 ScalarFieldDef("sin-wave",
-                               value=lambda x: math.sin(k * x[0]),
-                               grad=lambda x: np.array([k * math.cos(k * x[0]), 0.0])),
-                lambda x: -(k ** 2) * math.sin(k * x[0]),
+                               value=lambda x: np.sin(k * x[..., 0]),
+                               grad=lambda x: along_first(x, k * np.cos(k * x[..., 0]))),
+                lambda x: -(k * k) * np.sin(k * x[..., 0]),
             ),
             "linear-x": (
                 ScalarFieldDef("linear-x",
-                               value=lambda x: float(x[0]),
-                               grad=lambda x: np.array([1.0, 0.0])),
-                lambda x: 0.0,
+                               value=lambda x: x[..., 0],
+                               grad=lambda x: along_first(x, 1.0)),
+                lambda x: np.zeros(x.shape[:-1]),
             ),
         }
     if manifold_id == "hyperbolic":
         def z(x):
-            return math.sqrt(1.0 + x[0] ** 2 + x[1] ** 2)
+            return np.sqrt(1.0 + x[..., 0] * x[..., 0] + x[..., 1] * x[..., 1])
 
         return {
             "height": (
-                ScalarFieldDef("height",
-                               value=lambda x: z(x),
-                               grad=lambda x: np.array([x[0] / z(x), x[1] / z(x)])),
+                ScalarFieldDef("height", value=z, grad=lambda x: x / z(x)[..., None]),
                 lambda x: 2.0 * z(x),
             ),
             "poly-xy": (
                 ScalarFieldDef("poly-xy",
-                               value=lambda x: float(x[0] * x[1]),
-                               grad=lambda x: np.array([x[1], x[0]])),
+                               value=lambda x: x[..., 0] * x[..., 1],
+                               grad=lambda x: x[..., ::-1].copy()),
                 None,
             ),
         }
@@ -260,8 +270,8 @@ def scalar_test_functions(manifold_id: str) -> dict[str, tuple[ScalarFieldDef, O
         return {
             "poly-x2": (
                 ScalarFieldDef("poly-x2",
-                               value=lambda x: float(x[0] ** 2),
-                               grad=lambda x: np.array([2.0 * x[0], 0.0])),
+                               value=lambda x: x[..., 0] * x[..., 0],
+                               grad=lambda x: along_first(x, 2.0 * x[..., 0])),
                 None,
             ),
         }
@@ -269,8 +279,8 @@ def scalar_test_functions(manifold_id: str) -> dict[str, tuple[ScalarFieldDef, O
         return {
             "radial-sq": (
                 ScalarFieldDef("radial-sq",
-                               value=lambda x: float(x[0] ** 2),
-                               grad=lambda x: np.array([2.0 * x[0], 0.0, 0.0])),
+                               value=lambda x: x[..., 0] * x[..., 0],
+                               grad=lambda x: along_first(x, 2.0 * x[..., 0])),
                 None,
             ),
         }
@@ -278,8 +288,8 @@ def scalar_test_functions(manifold_id: str) -> dict[str, tuple[ScalarFieldDef, O
         return {
             "poly-x": (
                 ScalarFieldDef("poly-x",
-                               value=lambda x: float(x[0]),
-                               grad=lambda x: np.array([1.0, 0.0, 0.0])),
+                               value=lambda x: x[..., 0],
+                               grad=lambda x: along_first(x, 1.0)),
                 None,
             ),
         }

@@ -2,10 +2,9 @@
 
 One experiment per invocation: a config selects zoo objects, parameters and
 tolerances; ``run`` produces a deterministic report document given
-(config, seed), independent of the worker count.  A numerical failure inside
-an experiment (a truncated orbit, a point outside the chart, a bad metric, a
-degenerate gradient) becomes a report with a failed ``completed`` check and
-an ``error`` entry.  Exit-status policy is the caller's job (the CLI maps
+(config, seed).  A numerical failure inside an experiment (a truncated
+orbit, a point outside the chart, a bad metric, a degenerate gradient)
+becomes a report with a failed ``completed`` check and an ``error`` entry.  Exit-status policy is the caller's job (the CLI maps
 check failure to 1 and config errors to 2).
 """
 
@@ -13,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
+import sys
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, NamedTuple, Optional
@@ -49,7 +48,6 @@ from .diagnostics import (
     recurrence_fraction,
     x_decay_at_infinity,
 )
-from .parallel import parallel_map
 from .potential import (
     DegenerateGradientError,
     laplace_beltrami,
@@ -71,7 +69,23 @@ NUMERICAL_ERRORS = (TruncatedTrajectoryError, DomainError, MetricError,
 
 # params that count something, with their least valid value
 COUNTS = {"n_points": 1, "n_orbits": 1, "n_mc": 1, "rungs": 1, "n": 1,
-          "n_samples": 1, "n_pairs": 1, "order": 2}
+          "n_samples": 1, "n_pairs": 1, "order": 2, "dim": 1}
+
+# real params, each with what its finite value must be and the test for it
+_POSITIVE = ("a finite number > 0", lambda v: v > 0)
+_NONNEGATIVE = ("a finite number >= 0", lambda v: v >= 0)
+_FRACTION = ("a number in [0, 1]", lambda v: 0 <= v <= 1)
+REALS = {"T": _POSITIVE, "r0": _POSITIVE, "eps": _POSITIVE, "t_max": _POSITIVE,
+         "radius_cap": _POSITIVE, "t_min": _NONNEGATIVE, "sigma": _NONNEGATIVE,
+         "min_fraction": _FRACTION, "max_fraction": _FRACTION,
+         "min_label_fraction": _FRACTION,
+         "expected": ("a finite number", lambda v: True)}
+
+
+def _is_finite(value) -> bool:
+    """A number (not a bool) that converts to a finite float."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 @dataclass
@@ -115,20 +129,25 @@ class ExperimentConfig:
             value = self.params.get(key, least)
             if isinstance(value, bool) or not isinstance(value, int) or value < least:
                 raise ConfigError(f"{key} must be an integer >= {least}, got {value!r}")
+        for key, (what, ok) in REALS.items():
+            value = self.params.get(key)
+            if key in self.params and not (_is_finite(value) and ok(value)):
+                raise ConfigError(f"{key} must be {what}, got {value!r}")
         for key in ("expect", "expect_label"):
             value = self.params.get(key)
             if value is not None and value not in spec.expect:
                 raise ConfigError(f"unknown {self.kind} {key} {value!r}; "
                                   f"known: {list(spec.expect)}")
-        if "radii" in self.params:
-            radii = self.params["radii"]
-            if not (isinstance(radii, (list, tuple)) and radii
-                    and all(isinstance(r, (int, float)) and 0.0 < r < math.inf
-                            for r in radii)):
+        for key in ("radii", "horizons"):
+            values = self.params.get(key)
+            if key in self.params and not (
+                    isinstance(values, (list, tuple)) and values
+                    and all(_is_finite(v) and v > 0 for v in values)):
                 raise ConfigError(
-                    f"radii must be a nonempty list of positive numbers, got {radii!r}")
-            if len(radii) < 2 and self.params.get("expect") is not None:
-                raise ConfigError(f"{self.kind} with an expect needs at least two radii")
+                    f"{key} must be a nonempty list of positive numbers, got {values!r}")
+        if ("radii" in self.params and len(self.params["radii"]) < 2
+                and self.params.get("expect") is not None):
+            raise ConfigError(f"{self.kind} with an expect needs at least two radii")
         if self.manifold is not None and self.manifold not in zoo.MANIFOLD_IDS:
             raise ConfigError(f"unknown manifold id {self.manifold!r}")
         for fid in self.fields:
@@ -176,10 +195,14 @@ def _check(name: str, value, threshold, comparator: str) -> dict:
             "passed": passed}
 
 
-def _resolve_pair(cfg: ExperimentConfig):
+def _manifold(cfg: ExperimentConfig):
     if cfg.manifold is None:
         raise ConfigError(f"kind {cfg.kind!r} needs a manifold id")
-    m = zoo.manifold(cfg.manifold)
+    return zoo.manifold(cfg.manifold)
+
+
+def _resolve_pair(cfg: ExperimentConfig):
+    m = _manifold(cfg)
     if not cfg.fields:
         raise ConfigError(f"kind {cfg.kind!r} needs a field id")
     f = zoo.vector_field(cfg.fields[0])
@@ -190,11 +213,34 @@ def _resolve_pair(cfg: ExperimentConfig):
     return m, f
 
 
+def _box(cfg: ExperimentConfig, m) -> ChartBox:
+    """The config's chart box, or else the manifold's sample box."""
+    box = cfg.params.get("box")
+    if box is None:
+        return ChartBox(m.sample_box)
+    if not (isinstance(box, (list, tuple)) and len(box) == m.dim and all(
+            isinstance(b, (list, tuple)) and len(b) == 2
+            and all(_is_finite(v) for v in b) and b[0] < b[1]
+            for b in box)):
+        raise ConfigError(f"box must be {m.dim} [lo, hi] pairs of finite numbers "
+                          f"with lo < hi, got {box!r}")
+    return ChartBox(tuple(tuple(b) for b in box))
+
+
+def _radius_cap(cfg: ExperimentConfig, m):
+    """The config's radius cap, or else the manifold's."""
+    cap = cfg.params.get("radius_cap", m.radius_cap)
+    if cap is not None and m.shell is None:
+        raise ConfigError(
+            f"radius_cap needs radial shells, which {cfg.manifold!r} lacks")
+    return cap
+
+
 # ---------------------------------------------------------------------------
 # experiment kinds
 
 
-def _run_fiber_lemma(cfg, workers):
+def _run_fiber_lemma(cfg):
     m, f = _resolve_pair(cfg)
     n_points = int(cfg.params.get("n_points", 200))
     tol = float(cfg.tolerances.get("residual", 1e-8 if m.dim == 2 else 1e-6))
@@ -206,28 +252,21 @@ def _run_fiber_lemma(cfg, workers):
             "checks": [_check("fiber_average_matches_divergence", worst, tol, "<=")]}
 
 
-def _run_path_integral(cfg, workers):
+def _run_path_integral(cfg):
     m, f = _resolve_pair(cfg)
     n_orbits = int(cfg.params.get("n_orbits", 20))
     T = float(cfg.params.get("T", 10.0))
     tol = float(cfg.tolerances.get("residual", 1e-6 * (1.0 + T)))
     states = sample_states(m, n_orbits, np.random.default_rng(cfg.seed))
-
-    def residual(st):
-        return path_integral_identity_residual(f, m, st, T)
-
-    res = parallel_map(residual, states, workers=workers)
-    worst = max(res)
+    worst = max(path_integral_identity_residual(f, m, st, T) for st in states)
     return {"results": {"max_residual": worst, "n_orbits": n_orbits, "T": T},
             "checks": [_check("path_integral_identity", worst, tol, "<=")]}
 
 
-def _run_fubini(cfg, workers):
+def _run_fubini(cfg):
     m, f = _resolve_pair(cfg)
     n_mc = int(cfg.params.get("n_mc", 20000))
-    box = cfg.params.get("box")
-    region = ChartBox(tuple(tuple(b) for b in box)) if box else ChartBox(m.sample_box)
-    out = fubini_consistency(m, partial(pairing_rates, f, m), region, n_mc=n_mc,
+    out = fubini_consistency(m, partial(pairing_rates, f, m), _box(cfg, m), n_mc=n_mc,
                              seed=cfg.seed)
     return {"results": out,
             "checks": [_check("iterated_matches_direct", out["discrepancy"],
@@ -243,9 +282,7 @@ def _integral_report(cfg, m, h, key: str, rtol: float) -> dict:
         est = ladder_integral(m, h, r0=float(params.get("r0", 1.0)),
                               rungs=int(params.get("rungs", 5)), order=order)
     else:
-        box = params.get("box")
-        region = ChartBox(tuple(tuple(b) for b in box)) if box else ChartBox(m.sample_box)
-        est = base_integral(m, h, region, order=order)
+        est = base_integral(m, h, _box(cfg, m), order=order)
     results = {key: est.to_json()}
     checks = []
     if "expected" in params:
@@ -257,23 +294,20 @@ def _integral_report(cfg, m, h, key: str, rtol: float) -> dict:
     return {"results": results, "checks": checks}
 
 
-def _run_volume(cfg, workers):
-    if cfg.manifold is None:
-        raise ConfigError("volume needs a manifold id")
-    return _integral_report(cfg, zoo.manifold(cfg.manifold), lambda x: 1.0, "volume", 1e-3)
+def _run_volume(cfg):
+    return _integral_report(cfg, _manifold(cfg), lambda x: 1.0, "volume", 1e-3)
 
 
-def _run_divergence_integral(cfg, workers):
+def _run_divergence_integral(cfg):
     m, f = _resolve_pair(cfg)
     return _integral_report(cfg, m, lambda x: divergence(f, m, x),
                             "divergence_integral", 5e-3)
 
 
-def _run_karp(cfg, workers):
+def _run_karp(cfg):
     m, f = _resolve_pair(cfg)
     radii = [float(r) for r in cfg.params.get("radii", [5.0, 10.0, 20.0])]
-    reports = karp_sequence(m, f, radii, order=int(cfg.params.get("order", 16)),
-                            seed=cfg.seed)
+    reports = karp_sequence(m, f, radii, order=int(cfg.params.get("order", 16)))
     results = {"annuli": [r.to_json() for r in reports]}
     return {"results": results,
             "checks": _expected(cfg, [r.normalized for r in reports],
@@ -300,7 +334,7 @@ def _expected(cfg, *args) -> list:
     return [] if expect is None else KINDS[cfg.kind].expect[expect](cfg, *args)
 
 
-def _run_cutoff(cfg, workers):
+def _run_cutoff(cfg):
     m, f = _resolve_pair(cfg)
     radii = [float(r) for r in cfg.params.get("radii", [2.0, 5.0, 10.0])]
     sigma = float(cfg.params.get("sigma", 3.0))
@@ -313,7 +347,7 @@ def _run_cutoff(cfg, workers):
             "checks": checks}
 
 
-def _run_fx_ladder(cfg, workers):
+def _run_fx_ladder(cfg):
     m, f = _resolve_pair(cfg)
     est = rate_integrability_ladder(
         m, f, r0=float(cfg.params.get("r0", 1.0)),
@@ -323,7 +357,7 @@ def _run_fx_ladder(cfg, workers):
     return {"results": {"ladder": est.to_json()}, "checks": _expected(cfg, est)}
 
 
-def _run_decay(cfg, workers):
+def _run_decay(cfg):
     m, f = _resolve_pair(cfg)
     radii = [float(r) for r in cfg.params.get("radii", [2.0, 5.0, 10.0, 20.0])]
     sups = x_decay_at_infinity(m, f, radii,
@@ -339,16 +373,15 @@ def _decay_to_zero(cfg, values):
             _check("final_sup_small", values[-1], thr, "<=")]
 
 
-def _run_recurrence(cfg, workers):
-    if cfg.manifold is None:
-        raise ConfigError("recurrence needs a manifold id")
-    m = zoo.manifold(cfg.manifold)
+def _run_recurrence(cfg):
+    m = _manifold(cfg)
     p = cfg.params
-    cap = p.get("radius_cap", m.radius_cap)
-    stats = recurrence_fraction(
-        m, int(p.get("n", 100)), eps=float(p.get("eps", 0.05)),
-        t_min=float(p.get("t_min", 1.0)), t_max=float(p.get("t_max", 1000.0)),
-        seed=cfg.seed, radius_cap=cap, workers=workers)
+    cap = _radius_cap(cfg, m)
+    t_min, t_max = float(p.get("t_min", 1.0)), float(p.get("t_max", 1000.0))
+    if t_min >= t_max:
+        raise ConfigError(f"t_min must be below t_max, got {t_min!r} and {t_max!r}")
+    stats = recurrence_fraction(m, int(p.get("n", 100)), eps=float(p.get("eps", 0.05)),
+                                t_min=t_min, t_max=t_max, seed=cfg.seed, radius_cap=cap)
     results = {"stats": stats.to_json()}
     checks = []
     if "min_fraction" in p:
@@ -360,26 +393,16 @@ def _run_recurrence(cfg, workers):
     return {"results": results, "checks": checks}
 
 
-def _run_hopf(cfg, workers):
-    if cfg.manifold is None:
-        raise ConfigError("hopf needs a manifold id")
-    m = zoo.manifold(cfg.manifold)
+def _run_hopf(cfg):
+    m = _manifold(cfg)
     p = cfg.params
     n = int(p.get("n", 20))
-    cap = p.get("radius_cap", m.radius_cap)
+    cap = _radius_cap(cfg, m)
     if cap is not None:
         cap = float(cap)
-    horizons = p.get("horizons")
-    rng = np.random.default_rng(cfg.seed)
-    if cap is not None and m.shell is not None:
-        states = sample_liouville(m, n, rng, radius_cap=cap)
-    else:
-        states = sample_liouville(m, n, rng, box=m.sample_box)
-
-    def probe(st):
-        return hopf_probe(m, st, horizons=horizons)
-
-    probes = parallel_map(probe, states, workers=workers)
+    probes = [hopf_probe(m, st, horizons=p.get("horizons"))
+              for st in sample_liouville(m, n, np.random.default_rng(cfg.seed),
+                                         radius_cap=cap)]
     counts = {}
     for pr in probes:
         counts[pr.label] = counts.get(pr.label, 0) + 1
@@ -393,7 +416,7 @@ def _run_hopf(cfg, workers):
     return {"results": results, "checks": checks}
 
 
-def _run_potential_monotone(cfg, workers):
+def _run_potential_monotone(cfg):
     p = cfg.params
     profiles = shipped_profiles()
     pid = p.get("profile", "p:2")
@@ -421,10 +444,8 @@ def _run_potential_monotone(cfg, workers):
             ]}
 
 
-def _run_potential_laplacian(cfg, workers):
-    if cfg.manifold is None:
-        raise ConfigError("potential-laplacian needs a manifold id")
-    m = zoo.manifold(cfg.manifold)
+def _run_potential_laplacian(cfg):
+    m = _manifold(cfg)
     p = cfg.params
     registry = scalar_test_functions(cfg.manifold)
     uid = p.get("u", next(iter(registry)))
@@ -458,7 +479,7 @@ class Kind(NamedTuple):
 
     group: str
     action: str
-    run: Callable[[ExperimentConfig, int], dict]
+    run: Callable[[ExperimentConfig], dict]
     params: tuple[str, ...]
     tolerances: tuple[str, ...] = ()
     expect: dict | tuple = ()
@@ -510,12 +531,13 @@ def list_zoo() -> dict:
 
 def run(cfg: ExperimentConfig, workers: int = 1) -> dict:
     """Execute one experiment; the report is deterministic given
-    (config, seed) and identical at any worker count."""
+    (config, seed).  ``workers`` is accepted and ignored, for callers
+    written when orbits could run on threads."""
     cfg.validate()
     canonical = cfg.canonical()
     blob = json.dumps(canonical, sort_keys=True, separators=(",", ":"))
     try:
-        out = KINDS[cfg.kind].run(cfg, workers)
+        out = KINDS[cfg.kind].run(cfg)
     except NUMERICAL_ERRORS as exc:
         out = {"checks": [_check("completed", "error", "none", "==")],
                "error": {"type": type(exc).__name__, "message": str(exc)}}

@@ -134,7 +134,7 @@ def test_unknown_expectation_is_rejected_before_any_work(name, param, capsys, mo
     assert capsys.readouterr().err.startswith("divflow: config error: ")
 
 
-def _never_run(cfg, workers):
+def _never_run(*args, **kwargs):
     raise AssertionError("the experiment ran")
 
 
@@ -178,7 +178,7 @@ def test_karp_error_report_writes_the_checks_csv(capsys):
 def test_numerical_errors_become_failed_reports(error, monkeypatch, capsys):
     exc_type = next(e for e in runner.NUMERICAL_ERRORS if e.__name__ == error)
 
-    def fail(cfg, workers):
+    def fail(cfg):
         raise exc_type("orbit truncated at t = 15.8 (step_limit)")
 
     monkeypatch.setitem(KINDS, "path-integral", KINDS["path-integral"]._replace(run=fail))
@@ -193,7 +193,7 @@ def test_numerical_errors_become_failed_reports(error, monkeypatch, capsys):
 
 
 def test_other_exceptions_still_propagate(monkeypatch):
-    def fail(cfg, workers):
+    def fail(cfg):
         raise ZeroDivisionError("a program fault, not a numerical verdict")
 
     monkeypatch.setitem(KINDS, "path-integral", KINDS["path-integral"]._replace(run=fail))
@@ -201,16 +201,18 @@ def test_other_exceptions_still_propagate(monkeypatch):
         run(ExperimentConfig.from_dict(json.loads((CONFIGS / "path-hyperbolic.json").read_text())))
 
 
-def test_whole_manifest_passes_with_equal_reports_at_any_worker_count(tmp_path):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+def _suite_env():
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
+def test_whole_manifest_passes_with_equal_reports_on_a_second_run(tmp_path):
     texts = []
-    for workers in (1, 2):
-        out = tmp_path / f"workers-{workers}"
+    for attempt in (1, 2):
+        out = tmp_path / f"run-{attempt}"
         proc = subprocess.run(
-            [sys.executable, str(ROOT / "scripts" / "run_suite.py"), "--out-dir", str(out),
-             "--workers", str(workers)],
-            capture_output=True, text=True, env=env, timeout=600)
+            [sys.executable, str(ROOT / "scripts" / "run_suite.py"), "--out-dir", str(out)],
+            capture_output=True, text=True, env=_suite_env(), timeout=600)
         assert proc.returncode == 0, proc.stdout + proc.stderr
         summary = json.loads((out / "summary.json").read_text())
         assert summary["passed"] is True
@@ -221,3 +223,51 @@ def test_whole_manifest_passes_with_equal_reports_at_any_worker_count(tmp_path):
             assert all(c["passed"] for c in json.loads(text)["checks"])
         texts.append(reports)
     assert texts[0] == texts[1]
+
+
+def test_suite_only_with_an_unknown_name_exits_2_and_names_it(tmp_path):
+    out = tmp_path / "reports"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "run_suite.py"), "--out-dir", str(out),
+         "--only", "fiber-ex1", "--only", "ladder-ex5"],
+        capture_output=True, text=True, env=_suite_env(), timeout=60)
+    assert proc.returncode == 2
+    assert "ladder-ex5" in proc.stderr and "fiber-ex1" not in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "path-integral", "--config", str(CONFIGS / "path-ex4.json"), "--param", "T=0"],
+    ["verify", "path-integral", "--config", str(CONFIGS / "path-ex4.json"), "--param", "T=abc"],
+    ["diagnose", "recurrence", "--manifold", "torus", "--param", "eps=-1"],
+    ["diagnose", "recurrence", "--manifold", "torus", "--param", "t_min=5",
+     "--param", "t_max=2"],
+    ["diagnose", "recurrence", "--manifold", "torus", "--param", "radius_cap=2"],
+    ["diagnose", "hopf", "--config", str(CONFIGS / "hopf-torus.json"), "--param", "horizons=[]"],
+    ["diagnose", "hopf", "--config", str(CONFIGS / "hopf-torus.json"), "--param", "horizons=5"],
+    ["diagnose", "cutoff", "--config", str(CONFIGS / "cutoff-ex3.json"), "--param", "sigma=abc"],
+    ["diagnose", "fx-ladder", "--config", str(CONFIGS / "ladder-ex1.json"), "--param", "r0=-1"],
+    ["verify", "fubini", "--config", str(CONFIGS / "fubini-ex1.json"), "--param", "box=[[0,1]]"],
+    ["verify", "fubini", "--config", str(CONFIGS / "fubini-ex1.json"), "--param", "box=abc"],
+    ["potential", "monotone", "--param", "dim=0"],
+], ids=["zero-T", "text-T", "negative-eps", "t_min-above-t_max", "cap-without-shell",
+        "empty-horizons", "scalar-horizons", "text-sigma", "negative-r0", "short-box",
+        "text-box", "zero-dim"])
+def test_bad_reals_exit_2_without_traceback(argv, capsys, monkeypatch):
+    for work in ("sample_states", "sample_liouville", "recurrence_fraction",
+                 "fubini_consistency", "cutoff_estimate", "rate_integrability_ladder",
+                 "monotone_form"):
+        monkeypatch.setattr(runner, work, _never_run)
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("divflow: config error: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_benchmark_workloads_fit_their_schema():
+    workloads = json.loads((ROOT / "perfbench" / "workloads.json").read_text())
+    for configs in workloads.values():
+        for raw in configs.values():
+            ExperimentConfig.from_dict(raw)

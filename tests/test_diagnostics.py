@@ -231,9 +231,9 @@ def test_recurrence_rejects_empty_sample(torus):
         recurrence_fraction(torus, 0)
 
 
-def test_recurrence_worker_independence(torus):
-    a = recurrence_fraction(torus, 20, t_max=200.0, seed=9, workers=1)
-    b = recurrence_fraction(torus, 20, t_max=200.0, seed=9, workers=4)
+def test_recurrence_repeats_exactly(torus):
+    a = recurrence_fraction(torus, 20, t_max=200.0, seed=9)
+    b = recurrence_fraction(torus, 20, t_max=200.0, seed=9)
     assert a == b
 
 

@@ -1,0 +1,42 @@
+"""The benchmark harness in ``perfbench/`` drives divflow from outside the
+package: it calls ``runner.run(cfg, workers=1)``, and its tracer wraps every
+function that ``perfbench/spans.py`` names in ``LAYERS``.  Dropping that
+keyword or one of those names makes every benchmark run raise, so this test
+runs two experiments the way the harness does."""
+
+import json
+import types
+from pathlib import Path
+
+from divflow import runner
+from divflow.runner import ExperimentConfig, report_to_json, run
+
+ROOT = Path(__file__).resolve().parent.parent
+
+CONFIGS = [
+    json.loads((ROOT / "scripts" / "configs" / "fiber-ex1.json").read_text()),
+    {"kind": "path-integral", "manifold": "warp:ex4", "field": "warp:ex4:Z",
+     "params": {"T": 1.0, "n_orbits": 1}, "seed": 30},
+]
+
+
+def _load_spans():
+    # compiled from its source, so nothing is written next to it
+    path = ROOT / "perfbench" / "spans.py"
+    module = types.ModuleType("perfbench_spans")
+    module.__file__ = str(path)
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return module
+
+
+def test_traced_harness_calls_give_the_untraced_reports():
+    configs = [ExperimentConfig.from_dict(raw) for raw in CONFIGS]
+    untraced = [report_to_json(run(cfg)) for cfg in configs]
+    tracer = _load_spans().Tracer()
+    with tracer.installed():
+        traced = [report_to_json(runner.run(cfg, workers=1)) for cfg in configs]
+    assert traced == untraced
+    metrics = tracer.metrics()
+    assert metrics["runner.run.calls"] == len(configs)
+    assert metrics["flow.integrate_geodesic.calls"] > 0
+    assert metrics["integrals.fiber_integral.calls"] > 0

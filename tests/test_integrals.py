@@ -52,24 +52,6 @@ def test_fiber_rule_weights_and_moments(n):
     assert_allclose(M, (omega(n) / n) * np.eye(n), atol=1e-12)
 
 
-@pytest.mark.parametrize("n", [2, 3])
-def test_hemisphere_moments(n):
-    rule = fiber_rule(n, hemisphere=True)
-    assert rule.weights.sum() == pytest.approx(omega(n) / 2.0, abs=1e-12)
-    assert np.all(rule.nodes[:, -1] > 0)
-    M = (rule.nodes.T * rule.weights) @ rule.nodes
-    # int z_i z_j over the upper hemisphere: 0 off-diagonal, omega/(2n) diagonal
-    for i in range(n):
-        for j in range(n):
-            expect = omega(n) / (2.0 * n) if i == j else 0.0
-            assert M[i, j] == pytest.approx(expect, abs=1e-12)
-    # mixed moment with the hemisphere height: int z_i * z_n = 0 for i < n
-    heights = rule.nodes[:, -1]
-    for i in range(n - 1):
-        val = float(np.sum(rule.weights * rule.nodes[:, i] * heights))
-        assert abs(val) < 1e-12
-
-
 def test_fiber_integral_of_constant(hyperbolic, ex4):
     assert fiber_integral(hyperbolic, lambda x, v: 1.0, [0.4, -0.2]) == pytest.approx(
         omega(2), rel=1e-13)

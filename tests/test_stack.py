@@ -32,6 +32,7 @@ from divflow.integrals import (
     fiber_rule,
     sample_box_points,
 )
+from divflow.potential import phi_flux_field, scalar_test_functions, shipped_profiles
 
 N = 64
 REL = 1e-13
@@ -128,6 +129,24 @@ def test_field_geometry_and_fiber_integral_stack(mid, fid, rng):
         return (1.0 + pairing_rates(f, m, X, V)) ** 2
 
     _assert_close(partial(fiber_integral, m, F, rule=rule), many, (fid, "fiber_integral"))
+
+
+@pytest.mark.parametrize("mid,uid", [(mid, uid) for mid in zoo.MANIFOLD_IDS
+                                     for uid in scalar_test_functions(mid)])
+def test_test_functions_and_flux_fields_stack(mid, uid, rng):
+    m = zoo.manifold(mid)
+    u, closed = scalar_test_functions(mid)[uid]
+    pts = sample_box_points(m, N, rng)
+    for name, fn in (("value", u.value), ("grad", u.grad), ("closed", closed)):
+        if fn is not None:
+            _assert_exact(fn, pts, (mid, uid, name))
+    for pid, prof in shipped_profiles().items():
+        flux = phi_flux_field(u, prof, m)
+        _assert_close(flux.components, pts, (mid, uid, pid, "components"))
+        for method in ("trace", "coordinate"):
+            _assert_close(partial(divergence, flux, m, method=method), pts,
+                          (mid, uid, pid, method))
+        _assert_close(partial(field_norm, flux, m), pts, (mid, uid, pid, "field_norm"))
 
 
 def test_stack_with_one_point_outside_domain_names_it(ex2, rng):
