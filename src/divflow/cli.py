@@ -17,11 +17,11 @@ import argparse
 import json
 import sys
 
+from . import zoo
 from .runner import (
     KINDS,
     ConfigError,
     ExperimentConfig,
-    list_zoo,
     report_to_csv,
     report_to_json,
     run,
@@ -121,7 +121,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     if args.group == "zoo":
-        _emit(json.dumps(list_zoo(), indent=2, sort_keys=True) + "\n", None)
+        _emit(json.dumps(zoo.list_zoo(), indent=2, sort_keys=True) + "\n", None)
         return 0
 
     try:

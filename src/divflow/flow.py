@@ -380,8 +380,8 @@ def first_return(m: ChartedManifold, state: UnitTangentState, eps: float = 0.05,
         prev_r = [r0]
 
         def monitor(t, y):
-            # radius from basepoint is convex along geodesics here, so a
-            # nondecreasing tail with r - r0 > eps rules out later returns
+            # the radius is convex along geodesics here, so a nondecreasing
+            # tail with r - r0 > eps rules out later returns
             r = m.radius(y[:n])
             escaped = r >= prev_r[0] and (r - r0) > eps
             prev_r[0] = r

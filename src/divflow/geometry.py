@@ -3,9 +3,8 @@ divergence.
 
 Everything here is a pure function of explicit chart data.  A manifold is
 one almost-everywhere chart (a metric evaluator on a coordinate domain) plus
-optional closed forms (Christoffel symbols, a distance-from-basepoint
-surrogate, an analytic geodesic) that downstream modules use as oracles or
-fast paths.
+optional closed forms (Christoffel symbols, a radial distance surrogate, an
+analytic geodesic) that downstream modules use as oracles or fast paths.
 
 Stack convention: functions of a point take x of shape (n,) or (N, n), as
 do the chart and field closures, and return the matching leading shape;
@@ -76,7 +75,8 @@ class ChartedManifold:
 
     Optional fields:
       christoffel      closed-form symbols, x -> (..., n, n, n) array G[k, i, j]
-      radius           distance-from-basepoint surrogate r(x) >= 0
+      radius           radial distance surrogate r(x) >= 0 (distance from
+                       a fixed point, or a quantity comparable to it)
       pair_distance    true distance between two chart points, when known
       geodesic         analytic flow oracle (x0, v0, t) -> (x, v)
       shell            (r_lo, r_hi) -> tuple of integration patches for the
@@ -96,7 +96,6 @@ class ChartedManifold:
     domain: Callable[[np.ndarray], bool] = _always
     periods: tuple[Optional[float], ...] = ()
     christoffel: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    basepoint: Optional[np.ndarray] = None
     radius: Optional[Callable[[np.ndarray], float]] = None
     pair_distance: Optional[Callable[[np.ndarray, np.ndarray], float]] = None
     geodesic: Optional[Callable[[np.ndarray, np.ndarray, float], tuple]] = None

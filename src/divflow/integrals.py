@@ -514,7 +514,7 @@ def sample_liouville(m: ChartedManifold, n: int, rng,
         grid = [np.linspace(a, b, 7) for a, b in patch.bounds]
         mesh = np.meshgrid(*grid, indexing="ij")
         pts = np.stack([g.ravel() for g in mesh], axis=-1)
-        dens = np.array([patch.density(p) for p in pts])
+        dens = np.asarray(patch.density(pts), dtype=float)
         sups.append(1.5 * float(dens.max()) + 1e-300)
         masses.append(float(dens.mean()) * float(np.prod(hi - lo)))
     total = math.fsum(masses)

@@ -39,6 +39,12 @@ __all__ = [
     "scalar_test_functions",
 ]
 
+# gradient norms at or below this count as zero in the flux field
+FLUX_ZERO_TOL = 1e-14
+# phi_laplacian refuses a singular profile when the gradient norm on the
+# difference stencil falls below this
+DEGENERATE_GRADIENT_TOL = 1e-8
+
 
 class DegenerateGradientError(ValueError):
     """phi'(0+) is unbounded and the gradient vanishes near the point."""
@@ -46,8 +52,8 @@ class DegenerateGradientError(ValueError):
 
 @dataclass(frozen=True)
 class PhiProfile:
-    """Flux profile phi on [0, inf): phi(0) = 0, phi > 0 on (0, inf),
-    phi(t) <= A t^(growth_exponent - 1).
+    """Strictly increasing flux profile phi on [0, inf): phi(0) = 0,
+    phi > 0 on (0, inf), phi(t) <= A t^(growth_exponent - 1).
 
     ``singular_near_zero`` marks profiles with unbounded phi(t)/t as t -> 0
     (p < 2 family); their flux fields are not differentiable where the
@@ -59,7 +65,6 @@ class PhiProfile:
     dphi: Callable
     A: float
     growth_exponent: float
-    strictly_increasing: bool = True
     singular_near_zero: bool = False
 
 
@@ -119,7 +124,7 @@ def _gradient_norm(u: ScalarFieldDef, m: ChartedManifold, x) -> float:
 
 
 def phi_flux_field(u: ScalarFieldDef, profile: PhiProfile,
-                   m: ChartedManifold, zero_tol: float = 1e-14) -> VectorFieldDef:
+                   m: ChartedManifold) -> VectorFieldDef:
     """The vector field phi(|grad u|)/|grad u| * grad u.
 
     Zero where the gradient vanishes (forced by phi(0) = 0); for profiles
@@ -134,7 +139,7 @@ def phi_flux_field(u: ScalarFieldDef, profile: PhiProfile,
         grad = inverse_metric_at(m, x) @ du
         norm = np.sqrt(np.maximum(0.0, (np.swapaxes(du, -1, -2) @ grad)[..., 0, 0]))
         grad = grad[..., 0]
-        live = norm > zero_tol
+        live = norm > FLUX_ZERO_TOL
         scale = np.zeros(norm.shape)
         scale[live] = profile.phi(norm[live]) / norm[live]
         return np.where(live[..., None], scale[..., None] * grad, 0.0)
@@ -144,7 +149,7 @@ def phi_flux_field(u: ScalarFieldDef, profile: PhiProfile,
 
 
 def phi_laplacian(u: ScalarFieldDef, profile: PhiProfile, m: ChartedManifold,
-                  x, degenerate_tol: float = 1e-8) -> float:
+                  x) -> float:
     """Divergence of the flux field at x.
 
     For profiles singular near zero the evaluation is refused when the
@@ -160,7 +165,7 @@ def phi_laplacian(u: ScalarFieldDef, profile: PhiProfile, m: ChartedManifold,
                 xp = x.copy()
                 xp[i] += s * h[i]
                 probes.append(xp)
-        if any(_gradient_norm(u, m, p) < degenerate_tol for p in probes):
+        if any(_gradient_norm(u, m, p) < DEGENERATE_GRADIENT_TOL for p in probes):
             raise DegenerateGradientError(
                 f"gradient of {u.name} vanishes near {x!r}; "
                 f"{profile.name} flux is not differentiable there")
@@ -197,8 +202,6 @@ def monotone_form(xi, eta, profile: PhiProfile):
     Nonnegative for strictly increasing profiles, vanishing only on the
     diagonal.  Accepts single vectors or batches of shape (k, d).
     """
-    if not profile.strictly_increasing:
-        raise ValueError(f"profile {profile.name} is not strictly increasing")
     xi = np.atleast_2d(np.asarray(xi, dtype=float))
     eta = np.atleast_2d(np.asarray(eta, dtype=float))
 

@@ -145,6 +145,8 @@ class ExperimentConfig:
                     and all(_is_finite(v) and v > 0 for v in values)):
                 raise ConfigError(
                     f"{key} must be a nonempty list of positive numbers, got {values!r}")
+            if key in self.params and len(set(values)) < len(values):
+                raise ConfigError(f"{key} must be distinct, got {values!r}")
         if ("radii" in self.params and len(self.params["radii"]) < 2
                 and self.params.get("expect") is not None):
             raise ConfigError(f"{self.kind} with an expect needs at least two radii")
@@ -523,10 +525,6 @@ KINDS: dict[str, Kind] = {
     "potential-laplacian": Kind("potential", "laplacian", _run_potential_laplacian,
                                 ("u", "n_points"), ("residual",)),
 }
-
-
-def list_zoo() -> dict:
-    return zoo.list_zoo()
 
 
 def run(cfg: ExperimentConfig, workers: int = 1) -> dict:

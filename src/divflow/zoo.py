@@ -1,7 +1,7 @@
 """Closed-form constructions of the test manifolds and vector fields.
 
 The zoo ships:
-  torus                    flat square torus (trivially recurrent testbed)
+  torus                    flat unit square torus (trivially recurrent testbed)
   revolution:1/(1+x^2)     finite-area surface of revolution carrying a
                            divergence-free field W with non-integrable norm
   hyperbolic               hyperbolic plane in the hyperboloid graph chart,
@@ -15,10 +15,13 @@ The zoo ships:
                            horizontal lift of a conformal field, with
                            div Z = 2/sqrt(1+x^2+y^2) and integral 4 pi^2
 
-Every manifold is one almost-everywhere chart with closed-form Christoffel
-symbols and a bounded default sampling box; all but the torus also carry a
-radius surrogate with matching shell parametrization and a default radius
-cap for sampling.
+Every manifold and field is built directly from its closed form: one
+almost-everywhere chart with closed-form Christoffel symbols and a bounded
+default sampling box; all but the torus also carry a radius surrogate with
+matching shell parametrization and a default radius cap for sampling.  The
+warped products write out their block metric, and the lifted fields their
+product components.  ``_MANIFOLDS`` and ``_FIELDS`` are the one catalog; the
+public id tuples are derived from them.
 
 Every closure of a point takes a stack of shape (..., n) and returns the
 matching leading shape, with the same values on one point as on a stack;
@@ -29,9 +32,9 @@ output keeps one point cheap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -39,17 +42,12 @@ from .geometry import ChartedManifold, VectorFieldDef
 from .integrals import ShellPatch
 
 __all__ = [
-    "RevolutionProfile",
     "WarpProfile",
     "AmbientEmbedding",
-    "WarpedProduct",
-    "LiftedField",
-    "LiftError",
     "make_flat_torus",
     "make_surface_of_revolution",
     "make_hyperbolic_plane",
-    "make_warped_product",
-    "lift",
+    "make_example4",
     "warp_profile_finite_volume",
     "warp_profile_infinite_volume",
     "manifold",
@@ -67,25 +65,6 @@ TWO_PI = 2.0 * math.pi
 # profiles
 
 
-@dataclass(frozen=True)
-class RevolutionProfile:
-    """Positive profile f with two derivatives, rotated about the x axis."""
-
-    name: str
-    f: Callable[[float], float]
-    df: Callable[[float], float]
-    d2f: Callable[[float], float]
-
-
-def default_revolution_profile() -> RevolutionProfile:
-    return RevolutionProfile(
-        name="1/(1+x^2)",
-        f=lambda x: 1.0 / (1.0 + x * x),
-        df=lambda x: -2.0 * x / _ipow(1.0 + x * x, 2),
-        d2f=lambda x: (6.0 * x * x - 2.0) / _ipow(1.0 + x * x, 3),
-    )
-
-
 def _ipow(x, k: int):
     """x**k as products: numpy's power of a scalar and of an array can differ
     in the last bit, so closures use this instead of ``**``."""
@@ -95,10 +74,17 @@ def _ipow(x, k: int):
     return out
 
 
-def cylinder_profile() -> RevolutionProfile:
-    return RevolutionProfile("cylinder", lambda x: np.ones_like(x, dtype=float),
-                             lambda x: np.zeros_like(x, dtype=float),
-                             lambda x: np.zeros_like(x, dtype=float))
+def _f(x):
+    """Revolution profile f(x) = 1/(1+x^2)."""
+    return 1.0 / (1.0 + x * x)
+
+
+def _df(x):
+    return -2.0 * x / _ipow(1.0 + x * x, 2)
+
+
+def _d2f(x):
+    return (6.0 * x * x - 2.0) / _ipow(1.0 + x * x, 3)
 
 
 class _HermiteBlend:
@@ -139,27 +125,25 @@ class _HermiteBlend:
 
 @dataclass(frozen=True, eq=False)
 class WarpProfile:
-    """Radial warp b(r): a plateau on |r| < 1, a blend on [1, 2] matching
-    value through the 4th derivative at both ends (so b is C4), then an
-    explicit tail.
+    """Radial warp b(r): the plateau 1 on |r| < 1, a blend on [1, 2]
+    matching value through the 4th derivative at both ends (so b is C4),
+    then an explicit tail.
 
-    tail == "finite-volume": b = a (sinh 2 / sinh r)^2 for r >= 2, so
-    sinh(r)^2 b(r) is constant and the volume integrand b sinh is integrable.
-    tail == "infinite-volume": b = 2a / (1 + r), so b -> 0 while
-    sinh(r) b(r)^p grows without bound for every p.
+    "finite-volume": b = (sinh 2 / sinh r)^2 for r >= 2, so sinh(r)^2 b(r)
+    is constant and the volume integrand b sinh is integrable.
+    "infinite-volume": b = 2 / (1 + r), so b -> 0 while sinh(r) b(r)^p
+    grows without bound for every p.
     """
 
     name: str
-    plateau: float
-    tail: str
     b: Callable[[float], float]
     db: Callable[[float], float]
 
 
-def _profile_from_tail(name, a, tail_tag, tail_derivs) -> WarpProfile:
+def _profile_from_tail(name, tail_derivs) -> WarpProfile:
     tail = tail_derivs[0]
     dtail = tail_derivs[1]
-    blend = _HermiteBlend(1.0, 2.0, (a, 0.0, 0.0, 0.0, 0.0),
+    blend = _HermiteBlend(1.0, 2.0, (1.0, 0.0, 0.0, 0.0, 0.0),
                           tuple(d(2.0) for d in tail_derivs))
 
     def pieces(r, plateau, mid, far):
@@ -173,16 +157,16 @@ def _profile_from_tail(name, a, tail_tag, tail_derivs) -> WarpProfile:
         return out[()]
 
     def b(r):
-        return pieces(r, a, blend, tail)
+        return pieces(r, 1.0, blend, tail)
 
     def db(r):
         return np.sign(r) * pieces(r, 0.0, blend.deriv, dtail)
 
-    return WarpProfile(name=name, plateau=a, tail=tail_tag, b=b, db=db)
+    return WarpProfile(name=name, b=b, db=db)
 
 
-def warp_profile_finite_volume(a: float = 1.0) -> WarpProfile:
-    c = a * math.sinh(2.0) ** 2
+def warp_profile_finite_volume() -> WarpProfile:
+    c = math.sinh(2.0) ** 2
 
     def d0(r):
         return c / _ipow(np.sinh(r), 2)
@@ -201,42 +185,38 @@ def warp_profile_finite_volume(a: float = 1.0) -> WarpProfile:
         s2 = math.sinh(r) ** 2
         return 8.0 * c * (2.0 * s2 * s2 + 15.0 * s2 + 15.0) / s2 ** 3
 
-    return _profile_from_tail("finite-volume", a, "finite-volume",
-                              (d0, d1, d2, d3, d4))
+    return _profile_from_tail("finite-volume", (d0, d1, d2, d3, d4))
 
 
-def warp_profile_infinite_volume(a: float = 1.0) -> WarpProfile:
+def warp_profile_infinite_volume() -> WarpProfile:
     derivs = tuple(
-        (lambda r, k=k: 2.0 * a * (-1.0) ** k * math.factorial(k) / _ipow(1.0 + r, k + 1))
+        (lambda r, k=k: 2.0 * (-1.0) ** k * math.factorial(k) / _ipow(1.0 + r, k + 1))
         for k in range(5))
-    return _profile_from_tail("infinite-volume", a, "infinite-volume", derivs)
+    return _profile_from_tail("infinite-volume", derivs)
 
 
 # ---------------------------------------------------------------------------
 # flat torus
 
 
-def make_flat_torus(side: float = 1.0) -> ChartedManifold:
-    if side <= 0:
-        raise ValueError("side must be positive")
-    L = float(side)
+def make_flat_torus() -> ChartedManifold:
+    """Flat square torus of side 1."""
     eye = np.eye(2)
 
     def pair_distance(p, q):
         d = np.asarray(p) - np.asarray(q)
-        d -= L * np.round(d / L)
+        d -= np.round(d)
         return float(np.linalg.norm(d))
 
     return ChartedManifold(
-        name=f"torus(L={L:g})",
+        name="torus(L=1)",
         dim=2,
         metric=lambda x: np.broadcast_to(eye, x.shape[:-1] + (2, 2)),
-        periods=(L, L),
+        periods=(1.0, 1.0),
         christoffel=lambda x: np.zeros(x.shape[:-1] + (2, 2, 2)),
-        basepoint=np.zeros(2),
         pair_distance=pair_distance,
-        sample_box=((0.0, L), (0.0, L)),
-        description=f"flat square torus of side {L:g}; geodesics are straight lines mod {L:g}",
+        sample_box=((0.0, 1.0), (0.0, 1.0)),
+        description="flat square torus of side 1; geodesics are straight lines mod 1",
     )
 
 
@@ -256,21 +236,22 @@ class _MeridianArclength:
     """Arclength along the profile curve from x = 0, tabulated once.
 
     r(x) = integral of sqrt(1 + f'(s)^2); monotone, so both directions are
-    served by interpolation on a dense grid.
+    served by interpolation on a dense grid over [0, X_MAX].
     """
 
-    def __init__(self, profile: RevolutionProfile, x_max: float = 4200.0, n: int = 400001):
-        xs = np.linspace(0.0, x_max, n)
-        slopes = np.sqrt(1.0 + profile.df(xs) ** 2)
+    X_MAX = 4200.0
+
+    def __init__(self):
+        xs = np.linspace(0.0, self.X_MAX, 400001)
+        slopes = np.sqrt(1.0 + _df(xs) ** 2)
         mids = 0.5 * (slopes[1:] + slopes[:-1])
         rs = np.concatenate([[0.0], np.cumsum(mids * np.diff(xs))])
         self.xs, self.rs = xs, rs
-        self.x_max = x_max
 
     def r_of_x(self, x):
         ax = np.abs(x)
-        if np.any(ax > self.x_max):
-            raise ValueError(f"arclength table ends at |x| = {self.x_max}")
+        if np.any(ax > self.X_MAX):
+            raise ValueError(f"arclength table ends at |x| = {self.X_MAX}")
         return np.interp(ax, self.xs, self.rs)
 
     def x_of_r(self, r):
@@ -279,28 +260,24 @@ class _MeridianArclength:
         return np.interp(r, self.rs, self.xs)
 
 
-def make_surface_of_revolution(profile: Optional[RevolutionProfile] = None,
-                               ) -> tuple[ChartedManifold, AmbientEmbedding]:
-    """Rotate the graph of a positive profile about the x axis.
+def make_surface_of_revolution() -> tuple[ChartedManifold, AmbientEmbedding]:
+    """Rotate the graph of f(x) = 1/(1+x^2) about the x axis.
 
     Chart (x, t) with metric diag(1 + f'(x)^2, f(x)^2), t periodic; the
     radius surrogate is meridian arclength from x = 0.
     """
-    if profile is None:
-        profile = default_revolution_profile()
-    f, df, d2f = profile.f, profile.df, profile.d2f
 
     def metric(x):
         x0 = x.T[0]
-        fp = df(x0)
+        fp = _df(x0)
         g = np.zeros(x.shape[:-1] + (2, 2))
         g[..., 0, 0] = 1.0 + fp * fp
-        g[..., 1, 1] = _ipow(f(x0), 2)
+        g[..., 1, 1] = _ipow(_f(x0), 2)
         return g
 
     def christoffel(x):
         x0 = x.T[0]
-        fx, fp, fpp = f(x0), df(x0), d2f(x0)
+        fx, fp, fpp = _f(x0), _df(x0), _d2f(x0)
         d = 1.0 + fp * fp
         G = np.zeros(x.shape[:-1] + (2, 2, 2))
         G[..., 0, 0, 0] = fp * fpp / d
@@ -308,7 +285,7 @@ def make_surface_of_revolution(profile: Optional[RevolutionProfile] = None,
         G[..., 1, 0, 1] = G[..., 1, 1, 0] = fp / fx
         return G
 
-    arc = _MeridianArclength(profile)
+    arc = _MeridianArclength()
 
     def shell(r_lo: float, r_hi: float):
         def to_chart(sign):
@@ -320,31 +297,31 @@ def make_surface_of_revolution(profile: Optional[RevolutionProfile] = None,
 
         def density(u):
             # meridian is unit-speed in s, so the area density reduces to f
-            return f(arc.x_of_r(u.T[0]))
+            return _f(arc.x_of_r(u.T[0]))
 
         bounds = ((float(r_lo), float(r_hi)), (0.0, TWO_PI))
         return (ShellPatch(bounds, to_chart(1.0), density, "meridian+"),
                 ShellPatch(bounds, to_chart(-1.0), density, "meridian-"))
 
     def embed(x):
-        return np.array([x[0], f(x[0]) * math.cos(x[1]), f(x[0]) * math.sin(x[1])])
+        return np.array([x[0], _f(x[0]) * math.cos(x[1]), _f(x[0]) * math.sin(x[1])])
 
     def embed_jac(x):
-        fx, fp = f(x[0]), df(x[0])
+        fx, fp = _f(x[0]), _df(x[0])
         c, s = math.cos(x[1]), math.sin(x[1])
         return np.array([[1.0, 0.0], [fp * c, -fx * s], [fp * s, fx * c]])
 
     m = ChartedManifold(
-        name=f"revolution:{profile.name}",
+        name="revolution:1/(1+x^2)",
         dim=2,
         metric=metric,
         periods=(None, TWO_PI),
         christoffel=christoffel,
-        basepoint=np.zeros(2),
         radius=lambda x: arc.r_of_x(x.T[0]),
         shell=shell,
         sample_box=((-8.0, 8.0), (0.0, TWO_PI)),
-        description=f"surface of revolution of f(x) = {profile.name} about the x axis",
+        radius_cap=4.0,
+        description="surface of revolution of f(x) = 1/(1+x^2) about the x axis",
     )
     return m, AmbientEmbedding(map=embed, jacobian=embed_jac)
 
@@ -419,7 +396,6 @@ def make_hyperbolic_plane() -> ChartedManifold:
         dim=2,
         metric=_h2_metric,
         christoffel=_h2_christoffel,
-        basepoint=np.zeros(2),
         radius=radius,
         pair_distance=pair_distance,
         geodesic=geodesic,
@@ -431,164 +407,22 @@ def make_hyperbolic_plane() -> ChartedManifold:
     )
 
 
-def _hyperbolic_polar() -> ChartedManifold:
-    """Hyperbolic plane in geodesic polar coordinates (r, theta), r > 0.
+# ---------------------------------------------------------------------------
+# the three warped products
 
-    Base factor for the radial warped products; the chart is singular at the
-    pole, so the domain excludes r <= 0.
-    """
+
+def _radial_example(prof: WarpProfile, name: str) -> ChartedManifold:
+    """Hyperbolic plane in geodesic polar coordinates (r, theta) times the
+    circle, warped by the radial profile b(r): metric diag(1, sinh^2 r,
+    b(r)^2) on r > 0, with direct symbols and radial shells."""
 
     def metric(x):
-        g = np.zeros(x.shape[:-1] + (2, 2))
+        r = x.T[0]
+        g = np.zeros(x.shape[:-1] + (3, 3))
         g[..., 0, 0] = 1.0
-        g[..., 1, 1] = _ipow(np.sinh(x.T[0]), 2)
+        g[..., 1, 1] = _ipow(np.sinh(r), 2)
+        g[..., 2, 2] = np.square(prof.b(r))
         return g
-
-    return ChartedManifold(
-        name="hyperbolic-polar",
-        dim=2,
-        metric=metric,
-        domain=lambda x: x.T[0] > 0.0,
-        periods=(None, TWO_PI),
-        sample_box=((0.3, 5.0), (0.0, TWO_PI)),
-        description="hyperbolic plane, geodesic polar chart about a pole",
-    )
-
-
-def _circle() -> ChartedManifold:
-    return ChartedManifold(
-        name="circle",
-        dim=1,
-        metric=lambda x: np.ones(x.shape[:-1] + (1, 1)),
-        periods=(TWO_PI,),
-        sample_box=((0.0, TWO_PI),),
-        description="unit circle",
-    )
-
-
-# ---------------------------------------------------------------------------
-# warped products
-
-
-class LiftError(ValueError):
-    """Lift kind does not match the factor the field lives on."""
-
-
-@dataclass(frozen=True, eq=False)
-class WarpedProduct:
-    """Base x_h Fiber with metric g_B + h^2 g_F and bookkeeping for lifts."""
-
-    manifold: ChartedManifold
-    base: ChartedManifold
-    fiber: ChartedManifold
-    warp: Callable[[np.ndarray], float]
-    warp_grad: Callable[[np.ndarray], np.ndarray]
-
-
-def make_warped_product(base: ChartedManifold, fiber: ChartedManifold,
-                        warp: Callable[[np.ndarray], float],
-                        warp_grad: Callable[[np.ndarray], np.ndarray],
-                        name: Optional[str] = None) -> WarpedProduct:
-    """Product manifold with block metric [[g_B, 0], [0, h^2 g_F]].
-
-    ``warp`` and ``warp_grad`` take base coordinates (``warp`` a stack of
-    them); h must be positive.
-    No Christoffel symbols are attached: each example supplies direct ones,
-    and without them the finite-difference route applies.
-    """
-    nB, nF = base.dim, fiber.dim
-    n = nB + nF
-
-    def metric(x):
-        xB, xF = x[..., :nB], x[..., nB:]
-        g = np.zeros(x.shape[:-1] + (n, n))
-        g[..., :nB, :nB] = base.metric(xB)
-        g[..., nB:, nB:] = np.square(warp(xB))[..., None, None] * fiber.metric(xF)
-        return g
-
-    def domain(x):
-        return np.logical_and(base.domain(x[..., :nB]), fiber.domain(x[..., nB:]))
-
-    m = ChartedManifold(
-        name=name or f"{base.name}x{fiber.name}",
-        dim=n,
-        metric=metric,
-        domain=domain,
-        periods=base.periods + fiber.periods,
-        description=f"warped product of {base.name} and {fiber.name}",
-    )
-    return WarpedProduct(manifold=m, base=base, fiber=fiber,
-                         warp=warp, warp_grad=warp_grad)
-
-
-@dataclass(frozen=True, eq=False)
-class LiftedField:
-    """A factor field transported to the product, with its lift kind."""
-
-    kind: str                    # "horizontal" | "vertical"
-    base_field: VectorFieldDef
-    field: VectorFieldDef
-
-
-def _probe_point(m: ChartedManifold) -> np.ndarray:
-    box = m.sample_box
-    if box is None:
-        return np.zeros(m.dim)
-    return np.array([0.5 * (a + b) for a, b in box])
-
-
-def lift(product: WarpedProduct, field: VectorFieldDef, kind: str) -> LiftedField:
-    """Horizontal or vertical lift of a factor field to the product.
-
-    The horizontal lift of a base field X has product components (X, 0), so
-    it projects to X on the base and to zero on the fiber; symmetrically for
-    vertical lifts.  A field whose components do not match the declared
-    factor's dimension raises ``LiftError``.
-    """
-    if kind not in ("horizontal", "vertical"):
-        raise LiftError(f"unknown lift kind {kind!r}")
-    factor = product.base if kind == "horizontal" else product.fiber
-    probe = _probe_point(factor)
-    try:
-        comps = np.asarray(field.components(probe), dtype=float)
-        shape = comps.shape
-    except (IndexError, ValueError, TypeError) as exc:
-        raise LiftError(
-            f"{kind} lift needs a field on the {factor.dim}-dimensional factor; "
-            f"components rejected a probe point: {exc}") from exc
-    if shape != (factor.dim,):
-        raise LiftError(
-            f"{kind} lift needs a field on the {factor.dim}-dimensional factor, "
-            f"got components of shape {shape}")
-    nB, nF = product.base.dim, product.fiber.dim
-    n = nB + nF
-
-    part = slice(0, nB) if kind == "horizontal" else slice(nB, n)
-
-    def components(x):
-        out = np.zeros(x.shape)
-        out[..., part] = field.components(x[..., part])
-        return out
-
-    jac = None
-    if field.jacobian is not None:
-        def jac(x):
-            J = np.zeros(x.shape[:-1] + (n, n))
-            J[..., part, part] = field.jacobian(x[..., part])
-            return J
-
-    lifted = VectorFieldDef(name=f"{field.name}-{kind}-lift",
-                            components=components, jacobian=jac)
-    return LiftedField(kind=kind, base_field=field, field=lifted)
-
-
-# ---------------------------------------------------------------------------
-# the three warped examples
-
-
-def _radial_example(prof: WarpProfile, name: str) -> WarpedProduct:
-    """Polar hyperbolic plane x circle warped by the radial profile b(r),
-    with direct symbols for diag(1, sinh^2 r, b(r)^2) and radial shells."""
 
     def christoffel(x):
         r = x.T[0]
@@ -610,49 +444,32 @@ def _radial_example(prof: WarpProfile, name: str) -> WarpedProduct:
         return (ShellPatch(bounds, lambda u: u, density, "radial",
                            breakpoints=((1.0, 2.0), (), ())),)
 
-    wp = make_warped_product(
-        _hyperbolic_polar(), _circle(),
-        warp=lambda xB: prof.b(xB.T[0]),
-        warp_grad=lambda xB: np.array([prof.db(xB[0]), 0.0]),
+    return ChartedManifold(
         name=name,
-    )
-    m = replace(
-        wp.manifold,
+        dim=3,
+        metric=metric,
+        domain=lambda x: x.T[0] > 0.0,
+        periods=(None, TWO_PI, TWO_PI),
         christoffel=christoffel,
         radius=lambda x: x.T[0],
         shell=shell,
         sample_box=((0.3, 5.0), (0.0, TWO_PI), (0.0, TWO_PI)),
         radius_cap=3.0,
-        description=wp.manifold.description
-        + f" (profile {prof.name}, plateau {prof.plateau:g})",
+        description="warped product of hyperbolic-polar and circle "
+                    f"(profile {prof.name}, plateau 1)",
     )
-    return WarpedProduct(m, wp.base, wp.fiber, wp.warp, wp.warp_grad)
 
 
-def make_example2(a: float = 1.0) -> WarpedProduct:
-    """Finite-volume warped product: polar hyperbolic plane x circle with the
-    finite-volume radial profile."""
-    return _radial_example(warp_profile_finite_volume(a), "warp:ex2")
-
-
-def make_example3(a: float = 1.0) -> WarpedProduct:
-    """Infinite-volume warped product: same factors, decaying profile."""
-    return _radial_example(warp_profile_infinite_volume(a), "warp:ex3")
-
-
-def make_example4() -> WarpedProduct:
+def make_example4() -> ChartedManifold:
     """Finite-volume warped product of the graph-chart hyperbolic plane and
-    the circle, warp 1/z^2 with z the hyperboloid height."""
-    h2 = make_hyperbolic_plane()
+    the circle, warp 1/z^2 with z the hyperboloid height: block metric
+    [[g_H2, 0], [0, 1/z^4]]."""
 
-    def warp(xB):
-        return 1.0 / (1.0 + xB.T[0] * xB.T[0] + xB.T[1] * xB.T[1])
-
-    def warp_grad(xB):
-        z4 = (1.0 + xB[0] ** 2 + xB[1] ** 2) ** 2
-        return np.array([-2.0 * xB[0] / z4, -2.0 * xB[1] / z4])
-
-    wp = make_warped_product(h2, _circle(), warp, warp_grad, name="warp:ex4")
+    def metric(x):
+        g = np.zeros(x.shape[:-1] + (3, 3))
+        g[..., :2, :2] = _h2_metric(x[..., :2])
+        g[..., 2, 2] = np.square(1.0 / (1.0 + x.T[0] * x.T[0] + x.T[1] * x.T[1]))
+        return g
 
     def christoffel(x):
         # base block -x_a g_bc plus the warp couplings of h = 1/z^2
@@ -686,10 +503,12 @@ def make_example4() -> WarpedProduct:
         bounds = ((float(r_lo), float(r_hi)), (0.0, TWO_PI), (0.0, TWO_PI))
         return (ShellPatch(bounds, to_chart, density, "polar"),)
 
-    m = replace(
-        wp.manifold,
+    return ChartedManifold(
+        name="warp:ex4",
+        dim=3,
+        metric=metric,
+        periods=(None, None, TWO_PI),
         christoffel=christoffel,
-        basepoint=np.zeros(3),
         radius=radius,
         shell=shell,
         sample_box=((-3.0, 3.0), (-3.0, 3.0), (0.0, TWO_PI)),
@@ -697,7 +516,6 @@ def make_example4() -> WarpedProduct:
         description="warped product of the hyperbolic plane and a circle, warp 1/z^2; "
                     "total volume 4 pi^2",
     )
-    return WarpedProduct(m, wp.base, wp.fiber, wp.warp, wp.warp_grad)
 
 
 # ---------------------------------------------------------------------------
@@ -710,13 +528,12 @@ def _constant(value):
     return lambda x: np.broadcast_to(value, x.shape[:-1] + value.shape)
 
 
-def _revolution_W(profile: RevolutionProfile) -> VectorFieldDef:
+def _revolution_W() -> VectorFieldDef:
     """Rotational field W = x (1 + x^2) d/dt on the revolution surface.
 
     Divergence-free (the density is t-independent), with |W| = |x|, which is
     not integrable over the surface.
     """
-    f, df = profile.f, profile.df
 
     def components(x):
         x0 = x.T[0]
@@ -732,7 +549,7 @@ def _revolution_W(profile: RevolutionProfile) -> VectorFieldDef:
 
     def fx(x, v):
         # rate of the velocity pairing, written through the ambient picture
-        fx_, fp = f(x[0]), df(x[0])
+        fx_, fp = _f(x[0]), _df(x[0])
         c, s = math.cos(x[1]), math.sin(x[1])
         yz = np.array([fx_ * c, fx_ * s])
         a = v[0]
@@ -790,27 +607,33 @@ def _h2_conformal() -> VectorFieldDef:
     )
 
 
-def _polar_rotation() -> VectorFieldDef:
-    """Angular field d/dtheta on the polar chart; norm sinh r."""
-    return VectorFieldDef(
-        name="polar-rotation",
-        components=_constant([0.0, 1.0]),
-        jacobian=_constant(np.zeros((2, 2))),
-        divergence=_constant(0.0),
-    )
+def _ex2_Zbar() -> VectorFieldDef:
+    """Horizontal lift of the polar rotation d/dtheta: (0, 1, 0)."""
+    return VectorFieldDef(name="polar-rotation-horizontal-lift",
+                          components=_constant([0.0, 1.0, 0.0]),
+                          jacobian=_constant(np.zeros((3, 3))))
 
 
-def _circle_unit() -> VectorFieldDef:
-    return VectorFieldDef(
-        name="circle-unit",
-        components=_constant([1.0]),
-        jacobian=_constant(np.zeros((1, 1))),
-        divergence=_constant(0.0),
-    )
+def _ex3_Ubar() -> VectorFieldDef:
+    """Vertical lift of the unit circle field: (0, 0, 1)."""
+    return VectorFieldDef(name="circle-unit-vertical-lift",
+                          components=_constant([0.0, 0.0, 1.0]),
+                          jacobian=_constant(np.zeros((3, 3))))
 
 
-def _ex4_lifted_conformal(product: WarpedProduct) -> VectorFieldDef:
-    lifted = lift(product, _h2_conformal(), "horizontal").field
+def _ex4_Z() -> VectorFieldDef:
+    """Horizontal lift (X, 0) of the conformal field X to warp:ex4."""
+    X = _h2_conformal()
+
+    def components(x):
+        out = np.zeros(x.shape)
+        out[..., :2] = X.components(x[..., :2])
+        return out
+
+    def jacobian(x):
+        J = np.zeros(x.shape[:-1] + (3, 3))
+        J[..., :2, :2] = X.jacobian(x[..., :2])
+        return J
 
     def divergence(x):
         return 2.0 / np.sqrt(1.0 + x.T[0] * x.T[0] + x.T[1] * x.T[1])
@@ -828,13 +651,13 @@ def _ex4_lifted_conformal(product: WarpedProduct) -> VectorFieldDef:
         xf_over_f = -2.0 * (x[0] ** 2 + x[1] ** 2) / z
         return z * nB2 + xf_over_f * nF2
 
-    return VectorFieldDef(name="Z", components=lifted.components,
-                          jacobian=lifted.jacobian, divergence=divergence, fx=fx)
+    return VectorFieldDef(name="Z", components=components, jacobian=jacobian,
+                          divergence=divergence, fx=fx)
 
 
-def torus_wave_field(side: float = 1.0) -> VectorFieldDef:
-    """Smooth periodic field on the torus with non-constant divergence."""
-    k = TWO_PI / side
+def torus_wave_field() -> VectorFieldDef:
+    """Smooth periodic field on the unit torus with non-constant divergence."""
+    k = TWO_PI
 
     def components(x):
         return np.sin(k * x)
@@ -857,106 +680,76 @@ def torus_wave_field(side: float = 1.0) -> VectorFieldDef:
 # catalog
 
 
-MANIFOLD_IDS = (
-    "torus",
-    "revolution:1/(1+x^2)",
-    "hyperbolic",
-    "warp:ex2",
-    "warp:ex3",
-    "warp:ex4",
-)
-
-FIELD_IDS = (
-    "revolution:W",
-    "hyperbolic:conformal",
-    "hyperbolic:rotation",
-    "warp:ex2:Zbar",
-    "warp:ex3:Ubar",
-    "warp:ex4:Z",
-    "torus:wave",
-)
-
-# the six canonical (manifold, field) pairs exercised by the verification suite
-PAIR_IDS = (
-    ("revolution:1/(1+x^2)", "revolution:W"),
-    ("hyperbolic", "hyperbolic:conformal"),
-    ("hyperbolic", "hyperbolic:rotation"),
-    ("warp:ex2", "warp:ex2:Zbar"),
-    ("warp:ex3", "warp:ex3:Ubar"),
-    ("warp:ex4", "warp:ex4:Z"),
-)
-
-_FIELD_DESCRIPTIONS = {
-    "revolution:W": "divergence-free rotational field with |W| = |x| (non-integrable norm)",
-    "hyperbolic:conformal": "conformal field with factor z; divergence 2z",
-    "hyperbolic:rotation": "Killing rotation about the apex",
-    "warp:ex2:Zbar": "horizontal lift of the polar rotation; Killing, norm sinh r",
-    "warp:ex3:Ubar": "vertical lift of the unit circle field; Killing, norm b(r) -> 0",
-    "warp:ex4:Z": "horizontal lift of the conformal field; div = 2/sqrt(1+x^2+y^2)",
-    "torus:wave": "periodic wave field on the flat torus",
-}
-
-
 @lru_cache(maxsize=None)
 def _revolution() -> tuple[ChartedManifold, AmbientEmbedding]:
-    m, embedding = make_surface_of_revolution()
-    return replace(m, radius_cap=4.0), embedding
-
-
-@lru_cache(maxsize=None)
-def _warp(which: str) -> WarpedProduct:
-    if which == "ex2":
-        return make_example2()
-    if which == "ex3":
-        return make_example3()
-    return make_example4()
-
-
-@lru_cache(maxsize=None)
-def manifold(mid: str) -> ChartedManifold:
-    """Resolve a zoo manifold by its string id."""
-    if mid == "torus":
-        return make_flat_torus(1.0)
-    if mid == "revolution:1/(1+x^2)":
-        return _revolution()[0]
-    if mid == "hyperbolic":
-        return make_hyperbolic_plane()
-    if mid in ("warp:ex2", "warp:ex3", "warp:ex4"):
-        return _warp(mid.split(":")[1]).manifold
-    raise KeyError(f"unknown manifold id {mid!r}")
+    return make_surface_of_revolution()
 
 
 def revolution_embedding() -> AmbientEmbedding:
     return _revolution()[1]
 
 
+# id -> builder, in listing order
+_MANIFOLDS = {
+    "torus": make_flat_torus,
+    "revolution:1/(1+x^2)": lambda: _revolution()[0],
+    "hyperbolic": make_hyperbolic_plane,
+    "warp:ex2": lambda: _radial_example(warp_profile_finite_volume(), "warp:ex2"),
+    "warp:ex3": lambda: _radial_example(warp_profile_infinite_volume(), "warp:ex3"),
+    "warp:ex4": make_example4,
+}
+
+# id -> (manifold id, description, builder), in listing order
+_FIELDS = {
+    "revolution:W": (
+        "revolution:1/(1+x^2)",
+        "divergence-free rotational field with |W| = |x| (non-integrable norm)",
+        _revolution_W),
+    "hyperbolic:conformal": (
+        "hyperbolic", "conformal field with factor z; divergence 2z", _h2_conformal),
+    "hyperbolic:rotation": (
+        "hyperbolic", "Killing rotation about the apex", _h2_rotation),
+    "warp:ex2:Zbar": (
+        "warp:ex2", "horizontal lift of the polar rotation; Killing, norm sinh r",
+        _ex2_Zbar),
+    "warp:ex3:Ubar": (
+        "warp:ex3", "vertical lift of the unit circle field; Killing, norm b(r) -> 0",
+        _ex3_Ubar),
+    "warp:ex4:Z": (
+        "warp:ex4", "horizontal lift of the conformal field; div = 2/sqrt(1+x^2+y^2)",
+        _ex4_Z),
+    "torus:wave": (
+        "torus", "periodic wave field on the flat torus", torus_wave_field),
+}
+
+MANIFOLD_IDS = tuple(_MANIFOLDS)
+FIELD_IDS = tuple(_FIELDS)
+# the six canonical (manifold, field) pairs exercised by the verification suite
+PAIR_IDS = tuple((mid, fid) for fid, (mid, _, _) in _FIELDS.items() if mid != "torus")
+
+
+@lru_cache(maxsize=None)
+def manifold(mid: str) -> ChartedManifold:
+    """Resolve a zoo manifold by its string id."""
+    if mid not in _MANIFOLDS:
+        raise KeyError(f"unknown manifold id {mid!r}")
+    return _MANIFOLDS[mid]()
+
+
+def _field_entry(fid: str) -> tuple:
+    if fid not in _FIELDS:
+        raise KeyError(f"unknown field id {fid!r}")
+    return _FIELDS[fid]
+
+
 @lru_cache(maxsize=None)
 def vector_field(fid: str) -> VectorFieldDef:
     """Resolve a zoo field by its string id."""
-    if fid == "revolution:W":
-        return _revolution_W(default_revolution_profile())
-    if fid == "hyperbolic:conformal":
-        return _h2_conformal()
-    if fid == "hyperbolic:rotation":
-        return _h2_rotation()
-    if fid == "warp:ex2:Zbar":
-        return lift(_warp("ex2"), _polar_rotation(), "horizontal").field
-    if fid == "warp:ex3:Ubar":
-        return lift(_warp("ex3"), _circle_unit(), "vertical").field
-    if fid == "warp:ex4:Z":
-        return _ex4_lifted_conformal(_warp("ex4"))
-    if fid == "torus:wave":
-        return torus_wave_field(1.0)
-    raise KeyError(f"unknown field id {fid!r}")
+    return _field_entry(fid)[2]()
 
 
 def field_manifold_id(fid: str) -> str:
-    if fid == "torus:wave":
-        return "torus"
-    for mid, f in PAIR_IDS:
-        if f == fid:
-            return mid
-    raise KeyError(f"unknown field id {fid!r}")
+    return _field_entry(fid)[0]
 
 
 def field_pairs() -> list[tuple[ChartedManifold, VectorFieldDef]]:
@@ -972,8 +765,7 @@ def list_zoo() -> dict:
             for mid in MANIFOLD_IDS
         ],
         "fields": [
-            {"id": fid, "manifold": field_manifold_id(fid),
-             "description": _FIELD_DESCRIPTIONS[fid]}
-            for fid in FIELD_IDS
+            {"id": fid, "manifold": mid, "description": description}
+            for fid, (mid, description, _) in _FIELDS.items()
         ],
     }

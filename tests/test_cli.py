@@ -58,8 +58,14 @@ def test_main_writes_the_runner_report(tmp_path):
      "--param", "radii=[2.0]"],
     ["diagnose", "karp", "--config", str(CONFIGS / "karp-ex1.json"),
      "--param", "radii=[-1.0, 10.0]"],
+    # a repeated value would pass the checks vacuously: one distinct horizon
+    # leaves the hopf fit nothing to fit, one distinct radius nothing to decrease
+    ["diagnose", "hopf", "--manifold", "torus", "--param", "horizons=[1,1,1,1]",
+     "--param", "n=2"],
+    ["diagnose", "karp", "--config", str(CONFIGS / "karp-ex1.json"),
+     "--param", "radii=[5,5,10]"],
 ], ids=["unknown-param", "unknown-tolerance", "empty-radii", "karp-one-radius",
-        "decay-one-radius", "negative-radius"])
+        "decay-one-radius", "negative-radius", "repeated-horizons", "repeated-radii"])
 def test_config_errors_exit_2_without_traceback(argv, capsys):
     assert cli.main(argv) == 2
     captured = capsys.readouterr()

@@ -185,7 +185,7 @@ def test_decay_example3_to_zero(ex3):
     sups = x_decay_at_infinity(ex3, Ubar, radii, n_samples=200)
     vals = [s["sup"] for s in sups]
     assert all(np.diff(vals) < 0)
-    prof = zoo.warp_profile_infinite_volume(1.0)
+    prof = zoo.warp_profile_infinite_volume()
     for r, s in zip(radii, sups):
         # |U-lift| = b, so the annulus sup is b at the inner edge
         assert s["sup"] == pytest.approx(prof.b(r), rel=0.02)

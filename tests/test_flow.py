@@ -30,7 +30,7 @@ DRIFT_T = {"hyperbolic": 8.0}
 
 def _field_for(mid):
     if mid == "torus":
-        return torus_wave_field(1.0)
+        return torus_wave_field()
     for m_id, f_id in zoo.PAIR_IDS:
         if m_id == mid:
             return zoo.vector_field(f_id)

@@ -1,0 +1,76 @@
+"""``scripts/report_diff.py`` is the tool behind every byte-identity check
+of the suite reports, so its verdicts are pinned here on small report
+directories."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPT = ROOT / "scripts" / "report_diff.py"
+
+REPORT = {
+    "kind": "volume",
+    "passed": True,
+    "checks": [{"name": "volume_rel_err", "value": 1e-4, "threshold": 1e-3,
+                "comparator": "<=", "passed": True}],
+    "result": {"value": 39.47841760435743, "nodes": 4096, "label": "finite"},
+}
+
+
+def _write(directory: Path, reports: dict) -> Path:
+    directory.mkdir()
+    for name, report in reports.items():
+        (directory / f"{name}.json").write_text(json.dumps(report, indent=2))
+    return directory
+
+
+def _diff(tmp_path, old: dict, new: dict):
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPT), str(_write(tmp_path / "old", old)),
+         str(_write(tmp_path / "new", new))],
+        capture_output=True, text=True, timeout=60)
+    return proc.returncode, proc.stdout
+
+
+def _changed(**result) -> dict:
+    return dict(REPORT, result=dict(REPORT["result"], **result))
+
+
+def test_identical_directories_exit_0(tmp_path):
+    status, out = _diff(tmp_path, {"a": REPORT, "b": REPORT}, {"a": REPORT, "b": REPORT})
+    assert status == 0
+    assert out.splitlines() == ["a.json: no numeric change", "b.json: no numeric change"]
+
+
+def test_changed_float_prints_path_and_relative_change(tmp_path):
+    old = REPORT["result"]["value"]
+    new = old * (1.0 + 2e-12)
+    status, out = _diff(tmp_path, {"a": REPORT}, {"a": _changed(value=new)})
+    assert status == 0
+    line, = out.splitlines()
+    assert line.startswith("a.json: rel ") and line.endswith(" at result.value")
+    rel = float(line.split()[2])
+    assert rel == float(f"{abs(new - old) / new:.3g}")
+
+
+def test_flipped_check_exits_1(tmp_path):
+    flipped = dict(REPORT, passed=False,
+                   checks=[dict(REPORT["checks"][0], passed=False)])
+    status, out = _diff(tmp_path, {"a": REPORT}, {"a": flipped})
+    assert status == 1
+    assert "a.json: FLIPPED passed: True -> False" in out
+    assert "a.json: FLIPPED check volume_rel_err: True -> False" in out
+
+
+def test_changed_string_exits_1(tmp_path):
+    status, out = _diff(tmp_path, {"a": REPORT}, {"a": _changed(label="infinite")})
+    assert status == 1
+    assert "a.json: DIFFERS result.label: 'finite' -> 'infinite'" in out
+
+
+def test_report_on_one_side_only_exits_1(tmp_path):
+    status, out = _diff(tmp_path, {"a": REPORT, "b": REPORT}, {"a": REPORT})
+    assert status == 1
+    assert "b.json: only in old" in out.splitlines()

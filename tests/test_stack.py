@@ -91,7 +91,7 @@ def test_field_closures_stack_exactly(fid, rng):
 @pytest.mark.parametrize("maker", [zoo.warp_profile_finite_volume,
                                    zoo.warp_profile_infinite_volume])
 def test_profile_stack_covers_every_piece(maker):
-    prof = maker(1.0)
+    prof = maker()
     rs = np.concatenate([np.linspace(-6.0, 6.0, 97), [-2.0, -1.0, 0.0, 1.0, 2.0]])
     _assert_exact(prof.b, rs, prof.name)
     _assert_exact(prof.db, rs, prof.name)

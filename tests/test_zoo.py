@@ -14,18 +14,11 @@ from divflow.geometry import (
     metric_at,
     pairing_rate,
     unit_state,
-    volume_density,
 )
 from divflow.integrals import ChartBox, RadialShell, base_integral, sample_states
 from divflow.zoo import (
-    LiftError,
-    cylinder_profile,
-    lift,
-    make_example4,
     make_flat_torus,
     make_surface_of_revolution,
-    make_warped_product,
-    revolution_embedding,
     warp_profile_finite_volume,
     warp_profile_infinite_volume,
 )
@@ -46,7 +39,7 @@ def _numeric_derivatives(fn, r, h=1e-5):
 @pytest.mark.parametrize("maker", [warp_profile_finite_volume,
                                    warp_profile_infinite_volume])
 def test_profile_plateau_and_smooth_seams(maker):
-    prof = maker(1.0)
+    prof = maker()
     for r in (0.0, 0.3, 0.99):
         assert prof.b(r) == 1.0
         assert prof.db(r) == 0.0
@@ -63,7 +56,7 @@ def test_profile_plateau_and_smooth_seams(maker):
 @pytest.mark.parametrize("maker", [warp_profile_finite_volume,
                                    warp_profile_infinite_volume])
 def test_profile_positive_and_derivative_consistent(maker):
-    prof = maker(1.0)
+    prof = maker()
     rs = np.linspace(0.01, 50.0, 2000)
     vals = np.array([prof.b(r) for r in rs])
     assert vals.min() > 0.0
@@ -77,14 +70,14 @@ def test_profile_positive_and_derivative_consistent(maker):
 def test_profile_blend_meets_tail_at_seam(maker):
     # the blend's last float before r = 2 must reproduce the tail to
     # near round-off; an ill-conditioned blend solve misses by ~1e-10
-    prof = maker(1.0)
+    prof = maker()
     r = math.nextafter(2.0, 0.0)
     assert prof.b(r) == pytest.approx(prof.b(2.0), rel=1e-11)
     assert prof.db(r) == pytest.approx(prof.db(2.0), rel=1e-11)
 
 
 def test_finite_volume_profile_conditions():
-    prof = warp_profile_finite_volume(1.0)
+    prof = warp_profile_finite_volume()
     # integrable against sinh on [0, 50]
     val, _ = quad(lambda r: prof.b(r) * math.sinh(r), 0.0, 50.0, limit=200)
     assert val < np.inf
@@ -95,7 +88,7 @@ def test_finite_volume_profile_conditions():
 
 
 def test_infinite_volume_profile_conditions():
-    prof = warp_profile_infinite_volume(1.0)
+    prof = warp_profile_infinite_volume()
     assert prof.b(50.0) < 0.05
     for p in (1, 2, 4):
         vals = [math.sinh(r) * prof.b(r) ** p for r in np.linspace(10.0, 50.0, 50)]
@@ -127,13 +120,6 @@ def test_revolution_area_finite_and_stable():
     assert vals[-1] == pytest.approx(area_oracle, rel=1e-3)
     # stable to three digits as the truncation grows
     assert abs(vals[-1] - vals[-2]) < 1e-3 * vals[-1]
-
-
-def test_cylinder_profile_area():
-    m, _ = make_surface_of_revolution(cylinder_profile())
-    est = base_integral(m, lambda x: 1.0, ChartBox(((0.0, 1.0), (0.0, TWO_PI))))
-    assert est.value == pytest.approx(TWO_PI, rel=1e-10)
-    assert_allclose(metric_at(m, [0.3, 1.0]), np.eye(2), atol=1e-14)
 
 
 def test_revolution_radius_surrogate_sandwich():
@@ -191,19 +177,11 @@ def test_ex4_total_volume(ex4):
 
 
 def test_ex2_volume_matches_profile_quadrature(ex2):
-    prof = warp_profile_finite_volume(1.0)
+    prof = warp_profile_finite_volume()
     oracle = 4 * math.pi ** 2 * quad(lambda r: math.sinh(r) * prof.b(r),
                                      0.0, 40.0, limit=200)[0]
     est = base_integral(ex2, lambda x: 1.0, RadialShell(0.0, 40.0))
     assert est.value == pytest.approx(oracle, rel=1e-6)
-
-
-def test_unwarped_product_density_is_product():
-    from divflow.zoo import _circle, _hyperbolic_polar
-    wp = make_warped_product(_hyperbolic_polar(), _circle(),
-                             lambda xB: 1.0, lambda xB: np.zeros(2))
-    x = np.array([1.3, 0.7, 2.1])
-    assert volume_density(wp.manifold, x) == pytest.approx(math.sinh(1.3), rel=1e-12)
 
 
 def test_lift_norms(ex2, ex3, rng):
@@ -213,34 +191,24 @@ def test_lift_norms(ex2, ex3, rng):
         r = rng.uniform(0.2, 6.0)
         x = np.array([r, rng.uniform(0, TWO_PI), rng.uniform(0, TWO_PI)])
         assert field_norm(Zbar, ex2, x) == pytest.approx(math.sinh(r), rel=1e-12)
-        b = warp_profile_infinite_volume(1.0).b(r)
+        b = warp_profile_infinite_volume().b(r)
         assert field_norm(Ubar, ex3, x) == pytest.approx(b, rel=1e-12)
 
 
 def test_lift_projections_and_zero():
-    wp = make_example4()
+    # warp:ex4:Z is the horizontal lift (X, 0) of the conformal field X
     X = zoo.vector_field("hyperbolic:conformal")
-    lifted = lift(wp, X, "horizontal")
+    Z = zoo.vector_field("warp:ex4:Z")
     x = np.array([0.4, -1.2, 2.0])
-    comps = lifted.field.components(x)
+    comps = Z.components(x)
     assert_allclose(comps[:2], X.components(x[:2]), rtol=1e-14)
     assert comps[2] == 0.0
-    zero = zoo.VectorFieldDef("zero", lambda xB: np.zeros(2)) if False else None
-    from divflow.geometry import VectorFieldDef
-    zf = VectorFieldDef("zero", lambda xB: np.zeros(2))
-    assert_allclose(lift(wp, zf, "horizontal").field.components(x), 0.0)
-
-
-def test_lift_kind_mismatch_raises():
-    wp = make_example4()
-    from divflow.geometry import VectorFieldDef
-    circle_field = VectorFieldDef("u", lambda xF: np.array([1.0]))
-    with pytest.raises(LiftError):
-        lift(wp, circle_field, "horizontal")   # fiber field lifted as base
-    with pytest.raises(LiftError):
-        lift(wp, zoo.vector_field("hyperbolic:conformal"), "vertical")
-    with pytest.raises(LiftError):
-        lift(wp, circle_field, "sideways")
+    J = Z.jacobian(x)
+    assert_allclose(J[:2, :2], X.jacobian(x[:2]), rtol=1e-14)
+    assert np.all(J[2, :] == 0.0) and np.all(J[:, 2] == 0.0)
+    # X vanishes at the apex, and so does its lift over the whole fiber circle
+    apex = np.column_stack([np.zeros(4), np.zeros(4), np.linspace(0.0, 6.0, 4)])
+    assert_allclose(Z.components(apex), 0.0)
 
 
 def test_prop_warped_connection_items(ex2, ex4, rng):
@@ -292,12 +260,10 @@ def test_killing_property_of_lifts(ex2, ex3, rng):
 
 
 def test_flat_torus_basics():
-    m = make_flat_torus(2.0)
+    m = make_flat_torus()
     assert base_integral(m, lambda x: 1.0,
-                         ChartBox(((0.0, 2.0), (0.0, 2.0)))).value == pytest.approx(4.0)
+                         ChartBox(((0.0, 1.0), (0.0, 1.0)))).value == pytest.approx(1.0)
     assert_allclose(christoffel(m, np.array([0.3, 0.4])), 0.0)
-    with pytest.raises(ValueError):
-        make_flat_torus(0.0)
 
 
 def test_ex3_volume_integrand_not_integrable(ex3):
@@ -319,3 +285,12 @@ def test_zoo_catalog_listing():
         zoo.manifold("nope")
     with pytest.raises(KeyError):
         zoo.vector_field("nope")
+
+
+def test_zoo_catalog_is_one_table():
+    assert set(zoo.field_manifold_id(f) for f in zoo.FIELD_IDS) <= set(zoo.MANIFOLD_IDS)
+    assert set(zoo.PAIR_IDS) | {("torus", "torus:wave")} == {
+        (zoo.field_manifold_id(f), f) for f in zoo.FIELD_IDS}
+    assert len(set(zoo.PAIR_IDS)) == len(zoo.PAIR_IDS) == 6
+    with pytest.raises(KeyError):
+        zoo.field_manifold_id("nope")
