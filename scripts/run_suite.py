@@ -9,8 +9,10 @@ Usage:
     python scripts/run_suite.py --out-dir reports [--seed 5] [--only NAME ...]
 
 A --seed value overrides the per-config seeds (useful for reproducibility
-sweeps).  Exit status 0 iff every experiment's checks passed, 2 when --only
-names an experiment the manifest does not list.
+sweeps).  Every config is checked before the first experiment runs.  Exit
+status 0 iff every experiment's checks passed, 2 when --only names an
+experiment the manifest does not list or a config is missing or malformed (no
+report is written then).
 """
 
 import argparse
@@ -42,17 +44,24 @@ def main() -> int:
     if args.only:
         names = [n for n in names if n in set(args.only)]
 
+    configs = {}
+    for name in names:
+        try:
+            with open(Path(args.config_dir) / f"{name}.json") as fh:
+                raw = json.load(fh)
+            if args.seed is not None:
+                raw["seed"] = args.seed
+            configs[name] = ExperimentConfig.from_dict(raw)
+        except (OSError, ValueError) as exc:   # ConfigError, bad JSON included
+            ap.error(f"{name}: {exc}")
+
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     all_passed = True
     summary = []
-    for name in names:
-        with open(Path(args.config_dir) / f"{name}.json") as fh:
-            raw = json.load(fh)
-        if args.seed is not None:
-            raw["seed"] = args.seed
-        report = run(ExperimentConfig.from_dict(raw))
+    for name, cfg in configs.items():
+        report = run(cfg)
         (out_dir / f"{name}.json").write_text(report_to_json(report))
         status = "pass" if report["passed"] else "FAIL"
         print(f"{status:4s}  {name}")

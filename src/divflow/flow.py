@@ -97,16 +97,13 @@ class GeodesicTrajectory:
     def dim(self) -> int:
         return self.manifold.dim
 
-    def _speed(self, y: np.ndarray) -> float:
-        n = self.dim
-        g = self.manifold.metric(y[:n])
-        v = y[n:]
-        return float(v @ g @ v)
-
     @property
     def speed_drift(self) -> np.ndarray:
         if self._drift is None:
-            self._drift = np.array([abs(self._speed(y) - 1.0) for y in self.states])
+            n = self.dim
+            V = self.states[:, n:]
+            g = self.manifold.metric(self.states[:, :n])
+            self._drift = np.abs((V[:, None, :] @ g @ V[:, :, None])[:, 0, 0] - 1.0)
         return self._drift
 
     @property

@@ -7,8 +7,10 @@ optional closed forms (Christoffel symbols, a radial distance surrogate, an
 analytic geodesic) that downstream modules use as oracles or fast paths.
 
 Stack convention: functions of a point take x of shape (n,) or (N, n), as
-do the chart and field closures, and return the matching leading shape;
-validation covers every point and matrix and names the first failing point.
+do the chart and field closures and the potential operators
+(``phi_laplacian``, ``laplace_beltrami``, the flux fields), and return the
+matching leading shape; validation covers every point and matrix and names
+the first failing point.
 Functions of a state (``pairing``, ``pairing_rate``,
 ``covariant_derivative``, ``unit_state``) take one state.
 """
@@ -70,8 +72,8 @@ class ChartedManifold:
 
     ``metric(x)`` is the metric matrix on the chart domain, ``domain(x)``
     the domain predicate, and ``periods[i]`` the period of coordinate i (None
-    for a non-periodic coordinate).  Every callable of a point takes a stack
-    x of shape (..., n) and returns the matching leading shape.
+    for a non-periodic coordinate).  Every callable of a point takes x of
+    shape (n,) or (N, n) and returns the matching leading shape.
 
     Optional fields:
       christoffel      closed-form symbols, x -> (..., n, n, n) array G[k, i, j]
@@ -118,8 +120,8 @@ class VectorFieldDef:
 
     ``components(x)`` returns the chart components X^k(x).  ``jacobian``,
     when supplied, returns analytic partials J[k, i] = dX^k/dx^i; otherwise
-    central differences are used.  All three take a stack x of shape
-    (..., n); a constant may come back unbroadcast.  ``divergence``/``fx``
+    central differences are used.  All three take x of shape (n,) or (N, n);
+    a constant may come back unbroadcast.  ``divergence``/``fx``
     are optional closed forms used by oracle tests, never by the computing
     paths.
     """
@@ -371,8 +373,8 @@ def pairing_rate_form(field: VectorFieldDef, m: ChartedManifold, x,
 
 def pairing_rates(field: VectorFieldDef, m: ChartedManifold, x,
                   V: np.ndarray) -> np.ndarray:
-    """Pairing rates v @ Q(x) @ v of directions V (..., k, n) at points x
-    (..., n), shape (..., k): the bundle integrand F(x, V) of the fiber
+    """Pairing rates v @ Q(x) @ v of directions V (N, k, n) at points x
+    (N, n), shape (N, k): the bundle integrand F(x, V) of the fiber
     lemma, formed from the directions themselves (V @ Q, then the sum)."""
     P = (V @ pairing_rate_form(field, m, x)) * V
     # adding the n <= 3 columns keeps .sum(axis=-1)'s order, several times faster

@@ -7,7 +7,7 @@ Unbounded domains are handled by truncation ladders with recorded traces.
 
 A base integrand h maps chart points (N, n) to values broadcastable to
 (N,), so each patch's tensor grid is one call; a bundle integrand F(X, V)
-maps points (..., n) and unit directions (..., k, n) to (..., k).  Fiber
+maps points (N, n) and unit directions (N, k, n) to (N, k).  Fiber
 integrals are ``values @ weights`` over fixed-size blocks of points;
 compensated sums remain where partial sums accumulate (a patch's weighted
 nodes, patches, error terms).  Reductions have fixed shapes and order, so
@@ -84,8 +84,8 @@ class ShellPatch:
 
     ``to_chart`` maps patch coordinates u to chart coordinates and
     ``density(u)`` is the full volume density in patch coordinates (metric
-    density times the parametrization Jacobian); both take a stack u of
-    shape (..., d) and return the matching leading shape.  ``breakpoints``
+    density times the parametrization Jacobian); both take u of shape (d,)
+    or (N, d) and return the matching leading shape.  ``breakpoints``
     lists, per axis, loci where the integrand is only finitely
     differentiable; panels never straddle them.
     """
@@ -476,13 +476,12 @@ def sample_states(m: ChartedManifold, n: int, rng) -> list[UnitTangentState]:
     distribution must match the volume measure.
     """
     pts = sample_box_points(m, n, rng)
-    out = []
-    for i in range(n):
-        E = orthonormal_frame(m, pts[i])
-        c = rng.normal(size=m.dim)
-        c /= np.linalg.norm(c)
-        out.append(UnitTangentState(x=pts[i], v=E @ c))
-    return out
+    c = rng.normal(size=(n, m.dim))
+    # matmul norms, not np.linalg.norm(c, axis=1): the same dot product per
+    # row as on one row
+    c /= np.sqrt(c[:, None, :] @ c[:, :, None])[:, 0]
+    V = (orthonormal_frame(m, pts) @ c[..., None])[..., 0]
+    return list(map(UnitTangentState, pts, V))
 
 
 def sample_liouville(m: ChartedManifold, n: int, rng,

@@ -4,6 +4,10 @@ The flux map t -> phi(t)/t applied to a gradient turns a scalar function u
 into a vector field whose divergence generalizes the Laplace-Beltrami
 operator: phi(t) = t is the metric Laplacian, phi(t) = t^(p-1) the
 p-Laplacian, phi(t) = t/sqrt(1+t^2) the mean-curvature operator.
+
+The operators follow the stack convention of ``geometry``: they take x of
+shape (n,) or (N, n) and return the matching leading shape, and a failing
+point is named in the error.
 """
 
 from __future__ import annotations
@@ -19,9 +23,9 @@ from .geometry import (
     VectorFieldDef,
     divergence,
     inverse_metric_at,
-    metric_at,
-    volume_density,
     _fd_steps,
+    _first,
+    _stencil,
 )
 
 __all__ = [
@@ -117,10 +121,15 @@ class ScalarFieldDef:
     grad: Callable[[np.ndarray], np.ndarray]
 
 
-def _gradient_norm(u: ScalarFieldDef, m: ChartedManifold, x) -> float:
-    du = np.asarray(u.grad(x), dtype=float)
-    ginv = inverse_metric_at(m, x)
-    return float(math.sqrt(max(0.0, du @ ginv @ du)))
+def _metric_gradient(u: ScalarFieldDef, m: ChartedManifold, x):
+    """grad u = g^-1 du at x of shape (n,) or (N, n), with the shape of x,
+    and its g-norm, with the leading shape of x."""
+    # matmul on (.., 1)-shaped operands: the same BLAS products per point
+    # as on one point
+    du = np.asarray(u.grad(x), dtype=float)[..., None]
+    grad = inverse_metric_at(m, x) @ du
+    norm = np.sqrt(np.maximum(0.0, (np.swapaxes(du, -1, -2) @ grad)[..., 0, 0]))
+    return grad[..., 0], norm
 
 
 def phi_flux_field(u: ScalarFieldDef, profile: PhiProfile,
@@ -133,12 +142,7 @@ def phi_flux_field(u: ScalarFieldDef, profile: PhiProfile,
     """
 
     def components(x):
-        # matmul on (.., 1)-shaped operands: the same BLAS products per point
-        # as on one point
-        du = np.asarray(u.grad(x), dtype=float)[..., None]
-        grad = inverse_metric_at(m, x) @ du
-        norm = np.sqrt(np.maximum(0.0, (np.swapaxes(du, -1, -2) @ grad)[..., 0, 0]))
-        grad = grad[..., 0]
+        grad, norm = _metric_gradient(u, m, x)
         live = norm > FLUX_ZERO_TOL
         scale = np.zeros(norm.shape)
         scale[live] = profile.phi(norm[live]) / norm[live]
@@ -149,47 +153,34 @@ def phi_flux_field(u: ScalarFieldDef, profile: PhiProfile,
 
 
 def phi_laplacian(u: ScalarFieldDef, profile: PhiProfile, m: ChartedManifold,
-                  x) -> float:
-    """Divergence of the flux field at x.
+                  x):
+    """Divergence of the flux field at x of shape (n,) or (N, n).
 
     For profiles singular near zero the evaluation is refused when the
-    gradient (nearly) vanishes on the difference stencil, where the flux is
-    not differentiable.
+    gradient (nearly) vanishes on the difference stencil of any point, where
+    the flux is not differentiable; the error names the first such point.
     """
     x = np.asarray(x, dtype=float)
     if profile.singular_near_zero:
         h = _fd_steps(x)
-        probes = [x]
-        for i in range(m.dim):
-            for s in (-1.0, 1.0):
-                xp = x.copy()
-                xp[i] += s * h[i]
-                probes.append(xp)
-        if any(_gradient_norm(u, m, p) < DEGENERATE_GRADIENT_TOL for p in probes):
+        probes = [x] + [p for i in range(m.dim) for p in _stencil(m, x, h, i)]
+        bad = np.logical_or.reduce(
+            [_metric_gradient(u, m, p)[1] < DEGENERATE_GRADIENT_TOL for p in probes])
+        if bad.any():
             raise DegenerateGradientError(
-                f"gradient of {u.name} vanishes near {x!r}; "
+                f"gradient of {u.name} vanishes near {_first(x, bad)!r}; "
                 f"{profile.name} flux is not differentiable there")
     flux = phi_flux_field(u, profile, m)
     return divergence(flux, m, x, method="trace")
 
 
-def laplace_beltrami(u: ScalarFieldDef, m: ChartedManifold, x) -> float:
-    """Independent coordinate-formula route:
-    (1/sqrt G) d_i (sqrt G g^{ij} d_j u), differencing the analytic gradient."""
-    x = np.asarray(x, dtype=float)
-    h = _fd_steps(x)
-    total = 0.0
-    for i in range(m.dim):
-        vals = []
-        for s in (1.0, -1.0):
-            xp = x.copy()
-            xp[i] += s * h[i]
-            du = np.asarray(u.grad(xp), dtype=float)
-            w = volume_density(m, xp) * float(
-                (inverse_metric_at(m, xp) @ du)[i])
-            vals.append(w)
-        total += (vals[0] - vals[1]) / (2.0 * h[i])
-    return total / volume_density(m, x)
+def laplace_beltrami(u: ScalarFieldDef, m: ChartedManifold, x):
+    """Independent coordinate-formula route at x of shape (n,) or (N, n):
+    (1/sqrt G) d_i (sqrt G g^{ij} d_j u), the coordinate divergence of the
+    gradient field built from the analytic gradient."""
+    grad = VectorFieldDef(name=f"grad({u.name})",
+                          components=lambda y: _metric_gradient(u, m, y)[0])
+    return divergence(grad, m, x, method="coordinate")
 
 
 # ---------------------------------------------------------------------------

@@ -23,10 +23,11 @@ warped products write out their block metric, and the lifted fields their
 product components.  ``_MANIFOLDS`` and ``_FIELDS`` are the one catalog; the
 public id tuples are derived from them.
 
-Every closure of a point takes a stack of shape (..., n) and returns the
-matching leading shape, with the same values on one point as on a stack;
-reading coordinates as ``x.T[0]`` and storing entries into a preallocated
-output keeps one point cheap.
+Every closure of a point takes x of shape (n,) or (N, n) and returns the
+matching leading shape, with the same values on one point as on a stack.
+Coordinates are read as ``x.T[0]``, which reverses every axis and so admits
+no deeper stack: unlike ``x[..., 0]``, it gives numpy scalars on one point,
+which keeps the one-point calls of the geodesic right-hand side cheap.
 """
 
 from __future__ import annotations

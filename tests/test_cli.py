@@ -243,6 +243,23 @@ def test_suite_only_with_an_unknown_name_exits_2_and_names_it(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args,message", [
+    (["--seed", "-1"], "seed must be nonnegative"),
+    (["--config-dir", "no-such-dir"], "No such file or directory"),
+], ids=["negative-seed", "missing-config"])
+def test_suite_config_error_exits_2_before_any_report(args, message, tmp_path):
+    out = tmp_path / "reports"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "run_suite.py"), "--out-dir", str(out)] + args,
+        capture_output=True, text=True, env=_suite_env(), timeout=60, cwd=tmp_path)
+    assert proc.returncode == 2
+    first = json.loads((ROOT / "scripts" / "suite_manifest.json").read_text())["experiments"][0]
+    last = proc.stderr.splitlines()[-1]
+    assert f"error: {first}: " in last and message in last
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "path-integral", "--config", str(CONFIGS / "path-ex4.json"), "--param", "T=0"],
     ["verify", "path-integral", "--config", str(CONFIGS / "path-ex4.json"), "--param", "T=abc"],
@@ -257,13 +274,18 @@ def test_suite_only_with_an_unknown_name_exits_2_and_names_it(tmp_path):
     ["verify", "fubini", "--config", str(CONFIGS / "fubini-ex1.json"), "--param", "box=[[0,1]]"],
     ["verify", "fubini", "--config", str(CONFIGS / "fubini-ex1.json"), "--param", "box=abc"],
     ["potential", "monotone", "--param", "dim=0"],
+    ["diagnose", "karp", "--manifold", "torus", "--field", "torus:wave"],
+    ["diagnose", "cutoff", "--manifold", "torus", "--field", "torus:wave"],
+    ["diagnose", "fx-ladder", "--manifold", "torus", "--field", "torus:wave"],
+    ["diagnose", "decay", "--manifold", "torus", "--field", "torus:wave"],
 ], ids=["zero-T", "text-T", "negative-eps", "t_min-above-t_max", "cap-without-shell",
         "empty-horizons", "scalar-horizons", "text-sigma", "negative-r0", "short-box",
-        "text-box", "zero-dim"])
+        "text-box", "zero-dim", "karp-without-shell", "cutoff-without-shell",
+        "fx-ladder-without-shell", "decay-without-shell"])
 def test_bad_reals_exit_2_without_traceback(argv, capsys, monkeypatch):
     for work in ("sample_states", "sample_liouville", "recurrence_fraction",
                  "fubini_consistency", "cutoff_estimate", "rate_integrability_ladder",
-                 "monotone_form"):
+                 "monotone_form", "karp_sequence", "x_decay_at_infinity"):
         monkeypatch.setattr(runner, work, _never_run)
     assert cli.main(argv) == 2
     captured = capsys.readouterr()

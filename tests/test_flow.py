@@ -17,7 +17,6 @@ from divflow.flow import (
 )
 from divflow.geometry import VectorFieldDef, pairing_rate, unit_state
 from divflow.integrals import sample_states
-from divflow.zoo import torus_wave_field
 
 TWO_PI = 2.0 * math.pi
 
@@ -26,15 +25,6 @@ TWO_PI = 2.0 * math.pi
 # accuracy (and the recorded speed drift grows) with t; every other chart
 # stays bounded
 DRIFT_T = {"hyperbolic": 8.0}
-
-
-def _field_for(mid):
-    if mid == "torus":
-        return torus_wave_field()
-    for m_id, f_id in zoo.PAIR_IDS:
-        if m_id == mid:
-            return zoo.vector_field(f_id)
-    raise KeyError(mid)
 
 
 def test_hyperbolic_matches_analytic_oracle(hyperbolic, rng):

@@ -3,7 +3,9 @@
 Zoo closures and shell maps run the same elementwise arithmetic on a stack
 as on one point, so they must agree exactly.  Geometry functions and fiber
 integrals may group their reductions differently on a stack; they must
-agree to rel 1e-13.
+agree to rel 1e-13.  The potential operators, the state sampler and the
+speed-drift record compute each point with the same products as on one
+point, so they must agree exactly.
 """
 
 from functools import partial
@@ -26,13 +28,22 @@ from divflow.geometry import (
     pairing_rates,
     volume_density,
 )
+from divflow.flow import integrate_geodesic
 from divflow.integrals import (
     FIBER_BLOCK_BYTES,
     fiber_integral,
     fiber_rule,
     sample_box_points,
+    sample_states,
 )
-from divflow.potential import phi_flux_field, scalar_test_functions, shipped_profiles
+from divflow.potential import (
+    DegenerateGradientError,
+    laplace_beltrami,
+    phi_flux_field,
+    phi_laplacian,
+    scalar_test_functions,
+    shipped_profiles,
+)
 
 N = 64
 REL = 1e-13
@@ -131,8 +142,10 @@ def test_field_geometry_and_fiber_integral_stack(mid, fid, rng):
     _assert_close(partial(fiber_integral, m, F, rule=rule), many, (fid, "fiber_integral"))
 
 
-@pytest.mark.parametrize("mid,uid", [(mid, uid) for mid in zoo.MANIFOLD_IDS
-                                     for uid in scalar_test_functions(mid)])
+TEST_FUNCTIONS = [(mid, uid) for mid in zoo.MANIFOLD_IDS for uid in scalar_test_functions(mid)]
+
+
+@pytest.mark.parametrize("mid,uid", TEST_FUNCTIONS)
 def test_test_functions_and_flux_fields_stack(mid, uid, rng):
     m = zoo.manifold(mid)
     u, closed = scalar_test_functions(mid)[uid]
@@ -147,6 +160,55 @@ def test_test_functions_and_flux_fields_stack(mid, uid, rng):
             _assert_close(partial(divergence, flux, m, method=method), pts,
                           (mid, uid, pid, method))
         _assert_close(partial(field_norm, flux, m), pts, (mid, uid, pid, "field_norm"))
+
+
+@pytest.mark.parametrize("mid,uid", TEST_FUNCTIONS)
+def test_potential_operators_stack_exactly(mid, uid, rng):
+    m = zoo.manifold(mid)
+    u, _ = scalar_test_functions(mid)[uid]
+    pts = sample_box_points(m, N, rng)
+    _assert_exact(partial(laplace_beltrami, u, m), pts, (mid, uid, "laplace_beltrami"))
+    for pid, prof in shipped_profiles().items():
+        _assert_exact(partial(phi_laplacian, u, prof, m), pts, (mid, uid, pid))
+
+
+def test_stack_with_one_degenerate_gradient_names_it(torus, rng):
+    u, _ = scalar_test_functions("torus")["sin-wave"]
+    pts = sample_box_points(torus, N, rng)
+    pts[17] = (0.25, 0.4)       # d sin(2 pi x) vanishes at x = 1/4
+    with pytest.raises(DegenerateGradientError, match=r"0\.25, 0\.4"):
+        phi_laplacian(u, shipped_profiles()["p:1.5"], torus, pts)
+
+
+def _sample_states_by_point(m, n, rng):
+    """(x, v) pairs drawn one point at a time, in the sampler's draw order."""
+    pts = sample_box_points(m, n, rng)
+    out = []
+    for i in range(n):
+        E = orthonormal_frame(m, pts[i])
+        c = rng.normal(size=m.dim)
+        c /= np.linalg.norm(c)
+        out.append((pts[i], E @ c))
+    return out
+
+
+@pytest.mark.parametrize("mid", zoo.MANIFOLD_IDS)
+def test_sample_states_equal_per_point_draws(mid):
+    m = zoo.manifold(mid)
+    states = sample_states(m, 500, np.random.default_rng(5))
+    ref = _sample_states_by_point(m, 500, np.random.default_rng(5))
+    assert np.array_equal([st.x for st in states], [x for x, _ in ref])
+    assert np.array_equal([st.v for st in states], [v for _, v in ref])
+
+
+@pytest.mark.parametrize("mid", zoo.MANIFOLD_IDS)
+def test_speed_drift_equals_per_state_drift(mid, rng):
+    m = zoo.manifold(mid)
+    traj = integrate_geodesic(m, sample_states(m, 1, rng)[0], 2.0)
+    n = m.dim
+    ref = [abs(y[n:] @ m.metric(y[:n]) @ y[n:] - 1.0) for y in traj.states]
+    assert len(ref) > 2
+    assert np.array_equal(traj.speed_drift, ref)
 
 
 def test_stack_with_one_point_outside_domain_names_it(ex2, rng):
