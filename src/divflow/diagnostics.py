@@ -14,17 +14,15 @@ return statistics) against the conditions the identities need:
   recurrence_fraction
                      fraction of flow samples with a finite-horizon return
   hopf_probe         growth classification of t -> integral of a positive
-                     observable along one orbit
+                     observable along each orbit
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .geometry import (
     ChartedManifold,
@@ -33,6 +31,7 @@ from .geometry import (
     divergence,
     field_norm,
     pairing_rates,
+    stack_states,
 )
 from .flow import first_return, integrate_geodesic
 from .integrals import (
@@ -255,8 +254,8 @@ def recurrence_fraction(m: ChartedManifold, n: int, eps: float = 0.05,
     if n <= 0:
         raise ValueError("need a positive sample count")
     rng = np.random.default_rng(seed)
-    results = [first_return(m, state, eps=eps, t_min=t_min, t_max=t_max)
-               for state in sample_liouville(m, n, rng, radius_cap=radius_cap)]
+    results = first_return(m, sample_liouville(m, n, rng, radius_cap=radius_cap),
+                           eps=eps, t_min=t_min, t_max=t_max)
     returned = sum(1 for r in results if r.event is not None)
     inconclusive = sum(1 for r in results if r.event is None and not r.conclusive)
     no_return = n - returned - inconclusive
@@ -275,11 +274,12 @@ def recurrence_fraction(m: ChartedManifold, n: int, eps: float = 0.05,
 def default_observable(m: ChartedManifold) -> Callable:
     """Strictly positive base observable exp(-3 r), integrable against the
     bundle measure for every shipped manifold (volume growth is at most e^r
-    here); constant 1 on manifolds without a radius surrogate."""
+    here); constant 1 on manifolds without a radius surrogate.  Takes x of
+    shape (n,) or (N, n)."""
     if m.radius is None:
-        return lambda x: 1.0
+        return lambda x: np.ones(np.shape(x)[:-1])
     radius = m.radius
-    return lambda x: math.exp(-3.0 * radius(x))
+    return lambda x: np.exp(-3.0 * radius(x))
 
 
 # the growth labels hopf_probe assigns
@@ -322,52 +322,49 @@ def _loglog_fit(T: np.ndarray, I: np.ndarray) -> tuple[float, float]:
     return float(coef[0]), r2
 
 
-def hopf_probe(m: ChartedManifold, state: UnitTangentState,
-               f0: Optional[Callable] = None,
-               horizons: Optional[Sequence[float]] = None) -> HopfProbe:
+def hopf_probe(m: ChartedManifold, states, f0: Optional[Callable] = None,
+               horizons: Optional[Sequence[float]] = None):
     """Growth trace of I(T) = integral over [0, T] of a positive observable
-    along one orbit, with a heuristic growth label.
+    along the orbit of each state, with a heuristic growth label.
 
     A plateauing trace marks orbits on which the observable's full-line
     integral looks finite (transient behavior); linear growth marks orbits
     that keep revisiting regions where the observable is large.  Labels are
-    configuration-thresholded evidence, not classifications.
+    configuration-thresholded evidence, not classifications.  The integral
+    is carried through one stacked integration whose steps end exactly on
+    the horizons; ``f0`` takes x of shape (N, n).  One probe for one state,
+    else a list.
     """
     if horizons is None:
         horizons = np.geomspace(1.0, 12.0, 9)
     horizons = np.asarray(sorted(float(t) for t in horizons))
     if f0 is None:
         f0 = default_observable(m)
-    if f0(state.x) <= 0.0:
+    X, V, one = stack_states(states)
+    if np.any(np.broadcast_to(f0(X), X.shape[:1]) <= 0.0):
         raise ValueError("observable must be strictly positive")
 
-    t_max = float(horizons[-1])
-    traj = integrate_geodesic(m, state, t_max)
-    reached = min(traj.t_end, t_max)
-    truncated = traj.truncated
+    traj = integrate_geodesic(m, UnitTangentState(X, V), float(horizons[-1]),
+                              integrand=lambda x, v: f0(x), stops=horizons)
+    probes = [_hopf_label(horizons, traj.y_stops[i, :, -1], reason is not None)
+              for i, reason in enumerate(traj.reasons)]
+    return probes[0] if one else probes
 
-    def integrand(t):
-        return f0(traj.sol(t)[:m.dim])
 
-    values = []
-    total = 0.0
-    prev = 0.0
-    for T in horizons:
-        if T > reached + 1e-12:
-            break
-        seg, _ = quad(integrand, prev, float(T), epsabs=1e-11, epsrel=1e-9, limit=200)
-        total += seg
-        values.append(total)
-        prev = float(T)
-    used = horizons[:len(values)]
-
+def _hopf_label(horizons: np.ndarray, at_stops: np.ndarray,
+                truncated: bool) -> HopfProbe:
+    """The probe of one orbit from its integral at the horizons it reached."""
+    reached = ~np.isnan(at_stops)
+    used = horizons[reached]
+    values = at_stops[reached]
     if len(values) < 4 or truncated:
-        return HopfProbe(horizons=tuple(used), values=tuple(values),
+        return HopfProbe(horizons=tuple(float(t) for t in used),
+                         values=tuple(float(v) for v in values),
                          slope=None, r_squared=None, label="inconclusive",
                          truncated=truncated)
 
     window = used >= used[-1] / 10.0
-    slope, r2 = _loglog_fit(used[window], np.asarray(values)[window])
+    slope, r2 = _loglog_fit(used[window], values[window])
     if r2 < HOPF_R2_MIN:
         label = "inconclusive"
     elif slope <= HOPF_SLOPE_DELTA:

@@ -11,8 +11,9 @@ do the chart and field closures and the potential operators
 (``phi_laplacian``, ``laplace_beltrami``, the flux fields), and return the
 matching leading shape; validation covers every point and matrix and names
 the first failing point.
-Functions of a state (``pairing``, ``pairing_rate``,
-``covariant_derivative``, ``unit_state``) take one state.
+Functions of a state (``pairing_rate``, ``covariant_derivative``,
+``unit_state``) take one state; ``pairing`` and the orbit layer take one
+state or a stack of them (see ``stack_states``).
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ __all__ = [
     "pairing_rates",
     "field_norm",
     "unit_state",
+    "stack_states",
 ]
 
 # Central-difference step for first derivatives of smooth chart data:
@@ -159,6 +161,21 @@ def unit_state(m: ChartedManifold, x, v, normalize: bool = False) -> UnitTangent
         raise ValueError(
             f"velocity is not unit: g(v,v) = {speed2!r} (tol {UNIT_SPEED_TOL})")
     return UnitTangentState(x=x, v=v)
+
+
+def stack_states(states) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Positions and velocities, each (N, n), of one state, of a stack of
+    states (x and v of shape (N, n)) or of a sequence of states; and whether
+    ``states`` was one state (x of shape (n,))."""
+    if isinstance(states, UnitTangentState):
+        x = np.asarray(states.x, dtype=float)
+        v = np.asarray(states.v, dtype=float)
+        return np.atleast_2d(x), np.atleast_2d(v), x.ndim == 1
+    states = list(states)
+    if not states:
+        raise ValueError("need at least one state")
+    return (np.array([st.x for st in states], dtype=float),
+            np.array([st.v for st in states], dtype=float), False)
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +300,8 @@ def christoffel(m: ChartedManifold, x, method: str = "auto") -> np.ndarray:
 
 def _components(field: VectorFieldDef, x: np.ndarray) -> np.ndarray:
     # a constant field may return one vector for a whole stack
-    return np.broadcast_to(np.asarray(field.components(x), dtype=float), x.shape)
+    X = np.asarray(field.components(x), dtype=float)
+    return X if X.shape == x.shape else np.broadcast_to(X, x.shape)
 
 
 def _field_jacobian(field: VectorFieldDef, m: ChartedManifold,
@@ -292,8 +310,9 @@ def _field_jacobian(field: VectorFieldDef, m: ChartedManifold,
     differences."""
     n = m.dim
     if field.jacobian is not None:
-        return np.broadcast_to(np.asarray(field.jacobian(x), dtype=float),
-                               x.shape[:-1] + (n, n))
+        J = np.asarray(field.jacobian(x), dtype=float)
+        shape = x.shape[:-1] + (n, n)
+        return J if J.shape == shape else np.broadcast_to(J, shape)
     h = _fd_steps(x)
     J = np.empty(x.shape[:-1] + (n, n))
     for i in range(n):
@@ -349,12 +368,12 @@ def divergence(field: VectorFieldDef, m: ChartedManifold, x,
 # the unit-tangent-bundle observable
 
 
-def pairing(field: VectorFieldDef, m: ChartedManifold,
-            state: UnitTangentState) -> float:
-    """g(X, v): the field's component along the state's velocity."""
-    g = metric_at(m, state.x)
-    X = _components(field, state.x)
-    return float(state.v @ g @ X)
+def pairing(field: VectorFieldDef, m: ChartedManifold, state: UnitTangentState):
+    """g(X, v): the field's component along the state's velocity; one value
+    per state of a stack (x and v of shape (N, n))."""
+    x = np.asarray(state.x, dtype=float)
+    v = np.asarray(state.v, dtype=float)
+    return (v[..., None, :] @ metric_at(m, x) @ _components(field, x)[..., None])[..., 0, 0]
 
 
 def pairing_rate_form(field: VectorFieldDef, m: ChartedManifold, x,

@@ -265,7 +265,7 @@ def _run_path_integral(cfg):
     T = float(cfg.params.get("T", 10.0))
     tol = float(cfg.tolerances.get("residual", 1e-6 * (1.0 + T)))
     states = sample_states(m, n_orbits, np.random.default_rng(cfg.seed))
-    worst = max(path_integral_identity_residual(f, m, st, T) for st in states)
+    worst = float(np.max(path_integral_identity_residual(f, m, states, T)))
     return {"results": {"max_residual": worst, "n_orbits": n_orbits, "T": T},
             "checks": [_check("path_integral_identity", worst, tol, "<=")]}
 
@@ -411,9 +411,9 @@ def _run_hopf(cfg):
     cap = _radius_cap(cfg, m)
     if cap is not None:
         cap = float(cap)
-    probes = [hopf_probe(m, st, horizons=p.get("horizons"))
-              for st in sample_liouville(m, n, np.random.default_rng(cfg.seed),
-                                         radius_cap=cap)]
+    probes = hopf_probe(m, sample_liouville(m, n, np.random.default_rng(cfg.seed),
+                                            radius_cap=cap),
+                        horizons=p.get("horizons"))
     counts = {}
     for pr in probes:
         counts[pr.label] = counts.get(pr.label, 0) + 1

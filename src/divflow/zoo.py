@@ -25,7 +25,7 @@ public id tuples are derived from them.
 
 Every closure of a point takes x of shape (n,) or (N, n) and returns the
 matching leading shape, with the same values on one point as on a stack.
-Coordinates are read as ``x.T[0]``, which reverses every axis and so admits
+Coordinates are read as ``x[..., 0]``, which reverses every axis and so admits
 no deeper stack: unlike ``x[..., 0]``, it gives numpy scalars on one point,
 which keeps the one-point calls of the geodesic right-hand side cheap.
 """
@@ -269,7 +269,7 @@ def make_surface_of_revolution() -> tuple[ChartedManifold, AmbientEmbedding]:
     """
 
     def metric(x):
-        x0 = x.T[0]
+        x0 = x[..., 0]
         fp = _df(x0)
         g = np.zeros(x.shape[:-1] + (2, 2))
         g[..., 0, 0] = 1.0 + fp * fp
@@ -277,7 +277,7 @@ def make_surface_of_revolution() -> tuple[ChartedManifold, AmbientEmbedding]:
         return g
 
     def christoffel(x):
-        x0 = x.T[0]
+        x0 = x[..., 0]
         fx, fp, fpp = _f(x0), _df(x0), _d2f(x0)
         d = 1.0 + fp * fp
         G = np.zeros(x.shape[:-1] + (2, 2, 2))
@@ -292,13 +292,13 @@ def make_surface_of_revolution() -> tuple[ChartedManifold, AmbientEmbedding]:
         def to_chart(sign):
             def along(u):
                 x = np.array(u, dtype=float)
-                x[..., 0] = sign * arc.x_of_r(u.T[0])
+                x[..., 0] = sign * arc.x_of_r(u[..., 0])
                 return x
             return along
 
         def density(u):
             # meridian is unit-speed in s, so the area density reduces to f
-            return _f(arc.x_of_r(u.T[0]))
+            return _f(arc.x_of_r(u[..., 0]))
 
         bounds = ((float(r_lo), float(r_hi)), (0.0, TWO_PI))
         return (ShellPatch(bounds, to_chart(1.0), density, "meridian+"),
@@ -318,7 +318,7 @@ def make_surface_of_revolution() -> tuple[ChartedManifold, AmbientEmbedding]:
         metric=metric,
         periods=(None, TWO_PI),
         christoffel=christoffel,
-        radius=lambda x: arc.r_of_x(x.T[0]),
+        radius=lambda x: arc.r_of_x(x[..., 0]),
         shell=shell,
         sample_box=((-8.0, 8.0), (0.0, TWO_PI)),
         radius_cap=4.0,
@@ -346,7 +346,7 @@ def _h2_lift_velocity(x, v):
 
 
 def _h2_metric(x):
-    x0, x1 = x.T[0], x.T[1]
+    x0, x1 = x[..., 0], x[..., 1]
     z2 = 1.0 + x0 * x0 + x1 * x1
     g = np.empty(x.shape[:-1] + (2, 2))
     g[..., 0, 0] = 1.0 - x0 * x0 / z2
@@ -381,16 +381,16 @@ def make_hyperbolic_plane() -> ChartedManifold:
         return float(np.arccosh(max(1.0, val)))
 
     def radius(x):
-        x0, x1 = x.T[0], x.T[1]
+        x0, x1 = x[..., 0], x[..., 1]
         return np.arccosh(np.maximum(1.0, np.sqrt(1.0 + x0 * x0 + x1 * x1)))
 
     def shell(r_lo, r_hi):
         def to_chart(u):
-            s = np.sinh(u.T[0])
-            return np.stack([s * np.cos(u.T[1]), s * np.sin(u.T[1])], axis=-1)
+            s = np.sinh(u[..., 0])
+            return np.stack([s * np.cos(u[..., 1]), s * np.sin(u[..., 1])], axis=-1)
 
         return (ShellPatch(((float(r_lo), float(r_hi)), (0.0, TWO_PI)),
-                           to_chart, lambda u: np.sinh(u.T[0]), "polar"),)
+                           to_chart, lambda u: np.sinh(u[..., 0]), "polar"),)
 
     return ChartedManifold(
         name="hyperbolic",
@@ -418,7 +418,7 @@ def _radial_example(prof: WarpProfile, name: str) -> ChartedManifold:
     b(r)^2) on r > 0, with direct symbols and radial shells."""
 
     def metric(x):
-        r = x.T[0]
+        r = x[..., 0]
         g = np.zeros(x.shape[:-1] + (3, 3))
         g[..., 0, 0] = 1.0
         g[..., 1, 1] = _ipow(np.sinh(r), 2)
@@ -426,7 +426,7 @@ def _radial_example(prof: WarpProfile, name: str) -> ChartedManifold:
         return g
 
     def christoffel(x):
-        r = x.T[0]
+        r = x[..., 0]
         sh, ch = np.sinh(r), np.cosh(r)
         b, bp = prof.b(r), prof.db(r)
         G = np.zeros(x.shape[:-1] + (3, 3, 3))
@@ -438,7 +438,7 @@ def _radial_example(prof: WarpProfile, name: str) -> ChartedManifold:
 
     def shell(r_lo, r_hi):
         def density(u):
-            return np.sinh(u.T[0]) * prof.b(u.T[0])
+            return np.sinh(u[..., 0]) * prof.b(u[..., 0])
 
         bounds = ((float(r_lo), float(r_hi)), (0.0, TWO_PI), (0.0, TWO_PI))
         # the profile is C4 with seams at the plateau and tail junctions
@@ -449,10 +449,10 @@ def _radial_example(prof: WarpProfile, name: str) -> ChartedManifold:
         name=name,
         dim=3,
         metric=metric,
-        domain=lambda x: x.T[0] > 0.0,
+        domain=lambda x: x[..., 0] > 0.0,
         periods=(None, TWO_PI, TWO_PI),
         christoffel=christoffel,
-        radius=lambda x: x.T[0],
+        radius=lambda x: x[..., 0],
         shell=shell,
         sample_box=((0.3, 5.0), (0.0, TWO_PI), (0.0, TWO_PI)),
         radius_cap=3.0,
@@ -469,12 +469,12 @@ def make_example4() -> ChartedManifold:
     def metric(x):
         g = np.zeros(x.shape[:-1] + (3, 3))
         g[..., :2, :2] = _h2_metric(x[..., :2])
-        g[..., 2, 2] = np.square(1.0 / (1.0 + x.T[0] * x.T[0] + x.T[1] * x.T[1]))
+        g[..., 2, 2] = np.square(1.0 / (1.0 + x[..., 0] * x[..., 0] + x[..., 1] * x[..., 1]))
         return g
 
     def christoffel(x):
         # base block -x_a g_bc plus the warp couplings of h = 1/z^2
-        x0, x1 = x.T[0], x.T[1]
+        x0, x1 = x[..., 0], x[..., 1]
         z2 = 1.0 + x0 * x0 + x1 * x1
         G = np.zeros(x.shape[:-1] + (3, 3, 3))
         # as in _h2_metric, inlined for speed
@@ -490,16 +490,16 @@ def make_example4() -> ChartedManifold:
         return G
 
     def radius(x):
-        return np.arccosh(np.maximum(1.0, np.sqrt(1.0 + x.T[0] * x.T[0] + x.T[1] * x.T[1])))
+        return np.arccosh(np.maximum(1.0, np.sqrt(1.0 + x[..., 0] * x[..., 0] + x[..., 1] * x[..., 1])))
 
     def shell(r_lo, r_hi):
         def to_chart(u):
-            s = np.sinh(u.T[0])
-            return np.stack([s * np.cos(u.T[1]), s * np.sin(u.T[1]), u.T[2]], axis=-1)
+            s = np.sinh(u[..., 0])
+            return np.stack([s * np.cos(u[..., 1]), s * np.sin(u[..., 1]), u[..., 2]], axis=-1)
 
         def density(u):
             # base polar density sinh(d) times the warp 1/cosh(d)^2
-            return np.sinh(u.T[0]) / _ipow(np.cosh(u.T[0]), 2)
+            return np.sinh(u[..., 0]) / _ipow(np.cosh(u[..., 0]), 2)
 
         bounds = ((float(r_lo), float(r_hi)), (0.0, TWO_PI), (0.0, TWO_PI))
         return (ShellPatch(bounds, to_chart, density, "polar"),)
@@ -537,13 +537,13 @@ def _revolution_W() -> VectorFieldDef:
     """
 
     def components(x):
-        x0 = x.T[0]
+        x0 = x[..., 0]
         out = np.zeros(x.shape)
         out[..., 1] = x0 * (1.0 + x0 * x0)
         return out
 
     def jacobian(x):
-        x0 = x.T[0]
+        x0 = x[..., 0]
         J = np.zeros(x.shape[:-1] + (2, 2))
         J[..., 1, 0] = 1.0 + 3.0 * x0 * x0
         return J
@@ -566,7 +566,7 @@ def _h2_rotation() -> VectorFieldDef:
     """Killing rotation about the hyperboloid axis; vanishes at the apex."""
     return VectorFieldDef(
         name="rotation",
-        components=lambda x: np.stack([-x.T[1], x.T[0]], axis=-1),
+        components=lambda x: np.stack([-x[..., 1], x[..., 0]], axis=-1),
         jacobian=_constant([[0.0, -1.0], [1.0, 0.0]]),
         divergence=_constant(0.0),
         fx=lambda x, v: 0.0,
@@ -582,12 +582,12 @@ def _h2_conformal() -> VectorFieldDef:
     """
 
     def components(x):
-        x0, x1 = x.T[0], x.T[1]
+        x0, x1 = x[..., 0], x[..., 1]
         z = np.sqrt(1.0 + x0 * x0 + x1 * x1)
         return np.stack([x0 * z, x1 * z], axis=-1)
 
     def jacobian(x):
-        x0, x1 = x.T[0], x.T[1]
+        x0, x1 = x[..., 0], x[..., 1]
         z = np.sqrt(1.0 + x0 * x0 + x1 * x1)
         J = np.empty(x.shape[:-1] + (2, 2))
         J[..., 0, 0] = z + x0 * x0 / z
@@ -603,7 +603,7 @@ def _h2_conformal() -> VectorFieldDef:
         name="conformal",
         components=components,
         jacobian=jacobian,
-        divergence=lambda x: 2.0 * np.sqrt(1.0 + x.T[0] * x.T[0] + x.T[1] * x.T[1]),
+        divergence=lambda x: 2.0 * np.sqrt(1.0 + x[..., 0] * x[..., 0] + x[..., 1] * x[..., 1]),
         fx=fx,
     )
 
@@ -637,7 +637,7 @@ def _ex4_Z() -> VectorFieldDef:
         return J
 
     def divergence(x):
-        return 2.0 / np.sqrt(1.0 + x.T[0] * x.T[0] + x.T[1] * x.T[1])
+        return 2.0 / np.sqrt(1.0 + x[..., 0] * x[..., 0] + x[..., 1] * x[..., 1])
 
     def fx(x, v):
         # split a unit velocity into base and fiber parts:
@@ -666,14 +666,14 @@ def torus_wave_field() -> VectorFieldDef:
     def jacobian(x):
         c = k * np.cos(k * x)
         J = np.zeros(x.shape[:-1] + (2, 2))
-        J[..., 0, 0], J[..., 1, 1] = c.T[0], c.T[1]
+        J[..., 0, 0], J[..., 1, 1] = c[..., 0], c[..., 1]
         return J
 
     return VectorFieldDef(
         name="wave",
         components=components,
         jacobian=jacobian,
-        divergence=lambda x: k * (np.cos(k * x.T[0]) + np.cos(k * x.T[1])),
+        divergence=lambda x: k * (np.cos(k * x[..., 0]) + np.cos(k * x[..., 1])),
     )
 
 

@@ -299,3 +299,24 @@ def test_benchmark_workloads_fit_their_schema():
     for configs in workloads.values():
         for raw in configs.values():
             ExperimentConfig.from_dict(raw)
+
+
+def test_runaway_orbit_reports_its_speed_drift(capsys):
+    # the hyperboloid graph chart goes numerically singular along these
+    # orbits long before a step fails; the drift check stops them early
+    argv = ["verify", "path-integral", "--manifold", "hyperbolic",
+            "--field", "hyperbolic:conformal", "--param", "T=40", "--param", "n_orbits=3"]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    report = json.loads(captured.out)
+    assert report["error"]["type"] == "TruncatedTrajectoryError"
+    assert report["error"]["message"].endswith("(speed_drift)")
+
+
+def test_the_program_imports_no_scipy():
+    code = ("import sys, divflow.runner, divflow.cli; "
+            "print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=_suite_env(),
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert proc.stdout.strip() == "[]"

@@ -242,16 +242,14 @@ def test_recurrence_repeats_exactly(torus):
 
 
 def test_hopf_torus_divergent(torus, rng):
-    for st in sample_liouville(torus, 8, rng):
-        probe = hopf_probe(torus, st)
+    for probe in hopf_probe(torus, sample_liouville(torus, 8, rng)):
         assert probe.label == "divergent-like"
         assert probe.slope == pytest.approx(1.0, abs=0.01)
         assert probe.r_squared >= 0.99
 
 
 def test_hopf_hyperbolic_convergent(hyperbolic, rng):
-    for st in sample_liouville(hyperbolic, 8, rng, radius_cap=0.75):
-        probe = hopf_probe(hyperbolic, st)
+    for probe in hopf_probe(hyperbolic, sample_liouville(hyperbolic, 8, rng, radius_cap=0.75)):
         assert probe.label == "convergent-like"
         assert probe.slope <= 0.1
 
@@ -282,6 +280,6 @@ def test_auxiliary_observable_positivity(hyperbolic, rng):
     # strictly positive observable has strictly positive short-time orbit
     # integrals; swept over many random initial states
     f0 = default_observable(hyperbolic)
-    for st in sample_states(hyperbolic, 1000, rng):
-        val = birkhoff_integral(lambda x, v: f0(x), hyperbolic, st, 1.0)
+    states = sample_states(hyperbolic, 1000, rng)
+    for val in birkhoff_integral(lambda x, v: f0(x), hyperbolic, states, 1.0):
         assert val > 0.0

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from divflow import zoo
 from divflow.flow import (
+    MAX_SPEED_DRIFT,
     TruncatedTrajectoryError,
     birkhoff_integral,
     endpoint_bound_check,
@@ -27,13 +28,23 @@ TWO_PI = 2.0 * math.pi
 DRIFT_T = {"hyperbolic": 8.0}
 
 
+def _reaching(m, states, T):
+    """The states whose orbits reach T, and their trajectory (None when
+    there are none): the sweeps below skip the other orbits."""
+    traj = integrate_geodesic(m, states, T)
+    if traj.truncated:
+        states = [st for st, reason in zip(states, traj.reasons) if reason is None]
+        traj = integrate_geodesic(m, states, T) if states else None
+    return states, traj
+
+
 def test_hyperbolic_matches_analytic_oracle(hyperbolic, rng):
+    states = sample_states(hyperbolic, 20, rng)
+    end = integrate_geodesic(hyperbolic, states, 5.0).state_at(5.0)
     worst = 0.0
-    for st in sample_states(hyperbolic, 20, rng):
-        traj = integrate_geodesic(hyperbolic, st, 5.0)
+    for x, st in zip(end.x, states):
         x_o, v_o = hyperbolic.geodesic(st.x, st.v, 5.0)
-        end = traj.state_at(5.0)
-        worst = max(worst, float(np.linalg.norm(end.x - x_o)))
+        worst = max(worst, float(np.linalg.norm(x - x_o)))
     assert worst < 1e-6
 
 
@@ -49,10 +60,11 @@ def test_torus_geodesics_are_straight_lines(torus):
 def test_clairaut_quantity_conserved(revolution, rng):
     # surfaces of revolution conserve f(x)^2 * dtheta/dt along geodesics
     f = lambda x: 1.0 / (1.0 + x * x)
-    for st in sample_states(revolution, 5, rng):
-        traj = integrate_geodesic(revolution, st, 20.0)
+    states = sample_states(revolution, 5, rng)
+    traj = integrate_geodesic(revolution, states, 20.0)
+    for st, ys in zip(states, traj.states):
         c0 = f(st.x[0]) ** 2 * st.v[1]
-        drift = max(abs(f(y[0]) ** 2 * y[3] - c0) for y in traj.states)
+        drift = max(abs(f(y[0]) ** 2 * y[3] - c0) for y in ys)
         assert drift < 1e-7
 
 
@@ -60,11 +72,11 @@ def test_speed_drift_budget(rng):
     for mid in zoo.MANIFOLD_IDS:
         m = zoo.manifold(mid)
         T = DRIFT_T.get(mid, 50.0)
-        for st in sample_states(m, 5, rng):
-            traj = integrate_geodesic(m, st, T)
-            if traj.truncated:    # a warped orbit may hit the polar axis
+        traj = integrate_geodesic(m, sample_states(m, 5, rng), T)
+        for reason, drift in zip(traj.reasons, traj.speed_drift):
+            if reason is not None:    # a warped orbit may hit the polar axis
                 continue
-            assert traj.max_speed_drift <= 1e-7, (mid, traj.max_speed_drift)
+            assert drift.max() <= 1e-7, (mid, drift.max())
 
 
 def test_time_reversal(rng):
@@ -73,16 +85,16 @@ def test_time_reversal(rng):
     for mid in zoo.MANIFOLD_IDS:
         m = zoo.manifold(mid)
         T = 6.0 if mid == "hyperbolic" else 10.0
-        for st in sample_states(m, 3, rng):
-            fwd = integrate_geodesic(m, st, T)
-            if fwd.truncated:
+        states, fwd = _reaching(m, sample_states(m, 3, rng), T)
+        if not states:
+            continue
+        end = fwd.state_at(T)
+        reversed_ = [unit_state(m, x, -v, normalize=True) for x, v in zip(end.x, end.v)]
+        back = integrate_geodesic(m, reversed_, T)
+        for st, reason, y in zip(states, back.reasons, back.y_end):
+            if reason is not None:
                 continue
-            end = fwd.state_at(T)
-            back = integrate_geodesic(
-                m, unit_state(m, end.x, -end.v, normalize=True), T)
-            if back.truncated:
-                continue
-            err = np.linalg.norm(back.state_at(T).x - st.x)
+            err = np.linalg.norm(y[:m.dim] - st.x)
             assert err < 1e-6, (mid, err)
 
 
@@ -92,15 +104,14 @@ def test_flow_composition_property(rng):
     for mid in zoo.MANIFOLD_IDS:
         m = zoo.manifold(mid)
         t = s = 5.0 if mid == "hyperbolic" else 10.0
-        for st in sample_states(m, 3, rng):
-            direct = integrate_geodesic(m, st, t + s)
-            if direct.truncated:
-                continue
-            mid_state = integrate_geodesic(m, st, s).state_at(s)
-            two_leg = integrate_geodesic(
-                m, unit_state(m, mid_state.x, mid_state.v, normalize=True), t)
-            a = two_leg.state_at(t).x
-            b = direct.state_at(t + s).x
+        states, direct = _reaching(m, sample_states(m, 3, rng), t + s)
+        if not states:
+            continue
+        mid_state = integrate_geodesic(m, states, s).state_at(s)
+        two_leg = integrate_geodesic(
+            m, [unit_state(m, x, v, normalize=True)
+                for x, v in zip(mid_state.x, mid_state.v)], t)
+        for a, b in zip(two_leg.state_at(t).x, direct.state_at(t + s).x):
             scale = 1.0 + float(np.linalg.norm(b))
             assert np.linalg.norm(a - b) < 1e-6 * scale, (mid, a, b)
 
@@ -124,18 +135,20 @@ def test_birkhoff_of_constant_is_T(ex4, rng):
 
 def test_birkhoff_killing_rate_is_zero(ex3, rng):
     U = zoo.vector_field("warp:ex3:Ubar")
-    for st in sample_states(ex3, 5, rng):
-        val = birkhoff_integral(
-            lambda x, v: pairing_rate(U, ex3, unit_state(ex3, x, v, normalize=True)),
-            ex3, st, 10.0)
+
+    def rates(X, V):
+        return [pairing_rate(U, ex3, unit_state(ex3, x, v, normalize=True))
+                for x, v in zip(X, V)]
+
+    for val in birkhoff_integral(rates, ex3, sample_states(ex3, 5, rng), 10.0):
         assert abs(val) < 1e-7 * 10.0
 
 
 def test_birkhoff_W_rate_bounded(revolution, rng):
     W = zoo.vector_field("revolution:W")
     T = 12.0
-    for st in sample_states(revolution, 5, rng):
-        val = birkhoff_integral(lambda x, v: W.fx(x, v), revolution, st, T)
+    fx = lambda X, V: [W.fx(x, v) for x, v in zip(X, V)]
+    for val in birkhoff_integral(fx, revolution, sample_states(revolution, 5, rng), T):
         assert abs(val) <= 3.0 * T + 1e-6
 
 
@@ -159,19 +172,15 @@ def test_path_identity_contract_all_pairs(rng):
     # e^(3T) * eps evaluation floor
     for m, f in zoo.field_pairs():
         T = 6.0 if m.name == "hyperbolic" else 10.0
-        worst = 0.0
-        for st in sample_states(m, 12, rng):
-            try:
-                worst = max(worst, path_integral_identity_residual(f, m, st, T))
-            except TruncatedTrajectoryError:
-                continue
+        states, _ = _reaching(m, sample_states(m, 12, rng), T)
+        worst = max(path_integral_identity_residual(f, m, states, T)) if states else 0.0
         assert worst <= 1e-6 * (1.0 + T), (m.name, f.name, worst)
 
 
 def test_path_identity_ex4_tight(ex4, rng):
     Z = zoo.vector_field("warp:ex4:Z")
-    for st in sample_states(ex4, 10, rng):
-        assert path_integral_identity_residual(Z, ex4, st, 10.0) < 1e-5
+    for residual in path_integral_identity_residual(Z, ex4, sample_states(ex4, 10, rng), 10.0):
+        assert residual < 1e-5
 
 
 def test_endpoint_bound_zero_field(torus, rng):
@@ -185,19 +194,66 @@ def test_endpoint_bound_zero_field(torus, rng):
 
 def test_endpoint_bound_ex3(ex3, rng):
     U = zoo.vector_field("warp:ex3:Ubar")
-    for st in sample_states(ex3, 10, rng):
-        try:
-            lhs, rhs = endpoint_bound_check(U, ex3, st, 20.0)
-        except TruncatedTrajectoryError:
-            continue
-        assert lhs <= rhs + 1e-6
+    states, _ = _reaching(ex3, sample_states(ex3, 10, rng), 20.0)
+    if states:
+        states, _ = _reaching(ex3, states, -20.0)
+    if states:
+        for lhs, rhs in zip(*endpoint_bound_check(U, ex3, states, 20.0)):
+            assert lhs <= rhs + 1e-6
 
 
 def test_endpoint_bound_W(revolution, rng):
     W = zoo.vector_field("revolution:W")
-    for st in sample_states(revolution, 10, rng):
-        lhs, rhs = endpoint_bound_check(W, revolution, st, 10.0)
+    for lhs, rhs in zip(*endpoint_bound_check(W, revolution, sample_states(revolution, 10, rng), 10.0)):
         assert lhs <= rhs + 1e-6
+
+
+# ---------------------------------------------------------------------------
+# the stacked stepper
+
+
+def test_stacked_orbits_step_as_they_do_alone(ex2, rng):
+    # a mixed stack: orbits of different lengths and time directions, and
+    # one that runs into the polar axis; a step size shared across the
+    # stack would change every count
+    Zbar = zoo.vector_field("warp:ex2:Zbar")
+    states = sample_states(ex2, 4, rng) + [unit_state(ex2, [2.0, 1.0, 1.0], [-1.0, 0.0, 0.0])]
+    ends = np.array([10.0, -10.0, 4.0, -2.5, 10.0])
+    stack = integrate_geodesic(ex2, states, ends, integrand=Zbar)
+    assert stack.reasons[-1] == "left_domain" and stack.truncated == 1
+    assert len(set(stack.n_accepted)) == len(states)
+    for i, (st, T) in enumerate(zip(states, ends)):
+        one = integrate_geodesic(ex2, st, T, integrand=Zbar)
+        assert (stack.n_accepted[i], stack.n_rejected[i], stack.nfev[i]) == (
+            one.stats.n_accepted, one.stats.n_rejected_est, one.stats.nfev)
+        assert stack.reasons[i] == one.truncation_reason
+        assert_allclose(stack.y_end[i], one.y_end, rtol=1e-13,
+                        atol=1e-13 * np.abs(one.y_end).max())
+
+
+def test_controller_takes_the_standard_steps(ex4):
+    # Dormand-Prince 5(4) with the standard controller at RTOL/ATOL takes
+    # exactly these steps on path-ex4's orbits; the carried integral, kept
+    # out of the error norm, changes none of them
+    Z = zoo.vector_field("warp:ex4:Z")
+    states = sample_states(ex4, 10, np.random.default_rng(30))
+    for integrand in (Z, None):
+        stats = integrate_geodesic(ex4, states, 10.0, integrand=integrand).stats
+        assert (stats.n_accepted, stats.n_rejected_est, stats.nfev) == (3600, 185, 22730)
+
+
+def test_runaway_speed_drift_truncates(hyperbolic):
+    # the first orbit of verify path-integral on hyperbolic:conformal at
+    # T = 40: its chart coordinates grow like e^t until the metric is
+    # numerically singular
+    st = sample_states(hyperbolic, 3, np.random.default_rng(0))[0]
+    traj = integrate_geodesic(hyperbolic, st, 40.0)
+    assert traj.truncation_reason == "speed_drift"
+    assert 10.0 < traj.t_end < 40.0
+    assert traj.speed_drift[-1] > MAX_SPEED_DRIFT >= traj.speed_drift[:-1].max()
+    with pytest.raises(TruncatedTrajectoryError, match="speed_drift"):
+        path_integral_identity_residual(zoo.vector_field("hyperbolic:conformal"),
+                                        hyperbolic, st, 40.0)
 
 
 # ---------------------------------------------------------------------------
@@ -217,8 +273,8 @@ def test_first_return_rational_slope(torus):
 def test_first_return_agrees_with_grid_oracle(torus, rng):
     # oracle: exhaustive scan of the wrapped position distance on a fine
     # time grid (the angle component is constant on the flat torus)
-    for st in sample_states(torus, 6, rng):
-        res = first_return(torus, st, eps=0.05, t_min=1.0, t_max=200.0)
+    states = sample_states(torus, 6, rng)
+    for st, res in zip(states, first_return(torus, states, eps=0.05, t_min=1.0, t_max=200.0)):
         ts = np.arange(1.0, 200.0, 0.004)
         pos = np.outer(ts, st.v) + st.x
         d = pos - st.x
@@ -235,8 +291,8 @@ def test_first_return_agrees_with_grid_oracle(torus, rng):
 
 
 def test_no_return_on_hyperbolic_plane(hyperbolic, rng):
-    for st in sample_states(hyperbolic, 5, rng):
-        res = first_return(hyperbolic, st, eps=0.1, t_min=1.0, t_max=100.0)
+    for res in first_return(hyperbolic, sample_states(hyperbolic, 5, rng),
+                            eps=0.1, t_min=1.0, t_max=100.0):
         assert res.event is None
         assert res.conclusive
         assert res.reason == "escape"
