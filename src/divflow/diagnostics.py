@@ -37,10 +37,12 @@ from .flow import first_return, integrate_geodesic
 from .integrals import (
     IntegralEstimate,
     RadialShell,
+    _ladder,
+    _uniform_in,
     base_integral,
     resolve_patches,
     sample_liouville,
-    sm_ladder,
+    sm_integral,
 )
 
 __all__ = [
@@ -181,8 +183,10 @@ def rate_integrability_ladder(m: ChartedManifold, field: VectorFieldDef,
     A converging trace is evidence of integrability; a diverging trace is
     flagged through ``converged=False`` and the recorded trace.
     """
-    return sm_ladder(m, lambda X, V: np.abs(pairing_rates(field, m, X, V)),
-                     r0=r0, rungs=rungs, order=order, rel_tol=rel_tol)
+    def increment(lo, hi):
+        return sm_integral(m, lambda X, V: np.abs(pairing_rates(field, m, X, V)),
+                           RadialShell(lo, hi), order=order)
+    return _ladder(increment, r0, rungs, rel_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -203,11 +207,9 @@ def x_decay_at_infinity(m: ChartedManifold, field: VectorFieldDef,
     for r in radii:
         sup = 0.0
         for patch in resolve_patches(m, RadialShell(float(r), 2.0 * float(r))):
-            lo = np.array([b[0] for b in patch.bounds])
-            hi = np.array([b[1] for b in patch.bounds])
-            u = rng.uniform(size=(n_samples, len(patch.bounds))) * (hi - lo) + lo
+            u = _uniform_in(patch.bounds, rng, (n_samples,))
             # always probe the radial endpoints as well
-            u[0, 0], u[min(1, n_samples - 1), 0] = lo[0], hi[0]
+            u[0, 0], u[min(1, n_samples - 1), 0] = patch.bounds[0]
             sup = max(sup, float(np.max(field_norm(field, m, patch.to_chart(u)))))
         out.append({"radius": float(r), "sup": float(sup), "n_samples": n_samples})
     return out

@@ -54,7 +54,6 @@ __all__ = [
     "first_return",
     "endpoint_bound_check",
     "proxy_distance",
-    "radius_stretch_constant",
 ]
 
 RTOL = 1e-9
@@ -116,7 +115,7 @@ class StepStats:
 class GeodesicTrajectory:
     """The orbits of one stacked integration, with their continuous extension.
 
-    Orbit i ran from ``t_start`` toward its ``t_final`` and stopped at
+    Orbit i ran from its start time toward its ``t_final`` and stopped at
     ``t_end``.  ``reasons[i]`` is None for an orbit that got there, else one
     of "left_domain", "speed_drift", "step_limit", "step_underflow",
     "solver_failed", "rhs_failure" or "monitor".  Over the whole stack:
@@ -130,10 +129,10 @@ class GeodesicTrajectory:
                          every orbit
 
     ``speed_drift`` is |g(v, v) - 1| at each node (the initial speed is unit
-    by construction).  Per-orbit values (``t``, ``states``, ``speed_drift``,
-    ``t_start``, ``t_end``, ``y_end``, ``state_at``) carry a leading orbit
-    axis (lists for the ragged node arrays), except for a trajectory started
-    from one state (x of shape (n,)).  ``y_stops[i, j]`` is orbit i's full
+    by construction).  Per-orbit values (``states``, ``speed_drift``,
+    ``t_end``, ``y_end``, ``state_at``) carry a leading orbit axis (lists for
+    the ragged node arrays), except for a trajectory started from one state
+    (x of shape (n,)).  ``y_stops[i, j]`` is orbit i's full
     state (x, v and the carried integral) at the j-th forced step end, NaN
     where the orbit stopped before it.
     """
@@ -181,10 +180,6 @@ class GeodesicTrajectory:
         return next((r for r in self.reasons if r is not None), None)
 
     @property
-    def t(self):
-        return self._out(self._split(self._node_t))
-
-    @property
     def states(self):
         return self._out(self._split(self._node_y[:, :2 * self.dim]))
 
@@ -195,10 +190,6 @@ class GeodesicTrajectory:
     @property
     def max_speed_drift(self) -> float:
         return float(np.nanmax(self._node_drift))
-
-    @property
-    def t_start(self):
-        return self._out(self._t_start)
 
     @property
     def _t_end(self) -> np.ndarray:
@@ -823,29 +814,3 @@ def _refine_returns(traj, hits, X0, V0, eps) -> dict:
             out[r] = (float(t_star[e]), float(d_star[e]))
     return out
 
-
-def radius_stretch_constant(m: ChartedManifold, states: Sequence[UnitTangentState],
-                            T: float = 30.0, r_floor: float = 2.0,
-                            n_checkpoints: int = 60) -> float:
-    """Empirical bound C with travel time <= C * surrogate radius, measured
-    on the outbound legs of shot orbits.
-
-    Only checkpoints while the surrogate radius is still increasing count:
-    the elapsed time is then a distance witness for the reached point.
-    Orbits trapped below ``r_floor`` contribute nothing.  Conservative by
-    construction; intended for calibrating annulus estimates that only need
-    d <= C r + const.
-    """
-    if m.radius is None:
-        raise ValueError(f"{m.name} has no radius surrogate")
-    traj = integrate_geodesic(m, states, T)
-    N, n = traj.n_orbits, m.dim
-    r0 = np.asarray(m.radius(traj._node_y[traj._node_off[:-1], :n]), dtype=float)
-    first = T / n_checkpoints
-    ts = first + (np.minimum(T, traj._t_end) - first)[:, None] * np.linspace(0.0, 1.0, n_checkpoints)
-    r = np.asarray(m.radius(traj._extend(np.arange(N), ts)[..., :n]), dtype=float)
-    # checkpoints before the first turning point, where the outbound leg ends
-    outbound = np.cumprod(np.diff(np.hstack([r0[:, None], r]), axis=1) > 0, axis=1) > 0
-    use = outbound & (r >= r_floor)
-    worst = np.where(use, (ts + r0[:, None]) / np.where(use, r, 1.0), 1.0)
-    return float(max(1.0, worst.max()))

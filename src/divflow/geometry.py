@@ -11,8 +11,9 @@ do the chart and field closures and the potential operators
 (``phi_laplacian``, ``laplace_beltrami``, the flux fields), and return the
 matching leading shape; validation covers every point and matrix and names
 the first failing point.
-Functions of a state (``pairing_rate``, ``covariant_derivative``,
-``unit_state``) take one state; ``pairing`` and the orbit layer take one
+``covariant_derivative`` returns the matrix of v -> nabla_v X per point, and
+``pairing_rates`` takes directions (N, k, n) at points (N, n).
+``unit_state`` builds one state; ``pairing`` and the orbit layer take one
 state or a stack of them (see ``stack_states``).
 """
 
@@ -39,7 +40,6 @@ __all__ = [
     "covariant_derivative",
     "divergence",
     "pairing",
-    "pairing_rate",
     "pairing_rate_form",
     "pairing_rates",
     "field_norm",
@@ -81,7 +81,6 @@ class ChartedManifold:
       christoffel      closed-form symbols, x -> (..., n, n, n) array G[k, i, j]
       radius           radial distance surrogate r(x) >= 0 (distance from
                        a fixed point, or a quantity comparable to it)
-      pair_distance    true distance between two chart points, when known
       geodesic         analytic flow oracle (x0, v0, t) -> (x, v)
       shell            (r_lo, r_hi) -> tuple of integration patches for the
                        region {r_lo <= radius <= r_hi} (see integrals module)
@@ -89,9 +88,10 @@ class ChartedManifold:
       radius_cap       default radius of the bounded base region that
                        sampling experiments use on an unbounded manifold
       radius_escape_certificate
-                       True only if (a) pair_distance is the true distance
-                       and (b) t -> radius(geodesic(t)) is convex along every
-                       geodesic; lets orbit probes certify non-return early.
+                       True only if (a) radius is 1-Lipschitz in the chart
+                       coordinates and (b) t -> radius(geodesic(t)) is convex
+                       along every geodesic; lets orbit probes certify
+                       non-return early.
     """
 
     name: str
@@ -101,7 +101,6 @@ class ChartedManifold:
     periods: tuple[Optional[float], ...] = ()
     christoffel: Optional[Callable[[np.ndarray], np.ndarray]] = None
     radius: Optional[Callable[[np.ndarray], float]] = None
-    pair_distance: Optional[Callable[[np.ndarray, np.ndarray], float]] = None
     geodesic: Optional[Callable[[np.ndarray, np.ndarray, float], tuple]] = None
     shell: Optional[Callable[[float, float], tuple]] = None
     sample_box: Optional[tuple[tuple[float, float], ...]] = None
@@ -187,21 +186,18 @@ def _first(x: np.ndarray, bad) -> np.ndarray:
     return x if x.ndim == 1 else x[int(np.argmax(bad))]
 
 
-def metric_at(m: ChartedManifold, x, validate: bool = True) -> np.ndarray:
-    """Metric matrices g_ij(x); validates symmetry and positive definiteness.
+def metric_at(m: ChartedManifold, x) -> np.ndarray:
+    """Metric matrices g_ij(x); validates the domain, symmetry and positive
+    definiteness.
 
     Positive definiteness is enforced by an attempted Cholesky factorization
     of every matrix; failure is a hard error rather than a silent clamp.
-    Hot loops may pass ``validate=False`` once the evaluator has been swept
-    by the invariant checks; the domain predicate is always applied.
     """
     x = np.asarray(x, dtype=float)
     ok = np.asarray(m.domain(x))
     if not ok.all():
         raise DomainError(f"{m.name}: point {_first(x, ~ok)!r} outside chart domain")
     g = np.asarray(m.metric(x), dtype=float)
-    if not validate:
-        return g
     n = m.dim
     if g.shape != x.shape[:-1] + (n, n):
         raise MetricError(f"{m.name}: metric shape {g.shape} != {x.shape[:-1] + (n, n)}")
@@ -281,16 +277,14 @@ def _metric_partials(m: ChartedManifold, x: np.ndarray) -> np.ndarray:
 def christoffel(m: ChartedManifold, x, method: str = "auto") -> np.ndarray:
     """Christoffel symbols G[..., k, i, j] = Gamma^k_ij at x.
 
-    ``method``: "auto" uses the manifold's closed form when present,
-    "closed" requires it, "fd" forces the finite-difference path.
+    ``method``: "auto" uses the manifold's closed form when present, "fd"
+    forces the finite-difference path.
     """
     x = np.asarray(x, dtype=float)
-    if method not in ("auto", "closed", "fd"):
+    if method not in ("auto", "fd"):
         raise ValueError(f"unknown method {method!r}")
-    if method in ("auto", "closed") and m.christoffel is not None:
+    if method == "auto" and m.christoffel is not None:
         return np.asarray(m.christoffel(x), dtype=float)
-    if method == "closed":
-        raise ValueError(f"{m.name} has no closed-form Christoffel symbols")
     ginv = inverse_metric_at(m, x)
     dg = _metric_partials(m, x)
     # Gamma_{l ij} = (d_i g_jl + d_j g_il - d_l g_ij) / 2
@@ -321,20 +315,15 @@ def _field_jacobian(field: VectorFieldDef, m: ChartedManifold,
     return J
 
 
-def _derivative_matrix(field: VectorFieldDef, m: ChartedManifold,
-                       x: np.ndarray) -> np.ndarray:
-    """A[..., k, i] with (nabla_v X)^k = A[k, i] v^i."""
+def covariant_derivative(field: VectorFieldDef, m: ChartedManifold,
+                         x) -> np.ndarray:
+    """The covariant derivative of the field at x as matrices A[..., k, i],
+    with (nabla_v X)^k = A[k, i] v^i = v^i d_i X^k + Gamma^k_ij v^i X^j."""
+    x = np.asarray(x, dtype=float)
     J = _field_jacobian(field, m, x)
     G = christoffel(m, x)
     X = _components(field, x)
     return J + np.einsum("...kij,...j->...ki", G, X)
-
-
-def covariant_derivative(field: VectorFieldDef, m: ChartedManifold,
-                         state: UnitTangentState) -> np.ndarray:
-    """(nabla_v X)^k = v^i d_i X^k + Gamma^k_ij v^i X^j at the state's point."""
-    A = _derivative_matrix(field, m, state.x)
-    return A @ state.v
 
 
 def divergence(field: VectorFieldDef, m: ChartedManifold, x,
@@ -342,12 +331,11 @@ def divergence(field: VectorFieldDef, m: ChartedManifold, x,
     """Divergence of the field at x.
 
     "trace" takes the trace of v -> nabla_v X.  "coordinate" evaluates the
-    independent route (1/sqrt G) d_i (sqrt G X^i).  "closed" uses the field's
-    supplied closed form.
+    independent route (1/sqrt G) d_i (sqrt G X^i).
     """
     x = np.asarray(x, dtype=float)
     if method == "trace":
-        return np.trace(_derivative_matrix(field, m, x), axis1=-2, axis2=-1)
+        return np.trace(covariant_derivative(field, m, x), axis1=-2, axis2=-1)
     if method == "coordinate":
         h = _fd_steps(x)
         total = 0.0
@@ -357,10 +345,6 @@ def divergence(field: VectorFieldDef, m: ChartedManifold, x,
             wm = volume_density(m, xm) * _components(field, xm)[..., i]
             total += (wp - wm) / (2.0 * h[..., i])
         return total / volume_density(m, x)
-    if method == "closed":
-        if field.divergence is None:
-            raise ValueError(f"field {field.name} has no closed-form divergence")
-        return np.broadcast_to(np.asarray(field.divergence(x), dtype=float), x.shape[:-1])
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -376,8 +360,7 @@ def pairing(field: VectorFieldDef, m: ChartedManifold, state: UnitTangentState):
     return (v[..., None, :] @ metric_at(m, x) @ _components(field, x)[..., None])[..., 0, 0]
 
 
-def pairing_rate_form(field: VectorFieldDef, m: ChartedManifold, x,
-                      validate: bool = True) -> np.ndarray:
+def pairing_rate_form(field: VectorFieldDef, m: ChartedManifold, x) -> np.ndarray:
     """Matrices Q with pairing rate = v @ Q @ v for unit v at x.
 
     The rate of g(X, gamma') along the geodesic through (x, v) is the
@@ -385,31 +368,25 @@ def pairing_rate_form(field: VectorFieldDef, m: ChartedManifold, x,
     over many directions cheap.
     """
     x = np.asarray(x, dtype=float)
-    g = metric_at(m, x, validate=validate)
-    Q = g @ _derivative_matrix(field, m, x)
+    g = metric_at(m, x)
+    Q = g @ covariant_derivative(field, m, x)
     return 0.5 * (Q + np.swapaxes(Q, -1, -2))
 
 
 def pairing_rates(field: VectorFieldDef, m: ChartedManifold, x,
                   V: np.ndarray) -> np.ndarray:
-    """Pairing rates v @ Q(x) @ v of directions V (N, k, n) at points x
-    (N, n), shape (N, k): the bundle integrand F(x, V) of the fiber
-    lemma, formed from the directions themselves (V @ Q, then the sum)."""
+    """Pairing rates g(nabla_v X, v) = v @ Q(x) @ v of directions V (N, k, n)
+    at points x (N, n), shape (N, k): the derivative of the pairing along
+    the geodesic flow, and the bundle integrand F(x, V) of the fiber lemma.
+
+    The rate vanishes for Killing fields and equals the conformal factor on
+    unit vectors for conformal fields; its fiber average over unit
+    directions is (omega_{n-1} / n) * div X.  It is formed from the
+    directions themselves (V @ Q, then the sum).
+    """
     P = (V @ pairing_rate_form(field, m, x)) * V
     # adding the n <= 3 columns keeps .sum(axis=-1)'s order, several times faster
     return reduce(np.add, [P[..., i] for i in range(P.shape[-1])])
-
-
-def pairing_rate(field: VectorFieldDef, m: ChartedManifold,
-                 state: UnitTangentState) -> float:
-    """g(nabla_v X, v): the derivative of the pairing along the geodesic flow.
-
-    Vanishes identically for Killing fields; equals the conformal factor on
-    unit vectors for conformal fields.  Its fiber average over unit
-    directions is (omega_{n-1} / n) * div X.
-    """
-    Q = pairing_rate_form(field, m, state.x)
-    return float(state.v @ Q @ state.v)
 
 
 def field_norm(field: VectorFieldDef, m: ChartedManifold, x):

@@ -36,6 +36,7 @@ from .geometry import (
 _leggauss = lru_cache(maxsize=64)(leggauss)
 
 __all__ = [
+    "SamplingError",
     "ChartBox",
     "RadialShell",
     "ShellPatch",
@@ -48,11 +49,14 @@ __all__ = [
     "sm_integral",
     "fubini_consistency",
     "ladder_integral",
-    "sm_ladder",
     "sample_box_points",
     "sample_states",
     "sample_liouville",
 ]
+
+
+class SamplingError(ValueError):
+    """A sampler's rejection envelope proved too low for the density."""
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +110,14 @@ def _box_patch(m: ChartedManifold, box: ChartBox) -> ShellPatch:
     )
 
 
+def _uniform_in(bounds, rng, shape: tuple = ()) -> np.ndarray:
+    """Uniform draws of shape ``shape + (len(bounds),)`` in the box
+    ``bounds``, one (lo, hi) pair per axis."""
+    lo = np.array([b[0] for b in bounds])
+    hi = np.array([b[1] for b in bounds])
+    return rng.uniform(size=shape + (len(bounds),)) * (hi - lo) + lo
+
+
 def resolve_patches(m: ChartedManifold, region) -> tuple[ShellPatch, ...]:
     if isinstance(region, ChartBox):
         return (_box_patch(m, region),)
@@ -124,8 +136,8 @@ def resolve_patches(m: ChartedManifold, region) -> tuple[ShellPatch, ...]:
 class IntegralEstimate:
     """Value with an error estimate and provenance counters.
 
-    ``stderr`` is a deterministic quadrature residual or a Monte Carlo
-    standard error depending on the method that produced the estimate.
+    ``stderr`` is a deterministic quadrature residual: the distance between
+    the full-order and the half-order tensor pass.
     """
 
     value: float
@@ -294,43 +306,21 @@ def _quad_patch(h, patch: ShellPatch, order: int) -> tuple[float, float, int]:
     return value, abs(value - coarse), nodes
 
 
-def _mc_patch(h, patch: ShellPatch, n: int, rng) -> tuple[float, float, int]:
-    lo = np.array([b[0] for b in patch.bounds])
-    hi = np.array([b[1] for b in patch.bounds])
-    vol = float(np.prod(hi - lo))
-    u = rng.uniform(size=(n, len(patch.bounds))) * (hi - lo) + lo
-    vals = _patch_values(h, patch, u)
-    mean = float(np.sum(vals)) / n
-    var = float(np.sum((vals - mean) ** 2)) / max(1, n - 1)
-    return vol * mean, vol * math.sqrt(var / n), n
-
-
 def base_integral(m: ChartedManifold, h: Callable[[np.ndarray], np.ndarray], region,
-                  method: str = "quadrature", order: int = 16,
-                  n_mc: int = 20000, seed: int = 0) -> IntegralEstimate:
-    """Integral of h against the volume measure over a bounded region.
+                  order: int = 16) -> IntegralEstimate:
+    """Integral of h against the volume measure over a bounded region, by
+    Gauss-Legendre tensor quadrature on each patch.
 
     ``h`` takes a stack of chart points (N, n) and returns values that
     broadcast to (N,).  ``region`` is a ChartBox or a RadialShell.
     """
-    patches = resolve_patches(m, region)
     values, errs, nodes = [], [], 0
-    rng = np.random.default_rng(seed)
-    for patch in patches:
-        if method == "quadrature":
-            v, e, k = _quad_patch(h, patch, order)
-        elif method == "montecarlo":
-            v, e, k = _mc_patch(h, patch, n_mc, rng)
-        else:
-            raise ValueError(f"unknown method {method!r}")
+    for patch in resolve_patches(m, region):
+        v, e, k = _quad_patch(h, patch, order)
         values.append(v)
         errs.append(e)
         nodes += k
-    if method == "quadrature":
-        err = math.fsum(errs)
-    else:
-        err = math.sqrt(math.fsum(e * e for e in errs))
-    return IntegralEstimate(value=math.fsum(values), stderr=err, nodes=nodes)
+    return IntegralEstimate(value=math.fsum(values), stderr=math.fsum(errs), nodes=nodes)
 
 
 def sm_integral(m: ChartedManifold, F, region, order: int = 12) -> IntegralEstimate:
@@ -366,10 +356,8 @@ def fubini_consistency(m: ChartedManifold, F, region, n_mc: int = 20000,
     w_total = omega(m.dim)
     values, variances, nodes = [], [], 0
     for patch in patches:
-        lo = np.array([b[0] for b in patch.bounds])
-        hi = np.array([b[1] for b in patch.bounds])
-        vol = float(np.prod(hi - lo))
-        u = rng.uniform(size=(n_mc, len(patch.bounds))) * (hi - lo) + lo
+        vol = float(np.prod([hi - lo for lo, hi in patch.bounds]))
+        u = _uniform_in(patch.bounds, rng, (n_mc,))
         g = rng.normal(size=(n_mc, m.dim))
         g /= np.linalg.norm(g, axis=1, keepdims=True)
         x = patch.to_chart(u)
@@ -448,14 +436,6 @@ def ladder_integral(m: ChartedManifold, h, r0: float = 1.0, rungs: int = 8,
     return _ladder(increment, r0, rungs, LADDER_REL_TOL)
 
 
-def sm_ladder(m: ChartedManifold, F, r0: float = 1.0, rungs: int = 8,
-              order: int = 12, rel_tol: float = LADDER_REL_TOL) -> IntegralEstimate:
-    """Truncation ladder for a unit-tangent-bundle integrand F(X, V)."""
-    def increment(lo, hi):
-        return sm_integral(m, F, RadialShell(lo, hi), order=order)
-    return _ladder(increment, r0, rungs, rel_tol)
-
-
 # ---------------------------------------------------------------------------
 # sampling
 
@@ -464,9 +444,7 @@ def sample_box_points(m: ChartedManifold, n: int, rng) -> np.ndarray:
     """Uniform chart-coordinate samples in the manifold's sample box."""
     if m.sample_box is None:
         raise ValueError(f"{m.name} has no default sample box")
-    lo = np.array([b[0] for b in m.sample_box])
-    hi = np.array([b[1] for b in m.sample_box])
-    return rng.uniform(size=(n, m.dim)) * (hi - lo) + lo
+    return _uniform_in(m.sample_box, rng, (n,))
 
 
 def sample_states(m: ChartedManifold, n: int, rng) -> list[UnitTangentState]:
@@ -493,7 +471,9 @@ def sample_liouville(m: ChartedManifold, n: int, rng,
     Base points follow the volume measure (rejection against the patch
     density); directions are isotropic in the fiber.  For non-compact
     manifolds pass ``radius_cap``; the cap must be recorded by callers since
-    the full measure may be infinite.
+    the full measure may be infinite.  The envelope of each patch is 1.5
+    times the largest density on a 7-point probe grid per axis; a draw whose
+    density exceeds it raises SamplingError.
     """
     if n <= 0:
         raise ValueError("need a positive sample count")
@@ -508,14 +488,12 @@ def sample_liouville(m: ChartedManifold, n: int, rng,
 
     sups, masses = [], []
     for patch in patches:
-        lo = np.array([b[0] for b in patch.bounds])
-        hi = np.array([b[1] for b in patch.bounds])
         grid = [np.linspace(a, b, 7) for a, b in patch.bounds]
         mesh = np.meshgrid(*grid, indexing="ij")
         pts = np.stack([g.ravel() for g in mesh], axis=-1)
         dens = np.asarray(patch.density(pts), dtype=float)
         sups.append(1.5 * float(dens.max()) + 1e-300)
-        masses.append(float(dens.mean()) * float(np.prod(hi - lo)))
+        masses.append(float(dens.mean()) * float(np.prod([hi - lo for lo, hi in patch.bounds])))
     total = math.fsum(masses)
     probs = np.array([max(w, 1e-300) for w in masses]) / max(total, 1e-300)
     cdf = np.cumsum(probs)
@@ -525,13 +503,12 @@ def sample_liouville(m: ChartedManifold, n: int, rng,
         j = int(np.searchsorted(cdf, rng.uniform()))
         j = min(j, len(patches) - 1)
         patch = patches[j]
-        lo = np.array([b[0] for b in patch.bounds])
-        hi = np.array([b[1] for b in patch.bounds])
-        u = rng.uniform(size=len(patch.bounds)) * (hi - lo) + lo
+        u = _uniform_in(patch.bounds, rng)
         d = patch.density(u)
         if d > sups[j]:
-            raise RuntimeError("density exceeded its rejection envelope; "
-                               "refine the probe grid")
+            raise SamplingError(
+                f"{m.name}: density {float(d):.6g} at patch point {u.tolist()} exceeds "
+                f"its rejection envelope {sups[j]:.6g}; the probe grid missed the peak")
         if rng.uniform() * sups[j] > d:
             continue
         x = patch.to_chart(u)

@@ -39,7 +39,6 @@ __all__ = [
     "phi_laplacian",
     "laplace_beltrami",
     "monotone_form",
-    "young_gap",
     "scalar_test_functions",
 ]
 
@@ -66,7 +65,6 @@ class PhiProfile:
 
     name: str
     phi: Callable
-    dphi: Callable
     A: float
     growth_exponent: float
     singular_near_zero: bool = False
@@ -78,7 +76,6 @@ def p_laplace_profile(p: float) -> PhiProfile:
     return PhiProfile(
         name=f"p:{p:g}",
         phi=lambda t: np.power(t, p - 1.0),
-        dphi=lambda t: (p - 1.0) * np.power(t, p - 2.0),
         A=1.0,
         growth_exponent=p,
         singular_near_zero=p < 2.0,
@@ -89,7 +86,6 @@ def mean_curvature_profile() -> PhiProfile:
     return PhiProfile(
         name="mean-curvature",
         phi=lambda t: t / np.sqrt(1.0 + t * t),
-        dphi=lambda t: (1.0 + t * t) ** -1.5,
         A=1.0,
         growth_exponent=2.0,
     )
@@ -191,10 +187,13 @@ def monotone_form(xi, eta, profile: PhiProfile):
     """h(xi, eta) = <phi(|xi|)/|xi| xi - phi(|eta|)/|eta| eta, xi - eta>.
 
     Nonnegative for strictly increasing profiles, vanishing only on the
-    diagonal.  Accepts single vectors or batches of shape (k, d).
+    diagonal.  Takes vectors of shape (d,), giving a float, or batches of
+    shape (k, d), giving shape (k,).
     """
-    xi = np.atleast_2d(np.asarray(xi, dtype=float))
-    eta = np.atleast_2d(np.asarray(eta, dtype=float))
+    xi = np.asarray(xi, dtype=float)
+    eta = np.asarray(eta, dtype=float)
+    one = xi.ndim == eta.ndim == 1
+    xi, eta = np.atleast_2d(xi), np.atleast_2d(eta)
 
     def flux(w):
         n = np.linalg.norm(w, axis=1)
@@ -204,15 +203,7 @@ def monotone_form(xi, eta, profile: PhiProfile):
         return scale[:, None] * w
 
     vals = np.sum((flux(xi) - flux(eta)) * (xi - eta), axis=1)
-    return vals if vals.size > 1 else float(vals[0])
-
-
-def young_gap(a, b, r: float):
-    """Slack of a b^(r-1) <= a^r / r + (r-1) b^r / r for a, b >= 0."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    gap = a ** r / r + (r - 1.0) * b ** r / r - a * b ** (r - 1.0)
-    return gap if gap.size > 1 else float(gap)
+    return float(vals[0]) if one else vals
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,10 @@
 One experiment per invocation: a config selects zoo objects, parameters and
 tolerances; ``run`` produces a deterministic report document given
 (config, seed).  A numerical failure inside an experiment (a truncated
-orbit, a point outside the chart, a bad metric, a degenerate gradient)
-becomes a report with a failed ``completed`` check and an ``error`` entry.  Exit-status policy is the caller's job (the CLI maps
-check failure to 1 and config errors to 2).
+orbit, a point outside the chart, a bad metric, a degenerate gradient, a
+sampler envelope below the density) becomes a report with a failed
+``completed`` check and an ``error`` entry.  Exit-status policy is the
+caller's job (the CLI maps check failure to 1 and config errors to 2).
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .geometry import (
 )
 from .integrals import (
     ChartBox,
+    SamplingError,
     base_integral,
     fiber_integral,
     fiber_rule,
@@ -65,7 +67,7 @@ class ConfigError(ValueError):
 
 # numerical failures that end an experiment with an error report
 NUMERICAL_ERRORS = (TruncatedTrajectoryError, DomainError, MetricError,
-                    DegenerateGradientError)
+                    DegenerateGradientError, SamplingError)
 
 # params that count something, with their least valid value
 COUNTS = {"n_points": 1, "n_orbits": 1, "n_mc": 1, "rungs": 1, "n": 1,

@@ -23,11 +23,11 @@ warped products write out their block metric, and the lifted fields their
 product components.  ``_MANIFOLDS`` and ``_FIELDS`` are the one catalog; the
 public id tuples are derived from them.
 
-Every closure of a point takes x of shape (n,) or (N, n) and returns the
-matching leading shape, with the same values on one point as on a stack.
-Coordinates are read as ``x[..., 0]``, which reverses every axis and so admits
-no deeper stack: unlike ``x[..., 0]``, it gives numpy scalars on one point,
-which keeps the one-point calls of the geodesic right-hand side cheap.
+The chart, shell and field closures index only the last axis (``x[..., 0]``),
+so they take any stack of shape (..., n) and return the matching leading
+shape, with the same values on one point as on a stack.  The oracles that
+tests compare against (the fields' ``fx``, the analytic hyperbolic geodesic
+and the revolution embedding) take one point.
 """
 
 from __future__ import annotations
@@ -204,18 +204,12 @@ def make_flat_torus() -> ChartedManifold:
     """Flat square torus of side 1."""
     eye = np.eye(2)
 
-    def pair_distance(p, q):
-        d = np.asarray(p) - np.asarray(q)
-        d -= np.round(d)
-        return float(np.linalg.norm(d))
-
     return ChartedManifold(
         name="torus(L=1)",
         dim=2,
         metric=lambda x: np.broadcast_to(eye, x.shape[:-1] + (2, 2)),
         periods=(1.0, 1.0),
         christoffel=lambda x: np.zeros(x.shape[:-1] + (2, 2, 2)),
-        pair_distance=pair_distance,
         sample_box=((0.0, 1.0), (0.0, 1.0)),
         description="flat square torus of side 1; geodesics are straight lines mod 1",
     )
@@ -331,10 +325,6 @@ def make_surface_of_revolution() -> tuple[ChartedManifold, AmbientEmbedding]:
 # hyperbolic plane (hyperboloid graph chart)
 
 
-def _lorentz(a, b):
-    return a[0] * b[0] + a[1] * b[1] - a[2] * b[2]
-
-
 def _h2_lift(x):
     z = math.sqrt(1.0 + x[0] * x[0] + x[1] * x[1])
     return np.array([x[0], x[1], z])
@@ -364,8 +354,8 @@ def make_hyperbolic_plane() -> ChartedManifold:
     """Hyperbolic plane as the graph chart (x, y) -> (x, y, sqrt(1+x^2+y^2))
     of the upper hyperboloid sheet, metric pulled back from the Lorentz form.
 
-    Carries the analytic geodesic gamma(t) = cosh(t) P + sinh(t) V and the
-    exact distance arccosh(-<P, Q>), which doubles as the radius surrogate.
+    Carries the analytic geodesic gamma(t) = cosh(t) P + sinh(t) V, and as
+    radius surrogate the exact distance from the apex, arccosh(z).
     """
 
     def geodesic(x0, v0, t):
@@ -375,10 +365,6 @@ def make_hyperbolic_plane() -> ChartedManifold:
         G = ct * P + st * V
         Gdot = st * P + ct * V
         return G[:2].copy(), Gdot[:2].copy()
-
-    def pair_distance(p, q):
-        val = -_lorentz(_h2_lift(p), _h2_lift(q))
-        return float(np.arccosh(max(1.0, val)))
 
     def radius(x):
         x0, x1 = x[..., 0], x[..., 1]
@@ -398,7 +384,6 @@ def make_hyperbolic_plane() -> ChartedManifold:
         metric=_h2_metric,
         christoffel=_h2_christoffel,
         radius=radius,
-        pair_distance=pair_distance,
         geodesic=geodesic,
         shell=shell,
         sample_box=((-3.0, 3.0), (-3.0, 3.0)),
@@ -681,19 +666,10 @@ def torus_wave_field() -> VectorFieldDef:
 # catalog
 
 
-@lru_cache(maxsize=None)
-def _revolution() -> tuple[ChartedManifold, AmbientEmbedding]:
-    return make_surface_of_revolution()
-
-
-def revolution_embedding() -> AmbientEmbedding:
-    return _revolution()[1]
-
-
 # id -> builder, in listing order
 _MANIFOLDS = {
     "torus": make_flat_torus,
-    "revolution:1/(1+x^2)": lambda: _revolution()[0],
+    "revolution:1/(1+x^2)": lambda: make_surface_of_revolution()[0],
     "hyperbolic": make_hyperbolic_plane,
     "warp:ex2": lambda: _radial_example(warp_profile_finite_volume(), "warp:ex2"),
     "warp:ex3": lambda: _radial_example(warp_profile_infinite_volume(), "warp:ex3"),

@@ -180,7 +180,8 @@ def test_karp_error_report_writes_the_checks_csv(capsys):
 
 
 @pytest.mark.parametrize("error", ["TruncatedTrajectoryError", "DomainError",
-                                   "MetricError", "DegenerateGradientError"])
+                                   "MetricError", "DegenerateGradientError",
+                                   "SamplingError"])
 def test_numerical_errors_become_failed_reports(error, monkeypatch, capsys):
     exc_type = next(e for e in runner.NUMERICAL_ERRORS if e.__name__ == error)
 
@@ -195,6 +196,20 @@ def test_numerical_errors_become_failed_reports(error, monkeypatch, capsys):
     report = json.loads(captured.out)
     assert report["error"] == {"type": error,
                                "message": "orbit truncated at t = 15.8 (step_limit)"}
+    assert report["passed"] is False
+
+
+@pytest.mark.parametrize("action", ["hopf", "recurrence"])
+def test_failed_liouville_envelope_becomes_a_failed_report(action, capsys):
+    # at this cap the sampler's probe grid misses the warp:ex2 density peak
+    argv = ["diagnose", action, "--manifold", "warp:ex2", "--param", "radius_cap=20",
+            "--param", "n=2"]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    report = json.loads(captured.out)
+    assert report["error"]["type"] == "SamplingError"
+    assert "rejection envelope" in report["error"]["message"]
     assert report["passed"] is False
 
 

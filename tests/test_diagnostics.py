@@ -15,7 +15,7 @@ from divflow.diagnostics import (
     recurrence_fraction,
     x_decay_at_infinity,
 )
-from divflow.flow import birkhoff_integral, radius_stretch_constant
+from divflow.flow import birkhoff_integral
 from divflow.geometry import VectorFieldDef, unit_state
 from divflow.integrals import sample_liouville, sample_states
 from divflow.runner import ExperimentConfig, report_to_csv, run
@@ -41,7 +41,7 @@ def test_karp_sequence_zero_field(ex3):
         assert r.normalized == pytest.approx(0.0, abs=1e-12)
 
 
-def test_karp_sequence_example1(revolution):
+def test_karp_sequence_example1(revolution, radius_stretch_constant):
     W = zoo.vector_field("revolution:W")
     reps = karp_sequence(revolution, W, [10.0, 100.0, 1000.0])
     vals = [r.normalized for r in reps]

@@ -14,9 +14,8 @@ from divflow.flow import (
     integrate_geodesic,
     path_integral_identity_residual,
     proxy_distance,
-    radius_stretch_constant,
 )
-from divflow.geometry import VectorFieldDef, pairing_rate, unit_state
+from divflow.geometry import VectorFieldDef, pairing_rates, stack_states, unit_state
 from divflow.integrals import sample_states
 
 TWO_PI = 2.0 * math.pi
@@ -137,8 +136,8 @@ def test_birkhoff_killing_rate_is_zero(ex3, rng):
     U = zoo.vector_field("warp:ex3:Ubar")
 
     def rates(X, V):
-        return [pairing_rate(U, ex3, unit_state(ex3, x, v, normalize=True))
-                for x, v in zip(X, V)]
+        X, V, _ = stack_states([unit_state(ex3, x, v, normalize=True) for x, v in zip(X, V)])
+        return pairing_rates(U, ex3, X, V[:, None])[:, 0]
 
     for val in birkhoff_integral(rates, ex3, sample_states(ex3, 5, rng), 10.0):
         assert abs(val) < 1e-7 * 10.0
@@ -320,7 +319,7 @@ def test_proxy_distance_periodic_wrap(torus):
     assert d[0] == pytest.approx(0.1, abs=1e-12)
 
 
-def test_radius_stretch_constant_revolution(revolution):
+def test_radius_stretch_constant_revolution(revolution, radius_stretch_constant):
     # near-meridian escaping fan: travel time tracks arclength closely
     states = []
     for ang in np.linspace(-0.3, 0.3, 7):

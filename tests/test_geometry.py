@@ -17,7 +17,8 @@ from divflow.geometry import (
     divergence,
     metric_at,
     orthonormal_frame,
-    pairing_rate,
+    pairing_rates,
+    stack_states,
     unit_state,
     volume_density,
 )
@@ -80,7 +81,7 @@ def test_torus_christoffels_vanish(torus, rng):
 def test_hyperbolic_christoffel_fd_vs_closed(hyperbolic):
     x = np.array([0.3, -0.2])
     G_fd = christoffel(hyperbolic, x, method="fd")
-    G_cl = christoffel(hyperbolic, x, method="closed")
+    G_cl = hyperbolic.christoffel(x)
     assert np.abs(G_fd - G_cl).max() < 1e-6
     # symbols of the graph chart reduce to -x_k g_ij
     g = metric_at(hyperbolic, x)
@@ -94,7 +95,7 @@ def test_christoffel_fd_vs_closed_all_zoo(rng):
         m = zoo.manifold(mid)
         pts = sample_box_points(m, 20, rng)
         for x in pts:
-            closed = christoffel(m, x, method="closed")
+            closed = m.christoffel(x)
             diff = np.abs(christoffel(m, x, method="fd") - closed).max()
             assert diff < 1e-6 * (1.0 + np.abs(closed).max()), (mid, x, diff)
 
@@ -120,7 +121,7 @@ def test_warped_mixing_term(ex4, rng):
         u = np.zeros(3)
         u[2] = 1.0 / math.sqrt(g[2, 2])
         state = unit_state(ex4, x, u)
-        got = covariant_derivative(X, ex4, state)
+        got = covariant_derivative(X, ex4, state.x) @ state.v
         z = math.sqrt(1.0 + x[0] ** 2 + x[1] ** 2)
         xf_over_f = -2.0 * (x[0] ** 2 + x[1] ** 2) / z
         assert_allclose(got, xf_over_f * u, atol=1e-8)
@@ -130,8 +131,8 @@ def test_covariant_derivative_trivial_cases(torus):
     zero = VectorFieldDef("zero", lambda x: np.zeros(2))
     const = VectorFieldDef("const", lambda x: np.array([1.0, 0.0]))
     st = unit_state(torus, [0.3, 0.4], [1.0, 0.0])
-    assert_allclose(covariant_derivative(zero, torus, st), 0.0, atol=1e-15)
-    assert_allclose(covariant_derivative(const, torus, st), 0.0, atol=1e-12)
+    assert_allclose(covariant_derivative(zero, torus, st.x) @ st.v, 0.0, atol=1e-15)
+    assert_allclose(covariant_derivative(const, torus, st.x) @ st.v, 0.0, atol=1e-12)
 
 
 def test_divergence_of_W_vanishes(revolution, rng):
@@ -171,26 +172,33 @@ def test_divergence_closed_matches_trace_when_supplied(rng):
             assert abs(divergence(f, m, x) - f.divergence(x)) < 1e-6
 
 
+def _rates(field, m, states):
+    """The pairing rate g(nabla_v X, v) of each state, one direction per point."""
+    X, V, _ = stack_states(states)
+    return pairing_rates(field, m, X, V[:, None])[:, 0]
+
+
 def test_rate_of_killing_fields_vanishes(rng):
     for fid in ("hyperbolic:rotation", "warp:ex2:Zbar", "warp:ex3:Ubar"):
         mid = zoo.field_manifold_id(fid)
         m, f = zoo.manifold(mid), zoo.vector_field(fid)
-        for st in sample_states(m, 50, rng):
-            assert abs(pairing_rate(f, m, st)) < 1e-9
+        for rate in _rates(f, m, sample_states(m, 50, rng)):
+            assert abs(rate) < 1e-9
 
 
 def test_rate_of_conformal_field_is_z(hyperbolic, rng):
     X = zoo.vector_field("hyperbolic:conformal")
-    for st in sample_states(hyperbolic, 50, rng):
+    states = sample_states(hyperbolic, 50, rng)
+    for st, rate in zip(states, _rates(X, hyperbolic, states)):
         z = math.sqrt(1.0 + st.x[0] ** 2 + st.x[1] ** 2)
-        assert pairing_rate(X, hyperbolic, st) == pytest.approx(z, abs=1e-8)
+        assert rate == pytest.approx(z, abs=1e-8)
 
 
 def test_rate_of_W_matches_ambient_formula(revolution, rng):
     # oracle: the closed ambient-component expression stored on the field
     W = zoo.vector_field("revolution:W")
-    for st in sample_states(revolution, 100, rng):
-        got = pairing_rate(W, revolution, st)
+    states = sample_states(revolution, 100, rng)
+    for st, got in zip(states, _rates(W, revolution, states)):
         assert got == pytest.approx(W.fx(st.x, st.v), abs=1e-9)
         assert abs(got) <= 3.0 + 1e-9
 
@@ -207,8 +215,8 @@ def test_rate_linearity(a, b):
         jacobian=lambda x: a * X.jacobian(x) + b * Y.jacobian(x))
     st_ = unit_state(m, [0.4, -0.7],
                      orthonormal_frame(m, [0.4, -0.7]) @ np.array([0.6, 0.8]))
-    lhs = pairing_rate(comb, m, st_)
-    rhs = a * pairing_rate(X, m, st_) + b * pairing_rate(Y, m, st_)
+    lhs = _rates(comb, m, st_)[0]
+    rhs = a * _rates(X, m, st_)[0] + b * _rates(Y, m, st_)[0]
     assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
@@ -223,8 +231,8 @@ def test_conformal_identity_symmetrized(hyperbolic, rng):
         z = math.sqrt(1.0 + x[0] ** 2 + x[1] ** 2)
         sV = UnitTangentState(x=x, v=V / math.sqrt(V @ g @ V))
         sU = UnitTangentState(x=x, v=U / math.sqrt(U @ g @ U))
-        lhs = (sU.v @ g @ covariant_derivative(X, hyperbolic, sV)
-               + sV.v @ g @ covariant_derivative(X, hyperbolic, sU))
+        A = covariant_derivative(X, hyperbolic, x)
+        lhs = sU.v @ g @ (A @ sV.v) + sV.v @ g @ (A @ sU.v)
         assert lhs == pytest.approx(2.0 * z * float(sV.v @ g @ sU.v), abs=1e-8)
 
 

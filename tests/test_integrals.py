@@ -11,13 +11,16 @@ from divflow import zoo
 from divflow.geometry import divergence, field_norm, pairing_rate_form, pairing_rates
 from divflow.integrals import (
     ChartBox,
+    IntegralEstimate,
     RadialShell,
+    _uniform_in,
     base_integral,
     fiber_integral,
     fiber_rule,
     fubini_consistency,
     ladder_integral,
     omega,
+    resolve_patches,
     sample_liouville,
     sm_integral,
 )
@@ -109,12 +112,30 @@ def test_estimate_json_fields(ex4):
     assert isinstance(blob["truncation_trace"], list)
 
 
+def _montecarlo(m, h, region, n_mc, seed) -> IntegralEstimate:
+    """Plain Monte Carlo of the base integral: per patch, the box volume
+    times the sample mean of h times the density, with its standard error."""
+    rng = np.random.default_rng(seed)
+    values, errs = [], []
+    for patch in resolve_patches(m, region):
+        vol = float(np.prod([hi - lo for lo, hi in patch.bounds]))
+        u = _uniform_in(patch.bounds, rng, (n_mc,))
+        vals = np.asarray(h(patch.to_chart(u)), dtype=float) * patch.density(u)
+        mean = float(np.sum(vals)) / n_mc
+        var = float(np.sum((vals - mean) ** 2)) / max(1, n_mc - 1)
+        values.append(vol * mean)
+        errs.append(vol * math.sqrt(var / n_mc))
+    return IntegralEstimate(value=math.fsum(values),
+                            stderr=math.sqrt(math.fsum(e * e for e in errs)),
+                            nodes=n_mc * len(errs))
+
+
 def test_quadrature_vs_montecarlo_consistency(ex4, rng):
     Z = zoo.vector_field("warp:ex4:Z")
     region = RadialShell(0.5, 4.0)
     h = lambda x: field_norm(Z, ex4, x)
-    q = base_integral(ex4, h, region, method="quadrature")
-    mc = base_integral(ex4, h, region, method="montecarlo", n_mc=20000, seed=3)
+    q = base_integral(ex4, h, region)
+    mc = _montecarlo(ex4, h, region, n_mc=20000, seed=3)
     assert abs(q.value - mc.value) <= 3.0 * (q.stderr + mc.stderr) + 1e-12
     assert mc.stderr > 0
 

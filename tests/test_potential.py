@@ -18,7 +18,6 @@ from divflow.potential import (
     phi_laplacian,
     shipped_profiles,
     scalar_test_functions,
-    young_gap,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -171,12 +170,6 @@ def test_monotone_form_handles_zero_vectors():
     eta = np.array([1.0, 0.0, 0.0])
     # phi(0) = 0 kills the first flux term: h = <-eta_flux, -eta> = phi(1)
     assert monotone_form(xi, eta, prof) == pytest.approx(1.0, rel=1e-12)
-
-
-@settings(max_examples=200, deadline=None)
-@given(a=st.floats(0, 50), b=st.floats(0, 50), r=st.floats(1.1, 6.0))
-def test_young_gap_nonnegative(a, b, r):
-    assert young_gap(a, b, r) >= -1e-9 * max(1.0, a, b) ** r
 
 
 def test_registry_unknown_manifold():

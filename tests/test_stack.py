@@ -3,9 +3,9 @@
 Zoo closures and shell maps run the same elementwise arithmetic on a stack
 as on one point, so they must agree exactly.  Geometry functions and fiber
 integrals may group their reductions differently on a stack; they must
-agree to rel 1e-13.  The potential operators, the state sampler and the
-speed-drift record compute each point with the same products as on one
-point, so they must agree exactly.
+agree to rel 1e-13.  The potential operators, the monotone form, the state
+sampler and the speed-drift record compute each point with the same
+products as on one point, so they must agree exactly.
 """
 
 from functools import partial
@@ -19,6 +19,7 @@ from divflow.geometry import (
     DomainError,
     MetricError,
     christoffel,
+    covariant_derivative,
     divergence,
     field_norm,
     inverse_metric_at,
@@ -39,6 +40,7 @@ from divflow.integrals import (
 from divflow.potential import (
     DegenerateGradientError,
     laplace_beltrami,
+    monotone_form,
     phi_flux_field,
     phi_laplacian,
     scalar_test_functions,
@@ -119,7 +121,7 @@ def test_geometry_functions_stack(mid, rng):
     m = zoo.manifold(mid)
     pts = sample_box_points(m, N, rng)
     for fn in (metric_at, inverse_metric_at, volume_density, orthonormal_frame,
-               partial(christoffel, method="closed"), partial(christoffel, method="fd")):
+               christoffel, partial(christoffel, method="fd")):
         _assert_close(partial(fn, m), pts, (mid, fn))
 
 
@@ -129,7 +131,7 @@ def test_field_geometry_and_fiber_integral_stack(mid, fid, rng):
     pts = sample_box_points(m, N, rng)
     for method in ("trace", "coordinate"):
         _assert_close(partial(divergence, f, m, method=method), pts, (fid, method))
-    for fn in (pairing_rate_form, field_norm):
+    for fn in (covariant_derivative, pairing_rate_form, field_norm):
         _assert_close(partial(fn, f, m), pts, (fid, fn))
     rule = fiber_rule(m.dim)
     # two and a half blocks, so the seams between blocks are covered
@@ -170,6 +172,19 @@ def test_potential_operators_stack_exactly(mid, uid, rng):
     _assert_exact(partial(laplace_beltrami, u, m), pts, (mid, uid, "laplace_beltrami"))
     for pid, prof in shipped_profiles().items():
         _assert_exact(partial(phi_laplacian, u, prof, m), pts, (mid, uid, pid))
+
+
+@pytest.mark.parametrize("pid", sorted(shipped_profiles()))
+def test_monotone_form_stacks_exactly(pid, rng):
+    prof = shipped_profiles()[pid]
+    pairs = rng.normal(size=(N, 6))
+
+    def form(w):
+        return monotone_form(w[..., :3], w[..., 3:], prof)
+
+    _assert_exact(form, pairs, pid)
+    assert isinstance(form(pairs[0]), float)
+    assert form(pairs[:1]).shape == (1,)
 
 
 def test_stack_with_one_degenerate_gradient_names_it(torus, rng):
