@@ -99,12 +99,12 @@ def _build_config(args) -> ExperimentConfig:
         raw.pop("fields", None)
     if args.seed is not None:
         raw["seed"] = args.seed
-    params = dict(raw.get("params", {}))
-    params.update(_parse_kv(args.param, "param"))
-    raw["params"] = params
-    tols = dict(raw.get("tolerances", {}))
-    tols.update(_parse_kv(args.tolerance, "tolerance"))
-    raw["tolerances"] = tols
+    for key, pairs, what in (("params", args.param, "param"),
+                             ("tolerances", args.tolerance, "tolerance")):
+        given = raw.get(key, {})
+        # anything but an object is left for from_dict to refuse
+        if isinstance(given, dict):
+            raw[key] = {**given, **_parse_kv(pairs, what)}
     return ExperimentConfig.from_dict(raw)
 
 

@@ -76,11 +76,6 @@ class AnnulusReport:
     stderr: float
     surrogate: str
 
-    def to_json(self) -> dict:
-        return {"radius": self.radius, "mass": self.mass,
-                "normalized": self.normalized, "stderr": self.stderr,
-                "surrogate": self.surrogate}
-
 
 def karp_sequence(m: ChartedManifold, field: VectorFieldDef,
                   radii: Sequence[float], order: int = 16) -> list[AnnulusReport]:
@@ -133,18 +128,14 @@ class CutoffReport:
     lhs_stderr: float
     rhs_stderr: float
     constant: float
+    slack: float               # rhs - lhs
 
-    @property
-    def slack(self) -> float:
-        return self.rhs - self.lhs
+    def bound(self, sigma: float) -> float:
+        """The right side widened by sigma standard errors of both sides."""
+        return self.rhs + sigma * (self.lhs_stderr + self.rhs_stderr)
 
     def holds(self, sigma: float = 3.0) -> bool:
-        return self.lhs <= self.rhs + sigma * (self.lhs_stderr + self.rhs_stderr)
-
-    def to_json(self) -> dict:
-        return {"r": self.r, "lhs": self.lhs, "rhs": self.rhs,
-                "lhs_stderr": self.lhs_stderr, "rhs_stderr": self.rhs_stderr,
-                "constant": self.constant, "slack": self.slack}
+        return self.lhs <= self.bound(sigma)
 
 
 def cutoff_estimate(m: ChartedManifold, field: VectorFieldDef, r: float,
@@ -162,11 +153,9 @@ def cutoff_estimate(m: ChartedManifold, field: VectorFieldDef, r: float,
     rhs_est = base_integral(
         m, lambda x: field_norm(field, m, x), RadialShell(r, 2.0 * r), order=order)
     c = CUTOFF_GRAD_CONSTANT
-    return CutoffReport(r=float(r), lhs=abs(lhs_est.value),
-                        rhs=(c / r) * rhs_est.value,
-                        lhs_stderr=lhs_est.stderr,
-                        rhs_stderr=(c / r) * rhs_est.stderr,
-                        constant=c)
+    lhs, rhs = abs(lhs_est.value), (c / r) * rhs_est.value
+    return CutoffReport(r=float(r), lhs=lhs, rhs=rhs, lhs_stderr=lhs_est.stderr,
+                        rhs_stderr=(c / r) * rhs_est.stderr, constant=c, slack=rhs - lhs)
 
 
 # ---------------------------------------------------------------------------
@@ -232,14 +221,6 @@ class RecurrenceStats:
     radius_cap: Optional[float]
     seed: int
 
-    def to_json(self) -> dict:
-        return {"n_samples": self.n_samples, "n_returned": self.n_returned,
-                "n_no_return": self.n_no_return,
-                "n_inconclusive": self.n_inconclusive,
-                "fraction": self.fraction, "eps": self.eps,
-                "t_min": self.t_min, "t_max": self.t_max,
-                "radius_cap": self.radius_cap, "seed": self.seed}
-
 
 def recurrence_fraction(m: ChartedManifold, n: int, eps: float = 0.05,
                         t_min: float = 1.0, t_max: float = 1000.0,
@@ -302,11 +283,6 @@ class HopfProbe:
     r_squared: Optional[float]
     label: str                       # one of HOPF_LABELS
     truncated: bool
-
-    def to_json(self) -> dict:
-        return {"horizons": list(self.horizons), "values": list(self.values),
-                "slope": self.slope, "r_squared": self.r_squared,
-                "label": self.label, "truncated": self.truncated}
 
 
 def _loglog_fit(T: np.ndarray, I: np.ndarray) -> tuple[float, float]:

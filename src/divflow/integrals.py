@@ -147,18 +147,6 @@ class IntegralEstimate:
     truncation_trace: Optional[list[tuple[float, float]]] = None
     converged: Optional[bool] = None
 
-    def to_json(self) -> dict:
-        return {
-            "value": float(self.value),
-            "stderr": float(self.stderr),
-            "nodes": int(self.nodes),
-            "truncation_radius": None if self.truncation_radius is None
-            else float(self.truncation_radius),
-            "truncation_trace": None if self.truncation_trace is None
-            else [[float(r), float(v)] for r, v in self.truncation_trace],
-            "converged": self.converged,
-        }
-
 
 # ---------------------------------------------------------------------------
 # sphere measure and fiber rules

@@ -40,6 +40,7 @@ __all__ = [
     "laplace_beltrami",
     "monotone_form",
     "scalar_test_functions",
+    "TEST_FUNCTIONS",
 ]
 
 # gradient norms at or below this count as zero in the flux field
@@ -209,73 +210,64 @@ def monotone_form(xi, eta, profile: PhiProfile):
 # ---------------------------------------------------------------------------
 # named test functions per zoo manifold
 
+TWO_PI = 2.0 * math.pi
+
+
+def _along_first(x, first):
+    """A gradient (first, 0, ..., 0) with the shape of x."""
+    out = np.zeros(x.shape)
+    out[..., 0] = first
+    return out
+
+
+def _height(x):
+    return np.sqrt(1.0 + x[..., 0] * x[..., 0] + x[..., 1] * x[..., 1])
+
+
+def _sin_wave(name: str) -> ScalarFieldDef:
+    return ScalarFieldDef(name, value=lambda x: np.sin(TWO_PI * x[..., 0]),
+                          grad=lambda x: _along_first(x, TWO_PI * np.cos(TWO_PI * x[..., 0])))
+
+
+def _first_coordinate(name: str) -> ScalarFieldDef:
+    return ScalarFieldDef(name, value=lambda x: x[..., 0],
+                          grad=lambda x: _along_first(x, 1.0))
+
+
+def _first_coordinate_squared(name: str) -> ScalarFieldDef:
+    return ScalarFieldDef(name, value=lambda x: x[..., 0] * x[..., 0],
+                          grad=lambda x: _along_first(x, 2.0 * x[..., 0]))
+
+
+def _hyperboloid_height(name: str) -> ScalarFieldDef:
+    return ScalarFieldDef(name, value=_height, grad=lambda x: x / _height(x)[..., None])
+
+
+def _coordinate_product(name: str) -> ScalarFieldDef:
+    return ScalarFieldDef(name, value=lambda x: x[..., 0] * x[..., 1],
+                          grad=lambda x: x[..., ::-1].copy())
+
+
+# zoo manifold id -> test function name -> (builder taking the name,
+# closed-form metric Laplacian or None); the first name is the default
+TEST_FUNCTIONS = {
+    "torus": {
+        "sin-wave": (_sin_wave, lambda x: -(TWO_PI * TWO_PI) * np.sin(TWO_PI * x[..., 0])),
+        "linear-x": (_first_coordinate, lambda x: np.zeros(x.shape[:-1])),
+    },
+    "revolution:1/(1+x^2)": {"poly-x2": (_first_coordinate_squared, None)},
+    "hyperbolic": {
+        "height": (_hyperboloid_height, lambda x: 2.0 * _height(x)),
+        "poly-xy": (_coordinate_product, None),
+    },
+    "warp:ex2": {"radial-sq": (_first_coordinate_squared, None)},
+    "warp:ex3": {"radial-sq": (_first_coordinate_squared, None)},
+    "warp:ex4": {"poly-x": (_first_coordinate, None)},
+}
+
 
 def scalar_test_functions(manifold_id: str) -> dict[str, tuple[ScalarFieldDef, Optional[Callable]]]:
     """Registry of scalar test functions: name -> (definition, closed-form
     metric Laplacian when known)."""
-    def along_first(x, first):
-        # a gradient (first, 0, ..., 0) with the shape of x
-        out = np.zeros(x.shape)
-        out[..., 0] = first
-        return out
-
-    if manifold_id == "torus":
-        k = 2.0 * math.pi
-        return {
-            "sin-wave": (
-                ScalarFieldDef("sin-wave",
-                               value=lambda x: np.sin(k * x[..., 0]),
-                               grad=lambda x: along_first(x, k * np.cos(k * x[..., 0]))),
-                lambda x: -(k * k) * np.sin(k * x[..., 0]),
-            ),
-            "linear-x": (
-                ScalarFieldDef("linear-x",
-                               value=lambda x: x[..., 0],
-                               grad=lambda x: along_first(x, 1.0)),
-                lambda x: np.zeros(x.shape[:-1]),
-            ),
-        }
-    if manifold_id == "hyperbolic":
-        def z(x):
-            return np.sqrt(1.0 + x[..., 0] * x[..., 0] + x[..., 1] * x[..., 1])
-
-        return {
-            "height": (
-                ScalarFieldDef("height", value=z, grad=lambda x: x / z(x)[..., None]),
-                lambda x: 2.0 * z(x),
-            ),
-            "poly-xy": (
-                ScalarFieldDef("poly-xy",
-                               value=lambda x: x[..., 0] * x[..., 1],
-                               grad=lambda x: x[..., ::-1].copy()),
-                None,
-            ),
-        }
-    if manifold_id == "revolution:1/(1+x^2)":
-        return {
-            "poly-x2": (
-                ScalarFieldDef("poly-x2",
-                               value=lambda x: x[..., 0] * x[..., 0],
-                               grad=lambda x: along_first(x, 2.0 * x[..., 0])),
-                None,
-            ),
-        }
-    if manifold_id in ("warp:ex2", "warp:ex3"):
-        return {
-            "radial-sq": (
-                ScalarFieldDef("radial-sq",
-                               value=lambda x: x[..., 0] * x[..., 0],
-                               grad=lambda x: along_first(x, 2.0 * x[..., 0])),
-                None,
-            ),
-        }
-    if manifold_id == "warp:ex4":
-        return {
-            "poly-x": (
-                ScalarFieldDef("poly-x",
-                               value=lambda x: x[..., 0],
-                               grad=lambda x: along_first(x, 1.0)),
-                None,
-            ),
-        }
-    raise KeyError(f"no test functions registered for {manifold_id!r}")
+    return {name: (build(name), closed)
+            for name, (build, closed) in TEST_FUNCTIONS[manifold_id].items()}

@@ -2,11 +2,14 @@
 
 One experiment per invocation: a config selects zoo objects, parameters and
 tolerances; ``run`` produces a deterministic report document given
-(config, seed).  A numerical failure inside an experiment (a truncated
-orbit, a point outside the chart, a bad metric, a degenerate gradient, a
-sampler envelope below the density) becomes a report with a failed
-``completed`` check and an ``error`` entry.  Exit-status policy is the
-caller's job (the CLI maps check failure to 1 and config errors to 2).
+(config, seed).  ``ExperimentConfig.validate`` is the one place a config is
+judged: it raises every ``ConfigError``, before any work, and the
+experiments trust what it passed.  A numerical failure inside an experiment
+(a truncated orbit, a point outside the chart, a bad metric, a degenerate
+gradient, a sampler envelope below the density) becomes a report with a
+failed ``completed`` check and an ``error`` entry.  Results, dataclasses
+included, become JSON through ``_jsonable`` alone.  Exit-status policy is
+the caller's job (the CLI maps check failure to 1 and config errors to 2).
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from functools import partial
 from typing import Callable, NamedTuple, Optional
 
@@ -51,6 +54,7 @@ from .diagnostics import (
     x_decay_at_infinity,
 )
 from .potential import (
+    TEST_FUNCTIONS,
     DegenerateGradientError,
     laplace_beltrami,
     monotone_form,
@@ -83,6 +87,9 @@ REALS = {"T": _POSITIVE, "r0": _POSITIVE, "eps": _POSITIVE, "t_max": _POSITIVE,
          "min_label_fraction": _FRACTION,
          "expected": ("a finite number", lambda v: True)}
 
+# the recurrence return window when the config leaves it out
+T_MIN, T_MAX = 1.0, 1000.0
+
 
 def _is_finite(value) -> bool:
     """A number (not a bool) that converts to a finite float."""
@@ -110,23 +117,34 @@ class ExperimentConfig:
         fields_ = d.get("fields")
         if fields_ is None:
             fields_ = [d["field"]] if d.get("field") else []
+        if not isinstance(fields_, list):
+            raise ConfigError(f"fields must be a list of field ids, got {fields_!r}")
         cfg = cls(kind=d.get("kind"), manifold=d.get("manifold"),
-                  fields=tuple(fields_), params=dict(d.get("params", {})),
-                  tolerances=dict(d.get("tolerances", {})),
-                  seed=int(d.get("seed", 0)))
+                  fields=tuple(fields_), params=d.get("params", {}),
+                  tolerances=d.get("tolerances", {}), seed=d.get("seed", 0))
         cfg.validate()
-        return cfg
+        return replace(cfg, params=dict(cfg.params), tolerances=dict(cfg.tolerances))
 
     def validate(self):
+        """Raise ConfigError unless the config can run: every check on a
+        config happens here, before any work."""
         if not isinstance(self.kind, str) or self.kind not in KINDS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
         spec = KINDS[self.kind]
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative (an integer >= 0), got {self.seed!r}")
         for what, given, known in (("params", self.params, spec.params),
                                    ("tolerances", self.tolerances, spec.tolerances)):
+            if not isinstance(given, dict):
+                raise ConfigError(f"{what} must be a JSON object, got {given!r}")
             unknown = sorted(set(given) - set(known))
             if unknown:
                 raise ConfigError(f"unknown {what} for {self.kind}: {unknown}; "
                                   f"known: {sorted(known)}")
+        for name, value in self.tolerances.items():
+            if not (_is_finite(value) and value > 0):
+                raise ConfigError(f"tolerance {name!r} must be a finite number > 0, "
+                                  f"got {value!r}")
         for key, least in COUNTS.items():
             value = self.params.get(key, least)
             if isinstance(value, bool) or not isinstance(value, int) or value < least:
@@ -135,9 +153,12 @@ class ExperimentConfig:
             value = self.params.get(key)
             if key in self.params and not (_is_finite(value) and ok(value)):
                 raise ConfigError(f"{key} must be {what}, got {value!r}")
+        t_min, t_max = self.params.get("t_min", T_MIN), self.params.get("t_max", T_MAX)
+        if t_min >= t_max:
+            raise ConfigError(f"t_min must be below t_max, got {t_min!r} and {t_max!r}")
         for key in ("expect", "expect_label"):
             value = self.params.get(key)
-            if value is not None and value not in spec.expect:
+            if value is not None and not (isinstance(value, str) and value in spec.expect):
                 raise ConfigError(f"unknown {self.kind} {key} {value!r}; "
                                   f"known: {list(spec.expect)}")
         for key in ("radii", "horizons"):
@@ -152,16 +173,50 @@ class ExperimentConfig:
         if ("radii" in self.params and len(self.params["radii"]) < 2
                 and self.params.get("expect") is not None):
             raise ConfigError(f"{self.kind} with an expect needs at least two radii")
+        pid = self.params.get("profile")
+        if "profile" in self.params and not (isinstance(pid, str)
+                                             and pid in shipped_profiles()):
+            raise ConfigError(f"unknown profile {pid!r}; have {sorted(shipped_profiles())}")
         if self.manifold is not None and self.manifold not in zoo.MANIFOLD_IDS:
             raise ConfigError(f"unknown manifold id {self.manifold!r}")
+        if spec.needs and self.manifold is None:
+            raise ConfigError(f"kind {self.kind!r} needs a manifold id")
+        if not spec.needs and self.manifold is not None:
+            raise ConfigError(f"kind {self.kind!r} takes no manifold, got {self.manifold!r}")
+        reads = 1 if spec.needs in ("field", "shells") else 0
+        if len(self.fields) != reads:
+            raise ConfigError(f"kind {self.kind!r} takes {reads} field id(s), "
+                              f"got {list(self.fields)}")
         for fid in self.fields:
             if fid not in zoo.FIELD_IDS:
                 raise ConfigError(f"unknown field id {fid!r}")
-        for name, value in self.tolerances.items():
-            if not (isinstance(value, (int, float)) and value > 0):
-                raise ConfigError(f"tolerance {name!r} must be positive")
-        if self.seed < 0:
-            raise ConfigError("seed must be nonnegative")
+            if zoo.field_manifold_id(fid) != self.manifold:
+                raise ConfigError(f"field {fid!r} lives on {zoo.field_manifold_id(fid)!r}, "
+                                  f"not on {self.manifold!r}")
+        if self.manifold is None:
+            return
+        m = zoo.manifold(self.manifold)
+        radial = [key for key in ("radius_cap", "r0", "rungs") if key in self.params]
+        if m.shell is None and (spec.needs == "shells" or radial):
+            what = f"{self.kind} with {', '.join(radial)}" if radial else self.kind
+            raise ConfigError(f"{what} needs radial shells, which {self.manifold!r} lacks")
+        box = self.params.get("box")
+        # a kind that reads a box and a ladder integrates over the ladder
+        # when the manifold has shells
+        if box is not None and m.shell is not None and "rungs" in spec.params:
+            raise ConfigError(f"box is unused on {self.manifold!r}, where {self.kind} "
+                              f"integrates over the radius ladder")
+        if box is not None and not (
+                isinstance(box, (list, tuple)) and len(box) == m.dim
+                and all(isinstance(b, (list, tuple)) and len(b) == 2
+                        and all(_is_finite(v) for v in b) and b[0] < b[1] for b in box)):
+            raise ConfigError(f"box must be {m.dim} [lo, hi] pairs of finite numbers "
+                              f"with lo < hi, got {box!r}")
+        uid = self.params.get("u")
+        if "u" in self.params and not (isinstance(uid, str)
+                                       and uid in TEST_FUNCTIONS[self.manifold]):
+            raise ConfigError(f"unknown test function {uid!r}; "
+                              f"have {sorted(TEST_FUNCTIONS[self.manifold])}")
 
     def canonical(self) -> dict:
         return {
@@ -175,6 +230,9 @@ class ExperimentConfig:
 
 
 def _jsonable(obj):
+    """The one serialization of report values: a dataclass by its fields."""
+    if is_dataclass(obj):
+        return _jsonable(asdict(obj))
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in sorted(obj.items(), key=lambda kv: str(kv[0]))}
     if isinstance(obj, (list, tuple)):
@@ -187,7 +245,7 @@ def _jsonable(obj):
         return [_jsonable(v) for v in obj.tolist()]
     if obj is None or isinstance(obj, (str, bool)):
         return obj
-    raise ConfigError(f"value {obj!r} is not JSON-serializable")
+    raise TypeError(f"value {obj!r} is not JSON-serializable")
 
 
 def _check(name: str, value, threshold, comparator: str) -> dict:
@@ -199,50 +257,15 @@ def _check(name: str, value, threshold, comparator: str) -> dict:
             "passed": passed}
 
 
-def _manifold(cfg: ExperimentConfig):
-    if cfg.manifold is None:
-        raise ConfigError(f"kind {cfg.kind!r} needs a manifold id")
-    return zoo.manifold(cfg.manifold)
-
-
-def _resolve_pair(cfg: ExperimentConfig):
-    m = _manifold(cfg)
-    if not cfg.fields:
-        raise ConfigError(f"kind {cfg.kind!r} needs a field id")
-    f = zoo.vector_field(cfg.fields[0])
-    if zoo.field_manifold_id(cfg.fields[0]) != cfg.manifold:
-        raise ConfigError(
-            f"field {cfg.fields[0]!r} lives on {zoo.field_manifold_id(cfg.fields[0])!r}, "
-            f"not on {cfg.manifold!r}")
-    return m, f
-
-
 def _box(cfg: ExperimentConfig, m) -> ChartBox:
     """The config's chart box, or else the manifold's sample box."""
     box = cfg.params.get("box")
-    if box is None:
-        return ChartBox(m.sample_box)
-    if not (isinstance(box, (list, tuple)) and len(box) == m.dim and all(
-            isinstance(b, (list, tuple)) and len(b) == 2
-            and all(_is_finite(v) for v in b) and b[0] < b[1]
-            for b in box)):
-        raise ConfigError(f"box must be {m.dim} [lo, hi] pairs of finite numbers "
-                          f"with lo < hi, got {box!r}")
-    return ChartBox(tuple(tuple(b) for b in box))
+    return ChartBox(m.sample_box if box is None else tuple(tuple(b) for b in box))
 
 
-def _need_shells(cfg: ExperimentConfig, m, what: str):
-    """Refuse, before any work, a manifold without the shells ``what`` needs."""
-    if m.shell is None:
-        raise ConfigError(f"{what} needs radial shells, which {cfg.manifold!r} lacks")
-
-
-def _radius_cap(cfg: ExperimentConfig, m):
-    """The config's radius cap, or else the manifold's."""
-    cap = cfg.params.get("radius_cap", m.radius_cap)
-    if cap is not None:
-        _need_shells(cfg, m, "radius_cap")
-    return cap
+def _pair(cfg: ExperimentConfig):
+    """The config's manifold and its one field, as validate matched them."""
+    return zoo.manifold(cfg.manifold), zoo.vector_field(cfg.fields[0])
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +273,7 @@ def _radius_cap(cfg: ExperimentConfig, m):
 
 
 def _run_fiber_lemma(cfg):
-    m, f = _resolve_pair(cfg)
+    m, f = _pair(cfg)
     n_points = int(cfg.params.get("n_points", 200))
     tol = float(cfg.tolerances.get("residual", 1e-8 if m.dim == 2 else 1e-6))
     w = omega(m.dim) / m.dim
@@ -262,7 +285,7 @@ def _run_fiber_lemma(cfg):
 
 
 def _run_path_integral(cfg):
-    m, f = _resolve_pair(cfg)
+    m, f = _pair(cfg)
     n_orbits = int(cfg.params.get("n_orbits", 20))
     T = float(cfg.params.get("T", 10.0))
     tol = float(cfg.tolerances.get("residual", 1e-6 * (1.0 + T)))
@@ -273,7 +296,7 @@ def _run_path_integral(cfg):
 
 
 def _run_fubini(cfg):
-    m, f = _resolve_pair(cfg)
+    m, f = _pair(cfg)
     n_mc = int(cfg.params.get("n_mc", 20000))
     out = fubini_consistency(m, partial(pairing_rates, f, m), _box(cfg, m), n_mc=n_mc,
                              seed=cfg.seed)
@@ -292,7 +315,7 @@ def _integral_report(cfg, m, h, key: str, rtol: float) -> dict:
                               rungs=int(params.get("rungs", 5)), order=order)
     else:
         est = base_integral(m, h, _box(cfg, m), order=order)
-    results = {key: est.to_json()}
+    results = {key: est}
     checks = []
     if "expected" in params:
         expected = float(params["expected"])
@@ -304,22 +327,21 @@ def _integral_report(cfg, m, h, key: str, rtol: float) -> dict:
 
 
 def _run_volume(cfg):
-    return _integral_report(cfg, _manifold(cfg), lambda x: 1.0, "volume", 1e-3)
+    return _integral_report(cfg, zoo.manifold(cfg.manifold), lambda x: 1.0, "volume",
+                            1e-3)
 
 
 def _run_divergence_integral(cfg):
-    m, f = _resolve_pair(cfg)
+    m, f = _pair(cfg)
     return _integral_report(cfg, m, lambda x: divergence(f, m, x),
                             "divergence_integral", 5e-3)
 
 
 def _run_karp(cfg):
-    m, f = _resolve_pair(cfg)
-    _need_shells(cfg, m, cfg.kind)
+    m, f = _pair(cfg)
     radii = [float(r) for r in cfg.params.get("radii", [5.0, 10.0, 20.0])]
     reports = karp_sequence(m, f, radii, order=int(cfg.params.get("order", 16)))
-    results = {"annuli": [r.to_json() for r in reports]}
-    return {"results": results,
+    return {"results": {"annuli": reports},
             "checks": _expected(cfg, [r.normalized for r in reports],
                                 [r.stderr for r in reports])}
 
@@ -345,33 +367,28 @@ def _expected(cfg, *args) -> list:
 
 
 def _run_cutoff(cfg):
-    m, f = _resolve_pair(cfg)
-    _need_shells(cfg, m, cfg.kind)
+    m, f = _pair(cfg)
     radii = [float(r) for r in cfg.params.get("radii", [2.0, 5.0, 10.0])]
     sigma = float(cfg.params.get("sigma", 3.0))
     reports = [cutoff_estimate(m, f, r, order=int(cfg.params.get("order", 12)))
                for r in radii]
-    checks = [_check(f"cutoff_bound_r_{rep.r:g}",
-                     rep.lhs, rep.rhs + sigma * (rep.lhs_stderr + rep.rhs_stderr),
-                     "<=") for rep in reports]
-    return {"results": {"reports": [rep.to_json() for rep in reports]},
-            "checks": checks}
+    return {"results": {"reports": reports},
+            "checks": [_check(f"cutoff_bound_r_{rep.r:g}", rep.lhs, rep.bound(sigma), "<=")
+                       for rep in reports]}
 
 
 def _run_fx_ladder(cfg):
-    m, f = _resolve_pair(cfg)
-    _need_shells(cfg, m, cfg.kind)
+    m, f = _pair(cfg)
     est = rate_integrability_ladder(
         m, f, r0=float(cfg.params.get("r0", 1.0)),
         rungs=int(cfg.params.get("rungs", 5)),
         order=int(cfg.params.get("order", 10)),
         rel_tol=float(cfg.tolerances.get("ladder_rel_tol", 5e-3)))
-    return {"results": {"ladder": est.to_json()}, "checks": _expected(cfg, est)}
+    return {"results": {"ladder": est}, "checks": _expected(cfg, est)}
 
 
 def _run_decay(cfg):
-    m, f = _resolve_pair(cfg)
-    _need_shells(cfg, m, cfg.kind)
+    m, f = _pair(cfg)
     radii = [float(r) for r in cfg.params.get("radii", [2.0, 5.0, 10.0, 20.0])]
     sups = x_decay_at_infinity(m, f, radii,
                                n_samples=int(cfg.params.get("n_samples", 400)),
@@ -387,15 +404,13 @@ def _decay_to_zero(cfg, values):
 
 
 def _run_recurrence(cfg):
-    m = _manifold(cfg)
+    m = zoo.manifold(cfg.manifold)
     p = cfg.params
-    cap = _radius_cap(cfg, m)
-    t_min, t_max = float(p.get("t_min", 1.0)), float(p.get("t_max", 1000.0))
-    if t_min >= t_max:
-        raise ConfigError(f"t_min must be below t_max, got {t_min!r} and {t_max!r}")
     stats = recurrence_fraction(m, int(p.get("n", 100)), eps=float(p.get("eps", 0.05)),
-                                t_min=t_min, t_max=t_max, seed=cfg.seed, radius_cap=cap)
-    results = {"stats": stats.to_json()}
+                                t_min=float(p.get("t_min", T_MIN)),
+                                t_max=float(p.get("t_max", T_MAX)), seed=cfg.seed,
+                                radius_cap=p.get("radius_cap", m.radius_cap))
+    results = {"stats": stats}
     checks = []
     if "min_fraction" in p:
         checks.append(_check("fraction_at_least", stats.fraction,
@@ -407,10 +422,10 @@ def _run_recurrence(cfg):
 
 
 def _run_hopf(cfg):
-    m = _manifold(cfg)
+    m = zoo.manifold(cfg.manifold)
     p = cfg.params
     n = int(p.get("n", 20))
-    cap = _radius_cap(cfg, m)
+    cap = p.get("radius_cap", m.radius_cap)
     if cap is not None:
         cap = float(cap)
     probes = hopf_probe(m, sample_liouville(m, n, np.random.default_rng(cfg.seed),
@@ -419,8 +434,7 @@ def _run_hopf(cfg):
     counts = {}
     for pr in probes:
         counts[pr.label] = counts.get(pr.label, 0) + 1
-    results = {"label_counts": counts, "radius_cap": cap,
-               "probes": [pr.to_json() for pr in probes[:5]]}
+    results = {"label_counts": counts, "radius_cap": cap, "probes": probes[:5]}
     checks = []
     if "expect_label" in p:
         frac = counts.get(p["expect_label"], 0) / n
@@ -431,11 +445,8 @@ def _run_hopf(cfg):
 
 def _run_potential_monotone(cfg):
     p = cfg.params
-    profiles = shipped_profiles()
     pid = p.get("profile", "p:2")
-    if pid not in profiles:
-        raise ConfigError(f"unknown profile {pid!r}; have {sorted(profiles)}")
-    prof = profiles[pid]
+    prof = shipped_profiles()[pid]
     n = int(p.get("n_pairs", 100000))
     d = int(p.get("dim", 3))
     rng = np.random.default_rng(cfg.seed)
@@ -458,12 +469,10 @@ def _run_potential_monotone(cfg):
 
 
 def _run_potential_laplacian(cfg):
-    m = _manifold(cfg)
+    m = zoo.manifold(cfg.manifold)
     p = cfg.params
     registry = scalar_test_functions(cfg.manifold)
     uid = p.get("u", next(iter(registry)))
-    if uid not in registry:
-        raise ConfigError(f"unknown test function {uid!r}; have {sorted(registry)}")
     u, closed = registry[uid]
     prof = shipped_profiles()["p:2"]
     n_points = int(p.get("n_points", 25))
@@ -482,13 +491,17 @@ def _run_potential_laplacian(cfg):
 
 
 class Kind(NamedTuple):
-    """One experiment kind: CLI subcommand, runner, the params and tolerances
-    keys it reads (others are config errors), and the values ``expect`` (hopf:
-    ``expect_label``) may take, for ``expect`` each mapped to its checks."""
+    """One experiment kind: CLI subcommand, runner, what of the zoo it needs
+    (``"field"``: a manifold and one field on it; ``"shells"``: that, on a
+    manifold with radial shells; ``"manifold"``: a manifold and no field;
+    ``""``: neither), the params and tolerances keys it reads (others are
+    config errors), and the values ``expect`` (hopf: ``expect_label``) may
+    take, for ``expect`` each mapped to its checks."""
 
     group: str
     action: str
     run: Callable[[ExperimentConfig], dict]
+    needs: str
     params: tuple[str, ...]
     tolerances: tuple[str, ...] = ()
     expect: dict | tuple = ()
@@ -498,46 +511,49 @@ _REGION = ("r0", "rungs", "box", "order", "expected")
 
 # in CLI order: groups appear in the order of their first kind
 KINDS: dict[str, Kind] = {
-    "fiber-lemma": Kind("verify", "fiber-lemma", _run_fiber_lemma,
+    "fiber-lemma": Kind("verify", "fiber-lemma", _run_fiber_lemma, "field",
                         ("n_points",), ("residual",)),
-    "path-integral": Kind("verify", "path-integral", _run_path_integral,
+    "path-integral": Kind("verify", "path-integral", _run_path_integral, "field",
                           ("n_orbits", "T"), ("residual",)),
-    "fubini": Kind("verify", "fubini", _run_fubini, ("n_mc", "box")),
-    "volume": Kind("integrate", "volume", _run_volume, _REGION, ("rel_error",)),
+    "fubini": Kind("verify", "fubini", _run_fubini, "field", ("n_mc", "box")),
+    "volume": Kind("integrate", "volume", _run_volume, "manifold", _REGION,
+                   ("rel_error",)),
     "divergence-integral": Kind("integrate", "divergence", _run_divergence_integral,
-                                _REGION, ("rel_error",)),
-    "karp": Kind("diagnose", "karp", _run_karp, ("radii", "order", "expect"),
+                                "field", _REGION, ("rel_error",)),
+    "karp": Kind("diagnose", "karp", _run_karp, "shells", ("radii", "order", "expect"),
                  ("final_normalized", "lower_bound"),
                  {"decay": _karp_decay, "bounded-below": _karp_bounded_below}),
-    "cutoff": Kind("diagnose", "cutoff", _run_cutoff, ("radii", "sigma", "order")),
-    "fx-ladder": Kind("diagnose", "fx-ladder", _run_fx_ladder,
+    "cutoff": Kind("diagnose", "cutoff", _run_cutoff, "shells",
+                   ("radii", "sigma", "order")),
+    "fx-ladder": Kind("diagnose", "fx-ladder", _run_fx_ladder, "shells",
                       ("r0", "rungs", "order", "expect"), ("ladder_rel_tol",),
                       {"converge": lambda cfg, est: [
                           _check("ladder_converged", est.converged, True, "==")],
                        "diverge": lambda cfg, est: [
                           _check("ladder_diverged", est.converged, False, "==")]}),
-    "decay": Kind("diagnose", "decay", _run_decay, ("radii", "n_samples", "expect"),
-                  ("final_sup",),
+    "decay": Kind("diagnose", "decay", _run_decay, "shells",
+                  ("radii", "n_samples", "expect"), ("final_sup",),
                   {"to-zero": _decay_to_zero, "grow": lambda cfg, values: [
                       _check("annulus_sup_growing", values[-1], values[0], ">=")]}),
-    "recurrence": Kind("diagnose", "recurrence", _run_recurrence,
+    "recurrence": Kind("diagnose", "recurrence", _run_recurrence, "manifold",
                        ("radius_cap", "n", "eps", "t_min", "t_max",
                         "min_fraction", "max_fraction")),
-    "hopf": Kind("diagnose", "hopf", _run_hopf,
+    "hopf": Kind("diagnose", "hopf", _run_hopf, "manifold",
                  ("n", "radius_cap", "horizons", "expect_label",
                   "min_label_fraction"), (), HOPF_LABELS),
-    "potential-monotone": Kind("potential", "monotone", _run_potential_monotone,
+    "potential-monotone": Kind("potential", "monotone", _run_potential_monotone, "",
                                ("profile", "n_pairs", "dim"),
                                ("negativity_floor", "near_zero")),
     "potential-laplacian": Kind("potential", "laplacian", _run_potential_laplacian,
-                                ("u", "n_points"), ("residual",)),
+                                "manifold", ("u", "n_points"), ("residual",)),
 }
 
 
 def run(cfg: ExperimentConfig, workers: int = 1) -> dict:
     """Execute one experiment; the report is deterministic given
-    (config, seed).  ``workers`` is accepted and ignored, for callers
-    written when orbits could run on threads."""
+    (config, seed).  A ``ConfigError`` comes only from ``cfg.validate()``,
+    before any work.  ``workers`` is accepted and ignored; it stays because
+    perfbench/run.py passes it."""
     cfg.validate()
     canonical = cfg.canonical()
     blob = json.dumps(canonical, sort_keys=True, separators=(",", ":"))

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -64,8 +65,21 @@ def test_main_writes_the_runner_report(tmp_path):
      "--param", "n=2"],
     ["diagnose", "karp", "--config", str(CONFIGS / "karp-ex1.json"),
      "--param", "radii=[5,5,10]"],
+    ["integrate", "volume", "--manifold", "warp:ex4", "--field", "warp:ex4:Z"],
+    ["verify", "fiber-lemma", "--manifold", "hyperbolic", "--field", "warp:ex4:Z"],
+    # volume and divergence-integral use the ladder on a manifold with
+    # shells and the chart box on one without
+    ["integrate", "volume", "--manifold", "warp:ex4", "--param", "box=[[0,1],[0,1],[0,1]]"],
+    ["integrate", "volume", "--manifold", "torus", "--param", "r0=5", "--param", "rungs=3"],
+    ["diagnose", "karp", "--config", str(CONFIGS / "karp-ex1.json"), "--param", "expect=[1]"],
+    ["potential", "monotone", "--param", "profile=[1]"],
+    ["potential", "laplacian", "--manifold", "torus", "--param", "u=height"],
+    ["potential", "laplacian", "--manifold", "torus", "--param", "u=[1]"],
 ], ids=["unknown-param", "unknown-tolerance", "empty-radii", "karp-one-radius",
-        "decay-one-radius", "negative-radius", "repeated-horizons", "repeated-radii"])
+        "decay-one-radius", "negative-radius", "repeated-horizons", "repeated-radii",
+        "field-to-volume", "field-on-other-manifold", "box-on-ladder",
+        "ladder-without-shell", "list-expect", "list-profile", "u-of-other-manifold",
+        "list-u"])
 def test_config_errors_exit_2_without_traceback(argv, capsys):
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
@@ -73,6 +87,34 @@ def test_config_errors_exit_2_without_traceback(argv, capsys):
     assert captured.err.startswith("divflow: config error: ")
     assert captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("key,value", [
+    ("seed", '"abc"'), ("seed", "null"), ("seed", "[1]"), ("seed", "1.7"), ("seed", "true"),
+    ("params", "[1, 2]"), ("params", '"x"'), ("tolerances", "[1]"),
+    ("tolerances", '{"rel_error": true}'), ("tolerances", '{"rel_error": 1e400}'),
+], ids=["text-seed", "null-seed", "list-seed", "fractional-seed", "bool-seed",
+        "list-params", "text-params", "list-tolerances", "bool-tolerance",
+        "overflowing-tolerance"])
+def test_malformed_config_file_values_exit_2(key, value, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(f'{{"manifold": "warp:ex4", "{key}": {value}}}')
+    assert cli.main(["integrate", "volume", "--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("divflow: config error: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("raw", [
+    {"kind": "recurrence", "manifold": "hyperbolic", "field": "hyperbolic:rotation"},
+    {"kind": "fiber-lemma", "manifold": "hyperbolic",
+     "fields": ["hyperbolic:conformal", "hyperbolic:rotation"]},
+    {"kind": "potential-monotone", "manifold": "torus"},
+], ids=["field-to-fieldless-kind", "second-field", "manifold-to-monotone"])
+def test_zoo_ids_the_kind_does_not_read_are_config_errors(raw):
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_dict(raw)
 
 
 def test_single_radius_is_rejected_only_with_expect():
@@ -254,6 +296,23 @@ def test_suite_only_with_an_unknown_name_exits_2_and_names_it(tmp_path):
         capture_output=True, text=True, env=_suite_env(), timeout=60)
     assert proc.returncode == 2
     assert "ladder-ex5" in proc.stderr and "fiber-ex1" not in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+def test_suite_checks_every_config_before_its_first_report(tmp_path):
+    configs = tmp_path / "configs"
+    shutil.copytree(CONFIGS, configs)
+    path = configs / "path-hyperbolic.json"
+    path.write_text(json.dumps(dict(json.loads(path.read_text()), field="warp:ex4:Z")))
+    out = tmp_path / "reports"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "run_suite.py"), "--out-dir", str(out),
+         "--config-dir", str(configs)],
+        capture_output=True, text=True, env=_suite_env(), timeout=600)
+    assert proc.returncode == 2
+    last = proc.stderr.splitlines()[-1]
+    assert "error: path-hyperbolic: " in last and "warp:ex4:Z" in last
     assert "Traceback" not in proc.stderr
     assert not out.exists()
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from divflow import zoo
+from divflow import runner, zoo
 from divflow.diagnostics import (
     CUTOFF_GRAD_CONSTANT,
     cutoff_bump,
@@ -131,7 +131,7 @@ def test_cutoff_ex4_with_slack(ex4):
     rep = cutoff_estimate(ex4, Z, 5.0)
     assert rep.holds()
     assert rep.slack > 0
-    blob = rep.to_json()
+    blob = runner._jsonable(rep)
     assert {"r", "lhs", "rhs", "constant", "slack"} <= set(blob)
 
 
@@ -214,7 +214,7 @@ def test_recurrence_torus_high_fraction(torus):
                                 seed=5)
     assert stats.fraction is not None and stats.fraction >= 0.95
     assert stats.n_inconclusive == 0
-    blob = stats.to_json()
+    blob = runner._jsonable(stats)
     assert blob["eps"] == 0.05 and blob["seed"] == 5
 
 

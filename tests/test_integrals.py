@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
-from divflow import zoo
+from divflow import runner, zoo
 from divflow.geometry import divergence, field_norm, pairing_rate_form, pairing_rates
 from divflow.integrals import (
     ChartBox,
@@ -105,7 +105,7 @@ def test_ladder_trace_monotone_for_nonnegative_integrand(ex4):
 
 def test_estimate_json_fields(ex4):
     est = ladder_integral(ex4, lambda x: 1.0, r0=0.5, rungs=3)
-    blob = est.to_json()
+    blob = runner._jsonable(est)
     assert set(blob) == {"value", "stderr", "nodes", "truncation_radius",
                          "truncation_trace", "converged"}
     assert blob["stderr"] >= 0.0
