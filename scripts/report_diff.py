@@ -3,9 +3,12 @@
 
 For each report present in both directories it prints the largest relative
 change among the numeric fields, with the field's path and its absolute
-change, and then every non-numeric difference (strings, booleans, nulls,
-keys, list lengths) and every flipped check verdict.  A report present in
-only one directory is a non-numeric difference.
+change; then, when another field holds it, the largest absolute change, with
+its path and relative change (a round-off residual near zero has the largest
+relative change, a moved value the largest absolute one); and then every
+non-numeric difference (strings, booleans, nulls, keys, list lengths) and
+every flipped check verdict.  A report present in only one directory is a
+non-numeric difference.
 
 Usage:
     python scripts/report_diff.py OLD_DIR NEW_DIR
@@ -92,7 +95,11 @@ def main(argv=None) -> int:
         flips = verdict_flips(old, new) if isinstance(old, dict) and isinstance(new, dict) else []
         if numeric:
             rel, diff, path = min(numeric, key=lambda t: (-t[0], t[2]))
-            print(f"{name}: rel {rel:.3g} abs {diff:.3g} at {path}")
+            line = f"{name}: rel {rel:.3g} abs {diff:.3g} at {path}"
+            rel2, diff2, path2 = min(numeric, key=lambda t: (-t[1], t[2]))
+            if path2 != path:
+                line += f"; abs {diff2:.3g} rel {rel2:.3g} at {path2}"
+            print(line)
         else:
             print(f"{name}: no numeric change")
         for line in other:

@@ -20,6 +20,7 @@ return statistics) against the conditions the identities need:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -30,12 +31,13 @@ from .geometry import (
     VectorFieldDef,
     divergence,
     field_norm,
-    pairing_rates,
+    pairing_rate_form,
     stack_states,
 )
 from .flow import first_return, integrate_geodesic
 from .integrals import (
     IntegralEstimate,
+    QuadraticIntegrand,
     RadialShell,
     _ladder,
     _uniform_in,
@@ -172,9 +174,10 @@ def rate_integrability_ladder(m: ChartedManifold, field: VectorFieldDef,
     A converging trace is evidence of integrability; a diverging trace is
     flagged through ``converged=False`` and the recorded trace.
     """
+    F = QuadraticIntegrand(partial(pairing_rate_form, field, m), post=np.abs)
+
     def increment(lo, hi):
-        return sm_integral(m, lambda X, V: np.abs(pairing_rates(field, m, X, V)),
-                           RadialShell(lo, hi), order=order)
+        return sm_integral(m, F, RadialShell(lo, hi), order=order)
     return _ladder(increment, r0, rungs, rel_tol)
 
 

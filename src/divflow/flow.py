@@ -208,9 +208,29 @@ class GeodesicTrajectory:
         """Each orbit's last accepted state, carried integral included."""
         return self._out(self._y_end)
 
+    def _nodes(self, rows: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """The node (R, k) of each orbit ``rows`` whose step holds each time
+        t (R, k): np.searchsorted(ends, d * t) on the orbit's step ends
+        d * node_t[a + 1:b], as one bisection over every row."""
+        a = self._node_off[rows][:, None]
+        n_ends = self._node_off[rows + 1][:, None] - a - 1
+        d = self.direction[rows][:, None]
+        key = d * t
+        lo = np.zeros(t.shape, dtype=np.intp)
+        hi = np.broadcast_to(n_ends, t.shape)
+        last = len(self._node_t) - 1
+        for _ in range(int(n_ends.max(initial=0)).bit_length()):
+            mid = (lo + hi) // 2
+            below = d * self._node_t[np.minimum(a + 1 + mid, last)] < key
+            open_ = lo < hi
+            lo, hi = (np.where(open_ & below, mid + 1, lo),
+                      np.where(open_ & ~below, mid, hi))
+        return a + np.minimum(lo, np.maximum(n_ends - 1, 0))
+
     def _extend(self, rows: np.ndarray, t: np.ndarray) -> np.ndarray:
         """States (R, k, d) of orbits ``rows`` at times t (R, k), from the
         continuous extension of the step that holds each time."""
+        rows = np.asarray(rows)
         t0, t1 = self._t_start[rows], self._t_end[rows]
         lo, hi = np.minimum(t0, t1)[:, None], np.maximum(t0, t1)[:, None]
         out = (t < lo - 1e-12) | (t > hi + 1e-12)
@@ -220,17 +240,11 @@ class GeodesicTrajectory:
             raise TruncatedTrajectoryError(
                 f"time {t[r][out[r]][0]} outside reached span [{lo[r, 0]}, {hi[r, 0]}]"
                 + (f" (truncated: {reason})" if reason is not None else ""))
-        node = np.empty(t.shape, dtype=np.intp)
-        for r, i in enumerate(rows):
-            a, b = self._node_off[i], self._node_off[i + 1]
-            ends = self.direction[i] * self._node_t[a + 1:b]
-            j = np.searchsorted(ends, self.direction[i] * t[r])
-            node[r] = a + np.minimum(j, max(b - a - 2, 0))
+        node = self._nodes(rows, t)
         # the segment after node j of orbit i is global segment j - i
-        seg = node - np.asarray(rows)[:, None]
+        seg = node - rows[:, None]
         y = self._node_y[node]
-        stepped = (self._node_off[np.asarray(rows) + 1]
-                   - self._node_off[rows] > 1)[:, None]
+        stepped = (self._node_off[rows + 1] - self._node_off[rows] > 1)[:, None]
         if not stepped.any():
             return y
         seg = np.where(stepped, seg, 0)
@@ -289,13 +303,27 @@ def _geodesic_rhs(m: ChartedManifold, integrand) -> Callable:
     return rhs
 
 
-def _pairing_rate(field: VectorFieldDef, m: ChartedManifold) -> Callable:
-    """g(nabla_v X, v) = g(J v + Gamma(v, X), v) from the spray's Gamma."""
-    def rate(X, V, G):
-        W = (_field_jacobian(field, m, X) @ V[..., None])[..., 0] + _contract(
-            G, V, _components(field, X))
-        return (V[:, None, :] @ m.metric(X) @ W[..., None])[:, 0, 0]
-    return rate
+class _PairingRate:
+    """g(nabla_v X, v) = g(J v + Gamma(v, X), v) from the spray's Gamma.
+
+    ``Vg`` keeps the rows v @ g of the last call, so the speed-drift record
+    at an accepted node reuses the metric of the step's last stage.
+    """
+
+    def __init__(self, field: VectorFieldDef, m: ChartedManifold):
+        self.field, self.m = field, m
+        self.Vg: Optional[np.ndarray] = None
+
+    def __call__(self, X, V, G):
+        W = (_field_jacobian(self.field, self.m, X) @ V[..., None])[..., 0] + _contract(
+            G, V, _components(self.field, X))
+        self.Vg = V[:, None, :] @ self.m.metric(X)
+        return (self.Vg @ W[..., None])[:, 0, 0]
+
+
+def _no_integrand(X, V, G):
+    """The carried column's slope where no result reads it."""
+    return 0.0
 
 
 def _evaluate(rhs: Callable, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -314,10 +342,13 @@ def _evaluate(rhs: Callable, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return F, bad
 
 
-def _drift(m: ChartedManifold, Y: np.ndarray) -> np.ndarray:
+def _drift(m: ChartedManifold, Y: np.ndarray, Vg: Optional[np.ndarray] = None) -> np.ndarray:
+    """|g(v, v) - 1| per row, from the rows v @ g when already formed."""
     n = m.dim
     V = Y[:, n:2 * n]
-    return np.abs((V[:, None, :] @ m.metric(Y[:, :n]) @ V[:, :, None])[:, 0, 0] - 1.0)
+    if Vg is None:
+        Vg = V[:, None, :] @ m.metric(Y[:, :n])
+    return np.abs((Vg @ V[:, :, None])[:, 0, 0] - 1.0)
 
 
 def _next_end(t, direction, t_final, stops):
@@ -334,7 +365,8 @@ def _next_end(t, direction, t_final, stops):
 
 def _initial_step(rhs, Y, F, t_span, direction, nx):
     """The standard starting step (HNW II.4) per row, from the first nx
-    components; and the rows where its trial right-hand side failed."""
+    components (so ``rhs`` need not carry the integral); and the rows where
+    its trial right-hand side failed."""
     scale = ATOL + np.abs(Y[:, :nx]) * RTOL
     d0 = _rms(Y[:, :nx] / scale)
     d1 = _rms(F[:, :nx] / scale)
@@ -355,6 +387,10 @@ def _dormand_prince(m: ChartedManifold, Y0: np.ndarray, t0: np.ndarray,
     n = m.dim
     nx = 2 * n
     rhs = _geodesic_rhs(m, integrand)
+    # stage 1 has weight zero in B, E and P, and the starting-step trial
+    # reads only the first nx columns: the carried slope there is never read
+    spray = _geodesic_rhs(m, _no_integrand if integrand is not None else None)
+    rate = integrand if isinstance(integrand, _PairingRate) else None
     reasons: list = [None] * N
     n_acc = np.zeros(N, dtype=np.int64)
     n_rej = np.zeros(N, dtype=np.int64)
@@ -367,7 +403,7 @@ def _dormand_prince(m: ChartedManifold, Y0: np.ndarray, t0: np.ndarray,
 
     direction = np.sign(t_final - t0)
     F, bad = _evaluate(rhs, Y0)
-    h_abs, bad1 = _initial_step(rhs, Y0, F, np.abs(t_final - t0), direction, nx)
+    h_abs, bad1 = _initial_step(spray, Y0, F, np.abs(t_final - t0), direction, nx)
     for i in np.flatnonzero(bad | bad1):
         reasons[i] = "rhs_failure"
     # the rows still stepping: orbit id, time, state, slope, step size,
@@ -411,11 +447,15 @@ def _dormand_prince(m: ChartedManifold, Y0: np.ndarray, t0: np.ndarray,
         bad = np.zeros(M, dtype=bool)
         for s in range(1, 6):
             dy = (A[s, :s] @ flat[:s]).reshape(M, d) * h[:, None]
-            K[s], b = _evaluate(rhs, y + dy)
+            K[s], b = _evaluate(spray if s == 1 else rhs, y + dy)
             bad |= b
         y_new = y + h[:, None] * (B @ flat[:6]).reshape(M, d)
+        if rate is not None:
+            rate.Vg = None
         K[6], b = _evaluate(rhs, y_new)
         bad |= b
+        # the last stage's rows v @ g at y_new, unless it was redone row by row
+        Vg = None if rate is None or rate.Vg is None or len(rate.Vg) != M else rate.Vg
         nfev[ids] += 6
 
         scale = ATOL + np.maximum(np.abs(y[:, :nx]), np.abs(y_new[:, :nx])) * RTOL
@@ -449,11 +489,12 @@ def _dormand_prince(m: ChartedManifold, Y0: np.ndarray, t0: np.ndarray,
 
             # after-step checks, in order: domain, drift, underflow, monitor
             out = ~np.asarray(m.domain(ya[:, :n])) | ~np.isfinite(ya).all(axis=1)
+            Vga = None if Vg is None else Vg[sel]
             if out.any():
                 drift = np.full(acc.size, np.nan)
-                drift[~out] = _drift(m, ya[~out])
+                drift[~out] = _drift(m, ya[~out], None if Vga is None else Vga[~out])
             else:
-                drift = _drift(m, ya)
+                drift = _drift(m, ya, Vga)
             node_drift.append(drift)
             over = drift > MAX_SPEED_DRIFT
             # a step cut short at a forced end is not an underflow
@@ -517,7 +558,7 @@ def integrate_geodesic(m: ChartedManifold, states, t_final, t_start=0.0,
     if np.any(t1 == t0):
         raise ValueError("empty time span")
     if isinstance(integrand, VectorFieldDef):
-        h = _pairing_rate(integrand, m)
+        h = _PairingRate(integrand, m)
     elif integrand is not None:
         def h(X, V, G):
             return integrand(X, V)

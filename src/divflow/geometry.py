@@ -381,10 +381,15 @@ def pairing_rates(field: VectorFieldDef, m: ChartedManifold, x,
 
     The rate vanishes for Killing fields and equals the conformal factor on
     unit vectors for conformal fields; its fiber average over unit
-    directions is (omega_{n-1} / n) * div X.  It is formed from the
-    directions themselves (V @ Q, then the sum).
+    directions is (omega_{n-1} / n) * div X.
     """
-    P = (V @ pairing_rate_form(field, m, x)) * V
+    return _quadratic(pairing_rate_form(field, m, x), V)
+
+
+def _quadratic(Q: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """v @ Q @ v for directions V (N, k, n) and matrices Q (N, n, n), shape
+    (N, k), formed from the directions themselves (V @ Q, then the sum)."""
+    P = (V @ Q) * V
     # adding the n <= 3 columns keeps .sum(axis=-1)'s order, several times faster
     return reduce(np.add, [P[..., i] for i in range(P.shape[-1])])
 

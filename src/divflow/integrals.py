@@ -6,12 +6,15 @@ Regions are either coordinate boxes in the chart or radial shells
 Unbounded domains are handled by truncation ladders with recorded traces.
 
 A base integrand h maps chart points (N, n) to values broadcastable to
-(N,), so each patch's tensor grid is one call; a bundle integrand F(X, V)
-maps points (N, n) and unit directions (N, k, n) to (N, k).  Fiber
-integrals are ``values @ weights`` over fixed-size blocks of points;
-compensated sums remain where partial sums accumulate (a patch's weighted
-nodes, patches, error terms).  Reductions have fixed shapes and order, so
-results are deterministic for a given numpy build.
+(N,), so each patch's tensor grid is one call.  A bundle integrand is of one
+of two kinds: a generic F(X, V), which maps points (N, n) and unit
+directions (N, k, n) to (N, k), or a ``QuadraticIntegrand``, post(v @ Q(x)
+@ v), whose fiber values come from the fiber rule's second moments without
+forming the directions.  Either way a fiber integral is ``values @
+weights`` over fixed-size blocks of points; compensated sums remain where
+partial sums accumulate (a patch's weighted nodes, patches, error terms).
+Reductions have fixed shapes and order, so results are deterministic for a
+given numpy build.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from numpy.polynomial.legendre import leggauss
 from .geometry import (
     ChartedManifold,
     UnitTangentState,
+    _quadratic,
     metric_at,  # noqa: F401  (perfbench's tracer test asserts integrals.metric_at)
     orthonormal_frame,
     volume_density,
@@ -42,6 +46,7 @@ __all__ = [
     "ShellPatch",
     "IntegralEstimate",
     "FiberRule",
+    "QuadraticIntegrand",
     "omega",
     "fiber_rule",
     "fiber_integral",
@@ -161,11 +166,19 @@ def omega(n: int) -> float:
 
 @dataclass(frozen=True, eq=False)
 class FiberRule:
-    """Quadrature rule on the unit sphere S^{n-1}."""
+    """Quadrature rule on the unit sphere S^{n-1}.
+
+    ``moments[i * dim + j, l]`` is u_i u_j of node u = nodes[l]: the values
+    of every quadratic form at every node are one product with it.  A
+    generic integrand is evaluated on the directions built from ``nodes``, a
+    quadratic one through ``moments``; both reduce with ``values @
+    weights``.
+    """
 
     dim: int
     nodes: np.ndarray            # (k, dim) unit direction coefficients
     weights: np.ndarray          # (k,), sum = omega(dim)
+    moments: np.ndarray          # (dim * dim, k) second moments of the nodes
 
 
 def _gl(order: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
@@ -184,18 +197,40 @@ def fiber_rule(n: int) -> FiberRule:
     """Standard fiber rules: angular Gauss-Legendre for n=2, a
     (cos phi, theta) product Gauss rule for n=3."""
     if n == 2:
-        th, w = _gl(ANGULAR_ORDER, 0.0, 2.0 * math.pi)
+        th, weights = _gl(ANGULAR_ORDER, 0.0, 2.0 * math.pi)
         nodes = np.column_stack([np.cos(th), np.sin(th)])
-        return FiberRule(dim=2, nodes=nodes, weights=w)
-    if n == 3:
+    elif n == 3:
         u, wu = _gl(POLAR_ORDER, -1.0, 1.0)
         th, wt = _gl(ANGULAR_ORDER, 0.0, 2.0 * math.pi)
         s = np.sqrt(np.maximum(0.0, 1.0 - u ** 2))
         nodes = np.stack([np.outer(s, np.cos(th)).ravel(), np.outer(s, np.sin(th)).ravel(),
                           np.repeat(u, ANGULAR_ORDER)], axis=-1)
         weights = np.outer(wu, wt).ravel()
-        return FiberRule(dim=3, nodes=nodes, weights=weights)
-    raise NotImplementedError(f"no fiber rule shipped for dimension {n}")
+    else:
+        raise NotImplementedError(f"no fiber rule shipped for dimension {n}")
+    moments = np.ascontiguousarray((nodes[:, :, None] * nodes[:, None, :]).reshape(-1, n * n).T)
+    return FiberRule(dim=n, nodes=nodes, weights=weights, moments=moments)
+
+
+class QuadraticIntegrand:
+    """The bundle integrand post(v @ Q(x) @ v) of a field of quadratic forms.
+
+    ``form`` maps points (N, n) to matrices Q (N, n, n); ``post`` is an
+    optional elementwise map of the values (np.abs, say).  Called as F(X, V)
+    on directions V (N, k, n) it is an ordinary bundle integrand;
+    ``fiber_integral`` instead contracts Q in the orthonormal frame with the
+    fiber rule's second moments and never builds the directions.
+    """
+
+    def __init__(self, form: Callable[[np.ndarray], np.ndarray],
+                 post: Optional[Callable[[np.ndarray], np.ndarray]] = None):
+        self.form, self.post = form, post
+
+    def _finish(self, values: np.ndarray) -> np.ndarray:
+        return values if self.post is None else self.post(values)
+
+    def __call__(self, X, V) -> np.ndarray:
+        return self._finish(_quadratic(self.form(X), V))
 
 
 # bytes of one block's (points, directions, n) array in fiber_integral
@@ -207,11 +242,14 @@ def fiber_integral(m: ChartedManifold, F: Callable, x,
     """Integral of F(x, v) over the unit sphere of the tangent space at x.
 
     ``x`` has shape (n,) (returns a float) or (N, n) (returns (N,)).
-    Directions come from a g-orthonormal frame (Gram-Schmidt on the chart
+    Directions come from a g-orthonormal frame E (Gram-Schmidt on the chart
     basis), so the rule's round measure matches the fiber measure of the
-    unit tangent bundle.  F gets blocks of points (b, n) with directions
-    (b, k, n) of at most FIBER_BLOCK_BYTES and returns values that broadcast
-    to (b, k).
+    unit tangent bundle.  Points go in blocks of b, as many as fit the
+    (b, k, n) directions in FIBER_BLOCK_BYTES.  A generic F gets each
+    block's points (b, n) and directions (b, k, n) and returns values that
+    broadcast to (b, k).  For a QuadraticIntegrand the node values are the
+    frame-form E^T Q E times the rule's second moments, one (b, n*n) @
+    (n*n, k) product.  Both kinds reduce with ``values @ weights``.
     """
     x = np.asarray(x, dtype=float)
     if rule is None:
@@ -222,8 +260,13 @@ def fiber_integral(m: ChartedManifold, F: Callable, x,
     for s in range(0, len(X), block):
         Xb = X[s:s + block]
         E = orthonormal_frame(m, Xb)   # raises on non-SPD metric
-        V = rule.nodes @ np.swapaxes(E, -1, -2)
-        vals = np.broadcast_to(np.asarray(F(Xb, V), dtype=float), V.shape[:-1])
+        Et = np.swapaxes(E, -1, -2)
+        if isinstance(F, QuadraticIntegrand):
+            Q = Et @ F.form(Xb) @ E
+            vals = F._finish(Q.reshape(len(Xb), -1) @ rule.moments)
+        else:
+            V = rule.nodes @ Et
+            vals = np.broadcast_to(np.asarray(F(Xb, V), dtype=float), V.shape[:-1])
         out[s:s + block] = vals @ rule.weights
     return out if x.ndim > 1 else float(out[0])
 

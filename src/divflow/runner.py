@@ -28,10 +28,11 @@ from .geometry import (
     DomainError,
     MetricError,
     divergence,
-    pairing_rates,
+    pairing_rate_form,
 )
 from .integrals import (
     ChartBox,
+    QuadraticIntegrand,
     SamplingError,
     base_integral,
     fiber_integral,
@@ -278,7 +279,8 @@ def _run_fiber_lemma(cfg):
     tol = float(cfg.tolerances.get("residual", 1e-8 if m.dim == 2 else 1e-6))
     w = omega(m.dim) / m.dim
     pts = sample_box_points(m, n_points, np.random.default_rng(cfg.seed))
-    fib = fiber_integral(m, partial(pairing_rates, f, m), pts, fiber_rule(m.dim))
+    rate = QuadraticIntegrand(partial(pairing_rate_form, f, m))
+    fib = fiber_integral(m, rate, pts, fiber_rule(m.dim))
     worst = float(np.max(np.abs(fib - w * divergence(f, m, pts))))
     return {"results": {"max_residual": worst, "n_points": n_points},
             "checks": [_check("fiber_average_matches_divergence", worst, tol, "<=")]}
@@ -298,8 +300,8 @@ def _run_path_integral(cfg):
 def _run_fubini(cfg):
     m, f = _pair(cfg)
     n_mc = int(cfg.params.get("n_mc", 20000))
-    out = fubini_consistency(m, partial(pairing_rates, f, m), _box(cfg, m), n_mc=n_mc,
-                             seed=cfg.seed)
+    out = fubini_consistency(m, QuadraticIntegrand(partial(pairing_rate_form, f, m)),
+                             _box(cfg, m), n_mc=n_mc, seed=cfg.seed)
     return {"results": out,
             "checks": [_check("iterated_matches_direct", out["discrepancy"],
                               max(out["bound"], 1e-12), "<=")]}

@@ -237,8 +237,39 @@ def test_controller_takes_the_standard_steps(ex4):
     Z = zoo.vector_field("warp:ex4:Z")
     states = sample_states(ex4, 10, np.random.default_rng(30))
     for integrand in (Z, None):
-        stats = integrate_geodesic(ex4, states, 10.0, integrand=integrand).stats
+        traj = integrate_geodesic(ex4, states, 10.0, integrand=integrand)
+        stats = traj.stats
         assert (stats.n_accepted, stats.n_rejected_est, stats.nfev) == (3600, 185, 22730)
+        # a carried rate hands its last stage's v @ g to the drift record,
+        # which must read as if the metric were evaluated again
+        Y = np.concatenate(traj.states)
+        X, V = Y[:, :3], Y[:, 3:]
+        drift = np.abs((V[:, None, :] @ ex4.metric(X) @ V[:, :, None])[:, 0, 0] - 1.0)
+        assert np.array_equal(np.concatenate(traj.speed_drift), drift)
+
+
+def test_extend_finds_the_nodes_a_per_orbit_search_finds(ex2, rng):
+    # the reference is the per-orbit np.searchsorted lookup, on a stack of
+    # orbits of different lengths and time directions, one truncated
+    states = sample_states(ex2, 4, rng) + [unit_state(ex2, [2.0, 1.0, 1.0], [-1.0, 0.0, 0.0])]
+    traj = integrate_geodesic(ex2, states, np.array([10.0, -10.0, 4.0, -2.5, 10.0]))
+    rows = np.array([4, 0, 2, 1, 3, 0])
+    off, node_t = traj._node_off, traj._node_t
+    # a grid over each orbit's span, and its node times, where ties decide
+    t = np.hstack([traj._t_end[rows, None] * np.linspace(0.0, 1.0, 301),
+                   [np.resize(node_t[off[i]:off[i + 1]], 64) for i in rows]])
+    ref = np.empty(t.shape + (traj._node_y.shape[1],))
+    for r, i in enumerate(rows):
+        a, b = off[i], off[i + 1]
+        d = traj.direction[i]
+        node = a + np.minimum(np.searchsorted(d * node_t[a + 1:b], d * t[r]), b - a - 2)
+        seg = node - i
+        h = traj._seg_h[seg]
+        x = ((t[r] - node_t[node]) / h)[:, None]
+        Q = traj._seg_Q
+        poly = x * (Q[0][seg] + x * (Q[1][seg] + x * (Q[2][seg] + x * Q[3][seg])))
+        ref[r] = traj._node_y[node] + h[:, None] * poly
+    assert np.array_equal(traj._extend(rows, t), ref)
 
 
 def test_runaway_speed_drift_truncates(hyperbolic):

@@ -8,10 +8,17 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 from divflow import runner, zoo
-from divflow.geometry import divergence, field_norm, pairing_rate_form, pairing_rates
+from divflow.geometry import (
+    divergence,
+    field_norm,
+    orthonormal_frame,
+    pairing_rate_form,
+    pairing_rates,
+)
 from divflow.integrals import (
     ChartBox,
     IntegralEstimate,
+    QuadraticIntegrand,
     RadialShell,
     _uniform_in,
     base_integral,
@@ -21,6 +28,7 @@ from divflow.integrals import (
     ladder_integral,
     omega,
     resolve_patches,
+    sample_box_points,
     sample_liouville,
     sm_integral,
 )
@@ -53,6 +61,9 @@ def test_fiber_rule_weights_and_moments(n):
     # quadratic moments: int z_i z_j = delta_ij * omega / n
     M = (rule.nodes.T * rule.weights) @ rule.nodes
     assert_allclose(M, (omega(n) / n) * np.eye(n), atol=1e-12)
+    # the cached second moments u_i u_j, one row per (i, j)
+    assert rule.moments.shape == (n * n, len(rule.weights))
+    assert_allclose((rule.weights @ rule.moments.T).reshape(n, n), M, rtol=1e-14, atol=1e-15)
 
 
 def test_fiber_integral_of_constant(hyperbolic, ex4):
@@ -62,17 +73,51 @@ def test_fiber_integral_of_constant(hyperbolic, ex4):
         omega(3), rel=1e-13)
 
 
-def test_fiber_average_identity_all_pairs(rng):
+# the pairing rate as a bundle integrand: on the directions, or as a form
+RATE_INTEGRANDS = {
+    "generic": lambda f, m: partial(pairing_rates, f, m),
+    "quadratic": lambda f, m: QuadraticIntegrand(partial(pairing_rate_form, f, m)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(RATE_INTEGRANDS))
+def test_fiber_average_identity_all_pairs(kind, rng):
     # the central check: fiber integral of the pairing rate against the
     # divergence, on a modest sweep (the acceptance suite does 10^3 points)
-    from divflow.integrals import sample_box_points
     for m, f in zoo.field_pairs():
         rule = fiber_rule(m.dim)
         w = omega(m.dim) / m.dim
         tol = 1e-8 if m.dim == 2 else 1e-6
+        F = RATE_INTEGRANDS[kind](f, m)
         for x in sample_box_points(m, 50, rng):
-            fib = fiber_integral(m, partial(pairing_rates, f, m), x, rule=rule)
+            fib = fiber_integral(m, F, x, rule=rule)
             assert abs(fib - w * divergence(f, m, x)) < tol, (m.name, f.name, x)
+
+
+@pytest.mark.parametrize("post", [None, np.abs], ids=["rate", "abs-rate"])
+@pytest.mark.parametrize("mid,fid", zoo.PAIR_IDS)
+def test_quadratic_fiber_path_matches_generic(mid, fid, post, rng):
+    m, f = zoo.manifold(mid), zoo.vector_field(fid)
+    pts = sample_box_points(m, 40, rng)
+    F = QuadraticIntegrand(partial(pairing_rate_form, f, m), post=post)
+    quadratic = fiber_integral(m, F, pts)
+    generic = fiber_integral(m, lambda X, V: F(X, V), pts)
+    # relative to the integral of |rate|, which bounds both values; a
+    # Killing field's rate integrates to round-off
+    scale = fiber_integral(m, lambda X, V: np.abs(F(X, V)), pts)
+    assert np.all(np.abs(quadratic - generic) <= 1e-12 * scale), (mid, fid)
+
+
+@pytest.mark.parametrize("mid,fid", zoo.PAIR_IDS)
+def test_quadratic_integrand_on_one_direction_is_pairing_rates(mid, fid, rng):
+    # the direct Monte Carlo estimate of fubini_consistency calls it so
+    m, f = zoo.manifold(mid), zoo.vector_field(fid)
+    pts = sample_box_points(m, 40, rng)
+    c = rng.normal(size=pts.shape)
+    c /= np.linalg.norm(c, axis=1, keepdims=True)
+    V = (orthonormal_frame(m, pts) @ c[..., None])[..., 0][:, None, :]
+    F = QuadraticIntegrand(partial(pairing_rate_form, f, m))
+    assert np.array_equal(F(pts, V), pairing_rates(f, m, pts, V))
 
 
 def test_ex4_volume_and_divergence_integral(ex4):

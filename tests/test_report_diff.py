@@ -55,6 +55,23 @@ def test_changed_float_prints_path_and_relative_change(tmp_path):
     assert rel == float(f"{abs(new - old) / new:.3g}")
 
 
+def test_largest_absolute_change_printed_beside_largest_relative(tmp_path):
+    # a round-off residual near zero against a value that really moved
+    old = REPORT["result"]["value"]
+    new = old * (1.0 + 1e-10)
+    before = dict(REPORT, checks=[dict(REPORT["checks"][0], value=1.0e-16)])
+    after = dict(_changed(value=new), checks=[dict(REPORT["checks"][0], value=1.2e-16)])
+    status, out = _diff(tmp_path, {"a": before}, {"a": after})
+    assert status == 0
+    line, = out.splitlines()
+    first, second = line.split("; ")
+    assert first.startswith("a.json: rel 0.167 ") and first.endswith(" at checks[0].value")
+    assert second.startswith("abs ") and second.endswith(" at result.value")
+    fields = second.split()
+    assert float(fields[1]) == float(f"{new - old:.3g}")
+    assert float(fields[3]) == float(f"{(new - old) / new:.3g}")
+
+
 def test_flipped_check_exits_1(tmp_path):
     flipped = dict(REPORT, passed=False,
                    checks=[dict(REPORT["checks"][0], passed=False)])

@@ -32,6 +32,7 @@ from divflow.geometry import (
 from divflow.flow import integrate_geodesic
 from divflow.integrals import (
     FIBER_BLOCK_BYTES,
+    QuadraticIntegrand,
     fiber_integral,
     fiber_rule,
     sample_box_points,
@@ -142,6 +143,8 @@ def test_field_geometry_and_fiber_integral_stack(mid, fid, rng):
         return (1.0 + pairing_rates(f, m, X, V)) ** 2
 
     _assert_close(partial(fiber_integral, m, F, rule=rule), many, (fid, "fiber_integral"))
+    Fq = QuadraticIntegrand(partial(pairing_rate_form, f, m), post=lambda r: (1.0 + r) ** 2)
+    _assert_close(partial(fiber_integral, m, Fq, rule=rule), many, (fid, "quadratic"))
 
 
 TEST_FUNCTIONS = [(mid, uid) for mid in zoo.MANIFOLD_IDS for uid in scalar_test_functions(mid)]
