@@ -186,13 +186,9 @@ def _first(x: np.ndarray, bad) -> np.ndarray:
     return x if x.ndim == 1 else x[int(np.argmax(bad))]
 
 
-def metric_at(m: ChartedManifold, x) -> np.ndarray:
-    """Metric matrices g_ij(x); validates the domain, symmetry and positive
-    definiteness.
-
-    Positive definiteness is enforced by an attempted Cholesky factorization
-    of every matrix; failure is a hard error rather than a silent clamp.
-    """
+def _metric_cholesky(m: ChartedManifold, x) -> tuple[np.ndarray, np.ndarray]:
+    """Validated metric matrices g at x and their Cholesky factors L, with
+    g = L L^T; ``metric_at`` documents the checks."""
     x = np.asarray(x, dtype=float)
     ok = np.asarray(m.domain(x))
     if not ok.all():
@@ -207,7 +203,7 @@ def metric_at(m: ChartedManifold, x) -> np.ndarray:
     if not sym.all():
         raise MetricError(f"{m.name}: metric not symmetric at {_first(x, ~sym)!r}")
     try:
-        np.linalg.cholesky(gs)
+        L = np.linalg.cholesky(gs)
     except np.linalg.LinAlgError:
         for xi, gi in zip(x.reshape(-1, n), gs):   # name the first failure
             try:
@@ -215,7 +211,19 @@ def metric_at(m: ChartedManifold, x) -> np.ndarray:
             except np.linalg.LinAlgError as exc:
                 raise MetricError(
                     f"{m.name}: metric not positive definite at {xi!r}") from exc
-    return g
+    return g, L.reshape(g.shape)
+
+
+def metric_at(m: ChartedManifold, x) -> np.ndarray:
+    """Metric matrices g_ij(x); validates the domain, symmetry and positive
+    definiteness.
+
+    Positive definiteness is enforced by an attempted Cholesky factorization
+    of every matrix; failure is a hard error rather than a silent clamp.
+    ``volume_density`` and ``orthonormal_frame`` reuse that validating
+    factor instead of factoring g again.
+    """
+    return _metric_cholesky(m, x)[0]
 
 
 def inverse_metric_at(m: ChartedManifold, x) -> np.ndarray:
@@ -223,18 +231,20 @@ def inverse_metric_at(m: ChartedManifold, x) -> np.ndarray:
 
 
 def volume_density(m: ChartedManifold, x):
-    """sqrt(det g) at x; strictly positive on the chart domain."""
-    L = np.linalg.cholesky(metric_at(m, x))
+    """sqrt(det g) at x, the product of the diagonal of the Cholesky factor
+    that validates g; strictly positive on the chart domain."""
+    L = _metric_cholesky(m, x)[1]
     return np.prod(np.diagonal(L, axis1=-2, axis2=-1), axis=-1)
 
 
 def orthonormal_frame(m: ChartedManifold, x) -> np.ndarray:
     """Columns form a g-orthonormal basis of the tangent space at x.
 
-    Equivalent to Gram-Schmidt on the chart basis: with g = L L^T the frame
-    is E = L^{-T}, so E^T g E = I.
+    Equivalent to Gram-Schmidt on the chart basis: with g = L L^T (the
+    Cholesky factor that validates g) the frame is E = L^{-T}, so
+    E^T g E = I.
     """
-    L = np.linalg.cholesky(metric_at(m, x))
+    L = _metric_cholesky(m, x)[1]
     return np.swapaxes(np.linalg.inv(L), -1, -2)
 
 

@@ -233,7 +233,8 @@ class QuadraticIntegrand:
         return self._finish(_quadratic(self.form(X), V))
 
 
-# bytes of one block's (points, directions, n) array in fiber_integral
+# bytes of one block's (points, directions, n) node array in fiber_integral;
+# the frame and the form are per point and are formed for the whole stack
 FIBER_BLOCK_BYTES = 3 << 19
 
 
@@ -244,12 +245,15 @@ def fiber_integral(m: ChartedManifold, F: Callable, x,
     ``x`` has shape (n,) (returns a float) or (N, n) (returns (N,)).
     Directions come from a g-orthonormal frame E (Gram-Schmidt on the chart
     basis), so the rule's round measure matches the fiber measure of the
-    unit tangent bundle.  Points go in blocks of b, as many as fit the
-    (b, k, n) directions in FIBER_BLOCK_BYTES.  A generic F gets each
-    block's points (b, n) and directions (b, k, n) and returns values that
-    broadcast to (b, k).  For a QuadraticIntegrand the node values are the
-    frame-form E^T Q E times the rule's second moments, one (b, n*n) @
-    (n*n, k) product.  Both kinds reduce with ``values @ weights``.
+    unit tangent bundle.  E depends only on the point, so it is formed once
+    for the whole stack, as is the frame-form E^T Q E of a
+    QuadraticIntegrand (F.form called once).  Only the node values go in
+    blocks of b points, as many as fit a (b, k, n) array in
+    FIBER_BLOCK_BYTES.  A generic F gets each block's points (b, n) and
+    directions (b, k, n) and returns values that broadcast to (b, k).  For a
+    QuadraticIntegrand the node values are the frame-form times the rule's
+    second moments, one (b, n*n) @ (n*n, k) product.  Both kinds reduce
+    with ``values @ weights``.
     """
     x = np.asarray(x, dtype=float)
     if rule is None:
@@ -257,16 +261,17 @@ def fiber_integral(m: ChartedManifold, F: Callable, x,
     X = x.reshape(-1, m.dim)
     out = np.empty(len(X))
     block = max(1, FIBER_BLOCK_BYTES // rule.nodes.nbytes)
+    E = orthonormal_frame(m, X)   # raises on non-SPD metric
+    Et = np.swapaxes(E, -1, -2)
+    quadratic = isinstance(F, QuadraticIntegrand)
+    if quadratic:
+        Q = (Et @ F.form(X) @ E).reshape(len(X), -1)
     for s in range(0, len(X), block):
-        Xb = X[s:s + block]
-        E = orthonormal_frame(m, Xb)   # raises on non-SPD metric
-        Et = np.swapaxes(E, -1, -2)
-        if isinstance(F, QuadraticIntegrand):
-            Q = Et @ F.form(Xb) @ E
-            vals = F._finish(Q.reshape(len(Xb), -1) @ rule.moments)
+        if quadratic:
+            vals = F._finish(Q[s:s + block] @ rule.moments)
         else:
-            V = rule.nodes @ Et
-            vals = np.broadcast_to(np.asarray(F(Xb, V), dtype=float), V.shape[:-1])
+            V = rule.nodes @ Et[s:s + block]
+            vals = np.broadcast_to(np.asarray(F(X[s:s + block], V), dtype=float), V.shape[:-1])
         out[s:s + block] = vals @ rule.weights
     return out if x.ndim > 1 else float(out[0])
 
@@ -529,8 +534,8 @@ def sample_liouville(m: ChartedManifold, n: int, rng,
     probs = np.array([max(w, 1e-300) for w in masses]) / max(total, 1e-300)
     cdf = np.cumsum(probs)
 
-    out = []
-    while len(out) < n:
+    xs, cs = [], []
+    while len(xs) < n:
         j = int(np.searchsorted(cdf, rng.uniform()))
         j = min(j, len(patches) - 1)
         patch = patches[j]
@@ -542,9 +547,10 @@ def sample_liouville(m: ChartedManifold, n: int, rng,
                 f"its rejection envelope {sups[j]:.6g}; the probe grid missed the peak")
         if rng.uniform() * sups[j] > d:
             continue
-        x = patch.to_chart(u)
-        E = orthonormal_frame(m, x)
+        xs.append(np.asarray(patch.to_chart(u), dtype=float))
         c = rng.normal(size=m.dim)
         c /= np.linalg.norm(c)
-        out.append(UnitTangentState(x=np.asarray(x, dtype=float), v=E @ c))
-    return out
+        cs.append(c)
+    # the frames take no draws, so one stacked call serves every accepted point
+    E = orthonormal_frame(m, np.array(xs))
+    return [UnitTangentState(x=x, v=Ei @ c) for x, Ei, c in zip(xs, E, cs)]

@@ -252,3 +252,49 @@ def test_orthonormal_frame_property(rng):
             E = orthonormal_frame(m, x)
             g = metric_at(m, x)
             assert_allclose(E.T @ g @ E, np.eye(m.dim), atol=1e-10)
+
+
+@pytest.mark.parametrize("mid", zoo.MANIFOLD_IDS)
+def test_frame_and_density_reuse_the_validating_cholesky(mid, rng):
+    # one factorization of g per point serves the SPD check, E = L^{-T} and
+    # sqrt(det g) = prod diag L; a second factorization gives the same bits
+    m = zoo.manifold(mid)
+    pts = sample_box_points(m, 32, rng)
+    for x in (pts[0], pts):
+        L = np.linalg.cholesky(metric_at(m, x))
+        assert np.array_equal(orthonormal_frame(m, x), np.swapaxes(np.linalg.inv(L), -1, -2))
+        assert np.array_equal(volume_density(m, x),
+                              np.prod(np.diagonal(L, axis1=-2, axis2=-1), axis=-1))
+
+
+def _tilted(skew: bool) -> ChartedManifold:
+    """Identity metric, indefinite where x0 > 1, or asymmetric there."""
+    def metric(x):
+        g = np.broadcast_to(np.eye(2), x.shape[:-1] + (2, 2)).copy()
+        bad = x[..., 0] > 1.0
+        if skew:
+            g[..., 0, 1] = np.where(bad, 0.1, 0.0)
+        else:
+            g[..., 1, 1] = np.where(bad, -1.0, 1.0)
+        return g
+
+    return ChartedManifold(name="tilt", dim=2, metric=metric,
+                           domain=lambda x: x[..., 1] > -1.0)
+
+
+@pytest.mark.parametrize("fn", [metric_at, orthonormal_frame, volume_density])
+def test_metric_errors_name_the_first_failing_point(fn):
+    pts = np.column_stack([np.linspace(-1.0, 0.9, 10), np.zeros(10)])
+    cases = [(False, MetricError, "positive definite"), (True, MetricError, "symmetric"),
+             (False, DomainError, "outside chart domain")]
+    for skew, error, what in cases:
+        m = _tilted(skew)
+        bad = pts.copy()
+        if error is DomainError:
+            bad[3, 1], bad[7, 1] = -1.5, -2.5
+        else:
+            bad[3, 0], bad[7, 0] = 1.5, 2.5
+        for x in (bad, bad[3]):
+            with pytest.raises(error, match=what) as info:
+                fn(m, x)
+            assert "1.5" in str(info.value) and "2.5" not in str(info.value), (skew, what)

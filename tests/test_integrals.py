@@ -7,10 +7,11 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
-from divflow import runner, zoo
+from divflow import integrals, runner, zoo
 from divflow.geometry import (
     divergence,
     field_norm,
+    metric_at,
     orthonormal_frame,
     pairing_rate_form,
     pairing_rates,
@@ -106,6 +107,50 @@ def test_quadratic_fiber_path_matches_generic(mid, fid, post, rng):
     # Killing field's rate integrates to round-off
     scale = fiber_integral(m, lambda X, V: np.abs(F(X, V)), pts)
     assert np.all(np.abs(quadratic - generic) <= 1e-12 * scale), (mid, fid)
+
+
+def _fiber_integral_per_block(m, F, X, rule, block):
+    """fiber_integral with the frame and the form rebuilt in every block."""
+    out = np.empty(len(X))
+    for s in range(0, len(X), block):
+        Xb = X[s:s + block]
+        E = orthonormal_frame(m, Xb)
+        Et = np.swapaxes(E, -1, -2)
+        if isinstance(F, QuadraticIntegrand):
+            Q = Et @ F.form(Xb) @ E
+            vals = F._finish(Q.reshape(len(Xb), -1) @ rule.moments)
+        else:
+            V = rule.nodes @ Et
+            vals = np.broadcast_to(np.asarray(F(Xb, V), dtype=float), V.shape[:-1])
+        out[s:s + block] = vals @ rule.weights
+    return out
+
+
+@pytest.mark.parametrize("kind", ["generic", "quadratic", "quadratic-abs"])
+@pytest.mark.parametrize("mid,fid", zoo.PAIR_IDS)
+def test_fiber_integral_forms_its_geometry_once(mid, fid, kind, monkeypatch, rng):
+    # the frame and the rate form depend only on the point: one form call
+    # per fiber_integral call, and the same bits as rebuilding them per block
+    m, f = zoo.manifold(mid), zoo.vector_field(fid)
+    rule = fiber_rule(m.dim)
+    pts = sample_box_points(m, 40, rng)
+    calls = []
+
+    def form(X):
+        calls.append(len(X))
+        return pairing_rate_form(f, m, X)
+
+    if kind == "generic":
+        F = partial(pairing_rates, f, m)
+    else:
+        F = QuadraticIntegrand(form, post=np.abs if kind == "quadratic-abs" else None)
+    for block in (7, 16):
+        monkeypatch.setattr(integrals, "FIBER_BLOCK_BYTES", block * rule.nodes.nbytes)
+        calls.clear()
+        got = fiber_integral(m, F, pts, rule=rule)
+        if kind != "generic":
+            assert calls == [len(pts)]
+        assert np.array_equal(got, _fiber_integral_per_block(m, F, pts, rule, block)), block
 
 
 @pytest.mark.parametrize("mid,fid", zoo.PAIR_IDS)
@@ -249,10 +294,24 @@ def test_sample_liouville_matches_volume_weight(hyperbolic, rng):
     med_expected = float(np.arccosh(1.0 + 0.5 * (math.cosh(cap) - 1.0)))
     assert np.median(radii) == pytest.approx(med_expected, abs=0.05)
     # velocities are unit
-    from divflow.geometry import metric_at
     for s_ in states[:50]:
         g = metric_at(hyperbolic, s_.x)
         assert float(s_.v @ g @ s_.v) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_sample_liouville_forms_every_frame_in_one_call(ex4, monkeypatch):
+    # frames take no draws, so they are formed after the rejection loop
+    calls = []
+
+    def frame(m, x):
+        calls.append(np.shape(x))
+        return orthonormal_frame(m, x)
+
+    monkeypatch.setattr(integrals, "orthonormal_frame", frame)
+    states = sample_liouville(ex4, 25, np.random.default_rng(3), radius_cap=4.0)
+    assert calls == [(25, 3)]
+    for s_ in states:
+        assert float(s_.v @ metric_at(ex4, s_.x) @ s_.v) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_sample_liouville_rejects_bad_input(torus):
