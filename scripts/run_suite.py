@@ -20,9 +20,11 @@ import json
 import sys
 from pathlib import Path
 
-from divflow.runner import ExperimentConfig, report_to_json, run
-
 HERE = Path(__file__).resolve().parent
+# run from a clean checkout without installing the package
+sys.path.insert(0, str(HERE.parent / "src"))
+
+from divflow.runner import ExperimentConfig, report_to_json, run  # noqa: E402
 
 
 def main() -> int:

@@ -27,14 +27,12 @@ import numpy as np
 
 from .geometry import (
     ChartedManifold,
-    UnitTangentState,
     VectorFieldDef,
     divergence,
     field_norm,
     pairing_rate_form,
-    stack_states,
 )
-from .flow import first_return, integrate_geodesic
+from .flow import _states, first_return, integrate_geodesic
 from .integrals import (
     IntegralEstimate,
     QuadraticIntegrand,
@@ -306,30 +304,28 @@ def _loglog_fit(T: np.ndarray, I: np.ndarray) -> tuple[float, float]:
 def hopf_probe(m: ChartedManifold, states, f0: Optional[Callable] = None,
                horizons: Optional[Sequence[float]] = None):
     """Growth trace of I(T) = integral over [0, T] of a positive observable
-    along the orbit of each state, with a heuristic growth label.
+    along the orbit of each state (N, 2n), with a heuristic growth label.
 
     A plateauing trace marks orbits on which the observable's full-line
     integral looks finite (transient behavior); linear growth marks orbits
     that keep revisiting regions where the observable is large.  Labels are
     configuration-thresholded evidence, not classifications.  The integral
     is carried through one stacked integration whose steps end exactly on
-    the horizons; ``f0`` takes x of shape (N, n).  One probe for one state,
-    else a list.
+    the horizons; ``f0`` takes x of shape (N, n).  A list of N probes.
     """
     if horizons is None:
         horizons = np.geomspace(1.0, 12.0, 9)
     horizons = np.asarray(sorted(float(t) for t in horizons))
     if f0 is None:
         f0 = default_observable(m)
-    X, V, one = stack_states(states)
-    if np.any(np.broadcast_to(f0(X), X.shape[:1]) <= 0.0):
+    S = _states(m, states)
+    if np.any(np.broadcast_to(f0(S[:, :m.dim]), S.shape[:1]) <= 0.0):
         raise ValueError("observable must be strictly positive")
 
-    traj = integrate_geodesic(m, UnitTangentState(X, V), float(horizons[-1]),
+    traj = integrate_geodesic(m, S, float(horizons[-1]),
                               integrand=lambda x, v: f0(x), stops=horizons)
-    probes = [_hopf_label(horizons, traj.y_stops[i, :, -1], reason is not None)
-              for i, reason in enumerate(traj.reasons)]
-    return probes[0] if one else probes
+    return [_hopf_label(horizons, traj.y_stops[i, :, -1], reason is not None)
+            for i, reason in enumerate(traj.reasons)]
 
 
 def _hopf_label(horizons: np.ndarray, at_stops: np.ndarray,

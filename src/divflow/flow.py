@@ -32,15 +32,12 @@ from .geometry import (
     ChartedManifold,
     DomainError,
     MetricError,
-    UnitTangentState,
     VectorFieldDef,
     _components,
     _field_jacobian,
     christoffel,
-    field_norm,
     pairing,
     pairing_rate_form,  # noqa: F401  bound here for perfbench/test_perfbench.py::test_tracer_patches_every_binding_and_restores
-    stack_states,
 )
 
 __all__ = [
@@ -52,7 +49,6 @@ __all__ = [
     "birkhoff_integral",
     "path_integral_identity_residual",
     "first_return",
-    "endpoint_bound_check",
     "proxy_distance",
 ]
 
@@ -120,7 +116,7 @@ class GeodesicTrajectory:
     of "left_domain", "speed_drift", "step_limit", "step_underflow",
     "solver_failed", "rhs_failure" or "monitor".  Over the whole stack:
 
-      truncated          the number of truncated orbits (0 or 1 for one orbit)
+      truncated          the number of truncated orbits
       truncation_reason  the first truncated orbit's reason, else None
       stats              accepted and rejected steps and right-hand-side
                          evaluations, summed over the orbits (per orbit in
@@ -129,19 +125,17 @@ class GeodesicTrajectory:
                          every orbit
 
     ``speed_drift`` is |g(v, v) - 1| at each node (the initial speed is unit
-    by construction).  Per-orbit values (``states``, ``speed_drift``,
-    ``t_end``, ``y_end``, ``state_at``) carry a leading orbit axis (lists for
-    the ragged node arrays), except for a trajectory started from one state
-    (x of shape (n,)).  ``y_stops[i, j]`` is orbit i's full
+    by construction).  Per-orbit values (``t_end``, ``y_end``, ``y_at``,
+    and the node lists ``states`` and ``speed_drift``) carry a leading orbit
+    axis, for a stack of one orbit too.  ``y_stops[i, j]`` is orbit i's full
     state (x, v and the carried integral) at the j-th forced step end, NaN
     where the orbit stopped before it.
     """
 
-    def __init__(self, m: ChartedManifold, one: bool, t_start, t_final,
+    def __init__(self, m: ChartedManifold, t_start, t_final,
                  node_t, node_y, node_drift, seg_h, seg_Q, n_nodes,
                  reasons, n_accepted, n_rejected, nfev, y_stops):
         self.manifold = m
-        self.one = one
         self.n_orbits = len(reasons)
         self.direction = np.sign(t_final - t_start)
         self._t_start = t_start
@@ -160,9 +154,6 @@ class GeodesicTrajectory:
                                n_rejected_est=int(n_rejected.sum()),
                                nfev=int(nfev.sum()))
 
-    def _out(self, per_orbit):
-        return per_orbit[0] if self.one else per_orbit
-
     def _split(self, node_values) -> list:
         off = self._node_off
         return [node_values[off[i]:off[i + 1]] for i in range(self.n_orbits)]
@@ -180,33 +171,25 @@ class GeodesicTrajectory:
         return next((r for r in self.reasons if r is not None), None)
 
     @property
-    def states(self):
-        return self._out(self._split(self._node_y[:, :2 * self.dim]))
+    def states(self) -> list:
+        return self._split(self._node_y[:, :2 * self.dim])
 
     @property
-    def speed_drift(self):
-        return self._out(self._split(self._node_drift))
+    def speed_drift(self) -> list:
+        return self._split(self._node_drift)
 
     @property
     def max_speed_drift(self) -> float:
         return float(np.nanmax(self._node_drift))
 
     @property
-    def _t_end(self) -> np.ndarray:
+    def t_end(self) -> np.ndarray:
         return self._node_t[self._node_off[1:] - 1]
 
     @property
-    def t_end(self):
-        return self._out(self._t_end)
-
-    @property
-    def _y_end(self) -> np.ndarray:
-        return self._node_y[self._node_off[1:] - 1]
-
-    @property
-    def y_end(self):
+    def y_end(self) -> np.ndarray:
         """Each orbit's last accepted state, carried integral included."""
-        return self._out(self._y_end)
+        return self._node_y[self._node_off[1:] - 1]
 
     def _nodes(self, rows: np.ndarray, t: np.ndarray) -> np.ndarray:
         """The node (R, k) of each orbit ``rows`` whose step holds each time
@@ -231,7 +214,7 @@ class GeodesicTrajectory:
         """States (R, k, d) of orbits ``rows`` at times t (R, k), from the
         continuous extension of the step that holds each time."""
         rows = np.asarray(rows)
-        t0, t1 = self._t_start[rows], self._t_end[rows]
+        t0, t1 = self._t_start[rows], self.t_end[rows]
         lo, hi = np.minimum(t0, t1)[:, None], np.maximum(t0, t1)[:, None]
         out = (t < lo - 1e-12) | (t > hi + 1e-12)
         if out.any():
@@ -254,18 +237,14 @@ class GeodesicTrajectory:
         poly = x * (Q[0][seg] + x * (Q[1][seg] + x * (Q[2][seg] + x * Q[3][seg])))
         return y + np.where(stepped[..., None], h[..., None] * poly, 0.0)
 
-    def y_at(self, t):
-        """Full states at time t: a scalar, one time per orbit (N,), or a
-        grid per orbit (N, k); from the continuous extension."""
+    def y_at(self, t) -> np.ndarray:
+        """Full states at time t, from the continuous extension: (N, d) for
+        a scalar or one time per orbit (N,), (N, k, d) for a grid per orbit
+        (N, k)."""
         t = np.asarray(t, dtype=float)
         grid = t if t.ndim == 2 else np.broadcast_to(t, (self.n_orbits,))[:, None]
         y = self._extend(np.arange(self.n_orbits), grid)
-        return self._out(y if t.ndim == 2 else y[:, 0])
-
-    def state_at(self, t) -> UnitTangentState:
-        y = self.y_at(t)
-        n = self.dim
-        return UnitTangentState(x=y[..., :n], v=y[..., n:2 * n])
+        return y if t.ndim == 2 else y[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +361,7 @@ def _initial_step(rhs, Y, F, t_span, direction, nx):
 
 def _dormand_prince(m: ChartedManifold, Y0: np.ndarray, t0: np.ndarray,
                     t_final: np.ndarray, integrand, stops: np.ndarray,
-                    monitor, one: bool) -> GeodesicTrajectory:
+                    monitor) -> GeodesicTrajectory:
     N, d = Y0.shape
     n = m.dim
     nx = 2 * n
@@ -524,20 +503,29 @@ def _dormand_prince(m: ChartedManifold, Y0: np.ndarray, t0: np.ndarray,
     else:
         sh, sQ = np.empty(0), np.empty((4, 0, d))
     return GeodesicTrajectory(
-        m, one, t0, t_final,
+        m, t0, t_final,
         np.concatenate(node_t)[order], np.concatenate(node_y)[order],
         np.concatenate(node_drift)[order], sh, sQ, n_nodes,
         reasons, n_acc, n_rej, nfev, y_stops)
+
+
+def _states(m: ChartedManifold, states) -> np.ndarray:
+    """``states`` as a float array of shape (N, 2n), N >= 1; a ValueError
+    for any other shape."""
+    S = np.asarray(states, dtype=float)
+    if S.ndim != 2 or len(S) == 0 or S.shape[1] != 2 * m.dim:
+        raise ValueError(f"states must have shape (N, {2 * m.dim}) with N >= 1, "
+                         f"not {S.shape}")
+    return S
 
 
 def integrate_geodesic(m: ChartedManifold, states, t_final, t_start=0.0,
                        monitor: Optional[Callable] = None,
                        integrand: Union[Callable, VectorFieldDef, None] = None,
                        stops: Sequence[float] = ()) -> GeodesicTrajectory:
-    """Integrate the geodesic system x'' + Gamma(x)(x', x') = 0 for one
-    state or a stack of states, each from its ``t_start`` to its
-    ``t_final`` (scalars, or one per orbit; each orbit runs in its own time
-    direction).
+    """Integrate the geodesic system x'' + Gamma(x)(x', x') = 0 for a stack
+    of states (N, 2n), each from its ``t_start`` to its ``t_final`` (scalars,
+    or one per orbit; each orbit runs in its own time direction).
 
     An orbit is truncated (flagged, not raised) when it leaves the chart
     domain, when its speed drift passes MAX_SPEED_DRIFT, when its step size
@@ -549,8 +537,8 @@ def integrate_geodesic(m: ChartedManifold, states, t_final, t_start=0.0,
     its pairing rate g(nabla_v X, v).  ``stops`` are forced step ends, at
     which ``y_stops`` records each orbit's state.
     """
-    X, V, one = stack_states(states)
-    N = len(X)
+    S = _states(m, states)
+    N = len(S)
     t0 = np.broadcast_to(np.asarray(t_start, dtype=float), (N,)).copy()
     t1 = np.broadcast_to(np.asarray(t_final, dtype=float), (N,)).copy()
     if not np.all(np.isfinite(t1)):
@@ -564,9 +552,9 @@ def integrate_geodesic(m: ChartedManifold, states, t_final, t_start=0.0,
             return integrand(X, V)
     else:
         h = None
-    Y0 = np.hstack([X, V] + ([np.zeros((N, 1))] if h is not None else []))
+    Y0 = np.hstack([S] + ([np.zeros((N, 1))] if h is not None else []))
     return _dormand_prince(m, Y0, t0, t1, h, np.sort(np.asarray(stops, dtype=float)),
-                           monitor, one)
+                           monitor)
 
 
 def _whole(traj: GeodesicTrajectory) -> GeodesicTrajectory:
@@ -574,7 +562,7 @@ def _whole(traj: GeodesicTrajectory) -> GeodesicTrajectory:
     for i, reason in enumerate(traj.reasons):
         if reason is not None:
             raise TruncatedTrajectoryError(
-                f"orbit truncated at t = {traj._t_end[i]} ({reason})")
+                f"orbit truncated at t = {traj.t_end[i]} ({reason})")
     return traj
 
 
@@ -583,11 +571,12 @@ def _whole(traj: GeodesicTrajectory) -> GeodesicTrajectory:
 
 
 def birkhoff_integral(h: Callable, m: ChartedManifold, states, T: float):
-    """Integral of h(x, v) along the orbit of each state over [0, T] (or
-    [T, 0] for negative T), carried through the integration; h takes
-    stacks x, v (M, n) and returns M values (or one for all)."""
+    """Integral of h(x, v) along the orbit of each state (N, 2n) over
+    [0, T] (or [T, 0] for negative T), carried through the integration, as
+    (N,); h takes stacks x, v (M, n) and returns M values (or one for
+    all)."""
     traj = _whole(integrate_geodesic(m, states, T, integrand=h))
-    return traj._out(math.copysign(1.0, T) * traj._y_end[:, -1])
+    return math.copysign(1.0, T) * traj.y_end[:, -1]
 
 
 def path_integral_identity_residual(field: VectorFieldDef, m: ChartedManifold,
@@ -597,41 +586,16 @@ def path_integral_identity_residual(field: VectorFieldDef, m: ChartedManifold,
     The pairing g(X, gamma') has derivative g(nabla_{gamma'} X, gamma')
     along a geodesic, so the orbit integral of the rate must match the
     pairing difference between the endpoints; the residual is pure
-    integrator error.  Raises TruncatedTrajectoryError if any orbit stops
-    short of T.
+    integrator error.  One residual per state (N, 2n); raises
+    TruncatedTrajectoryError if any orbit stops short of T.
     """
-    X, V, one = stack_states(states)
-    traj = _whole(integrate_geodesic(m, UnitTangentState(X, V), T, integrand=field))
-    end = traj._y_end
+    S = _states(m, states)
+    traj = _whole(integrate_geodesic(m, S, T, integrand=field))
+    end = traj.y_end
     n = m.dim
-    boundary = (pairing(field, m, UnitTangentState(end[:, :n], end[:, n:2 * n]))
-                - pairing(field, m, UnitTangentState(X, V)))
-    residual = np.abs(end[:, -1] - boundary)
-    return residual[0] if one else residual
-
-
-def endpoint_bound_check(field: VectorFieldDef, m: ChartedManifold,
-                         states, s: float):
-    """Both sides of the two-sided orbit-integral bound, per orbit.
-
-    lhs = |integral over [-s, s] of the pairing rate|; rhs = |X| at the two
-    orbit endpoints.  The lhs telescopes to a pairing difference, and each
-    pairing is at most the field norm on unit vectors, so lhs <= rhs up to
-    integration error.  Both legs run in one stack.
-    """
-    if s <= 0:
-        raise ValueError("s must be positive")
-    X, V, one = stack_states(states)
-    N = len(X)
-    both = UnitTangentState(np.vstack([X, X]), np.vstack([V, V]))
-    traj = _whole(integrate_geodesic(m, both, np.repeat([s, -s], N), integrand=field))
-    end = traj._y_end
-    n = m.dim
-    # the backward leg carries the integral from 0 down to -s: minus the
-    # integral over [-s, 0]
-    lhs = np.abs(end[:N, -1] - end[N:, -1])
-    rhs = field_norm(field, m, end[:N, :n]) + field_norm(field, m, end[N:, :n])
-    return (lhs[0], rhs[0]) if one else (lhs, rhs)
+    boundary = (pairing(field, m, end[:, :n], end[:, n:2 * n])
+                - pairing(field, m, S[:, :n], S[:, n:]))
+    return np.abs(end[:, -1] - boundary)
 
 
 # ---------------------------------------------------------------------------
@@ -669,10 +633,9 @@ def _wrap_diffs(d: np.ndarray, periods) -> np.ndarray:
     return d
 
 
-def proxy_distance(m: ChartedManifold, Y: np.ndarray,
-                   state0: UnitTangentState) -> np.ndarray:
+def proxy_distance(m: ChartedManifold, Y: np.ndarray, S0: np.ndarray) -> np.ndarray:
     """Bundle-distance gauge between flow states Y (..., >= 2n) and
-    reference states that broadcast against Y's leading axes.
+    reference states S0 (..., 2n) that broadcast against Y's leading axes.
 
     sqrt(position^2 + angle^2) with the position part the wrapped
     chart-Euclidean distance and the angle between chart velocity vectors.
@@ -681,7 +644,8 @@ def proxy_distance(m: ChartedManifold, Y: np.ndarray,
     """
     n = m.dim
     Y = np.atleast_2d(Y)
-    x0, v0 = np.asarray(state0.x), np.asarray(state0.v)
+    S0 = np.asarray(S0)
+    x0, v0 = S0[..., :n], S0[..., n:2 * n]
     dx = _wrap_diffs(Y[..., :n] - x0, m.periods)
     pos = np.linalg.norm(dx, axis=-1)
     V = Y[..., n:2 * n]
@@ -712,7 +676,7 @@ def _golden_min(f: Callable, lo: np.ndarray, hi: np.ndarray,
     return np.where(best, c, d), np.where(best, fc, fd)
 
 
-def _return_hits(traj, t0, hi, k, t_min, eps, X0, V0) -> list:
+def _return_hits(traj, t0, hi, k, t_min, eps, S0) -> list:
     """The first sub-eps point of each orbit's return grid (k points over
     [t0, hi]), scanned RETURN_WINDOW points at a time until found; per hit
     its row, refinement bracket and grid fallbacks (see ``_excursion``)."""
@@ -721,8 +685,7 @@ def _return_hits(traj, t0, hi, k, t_min, eps, X0, V0) -> list:
     def gauge(rows, start):
         J = np.minimum(start + np.arange(RETURN_WINDOW), k[rows, None] - 1)
         ts = np.where(J < k[rows, None] - 1, t0 + J * step[rows, None], hi[rows, None])
-        ref = UnitTangentState(X0[rows, None], V0[rows, None])
-        return ts, proxy_distance(traj.manifold, traj._extend(rows, ts), ref)
+        return ts, proxy_distance(traj.manifold, traj._extend(rows, ts), S0[rows, None])
 
     hits = []
     rows, start = np.arange(len(k)), 0
@@ -761,7 +724,8 @@ def _excursion(gauge, row, idx, k, t_min) -> tuple:
 def first_return(m: ChartedManifold, states, eps: float = 0.05,
                  t_min: float = 1.0, t_max: float = 1000.0):
     """Earliest t in [t_min, t_max] at which each orbit re-enters the eps
-    ball around its initial state, in the proxy bundle gauge.
+    ball around its initial state, in the proxy bundle gauge; one
+    FirstReturnResult per state (N, 2n).
 
     The undecided orbits are integrated together in chunks of RETURN_CHUNK
     and the gauge is scanned on a grid of step min(eps / 4, 0.05), then
@@ -772,16 +736,16 @@ def first_return(m: ChartedManifold, states, eps: float = 0.05,
     """
     if eps <= 0 or not (0 <= t_min < t_max):
         raise ValueError("need eps > 0 and 0 <= t_min < t_max")
-    X0, V0, one = stack_states(states)
-    N, n = X0.shape
+    S0 = _states(m, states)
+    N, n = len(S0), m.dim
     grid_step = min(eps / 4.0, 0.05)
     use_cert = m.radius_escape_certificate and m.radius is not None
     if use_cert:
-        r0 = np.asarray(m.radius(X0), dtype=float)
+        r0 = np.asarray(m.radius(S0[:, :n]), dtype=float)
         prev_r = r0.copy()
     results: list = [None] * N
     live = np.arange(N)
-    cur = UnitTangentState(X0, V0)
+    cur = S0
     t0 = 0.0
     while live.size:
         t1 = min(t0 + RETURN_CHUNK, t_max)
@@ -797,11 +761,11 @@ def first_return(m: ChartedManifold, states, eps: float = 0.05,
                 return escaped
 
         traj = integrate_geodesic(m, cur, t1, t_start=t0, monitor=monitor)
-        reached = traj._t_end
+        reached = traj.t_end
         hi = np.minimum(reached, t1)
         k = np.maximum(2, np.ceil((hi - t0) / grid_step).astype(np.int64) + 1)
-        hits = _return_hits(traj, t0, hi, k, t_min, eps, X0[live], V0[live])
-        events = _refine_returns(traj, hits, X0[live], V0[live], eps)
+        hits = _return_hits(traj, t0, hi, k, t_min, eps, S0[live])
+        events = _refine_returns(traj, hits, S0[live], eps)
         cont = []
         for r, orbit in enumerate(live):
             reason = traj.reasons[r]
@@ -823,20 +787,19 @@ def first_return(m: ChartedManifold, states, eps: float = 0.05,
                                                    t_reached=t_max, reason="horizon")
             else:
                 cont.append(r)
-        Y = traj._y_end[cont]
-        cur = UnitTangentState(Y[:, :n], Y[:, n:2 * n])
+        cur = traj.y_end[cont, :2 * n]
         live = live[cont]
         t0 = t1
-    return results[0] if one else results
+    return results
 
 
-def _refine_returns(traj, hits, X0, V0, eps) -> dict:
+def _refine_returns(traj, hits, S0, eps) -> dict:
     """Refined (t_star, distance) per row with a hit: golden section on the
     continuous extension over every hit's bracket at once."""
     if not hits:
         return {}
     rows, lo, hi, walk_min, at_hit = (np.array(c) for c in zip(*hits))
-    ref = UnitTangentState(X0[rows], V0[rows])
+    ref = S0[rows]
     open_ = hi > lo
     hi = np.where(open_, hi, lo)
 

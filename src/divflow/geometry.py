@@ -11,15 +11,15 @@ do the chart and field closures and the potential operators
 (``phi_laplacian``, ``laplace_beltrami``, the flux fields), and return the
 matching leading shape; validation covers every point and matrix and names
 the first failing point.
-``covariant_derivative`` returns the matrix of v -> nabla_v X per point, and
-``pairing_rates`` takes directions (N, k, n) at points (N, n).
-``unit_state`` builds one state; ``pairing`` and the orbit layer take one
-state or a stack of them (see ``stack_states``).
+``covariant_derivative`` returns the matrix of v -> nabla_v X per point.
+A stack of unit tangent states is one array of shape (N, 2n): positions in
+columns :n and velocities in columns n:2n, the layout the geodesic stepper
+advances.  The orbit layer takes and returns such stacks only, N >= 1;
+``pairing`` takes the positions and velocities apart.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import reduce
 from typing import Callable, Optional
@@ -29,7 +29,6 @@ import numpy as np
 __all__ = [
     "ChartedManifold",
     "VectorFieldDef",
-    "UnitTangentState",
     "DomainError",
     "MetricError",
     "metric_at",
@@ -41,10 +40,7 @@ __all__ = [
     "divergence",
     "pairing",
     "pairing_rate_form",
-    "pairing_rates",
     "field_norm",
-    "unit_state",
-    "stack_states",
 ]
 
 # Central-difference step for first derivatives of smooth chart data:
@@ -52,7 +48,6 @@ __all__ = [
 FD_STEP = float(np.cbrt(np.finfo(float).eps))
 
 METRIC_SYMMETRY_TOL = 1e-12
-UNIT_SPEED_TOL = 1e-10
 
 
 class DomainError(ValueError):
@@ -78,7 +73,8 @@ class ChartedManifold:
     shape (n,) or (N, n) and returns the matching leading shape.
 
     Optional fields:
-      christoffel      closed-form symbols, x -> (..., n, n, n) array G[k, i, j]
+      christoffel      closed-form symbols, x -> (..., n, n, n) array G[k, i, j];
+                       without it ``christoffel`` differences the metric
       radius           radial distance surrogate r(x) >= 0 (distance from
                        a fixed point, or a quantity comparable to it)
       geodesic         analytic flow oracle (x0, v0, t) -> (x, v)
@@ -132,49 +128,6 @@ class VectorFieldDef:
     jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
     divergence: Optional[Callable[[np.ndarray], float]] = None
     fx: Optional[Callable[[np.ndarray, np.ndarray], float]] = None
-
-
-@dataclass(frozen=True, eq=False)
-class UnitTangentState:
-    """A point of the unit tangent bundle: position and velocity."""
-
-    x: np.ndarray
-    v: np.ndarray
-
-
-def unit_state(m: ChartedManifold, x, v, normalize: bool = False) -> UnitTangentState:
-    """Build a unit tangent state, enforcing g(v, v) = 1 within 1e-10.
-
-    With ``normalize=True`` the velocity is rescaled to unit g-norm first.
-    """
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    g = metric_at(m, x)
-    speed2 = float(v @ g @ v)
-    if normalize:
-        if speed2 <= 0:
-            raise ValueError("cannot normalize a null velocity")
-        v = v / math.sqrt(speed2)
-        speed2 = 1.0
-    if abs(speed2 - 1.0) > UNIT_SPEED_TOL:
-        raise ValueError(
-            f"velocity is not unit: g(v,v) = {speed2!r} (tol {UNIT_SPEED_TOL})")
-    return UnitTangentState(x=x, v=v)
-
-
-def stack_states(states) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Positions and velocities, each (N, n), of one state, of a stack of
-    states (x and v of shape (N, n)) or of a sequence of states; and whether
-    ``states`` was one state (x of shape (n,))."""
-    if isinstance(states, UnitTangentState):
-        x = np.asarray(states.x, dtype=float)
-        v = np.asarray(states.v, dtype=float)
-        return np.atleast_2d(x), np.atleast_2d(v), x.ndim == 1
-    states = list(states)
-    if not states:
-        raise ValueError("need at least one state")
-    return (np.array([st.x for st in states], dtype=float),
-            np.array([st.v for st in states], dtype=float), False)
 
 
 # ---------------------------------------------------------------------------
@@ -284,16 +237,11 @@ def _metric_partials(m: ChartedManifold, x: np.ndarray) -> np.ndarray:
     return 0.5 * (dg + np.swapaxes(dg, -1, -2))
 
 
-def christoffel(m: ChartedManifold, x, method: str = "auto") -> np.ndarray:
-    """Christoffel symbols G[..., k, i, j] = Gamma^k_ij at x.
-
-    ``method``: "auto" uses the manifold's closed form when present, "fd"
-    forces the finite-difference path.
-    """
+def christoffel(m: ChartedManifold, x) -> np.ndarray:
+    """Christoffel symbols G[..., k, i, j] = Gamma^k_ij at x: the manifold's
+    closed form, or central differences of the metric where it has none."""
     x = np.asarray(x, dtype=float)
-    if method not in ("auto", "fd"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "auto" and m.christoffel is not None:
+    if m.christoffel is not None:
         return np.asarray(m.christoffel(x), dtype=float)
     ginv = inverse_metric_at(m, x)
     dg = _metric_partials(m, x)
@@ -362,11 +310,11 @@ def divergence(field: VectorFieldDef, m: ChartedManifold, x,
 # the unit-tangent-bundle observable
 
 
-def pairing(field: VectorFieldDef, m: ChartedManifold, state: UnitTangentState):
-    """g(X, v): the field's component along the state's velocity; one value
-    per state of a stack (x and v of shape (N, n))."""
-    x = np.asarray(state.x, dtype=float)
-    v = np.asarray(state.v, dtype=float)
+def pairing(field: VectorFieldDef, m: ChartedManifold, x, v):
+    """g(X, v): the field's component along the velocities v at the points
+    x, both (N, n); one value per point."""
+    x = np.asarray(x, dtype=float)
+    v = np.asarray(v, dtype=float)
     return (v[..., None, :] @ metric_at(m, x) @ _components(field, x)[..., None])[..., 0, 0]
 
 
@@ -381,19 +329,6 @@ def pairing_rate_form(field: VectorFieldDef, m: ChartedManifold, x) -> np.ndarra
     g = metric_at(m, x)
     Q = g @ covariant_derivative(field, m, x)
     return 0.5 * (Q + np.swapaxes(Q, -1, -2))
-
-
-def pairing_rates(field: VectorFieldDef, m: ChartedManifold, x,
-                  V: np.ndarray) -> np.ndarray:
-    """Pairing rates g(nabla_v X, v) = v @ Q(x) @ v of directions V (N, k, n)
-    at points x (N, n), shape (N, k): the derivative of the pairing along
-    the geodesic flow, and the bundle integrand F(x, V) of the fiber lemma.
-
-    The rate vanishes for Killing fields and equals the conformal factor on
-    unit vectors for conformal fields; its fiber average over unit
-    directions is (omega_{n-1} / n) * div X.
-    """
-    return _quadratic(pairing_rate_form(field, m, x), V)
 
 
 def _quadratic(Q: np.ndarray, V: np.ndarray) -> np.ndarray:

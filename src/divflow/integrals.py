@@ -29,7 +29,6 @@ from numpy.polynomial.legendre import leggauss
 
 from .geometry import (
     ChartedManifold,
-    UnitTangentState,
     _quadratic,
     metric_at,  # noqa: F401  (perfbench's tracer test asserts integrals.metric_at)
     orthonormal_frame,
@@ -483,8 +482,9 @@ def sample_box_points(m: ChartedManifold, n: int, rng) -> np.ndarray:
     return _uniform_in(m.sample_box, rng, (n,))
 
 
-def sample_states(m: ChartedManifold, n: int, rng) -> list[UnitTangentState]:
-    """Uniform-in-chart points with isotropic unit velocities.
+def sample_states(m: ChartedManifold, n: int, rng) -> np.ndarray:
+    """Uniform-in-chart points with isotropic unit velocities, as one state
+    array (n, 2 dim): positions, then velocities.
 
     Suitable for property sweeps; use ``sample_liouville`` when the base
     distribution must match the volume measure.
@@ -495,14 +495,15 @@ def sample_states(m: ChartedManifold, n: int, rng) -> list[UnitTangentState]:
     # row as on one row
     c /= np.sqrt(c[:, None, :] @ c[:, :, None])[:, 0]
     V = (orthonormal_frame(m, pts) @ c[..., None])[..., 0]
-    return list(map(UnitTangentState, pts, V))
+    return np.hstack([pts, V])
 
 
 def sample_liouville(m: ChartedManifold, n: int, rng,
-                     radius_cap: Optional[float] = None) -> list[UnitTangentState]:
+                     radius_cap: Optional[float] = None) -> np.ndarray:
     """Samples from the flow-invariant bundle measure, restricted to a
     bounded base region: the radius ball of ``radius_cap``, else the
-    manifold's sample box.
+    manifold's sample box; one state array (n, 2 dim) of positions, then
+    velocities.
 
     Base points follow the volume measure (rejection against the patch
     density); directions are isotropic in the fiber.  For non-compact
@@ -552,5 +553,6 @@ def sample_liouville(m: ChartedManifold, n: int, rng,
         c /= np.linalg.norm(c)
         cs.append(c)
     # the frames take no draws, so one stacked call serves every accepted point
-    E = orthonormal_frame(m, np.array(xs))
-    return [UnitTangentState(x=x, v=Ei @ c) for x, Ei, c in zip(xs, E, cs)]
+    X = np.array(xs)
+    E = orthonormal_frame(m, X)
+    return np.hstack([X, [Ei @ c for Ei, c in zip(E, cs)]])

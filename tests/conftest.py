@@ -3,7 +3,6 @@ import pytest
 
 from divflow import zoo
 from divflow.flow import integrate_geodesic
-from divflow.geometry import stack_states
 
 
 @pytest.fixture(scope="session")
@@ -53,7 +52,7 @@ def _radius_stretch_constant(m, states, T=30.0, r_floor=2.0, n_checkpoints=60):
     """
     traj = integrate_geodesic(m, states, T)
     n = m.dim
-    r0 = np.asarray(m.radius(stack_states(states)[0]), dtype=float)
+    r0 = np.asarray(m.radius(states[:, :n]), dtype=float)
     first = T / n_checkpoints
     ts = first + (np.minimum(T, traj.t_end) - first)[:, None] * np.linspace(0.0, 1.0, n_checkpoints)
     r = np.asarray(m.radius(traj.y_at(ts)[..., :n]), dtype=float)

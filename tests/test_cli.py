@@ -300,6 +300,18 @@ def test_suite_only_with_an_unknown_name_exits_2_and_names_it(tmp_path):
     assert not out.exists()
 
 
+def test_suite_runs_from_a_clean_checkout(tmp_path):
+    # no PYTHONPATH and no installed package: the script finds src itself
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    out = tmp_path / "reports"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "run_suite.py"), "--only", "fiber-ex1",
+         "--out-dir", str(out)],
+        capture_output=True, text=True, env=env, timeout=120, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert json.loads((out / "fiber-ex1.json").read_text())["passed"] is True
+
+
 def test_suite_checks_every_config_before_its_first_report(tmp_path):
     configs = tmp_path / "configs"
     shutil.copytree(CONFIGS, configs)

@@ -16,9 +16,10 @@ from divflow.diagnostics import (
     x_decay_at_infinity,
 )
 from divflow.flow import birkhoff_integral
-from divflow.geometry import VectorFieldDef, unit_state
+from divflow.geometry import VectorFieldDef
 from divflow.integrals import sample_liouville, sample_states
 from divflow.runner import ExperimentConfig, report_to_csv, run
+from oracles import unit_states
 
 TWO_PI = 2.0 * math.pi
 FOUR_PI_SQ = 4.0 * math.pi ** 2
@@ -49,12 +50,9 @@ def test_karp_sequence_example1(revolution, radius_stretch_constant):
     assert vals[-1] < 0.1
     # annulus mass bound 4 pi (log(2 C r + 2 pi) - log r) with the measured
     # time-vs-radius constant
-    states = [unit_state(revolution, [0.0, 0.0],
-                         [math.cos(a), math.sin(a)], normalize=True)
-              for a in np.linspace(-0.25, 0.25, 5)]
-    states += [unit_state(revolution, [0.0, 0.0],
-                          [-math.cos(a), math.sin(a)], normalize=True)
-               for a in np.linspace(-0.25, 0.25, 5)]
+    V = [[math.cos(a), math.sin(a)] for a in np.linspace(-0.25, 0.25, 5)]
+    V += [[-math.cos(a), math.sin(a)] for a in np.linspace(-0.25, 0.25, 5)]
+    states = unit_states(revolution, np.zeros((len(V), 2)), V, normalize=True)
     C = radius_stretch_constant(revolution, states, T=30.0)
     for rep in reps:
         bound = 4.0 * math.pi * (math.log(2.0 * C * rep.radius + TWO_PI)
@@ -255,14 +253,14 @@ def test_hopf_hyperbolic_convergent(hyperbolic, rng):
 
 
 def test_hopf_rejects_nonpositive_observable(torus, rng):
-    st = sample_liouville(torus, 1, rng)[0]
+    st = sample_liouville(torus, 1, rng)
     with pytest.raises(ValueError):
         hopf_probe(torus, st, f0=lambda x: 0.0)
 
 
 def test_hopf_inconclusive_on_truncation(ex2):
-    st = unit_state(ex2, [2.0, 1.0, 1.0], [-1.0, 0.0, 0.0])
-    probe = hopf_probe(ex2, st, f0=lambda x: 1.0, horizons=[1.0, 2.0, 4.0, 8.0])
+    st = unit_states(ex2, [2.0, 1.0, 1.0], [-1.0, 0.0, 0.0])
+    (probe,) = hopf_probe(ex2, st, f0=lambda x: 1.0, horizons=[1.0, 2.0, 4.0, 8.0])
     assert probe.truncated
     assert probe.label == "inconclusive"
 

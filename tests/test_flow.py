@@ -5,18 +5,19 @@ import pytest
 from numpy.testing import assert_allclose
 
 from divflow import zoo
+from divflow.diagnostics import hopf_probe
 from divflow.flow import (
     MAX_SPEED_DRIFT,
     TruncatedTrajectoryError,
     birkhoff_integral,
-    endpoint_bound_check,
     first_return,
     integrate_geodesic,
     path_integral_identity_residual,
     proxy_distance,
 )
-from divflow.geometry import VectorFieldDef, pairing_rates, stack_states, unit_state
+from divflow.geometry import VectorFieldDef
 from divflow.integrals import sample_states
+from oracles import endpoint_bound_check, pairing_rates, state_at, unit_states
 
 TWO_PI = 2.0 * math.pi
 
@@ -32,28 +33,28 @@ def _reaching(m, states, T):
     there are none): the sweeps below skip the other orbits."""
     traj = integrate_geodesic(m, states, T)
     if traj.truncated:
-        states = [st for st, reason in zip(states, traj.reasons) if reason is None]
-        traj = integrate_geodesic(m, states, T) if states else None
+        states = states[[reason is None for reason in traj.reasons]]
+        traj = integrate_geodesic(m, states, T) if len(states) else None
     return states, traj
 
 
 def test_hyperbolic_matches_analytic_oracle(hyperbolic, rng):
     states = sample_states(hyperbolic, 20, rng)
-    end = integrate_geodesic(hyperbolic, states, 5.0).state_at(5.0)
+    end = state_at(integrate_geodesic(hyperbolic, states, 5.0), 5.0)
     worst = 0.0
-    for x, st in zip(end.x, states):
-        x_o, v_o = hyperbolic.geodesic(st.x, st.v, 5.0)
-        worst = max(worst, float(np.linalg.norm(x - x_o)))
+    for y, st in zip(end, states):
+        x_o, v_o = hyperbolic.geodesic(st[:2], st[2:], 5.0)
+        worst = max(worst, float(np.linalg.norm(y[:2] - x_o)))
     assert worst < 1e-6
 
 
 def test_torus_geodesics_are_straight_lines(torus):
-    st = unit_state(torus, [0.1, 0.9], [0.6, 0.8])
+    st = unit_states(torus, [0.1, 0.9], [0.6, 0.8])
     traj = integrate_geodesic(torus, st, 7.0)
     for t in (1.3, 4.0, 7.0):
-        end = traj.state_at(t)
-        assert_allclose(end.x, st.x + t * st.v, atol=1e-10)
-        assert_allclose(end.v, st.v, atol=1e-12)
+        end = state_at(traj, t)
+        assert_allclose(end[:, :2], st[:, :2] + t * st[:, 2:], atol=1e-10)
+        assert_allclose(end[:, 2:], st[:, 2:], atol=1e-12)
 
 
 def test_clairaut_quantity_conserved(revolution, rng):
@@ -62,7 +63,7 @@ def test_clairaut_quantity_conserved(revolution, rng):
     states = sample_states(revolution, 5, rng)
     traj = integrate_geodesic(revolution, states, 20.0)
     for st, ys in zip(states, traj.states):
-        c0 = f(st.x[0]) ** 2 * st.v[1]
+        c0 = f(st[0]) ** 2 * st[3]
         drift = max(abs(f(y[0]) ** 2 * y[3] - c0) for y in ys)
         assert drift < 1e-7
 
@@ -85,15 +86,15 @@ def test_time_reversal(rng):
         m = zoo.manifold(mid)
         T = 6.0 if mid == "hyperbolic" else 10.0
         states, fwd = _reaching(m, sample_states(m, 3, rng), T)
-        if not states:
+        if not len(states):
             continue
-        end = fwd.state_at(T)
-        reversed_ = [unit_state(m, x, -v, normalize=True) for x, v in zip(end.x, end.v)]
-        back = integrate_geodesic(m, reversed_, T)
+        n = m.dim
+        end = state_at(fwd, T)
+        back = integrate_geodesic(m, unit_states(m, end[:, :n], -end[:, n:], normalize=True), T)
         for st, reason, y in zip(states, back.reasons, back.y_end):
             if reason is not None:
                 continue
-            err = np.linalg.norm(y[:m.dim] - st.x)
+            err = np.linalg.norm(y[:n] - st[:n])
             assert err < 1e-6, (mid, err)
 
 
@@ -104,31 +105,31 @@ def test_flow_composition_property(rng):
         m = zoo.manifold(mid)
         t = s = 5.0 if mid == "hyperbolic" else 10.0
         states, direct = _reaching(m, sample_states(m, 3, rng), t + s)
-        if not states:
+        if not len(states):
             continue
-        mid_state = integrate_geodesic(m, states, s).state_at(s)
+        n = m.dim
+        mid_state = state_at(integrate_geodesic(m, states, s), s)
         two_leg = integrate_geodesic(
-            m, [unit_state(m, x, v, normalize=True)
-                for x, v in zip(mid_state.x, mid_state.v)], t)
-        for a, b in zip(two_leg.state_at(t).x, direct.state_at(t + s).x):
+            m, unit_states(m, mid_state[:, :n], mid_state[:, n:], normalize=True), t)
+        for a, b in zip(state_at(two_leg, t)[:, :n], state_at(direct, t + s)[:, :n]):
             scale = 1.0 + float(np.linalg.norm(b))
             assert np.linalg.norm(a - b) < 1e-6 * scale, (mid, a, b)
 
 
 def test_truncation_at_domain_exit(ex2):
     # purely radial inward orbit runs into the polar-axis boundary
-    st = unit_state(ex2, [2.0, 1.0, 1.0], [-1.0, 0.0, 0.0])
+    st = unit_states(ex2, [2.0, 1.0, 1.0], [-1.0, 0.0, 0.0])
     traj = integrate_geodesic(ex2, st, 10.0)
     assert traj.truncated
     assert traj.truncation_reason == "left_domain"
-    assert traj.t_end < 10.0
+    assert traj.t_end[0] < 10.0
     with pytest.raises(TruncatedTrajectoryError):
-        traj.state_at(traj.t_end + 0.2)
+        state_at(traj, traj.t_end[0] + 0.2)
 
 
 def test_birkhoff_of_constant_is_T(ex4, rng):
-    st = sample_states(ex4, 1, rng)[0]
-    val = birkhoff_integral(lambda x, v: 1.0, ex4, st, 7.5)
+    st = sample_states(ex4, 1, rng)
+    (val,) = birkhoff_integral(lambda x, v: 1.0, ex4, st, 7.5)
     assert val == pytest.approx(7.5, abs=1e-9)
 
 
@@ -136,8 +137,8 @@ def test_birkhoff_killing_rate_is_zero(ex3, rng):
     U = zoo.vector_field("warp:ex3:Ubar")
 
     def rates(X, V):
-        X, V, _ = stack_states([unit_state(ex3, x, v, normalize=True) for x, v in zip(X, V)])
-        return pairing_rates(U, ex3, X, V[:, None])[:, 0]
+        S = unit_states(ex3, X, V, normalize=True)
+        return pairing_rates(U, ex3, S[:, :3], S[:, None, 3:])[:, 0]
 
     for val in birkhoff_integral(rates, ex3, sample_states(ex3, 5, rng), 10.0):
         assert abs(val) < 1e-7 * 10.0
@@ -154,15 +155,17 @@ def test_birkhoff_W_rate_bounded(revolution, rng):
 def test_path_identity_zero_field(torus, rng):
     zero = VectorFieldDef("zero", lambda x: np.zeros(2),
                           jacobian=lambda x: np.zeros((2, 2)))
-    st = sample_states(torus, 1, rng)[0]
-    assert path_integral_identity_residual(zero, torus, st, 10.0) < 1e-14
+    st = sample_states(torus, 1, rng)
+    (residual,) = path_integral_identity_residual(zero, torus, st, 10.0)
+    assert residual < 1e-14
 
 
 def test_path_identity_constant_field_on_torus(torus, rng):
     const = VectorFieldDef("const", lambda x: np.array([0.3, -0.8]),
                            jacobian=lambda x: np.zeros((2, 2)))
-    st = sample_states(torus, 1, rng)[0]
-    assert path_integral_identity_residual(const, torus, st, 10.0) < 1e-12
+    st = sample_states(torus, 1, rng)
+    (residual,) = path_integral_identity_residual(const, torus, st, 10.0)
+    assert residual < 1e-12
 
 
 def test_path_identity_contract_all_pairs(rng):
@@ -172,7 +175,7 @@ def test_path_identity_contract_all_pairs(rng):
     for m, f in zoo.field_pairs():
         T = 6.0 if m.name == "hyperbolic" else 10.0
         states, _ = _reaching(m, sample_states(m, 12, rng), T)
-        worst = max(path_integral_identity_residual(f, m, states, T)) if states else 0.0
+        worst = max(path_integral_identity_residual(f, m, states, T)) if len(states) else 0.0
         assert worst <= 1e-6 * (1.0 + T), (m.name, f.name, worst)
 
 
@@ -185,8 +188,8 @@ def test_path_identity_ex4_tight(ex4, rng):
 def test_endpoint_bound_zero_field(torus, rng):
     zero = VectorFieldDef("zero", lambda x: np.zeros(2),
                           jacobian=lambda x: np.zeros((2, 2)))
-    st = sample_states(torus, 1, rng)[0]
-    lhs, rhs = endpoint_bound_check(zero, torus, st, 3.0)
+    st = sample_states(torus, 1, rng)
+    (lhs,), (rhs,) = endpoint_bound_check(zero, torus, st, 3.0)
     assert lhs == pytest.approx(0.0, abs=1e-14)
     assert rhs == pytest.approx(0.0, abs=1e-14)
 
@@ -194,9 +197,9 @@ def test_endpoint_bound_zero_field(torus, rng):
 def test_endpoint_bound_ex3(ex3, rng):
     U = zoo.vector_field("warp:ex3:Ubar")
     states, _ = _reaching(ex3, sample_states(ex3, 10, rng), 20.0)
-    if states:
+    if len(states):
         states, _ = _reaching(ex3, states, -20.0)
-    if states:
+    if len(states):
         for lhs, rhs in zip(*endpoint_bound_check(U, ex3, states, 20.0)):
             assert lhs <= rhs + 1e-6
 
@@ -216,17 +219,18 @@ def test_stacked_orbits_step_as_they_do_alone(ex2, rng):
     # one that runs into the polar axis; a step size shared across the
     # stack would change every count
     Zbar = zoo.vector_field("warp:ex2:Zbar")
-    states = sample_states(ex2, 4, rng) + [unit_state(ex2, [2.0, 1.0, 1.0], [-1.0, 0.0, 0.0])]
+    states = np.vstack([sample_states(ex2, 4, rng),
+                        unit_states(ex2, [2.0, 1.0, 1.0], [-1.0, 0.0, 0.0])])
     ends = np.array([10.0, -10.0, 4.0, -2.5, 10.0])
     stack = integrate_geodesic(ex2, states, ends, integrand=Zbar)
     assert stack.reasons[-1] == "left_domain" and stack.truncated == 1
     assert len(set(stack.n_accepted)) == len(states)
     for i, (st, T) in enumerate(zip(states, ends)):
-        one = integrate_geodesic(ex2, st, T, integrand=Zbar)
+        one = integrate_geodesic(ex2, st[None], T, integrand=Zbar)
         assert (stack.n_accepted[i], stack.n_rejected[i], stack.nfev[i]) == (
             one.stats.n_accepted, one.stats.n_rejected_est, one.stats.nfev)
         assert stack.reasons[i] == one.truncation_reason
-        assert_allclose(stack.y_end[i], one.y_end, rtol=1e-13,
+        assert_allclose(stack.y_end[i], one.y_end[0], rtol=1e-13,
                         atol=1e-13 * np.abs(one.y_end).max())
 
 
@@ -251,12 +255,13 @@ def test_controller_takes_the_standard_steps(ex4):
 def test_extend_finds_the_nodes_a_per_orbit_search_finds(ex2, rng):
     # the reference is the per-orbit np.searchsorted lookup, on a stack of
     # orbits of different lengths and time directions, one truncated
-    states = sample_states(ex2, 4, rng) + [unit_state(ex2, [2.0, 1.0, 1.0], [-1.0, 0.0, 0.0])]
+    states = np.vstack([sample_states(ex2, 4, rng),
+                        unit_states(ex2, [2.0, 1.0, 1.0], [-1.0, 0.0, 0.0])])
     traj = integrate_geodesic(ex2, states, np.array([10.0, -10.0, 4.0, -2.5, 10.0]))
     rows = np.array([4, 0, 2, 1, 3, 0])
     off, node_t = traj._node_off, traj._node_t
     # a grid over each orbit's span, and its node times, where ties decide
-    t = np.hstack([traj._t_end[rows, None] * np.linspace(0.0, 1.0, 301),
+    t = np.hstack([traj.t_end[rows, None] * np.linspace(0.0, 1.0, 301),
                    [np.resize(node_t[off[i]:off[i + 1]], 64) for i in rows]])
     ref = np.empty(t.shape + (traj._node_y.shape[1],))
     for r, i in enumerate(rows):
@@ -276,11 +281,12 @@ def test_runaway_speed_drift_truncates(hyperbolic):
     # the first orbit of verify path-integral on hyperbolic:conformal at
     # T = 40: its chart coordinates grow like e^t until the metric is
     # numerically singular
-    st = sample_states(hyperbolic, 3, np.random.default_rng(0))[0]
+    st = sample_states(hyperbolic, 3, np.random.default_rng(0))[:1]
     traj = integrate_geodesic(hyperbolic, st, 40.0)
     assert traj.truncation_reason == "speed_drift"
-    assert 10.0 < traj.t_end < 40.0
-    assert traj.speed_drift[-1] > MAX_SPEED_DRIFT >= traj.speed_drift[:-1].max()
+    assert 10.0 < traj.t_end[0] < 40.0
+    (drift,) = traj.speed_drift
+    assert drift[-1] > MAX_SPEED_DRIFT >= drift[:-1].max()
     with pytest.raises(TruncatedTrajectoryError, match="speed_drift"):
         path_integral_identity_residual(zoo.vector_field("hyperbolic:conformal"),
                                         hyperbolic, st, 40.0)
@@ -291,8 +297,8 @@ def test_runaway_speed_drift_truncates(hyperbolic):
 
 
 def test_first_return_rational_slope(torus):
-    st = unit_state(torus, [0.25, 0.6], [0.6, 0.8])
-    res = first_return(torus, st, eps=0.05, t_min=1.0, t_max=100.0)
+    st = unit_states(torus, [0.25, 0.6], [0.6, 0.8])
+    (res,) = first_return(torus, st, eps=0.05, t_min=1.0, t_max=100.0)
     assert res.event is not None
     # direction (3,4)/5 on the unit torus returns exactly at t = 5
     assert res.event.t_star == pytest.approx(5.0, abs=1e-6)
@@ -306,8 +312,8 @@ def test_first_return_agrees_with_grid_oracle(torus, rng):
     states = sample_states(torus, 6, rng)
     for st, res in zip(states, first_return(torus, states, eps=0.05, t_min=1.0, t_max=200.0)):
         ts = np.arange(1.0, 200.0, 0.004)
-        pos = np.outer(ts, st.v) + st.x
-        d = pos - st.x
+        pos = np.outer(ts, st[2:]) + st[:2]
+        d = pos - st[:2]
         d -= np.round(d)
         dist = np.hypot(d[:, 0], d[:, 1])
         hits = ts[dist <= 0.05]
@@ -329,14 +335,14 @@ def test_no_return_on_hyperbolic_plane(hyperbolic, rng):
 
 
 def test_first_return_inconclusive_on_truncation(ex2):
-    st = unit_state(ex2, [2.0, 1.0, 1.0], [-1.0, 0.0, 0.0])
-    res = first_return(ex2, st, eps=0.01, t_min=0.5, t_max=50.0)
+    st = unit_states(ex2, [2.0, 1.0, 1.0], [-1.0, 0.0, 0.0])
+    (res,) = first_return(ex2, st, eps=0.01, t_min=0.5, t_max=50.0)
     assert res.event is None
     assert not res.conclusive
 
 
 def test_first_return_input_validation(torus):
-    st = unit_state(torus, [0.0, 0.0], [1.0, 0.0])
+    st = unit_states(torus, [0.0, 0.0], [1.0, 0.0])
     with pytest.raises(ValueError):
         first_return(torus, st, eps=-1.0)
     with pytest.raises(ValueError):
@@ -344,7 +350,7 @@ def test_first_return_input_validation(torus):
 
 
 def test_proxy_distance_periodic_wrap(torus):
-    st = unit_state(torus, [0.05, 0.0], [1.0, 0.0])
+    st = unit_states(torus, [0.05, 0.0], [1.0, 0.0])
     Y = np.array([[0.95, 0.0, 1.0, 0.0]])
     d = proxy_distance(torus, Y, st)
     assert d[0] == pytest.approx(0.1, abs=1e-12)
@@ -352,11 +358,42 @@ def test_proxy_distance_periodic_wrap(torus):
 
 def test_radius_stretch_constant_revolution(revolution, radius_stretch_constant):
     # near-meridian escaping fan: travel time tracks arclength closely
-    states = []
+    V = []
     for ang in np.linspace(-0.3, 0.3, 7):
-        states.append(unit_state(revolution, [0.0, 0.0],
-                                 [math.cos(ang), math.sin(ang)], normalize=True))
-        states.append(unit_state(revolution, [0.0, 0.0],
-                                 [-math.cos(ang), math.sin(ang)], normalize=True))
+        V += [[math.cos(ang), math.sin(ang)], [-math.cos(ang), math.sin(ang)]]
+    states = unit_states(revolution, np.zeros((len(V), 2)), V, normalize=True)
     C = radius_stretch_constant(revolution, states, T=30.0, r_floor=2.0)
     assert 1.0 <= C < 3.0
+
+
+# ---------------------------------------------------------------------------
+# the state stack at the orbit entry points
+
+
+ENTRY_POINTS = {
+    "integrate_geodesic": lambda m, S: integrate_geodesic(m, S, 1.0),
+    "path_integral_identity_residual": lambda m, S: path_integral_identity_residual(
+        zoo.vector_field("torus:wave"), m, S, 1.0),
+    "first_return": lambda m, S: first_return(m, S, t_max=2.0),
+    "hopf_probe": lambda m, S: hopf_probe(m, S),
+}
+
+
+@pytest.mark.parametrize("bad", ["empty", "wrong-width", "bare-row"])
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_orbit_entry_points_reject_misshapen_states(torus, entry, bad):
+    st = unit_states(torus, [0.1, 0.2], [0.6, 0.8])
+    states = {"empty": st[:0], "wrong-width": st[:, :3], "bare-row": st[0]}[bad]
+    with pytest.raises(ValueError, match=r"shape \(N, 4\) with N >= 1"):
+        ENTRY_POINTS[entry](torus, states)
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_orbit_entry_points_return_a_stack_of_one(torus, entry):
+    out = ENTRY_POINTS[entry](torus, unit_states(torus, [0.1, 0.2], [0.6, 0.8]))
+    if entry == "integrate_geodesic":
+        assert out.t_end.shape == (1,) and out.y_end.shape == (1, 4)
+        assert len(out.states) == len(out.speed_drift) == 1
+        assert out.y_at(0.5).shape == (1, 4)
+    else:
+        assert len(out) == 1

@@ -8,6 +8,7 @@ sampler and the speed-drift record compute each point with the same
 products as on one point, so they must agree exactly.
 """
 
+import dataclasses
 from functools import partial
 
 import numpy as np
@@ -26,7 +27,6 @@ from divflow.geometry import (
     metric_at,
     orthonormal_frame,
     pairing_rate_form,
-    pairing_rates,
     volume_density,
 )
 from divflow.flow import integrate_geodesic
@@ -47,6 +47,7 @@ from divflow.potential import (
     scalar_test_functions,
     shipped_profiles,
 )
+from oracles import pairing_rates
 
 N = 64
 REL = 1e-13
@@ -122,8 +123,11 @@ def test_geometry_functions_stack(mid, rng):
     m = zoo.manifold(mid)
     pts = sample_box_points(m, N, rng)
     for fn in (metric_at, inverse_metric_at, volume_density, orthonormal_frame,
-               christoffel, partial(christoffel, method="fd")):
+               christoffel):
         _assert_close(partial(fn, m), pts, (mid, fn))
+    # the finite-difference symbols, reached without the closed form
+    _assert_close(partial(christoffel, dataclasses.replace(m, christoffel=None)), pts,
+                  (mid, "fd"))
 
 
 @pytest.mark.parametrize("mid,fid", zoo.PAIR_IDS + (("torus", "torus:wave"),))
@@ -215,18 +219,19 @@ def test_sample_states_equal_per_point_draws(mid):
     m = zoo.manifold(mid)
     states = sample_states(m, 500, np.random.default_rng(5))
     ref = _sample_states_by_point(m, 500, np.random.default_rng(5))
-    assert np.array_equal([st.x for st in states], [x for x, _ in ref])
-    assert np.array_equal([st.v for st in states], [v for _, v in ref])
+    assert np.array_equal(states[:, :m.dim], [x for x, _ in ref])
+    assert np.array_equal(states[:, m.dim:], [v for _, v in ref])
 
 
 @pytest.mark.parametrize("mid", zoo.MANIFOLD_IDS)
 def test_speed_drift_equals_per_state_drift(mid, rng):
     m = zoo.manifold(mid)
-    traj = integrate_geodesic(m, sample_states(m, 1, rng)[0], 2.0)
+    traj = integrate_geodesic(m, sample_states(m, 1, rng), 2.0)
     n = m.dim
-    ref = [abs(y[n:] @ m.metric(y[:n]) @ y[n:] - 1.0) for y in traj.states]
+    (states,), (drift,) = traj.states, traj.speed_drift
+    ref = [abs(y[n:] @ m.metric(y[:n]) @ y[n:] - 1.0) for y in states]
     assert len(ref) > 2
-    assert np.array_equal(traj.speed_drift, ref)
+    assert np.array_equal(drift, ref)
 
 
 def test_stack_with_one_point_outside_domain_names_it(ex2, rng):
