@@ -310,8 +310,9 @@ def hopf_probe(m: ChartedManifold, states, f0: Optional[Callable] = None,
     integral looks finite (transient behavior); linear growth marks orbits
     that keep revisiting regions where the observable is large.  Labels are
     configuration-thresholded evidence, not classifications.  The integral
-    is carried through one stacked integration whose steps end exactly on
-    the horizons; ``f0`` takes x of shape (N, n).  A list of N probes.
+    is carried through one stacked integration to the last horizon and read
+    from the continuous extension at each horizon the orbit reached;
+    ``f0`` takes x of shape (N, n).  A list of N probes.
     """
     if horizons is None:
         horizons = np.geomspace(1.0, 12.0, 9)
@@ -322,18 +323,15 @@ def hopf_probe(m: ChartedManifold, states, f0: Optional[Callable] = None,
     if np.any(np.broadcast_to(f0(S[:, :m.dim]), S.shape[:1]) <= 0.0):
         raise ValueError("observable must be strictly positive")
 
-    traj = integrate_geodesic(m, S, float(horizons[-1]),
-                              integrand=lambda x, v: f0(x), stops=horizons)
-    return [_hopf_label(horizons, traj.y_stops[i, :, -1], reason is not None)
+    traj = integrate_geodesic(m, S, float(horizons[-1]), integrand=lambda x, v: f0(x))
+    reached = horizons <= traj.t_end[:, None]
+    I = traj.y_at(np.minimum(horizons, traj.t_end[:, None]))[..., -1]
+    return [_hopf_label(horizons[reached[i]], I[i][reached[i]], reason is not None)
             for i, reason in enumerate(traj.reasons)]
 
 
-def _hopf_label(horizons: np.ndarray, at_stops: np.ndarray,
-                truncated: bool) -> HopfProbe:
+def _hopf_label(used: np.ndarray, values: np.ndarray, truncated: bool) -> HopfProbe:
     """The probe of one orbit from its integral at the horizons it reached."""
-    reached = ~np.isnan(at_stops)
-    used = horizons[reached]
-    values = at_stops[reached]
     if len(values) < 4 or truncated:
         return HopfProbe(horizons=tuple(float(t) for t in used),
                          values=tuple(float(v) for v in values),

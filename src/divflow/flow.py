@@ -12,7 +12,9 @@ step factors within [0.2, 10] and no growth on a step that was just
 rejected.  The carried integral stays out of the error norm, so carrying it
 changes no step.  Every accepted step keeps its
 continuous extension (Dormand & Prince, *J. Comput. Appl. Math.* 6, 1980,
-with Shampine's quartic interpolant; HNW II.6) for queries between nodes.
+with Shampine's quartic interpolant; HNW II.6), the one way to read an orbit
+between its nodes: ``first_return`` scans its return grid on it, and
+``diagnostics.hopf_probe`` reads the carried integral at its horizons.
 
 Step budgets, domain exits, speed drift and step-size underflow turn into
 flagged truncations instead of hangs.  Velocities are never renormalized:
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -58,7 +60,6 @@ MAX_STEPS = 100_000
 MAX_SPEED_DRIFT = 1e-4   # |g(v, v) - 1| past which an orbit is truncated
 RETURN_CHUNK = 100.0     # time span first_return integrates at once
 RETURN_WINDOW = 256      # return-grid points per orbit scanned at once
-RETURN_XATOL = 1e-9      # time tolerance of the return refinement
 
 # Dormand-Prince 5(4): stage matrix A (the system is autonomous, so the
 # stage nodes are not needed), fifth-order weights B, error weights E over
@@ -127,14 +128,12 @@ class GeodesicTrajectory:
     ``speed_drift`` is |g(v, v) - 1| at each node (the initial speed is unit
     by construction).  Per-orbit values (``t_end``, ``y_end``, ``y_at``,
     and the node lists ``states`` and ``speed_drift``) carry a leading orbit
-    axis, for a stack of one orbit too.  ``y_stops[i, j]`` is orbit i's full
-    state (x, v and the carried integral) at the j-th forced step end, NaN
-    where the orbit stopped before it.
+    axis, for a stack of one orbit too.
     """
 
     def __init__(self, m: ChartedManifold, t_start, t_final,
                  node_t, node_y, node_drift, seg_h, seg_Q, n_nodes,
-                 reasons, n_accepted, n_rejected, nfev, y_stops):
+                 reasons, n_accepted, n_rejected, nfev):
         self.manifold = m
         self.n_orbits = len(reasons)
         self.direction = np.sign(t_final - t_start)
@@ -149,7 +148,6 @@ class GeodesicTrajectory:
         self.n_accepted = n_accepted
         self.n_rejected = n_rejected
         self.nfev = nfev
-        self.y_stops = y_stops
         self.stats = StepStats(n_accepted=int(n_accepted.sum()),
                                n_rejected_est=int(n_rejected.sum()),
                                nfev=int(nfev.sum()))
@@ -330,18 +328,6 @@ def _drift(m: ChartedManifold, Y: np.ndarray, Vg: Optional[np.ndarray] = None) -
     return np.abs((Vg @ V[:, :, None])[:, 0, 0] - 1.0)
 
 
-def _next_end(t, direction, t_final, stops):
-    """The nearest forced step end past t: the next stop before or at
-    t_final, else t_final; and that stop's index (-1 for t_final)."""
-    if stops.size == 0:
-        return t_final, None
-    k = np.where(direction > 0, np.searchsorted(stops, t, side="right"),
-                 np.searchsorted(stops, t, side="left") - 1)
-    s = stops[np.clip(k, 0, stops.size - 1)]
-    use = (k >= 0) & (k < stops.size) & (direction * (s - t_final) <= 0)
-    return np.where(use, s, t_final), np.where(use, k, -1)
-
-
 def _initial_step(rhs, Y, F, t_span, direction, nx):
     """The standard starting step (HNW II.4) per row, from the first nx
     components (so ``rhs`` need not carry the integral); and the rows where
@@ -360,8 +346,7 @@ def _initial_step(rhs, Y, F, t_span, direction, nx):
 
 
 def _dormand_prince(m: ChartedManifold, Y0: np.ndarray, t0: np.ndarray,
-                    t_final: np.ndarray, integrand, stops: np.ndarray,
-                    monitor) -> GeodesicTrajectory:
+                    t_final: np.ndarray, integrand, monitor) -> GeodesicTrajectory:
     N, d = Y0.shape
     n = m.dim
     nx = 2 * n
@@ -374,7 +359,6 @@ def _dormand_prince(m: ChartedManifold, Y0: np.ndarray, t0: np.ndarray,
     n_acc = np.zeros(N, dtype=np.int64)
     n_rej = np.zeros(N, dtype=np.int64)
     nfev = np.full(N, 2, dtype=np.int64)
-    y_stops = np.full((N, stops.size, d), np.nan)
     # node and segment records, one array per stacked step, in step order
     node_i, node_t, node_y = [np.arange(N)], [t0], [Y0]
     node_drift = [_drift(m, Y0)]
@@ -412,10 +396,9 @@ def _dormand_prince(m: ChartedManifold, Y0: np.ndarray, t0: np.ndarray,
             rows = tuple(a[keep] for a in (ids, t, y, f, h_abs, rejected, dirn, t_fin, floor))
             continue
 
-        end, stop = _next_end(t, dirn, t_fin, stops)
         t_new = t + h_abs * dirn
-        forced = dirn * (t_new - end) >= 0
-        t_new = np.where(forced, end, t_new)
+        forced = dirn * (t_new - t_fin) >= 0
+        t_new = np.where(forced, t_fin, t_new)
         h = t_new - t
         h_abs = np.abs(h)
 
@@ -461,9 +444,6 @@ def _dormand_prince(m: ChartedManifold, Y0: np.ndarray, t0: np.ndarray,
             node_i.append(ia)
             node_t.append(ta)
             node_y.append(ya)
-            if stop is not None:
-                at_stop = forced[sel] & (stop[sel] >= 0)
-                y_stops[ia[at_stop], stop[sel][at_stop]] = ya[at_stop]
             t[sel], y[sel], f[sel] = ta, ya, K[6][sel]
 
             # after-step checks, in order: domain, drift, underflow, monitor
@@ -476,7 +456,7 @@ def _dormand_prince(m: ChartedManifold, Y0: np.ndarray, t0: np.ndarray,
                 drift = _drift(m, ya, Vga)
             node_drift.append(drift)
             over = drift > MAX_SPEED_DRIFT
-            # a step cut short at a forced end is not an underflow
+            # a step cut short at t_final is not an underflow
             under = ~forced[sel] & (np.abs(h[sel]) < floor[sel])
             stopped = out | over | under
             watched = np.zeros(acc.size, dtype=bool)
@@ -506,7 +486,7 @@ def _dormand_prince(m: ChartedManifold, Y0: np.ndarray, t0: np.ndarray,
         m, t0, t_final,
         np.concatenate(node_t)[order], np.concatenate(node_y)[order],
         np.concatenate(node_drift)[order], sh, sQ, n_nodes,
-        reasons, n_acc, n_rej, nfev, y_stops)
+        reasons, n_acc, n_rej, nfev)
 
 
 def _states(m: ChartedManifold, states) -> np.ndarray:
@@ -521,8 +501,8 @@ def _states(m: ChartedManifold, states) -> np.ndarray:
 
 def integrate_geodesic(m: ChartedManifold, states, t_final, t_start=0.0,
                        monitor: Optional[Callable] = None,
-                       integrand: Union[Callable, VectorFieldDef, None] = None,
-                       stops: Sequence[float] = ()) -> GeodesicTrajectory:
+                       integrand: Union[Callable, VectorFieldDef, None] = None
+                       ) -> GeodesicTrajectory:
     """Integrate the geodesic system x'' + Gamma(x)(x', x') = 0 for a stack
     of states (N, 2n), each from its ``t_start`` to its ``t_final`` (scalars,
     or one per orbit; each orbit runs in its own time direction).
@@ -534,8 +514,9 @@ def integrate_geodesic(m: ChartedManifold, states, t_final, t_start=0.0,
     states of each stacked step's accepted rows; a true entry stops that
     orbit with reason "monitor".  ``integrand`` is carried as an extra state
     component from 0 at ``t_start``: h(x, v) on stacks, or a vector field for
-    its pairing rate g(nabla_v X, v).  ``stops`` are forced step ends, at
-    which ``y_stops`` records each orbit's state.
+    its pairing rate g(nabla_v X, v).  Steps end where the controller puts
+    them (the last one is cut to ``t_final``); read the orbits at other times
+    through ``y_at``.
     """
     S = _states(m, states)
     N = len(S)
@@ -553,8 +534,7 @@ def integrate_geodesic(m: ChartedManifold, states, t_final, t_start=0.0,
     else:
         h = None
     Y0 = np.hstack([S] + ([np.zeros((N, 1))] if h is not None else []))
-    return _dormand_prince(m, Y0, t0, t1, h, np.sort(np.asarray(stops, dtype=float)),
-                           monitor)
+    return _dormand_prince(m, Y0, t0, t1, h, monitor)
 
 
 def _whole(traj: GeodesicTrajectory) -> GeodesicTrajectory:
@@ -654,71 +634,26 @@ def proxy_distance(m: ChartedManifold, Y: np.ndarray, S0: np.ndarray) -> np.ndar
     return np.sqrt(pos ** 2 + np.arccos(cosang) ** 2)
 
 
-def _golden_min(f: Callable, lo: np.ndarray, hi: np.ndarray,
-                xatol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Golden-section minimum of f (a stack of times -> values) on every
-    bracket [lo, hi] at once; the best of the last two interior points."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo.copy(), hi.copy()
-    c, d = b - invphi * (b - a), a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    width = float(np.max(b - a))
-    for _ in range(max(0, math.ceil(math.log(max(width, xatol) / xatol)
-                                    / -math.log(invphi)))):
-        left = fc < fd          # the minimum lies in [a, d]
-        b = np.where(left, d, b)
-        a = np.where(left, a, c)
-        c, d = np.where(left, b - invphi * (b - a), d), np.where(left, c, a + invphi * (b - a))
-        new = np.where(left, c, d)
-        fn = f(new)
-        fc, fd = np.where(left, fn, fd), np.where(left, fc, fn)
-    best = fc < fd
-    return np.where(best, c, d), np.where(best, fc, fd)
-
-
-def _return_hits(traj, t0, hi, k, t_min, eps, S0) -> list:
-    """The first sub-eps point of each orbit's return grid (k points over
-    [t0, hi]), scanned RETURN_WINDOW points at a time until found; per hit
-    its row, refinement bracket and grid fallbacks (see ``_excursion``)."""
+def _return_hits(traj, t0, hi, k, t_min, eps, S0) -> dict:
+    """{row: (t, gauge)} at the first point at or after t_min of each orbit's
+    return grid (k points over [t0, hi]) whose gauge is within eps, read from
+    the continuous extension RETURN_WINDOW points at a time."""
     step = (hi - t0) / (k - 1)
-
-    def gauge(rows, start):
-        J = np.minimum(start + np.arange(RETURN_WINDOW), k[rows, None] - 1)
-        ts = np.where(J < k[rows, None] - 1, t0 + J * step[rows, None], hi[rows, None])
-        return ts, proxy_distance(traj.manifold, traj._extend(rows, ts), S0[rows, None])
-
-    hits = []
+    hits = {}
     rows, start = np.arange(len(k)), 0
     while rows.size:
-        ts, ds = gauge(rows, start)
-        hit = ((start + np.arange(RETURN_WINDOW) < k[rows, None])
-               & (ts >= t_min) & (ds <= eps))
+        J = start + np.arange(RETURN_WINDOW)
+        last = k[rows, None] - 1
+        ts = np.where(J < last, t0 + J * step[rows, None], hi[rows, None])
+        ds = proxy_distance(traj.manifold, traj._extend(rows, ts), S0[rows, None])
+        hit = (J <= last) & (ts >= t_min) & (ds <= eps)
         found = hit.any(axis=1)
         for r in np.flatnonzero(found):
-            hits.append(_excursion(gauge, rows[r], start + int(np.argmax(hit[r])),
-                                   k[rows[r]], t_min))
+            j = int(np.argmax(hit[r]))
+            hits[int(rows[r])] = (float(ts[r, j]), float(ds[r, j]))
         start += RETURN_WINDOW
         rows = rows[~found & (start < k[rows])]
     return hits
-
-
-def _excursion(gauge, row, idx, k, t_min) -> tuple:
-    """Walk forward from a grid hit at idx through the decreasing part of
-    its sub-eps excursion: the row, the refinement bracket, and the grid
-    minimum of the walk and the hit itself as fallbacks."""
-    first = max(idx - 1, 0)
-    ts, ds = (a[0] for a in gauge(np.array([row]), first))
-    i = j = idx - first
-    while True:
-        while j + 1 < len(ds) and ds[j + 1] < ds[j]:
-            j += 1
-        if j + 1 < len(ds) or first + len(ds) >= k:
-            break
-        more = gauge(np.array([row]), first + len(ds))
-        ts, ds = np.concatenate([ts, more[0][0]]), np.concatenate([ds, more[1][0]])
-    g = int(np.argmin(ds[i:j + 1])) + i
-    return (row, max(ts[0], t_min), ts[j + 1] if j + 1 < len(ts) else ts[-1],
-            (float(ts[g]), float(ds[g])), (float(ts[i]), float(ds[i])))
 
 
 def first_return(m: ChartedManifold, states, eps: float = 0.05,
@@ -728,8 +663,9 @@ def first_return(m: ChartedManifold, states, eps: float = 0.05,
     FirstReturnResult per state (N, 2n).
 
     The undecided orbits are integrated together in chunks of RETURN_CHUNK
-    and the gauge is scanned on a grid of step min(eps / 4, 0.05), then
-    refined to the first local minimum of the sub-eps excursion.  On
+    and the gauge is read from the continuous extension on a grid of step
+    min(eps / 4, 0.05); the event is the first grid point at or after t_min
+    within eps, with its gauge as ``distance`` (no refinement).  On
     manifolds with ``radius_escape_certificate`` an orbit's search stops
     early once monotone radial escape makes any later return impossible;
     absence of a return is then conclusive.
@@ -764,15 +700,13 @@ def first_return(m: ChartedManifold, states, eps: float = 0.05,
         reached = traj.t_end
         hi = np.minimum(reached, t1)
         k = np.maximum(2, np.ceil((hi - t0) / grid_step).astype(np.int64) + 1)
-        hits = _return_hits(traj, t0, hi, k, t_min, eps, S0[live])
-        events = _refine_returns(traj, hits, S0[live], eps)
+        events = _return_hits(traj, t0, hi, k, t_min, eps, S0[live])
         cont = []
         for r, orbit in enumerate(live):
             reason = traj.reasons[r]
             if r in events:
-                t_star, d_star = events[r]
                 results[orbit] = FirstReturnResult(
-                    event=ReturnEvent(t_star=t_star, distance=d_star, epsilon=eps),
+                    event=ReturnEvent(*events[r], epsilon=eps),
                     conclusive=True, t_reached=float(reached[r]))
             elif reason == "monitor":
                 results[orbit] = FirstReturnResult(event=None, conclusive=True,
@@ -791,30 +725,3 @@ def first_return(m: ChartedManifold, states, eps: float = 0.05,
         live = live[cont]
         t0 = t1
     return results
-
-
-def _refine_returns(traj, hits, S0, eps) -> dict:
-    """Refined (t_star, distance) per row with a hit: golden section on the
-    continuous extension over every hit's bracket at once."""
-    if not hits:
-        return {}
-    rows, lo, hi, walk_min, at_hit = (np.array(c) for c in zip(*hits))
-    ref = S0[rows]
-    open_ = hi > lo
-    hi = np.where(open_, hi, lo)
-
-    def dist(t):
-        y = traj._extend(rows, np.clip(t, lo, hi)[:, None])[:, 0]
-        return proxy_distance(traj.manifold, y, ref)
-
-    t_star, d_star = _golden_min(dist, lo, hi, RETURN_XATOL)
-    out = {}
-    for e, r in enumerate(rows):
-        if not open_[e]:
-            out[r] = tuple(at_hit[e])
-        elif d_star[e] > eps:     # refinement should not lose the detection
-            out[r] = tuple(walk_min[e])
-        else:
-            out[r] = (float(t_star[e]), float(d_star[e]))
-    return out
-

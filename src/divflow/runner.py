@@ -3,13 +3,14 @@
 One experiment per invocation: a config selects zoo objects, parameters and
 tolerances; ``run`` produces a deterministic report document given
 (config, seed).  ``ExperimentConfig.validate`` is the one place a config is
-judged: it raises every ``ConfigError``, before any work, and the
-experiments trust what it passed.  A numerical failure inside an experiment
-(a truncated orbit, a point outside the chart, a bad metric, a degenerate
-gradient, a sampler envelope below the density) becomes a report with a
-failed ``completed`` check and an ``error`` entry.  Results, dataclasses
-included, become JSON through ``_jsonable`` alone.  Exit-status policy is
-the caller's job (the CLI maps check failure to 1 and config errors to 2).
+judged: it runs once, as the config is built, and raises every
+``ConfigError`` before any work; the experiments trust what it passed.  A
+numerical failure inside an experiment (a truncated orbit, a point outside
+the chart, a bad metric, a degenerate gradient, a sampler envelope below the
+density) becomes a report with a failed ``completed`` check and an ``error``
+entry.  Results, dataclasses included, become JSON through ``_jsonable``
+alone.  Exit-status policy is the caller's job (the CLI maps check failure
+to 1 and config errors to 2).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
-from dataclasses import asdict, dataclass, field, is_dataclass, replace
+from dataclasses import asdict, dataclass, field, is_dataclass
 from functools import partial
 from typing import Callable, NamedTuple, Optional
 
@@ -120,11 +121,14 @@ class ExperimentConfig:
             fields_ = [d["field"]] if d.get("field") else []
         if not isinstance(fields_, list):
             raise ConfigError(f"fields must be a list of field ids, got {fields_!r}")
-        cfg = cls(kind=d.get("kind"), manifold=d.get("manifold"),
-                  fields=tuple(fields_), params=d.get("params", {}),
-                  tolerances=d.get("tolerances", {}), seed=d.get("seed", 0))
-        cfg.validate()
-        return replace(cfg, params=dict(cfg.params), tolerances=dict(cfg.tolerances))
+        params, tolerances = d.get("params", {}), d.get("tolerances", {})
+        return cls(kind=d.get("kind"), manifold=d.get("manifold"), fields=tuple(fields_),
+                   params=dict(params) if isinstance(params, dict) else params,
+                   tolerances=dict(tolerances) if isinstance(tolerances, dict) else tolerances,
+                   seed=d.get("seed", 0))
+
+    def __post_init__(self):
+        self.validate()
 
     def validate(self):
         """Raise ConfigError unless the config can run: every check on a
@@ -553,10 +557,9 @@ KINDS: dict[str, Kind] = {
 
 def run(cfg: ExperimentConfig, workers: int = 1) -> dict:
     """Execute one experiment; the report is deterministic given
-    (config, seed).  A ``ConfigError`` comes only from ``cfg.validate()``,
-    before any work.  ``workers`` is accepted and ignored; it stays because
-    perfbench/run.py passes it."""
-    cfg.validate()
+    (config, seed).  ``cfg`` passed ``validate`` when it was built.
+    ``workers`` is accepted and ignored; it stays because perfbench/run.py
+    passes it."""
     canonical = cfg.canonical()
     blob = json.dumps(canonical, sort_keys=True, separators=(",", ":"))
     try:

@@ -117,6 +117,24 @@ def test_zoo_ids_the_kind_does_not_read_are_config_errors(raw):
         ExperimentConfig.from_dict(raw)
 
 
+def test_a_config_is_validated_once_per_run(monkeypatch):
+    calls = []
+    check = ExperimentConfig.validate
+
+    def counted(self):
+        calls.append(self.kind)
+        check(self)
+    monkeypatch.setattr(ExperimentConfig, "validate", counted)
+    raw = json.loads((CONFIGS / "fiber-ex1.json").read_text())
+    run(ExperimentConfig.from_dict(raw))
+    assert calls == [raw["kind"]]
+
+
+def test_a_config_built_directly_is_validated():
+    with pytest.raises(ConfigError, match="unknown experiment kind"):
+        ExperimentConfig(kind="nope")
+
+
 def test_single_radius_is_rejected_only_with_expect():
     cfg = ExperimentConfig.from_dict({"kind": "cutoff", "manifold": "warp:ex3",
                                       "field": "warp:ex3:Ubar",

@@ -15,7 +15,7 @@ from divflow.diagnostics import (
     recurrence_fraction,
     x_decay_at_infinity,
 )
-from divflow.flow import birkhoff_integral
+from divflow.flow import birkhoff_integral, integrate_geodesic
 from divflow.geometry import VectorFieldDef
 from divflow.integrals import sample_liouville, sample_states
 from divflow.runner import ExperimentConfig, report_to_csv, run
@@ -258,11 +258,32 @@ def test_hopf_rejects_nonpositive_observable(torus, rng):
         hopf_probe(torus, st, f0=lambda x: 0.0)
 
 
+def test_hopf_values_match_birkhoff_integrals(hyperbolic, rng):
+    # oracle: each Birkhoff run ends on a step node at T, so it reads no
+    # continuous extension, while the probe reads every horizon from it
+    S = sample_liouville(hyperbolic, 3, rng, radius_cap=0.75)
+    f0 = default_observable(hyperbolic)
+    probes = hopf_probe(hyperbolic, S, f0=f0)
+    horizons = probes[0].horizons
+    assert len(horizons) == 9
+    for k, T in enumerate(horizons):
+        want = birkhoff_integral(lambda x, v: f0(x), hyperbolic, S, T)
+        for probe, w in zip(probes, want):
+            assert probe.horizons == horizons
+            assert probe.values[k] == pytest.approx(w, rel=1e-7)
+
+
 def test_hopf_inconclusive_on_truncation(ex2):
     st = unit_states(ex2, [2.0, 1.0, 1.0], [-1.0, 0.0, 0.0])
-    (probe,) = hopf_probe(ex2, st, f0=lambda x: 1.0, horizons=[1.0, 2.0, 4.0, 8.0])
+    horizons = [1.0, 2.0, 4.0, 8.0, 16.0]
+    (t_end,) = integrate_geodesic(ex2, st, horizons[-1]).t_end
+    assert t_end < horizons[-1]
+    (probe,) = hopf_probe(ex2, st, f0=lambda x: 1.0, horizons=horizons)
     assert probe.truncated
     assert probe.label == "inconclusive"
+    # the probe keeps exactly the horizons the orbit reached
+    assert probe.horizons == tuple(T for T in horizons if T <= t_end)
+    assert probe.values == pytest.approx(probe.horizons, rel=1e-12)
 
 
 def test_default_observable_integrable_choice(hyperbolic, torus):

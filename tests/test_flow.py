@@ -300,10 +300,12 @@ def test_first_return_rational_slope(torus):
     st = unit_states(torus, [0.25, 0.6], [0.6, 0.8])
     (res,) = first_return(torus, st, eps=0.05, t_min=1.0, t_max=100.0)
     assert res.event is not None
-    # direction (3,4)/5 on the unit torus returns exactly at t = 5
-    assert res.event.t_star == pytest.approx(5.0, abs=1e-6)
-    assert res.event.distance < 1e-7
-    assert res.event.t_star >= 1.0 and res.event.distance <= res.event.epsilon
+    # direction (3,4)/5 on the unit torus returns exactly at t = 5 with gauge
+    # |t - 5| nearby, so it enters the 0.05 ball at t = 4.95: the event is
+    # the first return-grid point (step 0.0125) at or after that
+    assert 4.95 - 1e-9 <= res.event.t_star < 4.95 + 0.0125
+    assert res.event.distance <= res.event.epsilon
+    assert res.event.distance == pytest.approx(5.0 - res.event.t_star, abs=1e-9)
 
 
 def test_first_return_agrees_with_grid_oracle(torus, rng):
