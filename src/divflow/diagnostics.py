@@ -235,19 +235,15 @@ def recurrence_fraction(m: ChartedManifold, n: int, eps: float = 0.05,
     are excluded from the fraction and counted separately.  This is
     finite-horizon evidence only, never a recurrence verdict.
     """
-    if n <= 0:
-        raise ValueError("need a positive sample count")
     rng = np.random.default_rng(seed)
     results = first_return(m, sample_liouville(m, n, rng, radius_cap=radius_cap),
                            eps=eps, t_min=t_min, t_max=t_max)
     returned = sum(1 for r in results if r.event is not None)
     inconclusive = sum(1 for r in results if r.event is None and not r.conclusive)
-    no_return = n - returned - inconclusive
     valid = n - inconclusive
     return RecurrenceStats(
-        n_samples=n, n_returned=returned, n_no_return=no_return,
-        n_inconclusive=inconclusive,
-        fraction=(returned / valid) if valid > 0 else None,
+        n_samples=n, n_returned=returned, n_no_return=valid - returned,
+        n_inconclusive=inconclusive, fraction=(returned / valid) if valid > 0 else None,
         eps=eps, t_min=t_min, t_max=t_max, radius_cap=radius_cap, seed=seed)
 
 
@@ -332,22 +328,15 @@ def hopf_probe(m: ChartedManifold, states, f0: Optional[Callable] = None,
 
 def _hopf_label(used: np.ndarray, values: np.ndarray, truncated: bool) -> HopfProbe:
     """The probe of one orbit from its integral at the horizons it reached."""
-    if len(values) < 4 or truncated:
-        return HopfProbe(horizons=tuple(float(t) for t in used),
-                         values=tuple(float(v) for v in values),
-                         slope=None, r_squared=None, label="inconclusive",
-                         truncated=truncated)
-
-    window = used >= used[-1] / 10.0
-    slope, r2 = _loglog_fit(used[window], values[window])
-    if r2 < HOPF_R2_MIN:
-        label = "inconclusive"
-    elif slope <= HOPF_SLOPE_DELTA:
-        label = "convergent-like"
-    elif slope >= 1.0 - HOPF_SLOPE_DELTA:
-        label = "divergent-like"
-    else:
-        label = "inconclusive"
+    slope = r2 = None
+    label = "inconclusive"
+    if len(values) >= 4 and not truncated:
+        window = used >= used[-1] / 10.0
+        slope, r2 = _loglog_fit(used[window], values[window])
+        if r2 >= HOPF_R2_MIN and slope <= HOPF_SLOPE_DELTA:
+            label = "convergent-like"
+        elif r2 >= HOPF_R2_MIN and slope >= 1.0 - HOPF_SLOPE_DELTA:
+            label = "divergent-like"
     return HopfProbe(horizons=tuple(float(t) for t in used),
                      values=tuple(float(v) for v in values),
                      slope=slope, r_squared=r2, label=label, truncated=truncated)

@@ -19,6 +19,7 @@ given numpy build.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -29,6 +30,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .geometry import (
     ChartedManifold,
+    DomainError,
     _quadratic,
     metric_at,  # noqa: F401  (perfbench's tracer test asserts integrals.metric_at)
     orthonormal_frame,
@@ -39,7 +41,6 @@ from .geometry import (
 _leggauss = lru_cache(maxsize=64)(leggauss)
 
 __all__ = [
-    "SamplingError",
     "ChartBox",
     "RadialShell",
     "ShellPatch",
@@ -57,10 +58,6 @@ __all__ = [
     "sample_states",
     "sample_liouville",
 ]
-
-
-class SamplingError(ValueError):
-    """A sampler's rejection envelope proved too low for the density."""
 
 
 # ---------------------------------------------------------------------------
@@ -105,15 +102,6 @@ class ShellPatch:
     breakpoints: tuple[tuple[float, ...], ...] = ()
 
 
-def _box_patch(m: ChartedManifold, box: ChartBox) -> ShellPatch:
-    return ShellPatch(
-        bounds=tuple((float(a), float(b)) for a, b in box.bounds),
-        to_chart=lambda u: u,
-        density=lambda u: volume_density(m, u),
-        name="chart-box",
-    )
-
-
 def _uniform_in(bounds, rng, shape: tuple = ()) -> np.ndarray:
     """Uniform draws of shape ``shape + (len(bounds),)`` in the box
     ``bounds``, one (lo, hi) pair per axis."""
@@ -124,7 +112,8 @@ def _uniform_in(bounds, rng, shape: tuple = ()) -> np.ndarray:
 
 def resolve_patches(m: ChartedManifold, region) -> tuple[ShellPatch, ...]:
     if isinstance(region, ChartBox):
-        return (_box_patch(m, region),)
+        return (ShellPatch(tuple((float(a), float(b)) for a, b in region.bounds),
+                           lambda u: u, lambda u: volume_density(m, u), "chart-box"),)
     if isinstance(region, RadialShell):
         if m.shell is None:
             raise ValueError(f"{m.name} has no radial shell parametrization")
@@ -180,7 +169,8 @@ class FiberRule:
     moments: np.ndarray          # (dim * dim, k) second moments of the nodes
 
 
-def _gl(order: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+def _gl(order: int, lo: float | np.ndarray,
+        hi: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     t, w = _leggauss(order)
     half = 0.5 * (hi - lo)
     return lo + half * (t + 1.0), half * w
@@ -475,11 +465,25 @@ def ladder_integral(m: ChartedManifold, h, r0: float = 1.0, rungs: int = 8,
 # sampling
 
 
+# Gauss-Legendre order of the radial mass integrals behind Liouville draws,
+# and the bisection steps that invert them
+RADIAL_ORDER, RADIAL_HALVINGS = 48, 56
+
+
 def sample_box_points(m: ChartedManifold, n: int, rng) -> np.ndarray:
     """Uniform chart-coordinate samples in the manifold's sample box."""
     if m.sample_box is None:
         raise ValueError(f"{m.name} has no default sample box")
     return _uniform_in(m.sample_box, rng, (n,))
+
+
+def _with_unit_velocities(m: ChartedManifold, pts: np.ndarray, rng) -> np.ndarray:
+    """Points (N, dim) and isotropic unit velocities as one state array."""
+    c = rng.normal(size=(len(pts), m.dim))
+    # matmul norms, not np.linalg.norm(c, axis=1): the same dot product per
+    # row as on one row
+    c /= np.sqrt(c[:, None, :] @ c[:, :, None])[:, 0]
+    return np.hstack([pts, (orthonormal_frame(m, pts) @ c[..., None])[..., 0]])
 
 
 def sample_states(m: ChartedManifold, n: int, rng) -> np.ndarray:
@@ -489,70 +493,78 @@ def sample_states(m: ChartedManifold, n: int, rng) -> np.ndarray:
     Suitable for property sweeps; use ``sample_liouville`` when the base
     distribution must match the volume measure.
     """
-    pts = sample_box_points(m, n, rng)
-    c = rng.normal(size=(n, m.dim))
-    # matmul norms, not np.linalg.norm(c, axis=1): the same dot product per
-    # row as on one row
-    c /= np.sqrt(c[:, None, :] @ c[:, :, None])[:, 0]
-    V = (orthonormal_frame(m, pts) @ c[..., None])[..., 0]
-    return np.hstack([pts, V])
+    return _with_unit_velocities(m, sample_box_points(m, n, rng), rng)
+
+
+def _radial_mass(patch: ShellPatch, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Integrals of the patch density in the radius from lo to hi (N,); the
+    density ignores the other coordinates, which sit at their lower bounds."""
+    r, w = _gl(RADIAL_ORDER, lo[:, None], hi[:, None])
+    u = np.tile([b[0] for b in patch.bounds], (r.size, 1))
+    u[:, 0] = r.ravel()
+    return np.sum(patch.density(u).reshape(r.shape) * w, axis=1)
+
+
+def _radial_cdf(patch: ShellPatch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The patch's radial panels (lower edges, upper edges) and the radial
+    mass below each lower edge, then the total."""
+    breaks = patch.breakpoints[0] if patch.breakpoints else ()
+    lo, hi = np.array(_panel_edges(*patch.bounds[0], breaks=breaks)).T
+    return lo, hi, np.append(0.0, np.cumsum(_radial_mass(patch, lo, hi)))
+
+
+def _radial_quantiles(patch: ShellPatch, cdf, q: np.ndarray) -> np.ndarray:
+    """Radii at the radial mass fractions q (N,) of the patch: the panel
+    that holds each mass, then bisection on the mass from its lower edge."""
+    lo, hi, cum = cdf
+    mass = q * cum[-1]
+    k = np.minimum(np.searchsorted(cum, mass, side="right"), len(lo)) - 1
+    edge, lo, hi, rest = lo[k], lo[k], hi[k], mass - cum[k]
+    for _ in range(RADIAL_HALVINGS):
+        mid = 0.5 * (lo + hi)
+        below = _radial_mass(patch, edge, mid) < rest
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
 
 
 def sample_liouville(m: ChartedManifold, n: int, rng,
                      radius_cap: Optional[float] = None) -> np.ndarray:
-    """Samples from the flow-invariant bundle measure, restricted to a
-    bounded base region: the radius ball of ``radius_cap``, else the
-    manifold's sample box; one state array (n, 2 dim) of positions, then
-    velocities.
+    """Exact samples from the flow-invariant bundle measure over the radius
+    ball of ``radius_cap``, else the manifold's sample box: one state array
+    (n, 2 dim) of positions, then velocities isotropic in the fiber.
 
-    Base points follow the volume measure (rejection against the patch
-    density); directions are isotropic in the fiber.  For non-compact
-    manifolds pass ``radius_cap``; the cap must be recorded by callers since
-    the full measure may be infinite.  The envelope of each patch is 1.5
-    times the largest density on a 7-point probe grid per axis; a draw whose
-    density exceeds it raises SamplingError.
+    A ball draw picks a shell patch by mass, its radius at a uniform
+    fraction of the patch's radial mass (the CDF on ``base_integral``'s
+    panels, inverted by bisection) and uniform angles: each patch density
+    depends on the radius alone.  A ball whose volume is not finite and
+    positive raises DomainError.  Uniform box draws are exact only for a
+    constant volume density (the torus); another box raises ValueError.
+    Callers must record the cap, as the full measure may be infinite.
     """
     if n <= 0:
         raise ValueError("need a positive sample count")
-    if radius_cap is not None:
-        if m.shell is None:
-            raise ValueError(f"{m.name} has no shell parametrization for the radius cap")
-        patches = list(m.shell(0.0, radius_cap))
-    else:
+    if radius_cap is None:
         if m.sample_box is None:
             raise ValueError("need radius_cap or a sample box")
-        patches = [_box_patch(m, ChartBox(m.sample_box))]
-
-    sups, masses = [], []
-    for patch in patches:
-        grid = [np.linspace(a, b, 7) for a, b in patch.bounds]
-        mesh = np.meshgrid(*grid, indexing="ij")
-        pts = np.stack([g.ravel() for g in mesh], axis=-1)
-        dens = np.asarray(patch.density(pts), dtype=float)
-        sups.append(1.5 * float(dens.max()) + 1e-300)
-        masses.append(float(dens.mean()) * float(np.prod([hi - lo for lo, hi in patch.bounds])))
-    total = math.fsum(masses)
-    probs = np.array([max(w, 1e-300) for w in masses]) / max(total, 1e-300)
-    cdf = np.cumsum(probs)
-
-    xs, cs = [], []
-    while len(xs) < n:
-        j = int(np.searchsorted(cdf, rng.uniform()))
-        j = min(j, len(patches) - 1)
-        patch = patches[j]
-        u = _uniform_in(patch.bounds, rng)
-        d = patch.density(u)
-        if d > sups[j]:
-            raise SamplingError(
-                f"{m.name}: density {float(d):.6g} at patch point {u.tolist()} exceeds "
-                f"its rejection envelope {sups[j]:.6g}; the probe grid missed the peak")
-        if rng.uniform() * sups[j] > d:
-            continue
-        xs.append(np.asarray(patch.to_chart(u), dtype=float))
-        c = rng.normal(size=m.dim)
-        c /= np.linalg.norm(c)
-        cs.append(c)
-    # the frames take no draws, so one stacked call serves every accepted point
-    X = np.array(xs)
-    E = orthonormal_frame(m, X)
-    return np.hstack([X, [Ei @ c for Ei, c in zip(E, cs)]])
+        probe = itertools.product(*(np.linspace(lo, hi, 3) for lo, hi in m.sample_box))
+        if np.ptp(volume_density(m, np.array(list(probe)))) > 0:
+            raise ValueError(f"{m.name}: volume density not constant on the sample box")
+        return sample_states(m, n, rng)
+    if m.shell is None:
+        raise ValueError(f"{m.name} has no shell parametrization for the radius cap")
+    patches = m.shell(0.0, radius_cap)
+    cdfs = [_radial_cdf(patch) for patch in patches]
+    cum = np.cumsum([cdf[2][-1] * math.prod(hi - lo for lo, hi in patch.bounds[1:])
+                     for patch, cdf in zip(patches, cdfs)])
+    if not (np.isfinite(cum[-1]) and cum[-1] > 0):
+        raise DomainError(f"{m.name}: the radius ball of cap {radius_cap} has volume "
+                          f"{cum[-1]}, not a finite positive number")
+    pick = np.searchsorted(cum / cum[-1], rng.uniform(size=n), side="right")
+    U = rng.uniform(size=(n, m.dim))
+    X = np.empty((n, m.dim))
+    for j, (patch, cdf) in enumerate(zip(patches, cdfs)):
+        lo, hi = np.array(patch.bounds).T
+        u = lo + U[pick == j] * (hi - lo)
+        u[:, 0] = _radial_quantiles(patch, cdf, U[pick == j, 0])
+        X[pick == j] = patch.to_chart(u)
+    return _with_unit_velocities(m, X, rng)

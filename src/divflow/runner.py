@@ -6,11 +6,11 @@ tolerances; ``run`` produces a deterministic report document given
 judged: it runs once, as the config is built, and raises every
 ``ConfigError`` before any work; the experiments trust what it passed.  A
 numerical failure inside an experiment (a truncated orbit, a point outside
-the chart, a bad metric, a degenerate gradient, a sampler envelope below the
-density) becomes a report with a failed ``completed`` check and an ``error``
-entry.  Results, dataclasses included, become JSON through ``_jsonable``
-alone.  Exit-status policy is the caller's job (the CLI maps check failure
-to 1 and config errors to 2).
+the chart, a radius ball of infinite volume, a bad metric, a degenerate
+gradient) becomes a report with a failed ``completed`` check and an
+``error`` entry.  Results, dataclasses included, become JSON through
+``_jsonable`` alone.  Exit-status policy is the caller's job (the CLI maps
+check failure to 1 and config errors to 2).
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .geometry import (
 from .integrals import (
     ChartBox,
     QuadraticIntegrand,
-    SamplingError,
     base_integral,
     fiber_integral,
     fiber_rule,
@@ -73,7 +72,7 @@ class ConfigError(ValueError):
 
 # numerical failures that end an experiment with an error report
 NUMERICAL_ERRORS = (TruncatedTrajectoryError, DomainError, MetricError,
-                    DegenerateGradientError, SamplingError)
+                    DegenerateGradientError)
 
 # params that count something, with their least valid value
 COUNTS = {"n_points": 1, "n_orbits": 1, "n_mc": 1, "rungs": 1, "n": 1,

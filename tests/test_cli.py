@@ -240,8 +240,7 @@ def test_karp_error_report_writes_the_checks_csv(capsys):
 
 
 @pytest.mark.parametrize("error", ["TruncatedTrajectoryError", "DomainError",
-                                   "MetricError", "DegenerateGradientError",
-                                   "SamplingError"])
+                                   "MetricError", "DegenerateGradientError"])
 def test_numerical_errors_become_failed_reports(error, monkeypatch, capsys):
     exc_type = next(e for e in runner.NUMERICAL_ERRORS if e.__name__ == error)
 
@@ -259,17 +258,31 @@ def test_numerical_errors_become_failed_reports(error, monkeypatch, capsys):
     assert report["passed"] is False
 
 
+@pytest.mark.parametrize("manifold,cap", [("warp:ex2", 8), ("warp:ex2", 20),
+                                         ("warp:ex4", 20), ("warp:ex4", 400)])
 @pytest.mark.parametrize("action", ["hopf", "recurrence"])
-def test_failed_liouville_envelope_becomes_a_failed_report(action, capsys):
-    # at this cap the sampler's probe grid misses the warp:ex2 density peak
-    argv = ["diagnose", action, "--manifold", "warp:ex2", "--param", "radius_cap=20",
+def test_liouville_draws_reach_every_cap(action, manifold, cap, capsys):
+    # caps where a rejection envelope from a probe grid fell below the density
+    argv = ["diagnose", action, "--manifold", manifold, "--param", f"radius_cap={cap}",
+            "--param", "n=2"] + (["--param", "t_max=5"] if action == "recurrence" else [])
+    with np.errstate(over="ignore"):   # cosh(400)^2 overflows: density 0 there
+        assert cli.main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert "error" not in report
+    assert report["passed"] is True
+
+
+def test_a_ball_of_infinite_volume_becomes_a_failed_report(capsys):
+    # sinh overflows long before r = 1000: the ball's volume is not finite
+    argv = ["diagnose", "hopf", "--manifold", "hyperbolic", "--param", "radius_cap=1000",
             "--param", "n=2"]
-    assert cli.main(argv) == 1
+    with np.errstate(over="ignore"):
+        assert cli.main(argv) == 1
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err
     report = json.loads(captured.out)
-    assert report["error"]["type"] == "SamplingError"
-    assert "rejection envelope" in report["error"]["message"]
+    assert report["error"]["type"] == "DomainError"
+    assert "cap 1000" in report["error"]["message"]
     assert report["passed"] is False
 
 

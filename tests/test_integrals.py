@@ -299,8 +299,55 @@ def test_sample_liouville_matches_volume_weight(hyperbolic, rng):
         assert float(s_[2:] @ g @ s_[2:]) == pytest.approx(1.0, abs=1e-10)
 
 
+def _hyperbolic_radius(q, cap):
+    # radial mass cosh r - 1
+    return np.arccosh(1.0 + q * (math.cosh(cap) - 1.0))
+
+
+def _ex4_radius(q, cap):
+    # radial mass 1 - sech r
+    return np.arccosh(1.0 / (1.0 - q * (1.0 - 1.0 / math.cosh(cap))))
+
+
+@pytest.mark.parametrize("mid,cap,closed_form",
+                         [("hyperbolic", cap, _hyperbolic_radius) for cap in (0.75, 2.0, 20.0)]
+                         + [("warp:ex4", cap, _ex4_radius) for cap in (3.0, 20.0, 50.0, 400.0)])
+def test_radial_quantiles_match_closed_form_inverse_cdfs(mid, cap, closed_form):
+    # fractions stop at 0.995, past which the warp:ex4 closed form
+    # sech r = 1 - q (1 - sech cap) itself loses digits
+    (patch,) = zoo.manifold(mid).shell(0.0, cap)
+    q = np.linspace(0.0, 0.995, 200)
+    with np.errstate(over="ignore"):   # cosh(400)^2 overflows: density 0 there
+        r = integrals._radial_quantiles(patch, integrals._radial_cdf(patch), q)
+    assert np.max(np.abs(r - closed_form(q, cap))) < 1e-12
+
+
+def test_sample_liouville_radii_pass_a_ks_test(hyperbolic):
+    cap, n = 2.0, 2000
+    states = sample_liouville(hyperbolic, n, np.random.default_rng(11), radius_cap=cap)
+    cdf = np.sort((np.cosh(hyperbolic.radius(states[:, :2])) - 1.0) / (math.cosh(cap) - 1.0))
+    i = np.arange(1, n + 1)
+    ks = max(np.max(i / n - cdf), np.max(cdf - (i - 1) / n))
+    assert ks < 1.36 / math.sqrt(n)   # the 5% critical value
+
+
+@pytest.mark.parametrize("mid", ["revolution:1/(1+x^2)", "hyperbolic", "warp:ex2",
+                                 "warp:ex3", "warp:ex4"])
+def test_shell_densities_ignore_the_angles(mid, rng):
+    # the Liouville sampler draws the angles uniformly on this assumption
+    for patch in zoo.manifold(mid).shell(0.0, 5.0):
+        u = _uniform_in(patch.bounds, rng, (300,))
+        turned = np.column_stack([u[:, 0], _uniform_in(patch.bounds[1:], rng, (300,))])
+        assert np.array_equal(patch.density(u), patch.density(turned))
+
+
+def test_sample_liouville_refuses_a_box_of_varying_density(hyperbolic):
+    with pytest.raises(ValueError, match="not constant"):
+        sample_liouville(hyperbolic, 5, np.random.default_rng(0))
+
+
 def test_sample_liouville_forms_every_frame_in_one_call(ex4, monkeypatch):
-    # frames take no draws, so they are formed after the rejection loop
+    # the velocities of every draw come from one stacked frame call
     calls = []
 
     def frame(m, x):

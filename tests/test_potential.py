@@ -159,8 +159,8 @@ def test_monotone_form_near_diagonal_small():
     prof = mean_curvature_profile()
     xi = np.array([[0.7, -0.1, 2.0]])
     eta = xi + 1e-8
-    assert monotone_form(xi, eta, prof)[0] if False else True
     val = monotone_form(xi[0], eta[0], prof)
+    assert monotone_form(xi, eta, prof)[0] == val
     assert 0.0 <= val < 1e-10
 
 
