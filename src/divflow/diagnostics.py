@@ -37,12 +37,12 @@ from .integrals import (
     IntegralEstimate,
     QuadraticIntegrand,
     RadialShell,
-    _ladder,
     _uniform_in,
     base_integral,
+    fiber_integral,
+    ladder_integral,
     resolve_patches,
     sample_liouville,
-    sm_integral,
 )
 
 __all__ = [
@@ -173,10 +173,7 @@ def rate_integrability_ladder(m: ChartedManifold, field: VectorFieldDef,
     flagged through ``converged=False`` and the recorded trace.
     """
     F = QuadraticIntegrand(partial(pairing_rate_form, field, m), post=np.abs)
-
-    def increment(lo, hi):
-        return sm_integral(m, F, RadialShell(lo, hi), order=order)
-    return _ladder(increment, r0, rungs, rel_tol)
+    return ladder_integral(m, partial(fiber_integral, m, F), r0, rungs, order, rel_tol)
 
 
 # ---------------------------------------------------------------------------

@@ -10,16 +10,21 @@ one.  The step control is the standard one (Hairer, Norsett & Wanner,
 *Solving ODEs I*, II.4) at RTOL/ATOL: RMS error norm, safety factor 0.9,
 step factors within [0.2, 10] and no growth on a step that was just
 rejected.  The carried integral stays out of the error norm, so carrying it
-changes no step.  Every accepted step keeps its
-continuous extension (Dormand & Prince, *J. Comput. Appl. Math.* 6, 1980,
-with Shampine's quartic interpolant; HNW II.6), the one way to read an orbit
-between its nodes: ``first_return`` scans its return grid on it, and
-``diagnostics.hopf_probe`` reads the carried integral at its horizons.
+changes no step.  Every accepted step keeps its continuous extension
+(Dormand & Prince, *J. Comput. Appl. Math.* 6, 1980, with Shampine's quartic
+interpolant; HNW II.6), the one way to read an orbit between its nodes:
+``first_return`` scans its return grid on it, and ``diagnostics.hopf_probe``
+reads the carried integral at its horizons.
 
-Step budgets, domain exits, speed drift and step-size underflow turn into
-flagged truncations instead of hangs.  Velocities are never renormalized:
-speed drift is recorded at every accepted node as a diagnostic, not
-corrected, so it stays an honest measure of integrator error.
+An orbit stops short of ``t_final`` with a flagged reason instead of a
+hang.  Before each attempt: "step_limit" after MAX_STEPS accepted steps, and
+"step_underflow" for a step that ``t_final`` does not cut short and that is
+below the one floor, the larger of 1e-9 of the span and ten ulps of t.  At
+any stage: "rhs_failure" when the right-hand side raises.  After an accepted
+step: "left_domain", "speed_drift" past MAX_SPEED_DRIFT, or "monitor".
+Velocities are never renormalized: speed drift is recorded at every accepted
+node as a diagnostic, not corrected, so it stays an honest measure of
+integrator error.
 """
 
 from __future__ import annotations
@@ -113,9 +118,12 @@ class GeodesicTrajectory:
     """The orbits of one stacked integration, with their continuous extension.
 
     Orbit i ran from its start time toward its ``t_final`` and stopped at
-    ``t_end``.  ``reasons[i]`` is None for an orbit that got there, else one
-    of "left_domain", "speed_drift", "step_limit", "step_underflow",
-    "solver_failed", "rhs_failure" or "monitor".  Over the whole stack:
+    ``t_end``, its last accepted node.  ``reasons[i]`` is None for an orbit
+    that got there, else one of six (see the module docstring):
+    "left_domain", "speed_drift", "step_limit", "step_underflow",
+    "rhs_failure" or "monitor".  Segment k of an orbit, the continuous
+    extension of its step from node k, starts at node k; the last node's
+    segment is empty.  Over the whole stack:
 
       truncated          the number of truncated orbits
       truncation_reason  the first truncated orbit's reason, else None
@@ -222,18 +230,11 @@ class GeodesicTrajectory:
                 f"time {t[r][out[r]][0]} outside reached span [{lo[r, 0]}, {hi[r, 0]}]"
                 + (f" (truncated: {reason})" if reason is not None else ""))
         node = self._nodes(rows, t)
-        # the segment after node j of orbit i is global segment j - i
-        seg = node - rows[:, None]
-        y = self._node_y[node]
-        stepped = (self._node_off[rows + 1] - self._node_off[rows] > 1)[:, None]
-        if not stepped.any():
-            return y
-        seg = np.where(stepped, seg, 0)
-        h = np.where(stepped, self._seg_h[seg], 1.0)
+        h = self._seg_h[node]
         x = ((t - self._node_t[node]) / h)[..., None]
         Q = self._seg_Q
-        poly = x * (Q[0][seg] + x * (Q[1][seg] + x * (Q[2][seg] + x * Q[3][seg])))
-        return y + np.where(stepped[..., None], h[..., None] * poly, 0.0)
+        poly = x * (Q[0][node] + x * (Q[1][node] + x * (Q[2][node] + x * Q[3][node])))
+        return self._node_y[node] + h[..., None] * poly
 
     def y_at(self, t) -> np.ndarray:
         """Full states at time t, from the continuous extension: (N, d) for
@@ -362,7 +363,7 @@ def _dormand_prince(m: ChartedManifold, Y0: np.ndarray, t0: np.ndarray,
     # node and segment records, one array per stacked step, in step order
     node_i, node_t, node_y = [np.arange(N)], [t0], [Y0]
     node_drift = [_drift(m, Y0)]
-    seg_i, seg_h, seg_Q = [], [], []
+    seg_h, seg_Q = [], []
 
     direction = np.sign(t_final - t0)
     F, bad = _evaluate(rhs, Y0)
@@ -371,7 +372,7 @@ def _dormand_prince(m: ChartedManifold, Y0: np.ndarray, t0: np.ndarray,
         reasons[i] = "rhs_failure"
     # the rows still stepping: orbit id, time, state, slope, step size,
     # whether the current step has had a rejection, direction, end time and
-    # the step below which an unforced step is an underflow
+    # the span floor
     live = np.flatnonzero(~(bad | bad1))
     rows = (live, t0[live], Y0[live], F[live], h_abs[live],
             np.zeros(live.size, dtype=bool), direction[live], t_final[live],
@@ -380,27 +381,23 @@ def _dormand_prince(m: ChartedManifold, Y0: np.ndarray, t0: np.ndarray,
     while rows[0].size:
         ids, t, y, f, h_abs, rejected, dirn, t_fin, floor = rows
         M = ids.size
-        keep = n_acc[ids] < MAX_STEPS
-        for r in np.flatnonzero(~keep):
-            reasons[ids[r]] = "step_limit"
-        # a floor of ten ulps of t: a fresh step is raised to it, a
-        # retried step that falls below it fails
-        tiny = 10 * np.abs(np.nextafter(t, dirn * np.inf) - t)
-        low = h_abs < tiny
-        if low.any():
-            h_abs = np.where(low & ~rejected, tiny, h_abs)
-            for r in np.flatnonzero(keep & low & rejected):
-                reasons[ids[r]] = "solver_failed"
-                keep[r] = False
-        if not keep.all():
-            rows = tuple(a[keep] for a in (ids, t, y, f, h_abs, rejected, dirn, t_fin, floor))
-            continue
-
         t_new = t + h_abs * dirn
+        # a forced step is cut short to end exactly at t_final
         forced = dirn * (t_new - t_fin) >= 0
         t_new = np.where(forced, t_fin, t_new)
         h = t_new - t
         h_abs = np.abs(h)
+        # before each attempt: the step budget, and one floor for a step
+        # t_final does not cut short, the larger of the span floor and ten
+        # ulps of t
+        limit = n_acc[ids] >= MAX_STEPS
+        ulps = 10 * np.abs(np.nextafter(t, dirn * np.inf) - t)
+        stop = limit | (~forced & (h_abs < np.maximum(floor, ulps)))
+        if stop.any():
+            for r in np.flatnonzero(stop):
+                reasons[ids[r]] = "step_limit" if limit[r] else "step_underflow"
+            rows = tuple(a[~stop] for a in rows)
+            continue
 
         # the stages, one (M, d) slab each; flat views for the weighted sums
         K = np.empty((7, M, d))
@@ -438,7 +435,6 @@ def _dormand_prince(m: ChartedManifold, Y0: np.ndarray, t0: np.ndarray,
         if acc.size:
             sel = slice(None) if acc.size == M else acc
             ia, ya, ta = ids[sel], y_new[sel], t_new[sel]
-            seg_i.append(ia)
             seg_h.append(h[sel])
             seg_Q.append((P.T @ K[:, sel].reshape(7, -1)).reshape(4, acc.size, d))
             node_i.append(ia)
@@ -446,7 +442,7 @@ def _dormand_prince(m: ChartedManifold, Y0: np.ndarray, t0: np.ndarray,
             node_y.append(ya)
             t[sel], y[sel], f[sel] = ta, ya, K[6][sel]
 
-            # after-step checks, in order: domain, drift, underflow, monitor
+            # after-step checks, in order: domain, drift, monitor
             out = ~np.asarray(m.domain(ya[:, :n])) | ~np.isfinite(ya).all(axis=1)
             Vga = None if Vg is None else Vg[sel]
             if out.any():
@@ -456,36 +452,31 @@ def _dormand_prince(m: ChartedManifold, Y0: np.ndarray, t0: np.ndarray,
                 drift = _drift(m, ya, Vga)
             node_drift.append(drift)
             over = drift > MAX_SPEED_DRIFT
-            # a step cut short at t_final is not an underflow
-            under = ~forced[sel] & (np.abs(h[sel]) < floor[sel])
-            stopped = out | over | under
+            stopped = out | over
             watched = np.zeros(acc.size, dtype=bool)
             if monitor is not None and not stopped.all():
                 go = np.flatnonzero(~stopped)
                 watched[go] = monitor(ia[go], ya[go])
-            done = dirn[sel] * (ta - t_fin[sel]) >= 0
-            for r in np.flatnonzero(stopped | watched | done):
+            for r in np.flatnonzero(stopped | watched | forced[sel]):
                 reasons[ia[r]] = ("left_domain" if out[r] else
                                   "speed_drift" if over[r] else
-                                  "step_underflow" if under[r] else
                                   "monitor" if watched[r] else None)
                 keep[acc[r]] = False
         rows = (ids, t, y, f, h_abs, ~accept, dirn, t_fin, floor)
         if not keep.all():
             rows = tuple(a[keep] for a in rows)
 
+    # an empty segment ends each orbit, so segment k starts at node k
+    seg_h.append(np.ones(N))
+    seg_Q.append(np.zeros((4, N, d)))
     order = np.argsort(np.concatenate(node_i), kind="stable")
-    n_nodes = np.bincount(np.concatenate(node_i), minlength=N)
-    if seg_i:
-        seg_order = np.argsort(np.concatenate(seg_i), kind="stable")
-        sh = np.concatenate(seg_h)[seg_order]
-        sQ = np.concatenate(seg_Q, axis=1)[:, seg_order]
-    else:
-        sh, sQ = np.empty(0), np.empty((4, 0, d))
+    seg_order = np.argsort(np.concatenate(node_i[1:] + [np.arange(N)]), kind="stable")
     return GeodesicTrajectory(
         m, t0, t_final,
         np.concatenate(node_t)[order], np.concatenate(node_y)[order],
-        np.concatenate(node_drift)[order], sh, sQ, n_nodes,
+        np.concatenate(node_drift)[order], np.concatenate(seg_h)[seg_order],
+        np.concatenate(seg_Q, axis=1)[:, seg_order],
+        np.bincount(np.concatenate(node_i), minlength=N),
         reasons, n_acc, n_rej, nfev)
 
 
@@ -507,12 +498,14 @@ def integrate_geodesic(m: ChartedManifold, states, t_final, t_start=0.0,
     of states (N, 2n), each from its ``t_start`` to its ``t_final`` (scalars,
     or one per orbit; each orbit runs in its own time direction).
 
-    An orbit is truncated (flagged, not raised) when it leaves the chart
-    domain, when its speed drift passes MAX_SPEED_DRIFT, when its step size
-    underflows near a singular boundary, or after MAX_STEPS accepted steps.
-    ``monitor(orbits, y)`` runs on the orbits (indices into the stack) and
-    states of each stacked step's accepted rows; a true entry stops that
-    orbit with reason "monitor".  ``integrand`` is carried as an extra state
+    An orbit is truncated (flagged, not raised) for one of six reasons:
+    "step_limit" after MAX_STEPS accepted steps; "step_underflow" when a step
+    that ``t_final`` does not cut short is below the one floor, the larger of
+    1e-9 of the span and ten ulps of t; "rhs_failure" when the right-hand
+    side raises; "left_domain"; "speed_drift" past MAX_SPEED_DRIFT; or
+    "monitor": ``monitor(orbits, y)`` runs on the orbits (indices into the
+    stack) and states of each stacked step's accepted rows, and a true entry
+    stops that orbit.  ``integrand`` is carried as an extra state
     component from 0 at ``t_start``: h(x, v) on stacks, or a vector field for
     its pairing rate g(nabla_v X, v).  Steps end where the controller puts
     them (the last one is cut to ``t_final``); read the orbits at other times

@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -227,9 +227,9 @@ class QuadraticIntegrand:
 FIBER_BLOCK_BYTES = 3 << 19
 
 
-def fiber_integral(m: ChartedManifold, F: Callable, x,
-                   rule: Optional[FiberRule] = None):
-    """Integral of F(x, v) over the unit sphere of the tangent space at x.
+def fiber_integral(m: ChartedManifold, F: Callable, x):
+    """Integral of F(x, v) over the unit sphere of the tangent space at x,
+    by the rule ``fiber_rule(m.dim)``.
 
     ``x`` has shape (n,) (returns a float) or (N, n) (returns (N,)).
     Directions come from a g-orthonormal frame E (Gram-Schmidt on the chart
@@ -245,8 +245,7 @@ def fiber_integral(m: ChartedManifold, F: Callable, x,
     with ``values @ weights``.
     """
     x = np.asarray(x, dtype=float)
-    if rule is None:
-        rule = fiber_rule(m.dim)
+    rule = fiber_rule(m.dim)
     X = x.reshape(-1, m.dim)
     out = np.empty(len(X))
     block = max(1, FIBER_BLOCK_BYTES // rule.nodes.nbytes)
@@ -356,12 +355,7 @@ def sm_integral(m: ChartedManifold, F, region, order: int = 12) -> IntegralEstim
     base measure times the round fiber measure.  F follows the bundle
     integrand convention of ``fiber_integral``.
     """
-    rule = fiber_rule(m.dim)
-
-    def hbar(x):
-        return fiber_integral(m, F, x, rule)
-
-    return base_integral(m, hbar, region, order=order)
+    return base_integral(m, partial(fiber_integral, m, F), region, order=order)
 
 
 def fubini_consistency(m: ChartedManifold, F, region, n_mc: int = 20000,
@@ -420,19 +414,18 @@ LADDER_REL_TOL = 1e-3
 LADDER_ABS_TOL = 1e-10
 
 
-def _ladder(increment, r0: float, rungs: int, rel_tol: float) -> IntegralEstimate:
+def ladder_integral(m: ChartedManifold, h, r0: float = 1.0, rungs: int = 8,
+                    order: int = 16, rel_tol: float = LADDER_REL_TOL) -> IntegralEstimate:
+    """Integral of h over radius balls r <= R_k on the ladder R_k = r0 * 2^k,
+    one ``base_integral`` per shell between rungs.
+
+    The trace of partial values is recorded; a non-convergent trace is the
+    deliberate signal for a non-integrable integrand.
+    """
     radii = [r0 * 2.0 ** k for k in range(rungs)]
-    trace, values, errs, nodes = [], [], [], 0
-    lo = 0.0
-    total = 0.0
-    for R in radii:
-        est = increment(lo, R)
-        total += est.value
-        errs.append(est.stderr)
-        nodes += est.nodes
-        trace.append((R, total))
-        values.append(total)
-        lo = R
+    ests = [base_integral(m, h, RadialShell(lo, R), order=order)
+            for lo, R in zip([0.0] + radii[:-1], radii)]
+    values = list(itertools.accumulate((e.value for e in ests), initial=0.0))[1:]
     converged = False
     if len(values) >= 3:
         inc1 = abs(values[-2] - values[-3])
@@ -445,20 +438,9 @@ def _ladder(increment, r0: float, rungs: int, rel_tol: float) -> IntegralEstimat
             rho = inc2 / inc1
             converged = inc2 * rho / (1.0 - rho) <= scale
     return IntegralEstimate(
-        value=values[-1], stderr=math.fsum(errs), nodes=nodes,
-        truncation_radius=radii[-1], truncation_trace=trace, converged=converged)
-
-
-def ladder_integral(m: ChartedManifold, h, r0: float = 1.0, rungs: int = 8,
-                    order: int = 16) -> IntegralEstimate:
-    """Integral of h over radius balls r <= R_k on the ladder R_k = r0 * 2^k.
-
-    The trace of partial values is recorded; a non-convergent trace is the
-    deliberate signal for a non-integrable integrand.
-    """
-    def increment(lo, hi):
-        return base_integral(m, h, RadialShell(lo, hi), order=order)
-    return _ladder(increment, r0, rungs, LADDER_REL_TOL)
+        value=values[-1], stderr=math.fsum(e.stderr for e in ests),
+        nodes=sum(e.nodes for e in ests), truncation_radius=radii[-1],
+        truncation_trace=list(zip(radii, values)), converged=converged)
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,6 @@ from .integrals import (
     QuadraticIntegrand,
     base_integral,
     fiber_integral,
-    fiber_rule,
     fubini_consistency,
     ladder_integral,
     omega,
@@ -283,7 +282,7 @@ def _run_fiber_lemma(cfg):
     w = omega(m.dim) / m.dim
     pts = sample_box_points(m, n_points, np.random.default_rng(cfg.seed))
     rate = QuadraticIntegrand(partial(pairing_rate_form, f, m))
-    fib = fiber_integral(m, rate, pts, fiber_rule(m.dim))
+    fib = fiber_integral(m, rate, pts)
     worst = float(np.max(np.abs(fib - w * divergence(f, m, pts))))
     return {"results": {"max_residual": worst, "n_points": n_points},
             "checks": [_check("fiber_average_matches_divergence", worst, tol, "<=")]}

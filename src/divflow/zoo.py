@@ -483,8 +483,14 @@ def make_example4() -> ChartedManifold:
             return np.stack([s * np.cos(u[..., 1]), s * np.sin(u[..., 1]), u[..., 2]], axis=-1)
 
         def density(u):
-            # base polar density sinh(d) times the warp 1/cosh(d)^2
-            return np.sinh(u[..., 0]) / _ipow(np.cosh(u[..., 0]), 2)
+            # base polar density sinh(d) times the warp 1/cosh(d)^2; cosh(d)^2
+            # overflows past d = 355, and past d = 350 the two equal 2 e^-d
+            d = np.asarray(u[..., 0], dtype=float)
+            far = d > 350.0
+            out = np.empty(d.shape)
+            out[~far] = np.sinh(d[~far]) / _ipow(np.cosh(d[~far]), 2)
+            out[far] = 2.0 * np.exp(-d[far])
+            return out[()]
 
         bounds = ((float(r_lo), float(r_hi)), (0.0, TWO_PI), (0.0, TWO_PI))
         return (ShellPatch(bounds, to_chart, density, "polar"),)

@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -270,6 +271,18 @@ def test_liouville_draws_reach_every_cap(action, manifold, cap, capsys):
     report = json.loads(capsys.readouterr().out)
     assert "error" not in report
     assert report["passed"] is True
+
+
+@pytest.mark.parametrize("cap", [400, 800])
+def test_ex4_balls_past_the_cosh_overflow_keep_their_volume(cap, capsys):
+    # sinh r / cosh(r)^2 overflows past r = 355 and is NaN past r = 710,
+    # where the ball's volume is still 4 pi^2
+    argv = ["diagnose", "hopf", "--manifold", "warp:ex4", "--param", f"radius_cap={cap}",
+            "--param", "n=2"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(argv) == 0
+    assert "error" not in json.loads(capsys.readouterr().out)
 
 
 def test_a_ball_of_infinite_volume_becomes_a_failed_report(capsys):

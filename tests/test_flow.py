@@ -1,10 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from divflow import zoo
+from divflow import flow, zoo
 from divflow.diagnostics import hopf_probe
 from divflow.flow import (
     MAX_SPEED_DRIFT,
@@ -268,11 +269,11 @@ def test_extend_finds_the_nodes_a_per_orbit_search_finds(ex2, rng):
         a, b = off[i], off[i + 1]
         d = traj.direction[i]
         node = a + np.minimum(np.searchsorted(d * node_t[a + 1:b], d * t[r]), b - a - 2)
-        seg = node - i
-        h = traj._seg_h[seg]
+        # segment k of an orbit starts at its node k
+        h = traj._seg_h[node]
         x = ((t[r] - node_t[node]) / h)[:, None]
         Q = traj._seg_Q
-        poly = x * (Q[0][seg] + x * (Q[1][seg] + x * (Q[2][seg] + x * Q[3][seg])))
+        poly = x * (Q[0][node] + x * (Q[1][node] + x * (Q[2][node] + x * Q[3][node])))
         ref[r] = traj._node_y[node] + h[:, None] * poly
     assert np.array_equal(traj._extend(rows, t), ref)
 
@@ -290,6 +291,60 @@ def test_runaway_speed_drift_truncates(hyperbolic):
     with pytest.raises(TruncatedTrajectoryError, match="speed_drift"):
         path_integral_identity_residual(zoo.vector_field("hyperbolic:conformal"),
                                         hyperbolic, st, 40.0)
+
+
+def test_monitor_stops_the_orbits_it_flags(torus):
+    # the monitor sees each accepted node with its orbit's index in the stack
+    st = unit_states(torus, [[0.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]])
+    seen = set()
+
+    def monitor(orbits, y):
+        seen.update(orbits.tolist())
+        return (orbits == 0) & (y[:, 0] > 1.0)
+
+    traj = integrate_geodesic(torus, st, 5.0, monitor=monitor)
+    assert traj.reasons == ("monitor", None)
+    assert seen == {0, 1}
+    assert 1.0 < traj.t_end[0] < 5.0 == traj.t_end[1]
+
+
+def test_step_budget_truncates(hyperbolic, monkeypatch):
+    monkeypatch.setattr(flow, "MAX_STEPS", 3)
+    st = sample_states(hyperbolic, 1, np.random.default_rng(0))
+    traj = integrate_geodesic(hyperbolic, st, 5.0)
+    assert traj.reasons == ("step_limit",)
+    assert traj.n_accepted[0] == 3
+    assert traj.t_end[0] < 5.0
+
+
+def test_step_underflow_truncates(ex2):
+    # nearly radial into the polar axis: the steps shrink below the floor
+    # just before r = 0 instead of leaving the domain
+    st = unit_states(ex2, [1.0, 0.0, 0.0], [-1.0, 1e-9, 0.0], normalize=True)
+    traj = integrate_geodesic(ex2, st, 3.0)
+    assert traj.reasons == ("step_underflow",)
+    assert traj.t_end[0] == pytest.approx(1.0, abs=1e-6)
+    with pytest.raises(TruncatedTrajectoryError, match="step_underflow"):
+        state_at(traj, 2.0)
+
+
+def test_rhs_failure_truncates_only_its_orbit(ex2):
+    # without closed-form symbols the Christoffel differences reach r <= 0
+    # and raise; the stack is then redone row by row, so the other orbit
+    # steps on as it does alone (finite-difference symbols amplify the
+    # round-off of the stacked stage sums, hence the 1e-12)
+    fd = dataclasses.replace(ex2, christoffel=None)
+    states = np.vstack([unit_states(ex2, [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]),
+                        unit_states(ex2, [2.0, 0.5, 0.5], [0.0, 1.0, 0.0], normalize=True)])
+    stack = integrate_geodesic(fd, states, 3.0)
+    assert stack.reasons == ("rhs_failure", None)
+    assert stack.t_end[0] == pytest.approx(0.838, abs=1e-3)
+    assert stack.t_end[1] == 3.0
+    one = integrate_geodesic(fd, states[1:], 3.0)
+    assert (stack.n_accepted[1], stack.n_rejected[1], stack.nfev[1]) == (
+        one.n_accepted[0], one.n_rejected[0], one.nfev[0])
+    assert_allclose(stack.y_end[1], one.y_end[0], rtol=1e-12,
+                    atol=1e-12 * np.abs(one.y_end).max())
 
 
 # ---------------------------------------------------------------------------

@@ -198,13 +198,18 @@ def test_rate_of_conformal_field_is_z(hyperbolic, rng):
         assert rate == pytest.approx(z, abs=1e-8)
 
 
-def test_rate_of_W_matches_ambient_formula(revolution, rng):
-    # oracle: the closed ambient-component expression stored on the field
-    W = zoo.vector_field("revolution:W")
-    states = sample_states(revolution, 100, rng)
-    for st, got in zip(states, _rates(W, revolution, states)):
-        assert got == pytest.approx(W.fx(st[:2], st[2:]), abs=1e-9)
-        assert abs(got) <= 3.0 + 1e-9
+@pytest.mark.parametrize("fid", [fid for fid in zoo.FIELD_IDS
+                                 if zoo.vector_field(fid).fx is not None])
+def test_rate_matches_the_fields_closed_form(fid, rng):
+    # oracle: the closed-form rate stored on the field (for revolution:W
+    # written through the ambient components, and bounded by 3)
+    m, f = zoo.manifold(zoo.field_manifold_id(fid)), zoo.vector_field(fid)
+    n = m.dim
+    states = sample_states(m, 100, rng)
+    for st, got in zip(states, _rates(f, m, states)):
+        assert got == pytest.approx(f.fx(st[:n], st[n:]), abs=1e-9)
+        if fid == "revolution:W":
+            assert abs(got) <= 3.0 + 1e-9
 
 
 @settings(max_examples=30, deadline=None)

@@ -86,12 +86,11 @@ def test_fiber_average_identity_all_pairs(kind, rng):
     # the central check: fiber integral of the pairing rate against the
     # divergence, on a modest sweep (the acceptance suite does 10^3 points)
     for m, f in zoo.field_pairs():
-        rule = fiber_rule(m.dim)
         w = omega(m.dim) / m.dim
         tol = 1e-8 if m.dim == 2 else 1e-6
         F = RATE_INTEGRANDS[kind](f, m)
         for x in sample_box_points(m, 50, rng):
-            fib = fiber_integral(m, F, x, rule=rule)
+            fib = fiber_integral(m, F, x)
             assert abs(fib - w * divergence(f, m, x)) < tol, (m.name, f.name, x)
 
 
@@ -147,7 +146,7 @@ def test_fiber_integral_forms_its_geometry_once(mid, fid, kind, monkeypatch, rng
     for block in (7, 16):
         monkeypatch.setattr(integrals, "FIBER_BLOCK_BYTES", block * rule.nodes.nbytes)
         calls.clear()
-        got = fiber_integral(m, F, pts, rule=rule)
+        got = fiber_integral(m, F, pts)
         if kind != "generic":
             assert calls == [len(pts)]
         assert np.array_equal(got, _fiber_integral_per_block(m, F, pts, rule, block)), block

@@ -146,9 +146,9 @@ def test_field_geometry_and_fiber_integral_stack(mid, fid, rng):
         # a rate integral is ~0 for a divergence-free field; keep it off zero
         return (1.0 + pairing_rates(f, m, X, V)) ** 2
 
-    _assert_close(partial(fiber_integral, m, F, rule=rule), many, (fid, "fiber_integral"))
+    _assert_close(partial(fiber_integral, m, F), many, (fid, "fiber_integral"))
     Fq = QuadraticIntegrand(partial(pairing_rate_form, f, m), post=lambda r: (1.0 + r) ** 2)
-    _assert_close(partial(fiber_integral, m, Fq, rule=rule), many, (fid, "quadratic"))
+    _assert_close(partial(fiber_integral, m, Fq), many, (fid, "quadratic"))
 
 
 TEST_FUNCTIONS = [(mid, uid) for mid in zoo.MANIFOLD_IDS for uid in scalar_test_functions(mid)]
