@@ -1,20 +1,22 @@
 """Geodesic-flow integration, line integrals along orbits, and return-time
 probes.
 
-One Dormand-Prince 5(4) stepper advances a stack of N orbits as one
-(N, 2n + q) array: chart position, chart velocity and q = 0 or 1 line
-integral carried as an extra component.  Each orbit keeps its own step size,
-its own accept/reject decisions and its own truncation reason, so an orbit's
-result does not depend on the stack it rides in; one orbit is a stack of
-one.  The step control is the standard one (Hairer, Norsett & Wanner,
-*Solving ODEs I*, II.4) at RTOL/ATOL: RMS error norm, safety factor 0.9,
-step factors within [0.2, 10] and no growth on a step that was just
-rejected.  The carried integral stays out of the error norm, so carrying it
-changes no step.  Every accepted step keeps its continuous extension
-(Dormand & Prince, *J. Comput. Appl. Math.* 6, 1980, with Shampine's quartic
-interpolant; HNW II.6), the one way to read an orbit between its nodes:
-``first_return`` scans its return grid on it, and ``diagnostics.hopf_probe``
-reads the carried integral at its horizons.
+One DOP853 stepper (the Dormand-Prince 8(5,3) pair of Hairer, Norsett &
+Wanner, *Solving ODEs I*, II.5, as in Hairer's dop853 code) advances a stack
+of N orbits as one (N, 2n + q) array: chart position, chart velocity and
+q = 0 or 1 line integral carried as an extra component.  Each orbit keeps
+its own step size, its own accept/reject decisions and its own truncation
+reason.  Every weighted stage sum is formed per element in one order, so an
+orbit's result does not depend on the stack it rides in, bit for bit; one
+orbit is a stack of one.  The step control is the standard one (HNW II.4)
+at RTOL/ATOL over every column, the carried integral included: the 5(3)
+error norm, safety factor 0.9, step factors within [0.2, 10], exponent -1/8
+and no growth on a step that was just rejected.  An orbit is read between
+its nodes through the seventh-degree continuous extension (HNW II.6), whose
+three extra stages are formed on the first such read, for every step of the
+trajectory at once: ``first_return`` scans its return grid on it, and
+``diagnostics.hopf_probe`` reads the carried integral at its horizons,
+while the path kinds read end states only and never form it.
 
 An orbit stops short of ``t_final`` with a flagged reason instead of a
 hang.  Before each attempt: "step_limit" after MAX_STEPS accepted steps, and
@@ -42,7 +44,8 @@ from .geometry import (
     VectorFieldDef,
     _components,
     _field_jacobian,
-    christoffel,
+    connection,
+    inner,
     pairing,
     pairing_rate_form,  # noqa: F401  bound here for perfbench/test_perfbench.py::test_tracer_patches_every_binding_and_restores
 )
@@ -59,45 +62,115 @@ __all__ = [
     "proxy_distance",
 ]
 
-RTOL = 1e-9
+RTOL = 1e-10
 ATOL = 1e-12
 MAX_STEPS = 100_000
 MAX_SPEED_DRIFT = 1e-4   # |g(v, v) - 1| past which an orbit is truncated
 RETURN_CHUNK = 100.0     # time span first_return integrates at once
 RETURN_WINDOW = 256      # return-grid points per orbit scanned at once
 
-# Dormand-Prince 5(4): stage matrix A (the system is autonomous, so the
-# stage nodes are not needed), fifth-order weights B, error weights E over
-# the seven (first-same-as-last) stages, and the quartic
-# continuous-extension matrix P
-A = np.array([
-    [0, 0, 0, 0, 0],
-    [1 / 5, 0, 0, 0, 0],
-    [3 / 40, 9 / 40, 0, 0, 0],
-    [44 / 45, -56 / 15, 32 / 9, 0, 0],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
-])
-B = np.array([35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
-E = np.array([-71 / 57600, 0, 71 / 16695, -71 / 1920, 17253 / 339200,
-              -22 / 525, 1 / 40])
-P = np.array([
-    [1, -8048581381 / 2820520608, 8663915743 / 2820520608,
-     -12715105075 / 11282082432],
-    [0, 0, 0, 0],
-    [0, 131558114200 / 32700410799, -68118460800 / 10900136933,
-     87487479700 / 32700410799],
-    [0, -1754552775 / 470086768, 14199869525 / 1410260304,
-     -10690763975 / 1880347072],
-    [0, 127303824393 / 49829197408, -318862633887 / 49829197408,
-     701980252875 / 199316789632],
-    [0, -282668133 / 205662961, 2019193451 / 616988883,
-     -1453857185 / 822651844],
-    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423]])
+# DOP853 (Hairer's dop853 code).  A is the stage matrix of the twelve stages
+# of a step (rows 1 to 11), of the stage at the new state (row 12, the
+# eighth-order weights B; it is the next step's first stage) and of the
+# continuous extension's three extra stages (rows 13 to 15); the system is
+# autonomous, so the stage nodes are not needed.  E5 and E3 are the
+# fifth- and third-order error weights over the thirteen stages of a step,
+# and D the extension's weights over all sixteen (HNW II.6).  Stages 1 to 4
+# have weight zero in B, E5, E3, D and the extra rows.
+A = np.zeros((16, 16))
+A[1, :1] = [5.26001519587677318785587544488e-2]
+A[2, :2] = [1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2]
+A[3, [0, 2]] = [2.95875854768068491816892993775e-2, 8.87627564304205475450678981324e-2]
+A[4, [0, 2, 3]] = [2.41365134159266685502369798665e-1, -8.84549479328286085344864962717e-1,
+                   9.24834003261792003115737966543e-1]
+A[5, [0, 3, 4]] = [3.7037037037037037037037037037e-2, 1.70828608729473871279604482173e-1,
+                   1.25467687566822425016691814123e-1]
+A[6, [0, 3, 4, 5]] = [3.7109375e-2, 1.70252211019544039314978060272e-1,
+                      6.02165389804559606850219397283e-2, -1.7578125e-2]
+A[7, [0, 3, 4, 5, 6]] = [
+    3.70920001185047927108779319836e-2, 1.70383925712239993810214054705e-1,
+    1.07262030446373284651809199168e-1, -1.53194377486244017527936158236e-2,
+    8.27378916381402288758473766002e-3]
+A[8, [0, 3, 4, 5, 6, 7]] = [
+    6.24110958716075717114429577812e-1, -3.36089262944694129406857109825,
+    -8.68219346841726006818189891453e-1, 2.75920996994467083049415600797e1,
+    2.01540675504778934086186788979e1, -4.34898841810699588477366255144e1]
+A[9, [0, 3, 4, 5, 6, 7, 8]] = [
+    4.77662536438264365890433908527e-1, -2.48811461997166764192642586468,
+    -5.90290826836842996371446475743e-1, 2.12300514481811942347288949897e1,
+    1.52792336328824235832596922938e1, -3.32882109689848629194453265587e1,
+    -2.03312017085086261358222928593e-2]
+A[10, [0, 3, 4, 5, 6, 7, 8, 9]] = [
+    -9.3714243008598732571704021658e-1, 5.18637242884406370830023853209,
+    1.09143734899672957818500254654, -8.14978701074692612513997267357,
+    -1.85200656599969598641566180701e1, 2.27394870993505042818970056734e1,
+    2.49360555267965238987089396762, -3.0467644718982195003823669022]
+A[11, [0, 3, 4, 5, 6, 7, 8, 9, 10]] = [
+    2.27331014751653820792359768449, -1.05344954667372501984066689879e1,
+    -2.00087205822486249909675718444, -1.79589318631187989172765950534e1,
+    2.79488845294199600508499808837e1, -2.85899827713502369474065508674,
+    -8.87285693353062954433549289258, 1.23605671757943030647266201528e1,
+    6.43392746015763530355970484046e-1]
+A[12, [0, 5, 6, 7, 8, 9, 10, 11]] = [
+    5.42937341165687622380535766363e-2, 4.45031289275240888144113950566,
+    1.89151789931450038304281599044, -5.8012039600105847814672114227,
+    3.1116436695781989440891606237e-1, -1.52160949662516078556178806805e-1,
+    2.01365400804030348374776537501e-1, 4.47106157277725905176885569043e-2]
+A[13, [0, 6, 7, 8, 9, 10, 11, 12]] = [
+    5.61675022830479523392909219681e-2, 2.53500210216624811088794765333e-1,
+    -2.46239037470802489917441475441e-1, -1.24191423263816360469010140626e-1,
+    1.5329179827876569731206322685e-1, 8.20105229563468988491666602057e-3,
+    7.56789766054569976138603589584e-3, -8.298e-3]
+A[14, [0, 5, 6, 7, 10, 11, 12, 13]] = [
+    3.18346481635021405060768473261e-2, 2.83009096723667755288322961402e-2,
+    5.35419883074385676223797384372e-2, -5.49237485713909884646569340306e-2,
+    -1.08347328697249322858509316994e-4, 3.82571090835658412954920192323e-4,
+    -3.40465008687404560802977114492e-4, 1.41312443674632500278074618366e-1]
+A[15, [0, 5, 6, 7, 8, 12, 13, 14]] = [
+    -4.28896301583791923408573538692e-1, -4.69762141536116384314449447206,
+    7.68342119606259904184240953878, 4.06898981839711007970213554331,
+    3.56727187455281109270669543021e-1, -1.39902416515901462129418009734e-3,
+    2.9475147891527723389556272149, -9.15095847217987001081870187138]
+B = A[12, :12]
+E3 = np.append(B, 0.0)
+E3[[0, 8, 11]] -= [2.44094488188976377952755905512e-1, 7.33846688281611857341361741547e-1,
+                   2.20588235294117647058823529412e-2]
+E5 = np.zeros(13)
+E5[[0, 5, 6, 7, 8, 9, 10, 11]] = [
+    1.312004499419488073250102996e-2, -1.225156446376204440720569753,
+    -4.957589496572501915214079952e-1, 1.664377182454986536961530415,
+    -3.503288487499736816886487290e-1, 3.341791187130174790297318841e-1,
+    8.192320648511571246570742613e-2, -2.235530786388629525884427845e-2]
+D = np.zeros((4, 16))
+D[:, [0, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15]] = [
+    [-8.4289382761090128651353491142, 5.6671495351937776962531783590e-1,
+     -3.0689499459498916912797304727, 2.3846676565120698287728149680,
+     2.1170345824450282767155149946, -8.7139158377797299206789907490e-1,
+     2.2404374302607882758541771650, 6.3157877876946881815570249290e-1,
+     -8.8990336451333310820698117400e-2, 1.8148505520854727256656404962e1,
+     -9.1946323924783554000451984436, -4.4360363875948939664310572000],
+    [1.0427508642579134603413151009e1, 2.4228349177525818288430175319e2,
+     1.6520045171727028198505394887e2, -3.7454675472269020279518312152e2,
+     -2.2113666853125306036270938578e1, 7.7334326684722638389603898808,
+     -3.0674084731089398182061213626e1, -9.3321305264302278729567221706,
+     1.5697238121770843886131091075e1, -3.1139403219565177677282850411e1,
+     -9.3529243588444783865713862664, 3.5816841486394083752465898540e1],
+    [1.9985053242002433820987653617e1, -3.8703730874935176555105901742e2,
+     -1.8917813819516756882830838328e2, 5.2780815920542364900561016686e2,
+     -1.1573902539959630126141871134e1, 6.8812326946963000169666922661,
+     -1.0006050966910838403183860980, 7.7771377980534432092869265740e-1,
+     -2.7782057523535084065932004339, -6.0196695231264120758267380846e1,
+     8.4320405506677161018159903784e1, 1.1992291136182789328035130030e1],
+    [-2.5693933462703749003312586129e1, -1.5418974869023643374053993627e2,
+     -2.3152937917604549567536039109e2, 3.5763911791061412378285349910e2,
+     9.3405324183624310003907691704e1, -3.7458323136451633156875139351e1,
+     1.0409964950896230045147246184e2, 2.9840293426660503123344363579e1,
+     -4.3533456590011143754432175058e1, 9.6324553959188282948394950600e1,
+     -3.9177261675615439165231486172e1, -1.4972683625798562581422125276e2]]
 SAFETY = 0.9
 MIN_FACTOR = 0.2
 MAX_FACTOR = 10.0
-ERROR_EXPONENT = -1.0 / 5.0
+ERROR_EXPONENT = -1.0 / 8.0
 
 
 class TruncatedTrajectoryError(RuntimeError):
@@ -114,6 +187,13 @@ class StepStats:
     nfev: int
 
 
+def _wsum(w: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """sum_j w[j] K[j] over the leading len(w) slabs of a stage stack K
+    (stages, M, d).  einsum forms each element in one order whatever M is,
+    where a flattened matrix product rounds by the stack's height."""
+    return np.einsum("j,j...->...", w, K[:len(w)])
+
+
 class GeodesicTrajectory:
     """The orbits of one stacked integration, with their continuous extension.
 
@@ -123,34 +203,43 @@ class GeodesicTrajectory:
     "left_domain", "speed_drift", "step_limit", "step_underflow",
     "rhs_failure" or "monitor".  Segment k of an orbit, the continuous
     extension of its step from node k, starts at node k; the last node's
-    segment is empty.  Over the whole stack:
+    segment is empty.  The extension's three extra stages are formed for
+    every segment at once on the first read between nodes (``y_at``); a read
+    in a segment whose extra stage raised is a TruncatedTrajectoryError
+    naming "rhs_failure".  Over the whole stack:
 
       truncated          the number of truncated orbits
       truncation_reason  the first truncated orbit's reason, else None
       stats              accepted and rejected steps and right-hand-side
-                         evaluations, summed over the orbits (per orbit in
-                         ``n_accepted``, ``n_rejected`` and ``nfev``)
+                         evaluations of the stepping, summed over the orbits
+                         (per orbit in ``n_accepted``, ``n_rejected`` and
+                         ``nfev``); the extension's three evaluations per
+                         segment are not counted
       max_speed_drift    the largest |g(v, v) - 1| over the accepted nodes of
                          every orbit
 
     ``speed_drift`` is |g(v, v) - 1| at each node (the initial speed is unit
-    by construction).  Per-orbit values (``t_end``, ``y_end``, ``y_at``,
-    and the node lists ``states`` and ``speed_drift``) carry a leading orbit
-    axis, for a stack of one orbit too.
+    by construction), read with the metric matrix.  Per-orbit values
+    (``t_end``, ``y_end``, ``y_at``, and the node lists ``states`` and
+    ``speed_drift``) carry a leading orbit axis, for a stack of one orbit
+    too.
     """
 
-    def __init__(self, m: ChartedManifold, t_start, t_final,
-                 node_t, node_y, node_drift, seg_h, seg_Q, n_nodes,
+    def __init__(self, m: ChartedManifold, rhs: Callable, t_start, t_final,
+                 node_t, node_y, node_drift, seg_h, seg_K, n_nodes,
                  reasons, n_accepted, n_rejected, nfev):
         self.manifold = m
         self.n_orbits = len(reasons)
         self.direction = np.sign(t_final - t_start)
+        self._rhs = rhs
         self._t_start = t_start
         self._node_t = node_t
         self._node_y = node_y
         self._node_drift = node_drift
         self._seg_h = seg_h
-        self._seg_Q = seg_Q
+        self._seg_K = seg_K
+        self._seg_F: Optional[np.ndarray] = None
+        self._seg_failed: Optional[np.ndarray] = None
         self._node_off = np.concatenate([[0], np.cumsum(n_nodes)])
         self.reasons = tuple(reasons)
         self.n_accepted = n_accepted
@@ -197,6 +286,36 @@ class GeodesicTrajectory:
         """Each orbit's last accepted state, carried integral included."""
         return self._node_y[self._node_off[1:] - 1]
 
+    def _dense(self) -> np.ndarray:
+        """The interpolant coefficients F (7, S, d) of every segment, formed
+        on the first call: the extension's three extra stages for the
+        segments of all orbits together, one stacked right-hand-side call
+        each, then F as in dop853's dense output.  An empty segment's F is
+        zero; a segment whose extra stage raised is marked failed."""
+        if self._seg_F is None:
+            K, S = self._seg_K, len(self._seg_h)
+            step = np.ones(S, dtype=bool)
+            step[self._node_off[1:] - 1] = False
+            seg = np.flatnonzero(step)
+            Kx = np.concatenate([K[:, seg], np.empty((3, len(seg), K.shape[2]))])
+            h = self._seg_h[seg][:, None]
+            y0 = self._node_y[seg]
+            failed = np.zeros(len(seg), dtype=bool)
+            for s in range(13, 16):
+                Kx[s], bad = _evaluate(self._rhs, y0 + h * _wsum(A[s, :s], Kx))
+                failed |= bad
+            dy = self._node_y[seg + 1] - y0
+            F = np.zeros((7, S, K.shape[2]))
+            F[0, seg] = dy
+            F[1, seg] = h * Kx[0] - dy
+            F[2, seg] = 2 * dy - h * (Kx[12] + Kx[0])
+            for i in range(4):
+                F[3 + i, seg] = h * _wsum(D[i], Kx)
+            self._seg_failed = np.zeros(S, dtype=bool)
+            self._seg_failed[seg[failed]] = True
+            self._seg_F, self._seg_K = F, None
+        return self._seg_F
+
     def _nodes(self, rows: np.ndarray, t: np.ndarray) -> np.ndarray:
         """The node (R, k) of each orbit ``rows`` whose step holds each time
         t (R, k): np.searchsorted(ends, d * t) on the orbit's step ends
@@ -230,11 +349,18 @@ class GeodesicTrajectory:
                 f"time {t[r][out[r]][0]} outside reached span [{lo[r, 0]}, {hi[r, 0]}]"
                 + (f" (truncated: {reason})" if reason is not None else ""))
         node = self._nodes(rows, t)
-        h = self._seg_h[node]
-        x = ((t - self._node_t[node]) / h)[..., None]
-        Q = self._seg_Q
-        poly = x * (Q[0][node] + x * (Q[1][node] + x * (Q[2][node] + x * Q[3][node])))
-        return self._node_y[node] + h[..., None] * poly
+        F = self._dense()
+        failed = self._seg_failed[node]
+        if failed.any():
+            raise TruncatedTrajectoryError(
+                f"continuous extension at time {t[failed][0]} failed (rhs_failure)")
+        x = ((t - self._node_t[node]) / self._seg_h[node])[..., None]
+        # dop853's nested form x (F0 + (1 - x)(F1 + x (F2 + ... + x F6))),
+        # gathering one coefficient at a time
+        y = F[6][node] * x
+        for j in range(5, -1, -1):
+            y = (y + F[j][node]) * (x if j % 2 == 0 else 1 - x)
+        return self._node_y[node] + y
 
     def y_at(self, t) -> np.ndarray:
         """Full states at time t, from the continuous extension: (N, d) for
@@ -254,52 +380,31 @@ def _rms(z: np.ndarray) -> np.ndarray:
     return np.linalg.norm(z, axis=1) / z.shape[1] ** 0.5
 
 
-def _contract(G: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Gamma(a, b)^k = Gamma^k_ij a^i b^j on stacks, as one flattened
-    (n, n*n) product per row.  Keep this summation order: round trips on the
-    hyperbolic chart sit at the rounding floor, so another order moves
-    them."""
-    M, n = a.shape
-    return (G.reshape(M, n, n * n) @ (a[:, :, None] * b[:, None, :]).reshape(M, n * n, 1))[..., 0]
-
-
 def _geodesic_rhs(m: ChartedManifold, integrand) -> Callable:
-    """Right-hand side on a stack of states (M, 2n + q): one Christoffel
-    call gives both the spray -Gamma(v, v) and, for a carried pairing rate,
-    Gamma(v, X)."""
+    """Right-hand side on a stack of states (M, 2n + q).  The spray is
+    -Gamma(v, v); a carried vector field X has the pairing rate
+    g(nabla_v X, v) = g(J v + Gamma(v, X), v), with both connection terms
+    from one ``connection`` call; any other integrand is h(x, v)."""
     n = m.dim
 
     def rhs(Y):
         X, V = Y[:, :n], Y[:, n:2 * n]
-        G = christoffel(m, X)
         F = np.empty_like(Y)
         F[:, :n] = V
-        F[:, n:2 * n] = -_contract(G, V, V)
-        if integrand is not None:
-            F[:, 2 * n] = integrand(X, V, G)
+        if isinstance(integrand, VectorFieldDef):
+            spray, along = connection(m, X, V, V, _components(integrand, X))
+            W = (_field_jacobian(integrand, m, X) @ V[..., None])[..., 0] + along
+            F[:, 2 * n] = inner(m, X, W, V)
+        else:
+            (spray,) = connection(m, X, V, V)
+            if integrand is not None:
+                F[:, 2 * n] = integrand(X, V)
+        F[:, n:2 * n] = -spray
         return F
     return rhs
 
 
-class _PairingRate:
-    """g(nabla_v X, v) = g(J v + Gamma(v, X), v) from the spray's Gamma.
-
-    ``Vg`` keeps the rows v @ g of the last call, so the speed-drift record
-    at an accepted node reuses the metric of the step's last stage.
-    """
-
-    def __init__(self, field: VectorFieldDef, m: ChartedManifold):
-        self.field, self.m = field, m
-        self.Vg: Optional[np.ndarray] = None
-
-    def __call__(self, X, V, G):
-        W = (_field_jacobian(self.field, self.m, X) @ V[..., None])[..., 0] + _contract(
-            G, V, _components(self.field, X))
-        self.Vg = V[:, None, :] @ self.m.metric(X)
-        return (self.Vg @ W[..., None])[:, 0, 0]
-
-
-def _no_integrand(X, V, G):
+def _no_integrand(X, V):
     """The carried column's slope where no result reads it."""
     return 0.0
 
@@ -320,42 +425,53 @@ def _evaluate(rhs: Callable, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return F, bad
 
 
-def _drift(m: ChartedManifold, Y: np.ndarray, Vg: Optional[np.ndarray] = None) -> np.ndarray:
-    """|g(v, v) - 1| per row, from the rows v @ g when already formed."""
+def _drift(m: ChartedManifold, Y: np.ndarray) -> np.ndarray:
+    """|g(v, v) - 1| per row, with the metric matrix even where the
+    manifold has a closed-form ``inner``: the drift then also sees the
+    round-off of the chart's own matrix, which is what flags a hyperbolic
+    orbit whose coordinates grew until that matrix is numerically
+    singular."""
     n = m.dim
     V = Y[:, n:2 * n]
-    if Vg is None:
-        Vg = V[:, None, :] @ m.metric(Y[:, :n])
-    return np.abs((Vg @ V[:, :, None])[:, 0, 0] - 1.0)
+    return np.abs((V[:, None, :] @ m.metric(Y[:, :n]) @ V[:, :, None])[:, 0, 0] - 1.0)
 
 
-def _initial_step(rhs, Y, F, t_span, direction, nx):
-    """The standard starting step (HNW II.4) per row, from the first nx
-    components (so ``rhs`` need not carry the integral); and the rows where
-    its trial right-hand side failed."""
-    scale = ATOL + np.abs(Y[:, :nx]) * RTOL
-    d0 = _rms(Y[:, :nx] / scale)
-    d1 = _rms(F[:, :nx] / scale)
+def _initial_step(rhs, Y, F, t_span, direction):
+    """The standard starting step (HNW II.4) per row over every column, and
+    the rows where its trial right-hand side failed."""
+    scale = ATOL + np.abs(Y) * RTOL
+    d0 = _rms(Y / scale)
+    d1 = _rms(F / scale)
     with np.errstate(divide="ignore", invalid="ignore"):
         h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
         h0 = np.minimum(h0, t_span)
         F1, bad = _evaluate(rhs, Y + (h0 * direction)[:, None] * F)
-        d2 = _rms((F1[:, :nx] - F[:, :nx]) / scale) / h0
+        d2 = _rms((F1 - F) / scale) / h0
         h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15), np.maximum(1e-6, h0 * 1e-3),
-                      (0.01 / np.maximum(d1, d2)) ** (1.0 / 5.0))
+                      (0.01 / np.maximum(d1, d2)) ** -ERROR_EXPONENT)
     return np.minimum(np.minimum(100 * h0, h1), t_span), bad
 
 
-def _dormand_prince(m: ChartedManifold, Y0: np.ndarray, t0: np.ndarray,
-                    t_final: np.ndarray, integrand, monitor) -> GeodesicTrajectory:
+def _error_norm(K: np.ndarray, h: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """dop853's error norm per row, the fifth-order estimate damped by the
+    third-order one: |h| e5 / sqrt(d (e5 + e3 / 100)), where e5 and e3 are
+    the squared norms of E5 @ K / scale and E3 @ K / scale; 0 where both
+    vanish, NaN where a stage overflowed."""
+    e5 = np.square(_wsum(E5, K) / scale).sum(axis=1)
+    e3 = np.square(_wsum(E3, K) / scale).sum(axis=1)
+    denom = e5 + 0.01 * e3
+    with np.errstate(divide="ignore", invalid="ignore"):
+        err = np.abs(h) * e5 / np.sqrt(denom * scale.shape[1])
+    return np.where(denom == 0.0, 0.0, err)
+
+
+def _dop853(m: ChartedManifold, Y0: np.ndarray, t0: np.ndarray,
+            t_final: np.ndarray, integrand, monitor) -> GeodesicTrajectory:
     N, d = Y0.shape
     n = m.dim
-    nx = 2 * n
     rhs = _geodesic_rhs(m, integrand)
-    # stage 1 has weight zero in B, E and P, and the starting-step trial
-    # reads only the first nx columns: the carried slope there is never read
-    spray = _geodesic_rhs(m, _no_integrand if integrand is not None else None)
-    rate = integrand if isinstance(integrand, _PairingRate) else None
+    # no weight reads the carried slope of stages 1 to 4, so they skip it
+    spray = _geodesic_rhs(m, _no_integrand) if integrand is not None else rhs
     reasons: list = [None] * N
     n_acc = np.zeros(N, dtype=np.int64)
     n_rej = np.zeros(N, dtype=np.int64)
@@ -363,11 +479,11 @@ def _dormand_prince(m: ChartedManifold, Y0: np.ndarray, t0: np.ndarray,
     # node and segment records, one array per stacked step, in step order
     node_i, node_t, node_y = [np.arange(N)], [t0], [Y0]
     node_drift = [_drift(m, Y0)]
-    seg_h, seg_Q = [], []
+    seg_h, seg_K = [], []
 
     direction = np.sign(t_final - t0)
     F, bad = _evaluate(rhs, Y0)
-    h_abs, bad1 = _initial_step(spray, Y0, F, np.abs(t_final - t0), direction, nx)
+    h_abs, bad1 = _initial_step(rhs, Y0, F, np.abs(t_final - t0), direction)
     for i in np.flatnonzero(bad | bad1):
         reasons[i] = "rhs_failure"
     # the rows still stepping: orbit id, time, state, slope, step size,
@@ -399,26 +515,21 @@ def _dormand_prince(m: ChartedManifold, Y0: np.ndarray, t0: np.ndarray,
             rows = tuple(a[~stop] for a in rows)
             continue
 
-        # the stages, one (M, d) slab each; flat views for the weighted sums
-        K = np.empty((7, M, d))
-        flat = K.reshape(7, M * d)
+        # the thirteen stages, one (M, d) slab each; the last is the slope
+        # at the new state
+        K = np.empty((13, M, d))
         K[0] = f
         bad = np.zeros(M, dtype=bool)
-        for s in range(1, 6):
-            dy = (A[s, :s] @ flat[:s]).reshape(M, d) * h[:, None]
-            K[s], b = _evaluate(spray if s == 1 else rhs, y + dy)
+        for s in range(1, 12):
+            K[s], b = _evaluate(spray if s < 5 else rhs, y + h[:, None] * _wsum(A[s, :s], K))
             bad |= b
-        y_new = y + h[:, None] * (B @ flat[:6]).reshape(M, d)
-        if rate is not None:
-            rate.Vg = None
-        K[6], b = _evaluate(rhs, y_new)
+        y_new = y + h[:, None] * _wsum(B, K)
+        K[12], b = _evaluate(rhs, y_new)
         bad |= b
-        # the last stage's rows v @ g at y_new, unless it was redone row by row
-        Vg = None if rate is None or rate.Vg is None or len(rate.Vg) != M else rate.Vg
-        nfev[ids] += 6
+        nfev[ids] += 12
 
-        scale = ATOL + np.maximum(np.abs(y[:, :nx]), np.abs(y_new[:, :nx])) * RTOL
-        err = _rms(h[:, None] * (E @ flat).reshape(M, d)[:, :nx] / scale)
+        scale = ATOL + np.maximum(np.abs(y), np.abs(y_new)) * RTOL
+        err = _error_norm(K, h, scale)
         # a zero error norm grows the step by MAX_FACTOR; a NaN one (fmax)
         # shrinks it by MIN_FACTOR
         factor = SAFETY * np.maximum(err, 1e-300) ** ERROR_EXPONENT
@@ -436,20 +547,16 @@ def _dormand_prince(m: ChartedManifold, Y0: np.ndarray, t0: np.ndarray,
             sel = slice(None) if acc.size == M else acc
             ia, ya, ta = ids[sel], y_new[sel], t_new[sel]
             seg_h.append(h[sel])
-            seg_Q.append((P.T @ K[:, sel].reshape(7, -1)).reshape(4, acc.size, d))
+            seg_K.append(K[:, sel])
             node_i.append(ia)
             node_t.append(ta)
             node_y.append(ya)
-            t[sel], y[sel], f[sel] = ta, ya, K[6][sel]
+            t[sel], y[sel], f[sel] = ta, ya, K[12][sel]
 
             # after-step checks, in order: domain, drift, monitor
             out = ~np.asarray(m.domain(ya[:, :n])) | ~np.isfinite(ya).all(axis=1)
-            Vga = None if Vg is None else Vg[sel]
-            if out.any():
-                drift = np.full(acc.size, np.nan)
-                drift[~out] = _drift(m, ya[~out], None if Vga is None else Vga[~out])
-            else:
-                drift = _drift(m, ya, Vga)
+            drift = np.full(acc.size, np.nan)
+            drift[~out] = _drift(m, ya[~out])
             node_drift.append(drift)
             over = drift > MAX_SPEED_DRIFT
             stopped = out | over
@@ -468,14 +575,14 @@ def _dormand_prince(m: ChartedManifold, Y0: np.ndarray, t0: np.ndarray,
 
     # an empty segment ends each orbit, so segment k starts at node k
     seg_h.append(np.ones(N))
-    seg_Q.append(np.zeros((4, N, d)))
+    seg_K.append(np.zeros((13, N, d)))
     order = np.argsort(np.concatenate(node_i), kind="stable")
     seg_order = np.argsort(np.concatenate(node_i[1:] + [np.arange(N)]), kind="stable")
     return GeodesicTrajectory(
-        m, t0, t_final,
+        m, rhs, t0, t_final,
         np.concatenate(node_t)[order], np.concatenate(node_y)[order],
         np.concatenate(node_drift)[order], np.concatenate(seg_h)[seg_order],
-        np.concatenate(seg_Q, axis=1)[:, seg_order],
+        np.concatenate(seg_K, axis=1)[:, seg_order],
         np.bincount(np.concatenate(node_i), minlength=N),
         reasons, n_acc, n_rej, nfev)
 
@@ -496,7 +603,8 @@ def integrate_geodesic(m: ChartedManifold, states, t_final, t_start=0.0,
                        ) -> GeodesicTrajectory:
     """Integrate the geodesic system x'' + Gamma(x)(x', x') = 0 for a stack
     of states (N, 2n), each from its ``t_start`` to its ``t_final`` (scalars,
-    or one per orbit; each orbit runs in its own time direction).
+    or one per orbit; each orbit runs in its own time direction), with DOP853
+    at RTOL and ATOL on every state column.
 
     An orbit is truncated (flagged, not raised) for one of six reasons:
     "step_limit" after MAX_STEPS accepted steps; "step_underflow" when a step
@@ -507,9 +615,11 @@ def integrate_geodesic(m: ChartedManifold, states, t_final, t_start=0.0,
     stack) and states of each stacked step's accepted rows, and a true entry
     stops that orbit.  ``integrand`` is carried as an extra state
     component from 0 at ``t_start``: h(x, v) on stacks, or a vector field for
-    its pairing rate g(nabla_v X, v).  Steps end where the controller puts
+    its pairing rate g(nabla_v X, v).  It sits in the error norm like the
+    state, so it shapes the steps.  Steps end where the controller puts
     them (the last one is cut to ``t_final``); read the orbits at other times
-    through ``y_at``.
+    through ``y_at``, whose first call forms the continuous extension.
+    ``stats.nfev`` counts the stepping's evaluations only.
     """
     S = _states(m, states)
     N = len(S)
@@ -519,15 +629,8 @@ def integrate_geodesic(m: ChartedManifold, states, t_final, t_start=0.0,
         raise ValueError("t_final must be finite")
     if np.any(t1 == t0):
         raise ValueError("empty time span")
-    if isinstance(integrand, VectorFieldDef):
-        h = _PairingRate(integrand, m)
-    elif integrand is not None:
-        def h(X, V, G):
-            return integrand(X, V)
-    else:
-        h = None
-    Y0 = np.hstack([S] + ([np.zeros((N, 1))] if h is not None else []))
-    return _dormand_prince(m, Y0, t0, t1, h, monitor)
+    Y0 = np.hstack([S] + ([np.zeros((N, 1))] if integrand is not None else []))
+    return _dop853(m, Y0, t0, t1, integrand, monitor)
 
 
 def _whole(traj: GeodesicTrajectory) -> GeodesicTrajectory:

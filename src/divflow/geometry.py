@@ -3,8 +3,9 @@ divergence.
 
 Everything here is a pure function of explicit chart data.  A manifold is
 one almost-everywhere chart (a metric evaluator on a coordinate domain) plus
-optional closed forms (Christoffel symbols, a radial distance surrogate, an
-analytic geodesic) that downstream modules use as oracles or fast paths.
+optional closed forms (Christoffel symbols, the metric and the connection as
+bilinear forms, a radial distance surrogate, an analytic geodesic) that
+downstream modules use as oracles or fast paths.
 
 Stack convention: functions of a point take x of shape (n,) or (N, n), as
 do the chart and field closures and the potential operators
@@ -35,6 +36,8 @@ __all__ = [
     "inverse_metric_at",
     "volume_density",
     "christoffel",
+    "inner",
+    "connection",
     "orthonormal_frame",
     "covariant_derivative",
     "divergence",
@@ -75,6 +78,17 @@ class ChartedManifold:
     Optional fields:
       christoffel      closed-form symbols, x -> (..., n, n, n) array G[k, i, j];
                        without it ``christoffel`` differences the metric
+      inner            closed-form g(a, b), (x, a, b) -> (...,) for stacks of
+                       points and vectors (..., n); without it ``inner``
+                       contracts the metric matrix
+      connection       closed-form Gamma(a, b)^k = Gamma^k_ij a^i b^j,
+                       (x, a, b) -> (..., n); without it ``connection``
+                       contracts the Christoffel symbols.  These two serve
+                       charts whose matrices lose digits: on the hyperboloid
+                       graph chart g = I - x x^T / (1 + |x|^2) cancels to
+                       about |x|^2 eps, and the closed forms do not.  The
+                       geodesic right-hand side uses them; the speed-drift
+                       record still reads the metric matrix (see ``flow``)
       radius           radial distance surrogate r(x) >= 0 (distance from
                        a fixed point, or a quantity comparable to it)
       geodesic         analytic flow oracle (x0, v0, t) -> (x, v)
@@ -96,6 +110,8 @@ class ChartedManifold:
     domain: Callable[[np.ndarray], bool] = _always
     periods: tuple[Optional[float], ...] = ()
     christoffel: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    inner: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]] = None
+    connection: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]] = None
     radius: Optional[Callable[[np.ndarray], float]] = None
     geodesic: Optional[Callable[[np.ndarray, np.ndarray, float], tuple]] = None
     shell: Optional[Callable[[float, float], tuple]] = None
@@ -248,6 +264,33 @@ def christoffel(m: ChartedManifold, x) -> np.ndarray:
     # Gamma_{l ij} = (d_i g_jl + d_j g_il - d_l g_ij) / 2
     first = 0.5 * (np.einsum("...ijl->...lij", dg) + np.einsum("...jil->...lij", dg) - dg)
     return np.einsum("...kl,...lij->...kij", ginv, first)
+
+
+def inner(m: ChartedManifold, x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """g(a, b) at the points x for vectors a, b, all (N, n): the manifold's
+    closed form, else a @ g @ b with the metric matrix.  Neither validates
+    g (the orbit right-hand side calls this at every stage); ``metric_at``
+    does."""
+    if m.inner is not None:
+        return m.inner(x, a, b)
+    return (a[..., None, :] @ m.metric(x) @ b[..., :, None])[..., 0, 0]
+
+
+def _contract(G: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Gamma(a, b)^k = Gamma^k_ij a^i b^j on stacks, as one flattened
+    (n, n*n) product per row."""
+    M, n = a.shape
+    return (G.reshape(M, n, n * n) @ (a[:, :, None] * b[:, None, :]).reshape(M, n * n, 1))[..., 0]
+
+
+def connection(m: ChartedManifold, x: np.ndarray, a: np.ndarray, *b: np.ndarray) -> tuple:
+    """Gamma(a, b_i) at the points x for each vector stack b_i, all (N, n),
+    as a tuple: the manifold's closed form, else contractions of the
+    Christoffel symbols, formed once for every b_i."""
+    if m.connection is not None:
+        return tuple(m.connection(x, a, bi) for bi in b)
+    G = christoffel(m, x)
+    return tuple(_contract(G, a, bi) for bi in b)
 
 
 def _components(field: VectorFieldDef, x: np.ndarray) -> np.ndarray:

@@ -350,12 +350,27 @@ def _h2_christoffel(x):
     return -x[..., :, None, None] * _h2_metric(x)[..., None, :, :]
 
 
+def _h2_inner(x, a, b):
+    # g(a, b) = a.b - (x.a)(x.b) / (1 + |x|^2), with Lagrange's identity
+    # |x|^2 a.b - (x.a)(x.b) = (x0 a1 - x1 a0)(x0 b1 - x1 b0) taking the
+    # cancellation out: the matrix form loses about |x|^2 eps
+    x0, x1 = x[..., 0], x[..., 1]
+    cross = (x0 * a[..., 1] - x1 * a[..., 0]) * (x0 * b[..., 1] - x1 * b[..., 0])
+    return (a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + cross) / (1.0 + x0 * x0 + x1 * x1)
+
+
+def _h2_connection(x, a, b):
+    # Gamma(a, b) = -x g(a, b)
+    return -x * _h2_inner(x, a, b)[..., None]
+
+
 def make_hyperbolic_plane() -> ChartedManifold:
     """Hyperbolic plane as the graph chart (x, y) -> (x, y, sqrt(1+x^2+y^2))
     of the upper hyperboloid sheet, metric pulled back from the Lorentz form.
 
-    Carries the analytic geodesic gamma(t) = cosh(t) P + sinh(t) V, and as
-    radius surrogate the exact distance from the apex, arccosh(z).
+    Carries the analytic geodesic gamma(t) = cosh(t) P + sinh(t) V, as
+    radius surrogate the exact distance from the apex, arccosh(z), and g and
+    the connection as closed bilinear forms.
     """
 
     def geodesic(x0, v0, t):
@@ -383,6 +398,8 @@ def make_hyperbolic_plane() -> ChartedManifold:
         dim=2,
         metric=_h2_metric,
         christoffel=_h2_christoffel,
+        inner=_h2_inner,
+        connection=_h2_connection,
         radius=radius,
         geodesic=geodesic,
         shell=shell,

@@ -266,11 +266,23 @@ def test_liouville_draws_reach_every_cap(action, manifold, cap, capsys):
     # caps where a rejection envelope from a probe grid fell below the density
     argv = ["diagnose", action, "--manifold", manifold, "--param", f"radius_cap={cap}",
             "--param", "n=2"] + (["--param", "t_max=5"] if action == "recurrence" else [])
-    with np.errstate(over="ignore"):   # cosh(400)^2 overflows: density 0 there
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         assert cli.main(argv) == 0
     report = json.loads(capsys.readouterr().out)
     assert "error" not in report
     assert report["passed"] is True
+
+
+def test_path_integral_on_the_flat_torus_bounds_the_carried_integral(capsys):
+    # Gamma = 0, so the spray's own error estimate vanishes: only the
+    # carried rate in the error norm keeps the steps from growing tenfold
+    argv = ["verify", "path-integral", "--manifold", "torus", "--field", "torus:wave",
+            "--param", "T=1", "--param", "n_orbits=2"]
+    assert cli.main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["passed"] is True
+    assert report["results"]["max_residual"] < 1e-9
 
 
 @pytest.mark.parametrize("cap", [400, 800])

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
+from scipy.integrate import quad
 
 from divflow import runner, zoo
 from divflow.diagnostics import (
@@ -276,14 +278,36 @@ def test_hopf_values_match_birkhoff_integrals(hyperbolic, rng):
 def test_hopf_inconclusive_on_truncation(ex2):
     st = unit_states(ex2, [2.0, 1.0, 1.0], [-1.0, 0.0, 0.0])
     horizons = [1.0, 2.0, 4.0, 8.0, 16.0]
-    (t_end,) = integrate_geodesic(ex2, st, horizons[-1]).t_end
+    f0 = lambda x: 1.0
+    # the run the probe makes: its carried integral shapes the steps
+    (t_end,) = integrate_geodesic(ex2, st, horizons[-1], integrand=lambda x, v: f0(x)).t_end
     assert t_end < horizons[-1]
-    (probe,) = hopf_probe(ex2, st, f0=lambda x: 1.0, horizons=horizons)
+    (probe,) = hopf_probe(ex2, st, f0=f0, horizons=horizons)
     assert probe.truncated
     assert probe.label == "inconclusive"
     # the probe keeps exactly the horizons the orbit reached
     assert probe.horizons == tuple(T for T in horizons if T <= t_end)
     assert probe.values == pytest.approx(probe.horizons, rel=1e-12)
+
+
+def test_hopf_hyperbolic_orbits_match_the_analytic_geodesic(hyperbolic):
+    # hopf-hyperbolic's twelve draws: the run hopf_probe makes, against the
+    # closed-form geodesic and quad's integral of the observable along it
+    states = sample_liouville(hyperbolic, 12, np.random.default_rng(27), radius_cap=0.75)
+    f0 = default_observable(hyperbolic)
+    horizons = np.geomspace(1.0, 12.0, 9)
+    traj = integrate_geodesic(hyperbolic, states, 12.0, integrand=lambda x, v: f0(x))
+    assert traj.truncated == 0
+    I = traj.y_at(np.broadcast_to(horizons, (12, 9)))[..., -1]
+    for st, y, I_orbit in zip(states, traj.y_end, I):
+        def along(t):
+            return float(f0(hyperbolic.geodesic(st[:2], st[2:], t)[0]))
+
+        x_end = hyperbolic.geodesic(st[:2], st[2:], 12.0)[0]
+        assert np.linalg.norm(y[:2] - x_end) <= 1e-8 * np.linalg.norm(x_end)
+        pieces = [quad(along, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                  for a, b in zip(np.r_[0.0, horizons[:-1]], horizons)]
+        assert_allclose(I_orbit, np.cumsum(pieces), rtol=1e-8)
 
 
 def test_default_observable_integrable_choice(hyperbolic, torus):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.integrate import solve_ivp
 
 from divflow import flow, zoo
 from divflow.diagnostics import hopf_probe
@@ -16,7 +17,7 @@ from divflow.flow import (
     path_integral_identity_residual,
     proxy_distance,
 )
-from divflow.geometry import VectorFieldDef
+from divflow.geometry import DomainError, VectorFieldDef, christoffel
 from divflow.integrals import sample_states
 from oracles import endpoint_bound_check, pairing_rates, state_at, unit_states
 
@@ -231,26 +232,87 @@ def test_stacked_orbits_step_as_they_do_alone(ex2, rng):
         assert (stack.n_accepted[i], stack.n_rejected[i], stack.nfev[i]) == (
             one.stats.n_accepted, one.stats.n_rejected_est, one.stats.nfev)
         assert stack.reasons[i] == one.truncation_reason
-        assert_allclose(stack.y_end[i], one.y_end[0], rtol=1e-13,
-                        atol=1e-13 * np.abs(one.y_end).max())
+        assert np.array_equal(stack.y_end[i], one.y_end[0])
+
+
+def _solve_ivp_counts(m, states, T, field=None):
+    """Accepted and rejected steps and evaluations that scipy's DOP853 takes
+    on each state (the pairing-rate column of ``field`` appended), summed."""
+    n = m.dim
+
+    def fun(t, y):
+        x, v = y[None, :n], y[n:2 * n]
+        G = christoffel(m, x)[0]
+        slope = [v, -np.einsum("kij,i,j->k", G, v, v)]
+        if field is not None:
+            slope.append(pairing_rates(field, m, x, v[None, None])[0])
+        return np.concatenate(slope)
+
+    acc = rej = nfev = 0
+    for st in states:
+        y0 = st if field is None else np.append(st, 0.0)
+        sol = solve_ivp(fun, (0.0, T), y0, method="DOP853", rtol=flow.RTOL, atol=flow.ATOL)
+        assert sol.status == 0
+        n_acc = len(sol.t) - 1
+        # two evaluations start the run and every attempt takes twelve
+        acc, rej, nfev = acc + n_acc, rej + (sol.nfev - 2) // 12 - n_acc, nfev + sol.nfev
+    return acc, rej, nfev
 
 
 def test_controller_takes_the_standard_steps(ex4):
-    # Dormand-Prince 5(4) with the standard controller at RTOL/ATOL takes
-    # exactly these steps on path-ex4's orbits; the carried integral, kept
-    # out of the error norm, changes none of them
+    # DOP853 with the standard controller at RTOL/ATOL takes on path-ex4's
+    # orbits exactly the steps scipy's DOP853 takes; a carried rate sits in
+    # the error norm, so scipy carries it too
     Z = zoo.vector_field("warp:ex4:Z")
     states = sample_states(ex4, 10, np.random.default_rng(30))
     for integrand in (Z, None):
         traj = integrate_geodesic(ex4, states, 10.0, integrand=integrand)
         stats = traj.stats
-        assert (stats.n_accepted, stats.n_rejected_est, stats.nfev) == (3600, 185, 22730)
-        # a carried rate hands its last stage's v @ g to the drift record,
-        # which must read as if the metric were evaluated again
+        assert (stats.n_accepted, stats.n_rejected_est, stats.nfev) == _solve_ivp_counts(
+            ex4, states, 10.0, integrand)
+        # the drift record reads the metric matrix at every node
         Y = np.concatenate(traj.states)
         X, V = Y[:, :3], Y[:, 3:]
         drift = np.abs((V[:, None, :] @ ex4.metric(X) @ V[:, :, None])[:, 0, 0] - 1.0)
         assert np.array_equal(np.concatenate(traj.speed_drift), drift)
+
+
+def test_path_run_evaluates_the_rhs_nfev_times(ex4):
+    # every stepping evaluation passes through the symbols once, and a path
+    # run reads end states only, so it never forms the extension's stages
+    rows = []
+
+    def counted(x):
+        rows.append(len(x))
+        return ex4.christoffel(x)
+
+    m = dataclasses.replace(ex4, christoffel=counted)
+    states = sample_states(ex4, 4, np.random.default_rng(30))
+    traj = integrate_geodesic(m, states, 3.0, integrand=zoo.vector_field("warp:ex4:Z"))
+    assert traj.truncated == 0
+    assert sum(rows) == traj.stats.nfev
+    path_integral_identity_residual(zoo.vector_field("warp:ex4:Z"), m, states, 3.0)
+    assert sum(rows) == 2 * traj.stats.nfev
+
+
+def test_failed_extension_stage_truncates_reads_in_its_segment(ex4):
+    # the symbols raise, once armed, beyond x0 = 1.5: the extension is formed
+    # after the run, and only the segments whose extra stages cross it fail
+    armed = []
+
+    def symbols(x):
+        if armed and np.any(x[..., 0] > 1.5):
+            raise DomainError("armed")
+        return ex4.christoffel(x)
+
+    m = dataclasses.replace(ex4, christoffel=symbols)
+    st = unit_states(ex4, [1.0, 0.0, 0.0], [1.0, 0.0, 0.0], normalize=True)
+    traj = integrate_geodesic(m, st, 2.0)
+    assert traj.reasons == (None,) and traj.y_end[0, 0] > 1.6
+    armed.append(True)
+    assert state_at(traj, 0.1)[0, 0] < 1.5
+    with pytest.raises(TruncatedTrajectoryError, match="rhs_failure"):
+        state_at(traj, 2.0)
 
 
 def test_extend_finds_the_nodes_a_per_orbit_search_finds(ex2, rng):
@@ -270,11 +332,12 @@ def test_extend_finds_the_nodes_a_per_orbit_search_finds(ex2, rng):
         d = traj.direction[i]
         node = a + np.minimum(np.searchsorted(d * node_t[a + 1:b], d * t[r]), b - a - 2)
         # segment k of an orbit starts at its node k
-        h = traj._seg_h[node]
-        x = ((t[r] - node_t[node]) / h)[:, None]
-        Q = traj._seg_Q
-        poly = x * (Q[0][node] + x * (Q[1][node] + x * (Q[2][node] + x * Q[3][node])))
-        ref[r] = traj._node_y[node] + h[:, None] * poly
+        x = ((t[r] - node_t[node]) / traj._seg_h[node])[:, None]
+        F = traj._dense()[:, node]
+        y = F[6] * x
+        for j in range(5, -1, -1):
+            y = (y + F[j]) * (x if j % 2 == 0 else 1 - x)
+        ref[r] = traj._node_y[node] + y
     assert np.array_equal(traj._extend(rows, t), ref)
 
 
@@ -330,21 +393,22 @@ def test_step_underflow_truncates(ex2):
 
 def test_rhs_failure_truncates_only_its_orbit(ex2):
     # without closed-form symbols the Christoffel differences reach r <= 0
-    # and raise; the stack is then redone row by row, so the other orbit
-    # steps on as it does alone (finite-difference symbols amplify the
-    # round-off of the stacked stage sums, hence the 1e-12)
+    # (r = 1 - t on the inward orbit) and raise; the stack is then redone
+    # row by row, so each orbit steps on as it does alone
     fd = dataclasses.replace(ex2, christoffel=None)
     states = np.vstack([unit_states(ex2, [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]),
                         unit_states(ex2, [2.0, 0.5, 0.5], [0.0, 1.0, 0.0], normalize=True)])
     stack = integrate_geodesic(fd, states, 3.0)
     assert stack.reasons == ("rhs_failure", None)
-    assert stack.t_end[0] == pytest.approx(0.838, abs=1e-3)
+    assert 0.0 < stack.t_end[0] < 1.0
     assert stack.t_end[1] == 3.0
-    one = integrate_geodesic(fd, states[1:], 3.0)
-    assert (stack.n_accepted[1], stack.n_rejected[1], stack.nfev[1]) == (
-        one.n_accepted[0], one.n_rejected[0], one.nfev[0])
-    assert_allclose(stack.y_end[1], one.y_end[0], rtol=1e-12,
-                    atol=1e-12 * np.abs(one.y_end).max())
+    for i in range(2):
+        one = integrate_geodesic(fd, states[i:i + 1], 3.0)
+        assert one.reasons == stack.reasons[i:i + 1]
+        assert (stack.n_accepted[i], stack.n_rejected[i], stack.nfev[i]) == (
+            one.n_accepted[0], one.n_rejected[0], one.nfev[0])
+        assert stack.t_end[i] == one.t_end[0]
+        assert np.array_equal(stack.y_end[i], one.y_end[0])
 
 
 # ---------------------------------------------------------------------------
@@ -353,12 +417,13 @@ def test_rhs_failure_truncates_only_its_orbit(ex2):
 
 def test_first_return_rational_slope(torus):
     st = unit_states(torus, [0.25, 0.6], [0.6, 0.8])
-    (res,) = first_return(torus, st, eps=0.05, t_min=1.0, t_max=100.0)
+    (res,) = first_return(torus, st, eps=0.045, t_min=1.0, t_max=100.0)
     assert res.event is not None
     # direction (3,4)/5 on the unit torus returns exactly at t = 5 with gauge
-    # |t - 5| nearby, so it enters the 0.05 ball at t = 4.95: the event is
-    # the first return-grid point (step 0.0125) at or after that
-    assert 4.95 - 1e-9 <= res.event.t_star < 4.95 + 0.0125
+    # |t - 5| nearby, so it enters the 0.045 ball at t = 4.955, between the
+    # points of the return grid (step 100 / 8889): the event is the first
+    # grid point after that
+    assert 4.955 < res.event.t_star < 4.955 + 100 / 8889
     assert res.event.distance <= res.event.epsilon
     assert res.event.distance == pytest.approx(5.0 - res.event.t_star, abs=1e-9)
 

@@ -84,6 +84,12 @@ def test_manifold_closures_stack_exactly(mid, rng):
         fn = getattr(m, name)
         if fn is not None:
             _assert_exact(fn, pts, (mid, name))
+    n = m.dim
+    for name in ("inner", "connection"):
+        fn = getattr(m, name)
+        if fn is not None:
+            xab = np.hstack([pts, rng.standard_normal((N, 2 * n))])
+            _assert_exact(lambda y: fn(y[..., :n], y[..., n:2 * n], y[..., 2 * n:]), xab, (mid, name))
     if m.shell is not None:
         for r_lo, r_hi in ((0.0, 1.5), (1.5, 6.0)):
             for patch in m.shell(r_lo, r_hi):
