@@ -16,10 +16,13 @@ Usage:
 The relative change of two numbers a, b is |a - b| / max(|a|, |b|), so a
 field that moves off zero reads 1.  Exit status 0 when only numeric values
 changed, 1 on a non-numeric difference or a flipped check, 2 on bad usage.
+A reader that closes the pipe early (``report_diff.py OLD NEW | head``) ends
+it quietly, with status 141, as a shell reports a filter ended by SIGPIPE.
 """
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -111,4 +114,12 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        status = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # nothing more can be written; point stdout at devnull so that the
+        # interpreter's own flush at exit does not complain either
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 141
+    sys.exit(status)

@@ -8,15 +8,19 @@ q = 0 or 1 line integral carried as an extra component.  Each orbit keeps
 its own step size, its own accept/reject decisions and its own truncation
 reason.  Every weighted stage sum is formed per element in one order, so an
 orbit's result does not depend on the stack it rides in, bit for bit; one
-orbit is a stack of one.  The step control is the standard one (HNW II.4)
-at RTOL/ATOL over every column, the carried integral included: the 5(3)
-error norm, safety factor 0.9, step factors within [0.2, 10], exponent -1/8
-and no growth on a step that was just rejected.  An orbit is read between
-its nodes through the seventh-degree continuous extension (HNW II.6), whose
-three extra stages are formed on the first such read, for every step of the
-trajectory at once: ``first_return`` scans its return grid on it, and
-``diagnostics.hopf_probe`` reads the carried integral at its horizons,
-while the path kinds read end states only and never form it.
+orbit is a stack of one.  No slope reads the carried column, so a step's
+twelve stages run on the geodesic spray alone and the carried column's
+slopes of stages 5 to 12 follow in one call on the stack of those eight
+stage states; the first four have weight zero in the solution, the error
+estimates and the extension.  The step control is the standard one
+(HNW II.4) at RTOL/ATOL over every column, the carried integral included:
+the 5(3) error norm, safety factor 0.9, step factors within [0.2, 10],
+exponent -1/8 and no growth on a step that was just rejected.  An orbit is
+read between its nodes through the seventh-degree continuous extension
+(HNW II.6), whose three extra stages are formed on the first such read, for
+every step of the trajectory at once: ``first_return`` scans its return
+grid on it, and ``diagnostics.hopf_probe`` reads the carried integral at its
+horizons, while the path kinds read end states only and never form it.
 
 An orbit stops short of ``t_final`` with a flagged reason instead of a
 hang.  Before each attempt: "step_limit" after MAX_STEPS accepted steps, and
@@ -204,17 +208,21 @@ class GeodesicTrajectory:
     "rhs_failure" or "monitor".  Segment k of an orbit, the continuous
     extension of its step from node k, starts at node k; the last node's
     segment is empty.  The extension's three extra stages are formed for
-    every segment at once on the first read between nodes (``y_at``); a read
-    in a segment whose extra stage raised is a TruncatedTrajectoryError
-    naming "rhs_failure".  Over the whole stack:
+    every segment at once on the first read between nodes (``y_at``): one
+    spray call per stage, then one carried-slope call on the three stages'
+    states of every segment.  A read in a segment whose extra stage raised
+    is a TruncatedTrajectoryError naming "rhs_failure".  Over the whole
+    stack:
 
       truncated          the number of truncated orbits
       truncation_reason  the first truncated orbit's reason, else None
       stats              accepted and rejected steps and right-hand-side
                          evaluations of the stepping, summed over the orbits
                          (per orbit in ``n_accepted``, ``n_rejected`` and
-                         ``nfev``); the extension's three evaluations per
-                         segment are not counted
+                         ``nfev``): two to start and twelve stage states per
+                         attempt, however their carried slopes are stacked;
+                         the extension's three evaluations per segment are
+                         not counted
       max_speed_drift    the largest |g(v, v) - 1| over the accepted nodes of
                          every orbit
 
@@ -225,13 +233,13 @@ class GeodesicTrajectory:
     too.
     """
 
-    def __init__(self, m: ChartedManifold, rhs: Callable, t_start, t_final,
+    def __init__(self, m: ChartedManifold, stages: Callable, t_start, t_final,
                  node_t, node_y, node_drift, seg_h, seg_K, n_nodes,
                  reasons, n_accepted, n_rejected, nfev):
         self.manifold = m
         self.n_orbits = len(reasons)
         self.direction = np.sign(t_final - t_start)
-        self._rhs = rhs
+        self._stages = stages
         self._t_start = t_start
         self._node_t = node_t
         self._node_y = node_y
@@ -289,9 +297,9 @@ class GeodesicTrajectory:
     def _dense(self) -> np.ndarray:
         """The interpolant coefficients F (7, S, d) of every segment, formed
         on the first call: the extension's three extra stages for the
-        segments of all orbits together, one stacked right-hand-side call
-        each, then F as in dop853's dense output.  An empty segment's F is
-        zero; a segment whose extra stage raised is marked failed."""
+        segments of all orbits together (``stages``), then F as in dop853's
+        dense output.  An empty segment's F is zero; a segment whose extra
+        stage raised is marked failed."""
         if self._seg_F is None:
             K, S = self._seg_K, len(self._seg_h)
             step = np.ones(S, dtype=bool)
@@ -300,10 +308,7 @@ class GeodesicTrajectory:
             Kx = np.concatenate([K[:, seg], np.empty((3, len(seg), K.shape[2]))])
             h = self._seg_h[seg][:, None]
             y0 = self._node_y[seg]
-            failed = np.zeros(len(seg), dtype=bool)
-            for s in range(13, 16):
-                Kx[s], bad = _evaluate(self._rhs, y0 + h * _wsum(A[s, :s], Kx))
-                failed |= bad
+            failed = self._stages(Kx, y0, h[:, 0], range(13, 16))
             dy = self._node_y[seg + 1] - y0
             F = np.zeros((7, S, K.shape[2]))
             F[0, seg] = dy
@@ -380,49 +385,107 @@ def _rms(z: np.ndarray) -> np.ndarray:
     return np.linalg.norm(z, axis=1) / z.shape[1] ** 0.5
 
 
-def _geodesic_rhs(m: ChartedManifold, integrand) -> Callable:
-    """Right-hand side on a stack of states (M, 2n + q).  The spray is
-    -Gamma(v, v); a carried vector field X has the pairing rate
-    g(nabla_v X, v) = g(J v + Gamma(v, X), v), with both connection terms
-    from one ``connection`` call; any other integrand is h(x, v)."""
+def _geodesic_rhs(m: ChartedManifold, integrand) -> tuple[Callable, Callable]:
+    """The right-hand side on stacks of states (M, 2n + q), in the two forms
+    the stepper calls.  The position and velocity columns have the slope
+    (v, -Gamma(v, v)), the spray; a carried vector field X has the pairing
+    rate g(nabla_v X, v) = g(J v + Gamma(v, X), v), and any other integrand
+    is h(x, v).  No slope reads the carried column, so a run of stages is
+    formed on the spray alone, and the carried slopes of the stages that
+    need them after it, in one stacked call on their (stages * M) rows.  A
+    stage takes Gamma(v, v) and, for a field from the fifth stage on,
+    Gamma(v, X) from one ``connection`` call; the stacked call forms
+    J v + Gamma(v, X) and g(., v), or h(x, v).
+
+      slope(Y)             the whole slope (M, 2n + q) of states Y, and the
+                           rows on which it failed
+      stages(K, y, h, run) K[s] for each stage s of the range ``run`` of
+                           rows of A, in turn, from the state
+                           y + h sum_j A[s, j] K[j], and the carried slopes
+                           of those past the fourth in one stacked call;
+                           returns the rows on which an evaluation failed.
+                           The carried slopes of the first four stay 0:
+                           their weights in B, E5, E3 and D are zero
+    """
     n = m.dim
+    field = isinstance(integrand, VectorFieldDef)
+    d = 2 * n + (integrand is not None)
+    # a rate row: a state, followed by Gamma(v, X) for a field
+    width = d + n if field else d
 
-    def rhs(Y):
+    def spray(Y, S, G=None):
+        # S <- (v, -Gamma(v, v)) and, for a field, G <- Gamma(v, X)
         X, V = Y[:, :n], Y[:, n:2 * n]
-        F = np.empty_like(Y)
-        F[:, :n] = V
-        if isinstance(integrand, VectorFieldDef):
-            spray, along = connection(m, X, V, V, _components(integrand, X))
-            W = (_field_jacobian(integrand, m, X) @ V[..., None])[..., 0] + along
-            F[:, 2 * n] = inner(m, X, W, V)
+        if G is not None and field:
+            Gvv, G[:] = connection(m, X, V, V, _components(integrand, X))
         else:
-            (spray,) = connection(m, X, V, V)
-            if integrand is not None:
-                F[:, 2 * n] = integrand(X, V)
-        F[:, n:2 * n] = -spray
-        return F
-    return rhs
+            (Gvv,) = connection(m, X, V, V)
+        S[:, :n] = V
+        S[:, n:] = -Gvv
 
+    def rate(Z, r):
+        X, V = Z[:, :n], Z[:, n:2 * n]
+        if field:
+            W = (_field_jacobian(integrand, m, X) @ V[..., None])[..., 0] + Z[:, d:]
+            r[:] = inner(m, X, W, V)
+        else:
+            r[:] = integrand(X, V)
 
-def _no_integrand(X, V):
-    """The carried column's slope where no result reads it."""
-    return 0.0
-
-
-def _evaluate(rhs: Callable, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """rhs on a stack, and the rows on which it raised; those are redone one
-    at a time, so one failing orbit does not stop the others."""
-    try:
-        return rhs(Y), np.zeros(len(Y), dtype=bool)
-    except (DomainError, MetricError):
+    def slope(Y):
         F = np.zeros_like(Y)
+        Z = np.empty((len(Y), width))
+        Z[:, :d] = Y
+        bad = _evaluate(spray, Y, F[:, :2 * n], Z[:, d:])
+        if integrand is not None:
+            bad |= _evaluate(rate, Z, F[:, 2 * n])
+        return F, bad
+
+    def stages(K, y, h, run):
+        M = len(y)
+        # the stage states read the carried slopes of the run before they
+        # are formed; no slope reads that column
+        K[run.start:run.stop, :, 2 * n:] = 0.0
+        rated = range(max(run.start, 5), run.stop) if integrand is not None else range(0)
+        # the rated stages' states are formed in place in their rate rows,
+        # M rows per stage, stored by column: each component the rate reads
+        # is then one contiguous run, where rows stored by state would read
+        # it at a stride of a whole row, past the cache on a large stack
+        Z = np.empty((width, len(rated) * M)).T
+        bad = np.zeros(M, dtype=bool)
+        for s in run:
+            step = h[:, None] * _wsum(A[s, :s], K)
+            if s in rated:
+                row = Z[(s - rated.start) * M:(s - rated.start + 1) * M]
+                Ys = np.add(y, step, out=row[:, :d])
+                bad |= _evaluate(spray, Ys, K[s, :, :2 * n], row[:, d:])
+            else:
+                bad |= _evaluate(spray, y + step, K[s, :, :2 * n])
+        if rated:
+            r = np.empty(len(Z))
+            bad |= _evaluate(rate, Z, r).reshape(len(rated), M).any(axis=0)
+            K[rated.start:rated.stop, :, 2 * n] = r.reshape(len(rated), M)
+        return bad
+    return slope, stages
+
+
+def _evaluate(fn: Callable, Y: np.ndarray, *out: np.ndarray) -> np.ndarray:
+    """fn(Y, *out) on a stack Y, writing its results into the stacks
+    ``out``; returns the rows on which it raised.  Those are redone one at
+    a time, with zeros in their place, so one failing orbit does not stop
+    the others."""
+    try:
+        fn(Y, *out)
+        return np.zeros(len(Y), dtype=bool)
+    except (DomainError, MetricError):
         bad = np.zeros(len(Y), dtype=bool)
         for i in range(len(Y)):
             try:
-                F[i] = rhs(Y[i:i + 1])[0]
+                fn(Y[i:i + 1], *(o[i:i + 1] for o in out))
             except (DomainError, MetricError):
                 bad[i] = True
-        return F, bad
+                for o in out:
+                    o[i] = 0.0
+        return bad
 
 
 def _drift(m: ChartedManifold, Y: np.ndarray) -> np.ndarray:
@@ -436,16 +499,16 @@ def _drift(m: ChartedManifold, Y: np.ndarray) -> np.ndarray:
     return np.abs((V[:, None, :] @ m.metric(Y[:, :n]) @ V[:, :, None])[:, 0, 0] - 1.0)
 
 
-def _initial_step(rhs, Y, F, t_span, direction):
+def _initial_step(slope, Y, F, t_span, direction):
     """The standard starting step (HNW II.4) per row over every column, and
-    the rows where its trial right-hand side failed."""
+    the rows where its trial slope failed."""
     scale = ATOL + np.abs(Y) * RTOL
     d0 = _rms(Y / scale)
     d1 = _rms(F / scale)
     with np.errstate(divide="ignore", invalid="ignore"):
         h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
         h0 = np.minimum(h0, t_span)
-        F1, bad = _evaluate(rhs, Y + (h0 * direction)[:, None] * F)
+        F1, bad = slope(Y + (h0 * direction)[:, None] * F)
         d2 = _rms((F1 - F) / scale) / h0
         h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15), np.maximum(1e-6, h0 * 1e-3),
                       (0.01 / np.maximum(d1, d2)) ** -ERROR_EXPONENT)
@@ -469,9 +532,7 @@ def _dop853(m: ChartedManifold, Y0: np.ndarray, t0: np.ndarray,
             t_final: np.ndarray, integrand, monitor) -> GeodesicTrajectory:
     N, d = Y0.shape
     n = m.dim
-    rhs = _geodesic_rhs(m, integrand)
-    # no weight reads the carried slope of stages 1 to 4, so they skip it
-    spray = _geodesic_rhs(m, _no_integrand) if integrand is not None else rhs
+    slope, stages = _geodesic_rhs(m, integrand)
     reasons: list = [None] * N
     n_acc = np.zeros(N, dtype=np.int64)
     n_rej = np.zeros(N, dtype=np.int64)
@@ -482,8 +543,8 @@ def _dop853(m: ChartedManifold, Y0: np.ndarray, t0: np.ndarray,
     seg_h, seg_K = [], []
 
     direction = np.sign(t_final - t0)
-    F, bad = _evaluate(rhs, Y0)
-    h_abs, bad1 = _initial_step(rhs, Y0, F, np.abs(t_final - t0), direction)
+    F, bad = slope(Y0)
+    h_abs, bad1 = _initial_step(slope, Y0, F, np.abs(t_final - t0), direction)
     for i in np.flatnonzero(bad | bad1):
         reasons[i] = "rhs_failure"
     # the rows still stepping: orbit id, time, state, slope, step size,
@@ -516,16 +577,11 @@ def _dop853(m: ChartedManifold, Y0: np.ndarray, t0: np.ndarray,
             continue
 
         # the thirteen stages, one (M, d) slab each; the last is the slope
-        # at the new state
+        # at the new state (B is row 12 of A)
         K = np.empty((13, M, d))
         K[0] = f
-        bad = np.zeros(M, dtype=bool)
-        for s in range(1, 12):
-            K[s], b = _evaluate(spray if s < 5 else rhs, y + h[:, None] * _wsum(A[s, :s], K))
-            bad |= b
+        bad = stages(K, y, h, range(1, 13))
         y_new = y + h[:, None] * _wsum(B, K)
-        K[12], b = _evaluate(rhs, y_new)
-        bad |= b
         nfev[ids] += 12
 
         scale = ATOL + np.maximum(np.abs(y), np.abs(y_new)) * RTOL
@@ -579,7 +635,7 @@ def _dop853(m: ChartedManifold, Y0: np.ndarray, t0: np.ndarray,
     order = np.argsort(np.concatenate(node_i), kind="stable")
     seg_order = np.argsort(np.concatenate(node_i[1:] + [np.arange(N)]), kind="stable")
     return GeodesicTrajectory(
-        m, rhs, t0, t_final,
+        m, stages, t0, t_final,
         np.concatenate(node_t)[order], np.concatenate(node_y)[order],
         np.concatenate(node_drift)[order], np.concatenate(seg_h)[seg_order],
         np.concatenate(seg_K, axis=1)[:, seg_order],

@@ -355,10 +355,13 @@ def divergence(field: VectorFieldDef, m: ChartedManifold, x,
 
 def pairing(field: VectorFieldDef, m: ChartedManifold, x, v):
     """g(X, v): the field's component along the velocities v at the points
-    x, both (N, n); one value per point."""
+    x, both (N, n); one value per point.  ``metric_at`` validates g at the
+    points, and ``inner`` pairs, so a closed-form g is not read through a
+    matrix that loses digits."""
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
-    return (v[..., None, :] @ metric_at(m, x) @ _components(field, x)[..., None])[..., 0, 0]
+    metric_at(m, x)
+    return inner(m, x, v, _components(field, x))
 
 
 def pairing_rate_form(field: VectorFieldDef, m: ChartedManifold, x) -> np.ndarray:

@@ -134,11 +134,14 @@ class WarpProfile:
     is constant and the volume integrand b sinh is integrable.
     "infinite-volume": b = 2 / (1 + r), so b -> 0 while sinh(r) b(r)^p
     grows without bound for every p.
+
+    ``b_db(r)`` is (b(r), b'(r)) from one pass over the pieces, as the
+    Christoffel symbols need both.
     """
 
     name: str
     b: Callable[[float], float]
-    db: Callable[[float], float]
+    b_db: Callable[[float], tuple]
 
 
 def _profile_from_tail(name, tail_derivs) -> WarpProfile:
@@ -147,23 +150,24 @@ def _profile_from_tail(name, tail_derivs) -> WarpProfile:
     blend = _HermiteBlend(1.0, 2.0, (1.0, 0.0, 0.0, 0.0, 0.0),
                           tuple(d(2.0) for d in tail_derivs))
 
-    def pieces(r, plateau, mid, far):
-        # each piece sees only its own radii (the tails divide by sinh r);
-        # a piece with no radii is skipped (one radius needs one piece)
+    def pieces(r, slope: bool):
+        # b, and with ``slope`` also b', from one pass over the pieces: each
+        # sees only its own radii (the tails divide by sinh r); a piece with
+        # no radii is skipped (one radius needs one piece)
         ar = np.abs(np.asarray(r, dtype=float))
-        out = np.full(ar.shape, plateau)
-        for on, piece in (((ar >= 1.0) & (ar < 2.0), mid), (ar >= 2.0, far)):
+        b = np.ones(ar.shape)
+        db = np.zeros(ar.shape) if slope else None
+        for on, f, df in (((ar >= 1.0) & (ar < 2.0), blend, blend.deriv),
+                          (ar >= 2.0, tail, dtail)):
             if on.any():
-                out[on] = piece(ar[on])
-        return out[()]
+                a = ar[on]
+                b[on] = f(a)
+                if slope:
+                    db[on] = df(a)
+        return (b[()], np.sign(r) * db[()]) if slope else b[()]
 
-    def b(r):
-        return pieces(r, 1.0, blend, tail)
-
-    def db(r):
-        return np.sign(r) * pieces(r, 0.0, blend.deriv, dtail)
-
-    return WarpProfile(name=name, b=b, db=db)
+    return WarpProfile(name=name, b=lambda r: pieces(r, False),
+                       b_db=lambda r: pieces(r, True))
 
 
 def warp_profile_finite_volume() -> WarpProfile:
@@ -201,7 +205,7 @@ def warp_profile_infinite_volume() -> WarpProfile:
 
 
 def make_flat_torus() -> ChartedManifold:
-    """Flat square torus of side 1."""
+    """Flat square torus of side 1; its connection vanishes in closed form."""
     eye = np.eye(2)
 
     return ChartedManifold(
@@ -210,6 +214,7 @@ def make_flat_torus() -> ChartedManifold:
         metric=lambda x: np.broadcast_to(eye, x.shape[:-1] + (2, 2)),
         periods=(1.0, 1.0),
         christoffel=lambda x: np.zeros(x.shape[:-1] + (2, 2, 2)),
+        connection=lambda x, a, b: np.zeros(b.shape),
         sample_box=((0.0, 1.0), (0.0, 1.0)),
         description="flat square torus of side 1; geodesics are straight lines mod 1",
     )
@@ -430,7 +435,7 @@ def _radial_example(prof: WarpProfile, name: str) -> ChartedManifold:
     def christoffel(x):
         r = x[..., 0]
         sh, ch = np.sinh(r), np.cosh(r)
-        b, bp = prof.b(r), prof.db(r)
+        b, bp = prof.b_db(r)
         G = np.zeros(x.shape[:-1] + (3, 3, 3))
         G[..., 0, 1, 1] = -sh * ch
         G[..., 0, 2, 2] = -b * bp

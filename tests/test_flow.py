@@ -181,6 +181,16 @@ def test_path_identity_contract_all_pairs(rng):
         assert worst <= 1e-6 * (1.0 + T), (m.name, f.name, worst)
 
 
+def test_hyperbolic_path_residual_is_integrator_error(hyperbolic):
+    # path-hyperbolic's orbits: the boundary pairings read the closed-form
+    # g, so the residual is the integrator's (the metric matrix's round-off
+    # at the end points gave 1.1e-7)
+    states = sample_states(hyperbolic, 10, np.random.default_rng(13))
+    residual = path_integral_identity_residual(
+        zoo.vector_field("hyperbolic:conformal"), hyperbolic, states, 6.0)
+    assert residual.max() < 1e-9
+
+
 def test_path_identity_ex4_tight(ex4, rng):
     Z = zoo.vector_field("warp:ex4:Z")
     for residual in path_integral_identity_residual(Z, ex4, sample_states(ex4, 10, rng), 10.0):
@@ -216,23 +226,104 @@ def test_endpoint_bound_W(revolution, rng):
 # the stacked stepper
 
 
-def test_stacked_orbits_step_as_they_do_alone(ex2, rng):
-    # a mixed stack: orbits of different lengths and time directions, and
-    # one that runs into the polar axis; a step size shared across the
-    # stack would change every count
-    Zbar = zoo.vector_field("warp:ex2:Zbar")
-    states = np.vstack([sample_states(ex2, 4, rng),
-                        unit_states(ex2, [2.0, 1.0, 1.0], [-1.0, 0.0, 0.0])])
+def _h(x, v):
+    """A callable integrand h(x, v), elementwise in the rows."""
+    return np.exp(-x[:, 0] * x[:, 0]) * (1.0 + v[:, 1] * v[:, 1])
+
+
+def test_stacked_orbits_step_as_they_do_alone(ex2, ex4, rng):
+    # mixed stacks: orbits of different lengths and time directions, and on
+    # warp:ex2 one that runs into the polar axis; a step size shared across
+    # the stack would change every count.  A step's carried slopes are
+    # formed in one call on the rows of all its stages, for a Killing field,
+    # for warp:ex4:Z (a non-zero Jacobian, paired through the metric matrix)
+    # and for a callable h(x, v) alike
+    inward = unit_states(ex2, [2.0, 1.0, 1.0], [-1.0, 0.0, 0.0])
     ends = np.array([10.0, -10.0, 4.0, -2.5, 10.0])
-    stack = integrate_geodesic(ex2, states, ends, integrand=Zbar)
-    assert stack.reasons[-1] == "left_domain" and stack.truncated == 1
-    assert len(set(stack.n_accepted)) == len(states)
-    for i, (st, T) in enumerate(zip(states, ends)):
-        one = integrate_geodesic(ex2, st[None], T, integrand=Zbar)
+    for m, integrand, last in ((ex2, zoo.vector_field("warp:ex2:Zbar"), inward),
+                               (ex4, zoo.vector_field("warp:ex4:Z"), None),
+                               (ex2, _h, inward)):
+        states = np.vstack([sample_states(m, 4 if last is not None else 5, rng)]
+                           + ([last] if last is not None else []))
+        stack = integrate_geodesic(m, states, ends, integrand=integrand)
+        assert stack.truncated == (last is not None)
+        if last is not None:
+            assert stack.reasons[-1] == "left_domain"
+        assert len(set(stack.n_accepted)) == len(states)
+        for i, (st, T) in enumerate(zip(states, ends)):
+            one = integrate_geodesic(m, st[None], T, integrand=integrand)
+            assert (stack.n_accepted[i], stack.n_rejected[i], stack.nfev[i]) == (
+                one.stats.n_accepted, one.stats.n_rejected_est, one.stats.nfev)
+            assert stack.reasons[i] == one.truncation_reason
+            assert np.array_equal(stack.y_end[i], one.y_end[0])
+
+
+def test_carried_slopes_take_one_call_per_step(ex4):
+    # two start-up calls on the M rows, then one call per stacked attempt on
+    # the 8 rated stages (5 to 12) of each orbit still stepping; the
+    # extension takes one call on its 3 stages of every non-empty segment
+    calls = []
+
+    def h(x, v):
+        calls.append(len(x))
+        return _h(x, v)
+
+    states = sample_states(ex4, 4, np.random.default_rng(30))
+    traj = integrate_geodesic(ex4, states, np.array([3.0, 1.0, -2.0, 0.5]), integrand=h)
+    assert traj.truncated == 0
+    attempts = traj.n_accepted + traj.n_rejected
+    assert len(set(attempts)) == 4
+    assert np.array_equal(traj.nfev, 2 + 12 * attempts)
+    assert calls == [4, 4] + [8 * int((attempts > k).sum()) for k in range(attempts.max())]
+    calls.clear()
+    traj.y_at(np.array([0.25, 0.25, -0.25, 0.25]))
+    traj.y_at(np.array([2.0, 0.5, -1.0, 0.4]))
+    assert calls == [3 * traj.stats.n_accepted]
+
+
+def test_integrand_failing_at_start_leaves_only_the_start_states(ex4):
+    # every orbit fails its first carried slope, so none takes a step; the
+    # extension then has no segment to form and reads the start states
+    def h(x, v):
+        raise DomainError("h")
+
+    states = sample_states(ex4, 3, np.random.default_rng(31))
+    traj = integrate_geodesic(ex4, states, 1.0, integrand=h)
+    assert traj.reasons == ("rhs_failure",) * 3
+    assert np.array_equal(traj.n_accepted + traj.n_rejected, [0, 0, 0])
+    y = traj.y_at(0.0)
+    assert np.array_equal(y[:, :6], states) and np.array_equal(y[:, 6], [0.0, 0.0, 0.0])
+
+
+def test_failing_integrand_truncates_only_its_orbit(ex4):
+    # h raises on rows with x0 > 1.5, which only the first orbit reaches: the
+    # stacked call is redone row by row, so the other orbits step as they do
+    # alone; armed after a run, h fails only the extension's segments that
+    # cross x0 = 1.5
+    armed = [True]
+
+    def h(x, v):
+        if armed and np.any(x[:, 0] > 1.5):
+            raise DomainError("h")
+        return _h(x, v)
+
+    states = unit_states(ex4, [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [-1.0, 0.5, 1.0]],
+                         [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 1.0, 0.5]], normalize=True)
+    stack = integrate_geodesic(ex4, states, 2.0, integrand=h)
+    assert stack.reasons == ("rhs_failure", None, None)
+    assert 0.0 < stack.t_end[0] < 2.0
+    for i in (1, 2):
+        one = integrate_geodesic(ex4, states[i:i + 1], 2.0, integrand=h)
         assert (stack.n_accepted[i], stack.n_rejected[i], stack.nfev[i]) == (
-            one.stats.n_accepted, one.stats.n_rejected_est, one.stats.nfev)
-        assert stack.reasons[i] == one.truncation_reason
+            one.n_accepted[0], one.n_rejected[0], one.nfev[0])
         assert np.array_equal(stack.y_end[i], one.y_end[0])
+    armed.clear()
+    traj = integrate_geodesic(ex4, states, 2.0, integrand=h)
+    assert traj.reasons == (None, None, None) and traj.y_end[0, 0] > 1.6
+    armed.append(True)
+    assert np.array_equal(traj.y_at([0.1, 2.0, 2.0])[1:], traj.y_end[1:])
+    with pytest.raises(TruncatedTrajectoryError, match="rhs_failure"):
+        traj.y_at(2.0)
 
 
 def _solve_ivp_counts(m, states, T, field=None):

@@ -91,3 +91,19 @@ def test_report_on_one_side_only_exits_1(tmp_path):
     status, out = _diff(tmp_path, {"a": REPORT, "b": REPORT}, {"a": REPORT})
     assert status == 1
     assert "b.json: only in old" in out.splitlines()
+
+
+def test_closed_pipe_ends_quietly(tmp_path):
+    # report_diff.py OLD NEW | head: the reader takes one line and closes the
+    # pipe while some 250 kB of lines are still to come
+    labels = [f"label {i}" for i in range(5000)]
+    old = _write(tmp_path / "old", {"a": dict(REPORT, labels=labels)})
+    new = _write(tmp_path / "new", {"a": dict(REPORT, labels=labels[::-1])})
+    proc = subprocess.Popen([sys.executable, str(SCRIPT), str(old), str(new)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 141
+    assert first == "a.json: no numeric change\n"
+    assert err == ""

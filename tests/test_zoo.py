@@ -70,12 +70,12 @@ def test_profile_plateau_and_smooth_seams(maker):
     prof = maker()
     for r in (0.0, 0.3, 0.99):
         assert prof.b(r) == 1.0
-        assert prof.db(r) == 0.0
+        assert prof.b_db(r)[1] == 0.0
     # C2 continuity at both seams, checked by small-step differences
     for seam in (1.0, 2.0):
         lo, hi = seam - 1e-6, seam + 1e-6
         assert prof.b(hi) - prof.b(lo) == pytest.approx(0.0, abs=1e-5)
-        assert prof.db(hi) - prof.db(lo) == pytest.approx(0.0, abs=1e-4)
+        assert prof.b_db(hi)[1] - prof.b_db(lo)[1] == pytest.approx(0.0, abs=1e-4)
         d2_lo = _numeric_derivatives(prof.b, lo - 1e-4)[1]
         d2_hi = _numeric_derivatives(prof.b, hi + 1e-4)[1]
         assert abs(d2_hi - d2_lo) < 0.2 * (1.0 + abs(d2_lo))
@@ -90,7 +90,7 @@ def test_profile_positive_and_derivative_consistent(maker):
     assert vals.min() > 0.0
     for r in np.linspace(0.5, 6.0, 40):
         d_num = _numeric_derivatives(prof.b, r)[0]
-        assert prof.db(r) == pytest.approx(d_num, abs=1e-7 + 1e-6 * abs(d_num))
+        assert prof.b_db(r)[1] == pytest.approx(d_num, abs=1e-7 + 1e-6 * abs(d_num))
 
 
 @pytest.mark.parametrize("maker", [warp_profile_finite_volume,
@@ -101,7 +101,7 @@ def test_profile_blend_meets_tail_at_seam(maker):
     prof = maker()
     r = math.nextafter(2.0, 0.0)
     assert prof.b(r) == pytest.approx(prof.b(2.0), rel=1e-11)
-    assert prof.db(r) == pytest.approx(prof.db(2.0), rel=1e-11)
+    assert prof.b_db(r)[1] == pytest.approx(prof.b_db(2.0)[1], rel=1e-11)
 
 
 def test_finite_volume_profile_conditions():
