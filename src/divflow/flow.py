@@ -48,8 +48,6 @@ from .geometry import (
     VectorFieldDef,
     _components,
     _field_jacobian,
-    connection,
-    inner,
     pairing,
     pairing_rate_form,  # noqa: F401  bound here for perfbench/test_perfbench.py::test_tracer_patches_every_binding_and_restores
 )
@@ -394,8 +392,9 @@ def _geodesic_rhs(m: ChartedManifold, integrand) -> tuple[Callable, Callable]:
     formed on the spray alone, and the carried slopes of the stages that
     need them after it, in one stacked call on their (stages * M) rows.  A
     stage takes Gamma(v, v) and, for a field from the fifth stage on,
-    Gamma(v, X) from one ``connection`` call; the stacked call forms
-    J v + Gamma(v, X) and g(., v), or h(x, v).
+    Gamma(v, X) from one call of the manifold's ``connection`` on the pair
+    (V, X); the stacked call forms J v + Gamma(v, X) and pairs it with v
+    through the manifold's ``inner``, or forms h(x, v).
 
       slope(Y)             the whole slope (M, 2n + q) of states Y, and the
                            rows on which it failed
@@ -417,9 +416,9 @@ def _geodesic_rhs(m: ChartedManifold, integrand) -> tuple[Callable, Callable]:
         # S <- (v, -Gamma(v, v)) and, for a field, G <- Gamma(v, X)
         X, V = Y[:, :n], Y[:, n:2 * n]
         if G is not None and field:
-            Gvv, G[:] = connection(m, X, V, V, _components(integrand, X))
+            Gvv, G[:] = m.connection(X, V, np.stack([V, _components(integrand, X)]))
         else:
-            (Gvv,) = connection(m, X, V, V)
+            Gvv = m.connection(X, V, V)
         S[:, :n] = V
         S[:, n:] = -Gvv
 
@@ -427,7 +426,7 @@ def _geodesic_rhs(m: ChartedManifold, integrand) -> tuple[Callable, Callable]:
         X, V = Z[:, :n], Z[:, n:2 * n]
         if field:
             W = (_field_jacobian(integrand, m, X) @ V[..., None])[..., 0] + Z[:, d:]
-            r[:] = inner(m, X, W, V)
+            r[:] = m.inner(X, W, V)
         else:
             r[:] = integrand(X, V)
 
@@ -489,8 +488,8 @@ def _evaluate(fn: Callable, Y: np.ndarray, *out: np.ndarray) -> np.ndarray:
 
 
 def _drift(m: ChartedManifold, Y: np.ndarray) -> np.ndarray:
-    """|g(v, v) - 1| per row, with the metric matrix even where the
-    manifold has a closed-form ``inner``: the drift then also sees the
+    """|g(v, v) - 1| per row, read through the metric matrix rather than
+    the manifold's ``inner`` on purpose: the drift then also sees the
     round-off of the chart's own matrix, which is what flags a hyperbolic
     orbit whose coordinates grew until that matrix is numerically
     singular."""

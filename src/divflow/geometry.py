@@ -2,16 +2,19 @@
 divergence.
 
 Everything here is a pure function of explicit chart data.  A manifold is
-one almost-everywhere chart (a metric evaluator on a coordinate domain) plus
-optional closed forms (Christoffel symbols, the metric and the connection as
-bilinear forms, a radial distance surrogate, an analytic geodesic) that
-downstream modules use as oracles or fast paths.
+one almost-everywhere chart: its metric matrix on a coordinate domain, and
+the metric g(a, b) and the Levi-Civita connection Gamma(a, b) as closed
+bilinear forms, the one way the package pairs vectors and differentiates
+covariantly.  Optional extras (a radial distance surrogate, an analytic
+geodesic, shells) serve as oracles and integration regions.
 
 Stack convention: functions of a point take x of shape (n,) or (N, n), as
 do the chart and field closures and the potential operators
 (``phi_laplacian``, ``laplace_beltrami``, the flux fields), and return the
 matching leading shape; validation covers every point and matrix and names
 the first failing point.
+``inner`` and ``connection`` broadcast x, a and b against each other, so
+one call forms Gamma(a, b) for a stack of several b per point.
 ``covariant_derivative`` returns the matrix of v -> nabla_v X per point.
 A stack of unit tangent states is one array of shape (N, 2n): positions in
 columns :n and velocities in columns n:2n, the layout the geodesic stepper
@@ -36,8 +39,6 @@ __all__ = [
     "inverse_metric_at",
     "volume_density",
     "christoffel",
-    "inner",
-    "connection",
     "orthonormal_frame",
     "covariant_derivative",
     "divergence",
@@ -67,28 +68,23 @@ def _always(x) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ChartedManifold:
-    """A manifold given by one almost-everywhere coordinate chart, with
-    optional closed-form extras.
+    """A manifold given by one almost-everywhere coordinate chart.
 
     ``metric(x)`` is the metric matrix on the chart domain, ``domain(x)``
     the domain predicate, and ``periods[i]`` the period of coordinate i (None
     for a non-periodic coordinate).  Every callable of a point takes x of
     shape (n,) or (N, n) and returns the matching leading shape.
 
+    ``inner(x, a, b)`` is g(a, b) and ``connection(x, a, b)`` is
+    Gamma(a, b)^k = Gamma^k_ij a^i b^j, both in closed form: points x and
+    vectors a, b of shape (..., n), broadcast against each other, to shape
+    (...,) and (..., n).  They never read the metric matrix, which loses
+    digits on some charts: on the hyperboloid graph chart g = I - x x^T /
+    (1 + |x|^2) cancels to about |x|^2 eps, and the closed forms do not.
+    Neither validates g; ``metric_at`` does.  The speed-drift record still
+    reads the matrix (see ``flow``).
+
     Optional fields:
-      christoffel      closed-form symbols, x -> (..., n, n, n) array G[k, i, j];
-                       without it ``christoffel`` differences the metric
-      inner            closed-form g(a, b), (x, a, b) -> (...,) for stacks of
-                       points and vectors (..., n); without it ``inner``
-                       contracts the metric matrix
-      connection       closed-form Gamma(a, b)^k = Gamma^k_ij a^i b^j,
-                       (x, a, b) -> (..., n); without it ``connection``
-                       contracts the Christoffel symbols.  These two serve
-                       charts whose matrices lose digits: on the hyperboloid
-                       graph chart g = I - x x^T / (1 + |x|^2) cancels to
-                       about |x|^2 eps, and the closed forms do not.  The
-                       geodesic right-hand side uses them; the speed-drift
-                       record still reads the metric matrix (see ``flow``)
       radius           radial distance surrogate r(x) >= 0 (distance from
                        a fixed point, or a quantity comparable to it)
       geodesic         analytic flow oracle (x0, v0, t) -> (x, v)
@@ -107,11 +103,10 @@ class ChartedManifold:
     name: str
     dim: int
     metric: Callable[[np.ndarray], np.ndarray]
+    inner: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+    connection: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     domain: Callable[[np.ndarray], bool] = _always
     periods: tuple[Optional[float], ...] = ()
-    christoffel: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    inner: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]] = None
-    connection: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]] = None
     radius: Optional[Callable[[np.ndarray], float]] = None
     geodesic: Optional[Callable[[np.ndarray, np.ndarray, float], tuple]] = None
     shell: Optional[Callable[[float, float], tuple]] = None
@@ -218,7 +213,17 @@ def orthonormal_frame(m: ChartedManifold, x) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# connection
+# connection and derivatives
+
+
+def christoffel(m: ChartedManifold, x) -> np.ndarray:
+    """Christoffel symbols G[..., k, i, j] = Gamma(e_i, e_j)^k at x, read
+    off the manifold's connection.  Nothing in the package calls it: every
+    caller forms Gamma(a, b) with ``connection`` directly."""
+    x = np.asarray(x, dtype=float)
+    E = np.eye(m.dim)
+    G = m.connection(x[..., None, None, :], E[:, None, :], E[None, :, :])
+    return np.moveaxis(G, -1, -3)
 
 
 def _fd_steps(x: np.ndarray) -> np.ndarray:
@@ -237,60 +242,6 @@ def _stencil(m: ChartedManifold, x: np.ndarray, h: np.ndarray, a: int):
         raise DomainError(f"{m.name}: finite-difference stencil at "
                           f"{_first(x, ~ok)!r} leaves the chart domain")
     return xp, xm
-
-
-def _metric_partials(m: ChartedManifold, x: np.ndarray) -> np.ndarray:
-    """dg[..., a, i, j] = d g_ij / d x^a by central differences."""
-    n = m.dim
-    h = _fd_steps(x)
-    dg = np.empty(x.shape[:-1] + (n, n, n))
-    for a in range(n):
-        xp, xm = _stencil(m, x, h, a)
-        gp = np.asarray(m.metric(xp), dtype=float)
-        gm = np.asarray(m.metric(xm), dtype=float)
-        dg[..., a, :, :] = (gp - gm) / (2.0 * h[..., a, None, None])
-    # exact index symmetry of the symbols below needs dg[a] symmetric
-    return 0.5 * (dg + np.swapaxes(dg, -1, -2))
-
-
-def christoffel(m: ChartedManifold, x) -> np.ndarray:
-    """Christoffel symbols G[..., k, i, j] = Gamma^k_ij at x: the manifold's
-    closed form, or central differences of the metric where it has none."""
-    x = np.asarray(x, dtype=float)
-    if m.christoffel is not None:
-        return np.asarray(m.christoffel(x), dtype=float)
-    ginv = inverse_metric_at(m, x)
-    dg = _metric_partials(m, x)
-    # Gamma_{l ij} = (d_i g_jl + d_j g_il - d_l g_ij) / 2
-    first = 0.5 * (np.einsum("...ijl->...lij", dg) + np.einsum("...jil->...lij", dg) - dg)
-    return np.einsum("...kl,...lij->...kij", ginv, first)
-
-
-def inner(m: ChartedManifold, x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """g(a, b) at the points x for vectors a, b, all (N, n): the manifold's
-    closed form, else a @ g @ b with the metric matrix.  Neither validates
-    g (the orbit right-hand side calls this at every stage); ``metric_at``
-    does."""
-    if m.inner is not None:
-        return m.inner(x, a, b)
-    return (a[..., None, :] @ m.metric(x) @ b[..., :, None])[..., 0, 0]
-
-
-def _contract(G: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Gamma(a, b)^k = Gamma^k_ij a^i b^j on stacks, as one flattened
-    (n, n*n) product per row."""
-    M, n = a.shape
-    return (G.reshape(M, n, n * n) @ (a[:, :, None] * b[:, None, :]).reshape(M, n * n, 1))[..., 0]
-
-
-def connection(m: ChartedManifold, x: np.ndarray, a: np.ndarray, *b: np.ndarray) -> tuple:
-    """Gamma(a, b_i) at the points x for each vector stack b_i, all (N, n),
-    as a tuple: the manifold's closed form, else contractions of the
-    Christoffel symbols, formed once for every b_i."""
-    if m.connection is not None:
-        return tuple(m.connection(x, a, bi) for bi in b)
-    G = christoffel(m, x)
-    return tuple(_contract(G, a, bi) for bi in b)
 
 
 def _components(field: VectorFieldDef, x: np.ndarray) -> np.ndarray:
@@ -319,12 +270,14 @@ def _field_jacobian(field: VectorFieldDef, m: ChartedManifold,
 def covariant_derivative(field: VectorFieldDef, m: ChartedManifold,
                          x) -> np.ndarray:
     """The covariant derivative of the field at x as matrices A[..., k, i],
-    with (nabla_v X)^k = A[k, i] v^i = v^i d_i X^k + Gamma^k_ij v^i X^j."""
+    with (nabla_v X)^k = A[k, i] v^i = v^i d_i X^k + Gamma(v, X)^k: the
+    Jacobian J plus Gamma(e_i, X) for each basis vector e_i, from one
+    broadcast ``connection`` call."""
     x = np.asarray(x, dtype=float)
     J = _field_jacobian(field, m, x)
-    G = christoffel(m, x)
     X = _components(field, x)
-    return J + np.einsum("...kij,...j->...ki", G, X)
+    G = m.connection(x[..., None, :], np.eye(m.dim), X[..., None, :])
+    return J + np.swapaxes(G, -1, -2)
 
 
 def divergence(field: VectorFieldDef, m: ChartedManifold, x,
@@ -356,12 +309,12 @@ def divergence(field: VectorFieldDef, m: ChartedManifold, x,
 def pairing(field: VectorFieldDef, m: ChartedManifold, x, v):
     """g(X, v): the field's component along the velocities v at the points
     x, both (N, n); one value per point.  ``metric_at`` validates g at the
-    points, and ``inner`` pairs, so a closed-form g is not read through a
+    points, and the manifold's ``inner`` pairs, so g is not read through a
     matrix that loses digits."""
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     metric_at(m, x)
-    return inner(m, x, v, _components(field, x))
+    return m.inner(x, v, _components(field, x))
 
 
 def pairing_rate_form(field: VectorFieldDef, m: ChartedManifold, x) -> np.ndarray:
@@ -386,8 +339,9 @@ def _quadratic(Q: np.ndarray, V: np.ndarray) -> np.ndarray:
 
 
 def field_norm(field: VectorFieldDef, m: ChartedManifold, x):
-    """g-norm |X| at x."""
+    """g-norm |X| at x: ``metric_at`` validates g at the points, and the
+    manifold's ``inner`` pairs, as in ``pairing``."""
     x = np.asarray(x, dtype=float)
-    g = metric_at(m, x)
+    metric_at(m, x)
     X = _components(field, x)
-    return np.sqrt(np.maximum(0.0, np.einsum("...i,...ij,...j->...", X, g, X)))
+    return np.sqrt(np.maximum(0.0, m.inner(x, X, X)))

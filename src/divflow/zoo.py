@@ -16,18 +16,19 @@ The zoo ships:
                            div Z = 2/sqrt(1+x^2+y^2) and integral 4 pi^2
 
 Every manifold and field is built directly from its closed form: one
-almost-everywhere chart with closed-form Christoffel symbols and a bounded
-default sampling box; all but the torus also carry a radius surrogate with
-matching shell parametrization and a default radius cap for sampling.  The
-warped products write out their block metric, and the lifted fields their
-product components.  ``_MANIFOLDS`` and ``_FIELDS`` are the one catalog; the
+almost-everywhere chart with its metric and Levi-Civita connection as closed
+bilinear forms and a bounded default sampling box; all but the torus also
+carry a radius surrogate with matching shell parametrization and a default
+radius cap for sampling.  The warped products write out their block metric,
+and the lifted fields their product components.  ``_MANIFOLDS`` and ``_FIELDS`` are the one catalog; the
 public id tuples are derived from them.
 
 The chart, shell and field closures index only the last axis (``x[..., 0]``),
 so they take any stack of shape (..., n) and return the matching leading
-shape, with the same values on one point as on a stack.  The oracles that
-tests compare against (the fields' ``fx``, the analytic hyperbolic geodesic
-and the revolution embedding) take one point.
+shape, with the same values on one point as on a stack; ``inner`` and
+``connection`` broadcast their three arguments against each other.  The
+oracles that tests compare against (the fields' ``fx``, the analytic
+hyperbolic geodesic and the revolution embedding) take one point.
 """
 
 from __future__ import annotations
@@ -136,7 +137,7 @@ class WarpProfile:
     grows without bound for every p.
 
     ``b_db(r)`` is (b(r), b'(r)) from one pass over the pieces, as the
-    Christoffel symbols need both.
+    connection needs both.
     """
 
     name: str
@@ -213,8 +214,8 @@ def make_flat_torus() -> ChartedManifold:
         dim=2,
         metric=lambda x: np.broadcast_to(eye, x.shape[:-1] + (2, 2)),
         periods=(1.0, 1.0),
-        christoffel=lambda x: np.zeros(x.shape[:-1] + (2, 2, 2)),
-        connection=lambda x, a, b: np.zeros(b.shape),
+        inner=lambda x, a, b: a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1],
+        connection=lambda x, a, b: np.zeros(np.broadcast_shapes(x.shape, a.shape, b.shape)),
         sample_box=((0.0, 1.0), (0.0, 1.0)),
         description="flat square torus of side 1; geodesics are straight lines mod 1",
     )
@@ -275,15 +276,20 @@ def make_surface_of_revolution() -> tuple[ChartedManifold, AmbientEmbedding]:
         g[..., 1, 1] = _ipow(_f(x0), 2)
         return g
 
-    def christoffel(x):
+    def inner(x, a, b):
+        x0 = x[..., 0]
+        fx, fp = _f(x0), _df(x0)
+        return (1.0 + fp * fp) * (a[..., 0] * b[..., 0]) + fx * fx * (a[..., 1] * b[..., 1])
+
+    def connection(x, a, b):
+        # Gamma^0_00 = f' f'' / (1 + f'^2), Gamma^0_11 = -f f' / (1 + f'^2),
+        # Gamma^1_01 = Gamma^1_10 = f' / f
         x0 = x[..., 0]
         fx, fp, fpp = _f(x0), _df(x0), _d2f(x0)
         d = 1.0 + fp * fp
-        G = np.zeros(x.shape[:-1] + (2, 2, 2))
-        G[..., 0, 0, 0] = fp * fpp / d
-        G[..., 0, 1, 1] = -fx * fp / d
-        G[..., 1, 0, 1] = G[..., 1, 1, 0] = fp / fx
-        return G
+        a0, a1, b0, b1 = a[..., 0], a[..., 1], b[..., 0], b[..., 1]
+        return np.stack([(fp * fpp * (a0 * b0) - fx * fp * (a1 * b1)) / d,
+                         fp / fx * (a0 * b1 + a1 * b0)], axis=-1)
 
     arc = _MeridianArclength()
 
@@ -316,7 +322,8 @@ def make_surface_of_revolution() -> tuple[ChartedManifold, AmbientEmbedding]:
         dim=2,
         metric=metric,
         periods=(None, TWO_PI),
-        christoffel=christoffel,
+        inner=inner,
+        connection=connection,
         radius=lambda x: arc.r_of_x(x[..., 0]),
         shell=shell,
         sample_box=((-8.0, 8.0), (0.0, TWO_PI)),
@@ -348,11 +355,6 @@ def _h2_metric(x):
     g[..., 0, 1] = g[..., 1, 0] = 0.0 - x0 * x1 / z2
     g[..., 1, 1] = 1.0 - x1 * x1 / z2
     return g
-
-
-def _h2_christoffel(x):
-    # G[k, i, j] = -x_k g_ij
-    return -x[..., :, None, None] * _h2_metric(x)[..., None, :, :]
 
 
 def _h2_inner(x, a, b):
@@ -402,7 +404,6 @@ def make_hyperbolic_plane() -> ChartedManifold:
         name="hyperbolic",
         dim=2,
         metric=_h2_metric,
-        christoffel=_h2_christoffel,
         inner=_h2_inner,
         connection=_h2_connection,
         radius=radius,
@@ -422,7 +423,7 @@ def make_hyperbolic_plane() -> ChartedManifold:
 def _radial_example(prof: WarpProfile, name: str) -> ChartedManifold:
     """Hyperbolic plane in geodesic polar coordinates (r, theta) times the
     circle, warped by the radial profile b(r): metric diag(1, sinh^2 r,
-    b(r)^2) on r > 0, with direct symbols and radial shells."""
+    b(r)^2) on r > 0, with its closed forms and radial shells."""
 
     def metric(x):
         r = x[..., 0]
@@ -432,16 +433,23 @@ def _radial_example(prof: WarpProfile, name: str) -> ChartedManifold:
         g[..., 2, 2] = np.square(prof.b(r))
         return g
 
-    def christoffel(x):
+    def inner(x, a, b):
+        r = x[..., 0]
+        sh, b_r = np.sinh(r), prof.b(r)
+        return (a[..., 0] * b[..., 0] + sh * sh * (a[..., 1] * b[..., 1])
+                + b_r * b_r * (a[..., 2] * b[..., 2]))
+
+    def connection(x, a, b):
+        # Gamma^0_11 = -sinh r cosh r, Gamma^0_22 = -b b',
+        # Gamma^1_01 = coth r and Gamma^2_02 = b' / b, with their mirrors
         r = x[..., 0]
         sh, ch = np.sinh(r), np.cosh(r)
-        b, bp = prof.b_db(r)
-        G = np.zeros(x.shape[:-1] + (3, 3, 3))
-        G[..., 0, 1, 1] = -sh * ch
-        G[..., 0, 2, 2] = -b * bp
-        G[..., 1, 0, 1] = G[..., 1, 1, 0] = ch / sh
-        G[..., 2, 0, 2] = G[..., 2, 2, 0] = bp / b
-        return G
+        b_r, db = prof.b_db(r)
+        a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+        b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+        return np.stack([-(sh * ch * (a1 * b1) + b_r * db * (a2 * b2)),
+                         ch / sh * (a0 * b1 + a1 * b0),
+                         db / b_r * (a0 * b2 + a2 * b0)], axis=-1)
 
     def shell(r_lo, r_hi):
         def density(u):
@@ -458,7 +466,8 @@ def _radial_example(prof: WarpProfile, name: str) -> ChartedManifold:
         metric=metric,
         domain=lambda x: x[..., 0] > 0.0,
         periods=(None, TWO_PI, TWO_PI),
-        christoffel=christoffel,
+        inner=inner,
+        connection=connection,
         radius=lambda x: x[..., 0],
         shell=shell,
         sample_box=((0.3, 5.0), (0.0, TWO_PI), (0.0, TWO_PI)),
@@ -479,22 +488,21 @@ def make_example4() -> ChartedManifold:
         g[..., 2, 2] = np.square(1.0 / (1.0 + x[..., 0] * x[..., 0] + x[..., 1] * x[..., 1]))
         return g
 
-    def christoffel(x):
-        # base block -x_a g_bc plus the warp couplings of h = 1/z^2
+    def inner(x, a, b):
+        z2 = 1.0 + x[..., 0] * x[..., 0] + x[..., 1] * x[..., 1]
+        return _h2_inner(x, a, b) + a[..., 2] * b[..., 2] / (z2 * z2)
+
+    def connection(x, a, b):
+        # the base block -x g_H(a, b) plus the warp couplings of h = 1/z^2:
+        # Gamma(a, b) = (x (2 a_2 b_2 / z^4 - g_H(a, b)),
+        #                -2 ((x.a) b_2 + (x.b) a_2) / z^2)
         x0, x1 = x[..., 0], x[..., 1]
         z2 = 1.0 + x0 * x0 + x1 * x1
-        G = np.zeros(x.shape[:-1] + (3, 3, 3))
-        # as in _h2_metric, inlined for speed
-        g00, g01, g11 = 1.0 - x0 * x0 / z2, 0.0 - x0 * x1 / z2, 1.0 - x1 * x1 / z2
-        G[..., 0, 0, 0], G[..., 1, 0, 0] = -x0 * g00, -x1 * g00
-        G[..., 0, 0, 1] = G[..., 0, 1, 0] = -x0 * g01
-        G[..., 1, 0, 1] = G[..., 1, 1, 0] = -x1 * g01
-        G[..., 0, 1, 1], G[..., 1, 1, 1] = -x0 * g11, -x1 * g11
-        G[..., 0, 2, 2] = 2.0 * x0 / (z2 * z2)
-        G[..., 1, 2, 2] = 2.0 * x1 / (z2 * z2)
-        G[..., 2, 0, 2] = G[..., 2, 2, 0] = -2.0 * x0 / z2
-        G[..., 2, 1, 2] = G[..., 2, 2, 1] = -2.0 * x1 / z2
-        return G
+        a2, b2 = a[..., 2], b[..., 2]
+        base = 2.0 * (a2 * b2) / (z2 * z2) - _h2_inner(x, a, b)
+        xa = x0 * a[..., 0] + x1 * a[..., 1]
+        xb = x0 * b[..., 0] + x1 * b[..., 1]
+        return np.stack([x0 * base, x1 * base, -2.0 * (xa * b2 + xb * a2) / z2], axis=-1)
 
     def radius(x):
         return np.arccosh(np.maximum(1.0, np.sqrt(1.0 + x[..., 0] * x[..., 0] + x[..., 1] * x[..., 1])))
@@ -522,7 +530,8 @@ def make_example4() -> ChartedManifold:
         dim=3,
         metric=metric,
         periods=(None, None, TWO_PI),
-        christoffel=christoffel,
+        inner=inner,
+        connection=connection,
         radius=radius,
         shell=shell,
         sample_box=((-3.0, 3.0), (-3.0, 3.0), (0.0, TWO_PI)),

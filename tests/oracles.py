@@ -1,13 +1,28 @@
 """Oracles and state constructors that only the tests use.
 
 States are the package's (N, 2n) arrays: positions in columns :n,
-velocities in columns n:2n.
+velocities in columns n:2n.  The Christoffel tensors G[..., k, i, j] =
+Gamma^k_ij of the zoo manifolds, and the symbols that central differences
+of any metric give, are references for the closed-form connections the
+package computes with.
 """
 
 import numpy as np
 
+from divflow import zoo
 from divflow.flow import _whole, integrate_geodesic
-from divflow.geometry import _quadratic, field_norm, metric_at, pairing_rate_form
+from divflow.geometry import (
+    ChartedManifold,
+    _components,
+    _fd_steps,
+    _field_jacobian,
+    _quadratic,
+    _stencil,
+    field_norm,
+    inverse_metric_at,
+    metric_at,
+    pairing_rate_form,
+)
 
 UNIT_SPEED_TOL = 1e-10
 
@@ -71,3 +86,122 @@ def endpoint_bound_check(field, m, states, s: float):
     lhs = np.abs(end[:N, -1] - end[N:, -1])
     rhs = field_norm(field, m, end[:N, :n]) + field_norm(field, m, end[N:, :n])
     return lhs, rhs
+
+
+# ---------------------------------------------------------------------------
+# Christoffel tensors
+
+
+def _torus_symbols(x):
+    return np.zeros(x.shape[:-1] + (2, 2, 2))
+
+
+def _revolution_symbols(x):
+    x0 = x[..., 0]
+    fx, fp, fpp = zoo._f(x0), zoo._df(x0), zoo._d2f(x0)
+    d = 1.0 + fp * fp
+    G = np.zeros(x.shape[:-1] + (2, 2, 2))
+    G[..., 0, 0, 0] = fp * fpp / d
+    G[..., 0, 1, 1] = -fx * fp / d
+    G[..., 1, 0, 1] = G[..., 1, 1, 0] = fp / fx
+    return G
+
+
+def _hyperbolic_symbols(x):
+    # G[k, i, j] = -x_k g_ij
+    return -x[..., :, None, None] * zoo._h2_metric(x)[..., None, :, :]
+
+
+def _radial_symbols(prof):
+    def symbols(x):
+        r = x[..., 0]
+        sh, ch = np.sinh(r), np.cosh(r)
+        b, bp = prof.b_db(r)
+        G = np.zeros(x.shape[:-1] + (3, 3, 3))
+        G[..., 0, 1, 1] = -sh * ch
+        G[..., 0, 2, 2] = -b * bp
+        G[..., 1, 0, 1] = G[..., 1, 1, 0] = ch / sh
+        G[..., 2, 0, 2] = G[..., 2, 2, 0] = bp / b
+        return G
+    return symbols
+
+
+def _ex4_symbols(x):
+    # base block -x_a g_bc plus the warp couplings of h = 1/z^2
+    x0, x1 = x[..., 0], x[..., 1]
+    z2 = 1.0 + x0 * x0 + x1 * x1
+    G = np.zeros(x.shape[:-1] + (3, 3, 3))
+    G[..., :2, :2, :2] = _hyperbolic_symbols(x[..., :2])
+    G[..., 0, 2, 2] = 2.0 * x0 / (z2 * z2)
+    G[..., 1, 2, 2] = 2.0 * x1 / (z2 * z2)
+    G[..., 2, 0, 2] = G[..., 2, 2, 0] = -2.0 * x0 / z2
+    G[..., 2, 1, 2] = G[..., 2, 2, 1] = -2.0 * x1 / z2
+    return G
+
+
+# zoo manifold name -> its closed-form tensor
+_SYMBOLS = {zoo.manifold(mid).name: fn for mid, fn in (
+    ("torus", _torus_symbols),
+    ("revolution:1/(1+x^2)", _revolution_symbols),
+    ("hyperbolic", _hyperbolic_symbols),
+    ("warp:ex2", _radial_symbols(zoo.warp_profile_finite_volume())),
+    ("warp:ex3", _radial_symbols(zoo.warp_profile_infinite_volume())),
+    ("warp:ex4", _ex4_symbols))}
+
+
+def christoffel_symbols(m, x) -> np.ndarray:
+    """The closed-form Christoffel tensor G[..., k, i, j] of the zoo
+    manifold m at x of shape (..., n)."""
+    return _SYMBOLS[m.name](np.asarray(x, dtype=float))
+
+
+def fd_christoffel(m, x) -> np.ndarray:
+    """Christoffel symbols of m at x from central differences of its metric
+    matrix; raises DomainError where a stencil leaves the chart domain."""
+    x = np.asarray(x, dtype=float)
+    n = m.dim
+    h = _fd_steps(x)
+    dg = np.empty(x.shape[:-1] + (n, n, n))
+    for a in range(n):
+        xp, xm = _stencil(m, x, h, a)
+        dg[..., a, :, :] = (m.metric(xp) - m.metric(xm)) / (2.0 * h[..., a, None, None])
+    # exact index symmetry of the symbols below needs dg[a] symmetric
+    dg = 0.5 * (dg + np.swapaxes(dg, -1, -2))
+    # Gamma_{l ij} = (d_i g_jl + d_j g_il - d_l g_ij) / 2
+    first = 0.5 * (np.einsum("...ijl->...lij", dg) + np.einsum("...jil->...lij", dg) - dg)
+    return np.einsum("...kl,...lij->...kij", inverse_metric_at(m, x), first)
+
+
+def contract(G, a, b) -> np.ndarray:
+    """Gamma(a, b)^k = G[k, i, j] a^i b^j, broadcast over leading axes."""
+    return np.einsum("...kij,...i,...j->...k", G, a, b)
+
+
+def fd_connection(m):
+    """Gamma(a, b) of m through its finite-difference symbols, as a
+    ``connection`` closure."""
+    return lambda x, a, b: contract(fd_christoffel(m, x), a, b)
+
+
+def from_metric(name, dim, metric, **kw) -> ChartedManifold:
+    """A manifold given by its metric matrix alone: g(a, b) = a @ g @ b and
+    the connection of its finite-difference symbols."""
+    def inner(x, a, b):
+        return (a[..., None, :] @ metric(x) @ b[..., :, None])[..., 0, 0]
+
+    def connection(x, a, b):
+        return contract(fd_christoffel(m, x), a, b)
+
+    m = ChartedManifold(name=name, dim=dim, metric=metric, inner=inner,
+                        connection=connection, **kw)
+    return m
+
+
+def tensor_rate_form(field, m, x) -> np.ndarray:
+    """``pairing_rate_form`` with the covariant derivative J + G X formed
+    from the oracle tensor: the symmetrized g (J + G X) at x."""
+    x = np.asarray(x, dtype=float)
+    G = christoffel_symbols(m, x)
+    A = _field_jacobian(field, m, x) + np.einsum("...kij,...j->...ki", G, _components(field, x))
+    Q = metric_at(m, x) @ A
+    return 0.5 * (Q + np.swapaxes(Q, -1, -2))

@@ -17,9 +17,17 @@ from divflow.flow import (
     path_integral_identity_residual,
     proxy_distance,
 )
-from divflow.geometry import DomainError, VectorFieldDef, christoffel
+from divflow.geometry import DomainError, VectorFieldDef, _quadratic
 from divflow.integrals import sample_states
-from oracles import endpoint_bound_check, pairing_rates, state_at, unit_states
+from oracles import (
+    christoffel_symbols,
+    endpoint_bound_check,
+    fd_connection,
+    pairing_rates,
+    state_at,
+    tensor_rate_form,
+    unit_states,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -328,15 +336,17 @@ def test_failing_integrand_truncates_only_its_orbit(ex4):
 
 def _solve_ivp_counts(m, states, T, field=None):
     """Accepted and rejected steps and evaluations that scipy's DOP853 takes
-    on each state (the pairing-rate column of ``field`` appended), summed."""
+    on each state (the pairing-rate column of ``field`` appended), summed.
+    Its right-hand side is formed from the oracle tensor, not from the
+    connection under test."""
     n = m.dim
 
     def fun(t, y):
         x, v = y[None, :n], y[n:2 * n]
-        G = christoffel(m, x)[0]
+        G = christoffel_symbols(m, x)[0]
         slope = [v, -np.einsum("kij,i,j->k", G, v, v)]
         if field is not None:
-            slope.append(pairing_rates(field, m, x, v[None, None])[0])
+            slope.append(_quadratic(tensor_rate_form(field, m, x), v[None, None])[0])
         return np.concatenate(slope)
 
     acc = rej = nfev = 0
@@ -369,15 +379,16 @@ def test_controller_takes_the_standard_steps(ex4):
 
 
 def test_path_run_evaluates_the_rhs_nfev_times(ex4):
-    # every stepping evaluation passes through the symbols once, and a path
-    # run reads end states only, so it never forms the extension's stages
+    # every stepping evaluation passes through the connection once, and a
+    # path run reads end states only, so it never forms the extension's
+    # stages
     rows = []
 
-    def counted(x):
+    def counted(x, a, b):
         rows.append(len(x))
-        return ex4.christoffel(x)
+        return ex4.connection(x, a, b)
 
-    m = dataclasses.replace(ex4, christoffel=counted)
+    m = dataclasses.replace(ex4, connection=counted)
     states = sample_states(ex4, 4, np.random.default_rng(30))
     traj = integrate_geodesic(m, states, 3.0, integrand=zoo.vector_field("warp:ex4:Z"))
     assert traj.truncated == 0
@@ -387,16 +398,17 @@ def test_path_run_evaluates_the_rhs_nfev_times(ex4):
 
 
 def test_failed_extension_stage_truncates_reads_in_its_segment(ex4):
-    # the symbols raise, once armed, beyond x0 = 1.5: the extension is formed
-    # after the run, and only the segments whose extra stages cross it fail
+    # the connection raises, once armed, beyond x0 = 1.5: the extension is
+    # formed after the run, and only the segments whose extra stages cross
+    # it fail
     armed = []
 
-    def symbols(x):
+    def connection(x, a, b):
         if armed and np.any(x[..., 0] > 1.5):
             raise DomainError("armed")
-        return ex4.christoffel(x)
+        return ex4.connection(x, a, b)
 
-    m = dataclasses.replace(ex4, christoffel=symbols)
+    m = dataclasses.replace(ex4, connection=connection)
     st = unit_states(ex4, [1.0, 0.0, 0.0], [1.0, 0.0, 0.0], normalize=True)
     traj = integrate_geodesic(m, st, 2.0)
     assert traj.reasons == (None,) and traj.y_end[0, 0] > 1.6
@@ -483,10 +495,10 @@ def test_step_underflow_truncates(ex2):
 
 
 def test_rhs_failure_truncates_only_its_orbit(ex2):
-    # without closed-form symbols the Christoffel differences reach r <= 0
-    # (r = 1 - t on the inward orbit) and raise; the stack is then redone
+    # the connection of the finite-difference symbols reaches r <= 0
+    # (r = 1 - t on the inward orbit) and raises; the stack is then redone
     # row by row, so each orbit steps on as it does alone
-    fd = dataclasses.replace(ex2, christoffel=None)
+    fd = dataclasses.replace(ex2, connection=fd_connection(ex2))
     states = np.vstack([unit_states(ex2, [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]),
                         unit_states(ex2, [2.0, 0.5, 0.5], [0.0, 1.0, 0.0], normalize=True)])
     stack = integrate_geodesic(fd, states, 3.0)

@@ -1,14 +1,14 @@
 """Stacked evaluation equals row-by-row evaluation.
 
-Zoo closures and shell maps run the same elementwise arithmetic on a stack
-as on one point, so they must agree exactly.  Geometry functions and fiber
-integrals may group their reductions differently on a stack; they must
-agree to rel 1e-13.  The potential operators, the monotone form, the state
-sampler and the speed-drift record compute each point with the same
-products as on one point, so they must agree exactly.
+Zoo closures and shell maps run the same elementwise arithmetic on a stack,
+and on broadcast arguments, as on one point, so they must agree exactly.
+Geometry functions and fiber integrals may group their reductions
+differently on a stack; they must agree to rel 1e-13.  The potential
+operators, the monotone form, the state sampler and the speed-drift record
+compute each point with the same products as on one point, so they must
+agree exactly.
 """
 
-import dataclasses
 from functools import partial
 
 import numpy as np
@@ -16,7 +16,6 @@ import pytest
 
 from divflow import zoo
 from divflow.geometry import (
-    ChartedManifold,
     DomainError,
     MetricError,
     christoffel,
@@ -47,7 +46,7 @@ from divflow.potential import (
     scalar_test_functions,
     shipped_profiles,
 )
-from oracles import pairing_rates
+from oracles import fd_christoffel, from_metric, pairing_rates
 
 N = 64
 REL = 1e-13
@@ -80,16 +79,24 @@ def _shell_points(patch, rng):
 def test_manifold_closures_stack_exactly(mid, rng):
     m = zoo.manifold(mid)
     pts = sample_box_points(m, N, rng)
-    for name in ("metric", "domain", "christoffel", "radius"):
+    for name in ("metric", "domain", "radius"):
         fn = getattr(m, name)
         if fn is not None:
             _assert_exact(fn, pts, (mid, name))
     n = m.dim
+    xab = np.hstack([pts, rng.standard_normal((N, 2 * n))])
     for name in ("inner", "connection"):
         fn = getattr(m, name)
-        if fn is not None:
-            xab = np.hstack([pts, rng.standard_normal((N, 2 * n))])
-            _assert_exact(lambda y: fn(y[..., :n], y[..., n:2 * n], y[..., 2 * n:]), xab, (mid, name))
+        _assert_exact(lambda y: fn(y[..., :n], y[..., n:2 * n], y[..., 2 * n:]), xab, (mid, name))
+    # the broadcast calls of covariant_derivative (every basis vector
+    # against one vector per point) and of the geodesic spray (a pair of
+    # vectors per point) equal one call per row and per vector
+    x, a, b = xab[:, :n], xab[:, n:2 * n], xab[:, 2 * n:]
+    E = np.eye(n)
+    basis = np.array([[m.connection(x[r], e, b[r]) for e in E] for r in range(N)])
+    assert np.array_equal(m.connection(x[:, None, :], E, b[:, None, :]), basis), mid
+    pair = np.array([[m.connection(x[r], a[r], c[r]) for r in range(N)] for c in (a, b)])
+    assert np.array_equal(m.connection(x, a, np.stack([a, b])), pair), mid
     if m.shell is not None:
         for r_lo, r_hi in ((0.0, 1.5), (1.5, 6.0)):
             for patch in m.shell(r_lo, r_hi):
@@ -131,9 +138,8 @@ def test_geometry_functions_stack(mid, rng):
     for fn in (metric_at, inverse_metric_at, volume_density, orthonormal_frame,
                christoffel):
         _assert_close(partial(fn, m), pts, (mid, fn))
-    # the finite-difference symbols, reached without the closed form
-    _assert_close(partial(christoffel, dataclasses.replace(m, christoffel=None)), pts,
-                  (mid, "fd"))
+    # the finite-difference symbols of the oracle
+    _assert_close(partial(fd_christoffel, m), pts, (mid, "fd"))
 
 
 @pytest.mark.parametrize("mid,fid", zoo.PAIR_IDS + (("torus", "torus:wave"),))
@@ -260,7 +266,7 @@ def test_stack_with_one_non_spd_metric_names_it():
         g[..., 1, 1] = 1.0 - x.T[0]      # indefinite for x0 > 1
         return g
 
-    m = ChartedManifold(name="tilt", dim=2, metric=metric)
+    m = from_metric("tilt", 2, metric)
     pts = np.column_stack([np.linspace(-1.0, 0.9, N), np.zeros(N)])
     metric_at(m, pts)
     pts[40, 0] = 1.5
@@ -276,7 +282,7 @@ def test_stack_with_one_asymmetric_metric_raises():
         g[..., 0, 1] = np.where(x.T[0] > 0.5, 0.1, 0.0)
         return g
 
-    m = ChartedManifold(name="skew", dim=2, metric=metric)
+    m = from_metric("skew", 2, metric)
     pts = np.column_stack([np.linspace(-1.0, 0.0, N), np.zeros(N)])
     metric_at(m, pts)
     pts[3, 0] = 0.75
