@@ -9,18 +9,20 @@ its own step size, its own accept/reject decisions and its own truncation
 reason.  Every weighted stage sum is formed per element in one order, so an
 orbit's result does not depend on the stack it rides in, bit for bit; one
 orbit is a stack of one.  No slope reads the carried column, so a step's
-twelve stages run on the geodesic spray alone and the carried column's
-slopes of stages 5 to 12 follow in one call on the stack of those eight
-stage states; the first four have weight zero in the solution, the error
-estimates and the extension.  The step control is the standard one
-(HNW II.4) at RTOL/ATOL over every column, the carried integral included:
-the 5(3) error norm, safety factor 0.9, step factors within [0.2, 10],
-exponent -1/8 and no growth on a step that was just rejected.  An orbit is
-read between its nodes through the seventh-degree continuous extension
-(HNW II.6), whose three extra stages are formed on the first such read, for
-every step of the trajectory at once: ``first_return`` scans its return
-grid on it, and ``diagnostics.hopf_probe`` reads the carried integral at its
-horizons, while the path kinds read end states only and never form it.
+twelve stages run on the geodesic spray alone, which forms Gamma(v, v) and
+nothing else, and the carried column's slopes of stages 5 to 12 follow in
+one call on the stack of those eight stage states: a field's components,
+and Gamma(v, X) with them, are formed there only.  The first four stages
+have weight zero in the solution, the error estimates and the extension.
+The step control is the standard one (HNW II.4) at RTOL/ATOL over every
+column, the carried integral included: the 5(3) error norm, safety factor
+0.9, step factors within [0.2, 10], exponent -1/8 and no growth on a step
+that was just rejected.  An orbit is read between its nodes through the
+seventh-degree continuous extension (HNW II.6), whose three extra stages
+are formed on the first such read, for every step of the trajectory at
+once: ``first_return`` scans its return grid on it, and
+``diagnostics.hopf_probe`` reads the carried integral at its horizons,
+while the path kinds read end states only and never form it.
 
 An orbit stops short of ``t_final`` with a flagged reason instead of a
 hang.  Before each attempt: "step_limit" after MAX_STEPS accepted steps, and
@@ -207,8 +209,9 @@ class GeodesicTrajectory:
     extension of its step from node k, starts at node k; the last node's
     segment is empty.  The extension's three extra stages are formed for
     every segment at once on the first read between nodes (``y_at``): one
-    spray call per stage, then one carried-slope call on the three stages'
-    states of every segment.  A read in a segment whose extra stage raised
+    spray call per stage, forming Gamma(v, v) alone, then one carried-slope
+    call on the three stages' states of every segment, which forms a field's
+    components and Gamma(v, X).  A read in a segment whose extra stage raised
     is a TruncatedTrajectoryError naming "rhs_failure".  Over the whole
     stack:
 
@@ -391,10 +394,10 @@ def _geodesic_rhs(m: ChartedManifold, integrand) -> tuple[Callable, Callable]:
     is h(x, v).  No slope reads the carried column, so a run of stages is
     formed on the spray alone, and the carried slopes of the stages that
     need them after it, in one stacked call on their (stages * M) rows.  A
-    stage takes Gamma(v, v) and, for a field from the fifth stage on,
-    Gamma(v, X) from one call of the manifold's ``connection`` on the pair
-    (V, X); the stacked call forms J v + Gamma(v, X) and pairs it with v
-    through the manifold's ``inner``, or forms h(x, v).
+    stage's spray forms Gamma(v, v) alone, from one call of the manifold's
+    ``connection``; for a field, the stacked call forms X, J v and
+    Gamma(v, X) on its rows and pairs J v + Gamma(v, X) with v through the
+    manifold's ``inner``, and for any other integrand it forms h(x, v).
 
       slope(Y)             the whole slope (M, 2n + q) of states Y, and the
                            rows on which it failed
@@ -409,34 +412,26 @@ def _geodesic_rhs(m: ChartedManifold, integrand) -> tuple[Callable, Callable]:
     n = m.dim
     field = isinstance(integrand, VectorFieldDef)
     d = 2 * n + (integrand is not None)
-    # a rate row: a state, followed by Gamma(v, X) for a field
-    width = d + n if field else d
 
-    def spray(Y, S, G=None):
-        # S <- (v, -Gamma(v, v)) and, for a field, G <- Gamma(v, X)
+    def spray(Y, S):
         X, V = Y[:, :n], Y[:, n:2 * n]
-        if G is not None and field:
-            Gvv, G[:] = m.connection(X, V, np.stack([V, _components(integrand, X)]))
-        else:
-            Gvv = m.connection(X, V, V)
         S[:, :n] = V
-        S[:, n:] = -Gvv
+        S[:, n:] = -m.connection(X, V, V)
 
-    def rate(Z, r):
-        X, V = Z[:, :n], Z[:, n:2 * n]
+    def rate(Y, r):
+        X, V = Y[:, :n], Y[:, n:2 * n]
         if field:
-            W = (_field_jacobian(integrand, m, X) @ V[..., None])[..., 0] + Z[:, d:]
+            W = ((_field_jacobian(integrand, m, X) @ V[..., None])[..., 0]
+                 + m.connection(X, V, _components(integrand, X)))
             r[:] = m.inner(X, W, V)
         else:
             r[:] = integrand(X, V)
 
     def slope(Y):
         F = np.zeros_like(Y)
-        Z = np.empty((len(Y), width))
-        Z[:, :d] = Y
-        bad = _evaluate(spray, Y, F[:, :2 * n], Z[:, d:])
+        bad = _evaluate(spray, Y, F[:, :2 * n])
         if integrand is not None:
-            bad |= _evaluate(rate, Z, F[:, 2 * n])
+            bad |= _evaluate(rate, Y, F[:, 2 * n])
         return F, bad
 
     def stages(K, y, h, run):
@@ -449,16 +444,15 @@ def _geodesic_rhs(m: ChartedManifold, integrand) -> tuple[Callable, Callable]:
         # M rows per stage, stored by column: each component the rate reads
         # is then one contiguous run, where rows stored by state would read
         # it at a stride of a whole row, past the cache on a large stack
-        Z = np.empty((width, len(rated) * M)).T
+        Z = np.empty((d, len(rated) * M)).T
         bad = np.zeros(M, dtype=bool)
         for s in run:
             step = h[:, None] * _wsum(A[s, :s], K)
             if s in rated:
-                row = Z[(s - rated.start) * M:(s - rated.start + 1) * M]
-                Ys = np.add(y, step, out=row[:, :d])
-                bad |= _evaluate(spray, Ys, K[s, :, :2 * n], row[:, d:])
+                Ys = np.add(y, step, out=Z[(s - rated.start) * M:(s - rated.start + 1) * M])
             else:
-                bad |= _evaluate(spray, y + step, K[s, :, :2 * n])
+                Ys = y + step
+            bad |= _evaluate(spray, Ys, K[s, :, :2 * n])
         if rated:
             r = np.empty(len(Z))
             bad |= _evaluate(rate, Z, r).reshape(len(rated), M).any(axis=0)

@@ -357,13 +357,19 @@ def _h2_metric(x):
     return g
 
 
-def _h2_inner(x, a, b):
-    # g(a, b) = a.b - (x.a)(x.b) / (1 + |x|^2), with Lagrange's identity
-    # |x|^2 a.b - (x.a)(x.b) = (x0 a1 - x1 a0)(x0 b1 - x1 b0) taking the
-    # cancellation out: the matrix form loses about |x|^2 eps
+def _h2_inner_numerator(x, a, b):
+    # z^2 g(a, b) = z^2 a.b - (x.a)(x.b) with z^2 = 1 + |x|^2, through
+    # Lagrange's identity |x|^2 a.b - (x.a)(x.b) = (x0 a1 - x1 a0)(x0 b1 -
+    # x1 b0), which takes the cancellation out: the matrix form loses about
+    # |x|^2 eps
     x0, x1 = x[..., 0], x[..., 1]
     cross = (x0 * a[..., 1] - x1 * a[..., 0]) * (x0 * b[..., 1] - x1 * b[..., 0])
-    return (a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + cross) / (1.0 + x0 * x0 + x1 * x1)
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + cross
+
+
+def _h2_inner(x, a, b):
+    x0, x1 = x[..., 0], x[..., 1]
+    return _h2_inner_numerator(x, a, b) / (1.0 + x0 * x0 + x1 * x1)
 
 
 def _h2_connection(x, a, b):
@@ -490,7 +496,7 @@ def make_example4() -> ChartedManifold:
 
     def inner(x, a, b):
         z2 = 1.0 + x[..., 0] * x[..., 0] + x[..., 1] * x[..., 1]
-        return _h2_inner(x, a, b) + a[..., 2] * b[..., 2] / (z2 * z2)
+        return _h2_inner_numerator(x, a, b) / z2 + a[..., 2] * b[..., 2] / (z2 * z2)
 
     def connection(x, a, b):
         # the base block -x g_H(a, b) plus the warp couplings of h = 1/z^2:
@@ -499,10 +505,14 @@ def make_example4() -> ChartedManifold:
         x0, x1 = x[..., 0], x[..., 1]
         z2 = 1.0 + x0 * x0 + x1 * x1
         a2, b2 = a[..., 2], b[..., 2]
-        base = 2.0 * (a2 * b2) / (z2 * z2) - _h2_inner(x, a, b)
+        base = 2.0 * (a2 * b2) / (z2 * z2) - _h2_inner_numerator(x, a, b) / z2
         xa = x0 * a[..., 0] + x1 * a[..., 1]
         xb = x0 * b[..., 0] + x1 * b[..., 1]
-        return np.stack([x0 * base, x1 * base, -2.0 * (xa * b2 + xb * a2) / z2], axis=-1)
+        out = np.empty(np.shape(base) + (3,))
+        out[..., 0] = x0 * base
+        out[..., 1] = x1 * base
+        out[..., 2] = -2.0 * (xa * b2 + xb * a2) / z2
+        return out
 
     def radius(x):
         return np.arccosh(np.maximum(1.0, np.sqrt(1.0 + x[..., 0] * x[..., 0] + x[..., 1] * x[..., 1])))

@@ -269,24 +269,34 @@ def test_stacked_orbits_step_as_they_do_alone(ex2, ex4, rng):
 def test_carried_slopes_take_one_call_per_step(ex4):
     # two start-up calls on the M rows, then one call per stacked attempt on
     # the 8 rated stages (5 to 12) of each orbit still stepping; the
-    # extension takes one call on its 3 stages of every non-empty segment
+    # extension takes one call on its 3 stages of every non-empty segment.
+    # A field's components are read in that call only: the spray forms
+    # Gamma(v, v) alone
     calls = []
 
     def h(x, v):
         calls.append(len(x))
         return _h(x, v)
 
+    def components(x):
+        calls.append(len(x))
+        return Z.components(x)
+
+    Z = zoo.vector_field("warp:ex4:Z")
     states = sample_states(ex4, 4, np.random.default_rng(30))
-    traj = integrate_geodesic(ex4, states, np.array([3.0, 1.0, -2.0, 0.5]), integrand=h)
-    assert traj.truncated == 0
-    attempts = traj.n_accepted + traj.n_rejected
-    assert len(set(attempts)) == 4
-    assert np.array_equal(traj.nfev, 2 + 12 * attempts)
-    assert calls == [4, 4] + [8 * int((attempts > k).sum()) for k in range(attempts.max())]
-    calls.clear()
-    traj.y_at(np.array([0.25, 0.25, -0.25, 0.25]))
-    traj.y_at(np.array([2.0, 0.5, -1.0, 0.4]))
-    assert calls == [3 * traj.stats.n_accepted]
+    for integrand in (h, dataclasses.replace(Z, components=components)):
+        calls.clear()
+        traj = integrate_geodesic(ex4, states, np.array([3.0, 1.0, -2.0, 0.5]),
+                                  integrand=integrand)
+        assert traj.truncated == 0
+        attempts = traj.n_accepted + traj.n_rejected
+        assert len(set(attempts)) == 4
+        assert np.array_equal(traj.nfev, 2 + 12 * attempts)
+        assert calls == [4, 4] + [8 * int((attempts > k).sum()) for k in range(attempts.max())]
+        calls.clear()
+        traj.y_at(np.array([0.25, 0.25, -0.25, 0.25]))
+        traj.y_at(np.array([2.0, 0.5, -1.0, 0.4]))
+        assert calls == [3 * traj.stats.n_accepted]
 
 
 def test_integrand_failing_at_start_leaves_only_the_start_states(ex4):
@@ -304,34 +314,45 @@ def test_integrand_failing_at_start_leaves_only_the_start_states(ex4):
 
 
 def test_failing_integrand_truncates_only_its_orbit(ex4):
-    # h raises on rows with x0 > 1.5, which only the first orbit reaches: the
-    # stacked call is redone row by row, so the other orbits step as they do
-    # alone; armed after a run, h fails only the extension's segments that
-    # cross x0 = 1.5
+    # h, and the components of a field, raise on rows with x0 > 1.5, which
+    # only the first orbit reaches: the stacked carried-slope call is redone
+    # row by row, so the other orbits step as they do alone; armed after a
+    # run, the integrand fails only the extension's segments that cross
+    # x0 = 1.5
     armed = [True]
 
-    def h(x, v):
+    def check(x):
         if armed and np.any(x[:, 0] > 1.5):
-            raise DomainError("h")
+            raise DomainError("integrand")
+
+    def h(x, v):
+        check(x)
         return _h(x, v)
 
+    def components(x):
+        check(x)
+        return Z.components(x)
+
+    Z = zoo.vector_field("warp:ex4:Z")
     states = unit_states(ex4, [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [-1.0, 0.5, 1.0]],
                          [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 1.0, 0.5]], normalize=True)
-    stack = integrate_geodesic(ex4, states, 2.0, integrand=h)
-    assert stack.reasons == ("rhs_failure", None, None)
-    assert 0.0 < stack.t_end[0] < 2.0
-    for i in (1, 2):
-        one = integrate_geodesic(ex4, states[i:i + 1], 2.0, integrand=h)
-        assert (stack.n_accepted[i], stack.n_rejected[i], stack.nfev[i]) == (
-            one.n_accepted[0], one.n_rejected[0], one.nfev[0])
-        assert np.array_equal(stack.y_end[i], one.y_end[0])
-    armed.clear()
-    traj = integrate_geodesic(ex4, states, 2.0, integrand=h)
-    assert traj.reasons == (None, None, None) and traj.y_end[0, 0] > 1.6
-    armed.append(True)
-    assert np.array_equal(traj.y_at([0.1, 2.0, 2.0])[1:], traj.y_end[1:])
-    with pytest.raises(TruncatedTrajectoryError, match="rhs_failure"):
-        traj.y_at(2.0)
+    for integrand in (h, dataclasses.replace(Z, components=components)):
+        armed[:] = [True]
+        stack = integrate_geodesic(ex4, states, 2.0, integrand=integrand)
+        assert stack.reasons == ("rhs_failure", None, None)
+        assert 0.0 < stack.t_end[0] < 2.0
+        for i in (1, 2):
+            one = integrate_geodesic(ex4, states[i:i + 1], 2.0, integrand=integrand)
+            assert (stack.n_accepted[i], stack.n_rejected[i], stack.nfev[i]) == (
+                one.n_accepted[0], one.n_rejected[0], one.nfev[0])
+            assert np.array_equal(stack.y_end[i], one.y_end[0])
+        armed.clear()
+        traj = integrate_geodesic(ex4, states, 2.0, integrand=integrand)
+        assert traj.reasons == (None, None, None) and traj.y_end[0, 0] > 1.6
+        armed.append(True)
+        assert np.array_equal(traj.y_at([0.1, 2.0, 2.0])[1:], traj.y_end[1:])
+        with pytest.raises(TruncatedTrajectoryError, match="rhs_failure"):
+            traj.y_at(2.0)
 
 
 def _solve_ivp_counts(m, states, T, field=None):
@@ -379,22 +400,27 @@ def test_controller_takes_the_standard_steps(ex4):
 
 
 def test_path_run_evaluates_the_rhs_nfev_times(ex4):
-    # every stepping evaluation passes through the connection once, and a
-    # path run reads end states only, so it never forms the extension's
-    # stages
-    rows = []
+    # every stepping evaluation passes through the connection once in the
+    # spray, Gamma(v, v) with b the very array a; the carried slopes take
+    # Gamma(v, X) on the rows of both start-up evaluations and of the 8
+    # rated stages of each attempt's 12.  A path run reads end states only,
+    # so it never forms the extension's stages
+    spray, rate = [], []
 
     def counted(x, a, b):
-        rows.append(len(x))
+        (spray if b is a else rate).append(len(x))
         return ex4.connection(x, a, b)
 
     m = dataclasses.replace(ex4, connection=counted)
+    Z = zoo.vector_field("warp:ex4:Z")
     states = sample_states(ex4, 4, np.random.default_rng(30))
-    traj = integrate_geodesic(m, states, 3.0, integrand=zoo.vector_field("warp:ex4:Z"))
+    traj = integrate_geodesic(m, states, 3.0, integrand=Z)
     assert traj.truncated == 0
-    assert sum(rows) == traj.stats.nfev
-    path_integral_identity_residual(zoo.vector_field("warp:ex4:Z"), m, states, 3.0)
-    assert sum(rows) == 2 * traj.stats.nfev
+    nfev, start = traj.stats.nfev, 2 * len(states)
+    assert sum(spray) == nfev
+    assert sum(rate) == start + 2 * (nfev - start) // 3
+    path_integral_identity_residual(Z, m, states, 3.0)
+    assert (sum(spray), sum(rate)) == (2 * nfev, 2 * (start + 2 * (nfev - start) // 3))
 
 
 def test_failed_extension_stage_truncates_reads_in_its_segment(ex4):

@@ -89,8 +89,10 @@ def test_manifold_closures_stack_exactly(mid, rng):
         fn = getattr(m, name)
         _assert_exact(lambda y: fn(y[..., :n], y[..., n:2 * n], y[..., 2 * n:]), xab, (mid, name))
     # the broadcast calls of covariant_derivative (every basis vector
-    # against one vector per point) and of the geodesic spray (a pair of
-    # vectors per point) equal one call per row and per vector
+    # against one vector per point) equal one call per row and per vector,
+    # and so does a pair of vectors per point: the geodesic spray forms
+    # Gamma(v, v) alone, and Gamma(v, X) comes with the field's components
+    # in the stacked carried-slope call, but a closure broadcasts any stack
     x, a, b = xab[:, :n], xab[:, n:2 * n], xab[:, 2 * n:]
     E = np.eye(n)
     basis = np.array([[m.connection(x[r], e, b[r]) for e in E] for r in range(N)])
