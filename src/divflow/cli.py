@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import zoo
@@ -80,10 +81,10 @@ def _build_config(args) -> ExperimentConfig:
     raw = {}
     if args.config:
         try:
-            with open(args.config) as fh:
+            with open(args.config, encoding="utf-8") as fh:
                 raw = json.load(fh)
-        except FileNotFoundError as exc:
-            raise ConfigError(f"config file not found: {args.config}") from exc
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
@@ -91,6 +92,9 @@ def _build_config(args) -> ExperimentConfig:
         if raw.get("kind", kind) != kind:
             raise ConfigError(
                 f"config kind {raw.get('kind')!r} does not match subcommand {kind!r}")
+    if args.out and (os.path.isdir(args.out)
+                     or not os.path.isdir(os.path.dirname(args.out) or ".")):
+        raise ConfigError(f"--out {args.out} is not a file path in an existing directory")
     raw["kind"] = kind
     if args.manifold:
         raw["manifold"] = args.manifold

@@ -134,9 +134,6 @@ class CutoffReport:
         """The right side widened by sigma standard errors of both sides."""
         return self.rhs + sigma * (self.lhs_stderr + self.rhs_stderr)
 
-    def holds(self, sigma: float = 3.0) -> bool:
-        return self.lhs <= self.bound(sigma)
-
 
 def cutoff_estimate(m: ChartedManifold, field: VectorFieldDef, r: float,
                     order: int = 16) -> CutoffReport:

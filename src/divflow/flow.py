@@ -216,7 +216,6 @@ class GeodesicTrajectory:
     stack:
 
       truncated          the number of truncated orbits
-      truncation_reason  the first truncated orbit's reason, else None
       stats              accepted and rejected steps and right-hand-side
                          evaluations of the stepping, summed over the orbits
                          (per orbit in ``n_accepted``, ``n_rejected`` and
@@ -269,10 +268,6 @@ class GeodesicTrajectory:
     @property
     def truncated(self) -> int:
         return sum(r is not None for r in self.reasons)
-
-    @property
-    def truncation_reason(self) -> Optional[str]:
-        return next((r for r in self.reasons if r is not None), None)
 
     @property
     def states(self) -> list:

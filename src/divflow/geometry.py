@@ -5,8 +5,8 @@ Everything here is a pure function of explicit chart data.  A manifold is
 one almost-everywhere chart: its metric matrix on a coordinate domain, and
 the metric g(a, b) and the Levi-Civita connection Gamma(a, b) as closed
 bilinear forms, the one way the package pairs vectors and differentiates
-covariantly.  Optional extras (a radial distance surrogate, an analytic
-geodesic, shells) serve as oracles and integration regions.
+covariantly.  Optional extras (a radial distance surrogate, shells and
+sampling defaults) serve the probes and the integration regions.
 
 Stack convention: functions of a point take x of shape (n,) or (N, n), as
 do the chart and field closures and the potential operators
@@ -87,7 +87,6 @@ class ChartedManifold:
     Optional fields:
       radius           radial distance surrogate r(x) >= 0 (distance from
                        a fixed point, or a quantity comparable to it)
-      geodesic         analytic flow oracle (x0, v0, t) -> (x, v)
       shell            (r_lo, r_hi) -> tuple of integration patches for the
                        region {r_lo <= radius <= r_hi} (see integrals module)
       sample_box       default bounded coordinate box for random sampling
@@ -95,8 +94,8 @@ class ChartedManifold:
                        sampling experiments use on an unbounded manifold
       radius_escape_certificate
                        True only if (a) radius is 1-Lipschitz in the chart
-                       coordinates and (b) t -> radius(geodesic(t)) is convex
-                       along every geodesic; lets orbit probes certify
+                       coordinates and (b) t -> radius(gamma(t)) is convex
+                       along every geodesic gamma; lets orbit probes certify
                        non-return early.
     """
 
@@ -105,10 +104,9 @@ class ChartedManifold:
     metric: Callable[[np.ndarray], np.ndarray]
     inner: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     connection: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
-    domain: Callable[[np.ndarray], bool] = _always
+    domain: Callable[[np.ndarray], np.ndarray] = _always
     periods: tuple[Optional[float], ...] = ()
-    radius: Optional[Callable[[np.ndarray], float]] = None
-    geodesic: Optional[Callable[[np.ndarray, np.ndarray, float], tuple]] = None
+    radius: Optional[Callable[[np.ndarray], np.ndarray]] = None
     shell: Optional[Callable[[float, float], tuple]] = None
     sample_box: Optional[tuple[tuple[float, float], ...]] = None
     radius_cap: Optional[float] = None
@@ -128,17 +126,14 @@ class VectorFieldDef:
 
     ``components(x)`` returns the chart components X^k(x).  ``jacobian``,
     when supplied, returns analytic partials J[k, i] = dX^k/dx^i; otherwise
-    central differences are used.  All three take x of shape (n,) or (N, n);
-    a constant may come back unbroadcast.  ``divergence``/``fx``
-    are optional closed forms used by oracle tests, never by the computing
-    paths.
+    central differences are used.  Both take x of shape (n,) or (N, n); a
+    constant may come back unbroadcast.  The computing paths read nothing
+    else of a field: its divergence and pairing rate are computed from these.
     """
 
     name: str
     components: Callable[[np.ndarray], np.ndarray]
     jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    divergence: Optional[Callable[[np.ndarray], float]] = None
-    fx: Optional[Callable[[np.ndarray, np.ndarray], float]] = None
 
 
 # ---------------------------------------------------------------------------

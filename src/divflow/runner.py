@@ -114,6 +114,8 @@ class ExperimentConfig:
                             "tolerances", "seed"}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        if "field" in d and "fields" in d:
+            raise ConfigError("give either field or fields, not both")
         fields_ = d.get("fields")
         if fields_ is None:
             fields_ = [d["field"]] if d.get("field") else []

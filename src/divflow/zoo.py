@@ -26,9 +26,10 @@ public id tuples are derived from them.
 The chart, shell and field closures index only the last axis (``x[..., 0]``),
 so they take any stack of shape (..., n) and return the matching leading
 shape, with the same values on one point as on a stack; ``inner`` and
-``connection`` broadcast their three arguments against each other.  The
-oracles that tests compare against (the fields' ``fx``, the analytic
-hyperbolic geodesic and the revolution embedding) take one point.
+``connection`` broadcast their three arguments against each other.  The zoo
+holds what the package computes with; the closed forms that tests compare
+against (divergences, pairing rates, the hyperbolic geodesic and the
+revolution embedding) live with the tests.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from .integrals import ShellPatch
 
 __all__ = [
     "WarpProfile",
-    "AmbientEmbedding",
     "make_flat_torus",
     "make_surface_of_revolution",
     "make_hyperbolic_plane",
@@ -54,7 +54,6 @@ __all__ = [
     "warp_profile_infinite_volume",
     "manifold",
     "vector_field",
-    "field_pairs",
     "list_zoo",
     "MANIFOLD_IDS",
     "FIELD_IDS",
@@ -225,14 +224,6 @@ def make_flat_torus() -> ChartedManifold:
 # surface of revolution
 
 
-@dataclass(frozen=True, eq=False)
-class AmbientEmbedding:
-    """Map into Euclidean 3-space with its Jacobian (columns per chart axis)."""
-
-    map: Callable[[np.ndarray], np.ndarray]
-    jacobian: Callable[[np.ndarray], np.ndarray]
-
-
 class _MeridianArclength:
     """Arclength along the profile curve from x = 0, tabulated once.
 
@@ -261,7 +252,7 @@ class _MeridianArclength:
         return np.interp(r, self.rs, self.xs)
 
 
-def make_surface_of_revolution() -> tuple[ChartedManifold, AmbientEmbedding]:
+def make_surface_of_revolution() -> ChartedManifold:
     """Rotate the graph of f(x) = 1/(1+x^2) about the x axis.
 
     Chart (x, t) with metric diag(1 + f'(x)^2, f(x)^2), t periodic; the
@@ -278,18 +269,18 @@ def make_surface_of_revolution() -> tuple[ChartedManifold, AmbientEmbedding]:
 
     def inner(x, a, b):
         x0 = x[..., 0]
-        fx, fp = _f(x0), _df(x0)
-        return (1.0 + fp * fp) * (a[..., 0] * b[..., 0]) + fx * fx * (a[..., 1] * b[..., 1])
+        f, fp = _f(x0), _df(x0)
+        return (1.0 + fp * fp) * (a[..., 0] * b[..., 0]) + f * f * (a[..., 1] * b[..., 1])
 
     def connection(x, a, b):
         # Gamma^0_00 = f' f'' / (1 + f'^2), Gamma^0_11 = -f f' / (1 + f'^2),
         # Gamma^1_01 = Gamma^1_10 = f' / f
         x0 = x[..., 0]
-        fx, fp, fpp = _f(x0), _df(x0), _d2f(x0)
+        f, fp, fpp = _f(x0), _df(x0), _d2f(x0)
         d = 1.0 + fp * fp
         a0, a1, b0, b1 = a[..., 0], a[..., 1], b[..., 0], b[..., 1]
-        return np.stack([(fp * fpp * (a0 * b0) - fx * fp * (a1 * b1)) / d,
-                         fp / fx * (a0 * b1 + a1 * b0)], axis=-1)
+        return np.stack([(fp * fpp * (a0 * b0) - f * fp * (a1 * b1)) / d,
+                         fp / f * (a0 * b1 + a1 * b0)], axis=-1)
 
     arc = _MeridianArclength()
 
@@ -309,15 +300,7 @@ def make_surface_of_revolution() -> tuple[ChartedManifold, AmbientEmbedding]:
         return (ShellPatch(bounds, to_chart(1.0), density, "meridian+"),
                 ShellPatch(bounds, to_chart(-1.0), density, "meridian-"))
 
-    def embed(x):
-        return np.array([x[0], _f(x[0]) * math.cos(x[1]), _f(x[0]) * math.sin(x[1])])
-
-    def embed_jac(x):
-        fx, fp = _f(x[0]), _df(x[0])
-        c, s = math.cos(x[1]), math.sin(x[1])
-        return np.array([[1.0, 0.0], [fp * c, -fx * s], [fp * s, fx * c]])
-
-    m = ChartedManifold(
+    return ChartedManifold(
         name="revolution:1/(1+x^2)",
         dim=2,
         metric=metric,
@@ -330,21 +313,10 @@ def make_surface_of_revolution() -> tuple[ChartedManifold, AmbientEmbedding]:
         radius_cap=4.0,
         description="surface of revolution of f(x) = 1/(1+x^2) about the x axis",
     )
-    return m, AmbientEmbedding(map=embed, jacobian=embed_jac)
 
 
 # ---------------------------------------------------------------------------
 # hyperbolic plane (hyperboloid graph chart)
-
-
-def _h2_lift(x):
-    z = math.sqrt(1.0 + x[0] * x[0] + x[1] * x[1])
-    return np.array([x[0], x[1], z])
-
-
-def _h2_lift_velocity(x, v):
-    P = _h2_lift(x)
-    return np.array([v[0], v[1], (x[0] * v[0] + x[1] * v[1]) / P[2]])
 
 
 def _h2_metric(x):
@@ -377,34 +349,33 @@ def _h2_connection(x, a, b):
     return -x * _h2_inner(x, a, b)[..., None]
 
 
+def _h2_radius(x):
+    # distance from the apex, arccosh(z)
+    x0, x1 = x[..., 0], x[..., 1]
+    return np.arccosh(np.maximum(1.0, np.sqrt(1.0 + x0 * x0 + x1 * x1)))
+
+
+def _h2_polar(u):
+    """Geodesic polar coordinates (d, theta) about the apex to the graph
+    chart; further coordinates pass through."""
+    s = np.sinh(u[..., 0])
+    x = np.array(u, dtype=float)
+    x[..., 0] = s * np.cos(u[..., 1])
+    x[..., 1] = s * np.sin(u[..., 1])
+    return x
+
+
 def make_hyperbolic_plane() -> ChartedManifold:
     """Hyperbolic plane as the graph chart (x, y) -> (x, y, sqrt(1+x^2+y^2))
     of the upper hyperboloid sheet, metric pulled back from the Lorentz form.
 
-    Carries the analytic geodesic gamma(t) = cosh(t) P + sinh(t) V, as
-    radius surrogate the exact distance from the apex, arccosh(z), and g and
-    the connection as closed bilinear forms.
+    Carries as radius surrogate the exact distance from the apex,
+    arccosh(z), and g and the connection as closed bilinear forms.
     """
 
-    def geodesic(x0, v0, t):
-        P = _h2_lift(x0)
-        V = _h2_lift_velocity(x0, v0)
-        ct, st = math.cosh(t), math.sinh(t)
-        G = ct * P + st * V
-        Gdot = st * P + ct * V
-        return G[:2].copy(), Gdot[:2].copy()
-
-    def radius(x):
-        x0, x1 = x[..., 0], x[..., 1]
-        return np.arccosh(np.maximum(1.0, np.sqrt(1.0 + x0 * x0 + x1 * x1)))
-
     def shell(r_lo, r_hi):
-        def to_chart(u):
-            s = np.sinh(u[..., 0])
-            return np.stack([s * np.cos(u[..., 1]), s * np.sin(u[..., 1])], axis=-1)
-
         return (ShellPatch(((float(r_lo), float(r_hi)), (0.0, TWO_PI)),
-                           to_chart, lambda u: np.sinh(u[..., 0]), "polar"),)
+                           _h2_polar, lambda u: np.sinh(u[..., 0]), "polar"),)
 
     return ChartedManifold(
         name="hyperbolic",
@@ -412,8 +383,7 @@ def make_hyperbolic_plane() -> ChartedManifold:
         metric=_h2_metric,
         inner=_h2_inner,
         connection=_h2_connection,
-        radius=radius,
-        geodesic=geodesic,
+        radius=_h2_radius,
         shell=shell,
         sample_box=((-3.0, 3.0), (-3.0, 3.0)),
         radius_cap=2.0,
@@ -514,14 +484,7 @@ def make_example4() -> ChartedManifold:
         out[..., 2] = -2.0 * (xa * b2 + xb * a2) / z2
         return out
 
-    def radius(x):
-        return np.arccosh(np.maximum(1.0, np.sqrt(1.0 + x[..., 0] * x[..., 0] + x[..., 1] * x[..., 1])))
-
     def shell(r_lo, r_hi):
-        def to_chart(u):
-            s = np.sinh(u[..., 0])
-            return np.stack([s * np.cos(u[..., 1]), s * np.sin(u[..., 1]), u[..., 2]], axis=-1)
-
         def density(u):
             # base polar density sinh(d) times the warp 1/cosh(d)^2; cosh(d)^2
             # overflows past d = 355, and past d = 350 the two equal 2 e^-d
@@ -533,7 +496,7 @@ def make_example4() -> ChartedManifold:
             return out[()]
 
         bounds = ((float(r_lo), float(r_hi)), (0.0, TWO_PI), (0.0, TWO_PI))
-        return (ShellPatch(bounds, to_chart, density, "polar"),)
+        return (ShellPatch(bounds, _h2_polar, density, "polar"),)
 
     return ChartedManifold(
         name="warp:ex4",
@@ -542,7 +505,7 @@ def make_example4() -> ChartedManifold:
         periods=(None, None, TWO_PI),
         inner=inner,
         connection=connection,
-        radius=radius,
+        radius=_h2_radius,
         shell=shell,
         sample_box=((-3.0, 3.0), (-3.0, 3.0), (0.0, TWO_PI)),
         radius_cap=3.0,
@@ -580,18 +543,7 @@ def _revolution_W() -> VectorFieldDef:
         J[..., 1, 0] = 1.0 + 3.0 * x0 * x0
         return J
 
-    def fx(x, v):
-        # rate of the velocity pairing, written through the ambient picture
-        fx_, fp = _f(x[0]), _df(x[0])
-        c, s = math.cos(x[1]), math.sin(x[1])
-        yz = np.array([fx_ * c, fx_ * s])
-        a = v[0]
-        bc = np.array([v[0] * fp * c - v[1] * fx_ * s,
-                       v[0] * fp * s + v[1] * fx_ * c])
-        return a * (1.0 + 3.0 * x[0] ** 2) * (-yz[1] * bc[0] + bc[1] * yz[0])
-
-    return VectorFieldDef(name="W", components=components, jacobian=jacobian,
-                          divergence=_constant(0.0), fx=fx)
+    return VectorFieldDef(name="W", components=components, jacobian=jacobian)
 
 
 def _h2_rotation() -> VectorFieldDef:
@@ -600,8 +552,6 @@ def _h2_rotation() -> VectorFieldDef:
         name="rotation",
         components=lambda x: np.stack([-x[..., 1], x[..., 0]], axis=-1),
         jacobian=_constant([[0.0, -1.0], [1.0, 0.0]]),
-        divergence=_constant(0.0),
-        fx=lambda x, v: 0.0,
     )
 
 
@@ -627,17 +577,7 @@ def _h2_conformal() -> VectorFieldDef:
         J[..., 1, 1] = z + x1 * x1 / z
         return J
 
-    def fx(x, v):
-        # conformal factor on unit velocities
-        return math.sqrt(1.0 + x[0] ** 2 + x[1] ** 2)
-
-    return VectorFieldDef(
-        name="conformal",
-        components=components,
-        jacobian=jacobian,
-        divergence=lambda x: 2.0 * np.sqrt(1.0 + x[..., 0] * x[..., 0] + x[..., 1] * x[..., 1]),
-        fx=fx,
-    )
+    return VectorFieldDef(name="conformal", components=components, jacobian=jacobian)
 
 
 def _ex2_Zbar() -> VectorFieldDef:
@@ -668,24 +608,7 @@ def _ex4_Z() -> VectorFieldDef:
         J[..., :2, :2] = X.jacobian(x[..., :2])
         return J
 
-    def divergence(x):
-        return 2.0 / np.sqrt(1.0 + x[..., 0] * x[..., 0] + x[..., 1] * x[..., 1])
-
-    def fx(x, v):
-        # split a unit velocity into base and fiber parts:
-        # rate = z |v_B|^2 + (X h / h) |v_F|^2
-        z2 = 1.0 + x[0] ** 2 + x[1] ** 2
-        z = math.sqrt(z2)
-        gB = _h2_metric(x[:2])
-        vB = np.asarray(v[:2])
-        nB2 = float(vB @ gB @ vB)
-        h = 1.0 / z2
-        nF2 = (h * v[2]) ** 2
-        xf_over_f = -2.0 * (x[0] ** 2 + x[1] ** 2) / z
-        return z * nB2 + xf_over_f * nF2
-
-    return VectorFieldDef(name="Z", components=components, jacobian=jacobian,
-                          divergence=divergence, fx=fx)
+    return VectorFieldDef(name="Z", components=components, jacobian=jacobian)
 
 
 def torus_wave_field() -> VectorFieldDef:
@@ -701,12 +624,7 @@ def torus_wave_field() -> VectorFieldDef:
         J[..., 0, 0], J[..., 1, 1] = c[..., 0], c[..., 1]
         return J
 
-    return VectorFieldDef(
-        name="wave",
-        components=components,
-        jacobian=jacobian,
-        divergence=lambda x: k * (np.cos(k * x[..., 0]) + np.cos(k * x[..., 1])),
-    )
+    return VectorFieldDef(name="wave", components=components, jacobian=jacobian)
 
 
 # ---------------------------------------------------------------------------
@@ -716,7 +634,7 @@ def torus_wave_field() -> VectorFieldDef:
 # id -> builder, in listing order
 _MANIFOLDS = {
     "torus": make_flat_torus,
-    "revolution:1/(1+x^2)": lambda: make_surface_of_revolution()[0],
+    "revolution:1/(1+x^2)": make_surface_of_revolution,
     "hyperbolic": make_hyperbolic_plane,
     "warp:ex2": lambda: _radial_example(warp_profile_finite_volume(), "warp:ex2"),
     "warp:ex3": lambda: _radial_example(warp_profile_infinite_volume(), "warp:ex3"),
@@ -748,8 +666,6 @@ _FIELDS = {
 
 MANIFOLD_IDS = tuple(_MANIFOLDS)
 FIELD_IDS = tuple(_FIELDS)
-# the six canonical (manifold, field) pairs exercised by the verification suite
-PAIR_IDS = tuple((mid, fid) for fid, (mid, _, _) in _FIELDS.items() if mid != "torus")
 
 
 @lru_cache(maxsize=None)
@@ -774,11 +690,6 @@ def vector_field(fid: str) -> VectorFieldDef:
 
 def field_manifold_id(fid: str) -> str:
     return _field_entry(fid)[0]
-
-
-def field_pairs() -> list[tuple[ChartedManifold, VectorFieldDef]]:
-    """The six canonical (manifold, field) pairs, in catalog order."""
-    return [(manifold(mid), vector_field(fid)) for mid, fid in PAIR_IDS]
 
 
 def list_zoo() -> dict:

@@ -4,8 +4,15 @@ States are the package's (N, 2n) arrays: positions in columns :n,
 velocities in columns n:2n.  The Christoffel tensors G[..., k, i, j] =
 Gamma^k_ij of the zoo manifolds, and the symbols that central differences
 of any metric give, are references for the closed-form connections the
-package computes with.
+package computes with.  The zoo fields' divergences (``DIVERGENCE``) and
+pairing rates (``FX``), keyed by field id, are references for what the
+package computes from a field's components and Jacobian; the analytic
+hyperbolic geodesic and the revolution embedding check the orbits and the
+revolution surface.  The divergences take a stack of points; the pairing
+rates, the geodesic and the embedding take one point.
 """
+
+import math
 
 import numpy as np
 
@@ -205,3 +212,101 @@ def tensor_rate_form(field, m, x) -> np.ndarray:
     A = _field_jacobian(field, m, x) + np.einsum("...kij,...j->...ki", G, _components(field, x))
     Q = metric_at(m, x) @ A
     return 0.5 * (Q + np.swapaxes(Q, -1, -2))
+
+
+# ---------------------------------------------------------------------------
+# the zoo's (manifold, field) pairs
+
+
+# the six canonical (manifold, field) pairs exercised by the verification suite
+PAIR_IDS = tuple((zoo.field_manifold_id(fid), fid) for fid in zoo.FIELD_IDS
+                 if zoo.field_manifold_id(fid) != "torus")
+
+
+def field_pairs() -> list:
+    """The six canonical (manifold, field) pairs, in catalog order."""
+    return [(zoo.manifold(mid), zoo.vector_field(fid)) for mid, fid in PAIR_IDS]
+
+
+# ---------------------------------------------------------------------------
+# divergences and pairing rates of the zoo fields
+
+
+def _revolution_W_fx(x, v):
+    # rate of the velocity pairing, written through the ambient picture
+    fx_, fp = zoo._f(x[0]), zoo._df(x[0])
+    c, s = math.cos(x[1]), math.sin(x[1])
+    yz = np.array([fx_ * c, fx_ * s])
+    a = v[0]
+    bc = np.array([v[0] * fp * c - v[1] * fx_ * s,
+                   v[0] * fp * s + v[1] * fx_ * c])
+    return a * (1.0 + 3.0 * x[0] ** 2) * (-yz[1] * bc[0] + bc[1] * yz[0])
+
+
+def _h2_conformal_fx(x, v):
+    # conformal factor on unit velocities
+    return math.sqrt(1.0 + x[0] ** 2 + x[1] ** 2)
+
+
+def _ex4_Z_fx(x, v):
+    # split a unit velocity into base and fiber parts:
+    # rate = z |v_B|^2 + (X h / h) |v_F|^2
+    z2 = 1.0 + x[0] ** 2 + x[1] ** 2
+    z = math.sqrt(z2)
+    gB = zoo._h2_metric(x[:2])
+    vB = np.asarray(v[:2])
+    nB2 = float(vB @ gB @ vB)
+    h = 1.0 / z2
+    nF2 = (h * v[2]) ** 2
+    xf_over_f = -2.0 * (x[0] ** 2 + x[1] ** 2) / z
+    return z * nB2 + xf_over_f * nF2
+
+
+_WAVE_K = zoo.TWO_PI   # the wave number of torus:wave
+
+# field id -> div X at a stack of points (..., n)
+DIVERGENCE = {
+    "revolution:W": zoo._constant(0.0),
+    "hyperbolic:conformal":
+        lambda x: 2.0 * np.sqrt(1.0 + x[..., 0] * x[..., 0] + x[..., 1] * x[..., 1]),
+    "hyperbolic:rotation": zoo._constant(0.0),
+    "warp:ex4:Z": lambda x: 2.0 / np.sqrt(1.0 + x[..., 0] * x[..., 0] + x[..., 1] * x[..., 1]),
+    "torus:wave": lambda x: _WAVE_K * (np.cos(_WAVE_K * x[..., 0]) + np.cos(_WAVE_K * x[..., 1])),
+}
+
+# field id -> the pairing rate g(nabla_v X, v) at one unit state (x, v)
+FX = {
+    "revolution:W": _revolution_W_fx,
+    "hyperbolic:conformal": _h2_conformal_fx,
+    "hyperbolic:rotation": lambda x, v: 0.0,
+    "warp:ex4:Z": _ex4_Z_fx,
+}
+
+
+# ---------------------------------------------------------------------------
+# the hyperbolic geodesic and the revolution embedding
+
+
+def hyperbolic_geodesic(x0, v0, t):
+    """The unit-speed geodesic of the hyperbolic plane through (x0, v0) at
+    time t, gamma(t) = cosh(t) P + sinh(t) V with (P, V) the state lifted to
+    the hyperboloid, as chart position and velocity."""
+    z = math.sqrt(1.0 + x0[0] * x0[0] + x0[1] * x0[1])
+    P = np.array([x0[0], x0[1], z])
+    V = np.array([v0[0], v0[1], (x0[0] * v0[0] + x0[1] * v0[1]) / z])
+    ct, st = math.cosh(t), math.sinh(t)
+    G = ct * P + st * V
+    Gdot = st * P + ct * V
+    return G[:2].copy(), Gdot[:2].copy()
+
+
+def revolution_embedding(x):
+    """The revolution surface's chart point (x, t) in Euclidean 3-space."""
+    return np.array([x[0], zoo._f(x[0]) * math.cos(x[1]), zoo._f(x[0]) * math.sin(x[1])])
+
+
+def revolution_embedding_jacobian(x):
+    """The Jacobian of ``revolution_embedding``, one column per chart axis."""
+    fx, fp = zoo._f(x[0]), zoo._df(x[0])
+    c, s = math.cos(x[1]), math.sin(x[1])
+    return np.array([[1.0, 0.0], [fp * c, -fx * s], [fp * s, fx * c]])

@@ -107,12 +107,45 @@ def test_malformed_config_file_values_exit_2(key, value, tmp_path, capsys):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("name,content", [
+    ("", None), ("latin1.json", b'{"manifold": "torus\xe9"}'), ("missing.json", None),
+], ids=["directory", "not-utf8", "missing"])
+def test_unreadable_config_files_exit_2(name, content, tmp_path, capsys):
+    path = tmp_path / name
+    if content is not None:
+        path.write_bytes(content)
+    assert cli.main(["verify", "fiber-lemma", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"divflow: config error: cannot read config file {path}: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("out", ["missing/report.json", "."],
+                         ids=["missing-directory", "directory"])
+def test_an_unwritable_out_path_exits_2_before_any_work(out, tmp_path, capsys, monkeypatch):
+    def fail(cfg):
+        raise AssertionError("the experiment ran")
+    monkeypatch.setattr(cli, "run", fail)
+    path = tmp_path / out
+    argv = ["verify", "fiber-lemma", "--manifold", "torus", "--field", "torus:wave",
+            "--out", str(path)]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("divflow: config error: ")
+    assert str(path) in captured.err and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("raw", [
     {"kind": "recurrence", "manifold": "hyperbolic", "field": "hyperbolic:rotation"},
     {"kind": "fiber-lemma", "manifold": "hyperbolic",
      "fields": ["hyperbolic:conformal", "hyperbolic:rotation"]},
     {"kind": "potential-monotone", "manifold": "torus"},
-], ids=["field-to-fieldless-kind", "second-field", "manifold-to-monotone"])
+    {"kind": "fiber-lemma", "manifold": "hyperbolic", "field": "hyperbolic:rotation",
+     "fields": ["hyperbolic:conformal"]},
+], ids=["field-to-fieldless-kind", "second-field", "manifold-to-monotone", "field-and-fields"])
 def test_zoo_ids_the_kind_does_not_read_are_config_errors(raw):
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict(raw)

@@ -33,7 +33,7 @@ from divflow.integrals import (
     sample_liouville,
     sm_integral,
 )
-from oracles import pairing_rates
+from oracles import PAIR_IDS, field_pairs, pairing_rates
 
 TWO_PI = 2.0 * math.pi
 FOUR_PI_SQ = 4.0 * math.pi ** 2
@@ -86,7 +86,7 @@ RATE_INTEGRANDS = {
 def test_fiber_average_identity_all_pairs(kind, rng):
     # the central check: fiber integral of the pairing rate against the
     # divergence, on a modest sweep (the acceptance suite does 10^3 points)
-    for m, f in zoo.field_pairs():
+    for m, f in field_pairs():
         w = omega(m.dim) / m.dim
         tol = 1e-8 if m.dim == 2 else 1e-6
         F = RATE_INTEGRANDS[kind](f, m)
@@ -96,7 +96,7 @@ def test_fiber_average_identity_all_pairs(kind, rng):
 
 
 @pytest.mark.parametrize("post", [None, np.abs], ids=["rate", "abs-rate"])
-@pytest.mark.parametrize("mid,fid", zoo.PAIR_IDS)
+@pytest.mark.parametrize("mid,fid", PAIR_IDS)
 def test_quadratic_fiber_path_matches_generic(mid, fid, post, rng):
     m, f = zoo.manifold(mid), zoo.vector_field(fid)
     pts = sample_box_points(m, 40, rng)
@@ -127,7 +127,7 @@ def _fiber_integral_per_block(m, F, X, rule, block):
 
 
 @pytest.mark.parametrize("kind", ["generic", "quadratic", "quadratic-abs"])
-@pytest.mark.parametrize("mid,fid", zoo.PAIR_IDS)
+@pytest.mark.parametrize("mid,fid", PAIR_IDS)
 def test_fiber_integral_forms_its_geometry_once(mid, fid, kind, monkeypatch, rng):
     # the frame and the rate form depend only on the point: one form call
     # per fiber_integral call, and the same bits as rebuilding them per block
@@ -153,7 +153,7 @@ def test_fiber_integral_forms_its_geometry_once(mid, fid, kind, monkeypatch, rng
         assert np.array_equal(got, _fiber_integral_per_block(m, F, pts, rule, block)), block
 
 
-@pytest.mark.parametrize("mid,fid", zoo.PAIR_IDS)
+@pytest.mark.parametrize("mid,fid", PAIR_IDS)
 def test_quadratic_integrand_on_one_direction_is_pairing_rates(mid, fid, rng):
     # the direct Monte Carlo estimate of fubini_consistency calls it so
     m, f = zoo.manifold(mid), zoo.vector_field(fid)

@@ -1,13 +1,19 @@
-"""The package surface: every module's ``__all__`` resolves, and the
-package root binds only the version and the one name the benchmark's
-tracer test reads (perfbench/test_perfbench.py)."""
+"""The package surface: every module's ``__all__`` resolves, the package
+root binds only the version and the one name the benchmark's tracer test
+reads (perfbench/test_perfbench.py), and the manifold and field types carry
+only what the computing paths read; the closed forms the tests compare
+against live in ``oracles``."""
 
+import ast
+import dataclasses
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
 import divflow
+from divflow.geometry import ChartedManifold, VectorFieldDef
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(divflow.__path__))
 
@@ -24,3 +30,24 @@ def test_the_package_root_binds_only_the_version_and_the_tracer_pin():
     assert public - set(MODULES) == {"metric_at"}
     assert isinstance(divflow.__version__, str)
     assert divflow.metric_at is importlib.import_module("divflow.geometry").metric_at
+
+
+def _attributes_read_by_the_package() -> set:
+    names = set()
+    for path in Path(divflow.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+    return names
+
+
+@pytest.mark.parametrize("cls,fields", [
+    (VectorFieldDef, ["name", "components", "jacobian"]),
+    (ChartedManifold, ["name", "dim", "metric", "inner", "connection", "domain", "periods",
+                       "radius", "shell", "sample_box", "radius_cap",
+                       "radius_escape_certificate", "description"]),
+], ids=["field", "manifold"])
+def test_the_zoo_types_hold_only_what_the_package_reads(cls, fields):
+    names = [f.name for f in dataclasses.fields(cls)]
+    assert names == fields
+    assert set(names) - _attributes_read_by_the_package() == set()
