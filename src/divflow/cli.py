@@ -92,9 +92,10 @@ def _build_config(args) -> ExperimentConfig:
         if raw.get("kind", kind) != kind:
             raise ConfigError(
                 f"config kind {raw.get('kind')!r} does not match subcommand {kind!r}")
-    if args.out and (os.path.isdir(args.out)
-                     or not os.path.isdir(os.path.dirname(args.out) or ".")):
-        raise ConfigError(f"--out {args.out} is not a file path in an existing directory")
+    out_dir = os.path.dirname(args.out or "") or "."
+    if args.out and (os.path.isdir(args.out) or not os.path.isdir(out_dir)
+                     or not os.access(out_dir, os.W_OK)):
+        raise ConfigError(f"--out {args.out} is not a file path in a writable directory")
     raw["kind"] = kind
     if args.manifold:
         raw["manifold"] = args.manifold

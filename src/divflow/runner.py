@@ -114,7 +114,7 @@ class ExperimentConfig:
                             "tolerances", "seed"}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        if "field" in d and "fields" in d:
+        if d.get("field") and d.get("fields") is not None:
             raise ConfigError("give either field or fields, not both")
         fields_ = d.get("fields")
         if fields_ is None:

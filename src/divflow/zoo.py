@@ -359,10 +359,8 @@ def _h2_polar(u):
     """Geodesic polar coordinates (d, theta) about the apex to the graph
     chart; further coordinates pass through."""
     s = np.sinh(u[..., 0])
-    x = np.array(u, dtype=float)
-    x[..., 0] = s * np.cos(u[..., 1])
-    x[..., 1] = s * np.sin(u[..., 1])
-    return x
+    return np.stack([s * np.cos(u[..., 1]), s * np.sin(u[..., 1]),
+                     *(u[..., k] for k in range(2, u.shape[-1]))], axis=-1)
 
 
 def make_hyperbolic_plane() -> ChartedManifold:

@@ -121,12 +121,17 @@ def test_unreadable_config_files_exit_2(name, content, tmp_path, capsys):
     assert captured.err.count("\n") == 1
 
 
-@pytest.mark.parametrize("out", ["missing/report.json", "."],
-                         ids=["missing-directory", "directory"])
-def test_an_unwritable_out_path_exits_2_before_any_work(out, tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("out,writable", [
+    ("missing/report.json", True), (".", True), ("report.json", False),
+], ids=["missing-directory", "directory", "read-only-directory"])
+def test_an_out_path_that_cannot_be_written_exits_2_before_any_work(
+        out, writable, tmp_path, capsys, monkeypatch):
     def fail(cfg):
         raise AssertionError("the experiment ran")
     monkeypatch.setattr(cli, "run", fail)
+    # a directory mode does not stop a superuser, so the read-only case
+    # answers the access query itself
+    monkeypatch.setattr(cli.os, "access", lambda path, mode: writable)
     path = tmp_path / out
     argv = ["verify", "fiber-lemma", "--manifold", "torus", "--field", "torus:wave",
             "--out", str(path)]
@@ -149,6 +154,12 @@ def test_an_unwritable_out_path_exits_2_before_any_work(out, tmp_path, capsys, m
 def test_zoo_ids_the_kind_does_not_read_are_config_errors(raw):
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict(raw)
+
+
+def test_an_empty_field_beside_fields_is_not_a_config_error():
+    cfg = ExperimentConfig.from_dict({"kind": "fiber-lemma", "manifold": "hyperbolic",
+                                      "field": None, "fields": ["hyperbolic:conformal"]})
+    assert cfg.fields == ("hyperbolic:conformal",)
 
 
 def test_a_config_is_validated_once_per_run(monkeypatch):

@@ -4,11 +4,9 @@ reads (perfbench/test_perfbench.py), and the manifold and field types carry
 only what the computing paths read; the closed forms the tests compare
 against live in ``oracles``."""
 
-import ast
 import dataclasses
 import importlib
 import pkgutil
-from pathlib import Path
 
 import pytest
 
@@ -32,15 +30,6 @@ def test_the_package_root_binds_only_the_version_and_the_tracer_pin():
     assert divflow.metric_at is importlib.import_module("divflow.geometry").metric_at
 
 
-def _attributes_read_by_the_package() -> set:
-    names = set()
-    for path in Path(divflow.__file__).parent.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                names.add(node.attr)
-    return names
-
-
 @pytest.mark.parametrize("cls,fields", [
     (VectorFieldDef, ["name", "components", "jacobian"]),
     (ChartedManifold, ["name", "dim", "metric", "inner", "connection", "domain", "periods",
@@ -50,4 +39,3 @@ def _attributes_read_by_the_package() -> set:
 def test_the_zoo_types_hold_only_what_the_package_reads(cls, fields):
     names = [f.name for f in dataclasses.fields(cls)]
     assert names == fields
-    assert set(names) - _attributes_read_by_the_package() == set()
