@@ -27,6 +27,7 @@ import numpy as np
 
 from .geometry import (
     ChartedManifold,
+    DomainError,
     VectorFieldDef,
     divergence,
     field_norm,
@@ -302,7 +303,9 @@ def hopf_probe(m: ChartedManifold, states, f0: Optional[Callable] = None,
     configuration-thresholded evidence, not classifications.  The integral
     is carried through one stacked integration to the last horizon and read
     from the continuous extension at each horizon the orbit reached;
-    ``f0`` takes x of shape (N, n).  A list of N probes.
+    ``f0`` takes x of shape (N, n).  A list of N probes.  An observable
+    that is not positive at a state (e^(-3r) underflows to 0 far out) is a
+    DomainError naming the first such state.
     """
     if horizons is None:
         horizons = np.geomspace(1.0, 12.0, 9)
@@ -310,8 +313,11 @@ def hopf_probe(m: ChartedManifold, states, f0: Optional[Callable] = None,
     if f0 is None:
         f0 = default_observable(m)
     S = _states(m, states)
-    if np.any(np.broadcast_to(f0(S[:, :m.dim]), S.shape[:1]) <= 0.0):
-        raise ValueError("observable must be strictly positive")
+    f = np.broadcast_to(f0(S[:, :m.dim]), S.shape[:1])
+    if np.any(f <= 0.0):
+        i = int(np.argmax(f <= 0.0))
+        raise DomainError(f"observable must be strictly positive; it is {f[i]} at "
+                          f"state {i}, {S[i].tolist()}")
 
     traj = integrate_geodesic(m, S, float(horizons[-1]), integrand=lambda x, v: f0(x))
     reached = horizons <= traj.t_end[:, None]

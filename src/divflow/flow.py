@@ -4,7 +4,9 @@ probes.
 One DOP853 stepper (the Dormand-Prince 8(5,3) pair of Hairer, Norsett &
 Wanner, *Solving ODEs I*, II.5, as in Hairer's dop853 code) advances a stack
 of N orbits as one (N, 2n + q) array: chart position, chart velocity and
-q = 0 or 1 line integral carried as an extra component.  Each orbit keeps
+q = 0 or 1 line integral carried as an extra component, forward over one
+span [t_start, t_final] for the whole stack: the flow is reversible, so a
+backward orbit is the forward orbit of the flipped velocity.  Each orbit keeps
 its own step size, its own accept/reject decisions and its own truncation
 reason.  Every weighted stage sum is formed per element in one order, so an
 orbit's result does not depend on the stack it rides in, bit for bit; one
@@ -37,7 +39,6 @@ integrator error.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -201,9 +202,9 @@ def _wsum(w: np.ndarray, K: np.ndarray) -> np.ndarray:
 class GeodesicTrajectory:
     """The orbits of one stacked integration, with their continuous extension.
 
-    Orbit i ran from its start time toward its ``t_final`` and stopped at
-    ``t_end``, its last accepted node.  ``reasons[i]`` is None for an orbit
-    that got there, else one of six (see the module docstring):
+    Every orbit ran forward from the stack's ``t_start`` toward ``t_final``
+    and stopped at ``t_end``, its last accepted node.  ``reasons[i]`` is None
+    for an orbit that got there, else one of six (see the module docstring):
     "left_domain", "speed_drift", "step_limit", "step_underflow",
     "rhs_failure" or "monitor".  Segment k of an orbit, the continuous
     extension of its step from node k, starts at node k; the last node's
@@ -233,12 +234,11 @@ class GeodesicTrajectory:
     too.
     """
 
-    def __init__(self, m: ChartedManifold, stages: Callable, t_start, t_final,
+    def __init__(self, m: ChartedManifold, stages: Callable, t_start: float,
                  node_t, node_y, node_drift, seg_h, seg_K, n_nodes,
                  reasons, n_accepted, n_rejected, nfev):
         self.manifold = m
         self.n_orbits = len(reasons)
-        self.direction = np.sign(t_final - t_start)
         self._stages = stages
         self._t_start = t_start
         self._node_t = node_t
@@ -319,18 +319,16 @@ class GeodesicTrajectory:
 
     def _nodes(self, rows: np.ndarray, t: np.ndarray) -> np.ndarray:
         """The node (R, k) of each orbit ``rows`` whose step holds each time
-        t (R, k): np.searchsorted(ends, d * t) on the orbit's step ends
-        d * node_t[a + 1:b], as one bisection over every row."""
+        t (R, k): np.searchsorted(node_t[a + 1:b], t) on the orbit's step
+        ends, as one bisection over every row."""
         a = self._node_off[rows][:, None]
         n_ends = self._node_off[rows + 1][:, None] - a - 1
-        d = self.direction[rows][:, None]
-        key = d * t
         lo = np.zeros(t.shape, dtype=np.intp)
         hi = np.broadcast_to(n_ends, t.shape)
         last = len(self._node_t) - 1
         for _ in range(int(n_ends.max(initial=0)).bit_length()):
             mid = (lo + hi) // 2
-            below = d * self._node_t[np.minimum(a + 1 + mid, last)] < key
+            below = self._node_t[np.minimum(a + 1 + mid, last)] < t
             open_ = lo < hi
             lo, hi = (np.where(open_ & below, mid + 1, lo),
                       np.where(open_ & ~below, mid, hi))
@@ -340,14 +338,13 @@ class GeodesicTrajectory:
         """States (R, k, d) of orbits ``rows`` at times t (R, k), from the
         continuous extension of the step that holds each time."""
         rows = np.asarray(rows)
-        t0, t1 = self._t_start[rows], self.t_end[rows]
-        lo, hi = np.minimum(t0, t1)[:, None], np.maximum(t0, t1)[:, None]
-        out = (t < lo - 1e-12) | (t > hi + 1e-12)
+        hi = self.t_end[rows][:, None]
+        out = (t < self._t_start - 1e-12) | (t > hi + 1e-12)
         if out.any():
             r = int(np.argmax(out.any(axis=1)))
             reason = self.reasons[rows[r]]
             raise TruncatedTrajectoryError(
-                f"time {t[r][out[r]][0]} outside reached span [{lo[r, 0]}, {hi[r, 0]}]"
+                f"time {t[r][out[r]][0]} outside reached span [{self._t_start}, {hi[r, 0]}]"
                 + (f" (truncated: {reason})" if reason is not None else ""))
         node = self._nodes(rows, t)
         F = self._dense()
@@ -487,7 +484,7 @@ def _drift(m: ChartedManifold, Y: np.ndarray) -> np.ndarray:
     return np.abs((V[:, None, :] @ m.metric(Y[:, :n]) @ V[:, :, None])[:, 0, 0] - 1.0)
 
 
-def _initial_step(slope, Y, F, t_span, direction):
+def _initial_step(slope, Y, F, t_span):
     """The standard starting step (HNW II.4) per row over every column, and
     the rows where its trial slope failed."""
     scale = ATOL + np.abs(Y) * RTOL
@@ -496,7 +493,7 @@ def _initial_step(slope, Y, F, t_span, direction):
     with np.errstate(divide="ignore", invalid="ignore"):
         h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
         h0 = np.minimum(h0, t_span)
-        F1, bad = slope(Y + (h0 * direction)[:, None] * F)
+        F1, bad = slope(Y + h0[:, None] * F)
         d2 = _rms((F1 - F) / scale) / h0
         h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15), np.maximum(1e-6, h0 * 1e-3),
                       (0.01 / np.maximum(d1, d2)) ** -ERROR_EXPONENT)
@@ -505,19 +502,19 @@ def _initial_step(slope, Y, F, t_span, direction):
 
 def _error_norm(K: np.ndarray, h: np.ndarray, scale: np.ndarray) -> np.ndarray:
     """dop853's error norm per row, the fifth-order estimate damped by the
-    third-order one: |h| e5 / sqrt(d (e5 + e3 / 100)), where e5 and e3 are
+    third-order one: h e5 / sqrt(d (e5 + e3 / 100)), where e5 and e3 are
     the squared norms of E5 @ K / scale and E3 @ K / scale; 0 where both
     vanish, NaN where a stage overflowed."""
     e5 = np.square(_wsum(E5, K) / scale).sum(axis=1)
     e3 = np.square(_wsum(E3, K) / scale).sum(axis=1)
     denom = e5 + 0.01 * e3
     with np.errstate(divide="ignore", invalid="ignore"):
-        err = np.abs(h) * e5 / np.sqrt(denom * scale.shape[1])
+        err = h * e5 / np.sqrt(denom * scale.shape[1])
     return np.where(denom == 0.0, 0.0, err)
 
 
-def _dop853(m: ChartedManifold, Y0: np.ndarray, t0: np.ndarray,
-            t_final: np.ndarray, integrand, monitor) -> GeodesicTrajectory:
+def _dop853(m: ChartedManifold, Y0: np.ndarray, t0: float, t_final: float,
+            integrand, monitor) -> GeodesicTrajectory:
     N, d = Y0.shape
     n = m.dim
     slope, stages = _geodesic_rhs(m, integrand)
@@ -526,37 +523,34 @@ def _dop853(m: ChartedManifold, Y0: np.ndarray, t0: np.ndarray,
     n_rej = np.zeros(N, dtype=np.int64)
     nfev = np.full(N, 2, dtype=np.int64)
     # node and segment records, one array per stacked step, in step order
-    node_i, node_t, node_y = [np.arange(N)], [t0], [Y0]
+    node_i, node_t, node_y = [np.arange(N)], [np.full(N, t0)], [Y0]
     node_drift = [_drift(m, Y0)]
     seg_h, seg_K = [], []
 
-    direction = np.sign(t_final - t0)
     F, bad = slope(Y0)
-    h_abs, bad1 = _initial_step(slope, Y0, F, np.abs(t_final - t0), direction)
+    h_abs, bad1 = _initial_step(slope, Y0, F, t_final - t0)
     for i in np.flatnonzero(bad | bad1):
         reasons[i] = "rhs_failure"
-    # the rows still stepping: orbit id, time, state, slope, step size,
-    # whether the current step has had a rejection, direction, end time and
-    # the span floor
+    floor = max(1e-13, 1e-9 * (t_final - t0))
+    # the rows still stepping: orbit id, time, state, slope, step size and
+    # whether the current step has had a rejection
     live = np.flatnonzero(~(bad | bad1))
-    rows = (live, t0[live], Y0[live], F[live], h_abs[live],
-            np.zeros(live.size, dtype=bool), direction[live], t_final[live],
-            np.maximum(1e-13, 1e-9 * np.abs(t_final - t0))[live])
+    rows = (live, np.full(live.size, t0), Y0[live], F[live], h_abs[live],
+            np.zeros(live.size, dtype=bool))
 
     while rows[0].size:
-        ids, t, y, f, h_abs, rejected, dirn, t_fin, floor = rows
+        ids, t, y, f, h_abs, rejected = rows
         M = ids.size
-        t_new = t + h_abs * dirn
+        t_new = t + h_abs
         # a forced step is cut short to end exactly at t_final
-        forced = dirn * (t_new - t_fin) >= 0
-        t_new = np.where(forced, t_fin, t_new)
-        h = t_new - t
-        h_abs = np.abs(h)
+        forced = t_new >= t_final
+        t_new = np.where(forced, t_final, t_new)
+        h = h_abs = t_new - t
         # before each attempt: the step budget, and one floor for a step
         # t_final does not cut short, the larger of the span floor and ten
         # ulps of t
         limit = n_acc[ids] >= MAX_STEPS
-        ulps = 10 * np.abs(np.nextafter(t, dirn * np.inf) - t)
+        ulps = 10 * (np.nextafter(t, np.inf) - t)
         stop = limit | (~forced & (h_abs < np.maximum(floor, ulps)))
         if stop.any():
             for r in np.flatnonzero(stop):
@@ -613,7 +607,7 @@ def _dop853(m: ChartedManifold, Y0: np.ndarray, t0: np.ndarray,
                                   "speed_drift" if over[r] else
                                   "monitor" if watched[r] else None)
                 keep[acc[r]] = False
-        rows = (ids, t, y, f, h_abs, ~accept, dirn, t_fin, floor)
+        rows = (ids, t, y, f, h_abs, ~accept)
         if not keep.all():
             rows = tuple(a[keep] for a in rows)
 
@@ -623,7 +617,7 @@ def _dop853(m: ChartedManifold, Y0: np.ndarray, t0: np.ndarray,
     order = np.argsort(np.concatenate(node_i), kind="stable")
     seg_order = np.argsort(np.concatenate(node_i[1:] + [np.arange(N)]), kind="stable")
     return GeodesicTrajectory(
-        m, stages, t0, t_final,
+        m, stages, t0,
         np.concatenate(node_t)[order], np.concatenate(node_y)[order],
         np.concatenate(node_drift)[order], np.concatenate(seg_h)[seg_order],
         np.concatenate(seg_K, axis=1)[:, seg_order],
@@ -646,9 +640,9 @@ def integrate_geodesic(m: ChartedManifold, states, t_final, t_start=0.0,
                        integrand: Union[Callable, VectorFieldDef, None] = None
                        ) -> GeodesicTrajectory:
     """Integrate the geodesic system x'' + Gamma(x)(x', x') = 0 for a stack
-    of states (N, 2n), each from its ``t_start`` to its ``t_final`` (scalars,
-    or one per orbit; each orbit runs in its own time direction), with DOP853
-    at RTOL and ATOL on every state column.
+    of states (N, 2n) forward over one span from ``t_start`` to ``t_final``,
+    finite scalars with t_start < t_final (anything else is a ValueError),
+    with DOP853 at RTOL and ATOL on every state column.
 
     An orbit is truncated (flagged, not raised) for one of six reasons:
     "step_limit" after MAX_STEPS accepted steps; "step_underflow" when a step
@@ -666,15 +660,10 @@ def integrate_geodesic(m: ChartedManifold, states, t_final, t_start=0.0,
     ``stats.nfev`` counts the stepping's evaluations only.
     """
     S = _states(m, states)
-    N = len(S)
-    t0 = np.broadcast_to(np.asarray(t_start, dtype=float), (N,)).copy()
-    t1 = np.broadcast_to(np.asarray(t_final, dtype=float), (N,)).copy()
-    if not np.all(np.isfinite(t1)):
-        raise ValueError("t_final must be finite")
-    if np.any(t1 == t0):
-        raise ValueError("empty time span")
-    Y0 = np.hstack([S] + ([np.zeros((N, 1))] if integrand is not None else []))
-    return _dop853(m, Y0, t0, t1, integrand, monitor)
+    if np.ndim(t_start) or np.ndim(t_final) or not -np.inf < t_start < t_final < np.inf:
+        raise ValueError(f"need one finite forward span, not [{t_start}, {t_final}]")
+    Y0 = np.hstack([S] + ([np.zeros((len(S), 1))] if integrand is not None else []))
+    return _dop853(m, Y0, float(t_start), float(t_final), integrand, monitor)
 
 
 def _whole(traj: GeodesicTrajectory) -> GeodesicTrajectory:
@@ -692,11 +681,9 @@ def _whole(traj: GeodesicTrajectory) -> GeodesicTrajectory:
 
 def birkhoff_integral(h: Callable, m: ChartedManifold, states, T: float):
     """Integral of h(x, v) along the orbit of each state (N, 2n) over
-    [0, T] (or [T, 0] for negative T), carried through the integration, as
-    (N,); h takes stacks x, v (M, n) and returns M values (or one for
-    all)."""
-    traj = _whole(integrate_geodesic(m, states, T, integrand=h))
-    return math.copysign(1.0, T) * traj.y_end[:, -1]
+    [0, T], T > 0, carried through the integration, as (N,); h takes stacks
+    x, v (M, n) and returns M values (or one for all)."""
+    return _whole(integrate_geodesic(m, states, T, integrand=h)).y_end[:, -1]
 
 
 def path_integral_identity_residual(field: VectorFieldDef, m: ChartedManifold,

@@ -41,7 +41,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import ChartedManifold, VectorFieldDef
+from .geometry import ChartedManifold, DomainError, VectorFieldDef
 from .integrals import ShellPatch
 
 __all__ = [
@@ -228,7 +228,8 @@ class _MeridianArclength:
     """Arclength along the profile curve from x = 0, tabulated once.
 
     r(x) = integral of sqrt(1 + f'(s)^2); monotone, so both directions are
-    served by interpolation on a dense grid over [0, X_MAX].
+    served by interpolation on a dense grid over [0, X_MAX].  Past the
+    table's end either lookup is a DomainError.
     """
 
     X_MAX = 4200.0
@@ -243,12 +244,12 @@ class _MeridianArclength:
     def r_of_x(self, x):
         ax = np.abs(x)
         if np.any(ax > self.X_MAX):
-            raise ValueError(f"arclength table ends at |x| = {self.X_MAX}")
+            raise DomainError(f"arclength table ends at |x| = {self.X_MAX}")
         return np.interp(ax, self.xs, self.rs)
 
     def x_of_r(self, r):
         if np.any(r > self.rs[-1]):
-            raise ValueError(f"arclength table ends at r = {self.rs[-1]:.1f}")
+            raise DomainError(f"arclength table ends at r = {self.rs[-1]:.1f}")
         return np.interp(r, self.rs, self.xs)
 
 

@@ -54,6 +54,15 @@ def unit_states(m, x, v, normalize: bool = False) -> np.ndarray:
     return np.hstack([x, v])
 
 
+def flipped(m, states, rows=slice(None)) -> np.ndarray:
+    """A copy of the states (N, 2n) with the velocities of ``rows`` reversed.
+    phi_{-t}(x, v) is phi_t(x, -v) with its velocity reversed, so an orbit
+    runs backward as the forward orbit of its flipped state."""
+    S = np.array(states, dtype=float)
+    S[rows, m.dim:] *= -1.0
+    return S
+
+
 def state_at(traj, t) -> np.ndarray:
     """Positions and velocities of every orbit of ``traj`` at time t, from
     the continuous extension: (N, 2n) for a scalar t."""
@@ -79,18 +88,17 @@ def endpoint_bound_check(field, m, states, s: float):
     lhs = |integral over [-s, s] of the pairing rate|; rhs = |X| at the two
     orbit endpoints.  The lhs telescopes to a pairing difference, and each
     pairing is at most the field norm on unit vectors, so lhs <= rhs up to
-    integration error.  Both legs run in one stack.
+    integration error.  Both legs run forward over [0, s] in one stack: the
+    backward leg is the orbit of the flipped velocity.
     """
     if s <= 0:
         raise ValueError("s must be positive")
-    N = len(states)
-    both = np.vstack([states, states])
-    traj = _whole(integrate_geodesic(m, both, np.repeat([s, -s], N), integrand=field))
-    end = traj.y_end
-    n = m.dim
-    # the backward leg carries the integral from 0 down to -s: minus the
-    # integral over [-s, 0]
-    lhs = np.abs(end[:N, -1] - end[N:, -1])
+    N, n = len(states), m.dim
+    both = np.vstack([states, flipped(m, states)])
+    end = _whole(integrate_geodesic(m, both, s, integrand=field)).y_end
+    # the rate is quadratic in v, so the flipped leg carries the integral
+    # over [-s, 0]; the backward leg's integral from 0 down to -s is minus it
+    lhs = np.abs(end[:N, -1] + end[N:, -1])
     rhs = field_norm(field, m, end[:N, :n]) + field_norm(field, m, end[N:, :n])
     return lhs, rhs
 

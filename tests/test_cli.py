@@ -355,6 +355,29 @@ def test_a_ball_of_infinite_volume_becomes_a_failed_report(capsys):
     assert report["passed"] is False
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["diagnose", "hopf", "--manifold", "revolution:1/(1+x^2)", "--param", "radius_cap=5000",
+      "--param", "n=2"], "arclength table ends at r = 4200.2"),
+    (["diagnose", "karp", "--manifold", "revolution:1/(1+x^2)", "--field", "revolution:W",
+      "--param", "radii=[3000]"], "arclength table ends at r = 4200.2"),
+    (["integrate", "volume", "--manifold", "revolution:1/(1+x^2)", "--param", "rungs=14"],
+     "arclength table ends at r = 4200.2"),
+    # e^(-3r) underflows to 0 past r = 248.4
+    (["diagnose", "hopf", "--manifold", "warp:ex3", "--param", "radius_cap=300",
+      "--param", "n=3"], "observable must be strictly positive; it is 0.0 at state 0"),
+], ids=["hopf-revolution", "karp-revolution", "volume-revolution", "hopf-ex3"])
+def test_a_run_past_a_table_or_an_underflow_becomes_a_failed_report(capsys, argv, message):
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    report = json.loads(captured.out)
+    assert report["error"]["type"] == "DomainError"
+    assert report["error"]["message"].startswith(message)
+    assert report["checks"] == [{"name": "completed", "value": "error", "threshold": "none",
+                                 "comparator": "==", "passed": False}]
+    assert report["passed"] is False
+
+
 def test_other_exceptions_still_propagate(monkeypatch):
     def fail(cfg):
         raise ZeroDivisionError("a program fault, not a numerical verdict")

@@ -25,6 +25,7 @@ from oracles import (
     endpoint_bound_check,
     fd_connection,
     field_pairs,
+    flipped,
     hyperbolic_geodesic,
     pairing_rates,
     state_at,
@@ -220,7 +221,9 @@ def test_endpoint_bound_ex3(ex3, rng):
     U = zoo.vector_field("warp:ex3:Ubar")
     states, _ = _reaching(ex3, sample_states(ex3, 10, rng), 20.0)
     if len(states):
-        states, _ = _reaching(ex3, states, -20.0)
+        # the orbits that reach -20 too: their flipped states reach 20
+        states, _ = _reaching(ex3, flipped(ex3, states), 20.0)
+        states = flipped(ex3, states)
     if len(states):
         for lhs, rhs in zip(*endpoint_bound_check(U, ex3, states, 20.0)):
             assert lhs <= rhs + 1e-6
@@ -242,26 +245,27 @@ def _h(x, v):
 
 
 def test_stacked_orbits_step_as_they_do_alone(ex2, ex4, rng):
-    # mixed stacks: orbits of different lengths and time directions, and on
-    # warp:ex2 one that runs into the polar axis; a step size shared across
-    # the stack would change every count.  A step's carried slopes are
-    # formed in one call on the rows of all its stages, for a Killing field,
-    # for warp:ex4:Z (a non-zero Jacobian, paired through the metric matrix)
-    # and for a callable h(x, v) alike
+    # mixed stacks over one span: orbits of different step counts (checked
+    # below), two of them run backward as the forward orbits of their
+    # flipped states, and on warp:ex2 one shorter orbit that runs into the
+    # polar axis; a step size shared across the stack would change every
+    # count.  A step's carried slopes are formed in one call on the rows of
+    # all its stages, for a Killing field, for warp:ex4:Z (a non-zero
+    # Jacobian, paired through the metric matrix) and for a callable h(x, v)
+    # alike
     inward = unit_states(ex2, [2.0, 1.0, 1.0], [-1.0, 0.0, 0.0])
-    ends = np.array([10.0, -10.0, 4.0, -2.5, 10.0])
     for m, integrand, last in ((ex2, zoo.vector_field("warp:ex2:Zbar"), inward),
                                (ex4, zoo.vector_field("warp:ex4:Z"), None),
                                (ex2, _h, inward)):
-        states = np.vstack([sample_states(m, 4 if last is not None else 5, rng)]
-                           + ([last] if last is not None else []))
-        stack = integrate_geodesic(m, states, ends, integrand=integrand)
+        sample = sample_states(m, 4 if last is not None else 5, rng)
+        states = np.vstack([flipped(m, sample, [1, 3])] + ([last] if last is not None else []))
+        stack = integrate_geodesic(m, states, 8.0, integrand=integrand)
         assert stack.truncated == (last is not None)
         if last is not None:
             assert stack.reasons[-1] == "left_domain"
         assert len(set(stack.n_accepted)) == len(states)
-        for i, (st, T) in enumerate(zip(states, ends)):
-            one = integrate_geodesic(m, st[None], T, integrand=integrand)
+        for i, st in enumerate(states):
+            one = integrate_geodesic(m, st[None], 8.0, integrand=integrand)
             assert (stack.n_accepted[i], stack.n_rejected[i], stack.nfev[i]) == (
                 one.stats.n_accepted, one.stats.n_rejected_est, one.stats.nfev)
             assert stack.reasons[i] == one.reasons[0]
@@ -269,11 +273,12 @@ def test_stacked_orbits_step_as_they_do_alone(ex2, ex4, rng):
 
 
 def test_carried_slopes_take_one_call_per_step(ex4):
-    # two start-up calls on the M rows, then one call per stacked attempt on
-    # the 8 rated stages (5 to 12) of each orbit still stepping; the
-    # extension takes one call on its 3 stages of every non-empty segment.
-    # A field's components are read in that call only: the spray forms
-    # Gamma(v, v) alone
+    # four orbits over one span, two of them flipped, whose attempt counts
+    # differ: two start-up calls on the M rows, then one call per stacked
+    # attempt on the 8 rated stages (5 to 12) of each orbit still stepping;
+    # the extension takes one call on its 3 stages of every non-empty
+    # segment.  A field's components are read in that call only: the spray
+    # forms Gamma(v, v) alone
     calls = []
 
     def h(x, v):
@@ -285,19 +290,18 @@ def test_carried_slopes_take_one_call_per_step(ex4):
         return Z.components(x)
 
     Z = zoo.vector_field("warp:ex4:Z")
-    states = sample_states(ex4, 4, np.random.default_rng(30))
+    states = flipped(ex4, sample_states(ex4, 4, np.random.default_rng(30)), [1, 3])
     for integrand in (h, dataclasses.replace(Z, components=components)):
         calls.clear()
-        traj = integrate_geodesic(ex4, states, np.array([3.0, 1.0, -2.0, 0.5]),
-                                  integrand=integrand)
+        traj = integrate_geodesic(ex4, states, 2.5, integrand=integrand)
         assert traj.truncated == 0
         attempts = traj.n_accepted + traj.n_rejected
         assert len(set(attempts)) == 4
         assert np.array_equal(traj.nfev, 2 + 12 * attempts)
         assert calls == [4, 4] + [8 * int((attempts > k).sum()) for k in range(attempts.max())]
         calls.clear()
-        traj.y_at(np.array([0.25, 0.25, -0.25, 0.25]))
-        traj.y_at(np.array([2.0, 0.5, -1.0, 0.4]))
+        traj.y_at(np.array([0.25, 0.25, 0.25, 0.25]))
+        traj.y_at(np.array([2.0, 0.5, 1.0, 0.4]))
         assert calls == [3 * traj.stats.n_accepted]
 
 
@@ -448,10 +452,11 @@ def test_failed_extension_stage_truncates_reads_in_its_segment(ex4):
 
 def test_extend_finds_the_nodes_a_per_orbit_search_finds(ex2, rng):
     # the reference is the per-orbit np.searchsorted lookup, on a stack of
-    # orbits of different lengths and time directions, one truncated
-    states = np.vstack([sample_states(ex2, 4, rng),
+    # orbits of different step counts, two of them flipped and one
+    # truncated short of the span
+    states = np.vstack([flipped(ex2, sample_states(ex2, 4, rng), [1, 3]),
                         unit_states(ex2, [2.0, 1.0, 1.0], [-1.0, 0.0, 0.0])])
-    traj = integrate_geodesic(ex2, states, np.array([10.0, -10.0, 4.0, -2.5, 10.0]))
+    traj = integrate_geodesic(ex2, states, 10.0)
     rows = np.array([4, 0, 2, 1, 3, 0])
     off, node_t = traj._node_off, traj._node_t
     # a grid over each orbit's span, and its node times, where ties decide
@@ -460,8 +465,7 @@ def test_extend_finds_the_nodes_a_per_orbit_search_finds(ex2, rng):
     ref = np.empty(t.shape + (traj._node_y.shape[1],))
     for r, i in enumerate(rows):
         a, b = off[i], off[i + 1]
-        d = traj.direction[i]
-        node = a + np.minimum(np.searchsorted(d * node_t[a + 1:b], d * t[r]), b - a - 2)
+        node = a + np.minimum(np.searchsorted(node_t[a + 1:b], t[r]), b - a - 2)
         # segment k of an orbit starts at its node k
         x = ((t[r] - node_t[node]) / traj._seg_h[node])[:, None]
         F = traj._dense()[:, node]
@@ -650,3 +654,17 @@ def test_orbit_entry_points_return_a_stack_of_one(torus, entry):
         assert out.y_at(0.5).shape == (1, 4)
     else:
         assert len(out) == 1
+
+
+def test_integrate_geodesic_takes_one_forward_span(torus):
+    # one finite span with t_start < t_final for the whole stack: an orbit
+    # runs backward as the forward orbit of its flipped state
+    st = unit_states(torus, [[0.1, 0.2], [0.3, 0.4]], [[0.6, 0.8], [1.0, 0.0]])
+    for t_final, t_start in ((np.array([1.0, 2.0]), 0.0), (1.0, np.array([0.0, 0.5])),
+                             (-1.0, 0.0), (1.0, 1.0), (0.5, 1.0),
+                             (np.nan, 0.0), (np.inf, 0.0), (1.0, np.nan)):
+        with pytest.raises(ValueError, match="one finite forward span"):
+            integrate_geodesic(torus, st, t_final, t_start=t_start)
+    traj = integrate_geodesic(torus, st, 2.0, t_start=1.0)
+    assert np.array_equal(traj.t_end, [2.0, 2.0])
+    assert np.allclose(traj.y_at(1.5)[:, :2], st[:, :2] + 0.5 * st[:, 2:])

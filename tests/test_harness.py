@@ -2,7 +2,11 @@
 package: it calls ``runner.run(cfg, workers=1)``, and its tracer wraps every
 function that ``perfbench/spans.py`` names in ``LAYERS``.  Dropping that
 keyword or one of those names makes every benchmark run raise, so this test
-runs two experiments the way the harness does."""
+runs four experiments the way the harness does: among them a hyperbolic
+recurrence run, whose return search stops each orbit through its escape
+monitor, and one on the surface of revolution, whose orbits neither return
+nor escape in the first RETURN_CHUNK and so take a second chunk from
+t_start = RETURN_CHUNK."""
 
 import json
 import types
@@ -17,6 +21,10 @@ CONFIGS = [
     json.loads((ROOT / "scripts" / "configs" / "fiber-ex1.json").read_text()),
     {"kind": "path-integral", "manifold": "warp:ex4", "field": "warp:ex4:Z",
      "params": {"T": 1.0, "n_orbits": 1}, "seed": 30},
+    {"kind": "recurrence", "manifold": "hyperbolic", "params": {"n": 3, "t_max": 101.0},
+     "seed": 25},
+    {"kind": "recurrence", "manifold": "revolution:1/(1+x^2)",
+     "params": {"n": 2, "t_max": 101.0}, "seed": 24},
 ]
 
 
@@ -38,5 +46,7 @@ def test_traced_harness_calls_give_the_untraced_reports():
     assert traced == untraced
     metrics = tracer.metrics()
     assert metrics["runner.run.calls"] == len(configs)
-    assert metrics["flow.integrate_geodesic.calls"] > 0
+    # one path run, one chunk of the hyperbolic search and two of the other
+    assert metrics["flow.integrate_geodesic.calls"] == 4
+    assert metrics["flow.first_return.calls"] == 2
     assert metrics["integrals.fiber_integral.calls"] > 0
