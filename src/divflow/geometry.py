@@ -36,7 +36,6 @@ __all__ = [
     "DomainError",
     "MetricError",
     "metric_at",
-    "inverse_metric_at",
     "volume_density",
     "christoffel",
     "orthonormal_frame",
@@ -59,7 +58,7 @@ class DomainError(ValueError):
 
 
 class MetricError(ValueError):
-    """Metric evaluation produced a non-symmetric or non-SPD matrix."""
+    """g is not symmetric positive definite, or not finite, at a point."""
 
 
 def _always(x) -> np.ndarray:
@@ -81,8 +80,11 @@ class ChartedManifold:
     (...,) and (..., n).  They never read the metric matrix, which loses
     digits on some charts: on the hyperboloid graph chart g = I - x x^T /
     (1 + |x|^2) cancels to about |x|^2 eps, and the closed forms do not.
-    Neither validates g; ``metric_at`` does.  The speed-drift record still
-    reads the matrix (see ``flow``).
+    ``inner`` must be symmetric in a and b to the last bit: the frame, the
+    density and the pairings are built on it.  Neither closure validates g.
+    The frame does, through Gram-Schmidt on ``inner`` (``orthonormal_frame``);
+    ``metric_at`` validates the matrix itself, which only it and the
+    speed-drift record (see ``flow``) read.
 
     Optional fields:
       radius           radial distance surrogate r(x) >= 0 (distance from
@@ -145,13 +147,34 @@ def _first(x: np.ndarray, bad) -> np.ndarray:
     return x if x.ndim == 1 else x[int(np.argmax(bad))]
 
 
-def _metric_cholesky(m: ChartedManifold, x) -> tuple[np.ndarray, np.ndarray]:
-    """Validated metric matrices g at x and their Cholesky factors L, with
-    g = L L^T; ``metric_at`` documents the checks."""
-    x = np.asarray(x, dtype=float)
+def _check_domain(m: ChartedManifold, x: np.ndarray) -> None:
     ok = np.asarray(m.domain(x))
     if not ok.all():
         raise DomainError(f"{m.name}: point {_first(x, ~ok)!r} outside chart domain")
+
+
+def _check_finite(m: ChartedManifold, x: np.ndarray, values: np.ndarray,
+                  what: str) -> np.ndarray:
+    """``values`` (leading shape of x) unchanged if all are finite, else a
+    MetricError naming the first point with a non-finite value."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        bad = bad.reshape(x.shape[:-1] + (-1,)).any(axis=-1)
+        raise MetricError(f"{m.name}: {what} not finite at {_first(x, bad)!r}")
+    return values
+
+
+def metric_at(m: ChartedManifold, x) -> np.ndarray:
+    """Metric matrices g_ij(x); validates the domain, symmetry and positive
+    definiteness.
+
+    Positive definiteness is enforced by an attempted Cholesky factorization
+    of every matrix; failure is a hard error rather than a silent clamp.
+    This is the one reader of the matrix that validates it: the frame, the
+    density and the pairings work through the closed-form ``inner``.
+    """
+    x = np.asarray(x, dtype=float)
+    _check_domain(m, x)
     g = np.asarray(m.metric(x), dtype=float)
     n = m.dim
     if g.shape != x.shape[:-1] + (n, n):
@@ -162,7 +185,7 @@ def _metric_cholesky(m: ChartedManifold, x) -> tuple[np.ndarray, np.ndarray]:
     if not sym.all():
         raise MetricError(f"{m.name}: metric not symmetric at {_first(x, ~sym)!r}")
     try:
-        L = np.linalg.cholesky(gs)
+        np.linalg.cholesky(gs)
     except np.linalg.LinAlgError:
         for xi, gi in zip(x.reshape(-1, n), gs):   # name the first failure
             try:
@@ -170,41 +193,52 @@ def _metric_cholesky(m: ChartedManifold, x) -> tuple[np.ndarray, np.ndarray]:
             except np.linalg.LinAlgError as exc:
                 raise MetricError(
                     f"{m.name}: metric not positive definite at {xi!r}") from exc
-    return g, L.reshape(g.shape)
+    return g
 
 
-def metric_at(m: ChartedManifold, x) -> np.ndarray:
-    """Metric matrices g_ij(x); validates the domain, symmetry and positive
-    definiteness.
+def _gram_schmidt(m: ChartedManifold, x) -> tuple[np.ndarray, np.ndarray]:
+    """Gram-Schmidt on the chart basis e_0, ..., e_{n-1} through ``inner``:
+    the frame E (..., n, n), column k the g-unit part of e_k orthogonal to
+    the columns before it, and the norms (..., n) it divided by.
 
-    Positive definiteness is enforced by an attempted Cholesky factorization
-    of every matrix; failure is a hard error rather than a silent clamp.
-    ``volume_density`` and ``orthonormal_frame`` reuse that validating
-    factor instead of factoring g again.
+    This is where g is validated for the frame and the density: the point
+    must lie in the chart domain and every norm must be finite and positive,
+    else a MetricError names the first failing point, whichever basis
+    vector fails there.  E is upper triangular with a positive diagonal, so
+    with g = L L^T it is L^{-T}, and the norms are the diagonal of L.
     """
-    return _metric_cholesky(m, x)[0]
-
-
-def inverse_metric_at(m: ChartedManifold, x) -> np.ndarray:
-    return np.linalg.inv(metric_at(m, x))
+    x = np.asarray(x, dtype=float)
+    _check_domain(m, x)
+    n = m.dim
+    E = np.empty(x.shape + (n,))
+    norms = np.empty(x.shape)
+    basis = np.eye(n)
+    # written into per-point arrays, so an inner that ignores x (the torus)
+    # still gives one frame per point
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for k in range(n):
+            w = basis[k]
+            for j in range(k):
+                e = E[..., :, j]
+                w = w - m.inner(x, e, w)[..., None] * e
+            s = np.sqrt(m.inner(x, w, w), out=norms[..., k])
+            np.divide(w, s[..., None], out=E[..., :, k])
+    ok = (np.isfinite(norms) & (norms > 0.0)).all(axis=-1)
+    if not ok.all():
+        raise MetricError(f"{m.name}: metric not positive definite at {_first(x, ~ok)!r}")
+    return E, norms
 
 
 def volume_density(m: ChartedManifold, x):
-    """sqrt(det g) at x, the product of the diagonal of the Cholesky factor
-    that validates g; strictly positive on the chart domain."""
-    L = _metric_cholesky(m, x)[1]
-    return np.prod(np.diagonal(L, axis1=-2, axis2=-1), axis=-1)
+    """sqrt(det g) at x, the product of the Gram-Schmidt norms of the chart
+    basis (``orthonormal_frame``); strictly positive on the chart domain."""
+    return np.prod(_gram_schmidt(m, x)[1], axis=-1)
 
 
 def orthonormal_frame(m: ChartedManifold, x) -> np.ndarray:
-    """Columns form a g-orthonormal basis of the tangent space at x.
-
-    Equivalent to Gram-Schmidt on the chart basis: with g = L L^T (the
-    Cholesky factor that validates g) the frame is E = L^{-T}, so
-    E^T g E = I.
-    """
-    L = _metric_cholesky(m, x)[1]
-    return np.swapaxes(np.linalg.inv(L), -1, -2)
+    """Columns form a g-orthonormal basis of the tangent space at x, so
+    E^T g E = I: Gram-Schmidt on the chart basis through ``inner``."""
+    return _gram_schmidt(m, x)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -303,13 +337,23 @@ def divergence(field: VectorFieldDef, m: ChartedManifold, x,
 
 def pairing(field: VectorFieldDef, m: ChartedManifold, x, v):
     """g(X, v): the field's component along the velocities v at the points
-    x, both (N, n); one value per point.  ``metric_at`` validates g at the
-    points, and the manifold's ``inner`` pairs, so g is not read through a
-    matrix that loses digits."""
+    x, both (N, n); one value per point, through the manifold's ``inner``.
+    The points must lie in the chart domain and the values be finite."""
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
-    metric_at(m, x)
-    return m.inner(x, v, _components(field, x))
+    _check_domain(m, x)
+    return _check_finite(m, x, m.inner(x, v, _components(field, x)), "g(X, v)")
+
+
+def _rate_form(m: ChartedManifold, x: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """The symmetrized Q[k, i] = g(e_k, A e_i) of the covariant derivative A
+    at x (``pairing_rate_form``), from one broadcast ``inner`` call; every
+    entry must be finite."""
+    n = m.dim
+    Q = m.inner(x[..., None, None, :], np.eye(n)[:, None, :],
+                np.swapaxes(A, -1, -2)[..., None, :, :])
+    _check_finite(m, x, Q, "g(e_k, nabla X)")
+    return 0.5 * (Q + np.swapaxes(Q, -1, -2))
 
 
 def pairing_rate_form(field: VectorFieldDef, m: ChartedManifold, x) -> np.ndarray:
@@ -320,9 +364,8 @@ def pairing_rate_form(field: VectorFieldDef, m: ChartedManifold, x) -> np.ndarra
     over many directions cheap.
     """
     x = np.asarray(x, dtype=float)
-    g = metric_at(m, x)
-    Q = g @ covariant_derivative(field, m, x)
-    return 0.5 * (Q + np.swapaxes(Q, -1, -2))
+    _check_domain(m, x)
+    return _rate_form(m, x, covariant_derivative(field, m, x))
 
 
 def _quadratic(Q: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -334,9 +377,8 @@ def _quadratic(Q: np.ndarray, V: np.ndarray) -> np.ndarray:
 
 
 def field_norm(field: VectorFieldDef, m: ChartedManifold, x):
-    """g-norm |X| at x: ``metric_at`` validates g at the points, and the
-    manifold's ``inner`` pairs, as in ``pairing``."""
+    """g-norm |X| at x through the manifold's ``inner``, as in ``pairing``."""
     x = np.asarray(x, dtype=float)
-    metric_at(m, x)
+    _check_domain(m, x)
     X = _components(field, x)
-    return np.sqrt(np.maximum(0.0, m.inner(x, X, X)))
+    return np.sqrt(np.maximum(0.0, _check_finite(m, x, m.inner(x, X, X), "g(X, X)")))

@@ -205,7 +205,8 @@ class QuadraticIntegrand:
     """The bundle integrand post(v @ Q(x) @ v) of a field of quadratic forms.
 
     ``form`` maps points (N, n) to matrices Q (N, n, n); ``post`` is an
-    optional elementwise map of the values (np.abs, say).  Called as F(X, V)
+    optional elementwise map of the values (np.abs, say), applied in place
+    when it is a ufunc.  Called as F(X, V)
     on directions V (N, k, n) it is an ordinary bundle integrand;
     ``fiber_integral`` instead contracts Q in the orthonormal frame with the
     fiber rule's second moments and never builds the directions.
@@ -216,7 +217,12 @@ class QuadraticIntegrand:
         self.form, self.post = form, post
 
     def _finish(self, values: np.ndarray) -> np.ndarray:
-        return values if self.post is None else self.post(values)
+        """post of freshly formed values, which it may overwrite."""
+        if self.post is None:
+            return values
+        if isinstance(self.post, np.ufunc):
+            return self.post(values, out=values)
+        return self.post(values)
 
     def __call__(self, X, V) -> np.ndarray:
         return self._finish(_quadratic(self.form(X), V))
@@ -241,22 +247,26 @@ def fiber_integral(m: ChartedManifold, F: Callable, x):
     FIBER_BLOCK_BYTES.  A generic F gets each block's points (b, n) and
     directions (b, k, n) and returns values that broadcast to (b, k).  For a
     QuadraticIntegrand the node values are the frame-form times the rule's
-    second moments, one (b, n*n) @ (n*n, k) product.  Both kinds reduce
-    with ``values @ weights``.
+    second moments, one (b, n*n) @ (n*n, k) product into one block buffer
+    per call.  Both kinds reduce with ``values @ weights``.
     """
     x = np.asarray(x, dtype=float)
     rule = fiber_rule(m.dim)
     X = x.reshape(-1, m.dim)
     out = np.empty(len(X))
     block = max(1, FIBER_BLOCK_BYTES // rule.nodes.nbytes)
-    E = orthonormal_frame(m, X)   # raises on non-SPD metric
+    E = orthonormal_frame(m, X)   # raises where g is not SPD
     Et = np.swapaxes(E, -1, -2)
     quadratic = isinstance(F, QuadraticIntegrand)
     if quadratic:
         Q = (Et @ F.form(X) @ E).reshape(len(X), -1)
+        # one buffer for every block: fresh (b, k) arrays are handed back
+        # and faulted in again between blocks
+        buf = np.empty((min(block, len(X)), rule.moments.shape[1]))
     for s in range(0, len(X), block):
         if quadratic:
-            vals = F._finish(Q[s:s + block] @ rule.moments)
+            q = Q[s:s + block]
+            vals = F._finish(np.matmul(q, rule.moments, out=buf[:len(q)]))
         else:
             V = rule.nodes @ Et[s:s + block]
             vals = np.broadcast_to(np.asarray(F(X[s:s + block], V), dtype=float), V.shape[:-1])

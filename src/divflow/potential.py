@@ -22,10 +22,10 @@ from .geometry import (
     ChartedManifold,
     VectorFieldDef,
     divergence,
-    inverse_metric_at,
     _fd_steps,
     _first,
     _stencil,
+    orthonormal_frame,
 )
 
 __all__ = [
@@ -120,13 +120,15 @@ class ScalarFieldDef:
 
 def _metric_gradient(u: ScalarFieldDef, m: ChartedManifold, x):
     """grad u = g^-1 du at x of shape (n,) or (N, n), with the shape of x,
-    and its g-norm, with the leading shape of x."""
+    and its g-norm, with the leading shape of x: with the orthonormal frame
+    E, g^-1 = E E^T, so grad u = E c and |grad u| = |c| for c = E^T du."""
     # matmul on (.., 1)-shaped operands: the same BLAS products per point
     # as on one point
     du = np.asarray(u.grad(x), dtype=float)[..., None]
-    grad = inverse_metric_at(m, x) @ du
-    norm = np.sqrt(np.maximum(0.0, (np.swapaxes(du, -1, -2) @ grad)[..., 0, 0]))
-    return grad[..., 0], norm
+    E = orthonormal_frame(m, x)
+    c = np.swapaxes(E, -1, -2) @ du
+    norm = np.sqrt((np.swapaxes(c, -1, -2) @ c)[..., 0, 0])
+    return (E @ c)[..., 0], norm
 
 
 def phi_flux_field(u: ScalarFieldDef, profile: PhiProfile,

@@ -26,7 +26,6 @@ from divflow.geometry import (
     _quadratic,
     _stencil,
     field_norm,
-    inverse_metric_at,
     metric_at,
     pairing_rate_form,
 )
@@ -184,7 +183,7 @@ def fd_christoffel(m, x) -> np.ndarray:
     dg = 0.5 * (dg + np.swapaxes(dg, -1, -2))
     # Gamma_{l ij} = (d_i g_jl + d_j g_il - d_l g_ij) / 2
     first = 0.5 * (np.einsum("...ijl->...lij", dg) + np.einsum("...jil->...lij", dg) - dg)
-    return np.einsum("...kl,...lij->...kij", inverse_metric_at(m, x), first)
+    return np.einsum("...kl,...lij->...kij", np.linalg.inv(metric_at(m, x)), first)
 
 
 def contract(G, a, b) -> np.ndarray:

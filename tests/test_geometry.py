@@ -273,17 +273,57 @@ def test_orthonormal_frame_property(rng):
             assert_allclose(E.T @ g @ E, np.eye(m.dim), atol=1e-10)
 
 
+# the frame and the density against their Cholesky oracle: E = L^{-T} and
+# sqrt(det g) = prod diag L for g = L L^T, to this relative round-off
+FRAME_ORACLE_RTOL = 1e-14
+
+
+def _gram(m, x, E):
+    """E^T g E through the manifold's ``inner``, at points x (N, n)."""
+    cols = np.swapaxes(E, -1, -2)
+    return m.inner(x[:, None, None, :], cols[:, :, None, :], cols[:, None, :, :])
+
+
 @pytest.mark.parametrize("mid", zoo.MANIFOLD_IDS)
 def test_frame_and_density_reuse_the_validating_cholesky(mid, rng):
-    # one factorization of g per point serves the SPD check, E = L^{-T} and
-    # sqrt(det g) = prod diag L; a second factorization gives the same bits
+    # Gram-Schmidt on the chart basis is the triangular frame L^{-T} of the
+    # Cholesky factor of g, and its norms are diag L: same values, other
+    # round-off
     m = zoo.manifold(mid)
     pts = sample_box_points(m, 32, rng)
     for x in (pts[0], pts):
         L = np.linalg.cholesky(metric_at(m, x))
-        assert np.array_equal(orthonormal_frame(m, x), np.swapaxes(np.linalg.inv(L), -1, -2))
-        assert np.array_equal(volume_density(m, x),
-                              np.prod(np.diagonal(L, axis1=-2, axis2=-1), axis=-1))
+        oracle = np.swapaxes(np.linalg.inv(L), -1, -2)
+        E = orthonormal_frame(m, x)
+        assert np.array_equal(E, np.triu(E))
+        assert (np.diagonal(E, axis1=-2, axis2=-1) > 0).all()
+        assert_allclose(E, oracle, rtol=0, atol=FRAME_ORACLE_RTOL * np.abs(oracle).max())
+        assert_allclose(volume_density(m, x),
+                        np.prod(np.diagonal(L, axis1=-2, axis2=-1), axis=-1),
+                        rtol=FRAME_ORACLE_RTOL)
+    E = orthonormal_frame(m, pts)
+    assert_allclose(_gram(m, pts, E), np.broadcast_to(np.eye(m.dim), E.shape), rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("mid", ["hyperbolic", "warp:ex4"])
+def test_frame_is_orthonormal_in_the_far_field(mid, rng):
+    # at r = 12 the matrix g = I - x x^T / z^2 has cancelled to about 1e-6;
+    # Gram-Schmidt through the closed-form inner holds E^T g E = I to 1e-10
+    m = zoo.manifold(mid)
+    r, th = 12.0, rng.uniform(0.0, 2.0 * math.pi, 200)
+    x = np.column_stack([np.sinh(r) * np.cos(th), np.sinh(r) * np.sin(th),
+                         rng.uniform(0.0, 2.0 * math.pi, 200)])[:, :m.dim]
+    E = orthonormal_frame(m, x)
+    assert np.abs(_gram(m, x, E) - np.eye(m.dim)).max() < 1e-10
+
+
+@pytest.mark.parametrize("mid", zoo.MANIFOLD_IDS)
+def test_inner_is_symmetric(mid, rng):
+    # the frame, the density and the pairings rely on g(a, b) == g(b, a)
+    m = zoo.manifold(mid)
+    x = sample_box_points(m, 1000, rng)
+    a, b = rng.normal(size=(2, 1000, m.dim))
+    assert np.array_equal(m.inner(x, a, b), m.inner(x, b, a))
 
 
 def _tilted(skew: bool) -> ChartedManifold:
@@ -302,9 +342,13 @@ def _tilted(skew: bool) -> ChartedManifold:
 
 @pytest.mark.parametrize("fn", [metric_at, orthonormal_frame, volume_density])
 def test_metric_errors_name_the_first_failing_point(fn):
+    # the frame and the density never read the matrix, so only metric_at can
+    # see an asymmetric one
     pts = np.column_stack([np.linspace(-1.0, 0.9, 10), np.zeros(10)])
-    cases = [(False, MetricError, "positive definite"), (True, MetricError, "symmetric"),
+    cases = [(False, MetricError, "positive definite"),
              (False, DomainError, "outside chart domain")]
+    if fn is metric_at:
+        cases.append((True, MetricError, "symmetric"))
     for skew, error, what in cases:
         m = _tilted(skew)
         bad = pts.copy()

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 from functools import partial
@@ -14,7 +15,9 @@ from divflow.geometry import (
     field_norm,
     metric_at,
     orthonormal_frame,
+    pairing,
     pairing_rate_form,
+    volume_density,
 )
 from divflow.integrals import (
     ChartBox,
@@ -33,6 +36,7 @@ from divflow.integrals import (
     sample_liouville,
     sm_integral,
 )
+from divflow.potential import laplace_beltrami, scalar_test_functions
 from oracles import PAIR_IDS, field_pairs, pairing_rates
 
 TWO_PI = 2.0 * math.pi
@@ -151,6 +155,33 @@ def test_fiber_integral_forms_its_geometry_once(mid, fid, kind, monkeypatch, rng
         if kind != "generic":
             assert calls == [len(pts)]
         assert np.array_equal(got, _fiber_integral_per_block(m, F, pts, rule, block)), block
+
+
+@pytest.mark.parametrize("mid,fid", PAIR_IDS + (("torus", "torus:wave"),))
+def test_hot_paths_never_read_the_metric_matrix(mid, fid, rng):
+    # frames, densities, pairings and the quadrature and sampling built on
+    # them work through the closed-form inner; only metric_at and the
+    # speed-drift record read the matrix
+    reads = []
+    m0, f = zoo.manifold(mid), zoo.vector_field(fid)
+
+    def metric(x):
+        reads.append(np.shape(x))
+        return m0.metric(x)
+
+    m = dataclasses.replace(m0, metric=metric)
+    pts = sample_box_points(m, 20, rng)
+    V = orthonormal_frame(m, pts)[..., 0]
+    volume_density(m, pts)
+    pairing(f, m, pts, V)
+    pairing_rate_form(f, m, pts)
+    field_norm(f, m, pts)
+    fiber_integral(m, partial(pairing_rates, f, m), pts)
+    fiber_integral(m, QuadraticIntegrand(partial(pairing_rate_form, f, m), post=np.abs), pts)
+    u = next(iter(scalar_test_functions(mid).values()))[0]
+    laplace_beltrami(u, m, pts)
+    sample_liouville(m, 10, rng, radius_cap=m.radius_cap)
+    assert reads == []
 
 
 @pytest.mark.parametrize("mid,fid", PAIR_IDS)

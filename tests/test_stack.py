@@ -22,7 +22,6 @@ from divflow.geometry import (
     covariant_derivative,
     divergence,
     field_norm,
-    inverse_metric_at,
     metric_at,
     orthonormal_frame,
     pairing_rate_form,
@@ -137,8 +136,7 @@ def test_meridian_arclength_maps_stack_exactly(rng):
 def test_geometry_functions_stack(mid, rng):
     m = zoo.manifold(mid)
     pts = sample_box_points(m, N, rng)
-    for fn in (metric_at, inverse_metric_at, volume_density, orthonormal_frame,
-               christoffel):
+    for fn in (metric_at, volume_density, orthonormal_frame, christoffel):
         _assert_close(partial(fn, m), pts, (mid, fn))
     # the finite-difference symbols of the oracle
     _assert_close(partial(fd_christoffel, m), pts, (mid, "fd"))
