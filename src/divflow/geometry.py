@@ -24,6 +24,7 @@ advances.  The orbit layer takes and returns such stacks only, N >= 1;
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import reduce
 from typing import Callable, Optional
@@ -52,13 +53,21 @@ FD_STEP = float(np.cbrt(np.finfo(float).eps))
 
 METRIC_SYMMETRY_TOL = 1e-12
 
+# Largest cross term |g(E_j, E_k)|, j != k, the frame may carry.
+# Gram-Schmidt through ``inner`` holds it to 3e-11 at r = 12 and 1e-8 at
+# r = 18 on the hyperboloid charts; past that the chart's round-off grows
+# about e-fold per unit of r, and the frame is refused rather than returned
+# silently not orthonormal.
+FRAME_ORTHONORMAL_TOL = 1e-8
+
 
 class DomainError(ValueError):
     """Point (or a finite-difference stencil around it) left the chart domain."""
 
 
 class MetricError(ValueError):
-    """g is not symmetric positive definite, or not finite, at a point."""
+    """g is not symmetric positive definite, or not finite, at a point, or
+    round-off there leaves no orthonormal frame to FRAME_ORTHONORMAL_TOL."""
 
 
 def _always(x) -> np.ndarray:
@@ -202,9 +211,11 @@ def _gram_schmidt(m: ChartedManifold, x) -> tuple[np.ndarray, np.ndarray]:
     the columns before it, and the norms (..., n) it divided by.
 
     This is where g is validated for the frame and the density: the point
-    must lie in the chart domain and every norm must be finite and positive,
-    else a MetricError names the first failing point, whichever basis
-    vector fails there.  E is upper triangular with a positive diagonal, so
+    must lie in the chart domain, every norm must be finite and positive,
+    and the cross terms g(E_j, E_k), formed through ``inner`` in one
+    broadcast call, must vanish to FRAME_ORTHONORMAL_TOL; else a
+    MetricError names the first failing point, whichever basis vector or
+    pair fails there.  E is upper triangular with a positive diagonal, so
     with g = L L^T it is L^{-T}, and the norms are the diagonal of L.
     """
     x = np.asarray(x, dtype=float)
@@ -226,6 +237,16 @@ def _gram_schmidt(m: ChartedManifold, x) -> tuple[np.ndarray, np.ndarray]:
     ok = (np.isfinite(norms) & (norms > 0.0)).all(axis=-1)
     if not ok.all():
         raise MetricError(f"{m.name}: metric not positive definite at {_first(x, ~ok)!r}")
+    # g(E_j, E_k) for j < k, where Gram-Schmidt loses orthogonality; each
+    # diagonal entry is 1 by the division above.  A NaN fails too.
+    j, k = np.array(list(itertools.combinations(range(n), 2)), dtype=int).reshape(-1, 2).T
+    Et = np.swapaxes(E, -1, -2)
+    with np.errstate(invalid="ignore", over="ignore"):
+        cross = m.inner(x[..., None, :], Et[..., j, :], Et[..., k, :])
+        ok = (np.abs(cross) <= FRAME_ORTHONORMAL_TOL).all(axis=-1)
+    if not ok.all():
+        raise MetricError(f"{m.name}: orthonormal frame lost to round-off at "
+                          f"{_first(x, ~ok)!r}")
     return E, norms
 
 
@@ -237,7 +258,8 @@ def volume_density(m: ChartedManifold, x):
 
 def orthonormal_frame(m: ChartedManifold, x) -> np.ndarray:
     """Columns form a g-orthonormal basis of the tangent space at x, so
-    E^T g E = I: Gram-Schmidt on the chart basis through ``inner``."""
+    E^T g E = I: Gram-Schmidt on the chart basis through ``inner``, refused
+    where its cross terms exceed FRAME_ORTHONORMAL_TOL."""
     return _gram_schmidt(m, x)[0]
 
 
@@ -345,27 +367,23 @@ def pairing(field: VectorFieldDef, m: ChartedManifold, x, v):
     return _check_finite(m, x, m.inner(x, v, _components(field, x)), "g(X, v)")
 
 
-def _rate_form(m: ChartedManifold, x: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """The symmetrized Q[k, i] = g(e_k, A e_i) of the covariant derivative A
-    at x (``pairing_rate_form``), from one broadcast ``inner`` call; every
-    entry must be finite."""
-    n = m.dim
-    Q = m.inner(x[..., None, None, :], np.eye(n)[:, None, :],
-                np.swapaxes(A, -1, -2)[..., None, :, :])
-    _check_finite(m, x, Q, "g(e_k, nabla X)")
-    return 0.5 * (Q + np.swapaxes(Q, -1, -2))
-
-
 def pairing_rate_form(field: VectorFieldDef, m: ChartedManifold, x) -> np.ndarray:
     """Matrices Q with pairing rate = v @ Q @ v for unit v at x.
 
     The rate of g(X, gamma') along the geodesic through (x, v) is the
     quadratic form g(nabla_v X, v); factoring Q out once makes fiber sweeps
-    over many directions cheap.
+    over many directions cheap.  Q is the symmetrized Q[k, i] = g(e_k, A e_i)
+    of the covariant derivative A, from one broadcast ``inner`` call; the
+    points must lie in the chart domain and every entry be finite.
     """
     x = np.asarray(x, dtype=float)
     _check_domain(m, x)
-    return _rate_form(m, x, covariant_derivative(field, m, x))
+    n = m.dim
+    A = covariant_derivative(field, m, x)
+    Q = m.inner(x[..., None, None, :], np.eye(n)[:, None, :],
+                np.swapaxes(A, -1, -2)[..., None, :, :])
+    _check_finite(m, x, Q, "g(e_k, nabla X)")
+    return 0.5 * (Q + np.swapaxes(Q, -1, -2))
 
 
 def _quadratic(Q: np.ndarray, V: np.ndarray) -> np.ndarray:

@@ -355,6 +355,23 @@ def test_a_ball_of_infinite_volume_becomes_a_failed_report(capsys):
     assert report["passed"] is False
 
 
+def test_a_frame_lost_to_round_off_becomes_a_failed_report(capsys):
+    # the ball's mass sits at its rim: the Liouville draws land past
+    # r = 19, where the hyperboloid chart's round-off leaves the
+    # Gram-Schmidt frame that seeds their velocities off orthonormal
+    argv = ["diagnose", "hopf", "--manifold", "hyperbolic", "--param", "radius_cap=40",
+            "--param", "n=3"]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    report = json.loads(captured.out)
+    assert report["error"]["type"] == "MetricError"
+    assert "orthonormal frame lost to round-off" in report["error"]["message"]
+    assert report["checks"] == [{"name": "completed", "value": "error", "threshold": "none",
+                                 "comparator": "==", "passed": False}]
+    assert report["passed"] is False
+
+
 @pytest.mark.parametrize("argv, message", [
     (["diagnose", "hopf", "--manifold", "revolution:1/(1+x^2)", "--param", "radius_cap=5000",
       "--param", "n=2"], "arclength table ends at r = 4200.2"),

@@ -317,6 +317,20 @@ def test_frame_is_orthonormal_in_the_far_field(mid, rng):
     assert np.abs(_gram(m, x, E) - np.eye(m.dim)).max() < 1e-10
 
 
+@pytest.mark.parametrize("mid", ["hyperbolic", "warp:ex4"])
+def test_the_frame_refuses_the_far_field_it_cannot_hold(mid, rng):
+    # at r = 40 Gram-Schmidt still divides by finite positive norms, but
+    # E^T g E is off I by order one: the frame and the density raise
+    # instead of returning it
+    m = zoo.manifold(mid)
+    r, th = 40.0, rng.uniform(0.0, 2.0 * math.pi, 200)
+    x = np.column_stack([np.sinh(r) * np.cos(th), np.sinh(r) * np.sin(th),
+                         rng.uniform(0.0, 2.0 * math.pi, 200)])[:, :m.dim]
+    for fn in (orthonormal_frame, volume_density):
+        with pytest.raises(MetricError, match="orthonormal frame lost to round-off"):
+            fn(m, x)
+
+
 @pytest.mark.parametrize("mid", zoo.MANIFOLD_IDS)
 def test_inner_is_symmetric(mid, rng):
     # the frame, the density and the pairings rely on g(a, b) == g(b, a)
