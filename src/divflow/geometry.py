@@ -2,11 +2,11 @@
 divergence.
 
 Everything here is a pure function of explicit chart data.  A manifold is
-one almost-everywhere chart: its metric matrix on a coordinate domain, and
-the metric g(a, b) and the Levi-Civita connection Gamma(a, b) as closed
-bilinear forms, the one way the package pairs vectors and differentiates
-covariantly.  Optional extras (a radial distance surrogate, shells and
-sampling defaults) serve the probes and the integration regions.
+one almost-everywhere chart: a coordinate domain, and the metric g(a, b)
+and the Levi-Civita connection Gamma(a, b) as closed bilinear forms, its
+one statement of g and the one way the package pairs vectors and
+differentiates covariantly.  Optional extras (a radial distance surrogate,
+shells and sampling defaults) serve the probes and the integration regions.
 
 Stack convention: functions of a point take x of shape (n,) or (N, n), as
 do the chart and field closures and the potential operators
@@ -66,8 +66,9 @@ class DomainError(ValueError):
 
 
 class MetricError(ValueError):
-    """g is not symmetric positive definite, or not finite, at a point, or
-    round-off there leaves no orthonormal frame to FRAME_ORTHONORMAL_TOL."""
+    """g is not positive definite, or not finite, at a point, its matrix
+    g(e_i, e_j) is not symmetric there (``metric_at``), or round-off there
+    leaves no orthonormal frame to FRAME_ORTHONORMAL_TOL."""
 
 
 def _always(x) -> np.ndarray:
@@ -78,22 +79,23 @@ def _always(x) -> np.ndarray:
 class ChartedManifold:
     """A manifold given by one almost-everywhere coordinate chart.
 
-    ``metric(x)`` is the metric matrix on the chart domain, ``domain(x)``
-    the domain predicate, and ``periods[i]`` the period of coordinate i (None
-    for a non-periodic coordinate).  Every callable of a point takes x of
-    shape (n,) or (N, n) and returns the matching leading shape.
+    ``domain(x)`` is the domain predicate and ``periods[i]`` the period of
+    coordinate i (None for a non-periodic coordinate).  Every callable of a
+    point takes x of shape (n,) or (N, n) and returns the matching leading
+    shape.
 
     ``inner(x, a, b)`` is g(a, b) and ``connection(x, a, b)`` is
     Gamma(a, b)^k = Gamma^k_ij a^i b^j, both in closed form: points x and
     vectors a, b of shape (..., n), broadcast against each other, to shape
-    (...,) and (..., n).  They never read the metric matrix, which loses
-    digits on some charts: on the hyperboloid graph chart g = I - x x^T /
-    (1 + |x|^2) cancels to about |x|^2 eps, and the closed forms do not.
-    ``inner`` must be symmetric in a and b to the last bit: the frame, the
-    density and the pairings are built on it.  Neither closure validates g.
-    The frame does, through Gram-Schmidt on ``inner`` (``orthonormal_frame``);
-    ``metric_at`` validates the matrix itself, which only it and the
-    speed-drift record (see ``flow``) read.
+    (...,) and (..., n).  ``inner`` is the manifold's one statement of g,
+    written so that it keeps its digits where a metric matrix would not: on
+    the hyperboloid graph chart g = I - x x^T / (1 + |x|^2) cancels to about
+    |x|^2 eps, and the closed form does not.  ``inner`` must be symmetric in
+    a and b to the last bit: the frame, the density, the pairings and the
+    speed-drift record (see ``flow``) are built on it.  Neither closure
+    validates g.  The frame does, through Gram-Schmidt on ``inner``
+    (``orthonormal_frame``), and ``metric_at`` validates the matrix it forms
+    from ``inner``.
 
     Optional fields:
       radius           radial distance surrogate r(x) >= 0 (distance from
@@ -112,7 +114,6 @@ class ChartedManifold:
 
     name: str
     dim: int
-    metric: Callable[[np.ndarray], np.ndarray]
     inner: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     connection: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     domain: Callable[[np.ndarray], np.ndarray] = _always
@@ -174,20 +175,24 @@ def _check_finite(m: ChartedManifold, x: np.ndarray, values: np.ndarray,
 
 
 def metric_at(m: ChartedManifold, x) -> np.ndarray:
-    """Metric matrices g_ij(x); validates the domain, symmetry and positive
+    """Metric matrices g_ij(x) = g(e_i, e_j) of shape x.shape[:-1] + (n, n),
+    formed through ``inner``; validates the domain, symmetry and positive
     definiteness.
 
     Positive definiteness is enforced by an attempted Cholesky factorization
     of every matrix; failure is a hard error rather than a silent clamp.
-    This is the one reader of the matrix that validates it: the frame, the
-    density and the pairings work through the closed-form ``inner``.
+    Nothing in the package calls it: the frame, the density, the pairings
+    and the speed-drift record work through ``inner`` directly.
     """
     x = np.asarray(x, dtype=float)
     _check_domain(m, x)
-    g = np.asarray(m.metric(x), dtype=float)
     n = m.dim
-    if g.shape != x.shape[:-1] + (n, n):
-        raise MetricError(f"{m.name}: metric shape {g.shape} != {x.shape[:-1] + (n, n)}")
+    basis = np.eye(n)
+    # written into per-point arrays, so an inner that ignores x (the torus)
+    # still gives one matrix per point
+    g = np.empty(x.shape[:-1] + (n, n))
+    for i, j in itertools.product(range(n), repeat=2):
+        g[..., i, j] = m.inner(x, basis[i], basis[j])
     gs = g.reshape(-1, n, n)
     scale = METRIC_SYMMETRY_TOL * np.maximum(1.0, np.abs(gs).max(axis=(1, 2)))
     sym = (np.abs(gs - gs.transpose(0, 2, 1)) <= scale[:, None, None]).all(axis=(1, 2))

@@ -19,9 +19,10 @@ Every manifold and field is built directly from its closed form: one
 almost-everywhere chart with its metric and Levi-Civita connection as closed
 bilinear forms and a bounded default sampling box; all but the torus also
 carry a radius surrogate with matching shell parametrization and a default
-radius cap for sampling.  The warped products write out their block metric,
-and the lifted fields their product components.  ``_MANIFOLDS`` and ``_FIELDS`` are the one catalog; the
-public id tuples are derived from them.
+radius cap for sampling.  The warped products write out g and Gamma of the
+product, and the lifted fields their product components; no manifold states
+g a second time as a matrix.  ``_MANIFOLDS`` and ``_FIELDS`` are the one
+catalog; the public id tuples are derived from them.
 
 The chart, shell and field closures index only the last axis (``x[..., 0]``),
 so they take any stack of shape (..., n) and return the matching leading
@@ -206,12 +207,9 @@ def warp_profile_infinite_volume() -> WarpProfile:
 
 def make_flat_torus() -> ChartedManifold:
     """Flat square torus of side 1; its connection vanishes in closed form."""
-    eye = np.eye(2)
-
     return ChartedManifold(
         name="torus(L=1)",
         dim=2,
-        metric=lambda x: np.broadcast_to(eye, x.shape[:-1] + (2, 2)),
         periods=(1.0, 1.0),
         inner=lambda x, a, b: a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1],
         connection=lambda x, a, b: np.zeros(np.broadcast_shapes(x.shape, a.shape, b.shape)),
@@ -260,14 +258,6 @@ def make_surface_of_revolution() -> ChartedManifold:
     radius surrogate is meridian arclength from x = 0.
     """
 
-    def metric(x):
-        x0 = x[..., 0]
-        fp = _df(x0)
-        g = np.zeros(x.shape[:-1] + (2, 2))
-        g[..., 0, 0] = 1.0 + fp * fp
-        g[..., 1, 1] = _ipow(_f(x0), 2)
-        return g
-
     def inner(x, a, b):
         x0 = x[..., 0]
         f, fp = _f(x0), _df(x0)
@@ -304,7 +294,6 @@ def make_surface_of_revolution() -> ChartedManifold:
     return ChartedManifold(
         name="revolution:1/(1+x^2)",
         dim=2,
-        metric=metric,
         periods=(None, TWO_PI),
         inner=inner,
         connection=connection,
@@ -318,16 +307,6 @@ def make_surface_of_revolution() -> ChartedManifold:
 
 # ---------------------------------------------------------------------------
 # hyperbolic plane (hyperboloid graph chart)
-
-
-def _h2_metric(x):
-    x0, x1 = x[..., 0], x[..., 1]
-    z2 = 1.0 + x0 * x0 + x1 * x1
-    g = np.empty(x.shape[:-1] + (2, 2))
-    g[..., 0, 0] = 1.0 - x0 * x0 / z2
-    g[..., 0, 1] = g[..., 1, 0] = 0.0 - x0 * x1 / z2
-    g[..., 1, 1] = 1.0 - x1 * x1 / z2
-    return g
 
 
 def _h2_inner_numerator(x, a, b):
@@ -379,7 +358,6 @@ def make_hyperbolic_plane() -> ChartedManifold:
     return ChartedManifold(
         name="hyperbolic",
         dim=2,
-        metric=_h2_metric,
         inner=_h2_inner,
         connection=_h2_connection,
         radius=_h2_radius,
@@ -399,14 +377,6 @@ def _radial_example(prof: WarpProfile, name: str) -> ChartedManifold:
     """Hyperbolic plane in geodesic polar coordinates (r, theta) times the
     circle, warped by the radial profile b(r): metric diag(1, sinh^2 r,
     b(r)^2) on r > 0, with its closed forms and radial shells."""
-
-    def metric(x):
-        r = x[..., 0]
-        g = np.zeros(x.shape[:-1] + (3, 3))
-        g[..., 0, 0] = 1.0
-        g[..., 1, 1] = _ipow(np.sinh(r), 2)
-        g[..., 2, 2] = np.square(prof.b(r))
-        return g
 
     def inner(x, a, b):
         r = x[..., 0]
@@ -438,7 +408,6 @@ def _radial_example(prof: WarpProfile, name: str) -> ChartedManifold:
     return ChartedManifold(
         name=name,
         dim=3,
-        metric=metric,
         domain=lambda x: x[..., 0] > 0.0,
         periods=(None, TWO_PI, TWO_PI),
         inner=inner,
@@ -456,12 +425,6 @@ def make_example4() -> ChartedManifold:
     """Finite-volume warped product of the graph-chart hyperbolic plane and
     the circle, warp 1/z^2 with z the hyperboloid height: block metric
     [[g_H2, 0], [0, 1/z^4]]."""
-
-    def metric(x):
-        g = np.zeros(x.shape[:-1] + (3, 3))
-        g[..., :2, :2] = _h2_metric(x[..., :2])
-        g[..., 2, 2] = np.square(1.0 / (1.0 + x[..., 0] * x[..., 0] + x[..., 1] * x[..., 1]))
-        return g
 
     def inner(x, a, b):
         z2 = 1.0 + x[..., 0] * x[..., 0] + x[..., 1] * x[..., 1]
@@ -500,7 +463,6 @@ def make_example4() -> ChartedManifold:
     return ChartedManifold(
         name="warp:ex4",
         dim=3,
-        metric=metric,
         periods=(None, None, TWO_PI),
         inner=inner,
         connection=connection,

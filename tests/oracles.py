@@ -1,15 +1,17 @@
 """Oracles and state constructors that only the tests use.
 
 States are the package's (N, 2n) arrays: positions in columns :n,
-velocities in columns n:2n.  The Christoffel tensors G[..., k, i, j] =
-Gamma^k_ij of the zoo manifolds, and the symbols that central differences
-of any metric give, are references for the closed-form connections the
-package computes with.  The zoo fields' divergences (``DIVERGENCE``) and
-pairing rates (``FX``), keyed by field id, are references for what the
-package computes from a field's components and Jacobian; the analytic
-hyperbolic geodesic and the revolution embedding check the orbits and the
-revolution surface.  The divergences take a stack of points; the pairing
-rates, the geodesic and the embedding take one point.
+velocities in columns n:2n.  The metric matrices g_ij of the zoo manifolds,
+written out apart from their ``inner``, are references for the closed-form
+g the package computes with; ``unit_states``, the finite-difference symbols
+and ``tensor_rate_form`` read them.  The Christoffel tensors G[..., k, i, j]
+= Gamma^k_ij, and the symbols that central differences of a metric matrix
+give, are references for the closed-form connections.  The zoo fields'
+divergences (``DIVERGENCE``) and pairing rates (``FX``), keyed by field id,
+are references for what the package computes from a field's components and
+Jacobian; the analytic hyperbolic geodesic and the revolution embedding
+check the orbits and the revolution surface.  The divergences take a stack
+of points; the pairing rates, the geodesic and the embedding take one point.
 """
 
 import math
@@ -26,7 +28,6 @@ from divflow.geometry import (
     _quadratic,
     _stencil,
     field_norm,
-    metric_at,
     pairing_rate_form,
 )
 
@@ -41,7 +42,7 @@ def unit_states(m, x, v, normalize: bool = False) -> np.ndarray:
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     v = np.atleast_2d(np.asarray(v, dtype=float))
-    speed2 = (v[:, None, :] @ metric_at(m, x) @ v[:, :, None])[:, 0, 0]
+    speed2 = (v[:, None, :] @ metric_matrix(m, x) @ v[:, :, None])[:, 0, 0]
     if normalize:
         if np.any(speed2 <= 0):
             raise ValueError("cannot normalize a null velocity")
@@ -103,6 +104,69 @@ def endpoint_bound_check(field, m, states, s: float):
 
 
 # ---------------------------------------------------------------------------
+# metric matrices
+
+
+def _torus_metric(x):
+    return np.broadcast_to(np.eye(2), x.shape[:-1] + (2, 2))
+
+
+def _revolution_metric(x):
+    x0 = x[..., 0]
+    fp = zoo._df(x0)
+    g = np.zeros(x.shape[:-1] + (2, 2))
+    g[..., 0, 0] = 1.0 + fp * fp
+    g[..., 1, 1] = zoo._ipow(zoo._f(x0), 2)
+    return g
+
+
+def _hyperbolic_metric(x):
+    # g = I - x x^T / z^2, which cancels to about |x|^2 eps far out
+    x0, x1 = x[..., 0], x[..., 1]
+    z2 = 1.0 + x0 * x0 + x1 * x1
+    g = np.empty(x.shape[:-1] + (2, 2))
+    g[..., 0, 0] = 1.0 - x0 * x0 / z2
+    g[..., 0, 1] = g[..., 1, 0] = 0.0 - x0 * x1 / z2
+    g[..., 1, 1] = 1.0 - x1 * x1 / z2
+    return g
+
+
+def _radial_metric(prof):
+    def metric(x):
+        r = x[..., 0]
+        g = np.zeros(x.shape[:-1] + (3, 3))
+        g[..., 0, 0] = 1.0
+        g[..., 1, 1] = zoo._ipow(np.sinh(r), 2)
+        g[..., 2, 2] = np.square(prof.b(r))
+        return g
+    return metric
+
+
+def _ex4_metric(x):
+    # block metric [[g_H2, 0], [0, 1/z^4]]
+    g = np.zeros(x.shape[:-1] + (3, 3))
+    g[..., :2, :2] = _hyperbolic_metric(x[..., :2])
+    g[..., 2, 2] = np.square(1.0 / (1.0 + x[..., 0] * x[..., 0] + x[..., 1] * x[..., 1]))
+    return g
+
+
+# zoo manifold name -> its metric matrix
+_METRICS = {zoo.manifold(mid).name: fn for mid, fn in (
+    ("torus", _torus_metric),
+    ("revolution:1/(1+x^2)", _revolution_metric),
+    ("hyperbolic", _hyperbolic_metric),
+    ("warp:ex2", _radial_metric(zoo.warp_profile_finite_volume())),
+    ("warp:ex3", _radial_metric(zoo.warp_profile_infinite_volume())),
+    ("warp:ex4", _ex4_metric))}
+
+
+def metric_matrix(m, x) -> np.ndarray:
+    """The metric matrix g_ij of the zoo manifold m at x of shape (..., n),
+    written out apart from its ``inner``; not validated."""
+    return _METRICS[m.name](np.asarray(x, dtype=float))
+
+
+# ---------------------------------------------------------------------------
 # Christoffel tensors
 
 
@@ -123,7 +187,7 @@ def _revolution_symbols(x):
 
 def _hyperbolic_symbols(x):
     # G[k, i, j] = -x_k g_ij
-    return -x[..., :, None, None] * zoo._h2_metric(x)[..., None, :, :]
+    return -x[..., :, None, None] * _hyperbolic_metric(x)[..., None, :, :]
 
 
 def _radial_symbols(prof):
@@ -170,20 +234,27 @@ def christoffel_symbols(m, x) -> np.ndarray:
 
 
 def fd_christoffel(m, x) -> np.ndarray:
-    """Christoffel symbols of m at x from central differences of its metric
-    matrix; raises DomainError where a stencil leaves the chart domain."""
+    """Christoffel symbols of the zoo manifold m at x from central
+    differences of its metric matrix; raises DomainError where a stencil
+    leaves the chart domain."""
+    return _fd_symbols(_METRICS[m.name], m, x)
+
+
+def _fd_symbols(metric, m, x) -> np.ndarray:
+    """Christoffel symbols at x from central differences of the matrix
+    function ``metric`` on the chart of m."""
     x = np.asarray(x, dtype=float)
     n = m.dim
     h = _fd_steps(x)
     dg = np.empty(x.shape[:-1] + (n, n, n))
     for a in range(n):
         xp, xm = _stencil(m, x, h, a)
-        dg[..., a, :, :] = (m.metric(xp) - m.metric(xm)) / (2.0 * h[..., a, None, None])
+        dg[..., a, :, :] = (metric(xp) - metric(xm)) / (2.0 * h[..., a, None, None])
     # exact index symmetry of the symbols below needs dg[a] symmetric
     dg = 0.5 * (dg + np.swapaxes(dg, -1, -2))
     # Gamma_{l ij} = (d_i g_jl + d_j g_il - d_l g_ij) / 2
     first = 0.5 * (np.einsum("...ijl->...lij", dg) + np.einsum("...jil->...lij", dg) - dg)
-    return np.einsum("...kl,...lij->...kij", np.linalg.inv(metric_at(m, x)), first)
+    return np.einsum("...kl,...lij->...kij", np.linalg.inv(metric(x)), first)
 
 
 def contract(G, a, b) -> np.ndarray:
@@ -204,10 +275,9 @@ def from_metric(name, dim, metric, **kw) -> ChartedManifold:
         return (a[..., None, :] @ metric(x) @ b[..., :, None])[..., 0, 0]
 
     def connection(x, a, b):
-        return contract(fd_christoffel(m, x), a, b)
+        return contract(_fd_symbols(metric, m, x), a, b)
 
-    m = ChartedManifold(name=name, dim=dim, metric=metric, inner=inner,
-                        connection=connection, **kw)
+    m = ChartedManifold(name=name, dim=dim, inner=inner, connection=connection, **kw)
     return m
 
 
@@ -217,7 +287,7 @@ def tensor_rate_form(field, m, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     G = christoffel_symbols(m, x)
     A = _field_jacobian(field, m, x) + np.einsum("...kij,...j->...ki", G, _components(field, x))
-    Q = metric_at(m, x) @ A
+    Q = metric_matrix(m, x) @ A
     return 0.5 * (Q + np.swapaxes(Q, -1, -2))
 
 
@@ -260,7 +330,7 @@ def _ex4_Z_fx(x, v):
     # rate = z |v_B|^2 + (X h / h) |v_F|^2
     z2 = 1.0 + x[0] ** 2 + x[1] ** 2
     z = math.sqrt(z2)
-    gB = zoo._h2_metric(x[:2])
+    gB = _hyperbolic_metric(x[:2])
     vB = np.asarray(v[:2])
     nB2 = float(vB @ gB @ vB)
     h = 1.0 / z2

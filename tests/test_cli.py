@@ -528,8 +528,9 @@ def test_benchmark_workloads_fit_their_schema():
 
 
 def test_runaway_orbit_reports_its_speed_drift(capsys):
-    # the hyperboloid graph chart goes numerically singular along these
-    # orbits long before a step fails; the drift check stops them early
+    # along these orbits the hyperboloid graph chart's coordinates grow like
+    # e^t until the spray's round-off drifts the speed off 1, long before a
+    # step fails; the drift check stops them early
     argv = ["verify", "path-integral", "--manifold", "hyperbolic",
             "--field", "hyperbolic:conformal", "--param", "T=40", "--param", "n_orbits=3"]
     assert cli.main(argv) == 1

@@ -253,6 +253,14 @@ def test_hopf_hyperbolic_convergent(hyperbolic, rng):
         assert probe.slope <= 0.1
 
 
+@pytest.mark.parametrize("cap", [12.0, 15.0, 18.0])
+def test_hopf_far_field_orbits_reach_their_horizon(hyperbolic, cap):
+    # draws out to the frame's reach run outward another 12 units of r;
+    # read through the closed-form inner, their speed stays unit to round-off
+    states = sample_liouville(hyperbolic, 6, np.random.default_rng(0), radius_cap=cap)
+    assert [probe.truncated for probe in hopf_probe(hyperbolic, states)] == [False] * 6
+
+
 def test_hopf_rejects_nonpositive_observable(torus, rng):
     st = sample_liouville(torus, 1, rng)
     with pytest.raises(ValueError):

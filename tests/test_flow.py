@@ -36,10 +36,12 @@ from oracles import (
 TWO_PI = 2.0 * math.pi
 
 # measurement horizons per manifold: along a geodesic the hyperboloid graph
-# chart's coordinates grow like e^t, so evaluating the metric there loses
-# accuracy (and the recorded speed drift grows) with t; every other chart
-# stays bounded
-DRIFT_T = {"hyperbolic": 8.0}
+# chart's coordinates grow like e^t, and past r = 25 or so the spray's
+# round-off (about |x|^2 eps^2) outgrows RTOL and the drift with it; at
+# T = 20 an orbit from the sampling box (r <= 2.2) ends inside r = 22.2,
+# where the drift read through the closed-form inner stays at round-off.
+# Every other chart stays bounded
+DRIFT_T = {"hyperbolic": 20.0}
 
 
 def _reaching(m, states, T):
@@ -88,8 +90,9 @@ def test_speed_drift_budget(rng):
         T = DRIFT_T.get(mid, 50.0)
         traj = integrate_geodesic(m, sample_states(m, 5, rng), T)
         for reason, drift in zip(traj.reasons, traj.speed_drift):
-            if reason is not None:    # a warped orbit may hit the polar axis
+            if reason == "left_domain":    # a warped orbit may hit the polar axis
                 continue
+            assert reason is None, (mid, reason)
             assert drift.max() <= 1e-7, (mid, drift.max())
 
 
@@ -398,10 +401,10 @@ def test_controller_takes_the_standard_steps(ex4):
         stats = traj.stats
         assert (stats.n_accepted, stats.n_rejected_est, stats.nfev) == _solve_ivp_counts(
             ex4, states, 10.0, integrand)
-        # the drift record reads the metric matrix at every node
+        # the drift record reads the closed-form inner at every node
         Y = np.concatenate(traj.states)
         X, V = Y[:, :3], Y[:, 3:]
-        drift = np.abs((V[:, None, :] @ ex4.metric(X) @ V[:, :, None])[:, 0, 0] - 1.0)
+        drift = np.abs(ex4.inner(X, V, V) - 1.0)
         assert np.array_equal(np.concatenate(traj.speed_drift), drift)
 
 
@@ -478,8 +481,9 @@ def test_extend_finds_the_nodes_a_per_orbit_search_finds(ex2, rng):
 
 def test_runaway_speed_drift_truncates(hyperbolic):
     # the first orbit of verify path-integral on hyperbolic:conformal at
-    # T = 40: its chart coordinates grow like e^t until the metric is
-    # numerically singular
+    # T = 40: its chart coordinates grow like e^t until, past r = 25 or so,
+    # the graph chart's spray carries round-off of about |x|^2 eps^2 that
+    # RTOL no longer sees, and the speed drifts off 1
     st = sample_states(hyperbolic, 3, np.random.default_rng(0))[:1]
     traj = integrate_geodesic(hyperbolic, st, 40.0)
     assert traj.reasons == ("speed_drift",)

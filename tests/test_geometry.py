@@ -51,12 +51,13 @@ def test_volume_density_examples(torus, ex4, revolution):
 
 
 def test_metric_spd_sweep_all_zoo(rng):
-    # symmetry and positive definiteness at 1e4 random in-domain points each
+    # symmetry and positive definiteness at 1e4 random in-domain points
+    # each, in one stack call that validates every point
     for mid in zoo.MANIFOLD_IDS:
         m = zoo.manifold(mid)
         pts = sample_box_points(m, 10_000, rng)
-        for k in range(pts.shape[0]):
-            g = metric_at(m, pts[k])      # raises on any violation
+        g = metric_at(m, pts)      # raises on any violation
+        assert g.shape == (10_000, m.dim, m.dim)
         assert np.all(np.isfinite(g))
 
 
@@ -356,8 +357,8 @@ def _tilted(skew: bool) -> ChartedManifold:
 
 @pytest.mark.parametrize("fn", [metric_at, orthonormal_frame, volume_density])
 def test_metric_errors_name_the_first_failing_point(fn):
-    # the frame and the density never read the matrix, so only metric_at can
-    # see an asymmetric one
+    # only metric_at compares g(e_i, e_j) with g(e_j, e_i), so only it can
+    # see an asymmetric inner
     pts = np.column_stack([np.linspace(-1.0, 0.9, 10), np.zeros(10)])
     cases = [(False, MetricError, "positive definite"),
              (False, DomainError, "outside chart domain")]

@@ -6,13 +6,15 @@ runs four experiments the way the harness does: among them a hyperbolic
 recurrence run, whose return search stops each orbit through its escape
 monitor, and one on the surface of revolution, whose orbits neither return
 nor escape in the first RETURN_CHUNK and so take a second chunk from
-t_start = RETURN_CHUNK."""
+t_start = RETURN_CHUNK.  The ``orbits`` workload's configs run traced too,
+to bound the speed drift the harness records."""
 
 import json
 import types
 from pathlib import Path
 
 from divflow import runner
+from divflow.flow import MAX_SPEED_DRIFT
 from divflow.runner import ExperimentConfig, report_to_json, run
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -50,3 +52,14 @@ def test_traced_harness_calls_give_the_untraced_reports():
     assert metrics["flow.integrate_geodesic.calls"] == 4
     assert metrics["flow.first_return.calls"] == 2
     assert metrics["integrals.fiber_integral.calls"] > 0
+
+
+def test_benchmark_orbits_keep_unit_speed_to_round_off():
+    # the orbits workload at its config seeds, traced as the harness does:
+    # the largest speed drift stays two decades inside the truncation bound
+    workloads = json.loads((ROOT / "perfbench" / "workloads.json").read_text())
+    tracer = _load_spans().Tracer()
+    with tracer.installed():
+        for raw in workloads["orbits"].values():
+            runner.run(ExperimentConfig.from_dict(raw), workers=1)
+    assert 0.0 < tracer.max_speed_drift <= MAX_SPEED_DRIFT / 100

@@ -32,7 +32,7 @@ def test_the_package_root_binds_only_the_version_and_the_tracer_pin():
 
 @pytest.mark.parametrize("cls,fields", [
     (VectorFieldDef, ["name", "components", "jacobian"]),
-    (ChartedManifold, ["name", "dim", "metric", "inner", "connection", "domain", "periods",
+    (ChartedManifold, ["name", "dim", "inner", "connection", "domain", "periods",
                        "radius", "shell", "sample_box", "radius_cap",
                        "radius_escape_certificate", "description"]),
 ], ids=["field", "manifold"])

@@ -25,6 +25,7 @@ from oracles import (
     contract,
     field_pairs,
     hyperbolic_geodesic,
+    metric_matrix,
     pairing_rates,
     revolution_embedding,
     revolution_embedding_jacobian,
@@ -50,7 +51,7 @@ def test_closed_forms_match_the_matrix_forms(mid):
     x *= 3.0 * rng.uniform(0.0, 1.0, (400, 1)) / np.linalg.norm(x, axis=1, keepdims=True)
     x = x[np.asarray(m.domain(x))]
     a, b = rng.standard_normal((2,) + x.shape)
-    g = m.metric(x)
+    g = metric_matrix(m, x)
     matrix = (a[:, None, :] @ g @ b[:, :, None])[:, 0, 0]
     bound = np.sqrt((a[:, None, :] @ g @ a[:, :, None]) * (b[:, None, :] @ g @ b[:, :, None]))
     assert np.all(np.abs(m.inner(x, a, b) - matrix) <= 1e-12 * bound[:, 0, 0])
