@@ -40,6 +40,7 @@ from .integrals import (
     RadialShell,
     _uniform_in,
     base_integral,
+    base_integrals,
     fiber_integral,
     ladder_integral,
     resolve_patches,
@@ -84,19 +85,17 @@ def karp_sequence(m: ChartedManifold, field: VectorFieldDef,
 
     A sequence sinking to zero is the annulus-decay sufficient condition for
     divergence identities; values bounded away from zero mean the condition
-    fails (which by itself decides nothing).
+    fails (which by itself decides nothing).  Every annulus is one region of
+    one ``base_integrals`` call, so one ``field_norm`` call forms |X| for all.
     """
     if m.radius is None or m.shell is None:
         raise ValueError(f"{m.name} has no radius surrogate / shell parametrization")
-    out = []
-    for r in radii:
-        est = base_integral(m, lambda x: field_norm(field, m, x),
-                            RadialShell(float(r), 2.0 * float(r)), order=order)
-        out.append(AnnulusReport(radius=float(r), mass=est.value,
-                                 normalized=est.value / float(r),
-                                 stderr=est.stderr / float(r),
-                                 surrogate=f"{m.name} radius surrogate"))
-    return out
+    shells = [RadialShell(float(r), 2.0 * float(r)) for r in radii]
+    ests = base_integrals(m, lambda x: field_norm(field, m, x), shells, order=order)
+    return [AnnulusReport(radius=s.r_lo, mass=est.value, normalized=est.value / s.r_lo,
+                          stderr=est.stderr / s.r_lo,
+                          surrogate=f"{m.name} radius surrogate")
+            for s, est in zip(shells, ests)]
 
 
 # ---------------------------------------------------------------------------

@@ -415,7 +415,7 @@ def _geodesic_rhs(m: ChartedManifold, integrand) -> tuple[Callable, Callable]:
     def spray(Y, S):
         X, V = Y[:, :n], Y[:, n:2 * n]
         S[:, :n] = V
-        S[:, n:] = -m.connection(X, V, V)
+        np.negative(m.connection(X, V, V), out=S[:, n:])
 
     def rate(Y, r):
         X, V = Y[:, :n], Y[:, n:2 * n]

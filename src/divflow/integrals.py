@@ -6,13 +6,15 @@ Regions are either coordinate boxes in the chart or radial shells
 Unbounded domains are handled by truncation ladders with recorded traces.
 
 A base integrand h maps chart points (N, n) to values broadcastable to
-(N,), so each patch's tensor grid is one call.  A bundle integrand is of one
-of two kinds: a generic F(X, V), which maps points (N, n) and unit
-directions (N, k, n) to (N, k), or a ``QuadraticIntegrand``, post(v @ Q(x)
-@ v), whose fiber values come from the fiber rule's second moments without
-forming the directions.  Either way a fiber integral is ``values @
-weights`` over fixed-size blocks of points; compensated sums remain where
-partial sums accumulate (a patch's weighted nodes, patches, error terms).
+(N,), so the tensor grids of every pass, patch and region of one
+``base_integrals`` call (every rung of a ladder, say) are one call.  A
+bundle integrand is of one of two kinds: a generic F(X, V), which maps
+points (N, n) and unit directions (N, k, n) to (N, k), or a
+``QuadraticIntegrand``, post(v @ Q(x) @ v), whose fiber values come from
+the fiber rule's second moments without forming the directions.  Either
+way a fiber integral is ``values @ weights`` over fixed-size blocks of
+points; compensated sums remain where partial sums accumulate (a pass's
+weighted nodes, patches, error terms).
 Reductions have fixed shapes and order, so results are deterministic for a
 given numpy build.
 """
@@ -22,7 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
 from typing import Callable, Optional
 
 import numpy as np
@@ -51,6 +53,7 @@ __all__ = [
     "fiber_rule",
     "fiber_integral",
     "base_integral",
+    "base_integrals",
     "sm_integral",
     "fubini_consistency",
     "ladder_integral",
@@ -318,43 +321,63 @@ def _axis_nodes(lo: float, hi: float, order: int,
     return np.concatenate(xs), np.concatenate(ws)
 
 
-def _patch_values(h, patch: ShellPatch, u: np.ndarray) -> np.ndarray:
-    """h times the patch density at the patch points u, shape (N,)."""
-    return np.asarray(h(patch.to_chart(u)), dtype=float) * patch.density(u)
-
-
-def _tensor_pass(h, patch: ShellPatch, order: int) -> tuple[float, int]:
+def _tensor_nodes(patch: ShellPatch, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """The patch's tensor Gauss-Legendre nodes (N, d), the last axis
+    varying fastest, and their weights (N,), at ``order`` per panel."""
     breaks = patch.breakpoints or ((),) * len(patch.bounds)
     axes = [_axis_nodes(lo, hi, order, breaks=brk)
             for (lo, hi), brk in zip(patch.bounds, breaks)]
-    grids = np.meshgrid(*[a[0] for a in axes], indexing="ij")
-    wgrids = np.meshgrid(*[a[1] for a in axes], indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    wts = np.prod(np.stack([w.ravel() for w in wgrids], axis=-1), axis=-1)
-    return math.fsum(wts * _patch_values(h, patch, pts)), pts.shape[0]
+    d = len(axes)
+    u = np.empty(tuple(len(t) for t, _ in axes) + (d,))
+    for i, (t, _) in enumerate(axes):
+        u[..., i] = t.reshape((-1,) + (1,) * (d - 1 - i))
+    return u.reshape(-1, d), reduce(np.multiply.outer, [w for _, w in axes]).ravel()
 
 
-def _quad_patch(h, patch: ShellPatch, order: int) -> tuple[float, float, int]:
-    coarse, _ = _tensor_pass(h, patch, max(2, order // 2))
-    value, nodes = _tensor_pass(h, patch, order)
-    return value, abs(value - coarse), nodes
+def base_integrals(m: ChartedManifold, h: Callable[[np.ndarray], np.ndarray], regions,
+                   order: int = 16) -> list[IntegralEstimate]:
+    """Integrals of h against the volume measure over each bounded region,
+    by Gauss-Legendre tensor quadrature on each patch, with one call of h.
+
+    ``h`` takes a stack of chart points (N, n) and returns values that
+    broadcast to (N,); each region is a ChartBox or a RadialShell.  Each
+    patch takes a pass at order // 2 (at least 2) and one at ``order``: the
+    value is the full pass and the stderr its distance from the half pass,
+    each summed over the patches with ``math.fsum``.  The nodes of every
+    pass, region by region, patch by patch, the half pass first, go to h as
+    one stack in that order, so a check that h makes point by point names
+    the point that one call per pass would meet first.  Each pass is then
+    reduced alone, ``math.fsum`` of weight times h times density, so for an
+    h that acts point by point every estimate equals the one region's
+    ``base_integral`` to the bit.
+    """
+    groups = [resolve_patches(m, region) for region in regions]
+    passes = [(patch, *_tensor_nodes(patch, o)) for patches in groups
+              for patch in patches for o in (max(2, order // 2), order)]
+    if not passes:
+        return []
+    x = np.concatenate([patch.to_chart(u) for patch, u, _ in passes])
+    hx = np.broadcast_to(np.asarray(h(x), dtype=float), x.shape[:-1])
+    sums, start = [], 0
+    for patch, u, w in passes:
+        sums.append(math.fsum(w * (hx[start:start + len(u)] * patch.density(u))))
+        start += len(u)
+    # (half pass, full pass, full-pass nodes) of each patch in turn
+    per_patch = iter(zip(sums[::2], sums[1::2], [len(u) for _, u, _ in passes[1::2]]))
+    out = []
+    for patches in groups:
+        est = [next(per_patch) for _ in patches]
+        out.append(IntegralEstimate(value=math.fsum(full for _, full, _ in est),
+                                    stderr=math.fsum(abs(full - half) for half, full, _ in est),
+                                    nodes=sum(k for _, _, k in est)))
+    return out
 
 
 def base_integral(m: ChartedManifold, h: Callable[[np.ndarray], np.ndarray], region,
                   order: int = 16) -> IntegralEstimate:
-    """Integral of h against the volume measure over a bounded region, by
-    Gauss-Legendre tensor quadrature on each patch.
-
-    ``h`` takes a stack of chart points (N, n) and returns values that
-    broadcast to (N,).  ``region`` is a ChartBox or a RadialShell.
-    """
-    values, errs, nodes = [], [], 0
-    for patch in resolve_patches(m, region):
-        v, e, k = _quad_patch(h, patch, order)
-        values.append(v)
-        errs.append(e)
-        nodes += k
-    return IntegralEstimate(value=math.fsum(values), stderr=math.fsum(errs), nodes=nodes)
+    """Integral of h against the volume measure over one bounded region:
+    ``base_integrals`` of the one region."""
+    return base_integrals(m, h, [region], order=order)[0]
 
 
 def sm_integral(m: ChartedManifold, F, region, order: int = 12) -> IntegralEstimate:
@@ -427,14 +450,14 @@ LADDER_ABS_TOL = 1e-10
 def ladder_integral(m: ChartedManifold, h, r0: float = 1.0, rungs: int = 8,
                     order: int = 16, rel_tol: float = LADDER_REL_TOL) -> IntegralEstimate:
     """Integral of h over radius balls r <= R_k on the ladder R_k = r0 * 2^k,
-    one ``base_integral`` per shell between rungs.
+    from the shells between rungs, all in one ``base_integrals`` call.
 
     The trace of partial values is recorded; a non-convergent trace is the
     deliberate signal for a non-integrable integrand.
     """
     radii = [r0 * 2.0 ** k for k in range(rungs)]
-    ests = [base_integral(m, h, RadialShell(lo, R), order=order)
-            for lo, R in zip([0.0] + radii[:-1], radii)]
+    ests = base_integrals(m, h, [RadialShell(lo, R) for lo, R in
+                                 zip([0.0] + radii[:-1], radii)], order=order)
     values = list(itertools.accumulate((e.value for e in ests), initial=0.0))[1:]
     converged = False
     if len(values) >= 3:
@@ -526,9 +549,9 @@ def sample_liouville(m: ChartedManifold, n: int, rng,
     (n, 2 dim) of positions, then velocities isotropic in the fiber.
 
     A ball draw picks a shell patch by mass, its radius at a uniform
-    fraction of the patch's radial mass (the CDF on ``base_integral``'s
-    panels, inverted by bisection) and uniform angles: each patch density
-    depends on the radius alone.  A ball whose volume is not finite and
+    fraction of the patch's radial mass (the CDF on the radial panels of
+    the tensor passes, inverted by bisection) and uniform angles: each
+    patch density depends on the radius alone.  A ball whose volume is not finite and
     positive raises DomainError.  Uniform box draws are exact only for a
     constant volume density (the torus); another box raises ValueError.
     Callers must record the cap, as the full measure may be infinite.

@@ -313,10 +313,11 @@ def _h2_inner_numerator(x, a, b):
     # z^2 g(a, b) = z^2 a.b - (x.a)(x.b) with z^2 = 1 + |x|^2, through
     # Lagrange's identity |x|^2 a.b - (x.a)(x.b) = (x0 a1 - x1 a0)(x0 b1 -
     # x1 b0), which takes the cancellation out: the matrix form loses about
-    # |x|^2 eps
+    # |x|^2 eps.  A quadratic form (b is a) forms its factor once.
     x0, x1 = x[..., 0], x[..., 1]
-    cross = (x0 * a[..., 1] - x1 * a[..., 0]) * (x0 * b[..., 1] - x1 * b[..., 0])
-    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + cross
+    ca = x0 * a[..., 1] - x1 * a[..., 0]
+    cb = ca if b is a else x0 * b[..., 1] - x1 * b[..., 0]
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + ca * cb
 
 
 def _h2_inner(x, a, b):
@@ -433,17 +434,21 @@ def make_example4() -> ChartedManifold:
     def connection(x, a, b):
         # the base block -x g_H(a, b) plus the warp couplings of h = 1/z^2:
         # Gamma(a, b) = (x (2 a_2 b_2 / z^4 - g_H(a, b)),
-        #                -2 ((x.a) b_2 + (x.b) a_2) / z^2)
+        #                -2 ((x.a) b_2 + (x.b) a_2) / z^2);
+        # the spray's Gamma(v, v) (b is a) forms each product once
         x0, x1 = x[..., 0], x[..., 1]
         z2 = 1.0 + x0 * x0 + x1 * x1
         a2, b2 = a[..., 2], b[..., 2]
         base = 2.0 * (a2 * b2) / (z2 * z2) - _h2_inner_numerator(x, a, b) / z2
         xa = x0 * a[..., 0] + x1 * a[..., 1]
-        xb = x0 * b[..., 0] + x1 * b[..., 1]
+        if b is a:
+            t = xa * a2
+            mixed = t + t
+        else:
+            mixed = xa * b2 + (x0 * b[..., 0] + x1 * b[..., 1]) * a2
         out = np.empty(np.shape(base) + (3,))
-        out[..., 0] = x0 * base
-        out[..., 1] = x1 * base
-        out[..., 2] = -2.0 * (xa * b2 + xb * a2) / z2
+        np.multiply(x[..., :2], base[..., None], out=out[..., :2])
+        out[..., 2] = -2.0 * mixed / z2
         return out
 
     def shell(r_lo, r_hi):

@@ -372,6 +372,28 @@ def test_a_frame_lost_to_round_off_becomes_a_failed_report(capsys):
     assert report["passed"] is False
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["diagnose", "fx-ladder", "--manifold", "warp:ex4", "--field", "warp:ex4:Z",
+      "--param", "rungs=7"],
+     {"type": "MetricError",
+      "message": "warp:ex4: orthonormal frame lost to round-off at "
+                 "array([ 1.70631569e+08, -5.18015902e+07,  2.94744707e-01])"}),
+    (["diagnose", "karp", "--manifold", "hyperbolic", "--field", "hyperbolic:rotation",
+      "--param", "radii=[200]"],
+     {"type": "MetricError",
+      "message": "hyperbolic: g(X, X) not finite at "
+                 "array([4.59478187e+86, 5.76205592e+85])"}),
+])
+def test_a_far_field_failure_names_the_first_point_of_the_first_pass(argv, error, capsys):
+    # every rung or annulus goes to the integrand in one stack, in the order
+    # of one call per rung, patch and pass, so the report names the point
+    # that one call per pass meets first
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert cli.main(argv) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["error"] == error
+
+
 @pytest.mark.parametrize("argv, message", [
     (["diagnose", "hopf", "--manifold", "revolution:1/(1+x^2)", "--param", "radius_cap=5000",
       "--param", "n=2"], "arclength table ends at r = 4200.2"),

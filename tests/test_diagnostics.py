@@ -87,6 +87,22 @@ def test_karp_csv(ex2):
                          for r in reps]
 
 
+def test_karp_sequence_forms_the_field_once(ex2):
+    # every annulus comes from one stacked call, and equals its own call
+    Zbar = zoo.vector_field("warp:ex2:Zbar")
+    calls = []
+
+    def components(x):
+        calls.append(len(x))
+        return Zbar.components(x)
+
+    radii = [2.0, 4.0, 8.0]
+    reps = karp_sequence(ex2, VectorFieldDef("counted", components, Zbar.jacobian), radii)
+    assert len(calls) == 1
+    assert reps == [karp_sequence(ex2, Zbar, [r])[0] for r in radii]
+    assert karp_sequence(ex2, Zbar, []) == []
+
+
 def test_karp_requires_radius(torus):
     with pytest.raises(ValueError):
         karp_sequence(torus, _zero_field(2), [1.0])

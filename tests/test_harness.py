@@ -63,3 +63,17 @@ def test_benchmark_orbits_keep_unit_speed_to_round_off():
         for raw in workloads["orbits"].values():
             runner.run(ExperimentConfig.from_dict(raw), workers=1)
     assert 0.0 < tracer.max_speed_drift <= MAX_SPEED_DRIFT / 100
+
+
+def test_benchmark_quadrature_calls_each_fiber_integrand_once_per_experiment():
+    # a rate ladder stacks every rung, patch and pass into one fiber
+    # integral, as the fiber lemma stacks its points: two ladders and two
+    # fiber-lemma runs
+    workloads = json.loads((ROOT / "perfbench" / "workloads.json").read_text())
+    tracer = _load_spans().Tracer()
+    with tracer.installed():
+        for raw in workloads["quadrature"].values():
+            runner.run(ExperimentConfig.from_dict(raw), workers=1)
+    metrics = tracer.metrics()
+    assert metrics["integrals.fiber_integral.calls"] == 4
+    assert metrics["geometry.pairing_rate_form.calls"] == 4

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 from functools import partial
@@ -200,6 +201,73 @@ def test_estimate_json_fields(ex4):
                          "truncation_trace", "converged"}
     assert blob["stderr"] >= 0.0
     assert isinstance(blob["truncation_trace"], list)
+
+
+def _one_pass_at_a_time(m, h, region, order) -> IntegralEstimate:
+    """``base_integral`` with one call of h per tensor pass, its nodes and
+    weights from meshgrids of the axis rules."""
+    values, errs, nodes = [], [], 0
+    for patch in resolve_patches(m, region):
+        sums = []
+        for o in (max(2, order // 2), order):
+            breaks = patch.breakpoints or ((),) * len(patch.bounds)
+            axes = [integrals._axis_nodes(lo, hi, o, breaks=brk)
+                    for (lo, hi), brk in zip(patch.bounds, breaks)]
+            grids = np.meshgrid(*[t for t, _ in axes], indexing="ij")
+            wgrids = np.meshgrid(*[w for _, w in axes], indexing="ij")
+            u = np.stack([g.ravel() for g in grids], axis=-1)
+            w = np.prod(np.stack([g.ravel() for g in wgrids], axis=-1), axis=-1)
+            hu = np.asarray(h(patch.to_chart(u)), dtype=float)
+            sums.append(math.fsum(w * (hu * patch.density(u))))
+        values.append(sums[1])
+        errs.append(abs(sums[1] - sums[0]))
+        nodes += len(u)
+    return IntegralEstimate(value=math.fsum(values), stderr=math.fsum(errs), nodes=nodes)
+
+
+SHELL_IDS = [mid for mid in zoo.MANIFOLD_IDS if zoo.manifold(mid).shell is not None]
+
+
+@pytest.mark.parametrize("mid", SHELL_IDS + ["torus"])
+def test_base_integrals_equal_one_region_and_one_pass_at_a_time(mid):
+    # a pointwise h sees every pass of every region in one stack, and each
+    # estimate still comes out to the bit
+    m = zoo.manifold(mid)
+    if m.shell is not None:
+        regions = [RadialShell(0.0, 1.0), RadialShell(1.0, 3.0), RadialShell(2.5, 20.0)]
+        h = lambda x: np.cos(x[..., 0]) + np.exp(-m.radius(x))
+    else:
+        regions = [ChartBox(((0.0, 1.0), (0.0, 2.0))), ChartBox(((1.0, 3.0), (0.5, 6.0)))]
+        h = lambda x: np.cos(x[..., 0]) + np.sin(x[..., 1])
+    ests = integrals.base_integrals(m, h, regions, order=8)
+    assert len(ests) == len(regions)
+    for region, est in zip(regions, ests):
+        assert est == base_integral(m, h, region, order=8)
+        assert est == _one_pass_at_a_time(m, h, region, 8)
+        assert est.stderr > 0.0
+
+
+def test_a_ladder_calls_its_integrand_once(ex4):
+    calls = []
+
+    def h(x):
+        calls.append(len(x))
+        return np.exp(-x[..., 0] ** 2)
+
+    est = ladder_integral(ex4, h, r0=0.5, rungs=6, order=8)
+    assert len(calls) == 1
+    calls.clear()
+    radii = [0.5 * 2.0 ** k for k in range(6)]
+    rungs = [base_integral(ex4, h, RadialShell(lo, R), order=8)
+             for lo, R in zip([0.0] + radii[:-1], radii)]
+    assert len(calls) == 6
+    assert [v for _, v in est.truncation_trace] == list(
+        itertools.accumulate((r.value for r in rungs), initial=0.0))[1:]
+    assert est.nodes == sum(r.nodes for r in rungs)
+
+
+def test_no_regions_give_no_estimates(ex4):
+    assert integrals.base_integrals(ex4, lambda x: 1.0, []) == []
 
 
 def _montecarlo(m, h, region, n_mc, seed) -> IntegralEstimate:

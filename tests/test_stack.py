@@ -106,6 +106,43 @@ def test_manifold_closures_stack_exactly(mid, rng):
                 _assert_exact(patch.density, u, (mid, patch.name, "density"))
 
 
+def _indefinite_metric(x):
+    g = np.zeros(x.shape[:-1] + (2, 2))
+    g[..., 0, 0] = 1.0
+    g[..., 1, 1] = 1.0 - x[..., 0]      # indefinite for x0 > 1
+    return g
+
+
+def _skew_metric(x):
+    g = np.broadcast_to(np.eye(2), x.shape[:-1] + (2, 2)).copy()
+    g[..., 0, 1] = np.where(x[..., 0] > 0.5, 0.1, 0.0)
+    return g
+
+
+# the metric-matrix manifolds below, on a box where their metric is SPD
+FROM_METRIC_BOX = ((-1.0, 0.5), (-1.0, 1.0))
+
+
+@pytest.mark.parametrize("m", [zoo.manifold(mid) for mid in zoo.MANIFOLD_IDS]
+                         + [from_metric("tilt", 2, _indefinite_metric, sample_box=FROM_METRIC_BOX),
+                            from_metric("skew", 2, _skew_metric, sample_box=FROM_METRIC_BOX)],
+                         ids=lambda m: m.name)
+def test_inner_and_connection_broadcast_over_two_leading_axes(m, rng):
+    # a (4, 16) stack of points, with vectors per point or one vector for
+    # all, equals the flat stack of 64
+    n = m.dim
+    x = sample_box_points(m, N, rng)
+    a, b = rng.standard_normal((2, N, n))
+    grid = (4, N // 4, n)
+    for name in ("inner", "connection"):
+        fn = getattr(m, name)
+        for bb in (b, b[0]):
+            flat = fn(x, a, bb)
+            assert np.array_equal(fn(x.reshape(grid), a.reshape(grid),
+                                     bb.reshape(grid) if bb.ndim > 1 else bb),
+                                  flat.reshape(grid[:2] + flat.shape[1:])), (m.name, name)
+
+
 @pytest.mark.parametrize("fid", zoo.FIELD_IDS)
 def test_field_closures_stack_exactly(fid, rng):
     f = zoo.vector_field(fid)
@@ -260,13 +297,7 @@ def test_stack_with_one_point_outside_domain_names_it(ex2, rng):
 
 
 def test_stack_with_one_non_spd_metric_names_it():
-    def metric(x):
-        g = np.zeros(x.shape[:-1] + (2, 2))
-        g[..., 0, 0] = 1.0
-        g[..., 1, 1] = 1.0 - x.T[0]      # indefinite for x0 > 1
-        return g
-
-    m = from_metric("tilt", 2, metric)
+    m = from_metric("tilt", 2, _indefinite_metric)
     pts = np.column_stack([np.linspace(-1.0, 0.9, N), np.zeros(N)])
     metric_at(m, pts)
     pts[40, 0] = 1.5
@@ -277,12 +308,7 @@ def test_stack_with_one_non_spd_metric_names_it():
 
 
 def test_stack_with_one_asymmetric_metric_raises():
-    def metric(x):
-        g = np.broadcast_to(np.eye(2), x.shape[:-1] + (2, 2)).copy()
-        g[..., 0, 1] = np.where(x.T[0] > 0.5, 0.1, 0.0)
-        return g
-
-    m = from_metric("skew", 2, metric)
+    m = from_metric("skew", 2, _skew_metric)
     pts = np.column_stack([np.linspace(-1.0, 0.0, N), np.zeros(N)])
     metric_at(m, pts)
     pts[3, 0] = 0.75
