@@ -13,8 +13,9 @@ orbit's result does not depend on the stack it rides in, bit for bit; one
 orbit is a stack of one.  No slope reads the carried column, so a step's
 twelve stages run on the geodesic spray alone, which forms Gamma(v, v) and
 nothing else, and the carried column's slopes of stages 5 to 12 follow in
-one call on the stack of those eight stage states: a field's components,
-and Gamma(v, X) with them, are formed there only.  The first four stages
+one call on the stack of those eight stage states: the carried integrand
+h(x, v) is called there only (for the pairing identity, h is
+``geometry.pairing_rate`` of a field).  The first four stages
 have weight zero in the solution, the error estimates and the extension.
 The step control is the standard one (HNW II.4) at RTOL/ATOL over every
 column, the carried integral included: the 5(3) error norm, safety factor
@@ -40,7 +41,8 @@ integrator error.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from functools import partial
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -49,9 +51,8 @@ from .geometry import (
     DomainError,
     MetricError,
     VectorFieldDef,
-    _components,
-    _field_jacobian,
     pairing,
+    pairing_rate,
     pairing_rate_form,  # noqa: F401  bound here for perfbench/test_perfbench.py::test_tracer_patches_every_binding_and_restores
 )
 
@@ -217,11 +218,10 @@ class GeodesicTrajectory:
     extension of its step from node k, starts at node k; the last node's
     segment is empty.  The extension's three extra stages are formed for
     every segment at once on the first read between nodes (``y_at``): one
-    spray call per stage, forming Gamma(v, v) alone, then one carried-slope
-    call on the three stages' states of every segment, which forms a field's
-    components and Gamma(v, X).  A read in a segment whose extra stage raised
-    is a TruncatedTrajectoryError naming "rhs_failure".  Over the whole
-    stack:
+    spray call per stage, forming Gamma(v, v) alone, then one call of the
+    carried integrand h(x, v) on the three stages' states of every segment.
+    A read in a segment whose extra stage raised is a
+    TruncatedTrajectoryError naming "rhs_failure".  Over the whole stack:
 
       truncated          the number of truncated orbits
       stats              accepted and rejected steps and right-hand-side
@@ -269,16 +269,12 @@ class GeodesicTrajectory:
         return [node_values[off[i]:off[i + 1]] for i in range(self.n_orbits)]
 
     @property
-    def dim(self) -> int:
-        return self.manifold.dim
-
-    @property
     def truncated(self) -> int:
         return sum(r is not None for r in self.reasons)
 
     @property
     def states(self) -> list:
-        return self._split(self._node_y[:, :2 * self.dim])
+        return self._split(self._node_y[:, :2 * self.manifold.dim])
 
     @property
     def speed_drift(self) -> list:
@@ -388,15 +384,12 @@ def _rms(z: np.ndarray) -> np.ndarray:
 def _geodesic_rhs(m: ChartedManifold, integrand) -> tuple[Callable, Callable]:
     """The right-hand side on stacks of states (M, 2n + q), in the two forms
     the stepper calls.  The position and velocity columns have the slope
-    (v, -Gamma(v, v)), the spray; a carried vector field X has the pairing
-    rate g(nabla_v X, v) = g(J v + Gamma(v, X), v), and any other integrand
-    is h(x, v).  No slope reads the carried column, so a run of stages is
-    formed on the spray alone, and the carried slopes of the stages that
-    need them after it, in one stacked call on their (stages * M) rows.  A
-    stage's spray forms Gamma(v, v) alone, from one call of the manifold's
-    ``connection``; for a field, the stacked call forms X, J v and
-    Gamma(v, X) on its rows and pairs J v + Gamma(v, X) with v through the
-    manifold's ``inner``, and for any other integrand it forms h(x, v).
+    (v, -Gamma(v, v)), the spray, and the carried column, if any, the
+    integrand h(x, v).  No slope reads the carried column, so a run of
+    stages is formed on the spray alone, and the carried slopes of the
+    stages that need them after it, in one call of h on their (stages * M)
+    rows.  A stage's spray forms Gamma(v, v) alone, from one call of the
+    manifold's ``connection``.
 
       slope(Y)             the whole slope (M, 2n + q) of states Y, and the
                            rows on which it failed
@@ -409,7 +402,6 @@ def _geodesic_rhs(m: ChartedManifold, integrand) -> tuple[Callable, Callable]:
                            their weights in B, E5, E3 and D are zero
     """
     n = m.dim
-    field = isinstance(integrand, VectorFieldDef)
     d = 2 * n + (integrand is not None)
 
     def spray(Y, S):
@@ -418,13 +410,7 @@ def _geodesic_rhs(m: ChartedManifold, integrand) -> tuple[Callable, Callable]:
         np.negative(m.connection(X, V, V), out=S[:, n:])
 
     def rate(Y, r):
-        X, V = Y[:, :n], Y[:, n:2 * n]
-        if field:
-            W = ((_field_jacobian(integrand, m, X) @ V[..., None])[..., 0]
-                 + m.connection(X, V, _components(integrand, X)))
-            r[:] = m.inner(X, W, V)
-        else:
-            r[:] = integrand(X, V)
+        r[:] = integrand(Y[:, :n], Y[:, n:2 * n])
 
     def slope(Y):
         F = np.zeros_like(Y)
@@ -640,8 +626,7 @@ def _states(m: ChartedManifold, states) -> np.ndarray:
 
 def integrate_geodesic(m: ChartedManifold, states, t_final, t_start=0.0,
                        monitor: Optional[Callable] = None,
-                       integrand: Union[Callable, VectorFieldDef, None] = None
-                       ) -> GeodesicTrajectory:
+                       integrand: Optional[Callable] = None) -> GeodesicTrajectory:
     """Integrate the geodesic system x'' + Gamma(x)(x', x') = 0 for a stack
     of states (N, 2n) forward over one span from ``t_start`` to ``t_final``,
     finite scalars with t_start < t_final (anything else is a ValueError),
@@ -654,14 +639,19 @@ def integrate_geodesic(m: ChartedManifold, states, t_final, t_start=0.0,
     side raises; "left_domain"; "speed_drift" past MAX_SPEED_DRIFT; or
     "monitor": ``monitor(orbits, y)`` runs on the orbits (indices into the
     stack) and states of each stacked step's accepted rows, and a true entry
-    stops that orbit.  ``integrand`` is carried as an extra state
-    component from 0 at ``t_start``: h(x, v) on stacks, or a vector field for
-    its pairing rate g(nabla_v X, v).  It sits in the error norm like the
-    state, so it shapes the steps.  Steps end where the controller puts
-    them (the last one is cut to ``t_final``); read the orbits at other times
-    through ``y_at``, whose first call forms the continuous extension.
+    stops that orbit.  ``integrand`` h(x, v), a callable on stacks x, v
+    (M, n) such as ``partial(geometry.pairing_rate, field, m)``, is carried
+    as an extra state component from 0 at ``t_start``; anything else but
+    None is a TypeError before any step.  It sits in the error norm like
+    the state, so it shapes the steps.  Steps end where the
+    controller puts them (the last one is cut to ``t_final``); read the
+    orbits at other times through ``y_at``, whose first call forms the
+    continuous extension.
     ``stats.nfev`` counts the stepping's evaluations only.
     """
+    if integrand is not None and not callable(integrand):
+        raise TypeError(f"integrand must be a callable h(x, v) or None, "
+                        f"not {type(integrand).__name__}")
     S = _states(m, states)
     if np.ndim(t_start) or np.ndim(t_final) or not -np.inf < t_start < t_final < np.inf:
         raise ValueError(f"need one finite forward span, not [{t_start}, {t_final}]")
@@ -700,7 +690,7 @@ def path_integral_identity_residual(field: VectorFieldDef, m: ChartedManifold,
     TruncatedTrajectoryError if any orbit stops short of T.
     """
     S = _states(m, states)
-    traj = _whole(integrate_geodesic(m, S, T, integrand=field))
+    traj = _whole(integrate_geodesic(m, S, T, integrand=partial(pairing_rate, field, m)))
     end = traj.y_end
     n = m.dim
     boundary = (pairing(field, m, end[:, :n], end[:, n:2 * n])
@@ -753,7 +743,6 @@ def proxy_distance(m: ChartedManifold, Y: np.ndarray, S0: np.ndarray) -> np.ndar
     bundle metric distance.
     """
     n = m.dim
-    Y = np.atleast_2d(Y)
     S0 = np.asarray(S0)
     x0, v0 = S0[..., :n], S0[..., n:2 * n]
     dx = _wrap_diffs(Y[..., :n] - x0, m.periods)

@@ -8,18 +8,20 @@ one statement of g and the one way the package pairs vectors and
 differentiates covariantly.  Optional extras (a radial distance surrogate,
 shells and sampling defaults) serve the probes and the integration regions.
 
-Stack convention: functions of a point take x of shape (n,) or (N, n), as
-do the chart and field closures and the potential operators
-(``phi_laplacian``, ``laplace_beltrami``, the flux fields), and return the
-matching leading shape; validation covers every point and matrix and names
-the first failing point.
+Stack convention: a single point is a stack of one.  Functions of a point
+take x of shape (..., n), as do the chart and field closures and the
+potential operators (``phi_laplacian``, ``laplace_beltrami``, the flux
+fields), and return results of shape x.shape[:-1] followed by the
+quantity's own axes, so a scalar quantity at one point of shape (n,) has
+shape ().  Validation covers every point and matrix and names the first
+failing point.
 ``inner`` and ``connection`` broadcast x, a and b against each other, so
 one call forms Gamma(a, b) for a stack of several b per point.
 ``covariant_derivative`` returns the matrix of v -> nabla_v X per point.
 A stack of unit tangent states is one array of shape (N, 2n): positions in
 columns :n and velocities in columns n:2n, the layout the geodesic stepper
 advances.  The orbit layer takes and returns such stacks only, N >= 1;
-``pairing`` takes the positions and velocities apart.
+``pairing`` and ``pairing_rate`` take the positions and velocities apart.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ __all__ = [
     "covariant_derivative",
     "divergence",
     "pairing",
+    "pairing_rate",
     "pairing_rate_form",
     "field_norm",
 ]
@@ -143,7 +146,6 @@ class VectorFieldDef:
     else of a field: its divergence and pairing rate are computed from these.
     """
 
-    name: str
     components: Callable[[np.ndarray], np.ndarray]
     jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
@@ -362,6 +364,11 @@ def divergence(field: VectorFieldDef, m: ChartedManifold, x,
 # the unit-tangent-bundle observable
 
 
+# far out (r ~ 200 on the hyperboloid) X and g overflow; the finiteness
+# checks turn the inf or NaN into a MetricError, which numpy's warnings repeat
+_FAR_FIELD = dict(over="ignore", invalid="ignore")
+
+
 def pairing(field: VectorFieldDef, m: ChartedManifold, x, v):
     """g(X, v): the field's component along the velocities v at the points
     x, both (N, n); one value per point, through the manifold's ``inner``.
@@ -369,7 +376,18 @@ def pairing(field: VectorFieldDef, m: ChartedManifold, x, v):
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     _check_domain(m, x)
-    return _check_finite(m, x, m.inner(x, v, _components(field, x)), "g(X, v)")
+    with np.errstate(**_FAR_FIELD):
+        return _check_finite(m, x, m.inner(x, v, _components(field, x)), "g(X, v)")
+
+
+def pairing_rate(field: VectorFieldDef, m: ChartedManifold, x, v):
+    """g(nabla_v X, v) = g(J v + Gamma(v, X), v) at states (x, v), both
+    (N, n): the rate of the pairing along the geodesic, as the h(x, v) an
+    orbit carries (``flow.path_integral_identity_residual``).  It checks
+    nothing; the stepper checks each accepted state."""
+    W = ((_field_jacobian(field, m, x) @ v[..., None])[..., 0]
+         + m.connection(x, v, _components(field, x)))
+    return m.inner(x, W, v)
 
 
 def pairing_rate_form(field: VectorFieldDef, m: ChartedManifold, x) -> np.ndarray:
@@ -384,9 +402,10 @@ def pairing_rate_form(field: VectorFieldDef, m: ChartedManifold, x) -> np.ndarra
     x = np.asarray(x, dtype=float)
     _check_domain(m, x)
     n = m.dim
-    A = covariant_derivative(field, m, x)
-    Q = m.inner(x[..., None, None, :], np.eye(n)[:, None, :],
-                np.swapaxes(A, -1, -2)[..., None, :, :])
+    with np.errstate(**_FAR_FIELD):
+        A = covariant_derivative(field, m, x)
+        Q = m.inner(x[..., None, None, :], np.eye(n)[:, None, :],
+                    np.swapaxes(A, -1, -2)[..., None, :, :])
     _check_finite(m, x, Q, "g(e_k, nabla X)")
     return 0.5 * (Q + np.swapaxes(Q, -1, -2))
 
@@ -403,5 +422,6 @@ def field_norm(field: VectorFieldDef, m: ChartedManifold, x):
     """g-norm |X| at x through the manifold's ``inner``, as in ``pairing``."""
     x = np.asarray(x, dtype=float)
     _check_domain(m, x)
-    X = _components(field, x)
-    return np.sqrt(np.maximum(0.0, _check_finite(m, x, m.inner(x, X, X), "g(X, X)")))
+    with np.errstate(**_FAR_FIELD):
+        X = _components(field, x)
+        return np.sqrt(np.maximum(0.0, _check_finite(m, x, m.inner(x, X, X), "g(X, X)")))

@@ -101,7 +101,6 @@ class ShellPatch:
     bounds: tuple[tuple[float, float], ...]
     to_chart: Callable[[np.ndarray], np.ndarray]
     density: Callable[[np.ndarray], float]
-    name: str = ""
     breakpoints: tuple[tuple[float, ...], ...] = ()
 
 
@@ -116,7 +115,7 @@ def _uniform_in(bounds, rng, shape: tuple = ()) -> np.ndarray:
 def resolve_patches(m: ChartedManifold, region) -> tuple[ShellPatch, ...]:
     if isinstance(region, ChartBox):
         return (ShellPatch(tuple((float(a), float(b)) for a, b in region.bounds),
-                           lambda u: u, lambda u: volume_density(m, u), "chart-box"),)
+                           lambda u: u, lambda u: volume_density(m, u)),)
     if isinstance(region, RadialShell):
         if m.shell is None:
             raise ValueError(f"{m.name} has no radial shell parametrization")
@@ -159,17 +158,16 @@ def omega(n: int) -> float:
 class FiberRule:
     """Quadrature rule on the unit sphere S^{n-1}.
 
-    ``moments[i * dim + j, l]`` is u_i u_j of node u = nodes[l]: the values
+    ``moments[i * n + j, l]`` is u_i u_j of node u = nodes[l]: the values
     of every quadratic form at every node are one product with it.  A
     generic integrand is evaluated on the directions built from ``nodes``, a
     quadratic one through ``moments``; both reduce with ``values @
     weights``.
     """
 
-    dim: int
-    nodes: np.ndarray            # (k, dim) unit direction coefficients
-    weights: np.ndarray          # (k,), sum = omega(dim)
-    moments: np.ndarray          # (dim * dim, k) second moments of the nodes
+    nodes: np.ndarray            # (k, n) unit direction coefficients
+    weights: np.ndarray          # (k,), sum = omega(n)
+    moments: np.ndarray          # (n * n, k) second moments of the nodes
 
 
 def _gl(order: int, lo: float | np.ndarray,
@@ -201,7 +199,7 @@ def fiber_rule(n: int) -> FiberRule:
     else:
         raise NotImplementedError(f"no fiber rule shipped for dimension {n}")
     moments = np.ascontiguousarray((nodes[:, :, None] * nodes[:, None, :]).reshape(-1, n * n).T)
-    return FiberRule(dim=n, nodes=nodes, weights=weights, moments=moments)
+    return FiberRule(nodes=nodes, weights=weights, moments=moments)
 
 
 class QuadraticIntegrand:
@@ -240,7 +238,8 @@ def fiber_integral(m: ChartedManifold, F: Callable, x):
     """Integral of F(x, v) over the unit sphere of the tangent space at x,
     by the rule ``fiber_rule(m.dim)``.
 
-    ``x`` has shape (n,) (returns a float) or (N, n) (returns (N,)).
+    ``x`` has shape (..., n), one point being a stack of one, and the
+    result has shape x.shape[:-1]: () for one point.
     Directions come from a g-orthonormal frame E (Gram-Schmidt on the chart
     basis), so the rule's round measure matches the fiber measure of the
     unit tangent bundle.  E depends only on the point, so it is formed once
@@ -274,7 +273,7 @@ def fiber_integral(m: ChartedManifold, F: Callable, x):
             V = rule.nodes @ Et[s:s + block]
             vals = np.broadcast_to(np.asarray(F(X[s:s + block], V), dtype=float), V.shape[:-1])
         out[s:s + block] = vals @ rule.weights
-    return out if x.ndim > 1 else float(out[0])
+    return out.reshape(x.shape[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -568,9 +567,11 @@ def sample_liouville(m: ChartedManifold, n: int, rng,
     if m.shell is None:
         raise ValueError(f"{m.name} has no shell parametrization for the radius cap")
     patches = m.shell(0.0, radius_cap)
-    cdfs = [_radial_cdf(patch) for patch in patches]
-    cum = np.cumsum([cdf[2][-1] * math.prod(hi - lo for lo, hi in patch.bounds[1:])
-                     for patch, cdf in zip(patches, cdfs)])
+    # a ball too large for float64 has infinite mass, reported below
+    with np.errstate(over="ignore"):
+        cdfs = [_radial_cdf(patch) for patch in patches]
+        cum = np.cumsum([cdf[2][-1] * math.prod(hi - lo for lo, hi in patch.bounds[1:])
+                         for patch, cdf in zip(patches, cdfs)])
     if not (np.isfinite(cum[-1]) and cum[-1] > 0):
         raise DomainError(f"{m.name}: the radius ball of cap {radius_cap} has volume "
                           f"{cum[-1]}, not a finite positive number")

@@ -56,8 +56,9 @@ class DegenerateGradientError(ValueError):
 
 @dataclass(frozen=True)
 class PhiProfile:
-    """Strictly increasing flux profile phi on [0, inf): phi(0) = 0,
-    phi > 0 on (0, inf), phi(t) <= A t^(growth_exponent - 1).
+    """Strictly increasing flux profile phi on [0, inf): phi(0) = 0 and
+    phi > 0 on (0, inf).  The shipped profiles also obey the growth bound
+    phi(t) <= t^(p - 1) (p = 2 for the mean-curvature profile).
 
     ``singular_near_zero`` marks profiles with unbounded phi(t)/t as t -> 0
     (p < 2 family); their flux fields are not differentiable where the
@@ -66,8 +67,6 @@ class PhiProfile:
 
     name: str
     phi: Callable
-    A: float
-    growth_exponent: float
     singular_near_zero: bool = False
 
 
@@ -77,8 +76,6 @@ def p_laplace_profile(p: float) -> PhiProfile:
     return PhiProfile(
         name=f"p:{p:g}",
         phi=lambda t: np.power(t, p - 1.0),
-        A=1.0,
-        growth_exponent=p,
         singular_near_zero=p < 2.0,
     )
 
@@ -87,8 +84,6 @@ def mean_curvature_profile() -> PhiProfile:
     return PhiProfile(
         name="mean-curvature",
         phi=lambda t: t / np.sqrt(1.0 + t * t),
-        A=1.0,
-        growth_exponent=2.0,
     )
 
 
@@ -147,8 +142,7 @@ def phi_flux_field(u: ScalarFieldDef, profile: PhiProfile,
         scale[live] = profile.phi(norm[live]) / norm[live]
         return np.where(live[..., None], scale[..., None] * grad, 0.0)
 
-    return VectorFieldDef(name=f"flux[{profile.name}]({u.name})",
-                          components=components)
+    return VectorFieldDef(components=components)
 
 
 def phi_laplacian(u: ScalarFieldDef, profile: PhiProfile, m: ChartedManifold,
@@ -177,8 +171,7 @@ def laplace_beltrami(u: ScalarFieldDef, m: ChartedManifold, x):
     """Independent coordinate-formula route at x of shape (n,) or (N, n):
     (1/sqrt G) d_i (sqrt G g^{ij} d_j u), the coordinate divergence of the
     gradient field built from the analytic gradient."""
-    grad = VectorFieldDef(name=f"grad({u.name})",
-                          components=lambda y: _metric_gradient(u, m, y)[0])
+    grad = VectorFieldDef(components=lambda y: _metric_gradient(u, m, y)[0])
     return divergence(grad, m, x, method="coordinate")
 
 
@@ -190,23 +183,21 @@ def monotone_form(xi, eta, profile: PhiProfile):
     """h(xi, eta) = <phi(|xi|)/|xi| xi - phi(|eta|)/|eta| eta, xi - eta>.
 
     Nonnegative for strictly increasing profiles, vanishing only on the
-    diagonal.  Takes vectors of shape (d,), giving a float, or batches of
-    shape (k, d), giving shape (k,).
+    diagonal.  Takes stacks of vectors of shape (..., d), one pair being a
+    stack of one, and reduces over the last axis: the result has shape
+    (...), () for one pair.
     """
     xi = np.asarray(xi, dtype=float)
     eta = np.asarray(eta, dtype=float)
-    one = xi.ndim == eta.ndim == 1
-    xi, eta = np.atleast_2d(xi), np.atleast_2d(eta)
 
     def flux(w):
-        n = np.linalg.norm(w, axis=1)
+        n = np.linalg.norm(w, axis=-1)
         scale = np.zeros_like(n)
         pos = n > 0
         scale[pos] = profile.phi(n[pos]) / n[pos]
-        return scale[:, None] * w
+        return scale[..., None] * w
 
-    vals = np.sum((flux(xi) - flux(eta)) * (xi - eta), axis=1)
-    return float(vals[0]) if one else vals
+    return np.sum((flux(xi) - flux(eta)) * (xi - eta), axis=-1)
 
 
 # ---------------------------------------------------------------------------

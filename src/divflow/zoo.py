@@ -288,8 +288,8 @@ def make_surface_of_revolution() -> ChartedManifold:
             return _f(arc.x_of_r(u[..., 0]))
 
         bounds = ((float(r_lo), float(r_hi)), (0.0, TWO_PI))
-        return (ShellPatch(bounds, to_chart(1.0), density, "meridian+"),
-                ShellPatch(bounds, to_chart(-1.0), density, "meridian-"))
+        return (ShellPatch(bounds, to_chart(1.0), density),
+                ShellPatch(bounds, to_chart(-1.0), density))
 
     return ChartedManifold(
         name="revolution:1/(1+x^2)",
@@ -354,7 +354,7 @@ def make_hyperbolic_plane() -> ChartedManifold:
 
     def shell(r_lo, r_hi):
         return (ShellPatch(((float(r_lo), float(r_hi)), (0.0, TWO_PI)),
-                           _h2_polar, lambda u: np.sinh(u[..., 0]), "polar"),)
+                           _h2_polar, lambda u: np.sinh(u[..., 0])),)
 
     return ChartedManifold(
         name="hyperbolic",
@@ -403,7 +403,7 @@ def _radial_example(prof: WarpProfile, name: str) -> ChartedManifold:
 
         bounds = ((float(r_lo), float(r_hi)), (0.0, TWO_PI), (0.0, TWO_PI))
         # the profile is C4 with seams at the plateau and tail junctions
-        return (ShellPatch(bounds, lambda u: u, density, "radial",
+        return (ShellPatch(bounds, lambda u: u, density,
                            breakpoints=((1.0, 2.0), (), ())),)
 
     return ChartedManifold(
@@ -463,7 +463,7 @@ def make_example4() -> ChartedManifold:
             return out[()]
 
         bounds = ((float(r_lo), float(r_hi)), (0.0, TWO_PI), (0.0, TWO_PI))
-        return (ShellPatch(bounds, _h2_polar, density, "polar"),)
+        return (ShellPatch(bounds, _h2_polar, density),)
 
     return ChartedManifold(
         name="warp:ex4",
@@ -509,13 +509,12 @@ def _revolution_W() -> VectorFieldDef:
         J[..., 1, 0] = 1.0 + 3.0 * x0 * x0
         return J
 
-    return VectorFieldDef(name="W", components=components, jacobian=jacobian)
+    return VectorFieldDef(components=components, jacobian=jacobian)
 
 
 def _h2_rotation() -> VectorFieldDef:
     """Killing rotation about the hyperboloid axis; vanishes at the apex."""
     return VectorFieldDef(
-        name="rotation",
         components=lambda x: np.stack([-x[..., 1], x[..., 0]], axis=-1),
         jacobian=_constant([[0.0, -1.0], [1.0, 0.0]]),
     )
@@ -543,20 +542,18 @@ def _h2_conformal() -> VectorFieldDef:
         J[..., 1, 1] = z + x1 * x1 / z
         return J
 
-    return VectorFieldDef(name="conformal", components=components, jacobian=jacobian)
+    return VectorFieldDef(components=components, jacobian=jacobian)
 
 
 def _ex2_Zbar() -> VectorFieldDef:
     """Horizontal lift of the polar rotation d/dtheta: (0, 1, 0)."""
-    return VectorFieldDef(name="polar-rotation-horizontal-lift",
-                          components=_constant([0.0, 1.0, 0.0]),
+    return VectorFieldDef(components=_constant([0.0, 1.0, 0.0]),
                           jacobian=_constant(np.zeros((3, 3))))
 
 
 def _ex3_Ubar() -> VectorFieldDef:
     """Vertical lift of the unit circle field: (0, 0, 1)."""
-    return VectorFieldDef(name="circle-unit-vertical-lift",
-                          components=_constant([0.0, 0.0, 1.0]),
+    return VectorFieldDef(components=_constant([0.0, 0.0, 1.0]),
                           jacobian=_constant(np.zeros((3, 3))))
 
 
@@ -574,7 +571,7 @@ def _ex4_Z() -> VectorFieldDef:
         J[..., :2, :2] = X.jacobian(x[..., :2])
         return J
 
-    return VectorFieldDef(name="Z", components=components, jacobian=jacobian)
+    return VectorFieldDef(components=components, jacobian=jacobian)
 
 
 def torus_wave_field() -> VectorFieldDef:
@@ -590,7 +587,7 @@ def torus_wave_field() -> VectorFieldDef:
         J[..., 0, 0], J[..., 1, 1] = c[..., 0], c[..., 1]
         return J
 
-    return VectorFieldDef(name="wave", components=components, jacobian=jacobian)
+    return VectorFieldDef(components=components, jacobian=jacobian)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ of points; the pairing rates, the geodesic and the embedding take one point.
 """
 
 import math
+from functools import partial
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from divflow.geometry import (
     _quadratic,
     _stencil,
     field_norm,
+    pairing_rate,
     pairing_rate_form,
 )
 
@@ -66,7 +68,7 @@ def flipped(m, states, rows=slice(None)) -> np.ndarray:
 def state_at(traj, t) -> np.ndarray:
     """Positions and velocities of every orbit of ``traj`` at time t, from
     the continuous extension: (N, 2n) for a scalar t."""
-    return traj.y_at(t)[..., :2 * traj.dim]
+    return traj.y_at(t)[..., :2 * traj.manifold.dim]
 
 
 def pairing_rates(field, m, x, V) -> np.ndarray:
@@ -95,7 +97,7 @@ def endpoint_bound_check(field, m, states, s: float):
         raise ValueError("s must be positive")
     N, n = len(states), m.dim
     both = np.vstack([states, flipped(m, states)])
-    end = _whole(integrate_geodesic(m, both, s, integrand=field)).y_end
+    end = _whole(integrate_geodesic(m, both, s, integrand=partial(pairing_rate, field, m))).y_end
     # the rate is quadratic in v, so the flipped leg carries the integral
     # over [-s, 0]; the backward leg's integral from 0 down to -s is minus it
     lhs = np.abs(end[:N, -1] + end[N:, -1])
@@ -301,8 +303,9 @@ PAIR_IDS = tuple((zoo.field_manifold_id(fid), fid) for fid in zoo.FIELD_IDS
 
 
 def field_pairs() -> list:
-    """The six canonical (manifold, field) pairs, in catalog order."""
-    return [(zoo.manifold(mid), zoo.vector_field(fid)) for mid, fid in PAIR_IDS]
+    """The six canonical pairs as (field id, manifold, field), in catalog
+    order."""
+    return [(fid, zoo.manifold(mid), zoo.vector_field(fid)) for mid, fid in PAIR_IDS]
 
 
 # ---------------------------------------------------------------------------

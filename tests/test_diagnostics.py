@@ -28,7 +28,7 @@ FOUR_PI_SQ = 4.0 * math.pi ** 2
 
 
 def _zero_field(dim):
-    return VectorFieldDef("zero", lambda x: np.zeros(dim),
+    return VectorFieldDef(lambda x: np.zeros(dim),
                           jacobian=lambda x: np.zeros((dim, dim)))
 
 
@@ -97,7 +97,7 @@ def test_karp_sequence_forms_the_field_once(ex2):
         return Zbar.components(x)
 
     radii = [2.0, 4.0, 8.0]
-    reps = karp_sequence(ex2, VectorFieldDef("counted", components, Zbar.jacobian), radii)
+    reps = karp_sequence(ex2, VectorFieldDef(components, Zbar.jacobian), radii)
     assert len(calls) == 1
     assert reps == [karp_sequence(ex2, Zbar, [r])[0] for r in radii]
     assert karp_sequence(ex2, Zbar, []) == []
@@ -151,9 +151,9 @@ def test_cutoff_ex4_with_slack(ex4):
 
 
 def test_cutoff_all_pairs_small_radii():
-    for m, f in field_pairs():
+    for fid, m, f in field_pairs():
         rep = cutoff_estimate(m, f, 2.0)
-        assert rep.lhs <= rep.bound(3.0), (m.name, f.name, rep)
+        assert rep.lhs <= rep.bound(3.0), (fid, rep)
 
 
 # ---------------------------------------------------------------------------

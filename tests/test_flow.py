@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from divflow.flow import (
     path_integral_identity_residual,
     proxy_distance,
 )
-from divflow.geometry import DomainError, VectorFieldDef, _quadratic
+from divflow.geometry import DomainError, VectorFieldDef, _quadratic, pairing_rate
 from divflow.integrals import sample_states
 from oracles import (
     FX,
@@ -169,7 +170,7 @@ def test_birkhoff_W_rate_bounded(revolution, rng):
 
 
 def test_path_identity_zero_field(torus, rng):
-    zero = VectorFieldDef("zero", lambda x: np.zeros(2),
+    zero = VectorFieldDef(lambda x: np.zeros(2),
                           jacobian=lambda x: np.zeros((2, 2)))
     st = sample_states(torus, 1, rng)
     (residual,) = path_integral_identity_residual(zero, torus, st, 10.0)
@@ -177,7 +178,7 @@ def test_path_identity_zero_field(torus, rng):
 
 
 def test_path_identity_constant_field_on_torus(torus, rng):
-    const = VectorFieldDef("const", lambda x: np.array([0.3, -0.8]),
+    const = VectorFieldDef(lambda x: np.array([0.3, -0.8]),
                            jacobian=lambda x: np.zeros((2, 2)))
     st = sample_states(torus, 1, rng)
     (residual,) = path_integral_identity_residual(const, torus, st, 10.0)
@@ -188,11 +189,11 @@ def test_path_identity_contract_all_pairs(rng):
     # contract: residual <= 1e-6 (1 + T) at default tolerances; on the
     # hyperbolic chart the horizon is shortened to stay above the
     # e^(3T) * eps evaluation floor
-    for m, f in field_pairs():
+    for fid, m, f in field_pairs():
         T = 6.0 if m.name == "hyperbolic" else 10.0
         states, _ = _reaching(m, sample_states(m, 12, rng), T)
         worst = max(path_integral_identity_residual(f, m, states, T)) if len(states) else 0.0
-        assert worst <= 1e-6 * (1.0 + T), (m.name, f.name, worst)
+        assert worst <= 1e-6 * (1.0 + T), (fid, worst)
 
 
 def test_hyperbolic_path_residual_is_integrator_error(hyperbolic):
@@ -212,7 +213,7 @@ def test_path_identity_ex4_tight(ex4, rng):
 
 
 def test_endpoint_bound_zero_field(torus, rng):
-    zero = VectorFieldDef("zero", lambda x: np.zeros(2),
+    zero = VectorFieldDef(lambda x: np.zeros(2),
                           jacobian=lambda x: np.zeros((2, 2)))
     st = sample_states(torus, 1, rng)
     (lhs,), (rhs,) = endpoint_bound_check(zero, torus, st, 3.0)
@@ -253,12 +254,12 @@ def test_stacked_orbits_step_as_they_do_alone(ex2, ex4, rng):
     # flipped states, and on warp:ex2 one shorter orbit that runs into the
     # polar axis; a step size shared across the stack would change every
     # count.  A step's carried slopes are formed in one call on the rows of
-    # all its stages, for a Killing field, for warp:ex4:Z (a non-zero
-    # Jacobian, paired through the metric matrix) and for a callable h(x, v)
-    # alike
+    # all its stages, for the pairing rate of a Killing field and of
+    # warp:ex4:Z (a non-zero Jacobian) and for another h(x, v) alike
     inward = unit_states(ex2, [2.0, 1.0, 1.0], [-1.0, 0.0, 0.0])
-    for m, integrand, last in ((ex2, zoo.vector_field("warp:ex2:Zbar"), inward),
-                               (ex4, zoo.vector_field("warp:ex4:Z"), None),
+    Zbar, Z = zoo.vector_field("warp:ex2:Zbar"), zoo.vector_field("warp:ex4:Z")
+    for m, integrand, last in ((ex2, partial(pairing_rate, Zbar, ex2), inward),
+                               (ex4, partial(pairing_rate, Z, ex4), None),
                                (ex2, _h, inward)):
         sample = sample_states(m, 4 if last is not None else 5, rng)
         states = np.vstack([flipped(m, sample, [1, 3])] + ([last] if last is not None else []))
@@ -273,6 +274,25 @@ def test_stacked_orbits_step_as_they_do_alone(ex2, ex4, rng):
                 one.stats.n_accepted, one.stats.n_rejected_est, one.stats.nfev)
             assert stack.reasons[i] == one.reasons[0]
             assert np.array_equal(stack.y_end[i], one.y_end[0])
+
+
+def test_a_field_is_refused_as_an_integrand(ex4):
+    # the orbit layer carries h(x, v) only: a field goes in through its
+    # pairing rate, partial(pairing_rate, Z, m), and the field itself, like
+    # any other object that is not callable, is refused before any
+    # right-hand side is formed
+    calls = []
+
+    def connection(x, a, b):
+        calls.append(len(x))
+        return ex4.connection(x, a, b)
+
+    m = dataclasses.replace(ex4, connection=connection)
+    states = sample_states(ex4, 2, np.random.default_rng(30))
+    for integrand, name in ((zoo.vector_field("warp:ex4:Z"), "VectorFieldDef"), (1.0, "float")):
+        with pytest.raises(TypeError, match=f"not {name}$"):
+            integrate_geodesic(m, states, 1.0, integrand=integrand)
+    assert calls == []
 
 
 def test_carried_slopes_take_one_call_per_step(ex4):
@@ -294,7 +314,8 @@ def test_carried_slopes_take_one_call_per_step(ex4):
 
     Z = zoo.vector_field("warp:ex4:Z")
     states = flipped(ex4, sample_states(ex4, 4, np.random.default_rng(30)), [1, 3])
-    for integrand in (h, dataclasses.replace(Z, components=components)):
+    rate = partial(pairing_rate, dataclasses.replace(Z, components=components), ex4)
+    for integrand in (h, rate):
         calls.clear()
         traj = integrate_geodesic(ex4, states, 2.5, integrand=integrand)
         assert traj.truncated == 0
@@ -345,7 +366,8 @@ def test_failing_integrand_truncates_only_its_orbit(ex4):
     Z = zoo.vector_field("warp:ex4:Z")
     states = unit_states(ex4, [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [-1.0, 0.5, 1.0]],
                          [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 1.0, 0.5]], normalize=True)
-    for integrand in (h, dataclasses.replace(Z, components=components)):
+    rate = partial(pairing_rate, dataclasses.replace(Z, components=components), ex4)
+    for integrand in (h, rate):
         armed[:] = [True]
         stack = integrate_geodesic(ex4, states, 2.0, integrand=integrand)
         assert stack.reasons == ("rhs_failure", None, None)
@@ -396,11 +418,12 @@ def test_controller_takes_the_standard_steps(ex4):
     # the error norm, so scipy carries it too
     Z = zoo.vector_field("warp:ex4:Z")
     states = sample_states(ex4, 10, np.random.default_rng(30))
-    for integrand in (Z, None):
+    for field in (Z, None):
+        integrand = None if field is None else partial(pairing_rate, field, ex4)
         traj = integrate_geodesic(ex4, states, 10.0, integrand=integrand)
         stats = traj.stats
         assert (stats.n_accepted, stats.n_rejected_est, stats.nfev) == _solve_ivp_counts(
-            ex4, states, 10.0, integrand)
+            ex4, states, 10.0, field)
         # the drift record reads the closed-form inner at every node
         Y = np.concatenate(traj.states)
         X, V = Y[:, :3], Y[:, 3:]
@@ -423,7 +446,7 @@ def test_path_run_evaluates_the_rhs_nfev_times(ex4):
     m = dataclasses.replace(ex4, connection=counted)
     Z = zoo.vector_field("warp:ex4:Z")
     states = sample_states(ex4, 4, np.random.default_rng(30))
-    traj = integrate_geodesic(m, states, 3.0, integrand=Z)
+    traj = integrate_geodesic(m, states, 3.0, integrand=partial(pairing_rate, Z, m))
     assert traj.truncated == 0
     nfev, start = traj.stats.nfev, 2 * len(states)
     assert sum(spray) == nfev

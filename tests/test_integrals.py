@@ -11,10 +11,12 @@ from scipy.integrate import quad
 
 from divflow import integrals, runner, zoo
 from divflow.geometry import (
+    covariant_derivative,
     divergence,
     field_norm,
     metric_at,
     orthonormal_frame,
+    pairing_rate,
     pairing_rate_form,
 )
 from divflow.integrals import (
@@ -87,13 +89,13 @@ RATE_INTEGRANDS = {
 def test_fiber_average_identity_all_pairs(kind, rng):
     # the central check: fiber integral of the pairing rate against the
     # divergence, on a modest sweep (the acceptance suite does 10^3 points)
-    for m, f in field_pairs():
+    for fid, m, f in field_pairs():
         w = omega(m.dim) / m.dim
         tol = 1e-8 if m.dim == 2 else 1e-6
         F = RATE_INTEGRANDS[kind](f, m)
         for x in sample_box_points(m, 50, rng):
             fib = fiber_integral(m, F, x)
-            assert abs(fib - w * divergence(f, m, x)) < tol, (m.name, f.name, x)
+            assert abs(fib - w * divergence(f, m, x)) < tol, (fid, x)
 
 
 @pytest.mark.parametrize("post", [None, np.abs], ids=["rate", "abs-rate"])
@@ -156,14 +158,19 @@ def test_fiber_integral_forms_its_geometry_once(mid, fid, kind, monkeypatch, rng
 
 @pytest.mark.parametrize("mid,fid", PAIR_IDS)
 def test_quadratic_integrand_on_one_direction_is_pairing_rates(mid, fid, rng):
-    # the direct Monte Carlo estimate of fubini_consistency calls it so
+    # the direct Monte Carlo estimate of fubini_consistency calls it so;
+    # the rate an orbit carries, g(J v + Gamma(v, X), v) on the velocity
+    # itself, is the same quadratic form up to round-off in nabla X
     m, f = zoo.manifold(mid), zoo.vector_field(fid)
     pts = sample_box_points(m, 40, rng)
     c = rng.normal(size=pts.shape)
     c /= np.linalg.norm(c, axis=1, keepdims=True)
     V = (orthonormal_frame(m, pts) @ c[..., None])[..., 0][:, None, :]
     F = QuadraticIntegrand(partial(pairing_rate_form, f, m))
-    assert np.array_equal(F(pts, V), pairing_rates(f, m, pts, V))
+    expected = pairing_rates(f, m, pts, V)
+    assert np.array_equal(F(pts, V), expected)
+    scale = 1.0 + np.abs(covariant_derivative(f, m, pts)).max(axis=(1, 2))
+    assert np.all(np.abs(pairing_rate(f, m, pts, V[:, 0]) - expected[:, 0]) <= 1e-14 * scale)
 
 
 def test_ex4_volume_and_divergence_integral(ex4):

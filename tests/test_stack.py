@@ -100,10 +100,10 @@ def test_manifold_closures_stack_exactly(mid, rng):
     assert np.array_equal(m.connection(x, a, np.stack([a, b])), pair), mid
     if m.shell is not None:
         for r_lo, r_hi in ((0.0, 1.5), (1.5, 6.0)):
-            for patch in m.shell(r_lo, r_hi):
+            for k, patch in enumerate(m.shell(r_lo, r_hi)):
                 u = _shell_points(patch, rng)
-                _assert_exact(patch.to_chart, u, (mid, patch.name, "to_chart"))
-                _assert_exact(patch.density, u, (mid, patch.name, "density"))
+                _assert_exact(patch.to_chart, u, (mid, r_lo, k, "to_chart"))
+                _assert_exact(patch.density, u, (mid, r_lo, k, "density"))
 
 
 def _indefinite_metric(x):
@@ -195,9 +195,13 @@ def test_field_geometry_and_fiber_integral_stack(mid, fid, rng):
         # a rate integral is ~0 for a divergence-free field; keep it off zero
         return (1.0 + pairing_rates(f, m, X, V)) ** 2
 
-    _assert_close(partial(fiber_integral, m, F), many, (fid, "fiber_integral"))
     Fq = QuadraticIntegrand(partial(pairing_rate_form, f, m), post=lambda r: (1.0 + r) ** 2)
-    _assert_close(partial(fiber_integral, m, Fq), many, (fid, "quadratic"))
+    for kind, G in (("fiber_integral", F), ("quadratic", Fq)):
+        _assert_close(partial(fiber_integral, m, G), many, (fid, kind))
+        # one point is a stack of one: shape (), the bits of the stack's row
+        one = fiber_integral(m, G, many[0])
+        assert one.shape == (), (fid, kind)
+        assert np.array_equal(one, fiber_integral(m, G, many[:1])[0]), (fid, kind)
 
 
 TEST_FUNCTIONS = [(mid, uid) for mid in zoo.MANIFOLD_IDS for uid in scalar_test_functions(mid)]
@@ -239,7 +243,7 @@ def test_monotone_form_stacks_exactly(pid, rng):
         return monotone_form(w[..., :3], w[..., 3:], prof)
 
     _assert_exact(form, pairs, pid)
-    assert isinstance(form(pairs[0]), float)
+    assert form(pairs[0]).shape == ()
     assert form(pairs[:1]).shape == (1,)
 
 

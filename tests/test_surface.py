@@ -1,8 +1,8 @@
 """The package surface: every module's ``__all__`` resolves, the package
 root binds only the version and the one name the benchmark's tracer test
-reads (perfbench/test_perfbench.py), and the manifold and field types carry
-only what the computing paths read; the closed forms the tests compare
-against live in ``oracles``."""
+reads (perfbench/test_perfbench.py), and the manifold, field, patch, fiber
+rule and profile types carry only what the computing paths read; the closed
+forms the tests compare against live in ``oracles``."""
 
 import dataclasses
 import importlib
@@ -12,6 +12,8 @@ import pytest
 
 import divflow
 from divflow.geometry import ChartedManifold, VectorFieldDef
+from divflow.integrals import FiberRule, ShellPatch
+from divflow.potential import PhiProfile
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(divflow.__path__))
 
@@ -31,11 +33,14 @@ def test_the_package_root_binds_only_the_version_and_the_tracer_pin():
 
 
 @pytest.mark.parametrize("cls,fields", [
-    (VectorFieldDef, ["name", "components", "jacobian"]),
+    (VectorFieldDef, ["components", "jacobian"]),
     (ChartedManifold, ["name", "dim", "inner", "connection", "domain", "periods",
                        "radius", "shell", "sample_box", "radius_cap",
                        "radius_escape_certificate", "description"]),
-], ids=["field", "manifold"])
+    (ShellPatch, ["bounds", "to_chart", "density", "breakpoints"]),
+    (FiberRule, ["nodes", "weights", "moments"]),
+    (PhiProfile, ["name", "phi", "singular_near_zero"]),
+], ids=["field", "manifold", "patch", "fiber-rule", "profile"])
 def test_the_zoo_types_hold_only_what_the_package_reads(cls, fields):
     names = [f.name for f in dataclasses.fields(cls)]
     assert names == fields
