@@ -17,14 +17,19 @@ one call on the stack of those eight stage states: the carried integrand
 h(x, v) is called there only (for the pairing identity, h is
 ``geometry.pairing_rate`` of a field).  The first four stages
 have weight zero in the solution, the error estimates and the extension.
+The stages of a step run on the whole stack under one guard: only if an
+evaluation raises are they redone row by row, each row a stack of one, so
+a step that fails nowhere makes one ``connection`` call per stage and one
+call of h.
 The step control is the standard one (HNW II.4) at RTOL/ATOL over every
 column, the carried integral included: the 5(3) error norm, safety factor
 0.9, step factors within [0.2, 10], exponent -1/8 and no growth on a step
 that was just rejected.  An orbit is read between its nodes through the
 seventh-degree continuous extension (HNW II.6), whose three extra stages
 are formed on the first such read, for every step of the trajectory at
-once: ``first_return`` scans its return grid on it, and
-``diagnostics.hopf_probe`` reads the carried integral at its horizons,
+once: ``first_return`` scans its return grid on it, reading the position
+columns first and the full state only where the gauge can be within eps,
+and ``diagnostics.hopf_probe`` reads the carried integral at its horizons,
 while the path kinds read end states only and never form it.
 
 An orbit stops short of ``t_final`` with a flagged reason instead of a
@@ -66,6 +71,7 @@ __all__ = [
     "path_integral_identity_residual",
     "first_return",
     "proxy_distance",
+    "return_grid_step",
 ]
 
 RTOL = 1e-10
@@ -81,6 +87,11 @@ MAX_STEPS = 100_000
 MAX_SPEED_DRIFT = 1e-6
 RETURN_CHUNK = 100.0     # time span first_return integrates at once
 RETURN_WINDOW = 256      # return-grid points per orbit scanned at once
+# the most return-grid steps first_return scans per orbit, t_max over the
+# grid step: one torus orbit that returns only near t_max = 1000 at this
+# budget (eps 4e-4) took 6.6 s on a 2-core Xeon, where the suite's eps 0.05
+# over t_max 1000 scans 80,000 steps
+MAX_RETURN_POINTS = 10_000_000
 
 # DOP853 (Hairer's dop853 code).  A is the stage matrix of the twelve stages
 # of a step (rows 1 to 11), of the stage at the new state (row 12, the
@@ -154,6 +165,7 @@ E5[[0, 5, 6, 7, 8, 9, 10, 11]] = [
     -4.957589496572501915214079952e-1, 1.664377182454986536961530415,
     -3.503288487499736816886487290e-1, 3.341791187130174790297318841e-1,
     8.192320648511571246570742613e-2, -2.235530786388629525884427845e-2]
+E53 = np.stack([E5, E3])
 D = np.zeros((4, 16))
 D[:, [0, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15]] = [
     [-8.4289382761090128651353491142, 5.6671495351937776962531783590e-1,
@@ -337,9 +349,12 @@ class GeodesicTrajectory:
                       np.where(open_ & ~below, mid, hi))
         return a + np.minimum(lo, np.maximum(n_ends - 1, 0))
 
-    def _extend(self, rows: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """States (R, k, d) of orbits ``rows`` at times t (R, k), from the
-        continuous extension of the step that holds each time."""
+    def _extend(self, rows: np.ndarray, t: np.ndarray, cols=slice(None)) -> np.ndarray:
+        """Columns ``cols`` of the states (R, k, d) of orbits ``rows`` at
+        times t (R, k), from the continuous extension of the step that holds
+        each time.  Each coefficient of F (7, S, d) is gathered for those
+        columns alone, one coefficient at a time; a column's value does not
+        depend on which others are read."""
         rows = np.asarray(rows)
         hi = self.t_end[rows][:, None]
         out = (t < self._t_start - 1e-12) | (t > hi + 1e-12)
@@ -356,12 +371,12 @@ class GeodesicTrajectory:
             raise TruncatedTrajectoryError(
                 f"continuous extension at time {t[failed][0]} failed (rhs_failure)")
         x = ((t - self._node_t[node]) / self._seg_h[node])[..., None]
-        # dop853's nested form x (F0 + (1 - x)(F1 + x (F2 + ... + x F6))),
-        # gathering one coefficient at a time
-        y = F[6][node] * x
+        x1 = 1 - x
+        # dop853's nested form x (F0 + (1 - x)(F1 + x (F2 + ... + x F6)))
+        y = F[6][node, cols] * x
         for j in range(5, -1, -1):
-            y = (y + F[j][node]) * (x if j % 2 == 0 else 1 - x)
-        return self._node_y[node] + y
+            y = (y + F[j][node, cols]) * (x if j % 2 == 0 else x1)
+        return self._node_y[node, cols] + y
 
     def y_at(self, t) -> np.ndarray:
         """Full states at time t, from the continuous extension: (N, d) for
@@ -389,7 +404,9 @@ def _geodesic_rhs(m: ChartedManifold, integrand) -> tuple[Callable, Callable]:
     stages is formed on the spray alone, and the carried slopes of the
     stages that need them after it, in one call of h on their (stages * M)
     rows.  A stage's spray forms Gamma(v, v) alone, from one call of the
-    manifold's ``connection``.
+    manifold's ``connection``.  Each form runs on the whole stack under one
+    guard (``_evaluate``): only if an evaluation raises is the stack redone
+    row by row.
 
       slope(Y)             the whole slope (M, 2n + q) of states Y, and the
                            rows on which it failed
@@ -397,73 +414,76 @@ def _geodesic_rhs(m: ChartedManifold, integrand) -> tuple[Callable, Callable]:
                            rows of A, in turn, from the state
                            y + h sum_j A[s, j] K[j], and the carried slopes
                            of those past the fourth in one stacked call;
-                           returns the rows on which an evaluation failed.
+                           returns the rows on which an evaluation failed,
+                           whose stages of the run are zero.
                            The carried slopes of the first four stay 0:
                            their weights in B, E5, E3 and D are zero
     """
     n = m.dim
     d = 2 * n + (integrand is not None)
-
-    def spray(Y, S):
-        X, V = Y[:, :n], Y[:, n:2 * n]
-        S[:, :n] = V
-        np.negative(m.connection(X, V, V), out=S[:, n:])
-
-    def rate(Y, r):
-        r[:] = integrand(Y[:, :n], Y[:, n:2 * n])
+    weights = [A[s, :s] for s in range(len(A))]
 
     def slope(Y):
         F = np.zeros_like(Y)
-        bad = _evaluate(spray, Y, F[:, :2 * n])
-        if integrand is not None:
-            bad |= _evaluate(rate, Y, F[:, 2 * n])
-        return F, bad
+
+        def fill(rows):
+            X, V = Y[rows, :n], Y[rows, n:2 * n]
+            F[rows, :n] = V
+            np.negative(m.connection(X, V, V), out=F[rows, n:2 * n])
+            if integrand is not None:
+                F[rows, 2 * n] = integrand(X, V)
+        return F, _evaluate(fill, F)
 
     def stages(K, y, h, run):
-        M = len(y)
         # the stage states read the carried slopes of the run before they
         # are formed; no slope reads that column
         K[run.start:run.stop, :, 2 * n:] = 0.0
         rated = range(max(run.start, 5), run.stop) if integrand is not None else range(0)
-        # the rated stages' states are formed in place in their rate rows,
-        # M rows per stage, stored by column: each component the rate reads
-        # is then one contiguous run, where rows stored by state would read
-        # it at a stride of a whole row, past the cache on a large stack
-        Z = np.empty((d, len(rated) * M)).T
-        bad = np.zeros(M, dtype=bool)
-        for s in run:
-            step = h[:, None] * _wsum(A[s, :s], K)
-            if s in rated:
-                Ys = np.add(y, step, out=Z[(s - rated.start) * M:(s - rated.start + 1) * M])
-            else:
-                Ys = y + step
-            bad |= _evaluate(spray, Ys, K[s, :, :2 * n])
-        if rated:
-            r = np.empty(len(Z))
-            bad |= _evaluate(rate, Z, r).reshape(len(rated), M).any(axis=0)
-            K[rated.start:rated.stop, :, 2 * n] = r.reshape(len(rated), M)
-        return bad
+
+        def fill(rows):
+            Kr, yr, hr = K[:, rows], y[rows], h[rows, None]
+            M = len(yr)
+            # the rated stages' states are formed in place in their rate
+            # rows, M rows per stage, stored by column: each component the
+            # rate reads is then one contiguous run, where rows stored by
+            # state would read it at a stride of a whole row, past the cache
+            # on a large stack
+            Z = np.empty((d, len(rated) * M)).T
+            for s in run:
+                step = hr * np.einsum("j,j...->...", weights[s], Kr[:s])
+                if s in rated:
+                    Ys = np.add(yr, step, out=Z[(s - rated.start) * M:(s - rated.start + 1) * M])
+                else:
+                    Ys = yr + step
+                X, V = Ys[:, :n], Ys[:, n:2 * n]
+                Kr[s, :, :n] = V
+                np.negative(m.connection(X, V, V), out=Kr[s, :, n:2 * n])
+            if rated:
+                r = np.empty(len(Z))
+                r[:] = integrand(Z[:, :n], Z[:, n:2 * n])
+                Kr[rated.start:rated.stop, :, 2 * n] = r.reshape(len(rated), M)
+        return _evaluate(fill, K[run.start:run.stop].swapaxes(0, 1))
     return slope, stages
 
 
-def _evaluate(fn: Callable, Y: np.ndarray, *out: np.ndarray) -> np.ndarray:
-    """fn(Y, *out) on a stack Y, writing its results into the stacks
-    ``out``; returns the rows on which it raised.  Those are redone one at
-    a time, with zeros in their place, so one failing orbit does not stop
-    the others."""
+def _evaluate(fill: Callable, out: np.ndarray) -> np.ndarray:
+    """fill(rows) on every row of a stack at once (rows = slice(None)),
+    writing its results into the rows of ``out`` (leading axis the stack's);
+    returns the rows on which it raised.  Only if it raises is each row
+    redone alone, fill(slice(i, i + 1)) as a stack of one, with zeros in
+    ``out`` for the rows that raise again, so one failing orbit does not
+    stop the others."""
+    bad = np.zeros(len(out), dtype=bool)
     try:
-        fn(Y, *out)
-        return np.zeros(len(Y), dtype=bool)
+        fill(slice(None))
     except (DomainError, MetricError):
-        bad = np.zeros(len(Y), dtype=bool)
-        for i in range(len(Y)):
+        for i in range(len(out)):
             try:
-                fn(Y[i:i + 1], *(o[i:i + 1] for o in out))
+                fill(slice(i, i + 1))
             except (DomainError, MetricError):
                 bad[i] = True
-                for o in out:
-                    o[i] = 0.0
-        return bad
+                out[i] = 0.0
+    return bad
 
 
 def _drift(m: ChartedManifold, Y: np.ndarray) -> np.ndarray:
@@ -494,8 +514,7 @@ def _error_norm(K: np.ndarray, h: np.ndarray, scale: np.ndarray) -> np.ndarray:
     third-order one: h e5 / sqrt(d (e5 + e3 / 100)), where e5 and e3 are
     the squared norms of E5 @ K / scale and E3 @ K / scale; 0 where both
     vanish, NaN where a stage overflowed."""
-    e5 = np.square(_wsum(E5, K) / scale).sum(axis=1)
-    e3 = np.square(_wsum(E3, K) / scale).sum(axis=1)
+    e5, e3 = np.square(np.einsum("ej,j...->e...", E53, K) / scale).sum(axis=2)
     denom = e5 + 0.01 * e3
     with np.errstate(divide="ignore", invalid="ignore"):
         err = h * e5 / np.sqrt(denom * scale.shape[1])
@@ -566,8 +585,9 @@ def _dop853(m: ChartedManifold, Y0: np.ndarray, t0: float, t_final: float,
         n_acc[ids[accept]] += 1
         n_rej[ids[~accept & ~bad]] += 1
         keep = ~bad
-        for r in np.flatnonzero(bad):
-            reasons[ids[r]] = "rhs_failure"
+        if bad.any():
+            for r in np.flatnonzero(bad):
+                reasons[ids[r]] = "rhs_failure"
 
         acc = np.flatnonzero(accept)
         if acc.size:
@@ -582,8 +602,11 @@ def _dop853(m: ChartedManifold, Y0: np.ndarray, t0: float, t_final: float,
 
             # after-step checks, in order: domain, drift, monitor
             out = ~np.asarray(m.domain(ya[:, :n])) | ~np.isfinite(ya).all(axis=1)
-            drift = np.full(acc.size, np.nan)
-            drift[~out] = _drift(m, ya[~out])
+            if out.any():
+                drift = np.full(acc.size, np.nan)
+                drift[~out] = _drift(m, ya[~out])
+            else:
+                drift = _drift(m, ya)
             node_drift.append(drift)
             over = drift > MAX_SPEED_DRIFT
             stopped = out | over
@@ -591,11 +614,13 @@ def _dop853(m: ChartedManifold, Y0: np.ndarray, t0: float, t_final: float,
             if monitor is not None and not stopped.all():
                 go = np.flatnonzero(~stopped)
                 watched[go] = monitor(ia[go], ya[go])
-            for r in np.flatnonzero(stopped | watched | forced[sel]):
-                reasons[ia[r]] = ("left_domain" if out[r] else
-                                  "speed_drift" if over[r] else
-                                  "monitor" if watched[r] else None)
-                keep[acc[r]] = False
+            ended = stopped | watched | forced[sel]
+            if ended.any():
+                for r in np.flatnonzero(ended):
+                    reasons[ia[r]] = ("left_domain" if out[r] else
+                                      "speed_drift" if over[r] else
+                                      "monitor" if watched[r] else None)
+                    keep[acc[r]] = False
         rows = (ids, t, y, f, h_abs, ~accept)
         if not keep.all():
             rows = tuple(a[keep] for a in rows)
@@ -753,10 +778,30 @@ def proxy_distance(m: ChartedManifold, Y: np.ndarray, S0: np.ndarray) -> np.ndar
     return np.sqrt(pos ** 2 + np.arccos(cosang) ** 2)
 
 
+def return_grid_step(eps: float, t_max: float) -> float:
+    """The step of first_return's return grid, min(eps / 4, 0.05); a
+    ValueError when [0, t_max] holds more than MAX_RETURN_POINTS such steps
+    (or eps / 4 underflows to 0)."""
+    step = min(eps / 4.0, 0.05)
+    if not t_max <= MAX_RETURN_POINTS * step:
+        raise ValueError(
+            f"eps {eps!r} and t_max {t_max!r} need a return grid of step {step!r}, "
+            f"past the budget of {MAX_RETURN_POINTS} steps per orbit: "
+            f"raise eps or lower t_max")
+    return step
+
+
 def _return_hits(traj, t0, hi, k, t_min, eps, S0) -> dict:
     """{row: (t, gauge)} at the first point at or after t_min of each orbit's
     return grid (k points over [t0, hi]) whose gauge is within eps, read from
-    the continuous extension RETURN_WINDOW points at a time."""
+    the continuous extension RETURN_WINDOW points at a time.  A window reads
+    the n position columns alone.  The wrapped position distance p, formed
+    as ``proxy_distance`` forms it, bounds the gauge from below in floating
+    point too: sqrt(fl(p^2)) <= sqrt(fl(p^2 + angle^2)) by monotone
+    rounding.  So the full state and its gauge are formed only at the points
+    where sqrt(fl(p^2)) <= eps, with the bits a full read gives."""
+    m = traj.manifold
+    n = m.dim
     step = (hi - t0) / (k - 1)
     hits = {}
     rows, start = np.arange(len(k)), 0
@@ -764,8 +809,13 @@ def _return_hits(traj, t0, hi, k, t_min, eps, S0) -> dict:
         J = start + np.arange(RETURN_WINDOW)
         last = k[rows, None] - 1
         ts = np.where(J < last, t0 + J * step[rows, None], hi[rows, None])
-        ds = proxy_distance(traj.manifold, traj._extend(rows, ts), S0[rows, None])
-        hit = (J <= last) & (ts >= t_min) & (ds <= eps)
+        dx = _wrap_diffs(traj._extend(rows, ts, slice(0, n)) - S0[rows, None, :n], m.periods)
+        near = (J <= last) & (ts >= t_min) & (np.sqrt(np.linalg.norm(dx, axis=-1) ** 2) <= eps)
+        ds = np.full(ts.shape, np.inf)
+        if near.any():
+            r, j = np.nonzero(near)
+            ds[r, j] = proxy_distance(m, traj._extend(rows[r], ts[r, j, None])[:, 0], S0[rows[r]])
+        hit = ds <= eps
         found = hit.any(axis=1)
         for r in np.flatnonzero(found):
             j = int(np.argmax(hit[r]))
@@ -783,17 +833,20 @@ def first_return(m: ChartedManifold, states, eps: float = 0.05,
 
     The undecided orbits are integrated together in chunks of RETURN_CHUNK
     and the gauge is read from the continuous extension on a grid of step
-    min(eps / 4, 0.05); the event is the first grid point at or after t_min
-    within eps, with its gauge as ``distance`` (no refinement).  On
-    manifolds with ``radius_escape_certificate`` an orbit's search stops
-    early once monotone radial escape makes any later return impossible;
-    absence of a return is then conclusive.
+    min(eps / 4, 0.05) (``return_grid_step``: a ValueError past
+    MAX_RETURN_POINTS steps over [0, t_max]); the event is the first grid
+    point at or after t_min within eps, with its gauge as ``distance`` (no
+    refinement).  The scan reads positions first and forms the gauge only
+    where the position part alone is within eps.  On manifolds with
+    ``radius_escape_certificate`` an orbit's search stops early once
+    monotone radial escape makes any later return impossible; absence of a
+    return is then conclusive.
     """
     if eps <= 0 or not (0 <= t_min < t_max):
         raise ValueError("need eps > 0 and 0 <= t_min < t_max")
+    grid_step = return_grid_step(eps, t_max)
     S0 = _states(m, states)
     N, n = len(S0), m.dim
-    grid_step = min(eps / 4.0, 0.05)
     use_cert = m.radius_escape_certificate and m.radius is not None
     if use_cert:
         r0 = np.asarray(m.radius(S0[:, :n]), dtype=float)

@@ -43,7 +43,7 @@ from .integrals import (
     sample_liouville,
     sample_states,
 )
-from .flow import TruncatedTrajectoryError, path_integral_identity_residual
+from .flow import TruncatedTrajectoryError, path_integral_identity_residual, return_grid_step
 from .diagnostics import (
     HOPF_LABELS,
     cutoff_estimate,
@@ -87,8 +87,8 @@ REALS = {"T": _POSITIVE, "r0": _POSITIVE, "eps": _POSITIVE, "t_max": _POSITIVE,
          "min_label_fraction": _FRACTION,
          "expected": ("a finite number", lambda v: True)}
 
-# the recurrence return window when the config leaves it out
-T_MIN, T_MAX = 1.0, 1000.0
+# the recurrence ball and return window when the config leaves them out
+EPS, T_MIN, T_MAX = 0.05, 1.0, 1000.0
 
 
 def _is_finite(value) -> bool:
@@ -161,6 +161,11 @@ class ExperimentConfig:
         t_min, t_max = self.params.get("t_min", T_MIN), self.params.get("t_max", T_MAX)
         if t_min >= t_max:
             raise ConfigError(f"t_min must be below t_max, got {t_min!r} and {t_max!r}")
+        if self.kind == "recurrence":
+            try:
+                return_grid_step(self.params.get("eps", EPS), t_max)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
         for key in ("expect", "expect_label"):
             value = self.params.get(key)
             if value is not None and not (isinstance(value, str) and value in spec.expect):
@@ -412,7 +417,7 @@ def _decay_to_zero(cfg, values):
 def _run_recurrence(cfg):
     m = zoo.manifold(cfg.manifold)
     p = cfg.params
-    stats = recurrence_fraction(m, int(p.get("n", 100)), eps=float(p.get("eps", 0.05)),
+    stats = recurrence_fraction(m, int(p.get("n", 100)), eps=float(p.get("eps", EPS)),
                                 t_min=float(p.get("t_min", T_MIN)),
                                 t_max=float(p.get("t_max", T_MAX)), seed=cfg.seed,
                                 radius_cap=p.get("radius_cap", m.radius_cap))

@@ -546,6 +546,23 @@ def test_bad_reals_exit_2_without_traceback(argv, capsys, monkeypatch):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("eps", ["1e-7", "1e-300"])
+def test_recurrence_past_the_return_grid_budget_exits_2(eps):
+    # eps 1e-7 would scan 4e9 return-grid points per chunk, and at 1e-300
+    # the point count overflows an int64; both are config errors: one line
+    # on stderr naming eps and t_max, in a fresh process so that a numpy
+    # warning would show there too
+    proc = subprocess.run(
+        [sys.executable, "-m", "divflow.cli", "diagnose", "recurrence", "--manifold", "torus",
+         "--param", "n=2", "--param", f"eps={eps}"],
+        capture_output=True, text=True, env=_suite_env(), timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"divflow: config error: eps {float(eps)!r} and t_max 1000.0 ")
+    assert proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
 def test_benchmark_workloads_fit_their_schema():
     workloads = json.loads((ROOT / "perfbench" / "workloads.json").read_text())
     for configs in workloads.values():

@@ -17,9 +17,10 @@ from divflow.flow import (
     integrate_geodesic,
     path_integral_identity_residual,
     proxy_distance,
+    return_grid_step,
 )
 from divflow.geometry import DomainError, VectorFieldDef, _quadratic, pairing_rate
-from divflow.integrals import sample_states
+from divflow.integrals import sample_liouville, sample_states
 from oracles import (
     FX,
     christoffel_symbols,
@@ -301,8 +302,10 @@ def test_carried_slopes_take_one_call_per_step(ex4):
     # attempt on the 8 rated stages (5 to 12) of each orbit still stepping;
     # the extension takes one call on its 3 stages of every non-empty
     # segment.  A field's components are read in that call only: the spray
-    # forms Gamma(v, v) alone
-    calls = []
+    # forms Gamma(v, v) alone, in one connection call per stage on the
+    # whole stack.  Nothing fails here, so no evaluation is redone row by
+    # row: a spurious per-row path would show in these counts
+    calls, spray = [], []
 
     def h(x, v):
         calls.append(len(x))
@@ -312,21 +315,31 @@ def test_carried_slopes_take_one_call_per_step(ex4):
         calls.append(len(x))
         return Z.components(x)
 
+    def connection(x, a, b):
+        spray.append(len(x))
+        return ex4.connection(x, a, b)
+
     Z = zoo.vector_field("warp:ex4:Z")
+    m = dataclasses.replace(ex4, connection=connection)
     states = flipped(ex4, sample_states(ex4, 4, np.random.default_rng(30)), [1, 3])
     rate = partial(pairing_rate, dataclasses.replace(Z, components=components), ex4)
     for integrand in (h, rate):
         calls.clear()
-        traj = integrate_geodesic(ex4, states, 2.5, integrand=integrand)
+        spray.clear()
+        traj = integrate_geodesic(m, states, 2.5, integrand=integrand)
         assert traj.truncated == 0
         attempts = traj.n_accepted + traj.n_rejected
         assert len(set(attempts)) == 4
         assert np.array_equal(traj.nfev, 2 + 12 * attempts)
-        assert calls == [4, 4] + [8 * int((attempts > k).sum()) for k in range(attempts.max())]
+        stacked = [int((attempts > k).sum()) for k in range(attempts.max())]
+        assert calls == [4, 4] + [8 * M for M in stacked]
+        assert spray == [4, 4] + [M for M in stacked for _ in range(12)]
         calls.clear()
+        spray.clear()
         traj.y_at(np.array([0.25, 0.25, 0.25, 0.25]))
         traj.y_at(np.array([2.0, 0.5, 1.0, 0.4]))
         assert calls == [3 * traj.stats.n_accepted]
+        assert spray == [traj.stats.n_accepted] * 3
 
 
 def test_integrand_failing_at_start_leaves_only_the_start_states(ex4):
@@ -610,6 +623,81 @@ def test_first_return_agrees_with_grid_oracle(torus, rng):
             assert res.event.t_star <= first_window + 0.2
 
 
+def _exhaustive_first_return(m, states, eps, t_min, t_max):
+    """first_return by an exhaustive scan: the undecided orbits run over
+    the same chunks (with the same escape monitor), and the gauge is read
+    through ``y_at`` at every point of each chunk's return grid; per state
+    ((t_star, distance) or None, conclusive, reason)."""
+    n = m.dim
+    grid_step = min(eps / 4.0, 0.05)
+    cert = m.radius_escape_certificate and m.radius is not None
+    r0 = m.radius(states[:, :n]) if cert else None
+    prev = r0.copy() if cert else None
+    results = [None] * len(states)
+    cur, live, t0 = states, np.arange(len(states)), 0.0
+    while live.size:
+        t1 = min(t0 + flow.RETURN_CHUNK, t_max)
+
+        def monitor(rows, y, live=live):
+            r = m.radius(y[:, :n])
+            escaped = (r >= prev[live[rows]]) & (r - r0[live[rows]] > eps)
+            prev[live[rows]] = r
+            return escaped
+
+        traj = integrate_geodesic(m, cur, t1, t_start=t0,
+                                  monitor=monitor if cert else None)
+        hi = np.minimum(traj.t_end, t1)
+        k = np.array([max(2, math.ceil((h - t0) / grid_step) + 1) for h in hi])
+        # one grid per orbit, each padded with its last point to the longest
+        J = np.arange(k.max())
+        ts = np.where(J < k[:, None] - 1, t0 + J * ((hi - t0) / (k - 1))[:, None], hi[:, None])
+        ds = proxy_distance(m, traj.y_at(ts), states[live, None])
+        cont = []
+        for r, orbit in enumerate(live):
+            hits = np.flatnonzero((J < k[r]) & (ts[r] >= t_min) & (ds[r] <= eps))
+            reason = traj.reasons[r]
+            if hits.size:
+                results[orbit] = ((ts[r, hits[0]], ds[r, hits[0]]), True, "")
+            elif reason is not None:
+                results[orbit] = (None, reason == "monitor",
+                                  "escape" if reason == "monitor" else reason)
+            elif t1 >= t_max:
+                results[orbit] = (None, True, "horizon")
+            else:
+                cont.append(r)
+        cur, live, t0 = traj.y_end[cont, :2 * n], live[cont], t1
+    return results
+
+
+def test_first_return_scans_as_an_exhaustive_scan_does(torus, revolution, hyperbolic):
+    # the scan reads positions first and forms the gauge only where the
+    # position part is within eps; every event, bit for bit, and every
+    # verdict must be those of reading the gauge at every grid point.  On
+    # the torus the angle part is constant, and the last three orbits
+    # return exactly at t = 5, so grid points of gauge next to eps lie on
+    # their way in; on the revolution surface the angle part varies; on the
+    # hyperbolic plane the orbits escape
+    rational = unit_states(torus, [[0.25, 0.6], [0.0, 0.0], [0.7, 0.1]],
+                           [[0.6, 0.8], [0.8, 0.6], [-0.6, 0.8]])
+    stacks = {
+        torus: np.vstack([sample_states(torus, 6, np.random.default_rng(3)), rational]),
+        revolution: sample_liouville(revolution, 8, np.random.default_rng(3), radius_cap=2.0),
+        hyperbolic: sample_liouville(hyperbolic, 4, np.random.default_rng(3), radius_cap=2.0),
+    }
+    events, reasons = {}, {}
+    for m, states in stacks.items():
+        for eps in (0.05, 0.2):
+            results = first_return(m, states, eps=eps, t_min=1.0, t_max=200.0)
+            oracle = _exhaustive_first_return(m, states, eps, 1.0, 200.0)
+            for res, (event, conclusive, reason) in zip(results, oracle):
+                got = None if res.event is None else (res.event.t_star, res.event.distance)
+                assert (got, res.conclusive, res.reason) == (event, conclusive, reason)
+            events[m.name, eps] = sum(res.event is not None for res in results)
+            reasons[m.name, eps] = {res.reason for res in results}
+    assert events[revolution.name, 0.05] == 4 and events[revolution.name, 0.2] == 6
+    assert reasons[hyperbolic.name, 0.05] == reasons[hyperbolic.name, 0.2] == {"escape"}
+
+
 def test_no_return_on_hyperbolic_plane(hyperbolic, rng):
     for res in first_return(hyperbolic, sample_states(hyperbolic, 5, rng),
                             eps=0.1, t_min=1.0, t_max=100.0):
@@ -631,6 +719,15 @@ def test_first_return_input_validation(torus):
         first_return(torus, st, eps=-1.0)
     with pytest.raises(ValueError):
         first_return(torus, st, t_min=5.0, t_max=2.0)
+    # the return grid's step is eps / 4 below eps = 0.2: eps 1e-7 would
+    # scan 4e9 points per orbit, and at 1e-300 the point count overflows
+    # an int64; both are refused before any step
+    for eps in (1e-7, 1e-300, 5e-324):
+        with pytest.raises(ValueError, match=f"eps {eps!r} and t_max 1000.0 .* budget"):
+            first_return(torus, st, eps=eps)
+    # the suite's eps 0.05 over t_max 1000 scans 80,000 steps per orbit, a
+    # hundredth of the budget or less
+    assert 100 * 1000.0 / return_grid_step(0.05, 1000.0) <= flow.MAX_RETURN_POINTS
 
 
 def test_proxy_distance_periodic_wrap(torus):
