@@ -16,7 +16,11 @@ quantity's own axes, so a scalar quantity at one point of shape (n,) has
 shape ().  Validation covers every point and matrix and names the first
 failing point.
 ``inner`` and ``connection`` broadcast x, a and b against each other, so
-one call forms Gamma(a, b) for a stack of several b per point.
+one call forms g(a, b) or Gamma(a, b) for several vectors per point.
+``covariant_derivative`` and ``pairing_rate_form`` put the basis directions
+on leading axes of a (and of b) and pass x of shape (..., n) as it is, so a
+closure must broadcast leading axes of a and b against x; every ufunc in it
+then runs along the points, not along n <= 3 directions.
 ``covariant_derivative`` returns the matrix of v -> nabla_v X per point.
 A stack of unit tangent states is one array of shape (N, 2n): positions in
 columns :n and velocities in columns n:2n, the layout the geodesic stepper
@@ -325,17 +329,30 @@ def _field_jacobian(field: VectorFieldDef, m: ChartedManifold,
     return J
 
 
+def _directions(n: int, lead: int) -> np.ndarray:
+    """The chart basis e_0, ..., e_{n-1} as a stack of shape
+    (n,) + (1,) * lead + (n,): one direction per leading index, to broadcast
+    against points with ``lead`` leading axes."""
+    return np.eye(n).reshape((n,) + (1,) * lead + (n,))
+
+
 def covariant_derivative(field: VectorFieldDef, m: ChartedManifold,
                          x) -> np.ndarray:
     """The covariant derivative of the field at x as matrices A[..., k, i],
     with (nabla_v X)^k = A[k, i] v^i = v^i d_i X^k + Gamma(v, X)^k: the
     Jacobian J plus Gamma(e_i, X) for each basis vector e_i, from one
-    broadcast ``connection`` call."""
+    broadcast ``connection`` call.
+
+    The direction axis goes first: the basis, of shape (n, 1, ..., 1, n),
+    meets x and X of shape (..., n) unexpanded, so the closure broadcasts
+    the leading axes of a against x and b and every ufunc in it runs over
+    the points rather than over n <= 3 directions; Gamma(e_i, X), shape
+    (n, ..., n), then moves its direction axis last."""
     x = np.asarray(x, dtype=float)
     J = _field_jacobian(field, m, x)
     X = _components(field, x)
-    G = m.connection(x[..., None, :], np.eye(m.dim), X[..., None, :])
-    return J + np.swapaxes(G, -1, -2)
+    G = m.connection(x, _directions(m.dim, x.ndim - 1), X)
+    return J + np.moveaxis(G, 0, -1)
 
 
 def divergence(field: VectorFieldDef, m: ChartedManifold, x,
@@ -398,14 +415,18 @@ def pairing_rate_form(field: VectorFieldDef, m: ChartedManifold, x) -> np.ndarra
     over many directions cheap.  Q is the symmetrized Q[k, i] = g(e_k, A e_i)
     of the covariant derivative A, from one broadcast ``inner`` call; the
     points must lie in the chart domain and every entry be finite.
+
+    As in ``covariant_derivative`` the direction axes go first: e_k of shape
+    (n, 1, 1, ..., 1, n) against the columns A e_i, shape (n, ..., n), and
+    x (..., n), so the closure broadcasts the leading axes of a and b against
+    x; the (k, i, ...) result then moves its two direction axes last.
     """
     x = np.asarray(x, dtype=float)
     _check_domain(m, x)
-    n = m.dim
     with np.errstate(**_FAR_FIELD):
         A = covariant_derivative(field, m, x)
-        Q = m.inner(x[..., None, None, :], np.eye(n)[:, None, :],
-                    np.swapaxes(A, -1, -2)[..., None, :, :])
+        Q = m.inner(x, _directions(m.dim, x.ndim), np.moveaxis(A, -1, 0))
+        Q = np.moveaxis(Q, (0, 1), (-2, -1))
     _check_finite(m, x, Q, "g(e_k, nabla X)")
     return 0.5 * (Q + np.swapaxes(Q, -1, -2))
 

@@ -13,8 +13,8 @@ points (N, n) and unit directions (N, k, n) to (N, k), or a
 ``QuadraticIntegrand``, post(v @ Q(x) @ v), whose fiber values come from
 the fiber rule's second moments without forming the directions.  Either
 way a fiber integral is ``values @ weights`` over fixed-size blocks of
-points; compensated sums remain where partial sums accumulate (a pass's
-weighted nodes, patches, error terms).
+points; where partial sums accumulate (a pass's weighted nodes, patches,
+error terms) the sums are math.fsum's correctly rounded ones.
 Reductions have fixed shapes and order, so results are deterministic for a
 given numpy build.
 """
@@ -333,6 +333,42 @@ def _tensor_nodes(patch: ShellPatch, order: int) -> tuple[np.ndarray, np.ndarray
     return u.reshape(-1, d), reduce(np.multiply.outer, [w for _, w in axes]).ravel()
 
 
+def _fsums(p: np.ndarray, lengths) -> list[float]:
+    """``math.fsum`` of each segment of p, the segments of the given
+    lengths (each at least 1) laid end to end, bit for bit, from a few
+    vectorized passes instead of fsum's loop over every element.
+
+    Error-free extraction (Rump, Ogita & Oishi, "Accurate floating-point
+    summation, part I", SIAM J. Sci. Comput. 31, 2008): with sigma a power
+    of two above 2 (n + 1) max |p| for a segment of n values, q = (sigma +
+    p) - sigma and p - q are exact, and the q are multiples of one grid
+    whose sums stay below sigma / 2, so ``np.add.reduceat`` adds them
+    exactly in any order.  Extracting again from the remainders p - q, whose
+    largest shrinks by about 2^-53 sigma each time, until all are zero
+    splits every segment into a few exact parts with the segment's exact
+    sum; ``math.fsum`` of those is its correctly rounded value, which is
+    what fsum returns.  Where a value is not finite or a sigma would pass
+    2^1023, every segment goes to ``math.fsum`` itself, which keeps its inf
+    and NaN results and its errors.
+    """
+    lengths = np.asarray(lengths)
+    starts = np.concatenate(([0], np.cumsum(lengths[:-1])))
+    # 2 (n + 1) < 2^grow for a segment of n values
+    grow = np.frexp(2.0 * (lengths + 1.0))[1]
+    parts, r = [], p
+    while True:
+        top = np.maximum.reduceat(np.abs(r), starts)
+        e = np.frexp(top)[1] + grow     # max |r| < 2^-grow sigma
+        if not parts and not (np.isfinite(top).all() and e.max() <= 1023):
+            return [math.fsum(p[s:s + n]) for s, n in zip(starts, lengths)]
+        sigma = np.repeat(np.ldexp(1.0, e), lengths)
+        q = (sigma + r) - sigma
+        parts.append(np.add.reduceat(q, starts))
+        r = r - q
+        if not r.any():
+            return [math.fsum(seg) for seg in zip(*parts)]
+
+
 def base_integrals(m: ChartedManifold, h: Callable[[np.ndarray], np.ndarray], regions,
                    order: int = 16) -> list[IntegralEstimate]:
     """Integrals of h against the volume measure over each bounded region,
@@ -346,9 +382,12 @@ def base_integrals(m: ChartedManifold, h: Callable[[np.ndarray], np.ndarray], re
     pass, region by region, patch by patch, the half pass first, go to h as
     one stack in that order, so a check that h makes point by point names
     the point that one call per pass would meet first.  Each pass is then
-    reduced alone, ``math.fsum`` of weight times h times density, so for an
-    h that acts point by point every estimate equals the one region's
-    ``base_integral`` to the bit.
+    reduced alone: its sum of weight times h times density is
+    ``math.fsum``'s correctly rounded value to the bit, formed for every
+    pass of the call at once by exact extraction (``_fsums``), with fsum's
+    own inf, NaN and overflow behaviour.  So for an h that acts point by
+    point every estimate equals the one region's ``base_integral`` to the
+    bit.
     """
     groups = [resolve_patches(m, region) for region in regions]
     passes = [(patch, *_tensor_nodes(patch, o)) for patches in groups
@@ -357,10 +396,9 @@ def base_integrals(m: ChartedManifold, h: Callable[[np.ndarray], np.ndarray], re
         return []
     x = np.concatenate([patch.to_chart(u) for patch, u, _ in passes])
     hx = np.broadcast_to(np.asarray(h(x), dtype=float), x.shape[:-1])
-    sums, start = [], 0
-    for patch, u, w in passes:
-        sums.append(math.fsum(w * (hx[start:start + len(u)] * patch.density(u))))
-        start += len(u)
+    w = np.concatenate([w for _, _, w in passes])
+    density = np.concatenate([patch.density(u) for patch, u, _ in passes])
+    sums = _fsums(w * (hx * density), [len(u) for _, u, _ in passes])
     # (half pass, full pass, full-pass nodes) of each patch in turn
     per_patch = iter(zip(sums[::2], sums[1::2], [len(u) for _, u, _ in passes[1::2]]))
     out = []

@@ -258,20 +258,27 @@ def make_surface_of_revolution() -> ChartedManifold:
     radius surrogate is meridian arclength from x = 0.
     """
 
+    # f, f' and f'' from one t = 1 + x^2, by the operations of _f, _df and
+    # _d2f, so the closures keep their bits
     def inner(x, a, b):
         x0 = x[..., 0]
-        f, fp = _f(x0), _df(x0)
+        t = 1.0 + x0 * x0
+        f, fp = 1.0 / t, -2.0 * x0 / (t * t)
         return (1.0 + fp * fp) * (a[..., 0] * b[..., 0]) + f * f * (a[..., 1] * b[..., 1])
 
     def connection(x, a, b):
         # Gamma^0_00 = f' f'' / (1 + f'^2), Gamma^0_11 = -f f' / (1 + f'^2),
         # Gamma^1_01 = Gamma^1_10 = f' / f
         x0 = x[..., 0]
-        f, fp, fpp = _f(x0), _df(x0), _d2f(x0)
+        t = 1.0 + x0 * x0
+        tt = t * t
+        f, fp, fpp = 1.0 / t, -2.0 * x0 / tt, (6.0 * x0 * x0 - 2.0) / (tt * t)
         d = 1.0 + fp * fp
         a0, a1, b0, b1 = a[..., 0], a[..., 1], b[..., 0], b[..., 1]
-        return np.stack([(fp * fpp * (a0 * b0) - f * fp * (a1 * b1)) / d,
-                         fp / f * (a0 * b1 + a1 * b0)], axis=-1)
+        out = np.empty(np.broadcast_shapes(x0.shape, a0.shape, b0.shape) + (2,))
+        np.divide(fp * fpp * (a0 * b0) - f * fp * (a1 * b1), d, out=out[..., 0])
+        np.multiply(fp / f, a0 * b1 + a1 * b0, out=out[..., 1])
+        return out
 
     arc = _MeridianArclength()
 

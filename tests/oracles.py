@@ -12,6 +12,10 @@ are references for what the package computes from a field's components and
 Jacobian; the analytic hyperbolic geodesic and the revolution embedding
 check the orbits and the revolution surface.  The divergences take a stack
 of points; the pairing rates, the geodesic and the embedding take one point.
+The trailing-layout covariant derivative and rate form are the broadcast
+calls that ``geometry`` made before it put the direction axis first, kept as
+a bit-for-bit reference.  ``TANH_RADIAL`` on warp:ex2 and its Stokes value
+on balls check a non-zero integral of div X.
 """
 
 import math
@@ -23,6 +27,7 @@ from divflow import zoo
 from divflow.flow import _whole, integrate_geodesic
 from divflow.geometry import (
     ChartedManifold,
+    VectorFieldDef,
     _components,
     _fd_steps,
     _field_jacobian,
@@ -283,6 +288,27 @@ def from_metric(name, dim, metric, **kw) -> ChartedManifold:
     return m
 
 
+def trailing_covariant_derivative(field, m, x) -> np.ndarray:
+    """``covariant_derivative`` with its broadcast ``connection`` call in
+    the trailing layout: one basis vector per point along an axis before the
+    last, x and X expanded to (..., 1, n)."""
+    x = np.asarray(x, dtype=float)
+    X = _components(field, x)
+    G = m.connection(x[..., None, :], np.eye(m.dim), X[..., None, :])
+    return _field_jacobian(field, m, x) + np.swapaxes(G, -1, -2)
+
+
+def trailing_rate_form(field, m, x) -> np.ndarray:
+    """``pairing_rate_form`` with its broadcast ``inner`` call in the
+    trailing layout: x expanded to (..., 1, 1, n) against the basis e_k and
+    the columns A e_i on the axes before the last."""
+    x = np.asarray(x, dtype=float)
+    A = trailing_covariant_derivative(field, m, x)
+    Q = m.inner(x[..., None, None, :], np.eye(m.dim)[:, None, :],
+                np.swapaxes(A, -1, -2)[..., None, :, :])
+    return 0.5 * (Q + np.swapaxes(Q, -1, -2))
+
+
 def tensor_rate_form(field, m, x) -> np.ndarray:
     """``pairing_rate_form`` with the covariant derivative J + G X formed
     from the oracle tensor: the symmetrized g (J + G X) at x."""
@@ -361,6 +387,36 @@ FX = {
     "hyperbolic:rotation": lambda x, v: 0.0,
     "warp:ex4:Z": _ex4_Z_fx,
 }
+
+
+# ---------------------------------------------------------------------------
+# a field of non-zero divergence: tanh(r) d_r on warp:ex2
+
+
+def _tanh_radial_components(x):
+    X = np.zeros(np.shape(x))
+    X[..., 0] = np.tanh(x[..., 0])
+    return X
+
+
+def _tanh_radial_jacobian(x):
+    J = np.zeros(np.shape(x)[:-1] + (3, 3))
+    c = np.cosh(x[..., 0])
+    J[..., 0, 0] = 1.0 / (c * c)
+    return J
+
+
+# X = tanh(r) d_r on warp:ex2: smooth at r = 0, |X| <= 1, and div X != 0
+TANH_RADIAL = VectorFieldDef(_tanh_radial_components, _tanh_radial_jacobian)
+
+
+def tanh_radial_ball_integral(R: float) -> float:
+    """Integral of div X over the ball r <= R of warp:ex2 for X =
+    ``TANH_RADIAL``, by Stokes: the flux |X| area(r = R) =
+    4 pi^2 tanh(R) sinh(R) b(R), which tends to 0 as R grows because
+    sinh(R) b(R) = sinh(2)^2 / sinh(R) past R = 2."""
+    b = float(zoo.warp_profile_finite_volume().b(R))
+    return 4.0 * math.pi ** 2 * math.tanh(R) * math.sinh(R) * b
 
 
 # ---------------------------------------------------------------------------

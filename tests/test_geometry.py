@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from divflow.geometry import (
     divergence,
     metric_at,
     orthonormal_frame,
+    pairing_rate_form,
     volume_density,
 )
 from divflow.integrals import sample_box_points, sample_states
@@ -24,9 +27,13 @@ from oracles import (
     PAIR_IDS,
     christoffel_symbols,
     fd_christoffel,
+    fd_connection,
     field_pairs,
     from_metric,
+    metric_matrix,
     pairing_rates,
+    trailing_covariant_derivative,
+    trailing_rate_form,
     unit_states,
 )
 
@@ -147,6 +154,36 @@ def test_covariant_derivative_trivial_cases(torus):
     (st,) = unit_states(torus, [0.3, 0.4], [1.0, 0.0])
     assert_allclose(covariant_derivative(zero, torus, st[:2]) @ st[2:], 0.0, atol=1e-15)
     assert_allclose(covariant_derivative(const, torus, st[:2]) @ st[2:], 0.0, atol=1e-12)
+
+
+def _layout_manifold(z, kind):
+    """The zoo manifold z, z given by its metric matrix alone, or z with the
+    connection of its finite-difference symbols."""
+    if kind == "zoo":
+        return z
+    if kind == "metric-matrix":
+        return from_metric(z.name, z.dim, partial(metric_matrix, z), domain=z.domain,
+                           periods=z.periods, sample_box=z.sample_box)
+    return dataclasses.replace(z, connection=fd_connection(z))
+
+
+@pytest.mark.parametrize("kind", ["zoo", "metric-matrix", "fd-connection"])
+@pytest.mark.parametrize("mid,fid", PAIR_IDS)
+def test_direction_first_calls_keep_the_trailing_layouts_bits(mid, fid, kind, rng):
+    # the basis on a leading axis gives every value of the trailing-axis
+    # broadcast calls, bit for bit, on closures of elementwise arithmetic
+    # and on the test-made ones of matmul and einsum; one point of shape
+    # (n,) still gives one (n, n) matrix
+    m = _layout_manifold(zoo.manifold(mid), kind)
+    field = zoo.vector_field(fid)
+    pts = sample_box_points(m, 24, rng)
+    n = m.dim
+    for x in (pts, pts.reshape(4, 6, n), pts[:1], pts[0]):
+        for new, old in ((covariant_derivative, trailing_covariant_derivative),
+                         (pairing_rate_form, trailing_rate_form)):
+            got, want = new(field, m, x), old(field, m, x)
+            assert got.shape == want.shape == x.shape[:-1] + (n, n), (new.__name__, x.shape)
+            assert got.tobytes() == want.tobytes(), (new.__name__, kind, x.shape)
 
 
 def test_divergence_of_W_vanishes(revolution, rng):

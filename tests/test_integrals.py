@@ -24,6 +24,7 @@ from divflow.integrals import (
     IntegralEstimate,
     QuadraticIntegrand,
     RadialShell,
+    _fsums,
     _uniform_in,
     base_integral,
     fiber_integral,
@@ -36,7 +37,13 @@ from divflow.integrals import (
     sample_liouville,
     sm_integral,
 )
-from oracles import PAIR_IDS, field_pairs, pairing_rates
+from oracles import (
+    PAIR_IDS,
+    TANH_RADIAL,
+    field_pairs,
+    pairing_rates,
+    tanh_radial_ball_integral,
+)
 
 TWO_PI = 2.0 * math.pi
 FOUR_PI_SQ = 4.0 * math.pi ** 2
@@ -271,6 +278,94 @@ def test_a_ladder_calls_its_integrand_once(ex4):
     assert [v for _, v in est.truncation_trace] == list(
         itertools.accumulate((r.value for r in rungs), initial=0.0))[1:]
     assert est.nodes == sum(r.nodes for r in rungs)
+
+
+def _fsum_outcome(fn, segments):
+    """The float bits of fn's pass sums of the segments, or the type and
+    message of what it raised."""
+    try:
+        return [float(v).hex() for v in fn(segments)]
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_fsums_are_fsum(segments):
+    segments = [np.asarray(seg, dtype=float) for seg in segments]
+    got = _fsum_outcome(lambda segs: _fsums(np.concatenate(segs), [len(s) for s in segs]),
+                        segments)
+    assert got == _fsum_outcome(lambda segs: [math.fsum(s) for s in segs], segments)
+
+
+# finite values spread over the exponent range, subnormals and zeros included
+_SPREAD = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False, min_value=-1e300, max_value=1e300),
+    st.builds(lambda m, e: m * 10.0 ** e, st.floats(-1.0, 1.0), st.integers(-300, 300)),
+    st.floats(min_value=-1e-307, max_value=1e-307),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324]),
+)
+
+
+@st.composite
+def _cancelling(draw):
+    # x and -x, shuffled, with noise far below them
+    xs = draw(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=20))
+    noise = draw(st.lists(st.floats(-1.0, 1.0), max_size=3))
+    seg = xs + [-x for x in xs] + [1e-20 * e for e in noise]
+    return draw(st.permutations(seg))
+
+
+_SEGMENT = st.one_of(
+    st.lists(_SPREAD, min_size=1, max_size=40),
+    st.lists(st.floats(1.0, 2.0), min_size=1, max_size=40),   # sums far above each value
+    _cancelling(),
+    st.lists(st.sampled_from([0.0, -0.0]), min_size=1, max_size=8),
+    st.lists(st.floats(-1e-310, 1e-310), min_size=1, max_size=8),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(segments=st.lists(_SEGMENT, min_size=1, max_size=30))
+def test_pass_sums_are_fsums_bit_for_bit(segments):
+    _assert_fsums_are_fsum(segments)
+
+
+@pytest.mark.parametrize("bad", [
+    [math.inf], [math.nan], [math.inf, 1.0, -math.inf], [1e308, 1e308],
+    [1e308, 1e308, -1e308], [-1e308] * 3 + [1e308] * 3, [8e307] * 5, [1.7e308],
+])
+def test_pass_sums_fall_back_to_fsum_on_what_it_alone_handles(bad):
+    # infinities and NaN give fsum's inf, NaN or ValueError, and sums that
+    # would overflow (or a sigma past 2^1023) its OverflowError, whichever
+    # pass holds them
+    for segments in ([bad], [[1.0, 2.0], bad, [3.0]], [[0.5] * 7, [1e-300], bad]):
+        _assert_fsums_are_fsum(segments)
+
+
+def test_pass_sums_of_single_values_and_long_passes(rng):
+    values = rng.standard_normal(5000) * 10.0 ** rng.uniform(-30, 30, 5000)
+    _assert_fsums_are_fsum(list(values[:50, None]))
+    _assert_fsums_are_fsum([values[:1], values[1:4000], values[4000:4001], values[4001:]])
+    same_sign = rng.uniform(1.0, 2.0, 5000)
+    _assert_fsums_are_fsum([same_sign[:4999], same_sign[4999:], -same_sign])
+
+
+def test_div_ladder_of_a_field_with_flux_matches_stokes(ex2):
+    # X = tanh(r) d_r on warp:ex2 has div X != 0, and on every ball its
+    # integral is the flux through the sphere r = R; each rung of the ladder
+    # matches that within SIGMA of its accumulated quadrature stderr
+    SIGMA, FLOOR = 3.0, 1e-12
+    h = partial(divergence, TANH_RADIAL, ex2)
+    ladder = ladder_integral(ex2, h, r0=1.0, rungs=6, order=16)
+    radii = [R for R, _ in ladder.truncation_trace]
+    shells = integrals.base_integrals(
+        ex2, h, [RadialShell(lo, R) for lo, R in zip([0.0] + radii[:-1], radii)], order=16)
+    assert radii == [1.0, 2.0, 4.0, 8.0, 16.0, 32.0]
+    stderr = list(itertools.accumulate(e.stderr for e in shells))
+    for (R, value), err in zip(ladder.truncation_trace, stderr):
+        assert abs(value - tanh_radial_ball_integral(R)) <= SIGMA * err + FLOOR, (R, value)
+    # the flux rises to about 138 at R = 2 and then decays like 1/sinh R
+    values = [v for _, v in ladder.truncation_trace]
+    assert values[1] > 100.0 and abs(values[-1]) < 1e-9
 
 
 def test_no_regions_give_no_estimates(ex4):
