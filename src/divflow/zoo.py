@@ -85,10 +85,6 @@ def _df(x):
     return -2.0 * x / _ipow(1.0 + x * x, 2)
 
 
-def _d2f(x):
-    return (6.0 * x * x - 2.0) / _ipow(1.0 + x * x, 3)
-
-
 class _HermiteBlend:
     """Polynomial blend matching the listed derivatives at both ends.
 
@@ -258,8 +254,7 @@ def make_surface_of_revolution() -> ChartedManifold:
     radius surrogate is meridian arclength from x = 0.
     """
 
-    # f, f' and f'' from one t = 1 + x^2, by the operations of _f, _df and
-    # _d2f, so the closures keep their bits
+    # f = 1/t, f' = -2x/t^2 and f'' = (6x^2 - 2)/t^3 from one t = 1 + x^2
     def inner(x, a, b):
         x0 = x[..., 0]
         t = 1.0 + x0 * x0

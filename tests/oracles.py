@@ -183,7 +183,8 @@ def _torus_symbols(x):
 
 def _revolution_symbols(x):
     x0 = x[..., 0]
-    fx, fp, fpp = zoo._f(x0), zoo._df(x0), zoo._d2f(x0)
+    fx, fp = zoo._f(x0), zoo._df(x0)
+    fpp = (6.0 * x0 * x0 - 2.0) / (1.0 + x0 * x0) ** 3
     d = 1.0 + fp * fp
     G = np.zeros(x.shape[:-1] + (2, 2, 2))
     G[..., 0, 0, 0] = fp * fpp / d
