@@ -398,9 +398,10 @@ def base_integrals(m: ChartedManifold, h: Callable[[np.ndarray], np.ndarray], re
     hx = np.broadcast_to(np.asarray(h(x), dtype=float), x.shape[:-1])
     w = np.concatenate([w for _, _, w in passes])
     density = np.concatenate([patch.density(u) for patch, u, _ in passes])
-    sums = _fsums(w * (hx * density), [len(u) for _, u, _ in passes])
+    nodes = [len(u) for _, u, _ in passes]
+    sums = _fsums(w * (hx * density), nodes)
     # (half pass, full pass, full-pass nodes) of each patch in turn
-    per_patch = iter(zip(sums[::2], sums[1::2], [len(u) for _, u, _ in passes[1::2]]))
+    per_patch = iter(zip(sums[::2], sums[1::2], nodes[1::2]))
     out = []
     for patches in groups:
         est = [next(per_patch) for _ in patches]
