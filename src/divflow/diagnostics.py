@@ -166,10 +166,13 @@ def rate_integrability_ladder(m: ChartedManifold, field: VectorFieldDef,
     """Truncation ladder of |pairing rate| over the unit tangent bundle,
     restricted to base radius <= R on the doubling ladder.
 
-    A converging trace is evidence of integrability; a diverging trace is
-    flagged through ``converged=False`` and the recorded trace.
+    Each fiber integral of |v @ Q @ v| is exact (``fiber_integral`` of an
+    absolute ``QuadraticIntegrand``), so the ladder's ``stderr``, the
+    distance of the half from the full base pass, carries no fiber rule
+    error.  A converging trace is evidence of integrability; a diverging
+    trace is flagged through ``converged=False`` and the recorded trace.
     """
-    F = QuadraticIntegrand(partial(pairing_rate_form, field, m), post=np.abs)
+    F = QuadraticIntegrand(partial(pairing_rate_form, field, m), absolute=True)
     return ladder_integral(m, partial(fiber_integral, m, F), r0, rungs, order, rel_tol)
 
 

@@ -407,14 +407,17 @@ def pairing_rate(field: VectorFieldDef, m: ChartedManifold, x, v):
     return m.inner(x, W, v)
 
 
-def pairing_rate_form(field: VectorFieldDef, m: ChartedManifold, x) -> np.ndarray:
+def pairing_rate_form(field: VectorFieldDef, m: ChartedManifold, x,
+                      A: Optional[np.ndarray] = None) -> np.ndarray:
     """Matrices Q with pairing rate = v @ Q @ v for unit v at x.
 
     The rate of g(X, gamma') along the geodesic through (x, v) is the
     quadratic form g(nabla_v X, v); factoring Q out once makes fiber sweeps
     over many directions cheap.  Q is the symmetrized Q[k, i] = g(e_k, A e_i)
     of the covariant derivative A, from one broadcast ``inner`` call; the
-    points must lie in the chart domain and every entry be finite.
+    points must lie in the chart domain and every entry be finite.  A caller
+    that has formed ``covariant_derivative(field, m, x)`` already passes it
+    as ``A``.
 
     As in ``covariant_derivative`` the direction axes go first: e_k of shape
     (n, 1, 1, ..., 1, n) against the columns A e_i, shape (n, ..., n), and
@@ -424,7 +427,8 @@ def pairing_rate_form(field: VectorFieldDef, m: ChartedManifold, x) -> np.ndarra
     x = np.asarray(x, dtype=float)
     _check_domain(m, x)
     with np.errstate(**_FAR_FIELD):
-        A = covariant_derivative(field, m, x)
+        if A is None:
+            A = covariant_derivative(field, m, x)
         Q = m.inner(x, _directions(m.dim, x.ndim), np.moveaxis(A, -1, 0))
         Q = np.moveaxis(Q, (0, 1), (-2, -1))
     _check_finite(m, x, Q, "g(e_k, nabla X)")

@@ -10,10 +10,14 @@ A base integrand h maps chart points (N, n) to values broadcastable to
 ``base_integrals`` call (every rung of a ladder, say) are one call.  A
 bundle integrand is of one of two kinds: a generic F(X, V), which maps
 points (N, n) and unit directions (N, k, n) to (N, k), or a
-``QuadraticIntegrand``, post(v @ Q(x) @ v), whose fiber values come from
-the fiber rule's second moments without forming the directions.  Either
-way a fiber integral is ``values @ weights`` over fixed-size blocks of
-points; where partial sums accumulate (a pass's weighted nodes, patches,
+``QuadraticIntegrand``, v @ Q(x) @ v or its absolute value, whose fiber
+integrals never form the directions.  A generic F and the plain form go
+through the fiber rule, the form through the rule's second moments, as
+``values @ weights`` over fixed-size blocks of points.  The absolute value
+has kinks where the form changes sign, on which the rule converges only
+algebraically, so its fiber integral is exact instead: a closed form in
+2-D, and in 3-D a closed part beside one KINK_ORDER-node Gauss piece per
+point.  Where partial sums accumulate (a pass's weighted nodes, patches,
 error terms) the sums are math.fsum's correctly rounded ones.
 Reductions have fixed shapes and order, so results are deterministic for a
 given numpy build.
@@ -33,6 +37,7 @@ from numpy.polynomial.legendre import leggauss
 from .geometry import (
     ChartedManifold,
     DomainError,
+    _check_finite,
     _quadratic,
     metric_at,  # noqa: F401  (perfbench's tracer test asserts integrals.metric_at)
     orthonormal_frame,
@@ -203,72 +208,180 @@ def fiber_rule(n: int) -> FiberRule:
 
 
 class QuadraticIntegrand:
-    """The bundle integrand post(v @ Q(x) @ v) of a field of quadratic forms.
+    """The bundle integrand v @ Q(x) @ v, or its absolute value, of a field
+    of quadratic forms.
 
-    ``form`` maps points (N, n) to matrices Q (N, n, n); ``post`` is an
-    optional elementwise map of the values (np.abs, say), applied in place
-    when it is a ufunc.  Called as F(X, V)
-    on directions V (N, k, n) it is an ordinary bundle integrand;
-    ``fiber_integral`` instead contracts Q in the orthonormal frame with the
-    fiber rule's second moments and never builds the directions.
+    ``form`` maps points (N, n) to matrices Q (N, n, n); with ``absolute``
+    the integrand is |v @ Q @ v|.  Called as F(X, V) on directions V
+    (N, k, n) it is an ordinary bundle integrand.  ``fiber_integral``
+    instead works from the frame-form E^T Q E and never builds the
+    directions: the plain form through the fiber rule's second moments,
+    the absolute value through its exact fiber integral
+    (``_abs_form_fiber_integrals``).
     """
 
-    def __init__(self, form: Callable[[np.ndarray], np.ndarray],
-                 post: Optional[Callable[[np.ndarray], np.ndarray]] = None):
-        self.form, self.post = form, post
-
-    def _finish(self, values: np.ndarray) -> np.ndarray:
-        """post of freshly formed values, which it may overwrite."""
-        if self.post is None:
-            return values
-        if isinstance(self.post, np.ufunc):
-            return self.post(values, out=values)
-        return self.post(values)
+    def __init__(self, form: Callable[[np.ndarray], np.ndarray], absolute: bool = False):
+        self.form, self.absolute = form, absolute
 
     def __call__(self, X, V) -> np.ndarray:
-        return self._finish(_quadratic(self.form(X), V))
+        values = _quadratic(self.form(X), V)
+        return np.abs(values) if self.absolute else values
 
 
-# bytes of one block's (points, directions, n) node array in fiber_integral;
-# the frame and the form are per point and are formed for the whole stack
+# Gauss-Legendre order of the one piece of an exact 3-D |form| integral
+# that is not closed (see ``_abs_form_fiber_integrals``)
+KINK_ORDER = 20
+
+
+@lru_cache(maxsize=1)
+def _kink_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Gauss nodes in t on [0, 1] under u = u_k s(t), s = 1 - (1 - t)^4,
+    as s^2 and sqrt(1 - s^2), and the Gauss weights times ds/dt = 4 (1 -
+    t)^3 times the 8 of the two hemispheres and the ring closed form."""
+    t, w = _gl(KINK_ORDER, 0.0, 1.0)
+    r = (1.0 - t) ** 4
+    s = 1.0 - r
+    return s * s, np.sqrt(r * (1.0 + s)), 32.0 * (1.0 - t) ** 3 * w
+
+
+def _eigenvalues3(Q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenvalues l1 <= l2 <= l3 (N,) of symmetric 3 x 3 matrices Q (N, 3,
+    3), from their lower triangles, in closed form (Smith, "Eigenvalues of a
+    symmetric 3 x 3 matrix", CACM 4, 1961): with q = tr Q / 3 and p^2 = |Q
+    - q I|^2 / 6, they are q + 2 p cos(phi + 2 pi j / 3), 3 phi = acos(det((Q
+    - q I) / p) / 2).  Each matrix is divided by its largest entry first, so
+    no square or cube leaves the float range.  Near a double eigenvalue acos
+    loses half the digits of the pair's split, which moves a symmetric
+    function of the spectrum, as a sphere integral is, only at second order.
+    """
+    a, d, b, e, f, c = (Q[:, i, j] for i, j in ((0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2)))
+    top = np.max(np.abs([a, d, b, e, f, c]), axis=0)
+    scale = np.where(top > 0.0, top, 1.0)
+    a, d, b, e, f, c = (v / scale for v in (a, d, b, e, f, c))
+    q = (a + b + c) / 3.0
+    a, b, c = a - q, b - q, c - q
+    p = np.sqrt((a * a + b * b + c * c + 2.0 * (d * d + e * e + f * f)) / 6.0)
+    det = a * (b * c - f * f) - d * (d * c - f * e) + e * (d * f - b * e)
+    ps = np.where(p > 0.0, p, 1.0)
+    phi = np.arccos(np.clip(0.5 * det / (ps * ps * ps), -1.0, 1.0)) / 3.0
+    l3 = q + 2.0 * p * np.cos(phi)
+    l1 = q + 2.0 * p * np.cos(phi + 2.0 * math.pi / 3.0)
+    l2 = np.clip(3.0 * q - l1 - l3, l1, l3)
+    return l1 * scale, l2 * scale, l3 * scale
+
+
+def _abs_form_fiber_integrals(Q: np.ndarray) -> np.ndarray:
+    """Integrals of |v @ Q @ v| over the unit sphere of R^n, n = 2 or 3, for
+    symmetric matrices Q (N, n, n) (their lower triangles), as (N,).
+
+    On a ring where v @ Q @ v = A + B cos 2 theta, B >= 0, the integral is
+    2 pi |A| outside (|A| >= B) and 4 (c + A asin(A / B)), c = sqrt(B^2 -
+    A^2), inside; 4 (c + A atan2(A, c)), c clamped at 0, is both.  In 2-D
+    that is the answer, with A = tr Q / 2 and B = hypot((Q00 - Q11) / 2,
+    Q10).  In 3-D, with eigenvalues l1 <= l2 <= l3 and the pole on l2's
+    eigenvector, the ring at height u has A = alpha (1 - y) + l2 y and B =
+    beta (1 - y), y = u^2, alpha = (l1 + l3) / 2, beta = (l3 - l1) / 2.  It
+    is outside above at most one kink ring u_k = sqrt(w), where B + A = l3
+    - (l3 - l2) y (l2 <= 0) or B - A = -l1 - (l2 - l1) y (l2 > 0) turns
+    sign, and inside below it; w = 0 for a definite form.  A keeps one sign
+    above u_k, so that piece is 2 pi |P(1) - P(u_k)|, P(u) = alpha (u - u^3
+    / 3) + l2 u^3 / 3.  Below u_k the ring value goes to KINK_ORDER Gauss
+    nodes under u = u_k (1 - (1 - t)^4), which makes its (u_k - u)^{3/2}
+    singularity smooth; there B^2 - A^2 is the vanishing factor, p (1 -
+    s^2) with p its value at y = 0, times the other one.  The two
+    hemispheres double the sum.  Everything finite gives a finite value, 0
+    for the zero form, and no warning.
+    """
+    if Q.shape[-1] == 2:
+        A = 0.5 * (Q[:, 0, 0] + Q[:, 1, 1])
+        B = np.hypot(0.5 * (Q[:, 0, 0] - Q[:, 1, 1]), Q[:, 1, 0])
+        a = np.abs(A)
+        c = np.sqrt(np.maximum(B - a, 0.0)) * np.sqrt(B + a)
+        return 4.0 * (c + A * np.arctan2(A, c))
+    l1, l2, l3 = _eigenvalues3(Q)
+    alpha = 0.5 * (l1 + l3)
+    kink = (l1 < 0.0) & (l3 > 0.0)
+    low = l2 <= 0.0
+    # the vanishing factor p - slope * y and the other one q - r * y
+    p = np.where(kink, np.where(low, l3, -l1), 0.0)
+    slope = np.where(kink, np.where(low, l3 - l2, l2 - l1), 1.0)
+    q = np.where(kink, np.where(low, -l1, l3), 0.0)
+    r = np.where(kink, np.where(low, l2 - l1, l3 - l2), 0.0)
+    w = p / slope
+    uk = np.sqrt(w)
+    outside = np.abs(alpha * (1.0 - uk) + (l2 - alpha) * (1.0 - uk * w) / 3.0)
+    s2, root, weights = _kink_rule()
+    y = w[:, None] * s2
+    A = (l2 - alpha)[:, None] * y
+    A += alpha[:, None]
+    # the other factor, -l1 (1 - y) - l2 y or l3 (1 - y) + l2 y, is at least
+    # q (1 - y) > 2.7e-10 q at every node, so its root needs no clamp
+    c = np.multiply(r[:, None], y, out=y)
+    np.subtract(q[:, None], c, out=c)
+    np.sqrt(c, out=c)
+    c *= root
+    c *= np.sqrt(p)[:, None]
+    ring = np.arctan2(A, c)
+    ring *= A
+    ring += c
+    # einsum, not a matmul: each row's sum does not depend on the others
+    return 4.0 * math.pi * outside + uk * np.einsum("ij,j->i", ring, weights)
+
+
+# bytes of one block's node arrays in fiber_integral: the rule's (points,
+# directions, n) array, or the exact |form| route's three (points,
+# KINK_ORDER) ones; the frame and the form are per point and are formed for
+# the whole stack
 FIBER_BLOCK_BYTES = 3 << 19
 
 
 def fiber_integral(m: ChartedManifold, F: Callable, x):
-    """Integral of F(x, v) over the unit sphere of the tangent space at x,
-    by the rule ``fiber_rule(m.dim)``.
+    """Integral of F(x, v) over the unit sphere of the tangent space at x.
 
     ``x`` has shape (..., n), one point being a stack of one, and the
     result has shape x.shape[:-1]: () for one point.
     Directions come from a g-orthonormal frame E (Gram-Schmidt on the chart
-    basis), so the rule's round measure matches the fiber measure of the
-    unit tangent bundle.  E depends only on the point, so it is formed once
-    for the whole stack, as is the frame-form E^T Q E of a
-    QuadraticIntegrand (F.form called once).  Only the node values go in
-    blocks of b points, as many as fit a (b, k, n) array in
-    FIBER_BLOCK_BYTES.  A generic F gets each block's points (b, n) and
-    directions (b, k, n) and returns values that broadcast to (b, k).  For a
-    QuadraticIntegrand the node values are the frame-form times the rule's
-    second moments, one (b, n*n) @ (n*n, k) product into one block buffer
-    per call.  Both kinds reduce with ``values @ weights``.
+    basis), so the round measure of the fiber rule ``fiber_rule(m.dim)``
+    matches the fiber measure of the unit tangent bundle.  E depends only
+    on the point, so it is formed once for the whole stack, as is the
+    frame-form E^T Q E of a QuadraticIntegrand (F.form called once).  An
+    absolute QuadraticIntegrand takes the exact route,
+    ``_abs_form_fiber_integrals`` of the frame-form, in blocks of b points,
+    as many as fit its three (b, KINK_ORDER) arrays in FIBER_BLOCK_BYTES; a
+    frame-form that is not finite raises MetricError.  Every other
+    integrand goes through the rule, its node values in blocks of b points,
+    as many as fit a (b, k, n) array in FIBER_BLOCK_BYTES.  A generic F gets
+    each block's points (b, n) and directions (b, k, n) and returns values
+    that broadcast to (b, k).  For a plain QuadraticIntegrand the node
+    values are the frame-form times the rule's second moments, one (b, n*n)
+    @ (n*n, k) product into one block buffer per call.  Both reduce with
+    ``values @ weights``.
     """
     x = np.asarray(x, dtype=float)
     rule = fiber_rule(m.dim)
     X = x.reshape(-1, m.dim)
     out = np.empty(len(X))
-    block = max(1, FIBER_BLOCK_BYTES // rule.nodes.nbytes)
     E = orthonormal_frame(m, X)   # raises where g is not SPD
     Et = np.swapaxes(E, -1, -2)
     quadratic = isinstance(F, QuadraticIntegrand)
     if quadratic:
-        Q = (Et @ F.form(X) @ E).reshape(len(X), -1)
+        Q = Et @ F.form(X) @ E
+        if F.absolute:
+            _check_finite(m, X, Q, "frame-form E^T Q E")
+            block = max(1, FIBER_BLOCK_BYTES // (3 * 8 * KINK_ORDER))
+            for s in range(0, len(X), block):
+                out[s:s + block] = _abs_form_fiber_integrals(Q[s:s + block])
+            return out.reshape(x.shape[:-1])
+        Q = Q.reshape(len(X), -1)
+    block = max(1, FIBER_BLOCK_BYTES // rule.nodes.nbytes)
+    if quadratic:
         # one buffer for every block: fresh (b, k) arrays are handed back
         # and faulted in again between blocks
         buf = np.empty((min(block, len(X)), rule.moments.shape[1]))
     for s in range(0, len(X), block):
         if quadratic:
             q = Q[s:s + block]
-            vals = F._finish(np.matmul(q, rule.moments, out=buf[:len(q)]))
+            vals = np.matmul(q, rule.moments, out=buf[:len(q)])
         else:
             V = rule.nodes @ Et[s:s + block]
             vals = np.broadcast_to(np.asarray(F(X[s:s + block], V), dtype=float), V.shape[:-1])

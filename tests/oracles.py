@@ -15,13 +15,16 @@ of points; the pairing rates, the geodesic and the embedding take one point.
 The trailing-layout covariant derivative and rate form are the broadcast
 calls that ``geometry`` made before it put the direction axis first, kept as
 a bit-for-bit reference.  ``TANH_RADIAL`` on warp:ex2 and its Stokes value
-on balls check a non-zero integral of div X.
+on balls check a non-zero integral of div X.  ``abs_form_sphere_integral``
+(adaptive quadrature) and ``double_eigenvalue_sphere_integral`` (closed
+form) are references for the exact fiber integrals of |v @ Q @ v|.
 """
 
 import math
 from functools import partial
 
 import numpy as np
+from scipy.integrate import quad
 
 from divflow import zoo
 from divflow.flow import _whole, integrate_geodesic
@@ -418,6 +421,71 @@ def tanh_radial_ball_integral(R: float) -> float:
     sinh(R) b(R) = sinh(2)^2 / sinh(R) past R = 2."""
     b = float(zoo.warp_profile_finite_volume().b(R))
     return 4.0 * math.pi ** 2 * math.tanh(R) * math.sinh(R) * b
+
+
+# ---------------------------------------------------------------------------
+# |quadratic form| over the unit sphere
+
+
+def _quad(g, lo: float, hi: float, points) -> float:
+    return quad(g, lo, hi, points=points or None, epsabs=0.0, epsrel=1e-13, limit=400)[0]
+
+
+def abs_form_sphere_integral(Q) -> float:
+    """The integral of |v @ Q @ v| over the unit sphere of R^n, n = 2 or 3,
+    for one symmetric matrix Q, by scipy's adaptive ``quad``: a reference
+    for ``integrals._abs_form_fiber_integrals`` that shares none of its
+    steps but the eigenvalues.
+
+    In 2-D it integrates |v @ Q @ v| over the angle, broken at the form's
+    zeros.  In 3-D the pole goes on the eigenvector of the least
+    eigenvalue l1 (the package puts it on the middle one), where the form
+    at azimuth theta is c + (l1 - c) u^2 in the height u, c = l2 cos^2 +
+    l3 sin^2; its absolute value has an exact integral in u, piecewise
+    polynomial about its one root, and ``quad`` integrates that in theta,
+    broken where c changes sign.
+    """
+    Q = np.asarray(Q, dtype=float)
+    if Q.shape == (2, 2):
+        a, b, d = Q[0, 0], Q[0, 1] + Q[1, 0], Q[1, 1]
+
+        def ring(th):
+            c, s = math.cos(th), math.sin(th)
+            return abs(a * c * c + b * c * s + d * s * s)
+
+        # zeros: d t^2 + b t + a = 0 in t = tan(theta), or cos(theta) = 0 if d = 0
+        roots = [1.0] if d == 0.0 else np.roots([d, b, a])
+        zeros = [0.5 * math.pi if d == 0.0 else math.atan(t.real) % math.pi
+                 for t in roots if abs(complex(t).imag) == 0.0]
+        return 2.0 * _quad(ring, 0.0, math.pi, sorted(zeros))
+    l1, l2, l3 = np.linalg.eigvalsh(Q)
+
+    def column(th):
+        c = l2 * math.cos(th) ** 2 + l3 * math.sin(th) ** 2
+        d = l1 - c
+        whole = c + d / 3.0
+        if c * l1 >= 0.0:
+            return abs(whole)
+        u0 = math.sqrt(c / (c - l1))
+        part = c * u0 + d * u0 ** 3 / 3.0
+        return abs(part) + abs(whole - part)
+
+    kinks = []
+    if l2 * l3 < 0.0:
+        t = math.atan(math.sqrt(-l2 / l3))
+        kinks = [t, math.pi - t]
+    # the two hemispheres, and theta and theta + pi
+    return 4.0 * _quad(column, 0.0, math.pi, kinks)
+
+
+def double_eigenvalue_sphere_integral(lam: float, mu: float) -> float:
+    """The integral of |v @ Q @ v| over the unit sphere of R^3 for a form
+    with eigenvalues (lam, mu, mu), k = 1 - lam / mu > 1: about lam's
+    eigenvector the form is mu (1 - k u^2) on every ring at height u, so it
+    is 4 pi |mu| [2 (u0 - k u0^3 / 3) - (1 - k / 3)], u0 = k^(-1/2)."""
+    k = 1.0 - lam / mu
+    u0 = k ** -0.5
+    return 4.0 * math.pi * abs(mu) * (2.0 * (u0 - k * u0 ** 3 / 3.0) - (1.0 - k / 3.0))
 
 
 # ---------------------------------------------------------------------------

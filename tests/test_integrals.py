@@ -11,6 +11,7 @@ from scipy.integrate import quad
 
 from divflow import integrals, runner, zoo
 from divflow.geometry import (
+    MetricError,
     covariant_derivative,
     divergence,
     field_norm,
@@ -40,6 +41,8 @@ from divflow.integrals import (
 from oracles import (
     PAIR_IDS,
     TANH_RADIAL,
+    abs_form_sphere_integral,
+    double_eigenvalue_sphere_integral,
     field_pairs,
     pairing_rates,
     tanh_radial_ball_integral,
@@ -105,18 +108,31 @@ def test_fiber_average_identity_all_pairs(kind, rng):
             assert abs(fib - w * divergence(f, m, x)) < tol, (fid, x)
 
 
-@pytest.mark.parametrize("post", [None, np.abs], ids=["rate", "abs-rate"])
+def _frame_forms(m, Q, pts):
+    """E^T Q E at each point, E the orthonormal frame there."""
+    E = orthonormal_frame(m, pts)
+    return np.swapaxes(E, -1, -2) @ Q(pts) @ E
+
+
+@pytest.mark.parametrize("absolute", [False, True], ids=["rate", "abs-rate"])
 @pytest.mark.parametrize("mid,fid", PAIR_IDS)
-def test_quadratic_fiber_path_matches_generic(mid, fid, post, rng):
+def test_quadratic_fiber_path_matches_generic(mid, fid, absolute, rng):
+    # the plain form against the rule on the directions; |form|, exact and
+    # without the rule, against the adaptive reference of each point's
+    # frame-form
     m, f = zoo.manifold(mid), zoo.vector_field(fid)
     pts = sample_box_points(m, 40, rng)
-    F = QuadraticIntegrand(partial(pairing_rate_form, f, m), post=post)
+    form = partial(pairing_rate_form, f, m)
+    F = QuadraticIntegrand(form, absolute=absolute)
     quadratic = fiber_integral(m, F, pts)
-    generic = fiber_integral(m, lambda X, V: F(X, V), pts)
+    if absolute:
+        reference = [abs_form_sphere_integral(q) for q in _frame_forms(m, form, pts)]
+    else:
+        reference = fiber_integral(m, lambda X, V: F(X, V), pts)
     # relative to the integral of |rate|, which bounds both values; a
     # Killing field's rate integrates to round-off
     scale = fiber_integral(m, lambda X, V: np.abs(F(X, V)), pts)
-    assert np.all(np.abs(quadratic - generic) <= 1e-12 * scale), (mid, fid)
+    assert np.all(np.abs(quadratic - reference) <= 1e-12 * scale), (mid, fid)
 
 
 def _fiber_integral_per_block(m, F, X, rule, block):
@@ -128,7 +144,10 @@ def _fiber_integral_per_block(m, F, X, rule, block):
         Et = np.swapaxes(E, -1, -2)
         if isinstance(F, QuadraticIntegrand):
             Q = Et @ F.form(Xb) @ E
-            vals = F._finish(Q.reshape(len(Xb), -1) @ rule.moments)
+            if F.absolute:
+                out[s:s + block] = integrals._abs_form_fiber_integrals(Q)
+                continue
+            vals = Q.reshape(len(Xb), -1) @ rule.moments
         else:
             V = rule.nodes @ Et
             vals = np.broadcast_to(np.asarray(F(Xb, V), dtype=float), V.shape[:-1])
@@ -140,7 +159,9 @@ def _fiber_integral_per_block(m, F, X, rule, block):
 @pytest.mark.parametrize("mid,fid", PAIR_IDS)
 def test_fiber_integral_forms_its_geometry_once(mid, fid, kind, monkeypatch, rng):
     # the frame and the rate form depend only on the point: one form call
-    # per fiber_integral call, and the same bits as rebuilding them per block
+    # per fiber_integral call, and the same bits as rebuilding them per
+    # block (the exact |form| route's own blocks hold other counts of
+    # points, and its rows do not depend on them)
     m, f = zoo.manifold(mid), zoo.vector_field(fid)
     rule = fiber_rule(m.dim)
     pts = sample_box_points(m, 40, rng)
@@ -153,7 +174,7 @@ def test_fiber_integral_forms_its_geometry_once(mid, fid, kind, monkeypatch, rng
     if kind == "generic":
         F = partial(pairing_rates, f, m)
     else:
-        F = QuadraticIntegrand(form, post=np.abs if kind == "quadratic-abs" else None)
+        F = QuadraticIntegrand(form, absolute=kind == "quadratic-abs")
     for block in (7, 16):
         monkeypatch.setattr(integrals, "FIBER_BLOCK_BYTES", block * rule.nodes.nbytes)
         calls.clear()
@@ -161,6 +182,135 @@ def test_fiber_integral_forms_its_geometry_once(mid, fid, kind, monkeypatch, rng
         if kind != "generic":
             assert calls == [len(pts)]
         assert np.array_equal(got, _fiber_integral_per_block(m, F, pts, rule, block)), block
+
+
+def _rotated(lam, rng):
+    """Symmetric matrices R diag(lam) R^T (N, n, n) with eigenvalues lam
+    (N, n) and random rotations R."""
+    R = np.linalg.qr(rng.normal(size=lam.shape + lam.shape[-1:]))[0]
+    return (R * lam[:, None, :]) @ np.swapaxes(R, -1, -2)
+
+
+def test_closed_form_eigenvalues_match_lapack(rng):
+    # ordered, summing to the trace, and within round-off of eigvalsh where
+    # the eigenvalues stand apart; a double one is split by a few 1e-8
+    lam = rng.normal(size=(200, 3))
+    lam[::4, 2] = lam[::4, 1]
+    Q = _rotated(lam, rng) * 10.0 ** rng.uniform(-200, 200, size=(200, 1, 1))
+    got = np.column_stack(integrals._eigenvalues3(Q))
+    ref = np.linalg.eigvalsh(Q)
+    size = np.abs(ref).max(axis=1, keepdims=True)
+    assert np.all(np.diff(got, axis=1) >= 0.0)
+    assert np.all(np.abs(got.sum(axis=1) - ref.sum(axis=1)) <= 1e-14 * size[:, 0])
+    apart = np.min(np.diff(ref, axis=1), axis=1) > 1e-3 * size[:, 0]
+    assert apart.sum() > 100
+    assert np.all(np.abs(got - ref)[apart] <= 1e-13 * size[apart])
+    assert np.all(np.abs(got - ref) <= 1e-7 * size)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_abs_form_integral_of_a_definite_form_is_its_trace(n, rng):
+    # pi |tr Q| in 2-D and (4 pi / 3) |tr Q| in 3-D, for positive and
+    # negative definite forms, semidefinite ones among them
+    lam = rng.uniform(0.01, 3.0, size=(60, n))
+    lam[::3, 0] = 0.0
+    lam[1::2] *= -1.0
+    Q = _rotated(lam, rng)
+    expected = (omega(n) / n) * np.abs(lam.sum(axis=1))
+    assert_allclose(integrals._abs_form_fiber_integrals(Q), expected, rtol=1e-13, atol=0)
+
+
+def test_abs_form_integral_with_a_double_eigenvalue(rng):
+    # eigenvalues (lam, mu, mu) with k = 1 - lam / mu > 1, in either sign
+    # of mu and either order of the spectrum
+    mu = rng.uniform(0.1, 3.0, 40) * np.where(np.arange(40) % 2, 1.0, -1.0)
+    lam = mu * (1.0 - rng.uniform(1.01, 30.0, 40))
+    Q = _rotated(np.column_stack([lam, mu, mu]), rng)
+    expected = [double_eigenvalue_sphere_integral(a, b) for a, b in zip(lam, mu)]
+    assert_allclose(integrals._abs_form_fiber_integrals(Q), expected, rtol=1e-12, atol=0)
+
+
+def test_abs_rate_fiber_integral_of_ex4_Z_in_closed_form(ex4, rng):
+    # the rate form of warp:ex4:Z has eigenvalues (z (1 - k), z, z), k = 3 -
+    # 2 / z^2, z^2 = 1 + x0^2 + x1^2; at the apex k = 1 and the form is
+    # semidefinite, (4 pi / 3) |tr Q| = 8 pi / 3
+    Z = zoo.vector_field("warp:ex4:Z")
+    pts = np.vstack([[0.0, 0.0, 1.0], sample_box_points(ex4, 60, rng)])
+    got = fiber_integral(ex4, QuadraticIntegrand(partial(pairing_rate_form, Z, ex4),
+                                                 absolute=True), pts)
+    z = np.sqrt(1.0 + pts[:, 0] ** 2 + pts[:, 1] ** 2)
+    k = 3.0 - 2.0 / z ** 2
+    u0 = k ** -0.5
+    expected = 4.0 * math.pi * z * (2.0 * (u0 - k * u0 ** 3 / 3.0) - (1.0 - k / 3.0))
+    assert got[0] == pytest.approx(8.0 * math.pi / 3.0, rel=1e-15)
+    assert_allclose(got, expected, rtol=1e-12, atol=0)
+
+
+def test_abs_form_integral_matches_an_adaptive_reference(rng):
+    # diag(1, 0, -1): the pole location is a crossing of the zero set, and
+    # the integral is 16 / 3; then seeded random indefinite forms
+    assert integrals._abs_form_fiber_integrals(np.diag([1.0, 0.0, -1.0])[None])[0] == (
+        pytest.approx(abs_form_sphere_integral(np.diag([1.0, 0.0, -1.0])), rel=1e-13))
+    assert abs_form_sphere_integral(np.diag([1.0, 0.0, -1.0])) == pytest.approx(16.0 / 3.0,
+                                                                              rel=1e-13)
+    for n in (2, 3):
+        lam = rng.normal(size=(40, n))
+        lam[:, 0] = -np.abs(lam[:, 0])
+        lam[:, 1] = np.abs(lam[:, 1])
+        Q = _rotated(lam, rng)
+        expected = [abs_form_sphere_integral(q) for q in Q]
+        assert_allclose(integrals._abs_form_fiber_integrals(Q), expected, rtol=1e-11, atol=0)
+
+
+def test_abs_form_integral_scales_with_abs_c_and_ignores_rotations(rng):
+    lam = rng.normal(size=(30, 3))
+    Q = _rotated(lam, rng)
+    base = integrals._abs_form_fiber_integrals(Q)
+    for c in (-7.5, 1e-150, 3e150):
+        assert_allclose(integrals._abs_form_fiber_integrals(c * Q), abs(c) * base, rtol=1e-13)
+    R = np.linalg.qr(rng.normal(size=(30, 3, 3)))[0]
+    turned = R @ Q @ np.swapaxes(R, -1, -2)
+    assert_allclose(integrals._abs_form_fiber_integrals(turned), base, rtol=1e-13)
+
+
+def test_abs_form_integral_of_degenerate_forms_is_finite_and_quiet(rng):
+    # the zero form, repeated eigenvalues and a zero middle one: no NaN and
+    # no warning
+    spectra = np.array([[0.0, 0.0, 0.0], [-1.0, 2.0, 2.0], [-2.0, -2.0, 1.0],
+                        [1.5, 1.5, 1.5], [-1.5, -1.5, -1.5], [-1.0, 0.0, 0.0],
+                        [0.0, 0.0, 1.0], [-1.0, 0.0, 2.0], [-2.0, 0.0, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        diagonal = integrals._abs_form_fiber_integrals(np.array([np.diag(s) for s in spectra]))
+        turned = integrals._abs_form_fiber_integrals(_rotated(spectra, rng))
+        zero = integrals._abs_form_fiber_integrals(np.zeros((1, 2, 2)))
+    assert diagonal[0] == 0.0 and zero[0] == 0.0
+    expected = [abs_form_sphere_integral(np.diag(s)) for s in spectra]
+    # the rank-one forms lose most, 4e-13: the closed-form eigenvalues split
+    # their zero pair by about 1e-8
+    assert_allclose(diagonal, expected, rtol=1e-12, atol=0)
+    assert_allclose(turned, expected, rtol=1e-12, atol=1e-15)
+
+
+def test_abs_form_integral_of_one_point_is_its_row_in_a_stack(rng):
+    for n in (2, 3):
+        Q = _rotated(rng.normal(size=(50, n)), rng)
+        stack = integrals._abs_form_fiber_integrals(Q)
+        for i in range(len(Q)):
+            assert np.array_equal(integrals._abs_form_fiber_integrals(Q[i:i + 1])[0], stack[i])
+
+
+def test_abs_rate_with_a_non_finite_form_raises_metric_error(ex4, rng):
+    pts = sample_box_points(ex4, 20, rng)
+    Z = zoo.vector_field("warp:ex4:Z")
+
+    def form(X):
+        Q = pairing_rate_form(Z, ex4, X)
+        Q[7, 1, 0] = np.nan
+        return Q
+
+    with pytest.raises(MetricError, match="not finite at"):
+        fiber_integral(ex4, QuadraticIntegrand(form, absolute=True), pts)
 
 
 @pytest.mark.parametrize("mid,fid", PAIR_IDS)

@@ -179,6 +179,11 @@ def test_geometry_functions_stack(mid, rng):
     _assert_close(partial(fd_christoffel, m), pts, (mid, "fd"))
 
 
+# symmetric and indefinite, so the |form| route meets its kinks
+OFFSET_FORMS = {2: np.array([[1.0, 0.5], [0.5, -2.0]]),
+                3: np.array([[1.0, 0.5, 0.0], [0.5, -2.0, 0.25], [0.0, 0.25, 0.5]])}
+
+
 @pytest.mark.parametrize("mid,fid", PAIR_IDS + (("torus", "torus:wave"),))
 def test_field_geometry_and_fiber_integral_stack(mid, fid, rng):
     m, f = zoo.manifold(mid), zoo.vector_field(fid)
@@ -195,8 +200,13 @@ def test_field_geometry_and_fiber_integral_stack(mid, fid, rng):
         # a rate integral is ~0 for a divergence-free field; keep it off zero
         return (1.0 + pairing_rates(f, m, X, V)) ** 2
 
-    Fq = QuadraticIntegrand(partial(pairing_rate_form, f, m), post=lambda r: (1.0 + r) ** 2)
-    for kind, G in (("fiber_integral", F), ("quadratic", Fq)):
+    def form(X):
+        # the same for the forms: a constant indefinite chart form added
+        return pairing_rate_form(f, m, X) + OFFSET_FORMS[m.dim]
+
+    kinds = (("fiber_integral", F), ("quadratic", QuadraticIntegrand(form)),
+             ("abs-quadratic", QuadraticIntegrand(form, absolute=True)))
+    for kind, G in kinds:
         _assert_close(partial(fiber_integral, m, G), many, (fid, kind))
         # one point is a stack of one: shape (), the bits of the stack's row
         one = fiber_integral(m, G, many[0])
