@@ -446,6 +446,35 @@ def _tensor_nodes(patch: ShellPatch, order: int) -> tuple[np.ndarray, np.ndarray
     return u.reshape(-1, d), reduce(np.multiply.outer, [w for _, w in axes]).ravel()
 
 
+# the most tensor nodes one ``base_integrals`` call builds: each holds a
+# chart point and the integrand's temporaries (the suite's largest: 23,040)
+MAX_TENSOR_NODES = 1_000_000
+
+
+def _pass_orders(order: int) -> tuple[int, int]:
+    return max(2, order // 2), order    # the half pass, then the full pass
+
+
+def tensor_node_count(m: ChartedManifold, regions, order: int = 16) -> int:
+    """The tensor nodes of every pass of ``base_integrals(m, h, regions,
+    order)`` from the panel edges alone; a ValueError once they pass
+    MAX_TENSOR_NODES (an unbounded axis at once), so a lazy ``regions``
+    is read no further."""
+    total = 0
+    for patch in (p for region in regions for p in resolve_patches(m, region)):
+        if not all(math.isfinite(hi - lo) for lo, hi in patch.bounds):
+            total = math.inf
+        else:
+            breaks = patch.breakpoints or ((),) * len(patch.bounds)
+            panels = math.prod(len(_panel_edges(lo, hi, breaks=brk))
+                               for (lo, hi), brk in zip(patch.bounds, breaks))
+            total += panels * sum(o ** len(patch.bounds) for o in _pass_orders(order))
+        if total > MAX_TENSOR_NODES:
+            raise ValueError(f"{m.name}: the tensor quadrature builds more than "
+                             f"{MAX_TENSOR_NODES:,} nodes")
+    return total
+
+
 def _fsums(p: np.ndarray, lengths) -> list[float]:
     """``math.fsum`` of each segment of p, the segments of the given
     lengths (each at least 1) laid end to end, bit for bit, from a few
@@ -500,11 +529,12 @@ def base_integrals(m: ChartedManifold, h: Callable[[np.ndarray], np.ndarray], re
     pass of the call at once by exact extraction (``_fsums``), with fsum's
     own inf, NaN and overflow behaviour.  So for an h that acts point by
     point every estimate equals the one region's ``base_integral`` to the
-    bit.
+    bit.  A call past MAX_TENSOR_NODES builds no node.
     """
+    tensor_node_count(m, regions, order)
     groups = [resolve_patches(m, region) for region in regions]
     passes = [(patch, *_tensor_nodes(patch, o)) for patches in groups
-              for patch in patches for o in (max(2, order // 2), order)]
+              for patch in patches for o in _pass_orders(order)]
     if not passes:
         return []
     x = np.concatenate([patch.to_chart(u) for patch, u, _ in passes])
@@ -598,6 +628,15 @@ LADDER_REL_TOL = 1e-3
 LADDER_ABS_TOL = 1e-10
 
 
+def ladder_shells(r0: float, rungs: int):
+    """The shells between the rungs R_k = r0 * 2^k of a ladder, from r = 0,
+    one at a time; a rung past the largest float is inf."""
+    lo, hi = 0.0, float(r0)
+    for _ in range(rungs):
+        yield RadialShell(lo, hi)
+        lo, hi = hi, 2.0 * hi
+
+
 def ladder_integral(m: ChartedManifold, h, r0: float = 1.0, rungs: int = 8,
                     order: int = 16, rel_tol: float = LADDER_REL_TOL) -> IntegralEstimate:
     """Integral of h over radius balls r <= R_k on the ladder R_k = r0 * 2^k,
@@ -606,9 +645,9 @@ def ladder_integral(m: ChartedManifold, h, r0: float = 1.0, rungs: int = 8,
     The trace of partial values is recorded; a non-convergent trace is the
     deliberate signal for a non-integrable integrand.
     """
-    radii = [r0 * 2.0 ** k for k in range(rungs)]
-    ests = base_integrals(m, h, [RadialShell(lo, R) for lo, R in
-                                 zip([0.0] + radii[:-1], radii)], order=order)
+    shells = list(ladder_shells(r0, rungs))
+    radii = [s.r_hi for s in shells]
+    ests = base_integrals(m, h, shells, order=order)
     values = list(itertools.accumulate((e.value for e in ests), initial=0.0))[1:]
     converged = False
     if len(values) >= 3:

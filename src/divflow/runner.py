@@ -39,10 +39,12 @@ from .integrals import (
     fiber_integral,
     fubini_consistency,
     ladder_integral,
+    ladder_shells,
     omega,
     sample_box_points,
     sample_liouville,
     sample_states,
+    tensor_node_count,
 )
 from .flow import TruncatedTrajectoryError, path_integral_identity_residual, return_grid_step
 from .diagnostics import (
@@ -223,6 +225,14 @@ class ExperimentConfig:
                         and all(_is_finite(v) for v in b) and b[0] < b[1] for b in box)):
             raise ConfigError(f"box must be {m.dim} [lo, hi] pairs of finite numbers "
                               f"with lo < hi, got {box!r}")
+        if "rungs" in spec.params:   # the radius ladder, or else the box
+            r0, rungs, order = _ladder(self)
+            try:
+                tensor_node_count(m, ladder_shells(r0, rungs) if m.shell is not None
+                                  else [_box(self, m)], order)
+            except ValueError as exc:
+                what = f"rungs {rungs}" if m.shell is not None else "box"
+                raise ConfigError(f"{what} and order {order}: {exc}") from None
         uid = self.params.get("u")
         if "u" in self.params and not (isinstance(uid, str)
                                        and uid in TEST_FUNCTIONS[self.manifold]):
@@ -248,14 +258,15 @@ def _jsonable(obj):
         return {str(k): _jsonable(v) for k, v in sorted(obj.items(), key=lambda kv: str(kv[0]))}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
+    # before the numbers: a bool is an int, and would be written 0 or 1
+    if obj is None or isinstance(obj, (str, bool)):
+        return obj
     if isinstance(obj, (np.floating, float)):
         return float(obj)
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
-    if obj is None or isinstance(obj, (str, bool)):
-        return obj
     raise TypeError(f"value {obj!r} is not JSON-serializable")
 
 
@@ -272,6 +283,13 @@ def _box(cfg: ExperimentConfig, m) -> ChartBox:
     """The config's chart box, or else the manifold's sample box."""
     box = cfg.params.get("box")
     return ChartBox(m.sample_box if box is None else tuple(tuple(b) for b in box))
+
+
+def _ladder(cfg: ExperimentConfig) -> tuple[float, int, int]:
+    """The config's ladder (r0, rungs) and order, or its kind's defaults."""
+    p = cfg.params
+    return (float(p.get("r0", 1.0)), int(p.get("rungs", 5)),
+            int(p.get("order", 10 if cfg.kind == "fx-ladder" else 16)))
 
 
 def _pair(cfg: ExperimentConfig):
@@ -322,10 +340,9 @@ def _integral_report(cfg, m, h, key: str, rtol: float) -> dict:
     """Integral of h over the config's region (the radius ladder when the
     manifold has shells, else a chart box), checked against ``expected``."""
     params = cfg.params
-    order = int(params.get("order", 16))
+    r0, rungs, order = _ladder(cfg)
     if m.shell is not None:
-        est = ladder_integral(m, h, r0=float(params.get("r0", 1.0)),
-                              rungs=int(params.get("rungs", 5)), order=order)
+        est = ladder_integral(m, h, r0=r0, rungs=rungs, order=order)
     else:
         est = base_integral(m, h, _box(cfg, m), order=order)
     results = {key: est}
@@ -392,10 +409,9 @@ def _run_cutoff(cfg):
 
 def _run_fx_ladder(cfg):
     m, f = _pair(cfg)
+    r0, rungs, order = _ladder(cfg)
     est = rate_integrability_ladder(
-        m, f, r0=float(cfg.params.get("r0", 1.0)),
-        rungs=int(cfg.params.get("rungs", 5)),
-        order=int(cfg.params.get("order", 10)),
+        m, f, r0=r0, rungs=rungs, order=order,
         rel_tol=float(cfg.tolerances.get("ladder_rel_tol", 5e-3)))
     return {"results": {"ladder": est}, "checks": _expected(cfg, est)}
 

@@ -19,10 +19,14 @@ Every manifold and field is built directly from its closed form: one
 almost-everywhere chart with its metric and Levi-Civita connection as closed
 bilinear forms and a bounded default sampling box; all but the torus also
 carry a radius surrogate with matching shell parametrization and a default
-radius cap for sampling.  The warped products write out g and Gamma of the
-product, and the lifted fields their product components; no manifold states
-g a second time as a matrix.  ``_MANIFOLDS`` and ``_FIELDS`` are the one
-catalog; the public id tuples are derived from them.
+radius cap for sampling.  Each surrogate is 1-Lipschitz for g and within a
+bounded distance of the Riemannian distance, as the annulus conditions
+need: the revolution surface's is |x|, within 0.1845 of the meridian
+arclength, whose slope in |x| lies in [1, 1.1924].  The warped products
+write out g and Gamma of the product, and the lifted fields their product
+components; no manifold states g a second time as a matrix.
+``_MANIFOLDS`` and ``_FIELDS`` are the one catalog; the public id tuples
+are derived from them.
 
 The chart, shell and field closures index only the last axis (``x[..., 0]``),
 so they take any stack of shape (..., n) and return the matching leading
@@ -42,7 +46,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import ChartedManifold, DomainError, VectorFieldDef
+from .geometry import ChartedManifold, VectorFieldDef
 from .integrals import ShellPatch
 
 __all__ = [
@@ -74,15 +78,6 @@ def _ipow(x, k: int):
     for _ in range(k - 1):
         out = out * x
     return out
-
-
-def _f(x):
-    """Revolution profile f(x) = 1/(1+x^2)."""
-    return 1.0 / (1.0 + x * x)
-
-
-def _df(x):
-    return -2.0 * x / _ipow(1.0 + x * x, 2)
 
 
 class _HermiteBlend:
@@ -218,40 +213,15 @@ def make_flat_torus() -> ChartedManifold:
 # surface of revolution
 
 
-class _MeridianArclength:
-    """Arclength along the profile curve from x = 0, tabulated once.
-
-    r(x) = integral of sqrt(1 + f'(s)^2); monotone, so both directions are
-    served by interpolation on a dense grid over [0, X_MAX].  Past the
-    table's end either lookup is a DomainError.
-    """
-
-    X_MAX = 4200.0
-
-    def __init__(self):
-        xs = np.linspace(0.0, self.X_MAX, 400001)
-        slopes = np.sqrt(1.0 + _df(xs) ** 2)
-        mids = 0.5 * (slopes[1:] + slopes[:-1])
-        rs = np.concatenate([[0.0], np.cumsum(mids * np.diff(xs))])
-        self.xs, self.rs = xs, rs
-
-    def r_of_x(self, x):
-        ax = np.abs(x)
-        if np.any(ax > self.X_MAX):
-            raise DomainError(f"arclength table ends at |x| = {self.X_MAX}")
-        return np.interp(ax, self.xs, self.rs)
-
-    def x_of_r(self, r):
-        if np.any(r > self.rs[-1]):
-            raise DomainError(f"arclength table ends at r = {self.rs[-1]:.1f}")
-        return np.interp(r, self.rs, self.xs)
-
-
 def make_surface_of_revolution() -> ChartedManifold:
     """Rotate the graph of f(x) = 1/(1+x^2) about the x axis.
 
-    Chart (x, t) with metric diag(1 + f'(x)^2, f(x)^2), t periodic; the
-    radius surrogate is meridian arclength from x = 0.
+    Chart (x, t) with metric diag(1 + f'(x)^2, f(x)^2), t periodic.  The
+    radius surrogate is the chart coordinate |x|: 1-Lipschitz for g, as
+    g_00 = 1 + f'^2 >= 1, and within 0.1845 of the meridian arclength
+    s(x) = integral of sqrt(1 + f'^2) from 0, whose slope ds/d|x| lies in
+    [1, 1.1924].  The shells of |x| are the two patches x > 0 and x < 0 in
+    (|x|, t), with the closed-form density f sqrt(1 + f'^2) at |x|.
     """
 
     # f = 1/t, f' = -2x/t^2 and f'' = (6x^2 - 2)/t^3 from one t = 1 + x^2
@@ -275,23 +245,16 @@ def make_surface_of_revolution() -> ChartedManifold:
         np.multiply(fp / f, a0 * b1 + a1 * b0, out=out[..., 1])
         return out
 
-    arc = _MeridianArclength()
+    e = np.eye(2)
 
     def shell(r_lo: float, r_hi: float):
-        def to_chart(sign):
-            def along(u):
-                x = np.array(u, dtype=float)
-                x[..., 0] = sign * arc.x_of_r(u[..., 0])
-                return x
-            return along
-
         def density(u):
-            # meridian is unit-speed in s, so the area density reduces to f
-            return _f(arc.x_of_r(u[..., 0]))
+            # sqrt(det g) of the diagonal g, even in x, at x = +-u_0
+            return np.sqrt(inner(u, e[0], e[0]) * inner(u, e[1], e[1]))
 
         bounds = ((float(r_lo), float(r_hi)), (0.0, TWO_PI))
-        return (ShellPatch(bounds, to_chart(1.0), density),
-                ShellPatch(bounds, to_chart(-1.0), density))
+        return (ShellPatch(bounds, lambda u: u, density),
+                ShellPatch(bounds, lambda u: u * (-1.0, 1.0), density))
 
     return ChartedManifold(
         name="revolution:1/(1+x^2)",
@@ -299,7 +262,7 @@ def make_surface_of_revolution() -> ChartedManifold:
         periods=(None, TWO_PI),
         inner=inner,
         connection=connection,
-        radius=lambda x: arc.r_of_x(x[..., 0]),
+        radius=lambda x: np.abs(x[..., 0]),
         shell=shell,
         sample_box=((-8.0, 8.0), (0.0, TWO_PI)),
         radius_cap=4.0,

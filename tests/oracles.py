@@ -117,16 +117,25 @@ def endpoint_bound_check(field, m, states, s: float):
 # metric matrices
 
 
+def _f(x):
+    """The revolution profile f(x) = 1/(1+x^2)."""
+    return 1.0 / (1.0 + x * x)
+
+
+def _df(x):
+    return -2.0 * x / (1.0 + x * x) ** 2
+
+
 def _torus_metric(x):
     return np.broadcast_to(np.eye(2), x.shape[:-1] + (2, 2))
 
 
 def _revolution_metric(x):
     x0 = x[..., 0]
-    fp = zoo._df(x0)
+    fp = _df(x0)
     g = np.zeros(x.shape[:-1] + (2, 2))
     g[..., 0, 0] = 1.0 + fp * fp
-    g[..., 1, 1] = zoo._ipow(zoo._f(x0), 2)
+    g[..., 1, 1] = zoo._ipow(_f(x0), 2)
     return g
 
 
@@ -186,7 +195,7 @@ def _torus_symbols(x):
 
 def _revolution_symbols(x):
     x0 = x[..., 0]
-    fx, fp = zoo._f(x0), zoo._df(x0)
+    fx, fp = _f(x0), _df(x0)
     fpp = (6.0 * x0 * x0 - 2.0) / (1.0 + x0 * x0) ** 3
     d = 1.0 + fp * fp
     G = np.zeros(x.shape[:-1] + (2, 2, 2))
@@ -344,7 +353,7 @@ def field_pairs() -> list:
 
 def _revolution_W_fx(x, v):
     # rate of the velocity pairing, written through the ambient picture
-    fx_, fp = zoo._f(x[0]), zoo._df(x[0])
+    fx_, fp = _f(x[0]), _df(x[0])
     c, s = math.cos(x[1]), math.sin(x[1])
     yz = np.array([fx_ * c, fx_ * s])
     a = v[0]
@@ -507,11 +516,11 @@ def hyperbolic_geodesic(x0, v0, t):
 
 def revolution_embedding(x):
     """The revolution surface's chart point (x, t) in Euclidean 3-space."""
-    return np.array([x[0], zoo._f(x[0]) * math.cos(x[1]), zoo._f(x[0]) * math.sin(x[1])])
+    return np.array([x[0], _f(x[0]) * math.cos(x[1]), _f(x[0]) * math.sin(x[1])])
 
 
 def revolution_embedding_jacobian(x):
     """The Jacobian of ``revolution_embedding``, one column per chart axis."""
-    fx, fp = zoo._f(x[0]), zoo._df(x[0])
+    fx, fp = _f(x[0]), _df(x[0])
     c, s = math.cos(x[1]), math.sin(x[1])
     return np.array([[1.0, 0.0], [fp * c, -fx * s], [fp * s, fx * c]])

@@ -7,9 +7,10 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from divflow import cli, runner
+from divflow import cli, integrals, runner
 from divflow.runner import KINDS, ConfigError, ExperimentConfig, report_to_json, run
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -384,6 +385,11 @@ def test_a_frame_lost_to_round_off_becomes_a_failed_report(capsys):
      {"type": "MetricError",
       "message": "hyperbolic: g(X, X) not finite at "
                  "array([4.59478187e+86, 5.76205592e+85])"}),
+    (["diagnose", "karp", "--manifold", "revolution:1/(1+x^2)", "--field", "revolution:W",
+      "--param", "radii=[1e200]"],
+     {"type": "MetricError",
+      "message": "revolution:1/(1+x^2): g(X, X) not finite at "
+                 "array([1.00000000e+200, 1.24753095e-001])"}),
 ])
 def test_a_far_field_failure_names_the_first_point_of_the_first_pass(argv, error, capsys):
     # every rung or annulus goes to the integrand in one stack, in the order
@@ -398,27 +404,78 @@ def test_a_far_field_failure_names_the_first_point_of_the_first_pass(argv, error
     assert report["error"] == error
 
 
-@pytest.mark.parametrize("argv, message", [
-    (["diagnose", "hopf", "--manifold", "revolution:1/(1+x^2)", "--param", "radius_cap=5000",
-      "--param", "n=2"], "arclength table ends at r = 4200.2"),
-    (["diagnose", "karp", "--manifold", "revolution:1/(1+x^2)", "--field", "revolution:W",
-      "--param", "radii=[3000]"], "arclength table ends at r = 4200.2"),
-    (["integrate", "volume", "--manifold", "revolution:1/(1+x^2)", "--param", "rungs=14"],
-     "arclength table ends at r = 4200.2"),
+def test_an_observable_underflow_becomes_a_failed_report(capsys):
     # e^(-3r) underflows to 0 past r = 248.4
-    (["diagnose", "hopf", "--manifold", "warp:ex3", "--param", "radius_cap=300",
-      "--param", "n=3"], "observable must be strictly positive; it is 0.0 at state 0"),
-], ids=["hopf-revolution", "karp-revolution", "volume-revolution", "hopf-ex3"])
-def test_a_run_past_a_table_or_an_underflow_becomes_a_failed_report(capsys, argv, message):
+    argv = ["diagnose", "hopf", "--manifold", "warp:ex3", "--param", "radius_cap=300",
+            "--param", "n=3"]
     assert cli.main(argv) == 1
     captured = capsys.readouterr()
     assert captured.err == ""
     report = json.loads(captured.out)
     assert report["error"]["type"] == "DomainError"
-    assert report["error"]["message"].startswith(message)
+    assert report["error"]["message"].startswith(
+        "observable must be strictly positive; it is 0.0 at state 0")
     assert report["checks"] == [{"name": "completed", "value": "error", "threshold": "none",
                                  "comparator": "==", "passed": False}]
     assert report["passed"] is False
+
+
+@pytest.mark.parametrize("argv", [
+    ["diagnose", "hopf", "--manifold", "revolution:1/(1+x^2)", "--param", "radius_cap=5000",
+     "--param", "n=2"],
+    ["diagnose", "karp", "--manifold", "revolution:1/(1+x^2)", "--field", "revolution:W",
+     "--param", "radii=[3000]"],
+    ["integrate", "volume", "--manifold", "revolution:1/(1+x^2)", "--param", "rungs=14"],
+], ids=["hopf", "karp", "volume"])
+def test_far_revolution_runs_complete(argv, capsys):
+    # radii past |x| = 4200, where a tabulated surrogate would have ended
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    report = json.loads(captured.out)
+    assert "error" not in report and report["results"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["integrate", "volume", "--manifold", "warp:ex4", "--param", "rungs=600"],
+     "rungs 600 and order 16: warp:ex4: "),
+    (["integrate", "volume", "--manifold", "revolution:1/(1+x^2)", "--param", "rungs=600"],
+     "rungs 600 and order 16: revolution:1/(1+x^2): "),
+    # the rungs past the largest float are inf
+    (["diagnose", "fx-ladder", "--manifold", "hyperbolic", "--field", "hyperbolic:rotation",
+      "--param", "r0=1e300", "--param", "rungs=40", "--param", "order=2"],
+     "rungs 40 and order 2: hyperbolic: "),
+    (["diagnose", "fx-ladder", "--manifold", "hyperbolic", "--field", "hyperbolic:rotation",
+      "--param", "rungs=2000", "--param", "order=2"], "rungs 2000 and order 2: hyperbolic: "),
+    (["integrate", "volume", "--manifold", "torus", "--param", "order=2000"],
+     "box and order 2000: torus(L=1): "),
+])
+def test_a_quadrature_past_the_node_budget_exits_2_before_any_node(argv, message, capsys,
+                                                                  monkeypatch):
+    def fail(patch, order):
+        raise AssertionError("a node array was built")
+
+    monkeypatch.setattr(integrals, "_tensor_nodes", fail)
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"divflow: config error: {message}the tensor quadrature "
+                            f"builds more than {integrals.MAX_TENSOR_NODES:,} nodes\n")
+
+
+def test_reports_write_booleans_as_booleans():
+    assert json.dumps(runner._jsonable(
+        {"a": True, "b": [False, 1, np.int64(2)], "c": (False, 0.5)})) == (
+        '{"a": true, "b": [false, 1, 2], "c": [false, 0.5]}')
+    report = run(ExperimentConfig.from_dict(
+        json.loads((CONFIGS / "ladder-ex1.json").read_text())))
+    assert report["results"]["ladder"]["converged"] is True
+    (check,) = report["checks"]
+    assert (check["name"], check["value"], check["threshold"]) == ("ladder_converged",
+                                                                    True, True)
+    assert '"converged": true' in report_to_json(report)
 
 
 def test_other_exceptions_still_propagate(monkeypatch):

@@ -694,7 +694,7 @@ def test_first_return_scans_as_an_exhaustive_scan_does(torus, revolution, hyperb
                 assert (got, res.conclusive, res.reason) == (event, conclusive, reason)
             events[m.name, eps] = sum(res.event is not None for res in results)
             reasons[m.name, eps] = {res.reason for res in results}
-    assert events[revolution.name, 0.05] == 4 and events[revolution.name, 0.2] == 6
+    assert events[revolution.name, 0.05] == 3 and events[revolution.name, 0.2] == 7
     assert reasons[hyperbolic.name, 0.05] == reasons[hyperbolic.name, 0.2] == {"escape"}
 
 
@@ -738,7 +738,7 @@ def test_proxy_distance_periodic_wrap(torus):
 
 
 def test_radius_stretch_constant_revolution(revolution, radius_stretch_constant):
-    # near-meridian escaping fan: travel time tracks arclength closely
+    # near-meridian escaping fan: travel time tracks the radius |x| closely
     V = []
     for ang in np.linspace(-0.3, 0.3, 7):
         V += [[math.cos(ang), math.sin(ang)], [-math.cos(ang), math.sin(ang)]]

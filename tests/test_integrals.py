@@ -411,6 +411,40 @@ def test_base_integrals_equal_one_region_and_one_pass_at_a_time(mid):
         assert est.stderr > 0.0
 
 
+@pytest.mark.parametrize("mid", SHELL_IDS + ["torus"])
+def test_tensor_node_count_is_what_base_integrals_builds(mid):
+    m = zoo.manifold(mid)
+    regions = ([RadialShell(0.0, 1.0), RadialShell(1.0, 3.0), RadialShell(2.5, 100.0)]
+               if m.shell is not None else [ChartBox(((0.0, 1.0), (0.0, 20.0)))])
+    sizes = []
+    integrals.base_integrals(m, lambda x: sizes.append(len(x)) or 1.0, regions, order=8)
+    assert integrals.tensor_node_count(m, regions, order=8) == sizes[0]
+
+
+def test_tensor_node_count_refuses_an_unbounded_axis(torus, hyperbolic):
+    # at once, where panel edges toward inf would never end
+    budget = f"more than {integrals.MAX_TENSOR_NODES:,} nodes"
+    with pytest.raises(ValueError, match="torus.*" + budget):
+        integrals.tensor_node_count(torus, [ChartBox(((0.0, math.inf), (0.0, 1.0)))], 2)
+    # a lazy ladder is read up to its first inf rung, short of the budget
+    read = []
+    shells = (read.append(s) or s for s in integrals.ladder_shells(1e300, 10 ** 9))
+    with pytest.raises(ValueError, match="hyperbolic.*" + budget):
+        integrals.tensor_node_count(hyperbolic, shells, order=2)
+    assert read[-1].r_hi == math.inf
+    finite = integrals.tensor_node_count(hyperbolic, read[:-1], order=2)
+    assert finite < integrals.MAX_TENSOR_NODES
+
+
+def test_base_integrals_refuses_past_the_node_budget_before_any_node(ex4, monkeypatch):
+    def fail(patch, order):
+        raise AssertionError("a node array was built")
+
+    monkeypatch.setattr(integrals, "_tensor_nodes", fail)
+    with pytest.raises(ValueError, match="warp:ex4: the tensor quadrature builds more than"):
+        integrals.base_integrals(ex4, lambda x: 1.0, list(integrals.ladder_shells(1.0, 600)))
+
+
 def test_a_ladder_calls_its_integrand_once(ex4):
     calls = []
 

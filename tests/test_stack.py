@@ -163,7 +163,7 @@ def test_profile_stack_covers_every_piece(maker):
     _assert_exact(lambda r: prof.b_db(r)[1], rs, prof.name)
 
 
-def test_meridian_arclength_maps_stack_exactly(rng):
+def test_revolution_radius_maps_stack_exactly(rng):
     m = zoo.manifold("revolution:1/(1+x^2)")
     xs = np.column_stack([rng.uniform(-900.0, 900.0, N), rng.uniform(0.0, 6.0, N)])
     _assert_exact(m.radius, xs, "radius")

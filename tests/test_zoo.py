@@ -11,8 +11,15 @@ from divflow.geometry import (
     covariant_derivative,
     field_norm,
     metric_at,
+    orthonormal_frame,
 )
-from divflow.integrals import ChartBox, RadialShell, base_integral, sample_states
+from divflow.integrals import (
+    ChartBox,
+    RadialShell,
+    base_integral,
+    sample_box_points,
+    sample_states,
+)
 from divflow.zoo import (
     make_flat_torus,
     make_surface_of_revolution,
@@ -159,12 +166,46 @@ def test_revolution_area_finite_and_stable():
     assert abs(vals[-1] - vals[-2]) < 1e-3 * vals[-1]
 
 
-def test_revolution_radius_surrogate_sandwich():
+def _revolution_slope(x):
+    # d(meridian arclength)/dx = sqrt(1 + f'(x)^2)
+    return math.sqrt(1.0 + 4.0 * x * x / (1.0 + x * x) ** 4)
+
+
+def test_revolution_radius_is_abs_x_near_meridian_arclength():
     m = make_surface_of_revolution()
-    # meridian arclength: |x| <= r(x) <= |x| + 1 (slope excess is integrable)
-    for x in (0.5, 3.0, 50.0, 900.0):
-        r = m.radius(np.array([x, 0.0]))
-        assert x <= r <= x + 1.0
+    xs = np.array([-900.0, -3.0, -0.5, 0.0, 0.5, 1.0 / math.sqrt(3.0), 3.0, 50.0, 1e6])
+    assert np.array_equal(m.radius(np.column_stack([xs, np.ones_like(xs)])), np.abs(xs))
+    # the arclength's slope peaks at x = 1/sqrt(3) and its excess over |x|
+    # sums to 0.18446, the bounds the zoo states
+    assert _revolution_slope(1.0 / math.sqrt(3.0)) == pytest.approx(1.1924240, abs=1e-7)
+    excess = quad(lambda x: _revolution_slope(x) - 1.0, 0.0, np.inf)[0]
+    assert excess == pytest.approx(0.1844598, abs=1e-7)
+
+
+def test_revolution_area_of_the_unit_radius_ball_is_exact():
+    m = make_surface_of_revolution()
+    # area of {|x| <= 1}: both halves of 2 pi f sqrt(1 + f'^2)
+    oracle = 4.0 * math.pi * quad(lambda x: _revolution_slope(x) / (1.0 + x * x), 0.0, 1.0,
+                                  epsabs=0.0, epsrel=1e-13)[0]
+    est = base_integral(m, lambda x: 1.0, RadialShell(0.0, 1.0))
+    assert est.value == pytest.approx(oracle, rel=1e-12)
+    assert est.value == pytest.approx(11.0704139516033, rel=1e-12)
+
+
+@pytest.mark.parametrize("mid", [mid for mid in zoo.MANIFOLD_IDS
+                                 if zoo.manifold(mid).radius is not None])
+def test_radius_surrogates_are_one_lipschitz(mid, rng):
+    # |dr(v)| <= |v|_g for g-unit v, by central differences at box points
+    # and at points further out
+    m = zoo.manifold(mid)
+    pts = sample_box_points(m, 200, rng)
+    pts[100:, 0] *= 3.0
+    frame = orthonormal_frame(m, pts)
+    g = rng.normal(size=(len(pts), m.dim))
+    v = np.einsum("nij,nj->ni", frame, g / np.linalg.norm(g, axis=1, keepdims=True))
+    h = 1e-6
+    slope = np.abs(m.radius(pts + h * v) - m.radius(pts - h * v)) / (2.0 * h)
+    assert slope.max() <= 1.0 + 1e-6
 
 
 def test_W_tangency_to_embedded_surface(rng):
