@@ -79,6 +79,11 @@ class AnnulusReport:
     surrogate: str
 
 
+def annulus(r: float) -> RadialShell:
+    """The annulus B(2r) \\ B(r) of the radius surrogate."""
+    return RadialShell(float(r), 2.0 * float(r))
+
+
 def karp_sequence(m: ChartedManifold, field: VectorFieldDef,
                   radii: Sequence[float], order: int = 16) -> list[AnnulusReport]:
     """Annulus-decay reports (1/r) * integral of |X| over B(2r) \\ B(r).
@@ -90,7 +95,7 @@ def karp_sequence(m: ChartedManifold, field: VectorFieldDef,
     """
     if m.radius is None or m.shell is None:
         raise ValueError(f"{m.name} has no radius surrogate / shell parametrization")
-    shells = [RadialShell(float(r), 2.0 * float(r)) for r in radii]
+    shells = [annulus(r) for r in radii]
     ests = base_integrals(m, lambda x: field_norm(field, m, x), shells, order=order)
     return [AnnulusReport(radius=s.r_lo, mass=est.value, normalized=est.value / s.r_lo,
                           stderr=est.stderr / s.r_lo,
@@ -135,6 +140,11 @@ class CutoffReport:
         return self.rhs + sigma * (self.lhs_stderr + self.rhs_stderr)
 
 
+def cutoff_regions(r: float) -> tuple[RadialShell, RadialShell]:
+    """``cutoff_estimate``'s two base integral regions: B(2r), the annulus."""
+    return RadialShell(0.0, 2.0 * float(r)), annulus(r)
+
+
 def cutoff_estimate(m: ChartedManifold, field: VectorFieldDef, r: float,
                     order: int = 16) -> CutoffReport:
     """Both sides of |integral of phi_r div X| <= (C/r) * annulus mass.
@@ -144,11 +154,9 @@ def cutoff_estimate(m: ChartedManifold, field: VectorFieldDef, r: float,
     Both sides are computed independently by quadrature.
     """
     phi = cutoff_bump(m, r)
-    lhs_est = base_integral(
-        m, lambda x: phi(x) * divergence(field, m, x), RadialShell(0.0, 2.0 * r),
-        order=order)
-    rhs_est = base_integral(
-        m, lambda x: field_norm(field, m, x), RadialShell(r, 2.0 * r), order=order)
+    ball, ring = cutoff_regions(r)
+    lhs_est = base_integral(m, lambda x: phi(x) * divergence(field, m, x), ball, order=order)
+    rhs_est = base_integral(m, lambda x: field_norm(field, m, x), ring, order=order)
     c = CUTOFF_GRAD_CONSTANT
     lhs, rhs = abs(lhs_est.value), (c / r) * rhs_est.value
     return CutoffReport(r=float(r), lhs=lhs, rhs=rhs, lhs_stderr=lhs_est.stderr,
@@ -193,7 +201,7 @@ def x_decay_at_infinity(m: ChartedManifold, field: VectorFieldDef,
     out = []
     for r in radii:
         sup = 0.0
-        for patch in resolve_patches(m, RadialShell(float(r), 2.0 * float(r))):
+        for patch in resolve_patches(m, annulus(r)):
             u = _uniform_in(patch.bounds, rng, (n_samples,))
             # always probe the radial endpoints as well
             u[0, 0], u[min(1, n_samples - 1), 0] = patch.bounds[0]

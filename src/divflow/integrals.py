@@ -11,16 +11,17 @@ A base integrand h maps chart points (N, n) to values broadcastable to
 bundle integrand is of one of two kinds: a generic F(X, V), which maps
 points (N, n) and unit directions (N, k, n) to (N, k), or a
 ``QuadraticIntegrand``, v @ Q(x) @ v or its absolute value, whose fiber
-integrals never form the directions.  A generic F and the plain form go
-through the fiber rule, the form through the rule's second moments, as
-``values @ weights`` over fixed-size blocks of points.  The absolute value
+integrals never form the directions.  Fiber integrals take one of three
+routes.  The plain form's is the contraction of its frame-form with the
+fiber rule's second-moment matrix, sum_l w_l u_l u_l^T.  The absolute value
 has kinks where the form changes sign, on which the rule converges only
 algebraically, so its fiber integral is exact instead: a closed form in
 2-D, and in 3-D a closed part beside one KINK_ORDER-node Gauss piece per
-point.  Where partial sums accumulate (a pass's weighted nodes, patches,
-error terms) the sums are math.fsum's correctly rounded ones.
-Reductions have fixed shapes and order, so results are deterministic for a
-given numpy build.
+point.  A generic F goes to the rule's nodes, as ``values @ weights`` over
+fixed-size blocks of points.  Where partial sums accumulate (a pass's
+weighted nodes, patches, error terms) the sums are math.fsum's correctly
+rounded ones.  Reductions have fixed shapes and order, so results are
+deterministic for a given numpy build.
 """
 
 from __future__ import annotations
@@ -112,8 +113,7 @@ class ShellPatch:
 def _uniform_in(bounds, rng, shape: tuple = ()) -> np.ndarray:
     """Uniform draws of shape ``shape + (len(bounds),)`` in the box
     ``bounds``, one (lo, hi) pair per axis."""
-    lo = np.array([b[0] for b in bounds])
-    hi = np.array([b[1] for b in bounds])
+    lo, hi = np.array(bounds, dtype=float).T
     return rng.uniform(size=shape + (len(bounds),)) * (hi - lo) + lo
 
 
@@ -163,16 +163,15 @@ def omega(n: int) -> float:
 class FiberRule:
     """Quadrature rule on the unit sphere S^{n-1}.
 
-    ``moments[i * n + j, l]`` is u_i u_j of node u = nodes[l]: the values
-    of every quadratic form at every node are one product with it.  A
-    generic integrand is evaluated on the directions built from ``nodes``, a
-    quadratic one through ``moments``; both reduce with ``values @
-    weights``.
+    A generic integrand is evaluated on the directions built from ``nodes``
+    and reduced with ``values @ weights``.  The rule's integral of a plain
+    quadratic form u @ Q @ u is sum_ij Q_ij M_ij, M = ``second_moments``,
+    so it evaluates no node.
     """
 
     nodes: np.ndarray            # (k, n) unit direction coefficients
     weights: np.ndarray          # (k,), sum = omega(n)
-    moments: np.ndarray          # (n * n, k) second moments of the nodes
+    second_moments: np.ndarray   # (n, n), sum_l w_l u_l u_l^T
 
 
 def _gl(order: int, lo: float | np.ndarray,
@@ -203,8 +202,8 @@ def fiber_rule(n: int) -> FiberRule:
         weights = np.outer(wu, wt).ravel()
     else:
         raise NotImplementedError(f"no fiber rule shipped for dimension {n}")
-    moments = np.ascontiguousarray((nodes[:, :, None] * nodes[:, None, :]).reshape(-1, n * n).T)
-    return FiberRule(nodes=nodes, weights=weights, moments=moments)
+    return FiberRule(nodes=nodes, weights=weights,
+                     second_moments=(nodes.T * weights) @ nodes)
 
 
 class QuadraticIntegrand:
@@ -215,8 +214,8 @@ class QuadraticIntegrand:
     the integrand is |v @ Q @ v|.  Called as F(X, V) on directions V
     (N, k, n) it is an ordinary bundle integrand.  ``fiber_integral``
     instead works from the frame-form E^T Q E and never builds the
-    directions: the plain form through the fiber rule's second moments,
-    the absolute value through its exact fiber integral
+    directions: the plain form through the fiber rule's second-moment
+    matrix, the absolute value through its exact fiber integral
     (``_abs_form_fiber_integrals``).
     """
 
@@ -339,23 +338,19 @@ def fiber_integral(m: ChartedManifold, F: Callable, x):
     """Integral of F(x, v) over the unit sphere of the tangent space at x.
 
     ``x`` has shape (..., n), one point being a stack of one, and the
-    result has shape x.shape[:-1]: () for one point.
-    Directions come from a g-orthonormal frame E (Gram-Schmidt on the chart
-    basis), so the round measure of the fiber rule ``fiber_rule(m.dim)``
-    matches the fiber measure of the unit tangent bundle.  E depends only
-    on the point, so it is formed once for the whole stack, as is the
-    frame-form E^T Q E of a QuadraticIntegrand (F.form called once).  An
-    absolute QuadraticIntegrand takes the exact route,
-    ``_abs_form_fiber_integrals`` of the frame-form, in blocks of b points,
-    as many as fit its three (b, KINK_ORDER) arrays in FIBER_BLOCK_BYTES; a
-    frame-form that is not finite raises MetricError.  Every other
-    integrand goes through the rule, its node values in blocks of b points,
-    as many as fit a (b, k, n) array in FIBER_BLOCK_BYTES.  A generic F gets
-    each block's points (b, n) and directions (b, k, n) and returns values
-    that broadcast to (b, k).  For a plain QuadraticIntegrand the node
-    values are the frame-form times the rule's second moments, one (b, n*n)
-    @ (n*n, k) product into one block buffer per call.  Both reduce with
-    ``values @ weights``.
+    result has shape x.shape[:-1]: () for one point.  Directions come from
+    a g-orthonormal frame E (Gram-Schmidt on the chart basis), so the round
+    measure of the rule ``fiber_rule(m.dim)`` is the fiber measure of the
+    unit tangent bundle.  E, and the frame-form E^T Q E of a
+    QuadraticIntegrand (one F.form call), are formed once for the stack.
+    Then one of three routes.  A plain form is the contraction sum_ij (E^T
+    Q E)_ij M_ij with the rule's second-moment matrix M, and evaluates no
+    node.  An absolute one is exact (``_abs_form_fiber_integrals``), in
+    blocks of b points whose three (b, KINK_ORDER) arrays fit in
+    FIBER_BLOCK_BYTES; a frame-form that is not finite raises MetricError.
+    A generic F gets each block's points (b, n) and directions (b, k, n),
+    b as many as fit a (b, k, n) array in FIBER_BLOCK_BYTES, and returns
+    values that broadcast to (b, k); they reduce with ``values @ weights``.
     """
     x = np.asarray(x, dtype=float)
     rule = fiber_rule(m.dim)
@@ -363,28 +358,20 @@ def fiber_integral(m: ChartedManifold, F: Callable, x):
     out = np.empty(len(X))
     E = orthonormal_frame(m, X)   # raises where g is not SPD
     Et = np.swapaxes(E, -1, -2)
-    quadratic = isinstance(F, QuadraticIntegrand)
-    if quadratic:
+    if isinstance(F, QuadraticIntegrand):
         Q = Et @ F.form(X) @ E
-        if F.absolute:
-            _check_finite(m, X, Q, "frame-form E^T Q E")
-            block = max(1, FIBER_BLOCK_BYTES // (3 * 8 * KINK_ORDER))
-            for s in range(0, len(X), block):
-                out[s:s + block] = _abs_form_fiber_integrals(Q[s:s + block])
-            return out.reshape(x.shape[:-1])
-        Q = Q.reshape(len(X), -1)
+        if not F.absolute:
+            # einsum, not a matvec: each row's sum does not depend on the others
+            return np.einsum("pij,ij->p", Q, rule.second_moments).reshape(x.shape[:-1])
+        _check_finite(m, X, Q, "frame-form E^T Q E")
+        block = max(1, FIBER_BLOCK_BYTES // (3 * 8 * KINK_ORDER))
+        for s in range(0, len(X), block):
+            out[s:s + block] = _abs_form_fiber_integrals(Q[s:s + block])
+        return out.reshape(x.shape[:-1])
     block = max(1, FIBER_BLOCK_BYTES // rule.nodes.nbytes)
-    if quadratic:
-        # one buffer for every block: fresh (b, k) arrays are handed back
-        # and faulted in again between blocks
-        buf = np.empty((min(block, len(X)), rule.moments.shape[1]))
     for s in range(0, len(X), block):
-        if quadratic:
-            q = Q[s:s + block]
-            vals = np.matmul(q, rule.moments, out=buf[:len(q)])
-        else:
-            V = rule.nodes @ Et[s:s + block]
-            vals = np.broadcast_to(np.asarray(F(X[s:s + block], V), dtype=float), V.shape[:-1])
+        V = rule.nodes @ Et[s:s + block]
+        vals = np.broadcast_to(np.asarray(F(X[s:s + block], V), dtype=float), V.shape[:-1])
         out[s:s + block] = vals @ rule.weights
     return out.reshape(x.shape[:-1])
 
@@ -449,6 +436,7 @@ def _tensor_nodes(patch: ShellPatch, order: int) -> tuple[np.ndarray, np.ndarray
 # the most tensor nodes one ``base_integrals`` call builds: each holds a
 # chart point and the integrand's temporaries (the suite's largest: 23,040)
 MAX_TENSOR_NODES = 1_000_000
+SM_ORDER = 12   # the base order of sm_integral, so of fubini_consistency
 
 
 def _pass_orders(order: int) -> tuple[int, int]:
@@ -561,7 +549,7 @@ def base_integral(m: ChartedManifold, h: Callable[[np.ndarray], np.ndarray], reg
     return base_integrals(m, h, [region], order=order)[0]
 
 
-def sm_integral(m: ChartedManifold, F, region, order: int = 12) -> IntegralEstimate:
+def sm_integral(m: ChartedManifold, F, region, order: int = SM_ORDER) -> IntegralEstimate:
     """Integral of F(p, v) over the unit tangent bundle above a base region.
 
     Computed as the iterated integral of the fiber integral: the projection
@@ -587,21 +575,17 @@ def fubini_consistency(m: ChartedManifold, F, region, n_mc: int = 20000,
     patches = resolve_patches(m, region)
     rng = np.random.default_rng(seed)
     w_total = omega(m.dim)
-    values, variances, nodes = [], [], 0
+    values, variances = [], []
     for patch in patches:
         vol = float(np.prod([hi - lo for lo, hi in patch.bounds]))
         u = _uniform_in(patch.bounds, rng, (n_mc,))
-        g = rng.normal(size=(n_mc, m.dim))
-        g /= np.linalg.norm(g, axis=1, keepdims=True)
-        x = patch.to_chart(u)
-        V = orthonormal_frame(m, x) @ g[:, :, None]       # (N, n, 1)
+        S = _with_unit_velocities(m, patch.to_chart(u), rng)
         vals = patch.density(u) * np.broadcast_to(
-            np.asarray(F(x, np.swapaxes(V, 1, 2)), dtype=float), (n_mc, 1))[:, 0]
+            np.asarray(F(S[:, :m.dim], S[:, None, m.dim:]), dtype=float), (n_mc, 1))[:, 0]
         mean = float(np.sum(vals)) / n_mc
         var = float(np.sum((vals - mean) ** 2)) / max(1, n_mc - 1)
         values.append(vol * w_total * mean)
         variances.append((vol * w_total) ** 2 * var / n_mc)
-        nodes += n_mc
     direct = math.fsum(values)
     direct_err = math.sqrt(math.fsum(variances))
     discrepancy = abs(direct - iterated.value)
@@ -614,7 +598,7 @@ def fubini_consistency(m: ChartedManifold, F, region, n_mc: int = 20000,
         "iterated_stderr": iterated.stderr,
         "bound": bound,
         "consistent": bool(discrepancy <= max(bound, 1e-12)),
-        "nodes": nodes + iterated.nodes,
+        "nodes": n_mc * len(patches) + iterated.nodes,
     }
 
 

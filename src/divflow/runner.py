@@ -33,6 +33,7 @@ from .geometry import (
     pairing_rate_form,
 )
 from .integrals import (
+    SM_ORDER,
     ChartBox,
     QuadraticIntegrand,
     base_integral,
@@ -49,7 +50,9 @@ from .integrals import (
 from .flow import TruncatedTrajectoryError, path_integral_identity_residual, return_grid_step
 from .diagnostics import (
     HOPF_LABELS,
+    annulus,
     cutoff_estimate,
+    cutoff_regions,
     hopf_probe,
     karp_sequence,
     rate_integrability_ladder,
@@ -225,13 +228,10 @@ class ExperimentConfig:
                         and all(_is_finite(v) for v in b) and b[0] < b[1] for b in box)):
             raise ConfigError(f"box must be {m.dim} [lo, hi] pairs of finite numbers "
                               f"with lo < hi, got {box!r}")
-        if "rungs" in spec.params:   # the radius ladder, or else the box
-            r0, rungs, order = _ladder(self)
+        for what, regions, order in _quadratures(self, m):
             try:
-                tensor_node_count(m, ladder_shells(r0, rungs) if m.shell is not None
-                                  else [_box(self, m)], order)
+                tensor_node_count(m, regions, order)
             except ValueError as exc:
-                what = f"rungs {rungs}" if m.shell is not None else "box"
                 raise ConfigError(f"{what} and order {order}: {exc}") from None
         uid = self.params.get("u")
         if "u" in self.params and not (isinstance(uid, str)
@@ -285,11 +285,32 @@ def _box(cfg: ExperimentConfig, m) -> ChartBox:
     return ChartBox(m.sample_box if box is None else tuple(tuple(b) for b in box))
 
 
-def _ladder(cfg: ExperimentConfig) -> tuple[float, int, int]:
-    """The config's ladder (r0, rungs) and order, or its kind's defaults."""
+# each kind's default quadrature order, where it is not 16, and radii
+ORDERS = {"fx-ladder": 10, "cutoff": 12, "fubini": SM_ORDER}
+RADII = {"karp": [5.0, 10.0, 20.0], "cutoff": [2.0, 5.0, 10.0], "decay": [2.0, 5.0, 10.0, 20.0]}
+
+
+def _sizes(cfg: ExperimentConfig) -> tuple[float, int, int, list[float]]:
+    """The config's ladder (r0, rungs), order and radii, or its kind's defaults."""
     p = cfg.params
     return (float(p.get("r0", 1.0)), int(p.get("rungs", 5)),
-            int(p.get("order", 10 if cfg.kind == "fx-ladder" else 16)))
+            int(p.get("order", ORDERS.get(cfg.kind, 16))),
+            [float(r) for r in p.get("radii", RADII.get(cfg.kind, ()))])
+
+
+def _quadratures(cfg: ExperimentConfig, m) -> list[tuple[str, object, int]]:
+    """(the params that size it, its regions, its order) of each
+    ``base_integrals`` call of the config's run: what ``validate`` counts."""
+    r0, rungs, order, radii = _sizes(cfg)
+    if cfg.kind == "karp":
+        return [("radii", [annulus(r) for r in radii], order)]
+    if cfg.kind == "cutoff":
+        return [("radii", [region], order) for r in radii for region in cutoff_regions(r)]
+    if "rungs" in KINDS[cfg.kind].params and m.shell is not None:
+        return [(f"rungs {rungs}", ladder_shells(r0, rungs), order)]
+    if "box" in KINDS[cfg.kind].params:   # fubini, or a ladder kind without shells
+        return [("box", [_box(cfg, m)], order)]
+    return []
 
 
 def _pair(cfg: ExperimentConfig):
@@ -340,7 +361,7 @@ def _integral_report(cfg, m, h, key: str, rtol: float) -> dict:
     """Integral of h over the config's region (the radius ladder when the
     manifold has shells, else a chart box), checked against ``expected``."""
     params = cfg.params
-    r0, rungs, order = _ladder(cfg)
+    r0, rungs, order, _ = _sizes(cfg)
     if m.shell is not None:
         est = ladder_integral(m, h, r0=r0, rungs=rungs, order=order)
     else:
@@ -369,8 +390,8 @@ def _run_divergence_integral(cfg):
 
 def _run_karp(cfg):
     m, f = _pair(cfg)
-    radii = [float(r) for r in cfg.params.get("radii", [5.0, 10.0, 20.0])]
-    reports = karp_sequence(m, f, radii, order=int(cfg.params.get("order", 16)))
+    _, _, order, radii = _sizes(cfg)
+    reports = karp_sequence(m, f, radii, order=order)
     return {"results": {"annuli": reports},
             "checks": _expected(cfg, [r.normalized for r in reports],
                                 [r.stderr for r in reports])}
@@ -398,10 +419,9 @@ def _expected(cfg, *args) -> list:
 
 def _run_cutoff(cfg):
     m, f = _pair(cfg)
-    radii = [float(r) for r in cfg.params.get("radii", [2.0, 5.0, 10.0])]
+    _, _, order, radii = _sizes(cfg)
     sigma = float(cfg.params.get("sigma", 3.0))
-    reports = [cutoff_estimate(m, f, r, order=int(cfg.params.get("order", 12)))
-               for r in radii]
+    reports = [cutoff_estimate(m, f, r, order=order) for r in radii]
     return {"results": {"reports": reports},
             "checks": [_check(f"cutoff_bound_r_{rep.r:g}", rep.lhs, rep.bound(sigma), "<=")
                        for rep in reports]}
@@ -409,7 +429,7 @@ def _run_cutoff(cfg):
 
 def _run_fx_ladder(cfg):
     m, f = _pair(cfg)
-    r0, rungs, order = _ladder(cfg)
+    r0, rungs, order, _ = _sizes(cfg)
     est = rate_integrability_ladder(
         m, f, r0=r0, rungs=rungs, order=order,
         rel_tol=float(cfg.tolerances.get("ladder_rel_tol", 5e-3)))
@@ -418,8 +438,7 @@ def _run_fx_ladder(cfg):
 
 def _run_decay(cfg):
     m, f = _pair(cfg)
-    radii = [float(r) for r in cfg.params.get("radii", [2.0, 5.0, 10.0, 20.0])]
-    sups = x_decay_at_infinity(m, f, radii,
+    sups = x_decay_at_infinity(m, f, _sizes(cfg)[3],
                                n_samples=int(cfg.params.get("n_samples", 400)),
                                seed=cfg.seed)
     return {"results": {"suprema": sups},

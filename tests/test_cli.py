@@ -451,6 +451,19 @@ def test_far_revolution_runs_complete(argv, capsys):
       "--param", "rungs=2000", "--param", "order=2"], "rungs 2000 and order 2: hyperbolic: "),
     (["integrate", "volume", "--manifold", "torus", "--param", "order=2000"],
      "box and order 2000: torus(L=1): "),
+    # karp's annuli are one call, at its default order 16
+    (["diagnose", "karp", "--manifold", "warp:ex2", "--field", "warp:ex2:Zbar",
+      "--param", "radii=[1e200]"], "radii and order 16: warp:ex2: "),
+    (["diagnose", "karp", "--manifold", "warp:ex2", "--field", "warp:ex2:Zbar",
+      "--param", "order=2000"], "radii and order 2000: warp:ex2: "),
+    # cutoff's B(2r) and annulus are two calls per radius, at default order 12
+    (["diagnose", "cutoff", "--manifold", "warp:ex3", "--field", "warp:ex3:Ubar",
+      "--param", "radii=[1e200]"], "radii and order 12: warp:ex3: "),
+    (["diagnose", "cutoff", "--manifold", "warp:ex3", "--field", "warp:ex3:Ubar",
+      "--param", "order=2000"], "radii and order 2000: warp:ex3: "),
+    # fubini's iterated side is sm_integral's, at order 12
+    (["verify", "fubini", "--manifold", "torus", "--field", "torus:wave",
+      "--param", "box=[[0,1e300],[0,1e300]]"], "box and order 12: torus(L=1): "),
 ])
 def test_a_quadrature_past_the_node_budget_exits_2_before_any_node(argv, message, capsys,
                                                                   monkeypatch):

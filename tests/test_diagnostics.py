@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -17,11 +18,18 @@ from divflow.diagnostics import (
     recurrence_fraction,
     x_decay_at_infinity,
 )
-from divflow.flow import birkhoff_integral, integrate_geodesic
-from divflow.geometry import VectorFieldDef
-from divflow.integrals import sample_liouville, sample_states
+from divflow.flow import birkhoff_integral, integrate_geodesic, path_integral_identity_residual
+from divflow.geometry import VectorFieldDef, covariant_derivative, pairing_rate_form
+from divflow.integrals import (
+    QuadraticIntegrand,
+    fiber_integral,
+    omega,
+    sample_box_points,
+    sample_liouville,
+    sample_states,
+)
 from divflow.runner import ExperimentConfig, report_to_csv, run
-from oracles import field_pairs, hyperbolic_geodesic, unit_states
+from oracles import TANH_RADIAL, field_pairs, hyperbolic_geodesic, unit_states
 
 TWO_PI = 2.0 * math.pi
 FOUR_PI_SQ = 4.0 * math.pi ** 2
@@ -349,3 +357,45 @@ def test_auxiliary_observable_positivity(hyperbolic, rng):
     states = sample_states(hyperbolic, 1000, rng)
     for val in birkhoff_integral(lambda x, v: f0(x), hyperbolic, states, 1.0):
         assert val > 0.0
+
+
+# ---------------------------------------------------------------------------
+# a field with flux: X = tanh(r) d_r on warp:ex2, div X != 0
+
+
+def test_fiber_lemma_on_a_field_with_flux(ex2, rng):
+    pts = sample_box_points(ex2, 200, rng)
+    A = covariant_derivative(TANH_RADIAL, ex2, pts)
+    div = np.trace(A, axis1=-2, axis2=-1)
+    fib = fiber_integral(ex2, QuadraticIntegrand(partial(pairing_rate_form, TANH_RADIAL, ex2)),
+                         pts)
+    assert np.max(np.abs(div)) > 1.0     # the plain form's integrand is not zero
+    assert np.max(np.abs(fib - omega(3) / 3.0 * div)) <= 1e-12
+
+
+def test_path_identity_on_a_field_with_flux(ex2, rng):
+    states = sample_states(ex2, 10, rng)
+    assert np.max(path_integral_identity_residual(TANH_RADIAL, ex2, states, 10.0)) <= 1e-9
+
+
+def test_karp_sequence_of_a_field_with_flux_decays(ex2):
+    # 60.35, 4.668, 0.04354, 7.3e-6: |X| <= 1 on a manifold of finite volume
+    vals = [r.normalized for r in karp_sequence(ex2, TANH_RADIAL, [2.0, 4.0, 8.0, 16.0])]
+    assert all(b < a for a, b in zip(vals[:-1], vals[1:])), vals
+    assert vals[-1] < 1e-4
+
+
+def test_rate_ladder_of_a_field_with_flux_converges(ex2):
+    est = rate_integrability_ladder(ex2, TANH_RADIAL, r0=1.0, rungs=8, order=12)
+    assert est.converged
+    assert est.value == pytest.approx(2227.04, rel=1e-5)
+
+
+def test_rate_ladder_of_the_conformal_field_is_closed_form(hyperbolic):
+    # |rate| = z on unit vectors, so the bundle integral over r <= R is
+    # 2 pi * 2 pi * int_0^R cosh r sinh r dr = 2 pi^2 sinh^2 R
+    est = rate_integrability_ladder(hyperbolic, zoo.vector_field("hyperbolic:conformal"),
+                                    r0=1.0, rungs=4)
+    for R, value in est.truncation_trace:
+        expect = 2.0 * math.pi ** 2 * math.sinh(R) ** 2
+        assert abs(value - expect) <= 1e-10 * expect, (R, value)

@@ -74,11 +74,12 @@ def test_fiber_rule_weights_and_moments(n):
     assert rule.weights.sum() == pytest.approx(omega(n), abs=1e-12)
     assert_allclose(np.linalg.norm(rule.nodes, axis=1), 1.0, atol=1e-14)
     # quadratic moments: int z_i z_j = delta_ij * omega / n
-    M = (rule.nodes.T * rule.weights) @ rule.nodes
+    M = rule.second_moments
+    assert M.shape == (n, n)
     assert_allclose(M, (omega(n) / n) * np.eye(n), atol=1e-12)
-    # the cached second moments u_i u_j, one row per (i, j)
-    assert rule.moments.shape == (n * n, len(rule.weights))
-    assert_allclose((rule.weights @ rule.moments.T).reshape(n, n), M, rtol=1e-14, atol=1e-15)
+    # the weighted sum of u u^T over the nodes, one matrix for the rule
+    assert_allclose(M, np.einsum("l,li,lj->ij", rule.weights, rule.nodes, rule.nodes),
+                    rtol=1e-14, atol=1e-15)
 
 
 def test_fiber_integral_of_constant(hyperbolic, ex4):
@@ -147,10 +148,10 @@ def _fiber_integral_per_block(m, F, X, rule, block):
             if F.absolute:
                 out[s:s + block] = integrals._abs_form_fiber_integrals(Q)
                 continue
-            vals = Q.reshape(len(Xb), -1) @ rule.moments
-        else:
-            V = rule.nodes @ Et
-            vals = np.broadcast_to(np.asarray(F(Xb, V), dtype=float), V.shape[:-1])
+            out[s:s + block] = np.einsum("pij,ij->p", Q, rule.second_moments)
+            continue
+        V = rule.nodes @ Et
+        vals = np.broadcast_to(np.asarray(F(Xb, V), dtype=float), V.shape[:-1])
         out[s:s + block] = vals @ rule.weights
     return out
 
@@ -161,7 +162,8 @@ def test_fiber_integral_forms_its_geometry_once(mid, fid, kind, monkeypatch, rng
     # the frame and the rate form depend only on the point: one form call
     # per fiber_integral call, and the same bits as rebuilding them per
     # block (the exact |form| route's own blocks hold other counts of
-    # points, and its rows do not depend on them)
+    # points, the plain form's contraction has no blocks, and neither
+    # route's rows depend on the others)
     m, f = zoo.manifold(mid), zoo.vector_field(fid)
     rule = fiber_rule(m.dim)
     pts = sample_box_points(m, 40, rng)

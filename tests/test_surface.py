@@ -38,7 +38,7 @@ def test_the_package_root_binds_only_the_version_and_the_tracer_pin():
                        "radius", "shell", "sample_box", "radius_cap",
                        "radius_escape_certificate", "description"]),
     (ShellPatch, ["bounds", "to_chart", "density", "breakpoints"]),
-    (FiberRule, ["nodes", "weights", "moments"]),
+    (FiberRule, ["nodes", "weights", "second_moments"]),
     (PhiProfile, ["name", "phi", "singular_near_zero"]),
 ], ids=["field", "manifold", "patch", "fiber-rule", "profile"])
 def test_the_zoo_types_hold_only_what_the_package_reads(cls, fields):
