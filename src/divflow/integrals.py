@@ -113,7 +113,8 @@ class ShellPatch:
 def _uniform_in(bounds, rng, shape: tuple = ()) -> np.ndarray:
     """Uniform draws of shape ``shape + (len(bounds),)`` in the box
     ``bounds``, one (lo, hi) pair per axis."""
-    lo, hi = np.array(bounds, dtype=float).T
+    lo = np.array([b[0] for b in bounds])
+    hi = np.array([b[1] for b in bounds])
     return rng.uniform(size=shape + (len(bounds),)) * (hi - lo) + lo
 
 
